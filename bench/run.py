@@ -44,12 +44,14 @@ class RunFailed(Exception):
 
 
 def spawn(workload, seed, deadline, extra, tag):
-    """Run a worker to its end.  Returns (processor seconds from its start
-    to the end of set-up, its record or None)."""
+    """Run a worker to its end.  Returns (its set-up seconds at the nominal
+    speed, its record or None)."""
     workdir = os.path.join(OUT, f"work-{os.getpid()}-{tag}")
     os.makedirs(workdir, exist_ok=True)
     env = dict(os.environ, PYTHONHASHSEED="0")
-    cmd = [sys.executable, WORKER, workload, "--seed", str(seed),
+    # -S: no site hooks, which in some installations import packages the
+    # library never uses (a .pth file importing certifi costs 50 ms)
+    cmd = [sys.executable, "-S", WORKER, workload, "--seed", str(seed),
            "--workdir", workdir] + extra
     try:
         proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, cwd=ROOT, env=env, text=True)
@@ -76,17 +78,23 @@ def quantile_ms(op_s, q):
     return statistics.quantiles(op_s, n=100, method="inclusive")[q - 1] * 1000
 
 
-def best_times(rec):
-    """Each operation's least processor time over the rounds of a run."""
-    return [min(t) for t in rec["op_s"] if t]
+def op_times(rec):
+    """The seconds, at the nominal speed, of every operation of every round
+    of a run that ended with a result."""
+    return [t for ts in rec["op_s"] for t in ts]
+
+
+def p50_ms(rec):
+    """Median over a round's operations of each one's median over the rounds.
+    The pooled median would fall between two operations when a round holds
+    an even number of them of very different lengths (`rational`: 55 ms and
+    140 ms), and read the noisiest samples of both."""
+    return statistics.median(statistics.median(ts) for ts in rec["op_s"] if ts) * 1000
 
 
 def untraced(workload, seed, seconds, deadline):
     """End-to-end metrics.  Set-up is sampled half before and half after the
-    timed run, so that the samples meet different moments of a shared
-    machine, and the least sample is reported: within one run the samples
-    read about 0.050 s or about 0.085 s depending on the machine's spell,
-    so their median flips between the two."""
+    timed run, and the median sample is reported."""
 
     def setup_sample(k):
         return spawn(workload, seed, deadline, ["--setup-only"], f"setup{k}")[0]
@@ -96,13 +104,13 @@ def untraced(workload, seed, seconds, deadline):
     samples.append(setup_s)
     samples += [setup_sample(k) for k in range(SETUP_SAMPLES // 2, SETUP_SAMPLES - 1)]
     rec["setup_samples_s"] = samples
-    best = best_times(rec)
-    if not best:
+    times = op_times(rec)
+    if not times:
         raise RunFailed(f"no {workload} operation ended with a result")
     rec["metrics"] = {
-        "ops_per_s": {"value": len(best) / sum(best), "unit": "1/s"},
-        "op_p50_ms": {"value": statistics.median(best) * 1000, "unit": "ms"},
-        "setup_s": {"value": min(samples), "unit": "s"},
+        "ops_per_s": {"value": len(times) / sum(times), "unit": "1/s"},
+        "op_p50_ms": {"value": p50_ms(rec), "unit": "ms"},
+        "setup_s": {"value": statistics.median(samples), "unit": "s"},
         "peak_rss_mb": {"value": rec["peak_rss_mb"], "unit": "MB"},
     }
     return rec
@@ -111,12 +119,12 @@ def untraced(workload, seed, seconds, deadline):
 def traced(workload, seed, seconds, deadline):
     """Per-layer metrics of a traced run that repeats exactly the rounds an
     untraced run of half the length completed; the ratio of their summed
-    best times is the tracing overhead."""
+    operation times is the tracing overhead."""
     _, base = spawn(workload, seed, deadline, ["--seconds", str(seconds / 2)], "base")
     trace_file = os.path.join(OUT, f"trace-{workload}-seed{seed}.tsv")
     _, rec = spawn(workload, seed, deadline,
                    ["--rounds", str(base["rounds"]), "--trace", trace_file], "traced")
-    overhead = (sum(best_times(rec)) / sum(best_times(base)) - 1) * 100
+    overhead = (sum(op_times(rec)) / sum(op_times(base)) - 1) * 100
     units = dict(tracing.metric_names())
     rec["metrics"] = {name: {"value": v, "unit": units[name]} for name, v in rec["layers"].items()}
     rec["metrics"]["trace.overhead_pct"] = {"value": overhead, "unit": "%"}
@@ -130,7 +138,7 @@ def traced(workload, seed, seconds, deadline):
 
 def summary(workload, seed, rec, trace):
     """Human-readable lines for standard error."""
-    op_s = best_times(rec)
+    op_s = op_times(rec)
     lines = [f"{workload} seed={seed}: {rec['rounds']} rounds, {rec['attempted']} attempted, "
              f"{rec['failed']} failed, {rec['redraws']} redraws, {rec['problem_count']} wrong"]
     if trace:
@@ -139,8 +147,8 @@ def summary(workload, seed, rec, trace):
         lines.append(f"  tracing overhead {rec['metrics']['trace.overhead_pct']['value']:.1f}%")
     elif len(op_s) > 1:
         tail = f", p90 {quantile_ms(op_s, 90):.3f} ms" if len(op_s) >= 100 else ""
-        lines.append(f"  p50 {quantile_ms(op_s, 50):.3f} ms{tail} over {len(op_s)} operations' "
-                     f"best of {rec['rounds']} rounds; "
+        lines.append(f"  p50 {p50_ms(rec):.3f} ms{tail} over {len(op_s)} operations "
+                     f"in {rec['rounds']} rounds; reference {rec['ref_median_s'] * 1e3:.4f} ms; "
                      "set-up " + " ".join(f"{s:.4f}" for s in rec["setup_samples_s"]) + " s")
     lines += ["  " + m for m in rec["errors"] + rec["problems"]]
     return "\n".join(lines)

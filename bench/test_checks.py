@@ -144,3 +144,37 @@ def test_hom_ext_matrix_matches_the_library():
     for ab, abp in (((0, 0), (-1, -1)), ((-1, 1), (-2, 0)), ((0, 2), (-1, 1))):
         want = [[list(e) for e in row] for row in hom_ext_matrix(1, ab, abp)]
         assert workloads.hom_ext(1, ab, abp) == want
+
+
+def test_measure_takes_out_samples_and_rescaled_scales_to_the_nominal_speed():
+    import speed
+
+    sampler = speed.Sampler()
+    nominal = speed.NOMINAL_S
+    # a machine at half the nominal speed: every sample takes twice NOMINAL_S
+    sampler.samples = [(0.1 * k, 2 * nominal) for k in range(40)]
+    # 1.0 s of wall time holding ten samples: 1.0 - 10 * 2 * NOMINAL_S of work
+    work, speed_s = sampler.measure(1.05, 2.05)
+    assert work == pytest.approx(1.0 - 20 * nominal)
+    assert speed.rescaled(work, speed_s) == pytest.approx((1.0 - 20 * nominal) / 2)
+    # a stretch between two samples is scaled by its neighbours alone
+    assert speed.rescaled(*sampler.measure(1.01, 1.02)) == pytest.approx(0.005)
+    with pytest.raises(RuntimeError):
+        speed.Sampler().measure(0.0, 1.0)
+
+
+def test_sampler_times_the_reference_on_processor_time_ticks():
+    import time
+
+    import speed
+
+    sampler = speed.Sampler()
+    sampler.start(0.005)
+    try:
+        end = time.process_time() + 0.1
+        while time.process_time() < end:
+            pass
+    finally:
+        sampler.stop()
+    assert len(sampler.samples) >= 5
+    assert all(d > 0 for _, d in sampler.samples)

@@ -34,8 +34,10 @@ KINDS = ("smooth-bimodule-chi2", "smooth-bimodule-chi1", "non-reduced", "reducib
 # more than a change to the code does.
 TABLES_POOL = 8
 RATIONAL_POOL = 2
-ROUNDTRIP_TRIPS = 4  # round trips per round
-RELATIONS_PER_COMPONENT = 40  # quadruples of each component per round
+# A round of `roundtrip` or `relations` lasts about one default run: their
+# cost depends on the draw, so a run times as many draws as it has time for.
+ROUNDTRIP_TRIPS = 16  # round trips per round
+RELATIONS_PER_COMPONENT = 320  # quadruples of each component per round
 GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "tests", "data", "stability_table.json")
 
