@@ -115,8 +115,10 @@ def cmd_classify(args):
 def cmd_split(args):
     obj = instance_from_json(_load(args))
     desc, flag = _descriptor_and_flag(obj)
+    # a doubled-member descriptor carries its own twist flag in its params
+    explicit = flag and not isinstance(obj, NRSheaf)
     table = {"ab": list(split_ab(desc)),
-             "ab_prime": list(split_ab_prime(desc, shifted_v_pullback=flag))}
+             "ab_prime": list(split_ab_prime(desc, shifted_v_pullback=explicit))}
     computed = {"ab": list(split_of_concrete(obj)),
                 "ab_prime": list(split_prime_of_concrete(obj))}
     if table != computed:

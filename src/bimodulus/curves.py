@@ -22,6 +22,7 @@ from .polyring import (
     bf_gcd,
     bf_is_zero,
     bf_multiplicity_pattern,
+    bf_rational_roots,
     bf_root_deflate,
     bf_roots_small,
     bf_scale,
@@ -129,14 +130,26 @@ def on_curve(f, pair):
 
 
 def enumerate_points(f):
-    """All rational points of the zero locus, over a finite field."""
+    """All rational points of the zero locus of a bidegree-(2,2) form over a
+    finite field, x-major with y in `p1_points` order.
+
+    One pass over the first ruling: each fiber's restriction is a binary
+    quadratic whose rational roots are the points above x, and a fiber
+    lying inside the zero locus contributes every y."""
     F = f.field
-    return [
-        (x, y)
-        for x in p1_points(F)
-        for y in p1_points(F)
-        if not f.eval_full([x, y])
-    ]
+    line = p1_points(F)
+    position = {pt: i for i, pt in enumerate(line)}
+    pts = []
+    for x in line:
+        q = fiber_quadratic(f, 0, x)
+        if bf_is_zero(q):
+            pts.extend((x, y) for y in line)
+            continue
+        roots = bf_rational_roots(F, q)
+        if roots:
+            found = {position[normalize_point(F, r)] for r, _ in roots}
+            pts.extend((x, line[i]) for i in sorted(found))
+    return pts
 
 
 def _chart_var(pt):
@@ -518,15 +531,10 @@ def random_smooth_point(f, rng, tries=200):
         q = fiber_quadratic(f, 0, x)
         if bf_is_zero(q):
             raise ValidationError("divisor contains a ruling fiber")
-        try:
-            used, roots = bf_roots_small(F, q)
-        except ValidationError:
-            continue  # irrational fiber over Q: try another one
-        if used is not F:
-            continue
+        roots = bf_rational_roots(F, q)
+        if roots is None:
+            continue  # conjugate roots: try another fiber
         roots = [r for r, _ in roots]
-        if not roots:
-            continue
         y = roots[rng.randrange(len(roots))]
         pair = (normalize_point(F, x), normalize_point(F, y))
         if is_smooth_point(f, pair):

@@ -33,7 +33,7 @@ from .curves import (
 )
 from .errors import SpecialPosition, ValidationError
 from .exactmath import kernel_basis, rank, rref
-from .polyring import MultiPoly, bf_is_zero, bf_roots_small, monomial_basis
+from .polyring import MultiPoly, bf_is_zero, bf_rational_roots, monomial_basis
 
 
 class Curve:
@@ -199,11 +199,8 @@ class LineBundle:
             q = fiber_quadratic(f, side, x)
             if bf_is_zero(q):
                 continue
-            try:
-                used, roots = bf_roots_small(F, q)
-            except ValidationError:
-                continue
-            if used is not F or len(roots) != 2 or any(m != 1 for _, m in roots):
+            roots = bf_rational_roots(F, q)
+            if roots is None or len(roots) != 2:
                 continue
             xn = normalize_point(F, x)
             pairs = []

@@ -296,11 +296,14 @@ def incidence_points(c1, c2):
 
 
 def recover_relations_from_ci(c1, c2):
-    """Left kernel of the 8 path monomials evaluated at every rational
-    incidence point; equals the span of the relations once the point count
-    exceeds the zero bound for trilinear sections."""
-    field = c1.field
-    pts = incidence_points(c1, c2)
+    """Relation plane recovered from the rational incidence points alone."""
+    return relations_through_points(c1.field, incidence_points(c1, c2))
+
+
+def relations_through_points(field, pts):
+    """Left kernel of the 8 path monomials evaluated at the given incidence
+    points; equals the span of the relations once the point count exceeds
+    the zero bound for trilinear sections."""
     # a trilinear form off the relation plane restricts to a nonzero section
     # of a degree-6 bundle on the incidence curve: at most 6 zeros
     if len(pts) <= 6:
@@ -444,10 +447,10 @@ def roundtrip0(U, sample_reps=4):
     j_shadows = ci_smooth_j(c1, c2)
     if j_shadows != j_member:
         raise AssertionError("shadow j differs from the member j")
-    recovered = recover_relations_from_ci(c1, c2)
+    pts = incidence_points(c1, c2)
+    recovered = relations_through_points(field, pts)
     if not subspace_equal(field, recovered, relations):
         raise AssertionError("recovered relations differ from the computed ones")
-    pts = incidence_points(c1, c2)
     quiver = generic_member_quiver()
     checked = 0
     for p in pts[:sample_reps]:

@@ -608,6 +608,37 @@ def bf_square_decomp(field, c):
     return unit, s
 
 
+def bf_rational_roots(field, c):
+    """Projective roots with multiplicity of a nonzero form of degree <= 2,
+    as [((a0, a1), mult)] with coordinates in `field`; None when the two
+    roots are conjugate over it."""
+    c = [field.coerce(x) for x in c]
+    d = len(c) - 1
+    if bf_is_zero(c):
+        raise ValidationError("roots of the zero form")
+    if d == 0:
+        return []
+    if d == 1:
+        # c0 x0 + c1 x1 vanishes at (c1, -c0)
+        return [((c[1], -c[0]), 1)]
+    if d != 2:
+        raise ValidationError("bf_rational_roots handles degree <= 2 only")
+    q0, q1, q2 = c
+    if not q0:
+        if q1:
+            return [((field.one(), field.zero()), 1), ((-q2 / q1, field.one()), 1)]
+        return [((field.one(), field.zero()), 2)]
+    disc = q1 * q1 - 4 * q0 * q2
+    if not disc:
+        return [((-q1 / (2 * q0), field.one()), 2)]
+    r = field.sqrt(disc)
+    if r is None:
+        return None
+    t1 = (-q1 + r) / (2 * q0)
+    t2 = (-q1 - r) / (2 * q0)
+    return [((t1, field.one()), 1), ((t2, field.one()), 1)]
+
+
 def bf_roots_small(field, c, ext=None):
     """All projective roots with multiplicity, for deg(c) <= 2.
 
@@ -615,35 +646,12 @@ def bf_roots_small(field, c, ext=None):
     the form splits there and otherwise in a quadratic extension (``ext`` if
     given, else the default one).
     """
-    c = [field.coerce(x) for x in c]
-    d = len(c) - 1
-    if bf_is_zero(c):
-        raise ValidationError("roots of the zero form")
-    if d == 0:
-        return field, []
-    if d == 1:
-        # c0 x0 + c1 x1 vanishes at (c1, -c0)
-        return field, [((c[1], -c[0]), 1)]
-    if d != 2:
-        raise ValidationError("bf_roots_small handles degree <= 2 only")
-    q0, q1, q2 = c
-    if not q0:
-        pts = [((field.one(), field.zero()), 1)]
-        if q1:
-            pts.append(((-q2 / q1, field.one()), 1))
-        else:
-            pts = [((field.one(), field.zero()), 2)]
-        return field, pts
-    disc = q1 * q1 - 4 * q0 * q2
-    if not disc:
-        return field, [((-q1 / (2 * q0), field.one()), 2)]
-    r = field.sqrt(disc)
-    if r is not None:
-        t1 = (-q1 + r) / (2 * q0)
-        t2 = (-q1 - r) / (2 * q0)
-        return field, [((t1, field.one()), 1), ((t2, field.one()), 1)]
+    roots = bf_rational_roots(field, c)
+    if roots is not None:
+        return field, roots
+    q0, q1, q2 = (field.coerce(x) for x in c)
     E = ext if ext is not None else field.quadratic_extension()
-    rr = E.sqrt(E.coerce(disc))
+    rr = E.sqrt(E.coerce(q1 * q1 - 4 * q0 * q2))
     if rr is None:
         raise AssertionError("discriminant has no square root in the quadratic extension")
     t1 = (E.coerce(-q1) + rr) / E.coerce(2 * q0)

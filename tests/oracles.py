@@ -1,13 +1,21 @@
 """Independent reference computations used to freeze expected values.
 
-Deliberately naive and local: j through cross-ratios of actual branch
-points, member classification through exhaustive singular-point inspection
-over a quadratic extension, doubled-member cohomology through closed
-forms.  The package must agree with these wherever both apply.
+Deliberately naive and local: points of a member by evaluating the form
+at every point of P1 x P1, j through cross-ratios of actual branch points,
+member classification through exhaustive singular-point inspection over a
+quadratic extension, doubled-member cohomology through closed forms.  The
+package must agree with these wherever both apply.
 """
 
 from bimodulus.curves import enumerate_points, local_derivatives, p1_points
 from bimodulus.polyring import bf_eval
+
+
+def brute_points(f):
+    """Zeros of a (2,2)-form among all q^2 + 2q + 1 points of P1 x P1 over
+    a finite field, x-major with y in `p1_points` order."""
+    line = p1_points(f.field)
+    return [(x, y) for x in line for y in line if not f.eval_full([x, y])]
 
 
 def j_from_cross_ratio(field, roots):
@@ -50,7 +58,7 @@ def brute_member_kind(f):
     field = f.field
     ext = field.quadratic_extension()
     fe = f.coerce_to(ext)
-    pts = enumerate_points(fe)
+    pts = enumerate_points(fe)  # cross-checked against brute_points in the tests
     sing = [p for p in pts if _is_singular(fe, p)]
     if pts and len(sing) == len(pts):
         return "NonReduced"

@@ -62,6 +62,20 @@ def test_split_agrees(capsys, files):
     assert rep["table"]["ab"] == [0, 0] or sum(rep["table"]["ab"]) == 0
 
 
+def test_split_on_a_doubled_member_sheaf_with_shifted_flag(capsys, tmp_path):
+    # the descriptor of this sheaf sets its own twist flag (ku = -1)
+    code, rep = run(capsys, "generate", "non-reduced", "--seed", "2002")
+    assert code == 0
+    body = dict(rep["instances"][0])
+    body.pop("validation")
+    path = tmp_path / "nr-shifted.json"
+    path.write_text(json.dumps(body))
+    code, rep = run(capsys, "split", "--in", str(path))
+    assert code == 0 and rep["agree"] and rep["shifted_flag"]
+    assert rep["table"] == rep["computed"]
+    assert rep["table"]["ab_prime"] == [-3, -1]
+
+
 def test_stability_on_descriptor(capsys, files):
     code, rep = run(capsys, "stability", "--in", files["desc"])
     assert code == 0

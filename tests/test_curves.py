@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bimodulus.errors import SpecialPosition, ValidationError
-from bimodulus.exactmath import QQ
+from bimodulus.exactmath import QQ, PrimeField
 from bimodulus.curves import (
     KINDS,
     enumerate_points,
@@ -23,7 +23,7 @@ from bimodulus.curves import (
     validate_support,
 )
 
-from oracles import brute_member_kind
+from oracles import brute_member_kind, brute_points
 
 
 def test_kinds_are_the_expected_six():
@@ -79,6 +79,46 @@ def test_enumerate_points_matches_on_curve(F5, rng):
     # each returned pair is normalized
     for p in pts:
         assert p == (normalize_point(F5, p[0]), normalize_point(F5, p[1]))
+
+
+@pytest.mark.parametrize("q", [5, 7, 25])
+@pytest.mark.parametrize("kind", KINDS)
+def test_enumerate_points_is_the_brute_scan(kind, q):
+    # same list, order included; F_25 holds members drawn over F_5
+    p = 5 if q == 25 else q
+    F = PrimeField(p)
+    f = make_kind(F, kind, random.Random(100 * q + KINDS.index(kind)))
+    if q == 25:
+        f = f.coerce_to(F.quadratic_extension())
+    assert enumerate_points(f) == brute_points(f)
+
+
+def test_enumerate_points_is_the_brute_scan_over_f101(F101, rng):
+    for kind in ("I0", "III"):
+        f = make_kind(F101, kind, rng)
+        assert enumerate_points(f) == brute_points(f)
+
+
+def test_enumerate_points_takes_whole_fibers_in_the_locus(F5):
+    # x1 * g contains the fiber x = (1, 0), which contributes every y
+    from bimodulus.polyring import MultiPoly, random_multipoly
+
+    g = random_multipoly(F5, (1, 2), random.Random(3))
+    f = MultiPoly.monomial(F5, (1, 0), (0, 1, 0, 0)) * g
+    pts = enumerate_points(f)
+    assert pts == brute_points(f)
+    inf = (F5.one(), F5.zero())
+    assert [pt for pt in pts if pt[0] == inf] == [(inf, y) for y in p1_points(F5)]
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_smooth_members_satisfy_the_hasse_bound(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(3):
+        n = len(enumerate_points(random_smooth_22(F, rng)))
+        # |n - (p + 1)| <= 2 sqrt(p), squared to stay in the integers
+        assert (n - (p + 1)) ** 2 <= 4 * p
 
 
 def test_smooth_points_and_off_curve_rejection(F101, rng):

@@ -1,10 +1,14 @@
 """The quadruple construction, relation kernels, incidence geometry, and the
 round trip between sheaf data and relation planes."""
 
+import random
+
 import pytest
 
+from bimodulus import moduli
 from bimodulus.errors import DegenerateInstance, SpecialPosition
-from bimodulus.curves import make_kind, member_j, random_smooth_point
+from bimodulus.curves import enumerate_points, make_kind, member_j, random_smooth_point
+from bimodulus.exactmath import PrimeField
 from bimodulus.exactmath import subspace_equal
 from bimodulus.linebundles import Curve, LineBundle, isomorphic, section_space
 from bimodulus.moduli import (
@@ -28,10 +32,6 @@ from bimodulus.quivers import generic_member_quiver, theta_stable
 
 @pytest.fixture(scope="module")
 def datum():
-    import random
-
-    from bimodulus.exactmath import PrimeField
-
     rng = random.Random(20260814)
     F101 = PrimeField(101)
     while True:
@@ -147,3 +147,39 @@ def test_roundtrip_report(datum):
     assert out["j"] == member_j(curve.f)
     assert out["points"] > 6
     assert out["stable_reps_checked"] == 3
+
+
+def test_roundtrip_counts_the_points_of_the_member(datum):
+    # the incidence curve is isomorphic to W, so both have as many points
+    F101, rng, curve, U, quad, rel, c1, c2 = datum
+    assert roundtrip0(U)["points"] == len(enumerate_points(curve.f))
+
+
+def test_roundtrip_enumerates_points_once(datum, monkeypatch):
+    F101, rng, curve, U, quad, rel, c1, c2 = datum
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return enumerate_points(f)
+
+    monkeypatch.setattr(moduli, "enumerate_points", counted)
+    roundtrip0(U)
+    assert len(calls) == 1
+
+
+def test_seeded_roundtrip_over_f1009():
+    F1009 = PrimeField(1009)
+    rng = random.Random(1009)
+    for _ in range(20):
+        try:
+            curve, U = random_sheaf_datum(F1009, rng)
+            rep = roundtrip0(U)
+        except (DegenerateInstance, SpecialPosition):
+            continue
+        n = rep["points"]
+        assert n == len(enumerate_points(curve.f))
+        assert (n - 1010) ** 2 <= 4 * 1009
+        assert rep["j"] == member_j(curve.f) and rep["stable_reps_checked"] == 4
+        return
+    pytest.fail("no round trip over F_1009 in 20 draws")
