@@ -25,7 +25,13 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exactmath import sparse_rank
-from .linebundles import LineBundle, is_twisted_v_pullback, is_v_pullback, split_from_cohomology
+from .linebundles import (
+    LineBundle,
+    is_twisted_v_pullback,
+    is_v_pullback,
+    split_from_cohomology,
+    split_from_h0,
+)
 from .polyring import uv_trim
 
 DESCRIPTOR_KINDS = ("split-pair", "non-reduced", "integral", "reducible", "two-lines")
@@ -218,16 +224,21 @@ class NRSheaf:
         return a
 
     def h1(self):
-        if self.is_invertible():
-            return self._bundle_cohomology()[1]
+        return self.cohomology()[1]
+
+    def cohomology(self):
+        """(h0, h1), each Cech count made once; h1 of a non-invertible
+        sheaf follows from the long exact sequence."""
         h0l, h1l = self._bundle_cohomology()
+        if self.is_invertible():
+            return h0l, h1l
         h0 = self.h0()
         h1 = h1l + self.degd() - h0l + h0
         if h1 < 0:
             raise AssertionError("negative h1 from the long exact sequence")
         if h0 - h1 != self.chi():
             raise AssertionError("Euler characteristic mismatch")
-        return h1
+        return h0, h1
 
     def __repr__(self):
         return (f"NRSheaf(ku={self.ku}, kv={self.kv}, apic={self.apic!r}, "
@@ -237,24 +248,7 @@ class NRSheaf:
 def nr_split_v(sheaf, window=8):
     """Splitting type of the direct image on the second factor, from the h0
     profile of v-twists, verified across the whole window."""
-    chi = sheaf.chi()
-    j0 = None
-    for j in range(-window, window + 1):
-        if sheaf.twist_v(j).h0() > 0:
-            j0 = j
-            break
-    if j0 is None:
-        raise ValidationError("splitting type outside the scanned window")
-    b = -j0
-    a = chi - 2 - b
-    if a > b:
-        raise AssertionError("splitting detection produced a > b")
-    for j in range(-window, window + 1):
-        want = max(a + j + 1, 0) + max(b + j + 1, 0)
-        got = sheaf.twist_v(j).h0()
-        if got != want:
-            raise AssertionError(f"twist profile mismatch at j={j}: {got} != {want}")
-    return (a, b)
+    return split_from_h0(lambda j: sheaf.twist_v(j).h0(), sheaf.chi(), window)
 
 
 def nr_split_u(sheaf, window=8):

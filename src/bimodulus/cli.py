@@ -278,7 +278,7 @@ def cmd_cech(args):
     obj = instance_from_json(_load(args))
     if not isinstance(obj, NRSheaf):
         raise ValidationError("this command takes a doubled-member sheaf")
-    h0, h1 = obj.h0(), obj.h1()
+    h0, h1 = obj.cohomology()
     out = {
         "command": "cech",
         "h0": h0,

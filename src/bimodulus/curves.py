@@ -18,16 +18,12 @@ from .exactmath import kernel_basis
 from .polyring import (
     MultiPoly,
     bf_divexact,
-    bf_eval,
     bf_gcd,
     bf_is_zero,
     bf_multiplicity_pattern,
     bf_rational_roots,
     bf_root_deflate,
-    bf_roots_small,
-    bf_scale,
     bf_square_decomp,
-    bf_squarefree_decomposition,
     j_from_quartic,
     monomial_basis,
     quadratic_discriminant,
@@ -193,49 +189,7 @@ def fiber_residual_point(f, pair, side):
 
 
 # ---------------------------------------------------------------------------
-# singular locus and component splitting
-
-
-def singular_points(f):
-    """Singular points of a reduced member, over at most one quadratic
-    extension of the base field.  Returns (field_used, sorted pairs)."""
-    F = f.field
-    disc = quadratic_discriminant(f, 1).to_binary()
-    if bf_is_zero(disc):
-        raise ValidationError("member is non-reduced")
-    _, factors = bf_squarefree_decomposition(F, disc)
-    ext = None
-    raw = []
-    for g, mult in factors:
-        if mult < 2:
-            continue
-        if ext is None:
-            ext = F.quadratic_extension() if F.characteristic else None
-        used, roots = bf_roots_small(F, g, ext=ext)
-        for xpt, _ in roots:
-            raw.append((used, xpt))
-    if not raw:
-        return F, []
-    field_used = F
-    for used, _ in raw:
-        if used is not F:
-            field_used = used
-    A, B, C = (c.to_binary() for c in f.coeff_forms(1))
-    pairs = []
-    for used, xpt in raw:
-        E = field_used
-        x = (E.coerce(xpt[0]), E.coerce(xpt[1])) if used is F or used is E else None
-        if x is None:
-            raise AssertionError("mixed quadratic extensions")
-        a = bf_eval(E, [E.coerce(c) for c in A], x)
-        b = bf_eval(E, [E.coerce(c) for c in B], x)
-        if a:
-            y = normalize_point(E, (-b, 2 * a))
-        else:
-            y = (E.one(), E.zero())
-        pairs.append((normalize_point(E, x), y))
-    pairs.sort(key=lambda pr: pair_key(field_used, pr))
-    return field_used, pairs
+# component splitting
 
 
 def _mp_from_y_coeffs(field, a, b):
@@ -297,23 +251,6 @@ def factor_11(f):
         if (g * h) == fE:
             return E, g, h
     raise AssertionError("component splitting failed verification")
-
-
-def nonreduced_sqrt(f):
-    """Write a non-reduced member as c * g**2 with g of bidegree (1,1)."""
-    F = f.field
-    if kodaira_classify(f) != "NonReduced":
-        raise ValidationError("member is not a doubled (1,1) curve")
-    A, B, _ = (x.to_binary() for x in f.coeff_forms(1))
-    sq = bf_square_decomp(F, A)
-    if sq is None:
-        raise AssertionError("doubled curve whose leading coefficient is not square")
-    c, a = sq
-    b = bf_divexact(F, bf_scale(F, B, F.one() / F.coerce(2)), bf_scale(F, a, c))
-    g = _mp_from_y_coeffs(F, a, b)
-    if not (g * g).scale(c) == f:
-        raise AssertionError("square-root verification failed")
-    return c, g
 
 
 # ---------------------------------------------------------------------------

@@ -618,16 +618,21 @@ def kernel_basis(field, rows, ncols):
     return basis
 
 
-def span_contains(field, basis, vec):
-    if not basis:
-        return not any(vec)
-    red, pivots = rref(field, basis)
+def reduce_modulo(red, pivots, vec):
+    """vec minus its components along the rows of a reduced row echelon
+    basis (as returned by rref); zero exactly when vec lies in their span."""
     w = list(vec)
     for r, pc in zip(red, pivots):
         if w[pc]:
-            f = w[pc]
-            w = [a - f * b for a, b in zip(w, r)]
-    return not any(w)
+            c = w[pc]
+            w = [a - c * b for a, b in zip(w, r)]
+    return w
+
+
+def span_contains(field, basis, vec):
+    if not basis:
+        return not any(vec)
+    return not any(reduce_modulo(*rref(field, basis), vec))
 
 
 def subspace_equal(field, basis1, basis2):
@@ -636,61 +641,33 @@ def subspace_equal(field, basis1, basis2):
     return p1 == p2 and r1 == r2
 
 
-def coords_in_basis(field, basis, vec):
-    """Coefficients expressing vec in the given (independent) basis, or None."""
-    if not basis:
-        return [] if not any(vec) else None
-    ncols = len(basis[0])
-    # Solve B^T c = vec by eliminating on the augmented system.
-    rows = [[basis[j][i] for j in range(len(basis))] + [vec[i]] for i in range(ncols)]
-    red, pivots = rref(field, rows)
-    n = len(basis)
-    sol = [field.zero()] * n
-    for r, pc in zip(red, pivots):
-        if pc == n:
-            return None  # inconsistent
-        sol[pc] = r[n]
-    # verify (guards against underdetermined nonsense; basis is independent)
-    for i in range(ncols):
-        acc = field.zero()
-        for j in range(n):
-            acc = acc + sol[j] * basis[j][i]
-        if acc != vec[i]:
-            return None
-    return sol
-
-
 def sparse_rank(field, rows):
     """Rank of a matrix given as sparse rows ({column: value} dicts).
 
-    Elimination order is deterministic: smallest leading column first, ties
-    broken by input order.  Intended for very sparse systems (Cech matrices);
-    dense inputs should use rank().
+    Each row in turn is reduced against the pivot rows found so far, which
+    are keyed by leading column, until it vanishes or leads in a new
+    column.  Intended for very sparse systems (Cech matrices); dense
+    inputs should use rank().
     """
-    work = [{c: v for c, v in r.items() if v} for r in rows]
-    work = [r for r in work if r]
-    rnk = 0
-    while work:
-        lead = [min(r) for r in work]
-        c = min(lead)
-        pi = lead.index(c)
-        piv = work.pop(pi)
-        inv = field.one() / piv[c]
-        rnk += 1
-        nxt = []
-        for r in work:
-            if c in r:
-                f = r[c] * inv
-                for col, v in piv.items():
-                    nv = r.get(col, field.zero()) - f * v
-                    if nv:
-                        r[col] = nv
-                    elif col in r:
-                        del r[col]
-            if r:
-                nxt.append(r)
-        work = nxt
-    return rnk
+    one, zero = field.one(), field.zero()
+    pivots = {}  # leading column -> row normalized to 1 there
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        while r:
+            c = min(r)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = one / r[c]
+                pivots[c] = {col: v * inv for col, v in r.items()}
+                break
+            f = r[c]
+            for col, v in piv.items():
+                nv = r.get(col, zero) - f * v
+                if nv:
+                    r[col] = nv
+                else:
+                    r.pop(col, None)
+    return len(pivots)
 
 
 def mat_mul(A, B):

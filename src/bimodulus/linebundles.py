@@ -32,14 +32,15 @@ from .curves import (
     random_smooth_point,
 )
 from .errors import SpecialPosition, ValidationError
-from .exactmath import kernel_basis, rank, rref
+from .exactmath import kernel_basis, rank, reduce_modulo, rref
 from .polyring import MultiPoly, bf_is_zero, bf_rational_roots, monomial_basis
 
 
 class Curve:
-    """A reduced (2,2) divisor with cached classification and components."""
+    """A reduced (2,2) divisor with cached classification, components and
+    split fibers."""
 
-    __slots__ = ("f", "kind", "_components")
+    __slots__ = ("f", "kind", "_components", "_split_fibers")
 
     def __init__(self, f):
         self.f = f
@@ -47,6 +48,7 @@ class Curve:
         if self.kind == "NonReduced":
             raise ValidationError("doubled curves use the thickened-diagonal model")
         self._components = None
+        self._split_fibers = ([], [])
 
     @property
     def field(self):
@@ -74,8 +76,37 @@ class Curve:
             raise ValidationError("point lies on both components")
         return 0 if not gv else 1
 
+    def split_fibers(self, side):
+        """Fibers of the chosen ruling meeting the curve in two distinct
+        rational smooth points, in `_fiber_scan` order, each as its two
+        points; the scan runs lazily and each fiber is tested once."""
+        tested = self._split_fibers[side]
+        for i, x in enumerate(_fiber_scan(self.field)):
+            if i == len(tested):
+                tested.append(self._split_points(side, x))
+            if tested[i] is not None:
+                yield tested[i]
 
-def eval_monomial(field, exp, pair):
+    def _split_points(self, side, x):
+        F = self.field
+        f = self.f
+        q = fiber_quadratic(f, side, x)
+        if bf_is_zero(q):
+            return None
+        roots = bf_rational_roots(F, q)
+        if roots is None or len(roots) != 2:
+            return None
+        xn = normalize_point(F, x)
+        pairs = []
+        for r, _ in roots:
+            rn = normalize_point(F, r)
+            pairs.append((xn, rn) if side == 0 else (rn, xn))
+        if not all(is_smooth_point(f, p) for p in pairs):
+            return None
+        return tuple(pairs)
+
+
+def eval_monomial(exp, pair):
     (x0, x1), (y0, y1) = pair
     return x0 ** exp[0] * x1 ** exp[1] * y0 ** exp[2] * y1 ** exp[3]
 
@@ -193,25 +224,9 @@ class LineBundle:
     def _split_fiber(self, side, avoid):
         """A fiber of the chosen ruling meeting the curve in two distinct
         rational smooth points outside `avoid`; deterministic scan."""
-        F = self.field
-        f = self.curve.f
-        for x in _fiber_scan(F):
-            q = fiber_quadratic(f, side, x)
-            if bf_is_zero(q):
-                continue
-            roots = bf_rational_roots(F, q)
-            if roots is None or len(roots) != 2:
-                continue
-            xn = normalize_point(F, x)
-            pairs = []
-            for r, _ in roots:
-                rn = normalize_point(F, r)
-                pairs.append((xn, rn) if side == 0 else (rn, xn))
-            if any(p in avoid for p in pairs):
-                continue
-            if not all(is_smooth_point(f, p) for p in pairs):
-                continue
-            return pairs
+        for pairs in self.curve.split_fibers(side):
+            if not any(p in avoid for p in pairs):
+                return list(pairs)
         raise SpecialPosition("no usable split fiber found")
 
     def canonical(self, max_steps=60):
@@ -245,8 +260,7 @@ class LineBundle:
     # -- cohomology ----------------------------------------------------------
 
     def _eval_rows(self, monos):
-        F = self.field
-        return [[eval_monomial(F, e, p) for e in monos] for p in self.minus]
+        return [[eval_monomial(e, p) for e in monos] for p in self.minus]
 
     def h0(self):
         rep = self.canonical()
@@ -330,15 +344,7 @@ def section_space(bundle):
     V = kernel_basis(F, rows, len(monos))
     ideal = ideal_slice(rep.curve.f, rep.m, rep.n)
     red_u, piv_u = rref(F, ideal) if ideal else ([], [])
-    reduced = []
-    for v in V:
-        w = list(v)
-        for r, pc in zip(red_u, piv_u):
-            if w[pc]:
-                c = w[pc]
-                w = [a - c * b for a, b in zip(w, r)]
-        if any(w):
-            reduced.append(w)
+    reduced = [w for w in (reduce_modulo(red_u, piv_u, v) for v in V) if any(w)]
     basis, _ = rref(F, reduced)
     if len(basis) != len(V) - len(ideal):
         raise AssertionError("ideal slice escaped the section kernel")
@@ -404,29 +410,35 @@ def is_twisted_v_pullback(L):
     return is_v_pullback(L.twist(-1, 0))
 
 
-def split_from_cohomology(L, window=8):
-    """Splitting type (a, b), a <= b, of the direct image on the second
-    factor, located by the vanishing pattern of h0 of twists and then
-    verified against the full twist profile."""
-    chi = L.degree_total()  # chi(O_W) = 0
-    j0 = None
+def split_from_h0(h0_of_twist, chi, window):
+    """Splitting type (a, b), a <= b, of a rank-2 direct image with Euler
+    characteristic chi, from h0 of its twists by O(j): located by the first
+    j in [-window, window] with a section and then verified against the
+    whole twist profile.  Each twist is evaluated once."""
+    h0 = {}
     for j in range(-window, window + 1):
-        if L.twist(0, j).h0() > 0:
-            j0 = j
+        h0[j] = h0_of_twist(j)
+        if h0[j] > 0:
             break
-    if j0 is None:
+    else:
         raise ValidationError("splitting type outside the scanned window")
-    b = -j0
+    b = -j
     a = chi - 2 - b
     if a > b:
         raise AssertionError("splitting detection produced a > b")
     for j in range(-window, window + 1):
         want = max(a + j + 1, 0) + max(b + j + 1, 0)
-        got = L.twist(0, j).h0()
+        got = h0[j] if j in h0 else h0_of_twist(j)
         if got != want:
             raise AssertionError(
                 f"twist profile mismatch at j={j}: got {got}, expected {want}")
     return (a, b)
+
+
+def split_from_cohomology(L, window=8):
+    """Splitting type (a, b), a <= b, of the direct image on the second
+    factor, from the h0 profile of the twists O(0, j)."""
+    return split_from_h0(lambda j: L.twist(0, j).h0(), L.degree_total(), window)
 
 
 # ---------------------------------------------------------------------------

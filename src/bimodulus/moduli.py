@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .curves import enumerate_points, kodaira_classify, member_j, normalize_point, random_smooth_22
 from .errors import DegenerateInstance, SpecialPosition, ValidationError
-from .exactmath import kernel_basis, rref, span_contains, subspace_equal
+from .exactmath import kernel_basis, reduce_modulo, rref, subspace_equal
 from .linebundles import (
     Curve,
     LineBundle,
@@ -105,12 +105,7 @@ class _ProductFrame:
     def vec(self, form):
         if form.degree != self.ambient:
             raise ValidationError("product form has the wrong bidegree")
-        w = form_to_vec(form, self.monos)
-        for r, pc in zip(self.red, self.piv):
-            if w[pc]:
-                c = w[pc]
-                w = [a - c * b for a, b in zip(w, r)]
-        return w
+        return reduce_modulo(self.red, self.piv, form_to_vec(form, self.monos))
 
 
 def _left_kernel(field, vecs, expect=None, what="products"):
@@ -160,24 +155,16 @@ def _outside_span(field, frame, curve, spaces, span_vecs, what):
     helper = LineBundle(curve, *frame.ambient, minus=pts, check=False)
     rows = helper._eval_rows(frame.monos)
     V = kernel_basis(field, rows, len(frame.monos))
-    reduced = []
-    for v in V:
-        w = list(v)
-        for r, pc in zip(frame.red, frame.piv):
-            if w[pc]:
-                c = w[pc]
-                w = [a - c * b for a, b in zip(w, r)]
-        if any(w):
-            reduced.append(w)
+    reduced = [w for w in (reduce_modulo(frame.red, frame.piv, v) for v in V) if any(w)]
     basis, _ = rref(field, reduced)
     expect = sum(S.rep.degree_total() for S in spaces)
     if len(basis) != expect:
         raise DegenerateInstance(f"{what}: section count off the expected {expect}")
-    span, _ = rref(field, [list(v) for v in span_vecs])
+    span, span_piv = rref(field, [list(v) for v in span_vecs])
     if len(span) != len(span_vecs):
         raise DegenerateInstance(f"{what}: products are linearly dependent")
     for w in basis:
-        if not span_contains(field, span, w):
+        if any(reduce_modulo(span, span_piv, w)):
             return MultiPoly(field, frame.ambient, dict(zip(frame.monos, w)))
     raise DegenerateInstance(f"{what}: no complement vector found")
 

@@ -270,11 +270,6 @@ class MultiPoly:
         return f"MultiPoly{self.degree}<{len(self.terms)} terms>"
 
 
-def mp_from_binary(field, coeffs):
-    d = len(coeffs) - 1
-    return MultiPoly(field, (d,), {(d - i, i): c for i, c in enumerate(coeffs)})
-
-
 def random_multipoly(field, degree, rng):
     t = {e: field.random(rng) for e in monomial_basis(degree)}
     return MultiPoly(field, degree, t)
@@ -310,18 +305,6 @@ def uv_trim(u):
 
 def uv_degree(u):
     return len(u) - 1
-
-
-def uv_mul(field, a, b):
-    if not a or not b:
-        return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return uv_trim(out)
 
 
 def uv_add(field, a, b):
@@ -442,15 +425,6 @@ def bf_sub(field, a, b):
     if len(a) != len(b):
         raise ValidationError("degree mismatch")
     return [x - y for x, y in zip(a, b)]
-
-
-def bf_derivative(field, c, var):
-    d = len(c) - 1
-    if d == 0:
-        return [field.zero()]
-    if var == 0:
-        return [(d - i) * c[i] for i in range(d)]
-    return [(i + 1) * c[i + 1] for i in range(d)]
 
 
 def _bf_dehom(c):

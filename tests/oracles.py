@@ -1,14 +1,24 @@
 """Independent reference computations used to freeze expected values.
 
 Deliberately naive and local: points of a member by evaluating the form
-at every point of P1 x P1, j through cross-ratios of actual branch points,
-member classification through exhaustive singular-point inspection over a
+at every point of P1 x P1, split fibers by solving every fiber afresh on
+each call, j through cross-ratios of actual branch points, member
+classification through exhaustive singular-point inspection over a
 quadratic extension, doubled-member cohomology through closed forms.  The
 package must agree with these wherever both apply.
 """
 
-from bimodulus.curves import enumerate_points, local_derivatives, p1_points
-from bimodulus.polyring import bf_eval
+from bimodulus.curves import (
+    enumerate_points,
+    fiber_quadratic,
+    is_smooth_point,
+    local_derivatives,
+    normalize_point,
+    p1_points,
+)
+from bimodulus.errors import SpecialPosition
+from bimodulus.linebundles import _fiber_scan
+from bimodulus.polyring import bf_eval, bf_is_zero, bf_rational_roots
 
 
 def brute_points(f):
@@ -16,6 +26,31 @@ def brute_points(f):
     a finite field, x-major with y in `p1_points` order."""
     line = p1_points(f.field)
     return [(x, y) for x in line for y in line if not f.eval_full([x, y])]
+
+
+def split_fiber_scan(f, side, avoid):
+    """First fiber of the chosen ruling, in `_fiber_scan` order, meeting
+    the member in two distinct rational smooth points outside `avoid`;
+    every fiber is restricted and solved afresh on each call."""
+    F = f.field
+    for x in _fiber_scan(F):
+        q = fiber_quadratic(f, side, x)
+        if bf_is_zero(q):
+            continue
+        roots = bf_rational_roots(F, q)
+        if roots is None or len(roots) != 2:
+            continue
+        xn = normalize_point(F, x)
+        pairs = []
+        for r, _ in roots:
+            rn = normalize_point(F, r)
+            pairs.append((xn, rn) if side == 0 else (rn, xn))
+        if any(p in avoid for p in pairs):
+            continue
+        if not all(is_smooth_point(f, p) for p in pairs):
+            continue
+        return pairs
+    raise SpecialPosition("no usable split fiber found")
 
 
 def j_from_cross_ratio(field, roots):

@@ -6,12 +6,14 @@ import pathlib
 import pytest
 
 from bimodulus.errors import ValidationError
-from bimodulus.exactmath import QQ
+from bimodulus.exactmath import QQ, rank, sparse_rank
 from bimodulus.curves import make_kind
 from bimodulus.linebundles import Curve, random_line_bundle
 from bimodulus.bimodules import (
     Descriptor,
     NRSheaf,
+    _cech_rows,
+    _dcond_rows,
     descriptor_of_line_bundle,
     descriptor_of_nr_sheaf,
     endo_ext_dims_nr,
@@ -96,6 +98,35 @@ def test_nr_split_profile_matches_direct_sum(F101):
         profile = split_h0_profile(a, b, window)
         got = [s.twist_v(j).h0() for j in range(-window, window + 1)]
         assert got == profile
+
+
+@pytest.mark.parametrize("window", [3, 8])
+def test_nr_split_scan_computes_each_twist_once(F101, monkeypatch, window):
+    calls = []
+    h0 = NRSheaf.h0
+
+    def counted(self):
+        calls.append(self.kv)
+        return h0(self)
+
+    monkeypatch.setattr(NRSheaf, "h0", counted)
+    for s in (NRSheaf(F101, 0, 0), NRSheaf(F101, 1, -1, apic=2, dfin=[1, 0, 1])):
+        calls.clear()
+        nr_split_v(s, window=window)
+        assert len(calls) == len(set(calls)) == 2 * window + 1
+
+
+@pytest.mark.parametrize("k", range(-6, 7))
+def test_sparse_rank_of_cech_matrices_is_the_dense_rank(F101, k):
+    zero = F101.zero()
+    for c in (0, 1, 5):
+        N0 = 2 * abs(k) + 8  # the window nr_invertible_cohomology starts from
+        for N in (N0, N0 + 4):
+            rows = list(_cech_rows(F101, k, c, N).values())
+            for extra in ([], _dcond_rows(F101, [1, 0, 1], 1, N)):
+                sparse = rows + extra
+                dense = [[r.get(j, zero) for j in range(4 * (N + 1))] for r in sparse]
+                assert sparse_rank(F101, sparse) == rank(F101, dense)
 
 
 def test_nr_split_u_is_split_v_after_swap(F101):

@@ -6,11 +6,14 @@ member's ideal slice.  The genus-one numerology (chi = degree, trivial
 canonical) then gives independent checks for every computation.
 """
 
+import random
+
 import pytest
 
 from bimodulus.errors import SpecialPosition, ValidationError
-from bimodulus.exactmath import QQ
+from bimodulus.exactmath import QQ, PrimeField
 from bimodulus.curves import make_kind, random_smooth_point
+from bimodulus.jsonio import generate_instance
 from bimodulus.linebundles import (
     Curve,
     LineBundle,
@@ -25,7 +28,7 @@ from bimodulus.linebundles import (
     transport,
 )
 
-from oracles import split_h0_profile
+from oracles import split_fiber_scan, split_h0_profile
 
 
 @pytest.fixture
@@ -136,6 +139,85 @@ def test_split_profile_matches_direct_sum(smooth_curve, rng):
         assert got == profile
 
 
+@pytest.mark.parametrize("window", [3, 8])
+def test_split_scan_computes_each_twist_once(smooth_curve, rng, monkeypatch, window):
+    calls = []
+    h0 = LineBundle.h0
+
+    def counted(self):
+        calls.append((self.m, self.n))
+        return h0(self)
+
+    monkeypatch.setattr(LineBundle, "h0", counted)
+    for L in (LineBundle(smooth_curve, 0, 0), random_line_bundle(smooth_curve, rng)):
+        calls.clear()
+        split_from_cohomology(L, window=window)
+        assert len(calls) == len(set(calls)) == 2 * window + 1
+
+
+def _exhaust_split_fibers(scan, avoid):
+    """Answers of scan(side, avoid) as avoid grows by each answer, the
+    sides alternating, until both sides run out of fibers."""
+    avoid, out, live = list(avoid), [], [0, 1]
+    while live:
+        for side in list(live):
+            try:
+                pts = scan(side, list(avoid))
+            except SpecialPosition:
+                live.remove(side)
+                out.append((side, None))
+                continue
+            out.append((side, pts))
+            avoid += pts
+    return out
+
+
+def _rational_smooth_member():
+    """A smooth member over Q; see test_rational_field_supported."""
+    from bimodulus.polyring import MultiPoly
+
+    return MultiPoly(QQ, (2, 2), {
+        (2, 0, 1, 1): 1,
+        (0, 2, 2, 0): 1,
+        (0, 2, 0, 2): -1,
+        (1, 1, 2, 0): 1,
+        (1, 1, 1, 1): 2,
+        (1, 1, 0, 2): 3,
+    })
+
+
+@pytest.mark.parametrize("case", ["F11-found", "F11", "F101", "F101-I1", "Q"])
+def test_cached_split_fibers_match_the_uncached_scan(case):
+    rng = random.Random(7)
+    if case == "F11-found":
+        # smooth-bimodule-chi2 at p = 11, seed 2: `split` finds no usable fiber
+        L = generate_instance("smooth-bimodule-chi2", PrimeField(11), random.Random(2))
+    elif case == "Q":
+        L = LineBundle(Curve(_rational_smooth_member()), 0, 0)
+    else:
+        F = PrimeField(11 if case == "F11" else 101)
+        kind = "I1" if case.endswith("I1") else "I0"
+        L = random_line_bundle(Curve(make_kind(F, kind, rng)), rng)
+    f = L.curve.f
+    got = _exhaust_split_fibers(L._split_fiber, L.minus)
+    want = _exhaust_split_fibers(lambda side, avoid: split_fiber_scan(f, side, avoid), L.minus)
+    assert got == want
+    assert any(pts for _, pts in got)
+    # a second pass is served by the curve's cache and must not drift
+    assert _exhaust_split_fibers(L._split_fiber, L.minus) == want
+
+
+def test_split_with_the_uncached_scan_fails_alike_over_f11(monkeypatch):
+    L = generate_instance("smooth-bimodule-chi2", PrimeField(11), random.Random(2))
+    with pytest.raises(SpecialPosition):
+        split_from_cohomology(L)
+    monkeypatch.setattr(
+        LineBundle, "_split_fiber",
+        lambda self, side, avoid: split_fiber_scan(self.curve.f, side, avoid))
+    with pytest.raises(SpecialPosition):
+        split_from_cohomology(L)
+
+
 def test_twist_shifts_split(smooth_curve, rng):
     L = random_line_bundle(smooth_curve, rng)
     a, b = split_from_cohomology(L)
@@ -210,17 +292,7 @@ def test_rational_field_supported():
     # the section model needs fibers splitting over the base field, so a
     # random member over Q rarely works; this one splits at x=(1,0),(0,1)
     # and y=(1,0),(0,1) by construction
-    from bimodulus.polyring import MultiPoly
-
-    f = MultiPoly(QQ, (2, 2), {
-        (2, 0, 1, 1): 1,
-        (0, 2, 2, 0): 1,
-        (0, 2, 0, 2): -1,
-        (1, 1, 2, 0): 1,
-        (1, 1, 1, 1): 2,
-        (1, 1, 0, 2): 3,
-    })
-    c = Curve(f)
+    c = Curve(_rational_smooth_member())
     assert c.kind == "I0"
     O = LineBundle(c, 0, 0)
     assert (O.h0(), O.h1()) == (1, 1)
