@@ -115,16 +115,11 @@ def _dcond_rows(field, dfin, dinf, N):
     return rows
 
 
-def _nr_counts(field, k, c, N, dcond=None):
+def _nr_counts(field, k, c, N):
     rows = _cech_rows(field, k, c, N)
-    ncols = 4 * (N + 1)
     full = list(rows.values())
     rank_full = sparse_rank(field, full)
-    if dcond is None:
-        h0 = ncols - rank_full
-    else:
-        extra = _dcond_rows(field, dcond[0], dcond[1], N)
-        h0 = ncols - sparse_rank(field, full + extra)
+    h0 = 4 * (N + 1) - rank_full
     Nsm = N - (abs(k) + 4)
     if Nsm < 1:
         raise AssertionError("window too small for the outer projection")
@@ -133,6 +128,13 @@ def _nr_counts(field, k, c, N, dcond=None):
     c1_small = 2 * (2 * Nsm + 1)
     h1 = c1_small - (rank_full - rank_out)
     return h0, h1
+
+
+def _nr_h0_with_d(field, k, c, N, dfin, dinf):
+    """Truncated h0 of the bundle's sections vanishing on D: one elimination
+    of the Cech matrix together with the D conditions."""
+    rows = list(_cech_rows(field, k, c, N).values()) + _dcond_rows(field, dfin, dinf, N)
+    return 4 * (N + 1) - sparse_rank(field, rows)
 
 
 def nr_invertible_cohomology(field, k, c, window=None):
@@ -216,9 +218,8 @@ class NRSheaf:
         if self.is_invertible():
             return self._bundle_cohomology()[0]
         N = 2 * (abs(self.ku) + abs(self.kv)) + 8
-        dc = (self.dfin, self.dinf)
-        a = _nr_counts(self.field, self.k, self.c, N, dcond=dc)[0]
-        b = _nr_counts(self.field, self.k, self.c, N + 4, dcond=dc)[0]
+        a, b = (_nr_h0_with_d(self.field, self.k, self.c, n, self.dfin, self.dinf)
+                for n in (N, N + 4))
         if a != b:
             raise AssertionError("Cech window did not stabilize")
         return a

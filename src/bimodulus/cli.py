@@ -27,7 +27,6 @@ from .bimodules import (
     hilbert_polynomial,
     hochschild_dims,
     moduli_dim_check,
-    nr_invertible_cohomology,
     split_ab,
     split_ab_prime,
     split_of_concrete,

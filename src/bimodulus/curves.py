@@ -175,6 +175,55 @@ def fiber_quadratic(f, side, pt):
     return f.eval_block(side, pt).to_binary()
 
 
+_IN_MEMBER = object()  # FiberTable's record of a fiber lying in the member
+
+
+class FiberTable:
+    """The fibers of a (2,2) form, each restricted and solved at most once.
+
+    Keyed by ruling (side 0 fixes the first block) and fiber point, it
+    records the fiber's rational points on the member, or that its two
+    roots are conjugate, or that the fiber lies in the member; the
+    smoothness of a point is tested on first use."""
+
+    __slots__ = ("f", "_points", "_smooth")
+
+    def __init__(self, f):
+        self.f = f
+        self._points = {}
+        self._smooth = {}
+
+    def points(self, side, x):
+        """Normalized points of the member on the fiber through x, one per
+        rational root in `bf_rational_roots` order; None when the roots are
+        conjugate.  Raises ValidationError when the fiber lies in the member."""
+        key = (side, x)
+        if key not in self._points:
+            self._points[key] = self._restrict(side, x)
+        pts = self._points[key]
+        if pts is _IN_MEMBER:
+            raise ValidationError("divisor contains a ruling fiber")
+        return pts
+
+    def _restrict(self, side, x):
+        F = self.f.field
+        q = fiber_quadratic(self.f, side, x)
+        if bf_is_zero(q):
+            return _IN_MEMBER
+        roots = bf_rational_roots(F, q)
+        if roots is None:
+            return None
+        xn = normalize_point(F, x)
+        ys = [normalize_point(F, r) for r, _ in roots]
+        return tuple((xn, y) if side == 0 else (y, xn) for y in ys)
+
+    def is_smooth(self, pair):
+        smooth = self._smooth.get(pair)
+        if smooth is None:
+            smooth = self._smooth[pair] = is_smooth_point(self.f, pair)
+        return smooth
+
+
 def fiber_residual_point(f, pair, side):
     """Second intersection of the fiber through a curve point with the curve.
 
@@ -460,20 +509,19 @@ def make_kind(field, kind, rng):
     raise ValidationError(f"unknown member type {kind!r}")
 
 
-def random_smooth_point(f, rng, tries=200):
-    """A rational point of the curve that is smooth on it, by fiber sampling."""
+def random_smooth_point(f, rng, tries=200, fibers=None):
+    """A rational point of the curve that is smooth on it, by fiber sampling.
+
+    `fibers`, a FiberTable of f, carries the fibers restricted by earlier
+    calls; without one, each distinct fiber is restricted once per call."""
+    if fibers is None:
+        fibers = FiberTable(f)
     F = f.field
     for _ in range(tries):
-        x = random_p1_point(F, rng)
-        q = fiber_quadratic(f, 0, x)
-        if bf_is_zero(q):
-            raise ValidationError("divisor contains a ruling fiber")
-        roots = bf_rational_roots(F, q)
-        if roots is None:
+        pts = fibers.points(0, random_p1_point(F, rng))
+        if pts is None:
             continue  # conjugate roots: try another fiber
-        roots = [r for r, _ in roots]
-        y = roots[rng.randrange(len(roots))]
-        pair = (normalize_point(F, x), normalize_point(F, y))
-        if is_smooth_point(f, pair):
+        pair = pts[rng.randrange(len(pts))]
+        if fibers.is_smooth(pair):
             return pair
     raise SpecialPosition("could not find a rational smooth point")

@@ -20,9 +20,9 @@ computed from that model.
 from __future__ import annotations
 
 from .curves import (
+    FiberTable,
     coerce_pair,
     factor_11,
-    fiber_quadratic,
     fiber_residual_point,
     is_smooth_point,
     kodaira_classify,
@@ -33,14 +33,14 @@ from .curves import (
 )
 from .errors import SpecialPosition, ValidationError
 from .exactmath import kernel_basis, rank, reduce_modulo, rref
-from .polyring import MultiPoly, bf_is_zero, bf_rational_roots, monomial_basis
+from .polyring import MultiPoly, monomial_basis
 
 
 class Curve:
     """A reduced (2,2) divisor with cached classification, components and
-    split fibers."""
+    fiber table."""
 
-    __slots__ = ("f", "kind", "_components", "_split_fibers")
+    __slots__ = ("f", "kind", "_components", "fibers")
 
     def __init__(self, f):
         self.f = f
@@ -48,7 +48,7 @@ class Curve:
         if self.kind == "NonReduced":
             raise ValidationError("doubled curves use the thickened-diagonal model")
         self._components = None
-        self._split_fibers = ([], [])
+        self.fibers = FiberTable(f)
 
     @property
     def field(self):
@@ -79,31 +79,12 @@ class Curve:
     def split_fibers(self, side):
         """Fibers of the chosen ruling meeting the curve in two distinct
         rational smooth points, in `_fiber_scan` order, each as its two
-        points; the scan runs lazily and each fiber is tested once."""
-        tested = self._split_fibers[side]
-        for i, x in enumerate(_fiber_scan(self.field)):
-            if i == len(tested):
-                tested.append(self._split_points(side, x))
-            if tested[i] is not None:
-                yield tested[i]
-
-    def _split_points(self, side, x):
-        F = self.field
-        f = self.f
-        q = fiber_quadratic(f, side, x)
-        if bf_is_zero(q):
-            return None
-        roots = bf_rational_roots(F, q)
-        if roots is None or len(roots) != 2:
-            return None
-        xn = normalize_point(F, x)
-        pairs = []
-        for r, _ in roots:
-            rn = normalize_point(F, r)
-            pairs.append((xn, rn) if side == 0 else (rn, xn))
-        if not all(is_smooth_point(f, p) for p in pairs):
-            return None
-        return tuple(pairs)
+        points; the scan is lazy and reads the curve's fiber table."""
+        for x in _fiber_scan(self.field):
+            # a Curve has no fiber components, so `points` does not raise
+            pts = self.fibers.points(side, x)
+            if pts is not None and len(pts) == 2 and all(map(self.fibers.is_smooth, pts)):
+                yield pts
 
 
 def eval_monomial(exp, pair):
@@ -488,7 +469,7 @@ def random_line_bundle(curve, rng, deg_lo=-2, deg_hi=4, tries=100):
         try:
             for _ in range(r):
                 for _ in range(30):
-                    p = random_smooth_point(curve.f, rng)
+                    p = random_smooth_point(curve.f, rng, fibers=curve.fibers)
                     if p not in pts:
                         pts.append(p)
                         break

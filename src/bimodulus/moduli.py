@@ -27,7 +27,6 @@ from .exactmath import kernel_basis, reduce_modulo, rref, subspace_equal
 from .linebundles import (
     Curve,
     LineBundle,
-    SectionSpace,
     form_to_vec,
     ideal_slice,
     isomorphic,

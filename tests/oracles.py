@@ -1,8 +1,8 @@
 """Independent reference computations used to freeze expected values.
 
 Deliberately naive and local: points of a member by evaluating the form
-at every point of P1 x P1, split fibers by solving every fiber afresh on
-each call, j through cross-ratios of actual branch points, member
+at every point of P1 x P1, split fibers and sampled smooth points by
+solving every fiber afresh on each call, j through cross-ratios of actual branch points, member
 classification through exhaustive singular-point inspection over a
 quadratic extension, doubled-member cohomology through closed forms.  The
 package must agree with these wherever both apply.
@@ -15,8 +15,9 @@ from bimodulus.curves import (
     local_derivatives,
     normalize_point,
     p1_points,
+    random_p1_point,
 )
-from bimodulus.errors import SpecialPosition
+from bimodulus.errors import SpecialPosition, ValidationError
 from bimodulus.linebundles import _fiber_scan
 from bimodulus.polyring import bf_eval, bf_is_zero, bf_rational_roots
 
@@ -51,6 +52,25 @@ def split_fiber_scan(f, side, avoid):
             continue
         return pairs
     raise SpecialPosition("no usable split fiber found")
+
+
+def random_smooth_point_scan(f, rng, tries=200):
+    """`random_smooth_point` with every drawn fiber restricted and solved
+    afresh: the same generator calls, in the same order."""
+    F = f.field
+    for _ in range(tries):
+        x = random_p1_point(F, rng)
+        q = fiber_quadratic(f, 0, x)
+        if bf_is_zero(q):
+            raise ValidationError("divisor contains a ruling fiber")
+        roots = bf_rational_roots(F, q)
+        if roots is None:
+            continue
+        y = roots[rng.randrange(len(roots))][0]
+        pair = (normalize_point(F, x), normalize_point(F, y))
+        if is_smooth_point(f, pair):
+            return pair
+    raise SpecialPosition("could not find a rational smooth point")
 
 
 def j_from_cross_ratio(field, roots):

@@ -116,6 +116,20 @@ def test_nr_split_scan_computes_each_twist_once(F101, monkeypatch, window):
         assert len(calls) == len(set(calls)) == 2 * window + 1
 
 
+def test_nr_h0_with_a_divisor_eliminates_once_per_window(F101, monkeypatch):
+    import bimodulus.bimodules as bimodules
+
+    calls = []
+
+    def counted(field, rows):
+        calls.append(len(rows))
+        return sparse_rank(field, rows)
+
+    monkeypatch.setattr(bimodules, "sparse_rank", counted)
+    NRSheaf(F101, 1, -1, apic=2, dfin=[1, 0, 1]).h0()
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("k", range(-6, 7))
 def test_sparse_rank_of_cech_matrices_is_the_dense_rank(F101, k):
     zero = F101.zero()

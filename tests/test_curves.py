@@ -8,6 +8,7 @@ from bimodulus.errors import SpecialPosition, ValidationError
 from bimodulus.exactmath import QQ, PrimeField
 from bimodulus.curves import (
     KINDS,
+    FiberTable,
     enumerate_points,
     factor_11,
     is_smooth_point,
@@ -23,7 +24,9 @@ from bimodulus.curves import (
     validate_support,
 )
 
-from oracles import brute_member_kind, brute_points
+from bimodulus.polyring import MultiPoly, random_multipoly
+
+from oracles import brute_member_kind, brute_points, random_smooth_point_scan
 
 
 def test_kinds_are_the_expected_six():
@@ -44,7 +47,7 @@ def test_classifier_over_the_rationals(kind, rng):
 
 
 def test_classifier_agrees_with_brute_oracle_small_sample(F5, rng):
-    for i in range(12):
+    for i in range(24):
         kind = KINDS[i % len(KINDS)]
         f = make_kind(F5, kind, rng)
         assert brute_member_kind(f) == kind
@@ -133,6 +136,41 @@ def test_smooth_points_and_off_curve_rejection(F101, rng):
     )
     with pytest.raises(ValidationError):
         is_smooth_point(f, off)
+
+
+def _draws(sample, f, seed):
+    """Outcomes of 24 sample(f, rng, tries) calls on one generator,
+    and its state afterwards; a try budget of 1 makes some calls give up."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(24):
+        try:
+            out.append(sample(f, rng, (1, 200, 4)[i % 3]))
+        except SpecialPosition:
+            out.append("gave up")
+        except ValidationError:
+            out.append("fiber in member")
+    return out, rng.getstate()
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(11), PrimeField(101), QQ],
+                         ids=["F5", "F11", "F101", "Q"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fiber_table_keeps_every_draw(field, seed):
+    rng = random.Random(seed)
+    smooth = random_smooth_22(field, rng)
+    # x1 * g contains the fiber over (1:0), which one draw in nine hits
+    x1 = MultiPoly.monomial(field, (1, 0), (0, 1, 0, 0))
+    with_fiber = x1 * random_multipoly(field, (1, 2), rng)
+    outcomes = set()
+    for f in (smooth, with_fiber):
+        table = FiberTable(f)
+        shared = _draws(lambda f, rng, tries: random_smooth_point(f, rng, tries, fibers=table),
+                        f, seed)
+        assert shared == _draws(random_smooth_point, f, seed)
+        assert shared == _draws(random_smooth_point_scan, f, seed)
+        outcomes.update(o if isinstance(o, str) else "point" for o in shared[0])
+    assert outcomes == {"point", "gave up", "fiber in member"}
 
 
 def test_factor_11_reconstructs_reducible_members(F101, rng):

@@ -12,6 +12,7 @@ import pytest
 
 from bimodulus.errors import SpecialPosition, ValidationError
 from bimodulus.exactmath import QQ, PrimeField
+import bimodulus.curves as curves
 from bimodulus.curves import make_kind, random_smooth_point
 from bimodulus.jsonio import generate_instance
 from bimodulus.linebundles import (
@@ -186,7 +187,7 @@ def _rational_smooth_member():
     })
 
 
-@pytest.mark.parametrize("case", ["F11-found", "F11", "F101", "F101-I1", "Q"])
+@pytest.mark.parametrize("case", ["F11-found", "F11", "F101", "F101-I1", "Q", "Q-drawn"])
 def test_cached_split_fibers_match_the_uncached_scan(case):
     rng = random.Random(7)
     if case == "F11-found":
@@ -194,6 +195,10 @@ def test_cached_split_fibers_match_the_uncached_scan(case):
         L = generate_instance("smooth-bimodule-chi2", PrimeField(11), random.Random(2))
     elif case == "Q":
         L = LineBundle(Curve(_rational_smooth_member()), 0, 0)
+    elif case == "Q-drawn":
+        # the sampled points fill the fiber table before the scan reads it
+        L = random_line_bundle(Curve(_rational_smooth_member()), rng, deg_lo=2, deg_hi=2)
+        assert L.minus
     else:
         F = PrimeField(11 if case == "F11" else 101)
         kind = "I1" if case.endswith("I1") else "I0"
@@ -205,6 +210,22 @@ def test_cached_split_fibers_match_the_uncached_scan(case):
     assert any(pts for _, pts in got)
     # a second pass is served by the curve's cache and must not drift
     assert _exhaust_split_fibers(L._split_fiber, L.minus) == want
+
+
+def test_random_line_bundle_restricts_each_fiber_once_per_curve(monkeypatch):
+    restricted = []
+    real = curves.fiber_quadratic
+
+    def counted(f, side, pt):
+        restricted.append((side, pt))
+        return real(f, side, pt)
+
+    monkeypatch.setattr(curves, "fiber_quadratic", counted)
+    curve = Curve(_rational_smooth_member())
+    rng = random.Random(3)
+    drawn = [random_line_bundle(curve, rng, deg_lo=2, deg_hi=2) for _ in range(6)]
+    assert sum(len(L.minus) for L in drawn) >= 6
+    assert len(restricted) == len(set(restricted))
 
 
 def test_split_with_the_uncached_scan_fails_alike_over_f11(monkeypatch):
