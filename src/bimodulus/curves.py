@@ -138,14 +138,20 @@ def enumerate_points(f):
     pts = []
     for x in line:
         q = fiber_quadratic(f, 0, x)
-        if bf_is_zero(q):
-            pts.extend((x, y) for y in line)
-            continue
-        roots = bf_rational_roots(F, q)
-        if roots:
-            found = {position[normalize_point(F, r)] for r, _ in roots}
-            pts.extend((x, line[i]) for i in sorted(found))
+        ys = line if bf_is_zero(q) else line_roots(F, q, line, position)
+        pts.extend((x, y) for y in ys)
     return pts
+
+
+def line_roots(field, q, line, position):
+    """Rational roots of a nonzero binary quadratic as points of `line`
+    (the output of `p1_points`), in `line` order; `position` maps each
+    point of `line` to its index."""
+    roots = bf_rational_roots(field, q)
+    if not roots:
+        return []
+    found = {position[normalize_point(field, r)] for r, _ in roots}
+    return [line[i] for i in sorted(found)]
 
 
 def _chart_var(pt):

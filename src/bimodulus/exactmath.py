@@ -15,18 +15,40 @@ kernels and ranks are bit-reproducible across runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import ValidationError
 
 
+# The first thirteen primes are a complete set of Miller-Rabin witnesses
+# below the least strong pseudoprime to all of them.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin test, exact for n < PRIME_BOUND; larger n
+    raise ValidationError."""
+    if n >= PRIME_BOUND:
+        raise ValidationError(f"primality of {n} is decided only below {PRIME_BOUND}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -35,16 +57,7 @@ def _fraction_sqrt(x):
     if x < 0:
         return None
     n, d = x.numerator, x.denominator
-    rn = int(n ** 0.5)
-    while rn * rn > n:
-        rn -= 1
-    while (rn + 1) * (rn + 1) <= n:
-        rn += 1
-    rd = int(d ** 0.5)
-    while rd * rd > d:
-        rd -= 1
-    while (rd + 1) * (rd + 1) <= d:
-        rd += 1
+    rn, rd = isqrt(n), isqrt(d)
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
@@ -354,9 +367,6 @@ class QEElt:
 
     __rmul__ = __mul__
 
-    def conj(self):
-        return QEElt(self.fld, self.a, -self.b)
-
     def norm(self):
         return self.a * self.a - self.fld.d * self.b * self.b
 
@@ -427,9 +437,6 @@ class QuadExtField:
                 raise ValidationError("mixed quadratic extensions")
             return x
         return QEElt(self, self.base.coerce(x), self.base.zero())
-
-    def make(self, a, b):
-        return QEElt(self, self.base.coerce(a), self.base.coerce(b))
 
     def gen(self):
         return QEElt(self, self.base.zero(), self.base.one())
@@ -620,7 +627,9 @@ def kernel_basis(field, rows, ncols):
 
 def reduce_modulo(red, pivots, vec):
     """vec minus its components along the rows of a reduced row echelon
-    basis (as returned by rref); zero exactly when vec lies in their span."""
+    basis (as returned by rref); zero exactly when vec lies in their span.
+    Rows built up one at a time also do, if each is 1 at its pivot and 0 at
+    the pivots of the rows before it."""
     w = list(vec)
     for r, pc in zip(red, pivots):
         if w[pc]:

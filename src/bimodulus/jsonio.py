@@ -58,14 +58,30 @@ def _bundle_body(L):
     }
 
 
+def _integer(obj, key):
+    v = obj.get(key, 0)
+    if type(v) is not int:
+        raise ValidationError(f"'{key}' must be an integer, got {v!r}")
+    return v
+
+
+def _list(obj, key):
+    v = obj.get(key, [])
+    if not isinstance(v, list):
+        raise ValidationError(f"'{key}' must be a list, got {v!r}")
+    return v
+
+
 def _bundle_from_body(curve, obj):
+    if not isinstance(obj, dict):
+        raise ValidationError("a bundle is an object")
     field = curve.field
     return LineBundle(
         curve,
-        obj.get("m", 0),
-        obj.get("n", 0),
-        [_point_from_json(field, p) for p in obj.get("minus", [])],
-        [_point_from_json(field, p) for p in obj.get("plus", [])],
+        _integer(obj, "m"),
+        _integer(obj, "n"),
+        [_point_from_json(field, p) for p in _list(obj, "minus")],
+        [_point_from_json(field, p) for p in _list(obj, "plus")],
     )
 
 
@@ -119,11 +135,11 @@ def instance_from_json(data):
     if t == "nr-sheaf":
         return NRSheaf(
             field,
-            data.get("ku", 0),
-            data.get("kv", 0),
+            _integer(data, "ku"),
+            _integer(data, "kv"),
             scalar_from_json(field, data.get("apic", field.format(field.zero()))),
-            [scalar_from_json(field, c) for c in data.get("dfin", [])],
-            data.get("dinf", 0),
+            [scalar_from_json(field, c) for c in _list(data, "dfin")],
+            _integer(data, "dinf"),
         )
     if t == "quadruple":
         curve = Curve(MultiPoly.from_json(field, data.get("curve")))

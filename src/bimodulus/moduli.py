@@ -11,8 +11,16 @@ checkable on random instances:
   phi           sheaf datum -> quadruple
   psi0 / psi1   quadruple   -> relation coefficients on the 8 end-to-end paths
   relations_to_ci, incidence curves, and the j-matching checks
-  recover_relations_from_ci   point enumeration inverse (finite fields)
+  incidence_points            rational points of the incidence curve (finite
+                              fields), one pass over x with 2x2 contractions
+  relations_through_points    the relation plane back from those points
   phi_inverse   quadruple -> re-embedded member plus sheaf, inverse to phi
+
+A relation pair is a pair of 2x2x2 tensors.  Contracting one with a point x
+of the first line leaves a 2x2 matrix M(x); the incidence points over x are
+the roots y of det[y^T M_1(x); y^T M_2(x)] (the last shadow's fiber), each
+with the common kernel z of the two rows, so no form is evaluated at a
+point.
 
 Degenerate configurations (isomorphic bundle pairs, products failing to
 span, irrational section divisors) raise DegenerateInstance or
@@ -21,9 +29,9 @@ SpecialPosition; callers redraw.  Everything else is exact.
 
 from __future__ import annotations
 
-from .curves import enumerate_points, kodaira_classify, member_j, normalize_point, random_smooth_22
+from .curves import kodaira_classify, line_roots, member_j, normalize_point, p1_points, random_smooth_22
 from .errors import DegenerateInstance, SpecialPosition, ValidationError
-from .exactmath import kernel_basis, reduce_modulo, rref, subspace_equal
+from .exactmath import kernel_basis, reduce_modulo, rref, subspace_equal, sum_prod
 from .linebundles import (
     Curve,
     LineBundle,
@@ -34,7 +42,7 @@ from .linebundles import (
     section_space,
     section_zero_points,
 )
-from .polyring import MultiPoly, linear_resultant, monomial_basis
+from .polyring import MultiPoly, bf_is_zero, linear_resultant, monomial_basis
 from .quivers import generic_member_quiver, middle_member_quiver, theta_stable
 
 
@@ -254,30 +262,75 @@ def ci_smooth_j(c1, c2):
     return js[0]
 
 
+def _tensor(c):
+    """A (1,1,1)-form as its 2x2x2 coefficient tensor, flattened in path
+    order: entry 4i+2j+k multiplies x_i y_j z_k.  Entries 4i..4i+3 are the
+    2x2 matrix T_i (rows y, columns z) with c = x_0 T_0 + x_1 T_1."""
+    if c.degree != (1, 1, 1):
+        raise ValidationError("a relation is a (1,1,1)-form")
+    zero = c.field.zero()
+    return [c.terms.get((1 - i, i, 1 - j, j, 1 - k, k), zero)
+            for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+
+
+def _det_quadratic(m, n):
+    """det[y^T M; y^T N] as a binary quadratic in y, for 2x2 matrices given
+    by their entries in row-major order."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return [a * f - b * e, a * h + c * f - b * g - d * e, c * h - d * g]
+
+
 def incidence_points(c1, c2):
-    """Rational points of the incidence curve in the triple product,
-    enumerated through the last shadow and a linear solve for the third
-    coordinate.  Finite fields only."""
+    """Rational points of the incidence curve in the triple product, x-major
+    with y in `p1_points` order.  Finite fields only.
+
+    One pass over x.  Contracting relation i with x leaves the 2x2 matrix
+    M_i(x) = x_0 T_i0 + x_1 T_i1; the last shadow's fiber over x is the
+    binary quadratic det[y^T M_1(x); y^T M_2(x)], and above each of its
+    roots y the coordinate z spans the common kernel of the two rows.  The
+    determinant is bilinear in (M_1, M_2), so the fiber quadratic is a
+    quadratic in x whose three coefficients are computed once, and a fiber
+    is contracted only when it carries points."""
     field = c1.field
     if not field.characteristic:
         raise ValidationError("point enumeration needs a finite field")
-    shadow = ci_shadows(c1, c2)[2]
+    t1, t2 = _tensor(c1), _tensor(c2)
+    s00 = _det_quadratic(t1[:4], t2[:4])
+    s01 = [u + v for u, v in zip(_det_quadratic(t1[:4], t2[4:]), _det_quadratic(t1[4:], t2[:4]))]
+    s11 = _det_quadratic(t1[4:], t2[4:])
+    line = p1_points(field)
+    position = {pt: i for i, pt in enumerate(line)}
     pts = []
-    for (x, y) in enumerate_points(shadow):
-        lin1 = c1.eval_block(0, list(x)).eval_block(0, list(y))
-        lin2 = c2.eval_block(0, list(x)).eval_block(0, list(y))
-        v1 = [lin1.terms.get((1, 0)), lin1.terms.get((0, 1))]
-        v2 = [lin2.terms.get((1, 0)), lin2.terms.get((0, 1))]
-        v1 = [a if a is not None else field.zero() for a in v1]
-        v2 = [a if a is not None else field.zero() for a in v2]
-        if not any(v1) and not any(v2):
-            raise DegenerateInstance("incidence curve has a one-dimensional fiber")
-        # common zero of a0 z0 + a1 z1: direction (a1, -a0)
-        a = v1 if any(v1) else v2
-        z = normalize_point(field, (a[1], -a[0]))
-        if any(v2) and (v2[0] * z[0] + v2[1] * z[1]):
-            raise AssertionError("shadow point without a common third coordinate")
-        pts.append((x, y, z))
+    zero_fibers = 0
+    for x in line:
+        x0, x1 = x
+        w0, w1, w2 = x0 * x0, x0 * x1, x1 * x1
+        q = [w0 * u + w1 * v + w2 * w for u, v, w in zip(s00, s01, s11)]
+        if bf_is_zero(q):
+            # a (2,2) shadow vanishing on three x-fibers is zero
+            zero_fibers += 1
+            if zero_fibers == 3:
+                raise DegenerateInstance("relations share a linear factor")
+            ys = line
+        else:
+            ys = line_roots(field, q, line, position)
+        if not ys:
+            continue
+        a, b, c, d = [x0 * u + x1 * v for u, v in zip(t1[:4], t1[4:])]
+        e, f, g, h = [x0 * u + x1 * v for u, v in zip(t2[:4], t2[4:])]
+        for y in ys:
+            y0, y1 = y
+            v1 = (a * y0 + c * y1, b * y0 + d * y1)
+            v2 = (e * y0 + g * y1, f * y0 + h * y1)
+            if not any(v1) and not any(v2):
+                raise DegenerateInstance("incidence curve has a one-dimensional fiber")
+            # common zero of u0 z0 + u1 z1: direction (u1, -u0)
+            u = v1 if any(v1) else v2
+            z = normalize_point(field, (u[1], -u[0]))
+            if any(v2) and (v2[0] * z[0] + v2[1] * z[1]):
+                raise AssertionError("shadow point without a common third coordinate")
+            pts.append((x, y, z))
     return pts
 
 
@@ -286,24 +339,44 @@ def recover_relations_from_ci(c1, c2):
     return relations_through_points(c1.field, incidence_points(c1, c2))
 
 
+def _path_values(point):
+    """The 8 path monomials x_i y_j z_k at a point, in path order."""
+    (x, y, z) = point
+    z0, z1 = z
+    out = []
+    for xi in x:
+        for yj in y:
+            xy = xi * yj
+            out += (xy * z0, xy * z1)
+    return out
+
+
 def relations_through_points(field, pts):
     """Left kernel of the 8 path monomials evaluated at the given incidence
     points; equals the span of the relations once the point count exceeds
-    the zero bound for trilinear sections."""
+    the zero bound for trilinear sections.
+
+    Rows are reduced one at a time until six are independent; every later
+    row is then checked against the two kernel vectors.  The kernel of the
+    six is the kernel of all rows, and rref is canonical, so the basis is
+    the one a full elimination returns."""
     # a trilinear form off the relation plane restricts to a nonzero section
     # of a degree-6 bundle on the incidence curve: at most 6 zeros
     if len(pts) <= 6:
         raise DegenerateInstance("too few rational points to pin the ideal down")
-    rows = []
-    for (x, y, z) in pts:
-        row = []
-        for i in (0, 1):
-            for j in (0, 1):
-                for k in (0, 1):
-                    row.append(x[i] * y[j] * z[k])
-        rows.append(row)
-    ker = kernel_basis(field, rows, 8)
-    if len(ker) != 2:
+    rows = map(_path_values, pts)
+    basis, pivots = [], []
+    for row in rows:
+        w = reduce_modulo(basis, pivots, row)
+        pc = next((i for i, a in enumerate(w) if a), None)
+        if pc is not None:
+            inv = field.one() / w[pc]
+            basis.append([a * inv for a in w])
+            pivots.append(pc)
+            if len(basis) == 6:
+                break
+    ker = kernel_basis(field, basis, 8)
+    if len(ker) != 2 or any(sum_prod(row, v) for row in rows for v in ker):
         raise DegenerateInstance("point conditions did not cut the relation plane")
     return ker
 

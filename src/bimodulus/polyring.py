@@ -259,8 +259,12 @@ class MultiPoly:
     def from_json(cls, field, obj):
         if not isinstance(obj, dict) or "degree" not in obj or "terms" not in obj:
             raise ValidationError("polynomial object needs 'degree' and 'terms'")
+        if not _int_list(obj["degree"]) or not isinstance(obj["terms"], list):
+            raise ValidationError("'degree' is a list of integers and 'terms' a list")
         terms = {}
         for t in obj["terms"]:
+            if not isinstance(t, dict) or not _int_list(t.get("exp")) or "coef" not in t:
+                raise ValidationError(f"a term is an integer list 'exp' and a 'coef', got {t!r}")
             exp = tuple(t["exp"])
             c = scalar_from_json(field, t["coef"])
             terms[exp] = terms.get(exp, field.zero()) + c
@@ -268,6 +272,10 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly{self.degree}<{len(self.terms)} terms>"
+
+
+def _int_list(v):
+    return isinstance(v, list) and all(type(e) is int for e in v)
 
 
 def random_multipoly(field, degree, rng):

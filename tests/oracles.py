@@ -1,10 +1,12 @@
 """Independent reference computations used to freeze expected values.
 
 Deliberately naive and local: points of a member by evaluating the form
-at every point of P1 x P1, split fibers and sampled smooth points by
-solving every fiber afresh on each call, j through cross-ratios of actual branch points, member
-classification through exhaustive singular-point inspection over a
-quadratic extension, doubled-member cohomology through closed forms.  The
+at every point of P1 x P1, incidence points by evaluating both relations
+at each point of their enumerated last shadow, split fibers and sampled
+smooth points by solving every fiber afresh on each call, j through
+cross-ratios of actual branch points, member classification through
+exhaustive singular-point inspection over a quadratic extension,
+doubled-member cohomology through closed forms.  The
 package must agree with these wherever both apply.
 """
 
@@ -17,8 +19,9 @@ from bimodulus.curves import (
     p1_points,
     random_p1_point,
 )
-from bimodulus.errors import SpecialPosition, ValidationError
+from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationError
 from bimodulus.linebundles import _fiber_scan
+from bimodulus.moduli import ci_shadows
 from bimodulus.polyring import bf_eval, bf_is_zero, bf_rational_roots
 
 
@@ -27,6 +30,35 @@ def brute_points(f):
     a finite field, x-major with y in `p1_points` order."""
     line = p1_points(f.field)
     return [(x, y) for x in line for y in line if not f.eval_full([x, y])]
+
+
+def shadow_incidence_points(c1, c2):
+    """Rational points of the incidence curve of a relation pair, x-major
+    with y in `p1_points` order: the points of the last shadow, each with
+    the common zero z of both relations there, read off by evaluating the
+    relations at (x, y).  Raises DegenerateInstance on a shared linear
+    factor or a one-dimensional fiber."""
+    field = c1.field
+    if not field.characteristic:
+        raise ValidationError("point enumeration needs a finite field")
+    shadow = ci_shadows(c1, c2)[2]
+    pts = []
+    for (x, y) in enumerate_points(shadow):
+        lin1 = c1.eval_block(0, list(x)).eval_block(0, list(y))
+        lin2 = c2.eval_block(0, list(x)).eval_block(0, list(y))
+        v1 = [lin1.terms.get((1, 0)), lin1.terms.get((0, 1))]
+        v2 = [lin2.terms.get((1, 0)), lin2.terms.get((0, 1))]
+        v1 = [a if a is not None else field.zero() for a in v1]
+        v2 = [a if a is not None else field.zero() for a in v2]
+        if not any(v1) and not any(v2):
+            raise DegenerateInstance("incidence curve has a one-dimensional fiber")
+        # common zero of a0 z0 + a1 z1: direction (a1, -a0)
+        a = v1 if any(v1) else v2
+        z = normalize_point(field, (a[1], -a[0]))
+        if any(v2) and (v2[0] * z[0] + v2[1] * z[1]):
+            raise AssertionError("shadow point without a common third coordinate")
+        pts.append((x, y, z))
+    return pts
 
 
 def split_fiber_scan(f, side, avoid):

@@ -5,6 +5,8 @@ import json
 import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -182,6 +184,71 @@ def test_bad_json_is_exit_2(capsys, tmp_path):
     p.write_text("{not json")
     code, rep = run(capsys, "classify", "--in", str(p))
     assert code == 2 and rep["type"] == "validation"
+
+
+def generated_body(capsys, *argv):
+    code, rep = run(capsys, "generate", *argv)
+    assert code == 0
+    body = dict(rep["instances"][0])
+    body.pop("validation")
+    return body
+
+
+def run_on(capsys, tmp_path, command, body):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(body))
+    return run(capsys, command, "--in", str(path))
+
+
+def drop_exp(body):
+    del body["curve"]["terms"][0]["exp"]
+
+
+def set_key(key, value, where=None):
+    def mutate(body):
+        (body[where] if where else body)[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("kind, command, mutate", [
+    ("smooth-bimodule-chi2", "classify", drop_exp),
+    ("smooth-bimodule-chi2", "classify", set_key("m", "a")),
+    ("smooth-bimodule-chi2", "classify", set_key("terms", 5, where="curve")),
+    ("smooth-bimodule-chi2", "classify", set_key("m", 2.5)),
+    ("non-reduced", "cech", set_key("ku", "a")),
+    ("non-reduced", "cech", set_key("dinf", 1.5)),
+    ("non-reduced", "cech", set_key("dfin", 5)),
+], ids=["term-without-exp", "m-not-a-number", "terms-not-a-list", "fractional-m",
+        "ku-not-a-number", "fractional-dinf", "dfin-not-a-list"])
+def test_malformed_instance_is_exit_2(capsys, tmp_path, kind, command, mutate):
+    body = generated_body(capsys, kind, "--seed", "0")
+    assert run_on(capsys, tmp_path, command, body)[0] == 0
+    mutate(body)
+    code, rep = run_on(capsys, tmp_path, command, body)
+    assert code == 2 and rep["type"] == "validation"
+
+
+def test_prime_beyond_the_primality_bound_is_exit_2(capsys, tmp_path):
+    body = generated_body(capsys, "smooth-bimodule-chi2", "--seed", "0")
+    body["field"]["p"] = 10 ** 30 + 57
+    start = time.process_time()
+    code, rep = run_on(capsys, tmp_path, "classify", body)
+    assert code == 2 and rep["type"] == "validation"
+    code, rep = run(capsys, "roundtrip", "--prime", str(10 ** 30 + 57))
+    assert code == 2 and rep["type"] == "validation"
+    assert time.process_time() - start < 1.0
+
+
+def test_split_on_huge_rational_coefficients_is_exit_2_at_once(capsys, tmp_path):
+    body = generated_body(capsys, "smooth-bimodule-chi2", "--prime", "0", "--seed", "1")
+    code, rep = run_on(capsys, tmp_path, "split", body)
+    assert code == 2
+    for t in body["curve"]["terms"]:
+        t["coef"] = str(Fraction(t["coef"]) * 10 ** 30)
+    start = time.process_time()
+    code, rep = run_on(capsys, tmp_path, "split", body)
+    assert code == 2 and rep["type"] == "special-position"
+    assert time.process_time() - start < 2.0
 
 
 def test_console_script():

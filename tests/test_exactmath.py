@@ -5,6 +5,7 @@ here are checked over both Q and a prime field with randomized matrices.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 
 from bimodulus.errors import ValidationError
 from bimodulus.exactmath import (
+    PRIME_BOUND,
     QQ,
     PrimeField,
+    _is_prime,
     field_from_json,
     kernel_basis,
     mat_mul,
@@ -39,6 +42,48 @@ def test_prime_field_rejects_characteristic_2_and_3():
 def test_prime_field_rejects_composites():
     with pytest.raises(ValidationError):
         PrimeField(91)
+
+
+def test_primality_agrees_with_trial_division_below_10_5():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == [n for n in range(10 ** 5) if trial(n)]
+
+
+def test_strong_pseudoprimes_are_composite():
+    # 2047 fools base 2, 3215031751 the bases 2, 3, 5 and 7, and the last
+    # one every prime base up to 37
+    for n in (2047, 3215031751, 318665857834031151167461):
+        assert not _is_prime(n)
+        with pytest.raises(ValidationError):
+            PrimeField(n)
+    for p in (10 ** 14 + 31, 2 ** 61 - 1, 2 ** 79 - 67):
+        assert _is_prime(p) and PrimeField(p).p == p
+
+
+def test_primes_beyond_the_bound_are_rejected_at_once():
+    start = time.process_time()
+    for p in (PRIME_BOUND, 10 ** 30 + 57, 10 ** 40 + 3):
+        with pytest.raises(ValidationError):
+            PrimeField(p)
+    assert time.process_time() - start < 0.5
+
+
+def test_fraction_square_roots_are_exact_on_huge_rationals():
+    rng = random.Random(5)
+    start = time.process_time()
+    for digits in (1, 20, 48, 155, 200, 400):
+        for _ in range(5):
+            n = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            d = rng.randrange(1, 10 ** digits)
+            root = Fraction(n, d)
+            assert QQ.sqrt(root * root) == root and QQ.is_square(root * root)
+            assert QQ.sqrt(-root * root) is None
+            # n^2 + 1 is never a square
+            assert QQ.sqrt(Fraction(n * n + 1, d * d)) is None
+            assert not QQ.is_square(Fraction(n * n, d * d + 2 * d))
+    assert time.process_time() - start < 0.5
 
 
 def test_fp_format_parse_roundtrip(F101):

@@ -1,15 +1,15 @@
 """The quadruple construction, relation kernels, incidence geometry, and the
 round trip between sheaf data and relation planes."""
 
+import itertools
 import random
 
 import pytest
 
 from bimodulus import moduli
 from bimodulus.errors import DegenerateInstance, SpecialPosition
-from bimodulus.curves import enumerate_points, make_kind, member_j, random_smooth_point
-from bimodulus.exactmath import PrimeField
-from bimodulus.exactmath import subspace_equal
+from bimodulus.curves import enumerate_points, make_kind, member_j, random_p1_point, random_smooth_point
+from bimodulus.exactmath import PrimeField, QuadExtField, kernel_basis, subspace_equal
 from bimodulus.linebundles import Curve, LineBundle, isomorphic, section_space
 from bimodulus.moduli import (
     Quadruple,
@@ -24,10 +24,13 @@ from bimodulus.moduli import (
     random_quadruple,
     random_sheaf_datum,
     recover_relations_from_ci,
+    relations_through_points,
     relations_to_ci,
     roundtrip0,
 )
+from bimodulus.polyring import MultiPoly
 from bimodulus.quivers import generic_member_quiver, theta_stable
+from oracles import shadow_incidence_points
 
 
 @pytest.fixture(scope="module")
@@ -155,17 +158,126 @@ def test_roundtrip_counts_the_points_of_the_member(datum):
     assert roundtrip0(U)["points"] == len(enumerate_points(curve.f))
 
 
-def test_roundtrip_enumerates_points_once(datum, monkeypatch):
+def test_roundtrip_computes_the_shadows_once_and_evaluates_no_points(datum, monkeypatch):
+    # the incidence points come from 2x2 contractions, not from evaluating
+    # the relations (four eval_block calls per point) on an enumerated shadow
     F101, rng, curve, U, quad, rel, c1, c2 = datum
-    calls = []
+    shadows, evals = [], []
+    real_shadows, real_eval = moduli.ci_shadows, MultiPoly.eval_block
 
-    def counted(f):
-        calls.append(f)
-        return enumerate_points(f)
+    def counted_shadows(a, b):
+        shadows.append(1)
+        return real_shadows(a, b)
 
-    monkeypatch.setattr(moduli, "enumerate_points", counted)
+    def counted_eval(self, block, point):
+        evals.append(1)
+        return real_eval(self, block, point)
+
+    monkeypatch.setattr(moduli, "ci_shadows", counted_shadows)
+    monkeypatch.setattr(MultiPoly, "eval_block", counted_eval)
     roundtrip0(U)
-    assert len(calls) == 1
+    assert len(shadows) == 1
+    assert len(evals) <= 40
+
+
+FIELDS = {
+    "F5": PrimeField(5),
+    "F7": PrimeField(7),
+    "F25": QuadExtField(PrimeField(5)),
+    "F101": PrimeField(101),
+    "F1009": PrimeField(1009),
+}
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateInstance:
+        return DegenerateInstance
+
+
+def random_pair(F, rng, density):
+    while True:
+        vecs = [[F.random(rng) if rng.random() < density else F.zero() for _ in range(8)]
+                for _ in range(2)]
+        if all(any(v) for v in vecs):
+            return relations_to_ci(F, vecs)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_incidence_points_match_the_shadow_oracle(name):
+    F = FIELDS[name]
+    rng = random.Random(name)
+    kinds = set()
+    for n in range(6 if F.characteristic > 500 else 24):
+        # sparse pairs often have a one-dimensional fiber or a shared factor
+        c1, c2 = random_pair(F, rng, 1.0 if n % 2 else 0.4)
+        expect = outcome(shadow_incidence_points, c1, c2)
+        assert outcome(incidence_points, c1, c2) == expect
+        kinds.add(expect is DegenerateInstance)
+    assert kinds == {False, True}
+
+
+def factored_pair(F, rng, blocks):
+    """Two (1,1,1)-forms sharing a factor of degree 1 in each of `blocks`,
+    times independent cofactors of degree 1 in the other blocks."""
+    rest = [b for b in range(3) if b not in blocks]
+    shared = {k: F.random_nonzero(rng) for k in itertools.product((0, 1), repeat=len(blocks))}
+    pair = []
+    for _ in range(2):
+        cofactor = {k: F.random_nonzero(rng) for k in itertools.product((0, 1), repeat=len(rest))}
+        # path order 4i + 2j + k is the lexicographic order of (i, j, k)
+        pair.append([shared[tuple(idx[b] for b in blocks)] * cofactor[tuple(idx[b] for b in rest)]
+                     for idx in itertools.product((0, 1), repeat=3)])
+    return relations_to_ci(F, pair)
+
+
+@pytest.mark.parametrize("blocks", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+@pytest.mark.parametrize("name", ["F7", "F25", "F101"])
+def test_a_shared_factor_is_degenerate(name, blocks):
+    F = FIELDS[name]
+    rng = random.Random(f"{name}{blocks}")
+    for _ in range(5):
+        c1, c2 = factored_pair(F, rng, blocks)
+        with pytest.raises(DegenerateInstance):
+            shadow_incidence_points(c1, c2)
+        with pytest.raises(DegenerateInstance):
+            incidence_points(c1, c2)
+
+
+def full_kernel(F, pts):
+    rows = [[x[i] * y[j] * z[k] for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+            for (x, y, z) in pts]
+    return kernel_basis(F, rows, 8)
+
+
+@pytest.mark.parametrize("name", ["F7", "F25", "F101"])
+def test_relation_plane_is_the_full_kernel(name):
+    F = FIELDS[name]
+    rng = random.Random(name)
+    seen = set()
+    for _ in range(12):
+        c1, c2 = random_pair(F, rng, 1.0)
+        try:
+            pts = incidence_points(c1, c2)
+        except DegenerateInstance:
+            continue
+        extra = tuple(random_p1_point(F, rng) for _ in range(3))
+        lists = [pts, pts[::-1], pts[:7]]
+        if c1.eval_full(list(extra)) or c2.eval_full(list(extra)):
+            # a point off the incidence curve at the front, middle and end
+            lists += [[extra] + pts, pts[:4] + [extra] + pts[4:], pts + [extra]]
+        for sample in lists:
+            if len(sample) <= 6:
+                continue
+            ker = full_kernel(F, sample)
+            seen.add(len(ker))
+            if len(ker) == 2:
+                assert relations_through_points(F, sample) == ker
+            else:
+                with pytest.raises(DegenerateInstance):
+                    relations_through_points(F, sample)
+    assert {1, 2} <= seen
 
 
 def test_seeded_roundtrip_over_f1009():
