@@ -357,14 +357,14 @@ def relations_through_points(field, pts):
     the zero bound for trilinear sections.
 
     Rows are reduced one at a time until six are independent; every later
-    row is then checked against the two kernel vectors.  The kernel of the
-    six is the kernel of all rows, and rref is canonical, so the basis is
-    the one a full elimination returns."""
+    row is then checked against the two kernel vectors.  When all pass, the
+    kernel of the six is the kernel of all rows, and rref is canonical, so
+    the basis is the one a full elimination returns."""
     # a trilinear form off the relation plane restricts to a nonzero section
     # of a degree-6 bundle on the incidence curve: at most 6 zeros
     if len(pts) <= 6:
         raise DegenerateInstance("too few rational points to pin the ideal down")
-    rows = map(_path_values, pts)
+    rows = map(_path_values, pts)  # one iterator: the check resumes it
     basis, pivots = [], []
     for row in rows:
         w = reduce_modulo(basis, pivots, row)
