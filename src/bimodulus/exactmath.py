@@ -228,7 +228,6 @@ class PrimeField:
             raise ValidationError(f"characteristic {p} is not supported")
         self.p = p
         self.characteristic = p
-        self._sqrt_table = None
         self._default_ext = None
 
     def __call__(self, n=0):
@@ -260,24 +259,37 @@ class PrimeField:
     def random_nonzero(self, rng):
         return FpElt(self.p, rng.randrange(1, self.p))
 
-    def _sqrts(self):
-        if self._sqrt_table is None:
-            t = {}
-            for r in range(self.p):
-                t.setdefault(r * r % self.p, r)
-            self._sqrt_table = t
-        return self._sqrt_table
+    def _is_residue(self, v):
+        """Euler's criterion for an int in [0, p)."""
+        return v == 0 or pow(v, (self.p - 1) // 2, self.p) == 1
 
     def is_square(self, x):
-        return self.coerce(x).v in self._sqrts()
+        return self._is_residue(self.coerce(x).v)
 
     def sqrt(self, x):
-        r = self._sqrts().get(self.coerce(x).v)
-        return None if r is None else FpElt(self.p, r)
+        """The smaller of the two square roots (Tonelli-Shanks), or None."""
+        p, v = self.p, self.coerce(x).v
+        if not self._is_residue(v):
+            return None
+        q, s = p - 1, 0
+        while not q % 2:
+            q, s = q // 2, s + 1
+        # invariant: r^2 = v t, with t of order dividing 2^m and c of order
+        # 2^m; v = 0 starts and ends at t = r = 0
+        m, t, r = s, pow(v, q, p), pow(v, (q + 1) // 2, p)
+        c = pow(self.smallest_nonresidue().v, q, p) if s > 1 else p - 1
+        while t > 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+        return FpElt(p, min(r, p - r))
 
     def smallest_nonresidue(self):
         for v in range(2, self.p):
-            if v not in self._sqrts():
+            if not self._is_residue(v):
                 return FpElt(self.p, v)
         raise AssertionError("no quadratic non-residue found")
 
@@ -576,8 +588,12 @@ def rref(field, rows):
     """Reduced row echelon form.  Returns (rows, pivot_columns).
 
     Pivot choice is the first row (top to bottom) with a nonzero entry in the
-    current column, which makes every downstream basis reproducible.
+    current column, which makes every downstream basis reproducible.  Over a
+    PrimeField the work is done on residues (`_rref_mod_p`); the form is
+    unique, so both loops return the same rows.
     """
+    if isinstance(field, PrimeField):
+        return _rref_mod_p(field, rows)
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -604,6 +620,45 @@ def rref(field, rows):
         pivots.append(c)
         r += 1
     return m[:r], pivots
+
+
+def _rref_mod_p(field, rows):
+    """rref over F_p with the same pivot rule, eliminating on ints in [0, p)
+    and wrapping the reduced rows in FpElt once, at exit."""
+    p, coerce = field.p, field.coerce
+    # anything but an FpElt of this field goes through coerce, which rejects
+    # other primes and denominators divisible by p
+    m = [[x.v if x.__class__ is FpElt and x.p == p else coerce(x).v for x in r] for r in rows]
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        sel = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = pow(m[r][c], -1, p)
+        piv = m[r] = [x * inv % p for x in m[r]]
+        # the pivot row is zero left of c and at the earlier pivots, so
+        # rows are updated in place at its nonzero entries only
+        support = [(j, b) for j, b in enumerate(piv) if b]
+        for i in range(nrows):
+            row = m[i]
+            f = row[c]
+            if f and i != r:
+                for j, b in support:
+                    row[j] = (row[j] - f * b) % p
+        pivots.append(c)
+        r += 1
+    return [[FpElt(p, x) for x in row] for row in m[:r]], pivots
 
 
 def rank(field, rows):
@@ -638,12 +693,6 @@ def reduce_modulo(red, pivots, vec):
     return w
 
 
-def span_contains(field, basis, vec):
-    if not basis:
-        return not any(vec)
-    return not any(reduce_modulo(*rref(field, basis), vec))
-
-
 def subspace_equal(field, basis1, basis2):
     r1, p1 = rref(field, basis1)
     r2, p2 = rref(field, basis2)
@@ -656,8 +705,11 @@ def sparse_rank(field, rows):
     Each row in turn is reduced against the pivot rows found so far, which
     are keyed by leading column, until it vanishes or leads in a new
     column.  Intended for very sparse systems (Cech matrices); dense
-    inputs should use rank().
+    inputs should use rank().  Over a PrimeField the rows are reduced on
+    residues (`_sparse_rank_mod_p`).
     """
+    if isinstance(field, PrimeField):
+        return _sparse_rank_mod_p(field, rows)
     one, zero = field.one(), field.zero()
     pivots = {}  # leading column -> row normalized to 1 there
     for row in rows:
@@ -676,6 +728,36 @@ def sparse_rank(field, rows):
                     r[col] = nv
                 else:
                     r.pop(col, None)
+    return len(pivots)
+
+
+def _sparse_rank_mod_p(field, rows):
+    """sparse_rank over F_p on ints in [0, p).  Entries are read as in
+    `_rref_mod_p`, and a pivot row is kept without its leading 1, as
+    (column, value) pairs."""
+    p, coerce = field.p, field.coerce
+    pivots = {}
+    for row in rows:
+        r = {}
+        for c, x in row.items():
+            v = x.v if x.__class__ is FpElt and x.p == p else coerce(x).v
+            if v:
+                r[c] = v
+        while r:
+            c = min(r)
+            piv = pivots.get(c)
+            f = r.pop(c)
+            if piv is None:
+                inv = pow(f, -1, p)
+                pivots[c] = [(col, v * inv % p) for col, v in r.items()]
+                break
+            for col, v in piv:
+                nv = (r.get(col, 0) - f * v) % p
+                if nv:
+                    r[col] = nv
+                else:
+                    # only a nonzero entry cancels f * v
+                    del r[col]
     return len(pivots)
 
 

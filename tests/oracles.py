@@ -6,7 +6,8 @@ at each point of their enumerated last shadow, split fibers and sampled
 smooth points by solving every fiber afresh on each call, j through
 cross-ratios of actual branch points, member classification through
 exhaustive singular-point inspection over a quadratic extension,
-doubled-member cohomology through closed forms.  The
+doubled-member cohomology through closed forms, elimination through the
+field's own scalar arithmetic, one scalar operation per entry.  The
 package must agree with these wherever both apply.
 """
 
@@ -20,6 +21,7 @@ from bimodulus.curves import (
     random_p1_point,
 )
 from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationError
+from bimodulus.exactmath import reduce_modulo, rref
 from bimodulus.linebundles import _fiber_scan
 from bimodulus.moduli import ci_shadows
 from bimodulus.polyring import bf_eval, bf_is_zero, bf_rational_roots
@@ -227,3 +229,66 @@ def nr_closed_form(k, c_nonzero):
 def split_h0_profile(a, b, window):
     """h0 of twists of a split pair (a, b) across a symmetric window."""
     return [max(a + j + 1, 0) + max(b + j + 1, 0) for j in range(-window, window + 1)]
+
+
+def generic_rref(field, rows):
+    """Reduced row echelon form by scalar arithmetic on the entries, with
+    the library's pivot rule: the first row with a nonzero entry in the
+    current column.  Returns (rows, pivot_columns)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= len(m):
+            break
+        sel = None
+        for i in range(r, len(m)):
+            if m[i][c]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = field.one() / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def generic_sparse_rank(field, rows):
+    """Rank of {column: value} rows by scalar arithmetic, each row reduced
+    against the pivot rows found so far, keyed by leading column."""
+    one, zero = field.one(), field.zero()
+    pivots = {}
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        while r:
+            c = min(r)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = one / r[c]
+                pivots[c] = {col: v * inv for col, v in r.items()}
+                break
+            f = r[c]
+            for col, v in piv.items():
+                nv = r.get(col, zero) - f * v
+                if nv:
+                    r[col] = nv
+                else:
+                    r.pop(col, None)
+    return len(pivots)
+
+
+def span_contains(field, basis, vec):
+    """Whether vec lies in the span of the rows of basis."""
+    if not basis:
+        return not any(vec)
+    return not any(reduce_modulo(*rref(field, basis), vec))

@@ -6,16 +6,20 @@ here are checked over both Q and a prime field with randomized matrices.
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bimodulus import exactmath
 from bimodulus.errors import ValidationError
 from bimodulus.exactmath import (
     PRIME_BOUND,
     QQ,
+    FpElt,
     PrimeField,
     _is_prime,
     field_from_json,
@@ -25,11 +29,11 @@ from bimodulus.exactmath import (
     rref,
     scalar_from_json,
     scalar_to_json,
-    span_contains,
     sparse_rank,
     subspace_equal,
     sum_prod,
 )
+from oracles import generic_rref, generic_sparse_rank, span_contains
 
 
 def test_prime_field_rejects_characteristic_2_and_3():
@@ -125,6 +129,35 @@ def test_quadratic_extension_generator_squares_to_nonresidue(F101):
         assert r * r == x
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 41, 101, 1009])
+def test_prime_field_square_roots_match_the_table_of_squares(p):
+    # 17, 41 and 1009 are 1 mod 8 and 1009 is 1 mod 16, so Tonelli-Shanks
+    # takes several rounds there
+    F = PrimeField(p)
+    table = {}
+    for r in range(p):
+        table.setdefault(r * r % p, r)
+    for v in range(p):
+        root = F.sqrt(v)
+        assert F.is_square(v) == (v in table)
+        assert (None if root is None else root.v) == table.get(v)
+    assert F.smallest_nonresidue().v == min(v for v in range(2, p) if v not in table)
+
+
+def test_prime_field_square_roots_need_no_table():
+    tracemalloc.start()
+    try:
+        F = PrimeField(1000003)
+        for v in (4, 10, 12345, 999_999):
+            r = F.sqrt(v)
+            assert r is None or (r * r == v and r.v <= F.p - r.v)
+        assert F.sqrt(F.smallest_nonresidue()) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def _random_rows(field, rng, nrows, ncols):
     return [[field.random(rng) for _ in range(ncols)] for _ in range(nrows)]
 
@@ -215,3 +248,51 @@ def test_mat_mul_shapes():
     A = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
     B = [[Fraction(3)], [Fraction(4)]]
     assert mat_mul(A, B) == [[Fraction(11)], [Fraction(4)]]
+
+
+def _entry(p):
+    """An entry of F_p as an FpElt, an int or a Fraction; the ints and
+    Fractions are nonzero mod p unless zero, as the scalar loops need."""
+    return st.one_of(
+        st.integers(0, p - 1).map(lambda v: FpElt(p, v)),
+        st.sampled_from([0, 0, 1, -1, 2, -3, 4]),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_prime_field_elimination_matches_the_scalar_loops(data):
+    p = data.draw(st.sampled_from([5, 101, 1009]))
+    field = PrimeField(p)
+    nrows = data.draw(st.integers(0, 20))
+    ncols = data.draw(st.integers(0, 20))
+    entry = _entry(p)
+    rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if rows:
+        picks = data.draw(st.lists(st.integers(0, nrows - 1), max_size=4))
+        rows += [list(rows[i]) for i in picks]
+        if data.draw(st.booleans()):
+            rows.insert(data.draw(st.integers(0, len(rows))), [0] * ncols)
+        data.draw(st.randoms()).shuffle(rows)
+    red, piv = rref(field, rows)
+    assert (red, piv) == generic_rref(field, rows)
+    assert all(x.__class__ is FpElt and x.p == p for row in red for x in row)
+    assert rank(field, rows) == len(piv)
+    with mock.patch.object(exactmath, "rref", generic_rref):
+        want = kernel_basis(field, rows, ncols)
+    assert kernel_basis(field, rows, ncols) == want
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert sparse_rank(field, sparse) == generic_sparse_rank(field, sparse) == len(piv)
+
+
+@pytest.mark.parametrize("bad", [FpElt(5, 2), Fraction(3, 101)], ids=["mixed-prime", "denominator"])
+def test_both_eliminations_reject_foreign_entries(F101, bad):
+    dense = [[1, 2, 0], [0, bad, 1]]
+    sparse = [{0: 1, 1: 2}, {1: bad, 2: 1}]
+    for fn, rows in ((rref, dense), (generic_rref, dense), (sparse_rank, sparse),
+                     (generic_sparse_rank, sparse), (rank, dense)):
+        with pytest.raises(ValidationError):
+            fn(F101, rows)
+    with pytest.raises(ValidationError):
+        kernel_basis(F101, dense, 3)

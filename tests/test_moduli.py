@@ -280,6 +280,30 @@ def test_relation_plane_is_the_full_kernel(name):
     assert {1, 2} <= seen
 
 
+@pytest.mark.parametrize("p,seed", [(101, 1), (101, 2), (1009, 3)])
+def test_the_shift_embeds_the_incidence_points_in_the_shadows(p, seed):
+    # each pair of coordinates of an incidence point lies on the shadow that
+    # eliminates the third, and (x, y, z) -> (y, z) is injective on them
+    F = PrimeField(p)
+    rng = random.Random(seed)
+    for _ in range(20):
+        try:
+            curve, U = random_sheaf_datum(F, rng)
+            c1, c2 = relations_to_ci(F, psi0(phi(U)))
+            shadows = ci_shadows(c1, c2)
+            pts = incidence_points(c1, c2)
+        except (DegenerateInstance, SpecialPosition):
+            continue
+        assert len(pts) > 6
+        for (x, y, z) in pts:
+            assert not shadows[0].eval_full([y, z])
+            assert not shadows[1].eval_full([x, z])
+            assert not shadows[2].eval_full([x, y])
+        assert len({(y, z) for (_, y, z) in pts}) == len(pts)
+        return
+    pytest.fail(f"no relation pair over F_{p} in 20 draws")
+
+
 def test_seeded_roundtrip_over_f1009():
     F1009 = PrimeField(1009)
     rng = random.Random(1009)

@@ -7,6 +7,8 @@ this checkout's `src/` and prints, for each, the exit code, the sha256 of
 what it wrote to stdout and the command itself.  Two checkouts give the
 same digest exactly when every report is byte-identical, so to check that
 a change leaves the output alone, diff the digests of both checkouts.
+The digest is also committed as `tests/data/cli_digest.txt`, which CI
+diffs against; a change that alters a report by design regenerates it.
 
 The list: `generate` for every kind at `--prime 0`, 101 and 11, seeds
 0-3; `classify`, `split`, `stability` and `cech` on each generated
