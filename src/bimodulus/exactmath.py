@@ -9,13 +9,17 @@ Three scalar kinds interoperate through the usual arithmetic dunders:
 Field handles (``QQ``, ``PrimeField``, ``QuadExtField``) build constants,
 parse/format the JSON scalar strings, and provide square roots.  All linear
 algebra is exact and pivots on the *first* nonzero entry, so reduced forms,
-kernels and ranks are bit-reproducible across runs.
+kernels and ranks are bit-reproducible across runs.  Elimination reads each
+entry once through the field's ``coerce`` and, over F_p and Q, runs on
+Python ints: residues in [0, p) over F_p, fraction-free primitive integer
+rows over Q.  Field elements are built once, at exit; only a quadratic
+extension eliminates with scalar arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import ValidationError
 
@@ -229,6 +233,7 @@ class PrimeField:
         self.p = p
         self.characteristic = p
         self._default_ext = None
+        self._nonresidue = None
 
     def __call__(self, n=0):
         if isinstance(n, FpElt):
@@ -288,10 +293,10 @@ class PrimeField:
         return FpElt(p, min(r, p - r))
 
     def smallest_nonresidue(self):
-        for v in range(2, self.p):
-            if not self._is_residue(v):
-                return FpElt(self.p, v)
-        raise AssertionError("no quadratic non-residue found")
+        # searched once per field: sqrt needs it on every call when p = 1 mod 4
+        if self._nonresidue is None:
+            self._nonresidue = next(v for v in range(2, self.p) if not self._is_residue(v))
+        return FpElt(self.p, self._nonresidue)
 
     def quadratic_extension(self, d=None):
         # cached for d=None: the extension carries a square-root table
@@ -588,77 +593,111 @@ def rref(field, rows):
     """Reduced row echelon form.  Returns (rows, pivot_columns).
 
     Pivot choice is the first row (top to bottom) with a nonzero entry in the
-    current column, which makes every downstream basis reproducible.  Over a
-    PrimeField the work is done on residues (`_rref_mod_p`); the form is
-    unique, so both loops return the same rows.
+    current column (`_pivot_steps`), which makes every downstream basis
+    reproducible.  Each entry is read once through `field.coerce`, so
+    entries from another field raise ValidationError.  Over a PrimeField
+    the work is done on residues (`_rref_mod_p`) and over Q on rows of ints
+    (`_rref_q`); only a QuadExtField takes the scalar loop.  The form is
+    unique, so every loop returns the same rows.
     """
     if isinstance(field, PrimeField):
         return _rref_mod_p(field, rows)
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+    if isinstance(field, RationalField):
+        return _rref_q(rows)
+    coerce, one = field.coerce, field.one()
+    m = [[coerce(x) for x in r] for r in rows]
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(m):
-            break
-        sel = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = field.one() / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+    for r, c in _pivot_steps(m):
+        inv = one / m[r][c]
+        piv = m[r] = [x * inv for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = [a - f * b for a, b in zip(row, piv)]
         pivots.append(c)
-        r += 1
-    return m[:r], pivots
+    return m[:len(pivots)], pivots
+
+
+def _pivot_steps(m):
+    """The pivot rule of every rref loop: for each column in turn, the first
+    row at or below the next pivot row with a nonzero entry there is swapped
+    into place.  Yields (pivot row, column); the caller clears the column in
+    the other rows before the next step."""
+    nrows = len(m)
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        if r >= nrows:
+            return
+        for i in range(r, nrows):
+            if m[i][c]:
+                m[r], m[i] = m[i], m[r]
+                yield r, c
+                r += 1
+                break
 
 
 def _rref_mod_p(field, rows):
-    """rref over F_p with the same pivot rule, eliminating on ints in [0, p)
-    and wrapping the reduced rows in FpElt once, at exit."""
+    """rref over F_p on ints in [0, p), the reduced rows wrapped in FpElt
+    once, at exit."""
     p, coerce = field.p, field.coerce
     # anything but an FpElt of this field goes through coerce, which rejects
     # other primes and denominators divisible by p
     m = [[x.v if x.__class__ is FpElt and x.p == p else coerce(x).v for x in r] for r in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        sel = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
+    for r, c in _pivot_steps(m):
         inv = pow(m[r][c], -1, p)
         piv = m[r] = [x * inv % p for x in m[r]]
         # the pivot row is zero left of c and at the earlier pivots, so
         # rows are updated in place at its nonzero entries only
         support = [(j, b) for j, b in enumerate(piv) if b]
-        for i in range(nrows):
-            row = m[i]
+        for i, row in enumerate(m):
             f = row[c]
             if f and i != r:
                 for j, b in support:
                     row[j] = (row[j] - f * b) % p
         pivots.append(c)
-        r += 1
-    return [[FpElt(p, x) for x in row] for row in m[:r]], pivots
+    return [[FpElt(p, x) for x in row] for row in m[:len(pivots)]], pivots
+
+
+def _integer_row(xs):
+    """Rationals as a primitive row of ints spanning the same line: scaled
+    by the lcm of their denominators, then divided by the gcd of the
+    numerators.  Entries that are not ints or Fractions go through
+    QQ.coerce, which rejects floats and the elements of other fields."""
+    nums, dens = [], []
+    for x in xs:
+        if x.__class__ is not Fraction and x.__class__ is not int:
+            x = QQ.coerce(x)
+        n, d = x.as_integer_ratio()
+        nums.append(n)
+        dens.append(d)
+    den = lcm(*dens)
+    if den != 1:
+        nums = [n * (den // d) for n, d in zip(nums, dens)]
+    g = gcd(*nums)
+    return [n // g for n in nums] if g > 1 else nums
+
+
+def _rref_q(rows):
+    """rref over Q, fraction-free (Bareiss 1968): the rows are primitive
+    rows of ints, a row is cleared at a pivot column by cross-multiplying
+    it with the pivot row, and each reduced row is divided by its pivot
+    entry once, at exit."""
+    m = [_integer_row(r) for r in rows]
+    pivots = []
+    for r, c in _pivot_steps(m):
+        piv = m[r]
+        a = piv[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                g = gcd(a, f)
+                s, t = a // g, f // g
+                row = [s * x - t * y for x, y in zip(row, piv)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)], pivots
 
 
 def rank(field, rows):
@@ -705,15 +744,23 @@ def sparse_rank(field, rows):
     Each row in turn is reduced against the pivot rows found so far, which
     are keyed by leading column, until it vanishes or leads in a new
     column.  Intended for very sparse systems (Cech matrices); dense
-    inputs should use rank().  Over a PrimeField the rows are reduced on
-    residues (`_sparse_rank_mod_p`).
+    inputs should use rank().  Entries are read once through
+    `field.coerce`, as in rref.  Over a PrimeField the rows are reduced on
+    residues (`_sparse_rank_mod_p`) and over Q on ints (`_sparse_rank_q`);
+    only a QuadExtField takes the scalar loop.
     """
     if isinstance(field, PrimeField):
         return _sparse_rank_mod_p(field, rows)
-    one, zero = field.one(), field.zero()
+    if isinstance(field, RationalField):
+        return _sparse_rank_q(rows)
+    one, zero, coerce = field.one(), field.zero(), field.coerce
     pivots = {}  # leading column -> row normalized to 1 there
     for row in rows:
-        r = {c: v for c, v in row.items() if v}
+        r = {}
+        for c, x in row.items():
+            v = coerce(x)
+            if v:
+                r[c] = v
         while r:
             c = min(r)
             piv = pivots.get(c)
@@ -758,6 +805,38 @@ def _sparse_rank_mod_p(field, rows):
                 else:
                     # only a nonzero entry cancels f * v
                     del r[col]
+    return len(pivots)
+
+
+def _sparse_rank_q(rows):
+    """sparse_rank over Q on primitive rows of ints (see `_integer_row`),
+    reduced by cross-multiplication as in `_rref_q`.  A pivot row is kept
+    as its leading entry and the (column, value) pairs of the rest; no
+    Fraction is built."""
+    pivots = {}
+    for row in rows:
+        r = {c: v for c, v in zip(row, _integer_row(row.values())) if v}
+        while r:
+            c = min(r)
+            piv = pivots.get(c)
+            f = r.pop(c)
+            if piv is None:
+                pivots[c] = (f, list(r.items()))
+                break
+            a, rest = piv
+            g = gcd(a, f)
+            s, t = a // g, f // g
+            if s != 1:
+                r = {col: s * v for col, v in r.items()}
+            for col, v in rest:
+                nv = r.get(col, 0) - t * v
+                if nv:
+                    r[col] = nv
+                else:
+                    del r[col]
+            g = gcd(*r.values())
+            if g > 1:
+                r = {col: v // g for col, v in r.items()}
     return len(pivots)
 
 

@@ -232,10 +232,11 @@ def split_h0_profile(a, b, window):
 
 
 def generic_rref(field, rows):
-    """Reduced row echelon form by scalar arithmetic on the entries, with
-    the library's pivot rule: the first row with a nonzero entry in the
-    current column.  Returns (rows, pivot_columns)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form by scalar arithmetic on the entries (each
+    read through field.coerce), with the library's pivot rule: the first
+    row with a nonzero entry in the current column.  Returns (rows,
+    pivot_columns)."""
+    m = [[field.coerce(x) for x in r] for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -264,12 +265,13 @@ def generic_rref(field, rows):
 
 
 def generic_sparse_rank(field, rows):
-    """Rank of {column: value} rows by scalar arithmetic, each row reduced
-    against the pivot rows found so far, keyed by leading column."""
+    """Rank of {column: value} rows by scalar arithmetic on the entries
+    (each read through field.coerce), each row reduced against the pivot
+    rows found so far, keyed by leading column."""
     one, zero = field.one(), field.zero()
     pivots = {}
     for row in rows:
-        r = {c: v for c, v in row.items() if v}
+        r = {c: v for c, v in ((c, field.coerce(x)) for c, x in row.items()) if v}
         while r:
             c = min(r)
             piv = pivots.get(c)

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -34,7 +35,7 @@ from bimodulus.bimodules import (
 )
 from bimodulus.quivers import descriptor_grid
 
-from oracles import nr_closed_form, split_h0_profile
+from oracles import generic_sparse_rank, nr_closed_form, split_h0_profile
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -141,6 +142,20 @@ def test_sparse_rank_of_cech_matrices_is_the_dense_rank(F101, k):
                 sparse = rows + extra
                 dense = [[r.get(j, zero) for j in range(4 * (N + 1))] for r in sparse]
                 assert sparse_rank(F101, sparse) == rank(F101, dense)
+
+
+def test_rational_cech_ranks_match_the_scalar_loop():
+    for k in (-3, 0, 2, 5):
+        for c in (Fraction(1, 3), Fraction(-7, 2)):
+            N = 2 * abs(k) + 8
+            rows = _cech_rows(QQ, k, c, N)
+            Nsm = N - (abs(k) + 4)
+            for sparse in (
+                list(rows.values()),
+                [r for (_, e), r in rows.items() if abs(e) > Nsm],
+                list(rows.values()) + _dcond_rows(QQ, [Fraction(2, 5), 0, 3], 1, N),
+            ):
+                assert sparse_rank(QQ, sparse) == generic_sparse_rank(QQ, sparse)
 
 
 def test_nr_split_u_is_split_v_after_swap(F101):

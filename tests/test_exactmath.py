@@ -21,6 +21,7 @@ from bimodulus.exactmath import (
     QQ,
     FpElt,
     PrimeField,
+    QuadExtField,
     _is_prime,
     field_from_json,
     kernel_basis,
@@ -142,6 +143,23 @@ def test_prime_field_square_roots_match_the_table_of_squares(p):
         assert F.is_square(v) == (v in table)
         assert (None if root is None else root.v) == table.get(v)
     assert F.smallest_nonresidue().v == min(v for v in range(2, p) if v not in table)
+
+
+def test_prime_field_searches_for_its_nonresidue_once():
+    # 1009 is 1 mod 16 and its smallest non-residue is 11, so the search
+    # makes ten Euler tests; each square root makes one more
+    F = PrimeField(1009)
+    calls = []
+    euler = PrimeField._is_residue
+
+    def counted(self, v):
+        calls.append(v)
+        return euler(self, v)
+
+    with mock.patch.object(PrimeField, "_is_residue", counted):
+        for v in range(1, 50):
+            assert F.sqrt(v * v).v == min(v, F.p - v)
+    assert len(calls) == 49 + 10
 
 
 def test_prime_field_square_roots_need_no_table():
@@ -286,13 +304,63 @@ def test_prime_field_elimination_matches_the_scalar_loops(data):
     assert sparse_rank(field, sparse) == generic_sparse_rank(field, sparse) == len(piv)
 
 
-@pytest.mark.parametrize("bad", [FpElt(5, 2), Fraction(3, 101)], ids=["mixed-prime", "denominator"])
-def test_both_eliminations_reject_foreign_entries(F101, bad):
+@pytest.mark.parametrize(
+    "field,bad",
+    [(PrimeField(101), FpElt(5, 2)), (PrimeField(101), Fraction(3, 101)), (QQ, 0.5), (QQ, FpElt(5, 2))],
+    ids=["mixed-prime", "denominator", "Q-float", "Q-prime-field-element"],
+)
+def test_both_eliminations_reject_foreign_entries(field, bad):
     dense = [[1, 2, 0], [0, bad, 1]]
     sparse = [{0: 1, 1: 2}, {1: bad, 2: 1}]
     for fn, rows in ((rref, dense), (generic_rref, dense), (sparse_rank, sparse),
                      (generic_sparse_rank, sparse), (rank, dense)):
         with pytest.raises(ValidationError):
-            fn(F101, rows)
+            fn(field, rows)
     with pytest.raises(ValidationError):
-        kernel_basis(F101, dense, 3)
+        kernel_basis(field, dense, 3)
+
+
+_BIG = 10 ** 6
+_Q_ENTRY = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1]),
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rational_elimination_matches_the_scalar_loops(data):
+    nrows = data.draw(st.integers(0, 10))
+    ncols = data.draw(st.integers(0, 10))
+    rows = [[data.draw(_Q_ENTRY) for _ in range(ncols)] for _ in range(nrows)]
+    if rows:
+        # repeated rows, rational multiples of rows and zero rows
+        picks = data.draw(st.lists(st.integers(0, nrows - 1), max_size=4))
+        rows += [list(rows[i]) for i in picks]
+        for i in data.draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
+            f = data.draw(st.builds(Fraction, st.integers(1, _BIG), st.integers(1, _BIG)))
+            rows.append([f * x for x in rows[i]])
+        if data.draw(st.booleans()):
+            rows.insert(data.draw(st.integers(0, len(rows))), [0] * ncols)
+        data.draw(st.randoms()).shuffle(rows)
+    red, piv = rref(QQ, rows)
+    assert (red, piv) == generic_rref(QQ, rows)
+    assert all(x.__class__ is Fraction for row in red for x in row)
+    assert rank(QQ, rows) == len(piv)
+    with mock.patch.object(exactmath, "rref", generic_rref):
+        want = kernel_basis(QQ, rows, ncols)
+    assert kernel_basis(QQ, rows, ncols) == want
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert sparse_rank(QQ, sparse) == generic_sparse_rank(QQ, sparse) == len(piv)
+
+
+def test_quadratic_extension_eliminations_read_multiples_of_p_as_zero():
+    # over F_25 the int 5 is 0, so the rows are [0, 1] and [1, 1]
+    F5 = PrimeField(5)
+    E = QuadExtField(F5)
+    rows = [[5, 1], [1, 1]]
+    assert rank(E, rows) == rank(F5, rows) == 2
+    assert sparse_rank(E, [{0: 5, 1: 1}]) == sparse_rank(F5, [{0: 5, 1: 1}]) == 1
+    assert rref(E, [[10, 2]]) == ([[E.zero(), E.one()]], [1])
+    assert generic_rref(E, rows) == rref(E, rows)
