@@ -137,6 +137,18 @@ def _nr_h0_with_d(field, k, c, N, dfin, dinf):
     return 4 * (N + 1) - sparse_rank(field, rows)
 
 
+def nr_closed_form(k, c_nonzero):
+    """(h0, h1) of the doubled-member bundle of class (k, c): h0 is 2k for
+    k >= 1, 1 for the trivial class and 0 otherwise, and h1 = h0 - 2k."""
+    if k >= 1:
+        h0 = 2 * k
+    elif k == 0:
+        h0 = 0 if c_nonzero else 1
+    else:
+        h0 = 0
+    return (h0, h0 - 2 * k)
+
+
 def nr_invertible_cohomology(field, k, c, window=None):
     """(h0, h1) of the bundle with transition z^k(1 + c*u/z); the truncated
     computation is repeated with a larger window and must agree."""
@@ -252,8 +264,8 @@ def nr_split_v(sheaf, window=8):
     return split_from_h0(lambda j: sheaf.twist_v(j).h0(), sheaf.chi(), window)
 
 
-def nr_split_u(sheaf, window=8):
-    return nr_split_v(sheaf.swap(), window=window)
+def nr_split_u(sheaf):
+    return nr_split_v(sheaf.swap())
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +291,8 @@ class Descriptor:
             raise ValidationError(f"descriptor field {name!r} must be an integer")
         return v
 
-    def _bool(self, name, default=None):
-        v = self.params.get(name, default)
+    def _bool(self, name):
+        v = self.params.get(name)
         if not isinstance(v, bool):
             raise ValidationError(f"descriptor field {name!r} must be a boolean")
         return v
@@ -344,9 +356,7 @@ class Descriptor:
         k, p = self.kind, self.params
         if k == "split-pair":
             return p["a"] + p["b"] + 2
-        if k == "non-reduced":
-            return p["chi"]
-        if k == "integral":
+        if k in ("non-reduced", "integral"):
             return p["chi"]
         if k == "reducible":
             return p["p"] + p["q"] + (0 if p["invertible"] else 1)
@@ -373,26 +383,24 @@ def split_ab(desc):
     factor, read off the classification tables."""
     k, p = desc.kind, desc.params
     chi = desc.chi()
+    if "v_pullback" in p:
+        # the descriptor carries this flag exactly when the sheaf could be
+        # the v-pullback O(0, chi/2): if it is, the direct image splits with
+        # a gap of 2, otherwise evenly
+        half = chi // 2
+        return (half - 2, half) if p["v_pullback"] else (half - 1, half - 1)
     if k == "split-pair":
         return (p["a"], p["b"])
     if k == "non-reduced":
-        if p["degd"] == 0:
-            half = chi // 2
-            return (half - 2, half) if p["v_pullback"] else (half - 1, half - 1)
         return _sorted_pair((chi - p["degd"]) // 2, (chi + p["degd"]) // 2 - 2)
     if k == "integral":
         if p["invertible"]:
-            if chi % 2 == 0:
-                half = chi // 2
-                return (half - 2, half) if p["v_pullback"] else (half - 1, half - 1)
             return ((chi - 3) // 2, (chi - 1) // 2)
         i = chi - 1
         return (i // 2 - 1, i // 2) if i % 2 == 0 else ((i - 1) // 2, (i - 1) // 2)
     if k == "reducible":
         pp, q = p["p"], p["q"]
         if p["invertible"]:
-            if q - pp == 0:
-                return (pp - 2, pp) if p["v_pullback"] else (pp - 1, pp - 1)
             if q - pp == 1:
                 return (pp - 1, pp)
             return (pp, q - 2)
@@ -400,50 +408,33 @@ def split_ab(desc):
     return (p["p"], p["q"])
 
 
+def _twisted(desc, flag):
+    """Descriptor of the twist by the (-1,0)-pullback: a, b, p, q each drop
+    by 1 and chi by 2, and `flag` (whether the twist is a v-pullback) is its
+    v_pullback field.  A doubled member carries that flag as its own
+    shifted_v_pullback; split_ab does not read the twist's shifted flag, so
+    it is set False."""
+    shift = {"a": 1, "b": 1, "p": 1, "q": 1, "chi": 2}
+    params = {name: v - shift[name] if name in shift else v
+              for name, v in desc.params.items()}
+    if "shifted_v_pullback" in params:
+        params["v_pullback"], params["shifted_v_pullback"] = params["shifted_v_pullback"], False
+    elif "v_pullback" in params:
+        params["v_pullback"] = bool(flag)
+    return Descriptor(desc.kind, **params)
+
+
 def split_ab_prime(desc, shifted_v_pullback=False):
     """Splitting type (a', b') of the direct image of the twist by the
-    (-1,0)-pullback.  The flag states whether that twist is itself a
-    v-pullback; kinds that determine it internally reject an explicit True."""
-    k, p = desc.kind, desc.params
-    chi = desc.chi()
-    internal = k in ("split-pair", "non-reduced", "two-lines") or (
-        k == "integral" and not (p.get("invertible") and chi % 2 == 0)
-    ) or (
-        k == "reducible" and not (p.get("invertible") and p["p"] == p["q"])
-    )
-    if internal and shifted_v_pullback:
+    (-1,0)-pullback: the table of split_ab read on the twisted descriptor.
+    The flag states whether that twist is itself a v-pullback; kinds that
+    determine it internally reject an explicit True."""
+    p = desc.params
+    if shifted_v_pullback and (desc.kind == "non-reduced" or "v_pullback" not in p):
         raise ValidationError("twist flag is determined by the descriptor here")
-    if shifted_v_pullback and p.get("v_pullback"):
+    if shifted_v_pullback and p["v_pullback"]:
         raise ValidationError("a sheaf cannot be a pullback both ways")
-    if k == "split-pair":
-        return (p["a"] - 1, p["b"] - 1)
-    if k == "non-reduced":
-        if p["degd"] == 0:
-            half = chi // 2
-            if p["shifted_v_pullback"]:
-                return (half - 3, half - 1)
-            return (half - 2, half - 2)
-        return _sorted_pair((chi - p["degd"]) // 2 - 1, (chi + p["degd"]) // 2 - 3)
-    if k == "integral":
-        if p["invertible"]:
-            if chi % 2 == 0:
-                half = chi // 2
-                return (half - 3, half - 1) if shifted_v_pullback else (half - 2, half - 2)
-            return ((chi - 5) // 2, (chi - 3) // 2)
-        i = chi - 1
-        if i % 2 == 0:
-            return (i // 2 - 2, i // 2 - 1)
-        return ((i - 1) // 2 - 1, (i - 1) // 2 - 1)
-    if k == "reducible":
-        pp, q = p["p"], p["q"]
-        if p["invertible"]:
-            if q == pp:
-                return (pp - 3, pp - 1) if shifted_v_pullback else (pp - 2, pp - 2)
-            if q - pp == 1:
-                return (pp - 2, pp - 1)
-            return (pp - 1, q - 3)
-        return (pp - 2, pp - 1) if pp == q else (pp - 1, q - 2)
-    return (p["p"] - 1, p["q"] - 1)
+    return split_ab(_twisted(desc, shifted_v_pullback))
 
 
 def stability_classify(desc):
@@ -526,21 +517,21 @@ def descriptor_of_nr_sheaf(sheaf):
     return Descriptor("non-reduced", chi=sheaf.chi(), degd=degd)
 
 
-def split_of_concrete(obj, window=8):
+def split_of_concrete(obj):
     """Cohomology-computed splitting type of a concrete sheaf (reduced
     invertible or doubled-member)."""
     if isinstance(obj, LineBundle):
-        return split_from_cohomology(obj, window=window)
+        return split_from_cohomology(obj)
     if isinstance(obj, NRSheaf):
-        return nr_split_v(obj, window=window)
+        return nr_split_v(obj)
     raise ValidationError("splitting is computed for line bundles and doubled-member sheaves")
 
 
-def split_prime_of_concrete(obj, window=8):
+def split_prime_of_concrete(obj):
     if isinstance(obj, LineBundle):
-        return split_from_cohomology(obj.twist(-1, 0), window=window)
+        return split_from_cohomology(obj.twist(-1, 0))
     if isinstance(obj, NRSheaf):
-        return nr_split_v(obj.twist_u(-1), window=window)
+        return nr_split_v(obj.twist_u(-1))
     raise ValidationError("splitting is computed for line bundles and doubled-member sheaves")
 
 
@@ -574,15 +565,15 @@ def hochschild_dims(d):
     return (hh1, hh2, hh3, hh2 - hh1 - hh3)
 
 
-def moduli_dim_check(ext_dims, d=0):
+def moduli_dim_check(ext_dims):
     """Consistency of the two dimension counts: the smooth locus is
     1 - chi(End) = ext1 when (ext0, ext2) = (1, 0), and the quotient
     dimension is that minus the hh1 symmetries, which must equal the
-    Hochschild Euler number hh2 - hh1 - hh3."""
+    Hochschild Euler number hh2 - hh1 - hh3 of the d = 0 surface."""
     e0, e1, e2 = ext_dims
     chi = e0 - e1 + e2
     smooth = 1 - chi
-    hh1, hh2, hh3, _ = hochschild_dims(d)
+    hh1, hh2, hh3, _ = hochschild_dims(0)
     out = {
         "ext_dims": list(ext_dims),
         "chi_end": chi,

@@ -27,6 +27,7 @@ from .bimodules import (
     hilbert_polynomial,
     hochschild_dims,
     moduli_dim_check,
+    nr_closed_form,
     split_ab,
     split_ab_prime,
     split_of_concrete,
@@ -57,13 +58,6 @@ from .quivers import (
     strong_threshold,
     toric_check,
 )
-
-COMMANDS = (
-    "classify", "split", "stability", "ext", "hochschild", "strong",
-    "hom-matrix", "psi", "roundtrip", "cech", "toric-check", "mckay",
-    "mrel-dim", "generate",
-)
-
 
 def _field_for(args):
     return QQ if args.prime == 0 else PrimeField(args.prime)
@@ -181,39 +175,39 @@ def cmd_hochschild(args):
 def cmd_strong(args):
     rows = strong_m1_table()
     thr = strong_threshold(1)
-    out_rows = []
-    for r in rows:
-        match = r["strong"] == (r["ab_prime"][0] >= thr)
-        out_rows.append({
-            "kind": r["kind"],
-            "params": r["params"],
-            "shifted_flag": r["shifted_flag"],
-            "ab": list(r["ab"]),
-            "ab_prime": list(r["ab_prime"]),
-            "strong": r["strong"],
-            "threshold_agree": match,
-        })
+    out_rows = [{**r, "threshold_agree": r["strong"] == (r["ab_prime"][0] >= thr)}
+                for r in rows]
     if not all(r["threshold_agree"] for r in out_rows):
         raise AssertionError("matrix criterion disagrees with the threshold")
     return {"command": "strong", "threshold": thr, "rows": out_rows,
             "all_match_threshold": True}
 
 
+def _int_pair(data, key):
+    v = data.get(key)
+    if not (isinstance(v, list) and len(v) == 2 and all(type(e) is int for e in v)):
+        raise ValidationError(f"need '{key}' as a list of two integers, or a descriptor")
+    return tuple(v)
+
+
 def cmd_hom_matrix(args):
     data = _load(args)
+    if not isinstance(data, dict):
+        raise ValidationError("hom-matrix input must be a JSON object")
     m = data.get("m", 1)
+    if type(m) is not int:
+        raise ValidationError(f"'m' must be an integer, got {m!r}")
     if "descriptor" in data:
         desc = instance_from_json(data["descriptor"])
         if not isinstance(desc, Descriptor):
             raise ValidationError("'descriptor' must be a descriptor instance")
-        flag = bool(data.get("shifted_flag", False))
+        flag = data.get("shifted_flag", False)
+        if not isinstance(flag, bool):
+            raise ValidationError(f"'shifted_flag' must be a boolean, got {flag!r}")
         ab = split_ab(desc)
         abp = split_ab_prime(desc, shifted_v_pullback=flag)
     else:
-        ab = tuple(data.get("ab", ()))
-        abp = tuple(data.get("ab_prime", ()))
-        if len(ab) != 2 or len(abp) != 2:
-            raise ValidationError("need 'ab' and 'ab_prime' pairs or a descriptor")
+        ab, abp = _int_pair(data, "ab"), _int_pair(data, "ab_prime")
     M = hom_ext_matrix(m, ab, abp)
     return {
         "command": "hom-matrix",
@@ -249,27 +243,28 @@ def cmd_roundtrip(args):
     trips = []
     redraws = 0
     want = 1 if args.count is None else args.count
+
+    def trip(U):
+        # j is written in the bundle's own field
+        rep = roundtrip0(U)
+        return {"j": scalar_to_json(U.field, rep["j"]),
+                "points": rep["points"],
+                "stable_reps_checked": rep["stable_reps_checked"]}
+
     if data is not None:
         obj = instance_from_json(data)
         if not isinstance(obj, LineBundle) or obj.degree_total() != 2:
             raise ValidationError("roundtrip input must be a degree-2 bundle on a member")
-        rep = roundtrip0(obj)
-        trips.append({"j": scalar_to_json(obj.field, rep["j"]),
-                      "points": rep["points"],
-                      "stable_reps_checked": rep["stable_reps_checked"]})
+        trips.append(trip(obj))
     else:
         while len(trips) < want:
             try:
-                curve, U = random_sheaf_datum(field, rng, degree=2)
-                rep = roundtrip0(U)
+                _, U = random_sheaf_datum(field, rng, degree=2)
+                trips.append(trip(U))
             except SpecialPosition:
                 redraws += 1
                 if redraws > 20 * want + 20:
                     raise
-                continue
-            trips.append({"j": scalar_to_json(field, rep["j"]),
-                          "points": rep["points"],
-                          "stable_reps_checked": rep["stable_reps_checked"]})
     return {"command": "roundtrip", "trips": trips, "redraws": redraws}
 
 
@@ -286,10 +281,9 @@ def cmd_cech(args):
         "degd": obj.degd(),
     }
     if obj.is_invertible():
-        k = obj.k
-        expect0 = 2 * k if k >= 1 else (1 if (k == 0 and not obj.c) else 0)
-        out["closed_form"] = {"h0": expect0, "h1": expect0 - 2 * k}
-        if (h0, h1) != (expect0, expect0 - 2 * k):
+        e0, e1 = nr_closed_form(obj.k, bool(obj.c))
+        out["closed_form"] = {"h0": e0, "h1": e1}
+        if (h0, h1) != (e0, e1):
             raise AssertionError("computation disagrees with the closed form")
     return out
 
@@ -422,6 +416,8 @@ _HANDLERS = {
     "mrel-dim": cmd_mrel_dim,
     "generate": cmd_generate,
 }
+
+COMMANDS = tuple(_HANDLERS)
 
 
 def build_parser():

@@ -455,9 +455,6 @@ class QuadExtField:
             return x
         return QEElt(self, self.base.coerce(x), self.base.zero())
 
-    def gen(self):
-        return QEElt(self, self.base.zero(), self.base.one())
-
     def zero(self):
         return self(0)
 

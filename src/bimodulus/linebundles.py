@@ -210,11 +210,12 @@ class LineBundle:
                 return list(pairs)
         raise SpecialPosition("no usable split fiber found")
 
-    def canonical(self, max_steps=60):
+    def canonical(self):
         """Equivalent plus-free representative satisfying the Kunneth
-        condition, so that section computations below are exact."""
+        condition, so that section computations below are exact; gives up
+        after 60 rewriting steps."""
         rep = self
-        for _ in range(max_steps):
+        for _ in range(60):
             if rep.plus:
                 rep = rep._absorb_one(rep.plus[0])
                 continue
@@ -240,13 +241,10 @@ class LineBundle:
 
     # -- cohomology ----------------------------------------------------------
 
-    def _eval_rows(self, monos):
-        return [[eval_monomial(e, p) for e in monos] for p in self.minus]
-
     def h0(self):
         rep = self.canonical()
         monos = monomial_basis((rep.m, rep.n))
-        r = rank(rep.field, rep._eval_rows(monos))
+        r = rank(rep.field, _eval_rows(rep.minus, monos))
         ideal = max(rep.m - 1, 0) * max(rep.n - 1, 0)
         h0 = len(monos) - r - ideal
         if h0 < 0:
@@ -260,9 +258,9 @@ class LineBundle:
             raise AssertionError("negative h1")
         return h
 
-    def h1_serre(self):
-        # omega_W is trivial (anticanonical member), so h1(L) = h0(L^-1)
-        return self.inverse().h0()
+
+def _eval_rows(points, monos):
+    return [[eval_monomial(e, p) for e in monos] for p in points]
 
 
 def _first_duplicate(points):
@@ -317,17 +315,23 @@ class SectionSpace:
         return [self.form(i) for i in range(self.dim())]
 
 
+def sections_through(field, points, monos, red, piv):
+    """Forms on the monomials `monos` vanishing at `points`, modulo the
+    echelon basis (red, piv) of an ideal slice: (reduced echelon basis of
+    the quotient, dimension of the vanishing forms before the quotient)."""
+    V = kernel_basis(field, _eval_rows(points, monos), len(monos))
+    reduced = [w for w in (reduce_modulo(red, piv, v) for v in V) if any(w)]
+    return rref(field, reduced)[0], len(V)
+
+
 def section_space(bundle):
     rep = bundle.canonical()
     F = rep.field
     monos = monomial_basis((rep.m, rep.n))
-    rows = rep._eval_rows(monos)
-    V = kernel_basis(F, rows, len(monos))
     ideal = ideal_slice(rep.curve.f, rep.m, rep.n)
-    red_u, piv_u = rref(F, ideal) if ideal else ([], [])
-    reduced = [w for w in (reduce_modulo(red_u, piv_u, v) for v in V) if any(w)]
-    basis, _ = rref(F, reduced)
-    if len(basis) != len(V) - len(ideal):
+    red, piv = rref(F, ideal) if ideal else ([], [])
+    basis, vanishing = sections_through(F, rep.minus, monos, red, piv)
+    if len(basis) != vanishing - len(ideal):
         raise AssertionError("ideal slice escaped the section kernel")
     return SectionSpace(rep, monos, basis, ideal)
 

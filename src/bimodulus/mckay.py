@@ -39,11 +39,7 @@ def s_graded_dim(d, n):
 
 def s_hilbert_coeffs(d, upto=20):
     """Power-series coefficients of 1/((1-t)^2 (1-t^d)) through t^upto."""
-    coeffs = []
-    for n in range(upto + 1):
-        # (n+1) choices of (i, j) with i + j = n - d*k, summed over k
-        coeffs.append(sum(n - d * k + 1 for k in range(n // d + 1)))
-    return coeffs
+    return [s_graded_dim(d, n) for n in range(upto + 1)]
 
 
 def collection_degrees_quotient(d):
@@ -98,25 +94,22 @@ def _relation_vectors(field, quiver, relations, src, dst):
 
 
 def closure_dim(field, lam, src, dst):
+    """Dimension of the two-sided relation closure inside the paths
+    src -> dst."""
     quiver = quotient_model_quiver()
     _, vecs = _relation_vectors(field, quiver, qweyl_relations(field, lam), src, dst)
     return len(rref(field, vecs)[0]) if vecs else 0
 
 
-def collection_hom_dims(field, lam, d=2):
-    """4x4 matrix of hom dimensions computed as path counts modulo the
-    relation closure; must reproduce the graded dimensions of the algebra."""
-    if d != 2:
-        raise ValidationError("the quiver presentation is the weight-2 one")
+def collection_hom_dims(field, lam):
+    """4x4 matrix of hom dimensions of the weight-2 presentation, computed
+    as path counts modulo the relation closure; must reproduce the graded
+    dimensions of the algebra."""
     quiver = quotient_model_quiver()
-    relations = qweyl_relations(field, lam)
     out = [[0] * 4 for _ in range(4)]
     for i in range(1, 5):
         for j in range(i, 5):
-            paths = quiver.path_basis(i, j)
-            _, vecs = _relation_vectors(field, quiver, relations, i, j)
-            cut = len(rref(field, vecs)[0]) if vecs else 0
-            out[i - 1][j - 1] = len(paths) - cut
+            out[i - 1][j - 1] = len(quiver.path_basis(i, j)) - closure_dim(field, lam, i, j)
     return out
 
 
@@ -211,7 +204,7 @@ def closure_equals_model_kernel(field, lam):
 # word rewriting for the graded algebra (any weight)
 
 
-def qweyl_normal_form(field, lam, word, coeff=None):
+def qweyl_normal_form(field, lam, word):
     """Normal form of a word in the generators {x, y, z} under the ordered
     rewriting yx -> xy, zx -> lam xz, zy -> yz; returns {normal word:
     coefficient}.  Terminates because every step removes an inversion."""
@@ -223,7 +216,7 @@ def qweyl_normal_form(field, lam, word, coeff=None):
         if ch not in order:
             raise ValidationError("words use the generators x, y, z")
     out = {}
-    stack = [(tuple(word), coeff if coeff is not None else field.one())]
+    stack = [(tuple(word), field.one())]
     while stack:
         w, c = stack.pop()
         for i in range(len(w) - 1):

@@ -41,6 +41,7 @@ from .linebundles import (
     random_line_bundle,
     section_space,
     section_zero_points,
+    sections_through,
 )
 from .polyring import MultiPoly, bf_is_zero, linear_resultant, monomial_basis
 from .quivers import generic_member_quiver, middle_member_quiver, theta_stable
@@ -145,7 +146,7 @@ def psi0(quad):
     return _left_kernel(quad.curve.field, vecs, expect=2)
 
 
-def _outside_span(field, frame, curve, spaces, span_vecs, what):
+def _outside_span(field, frame, spaces, span_vecs, what):
     """Deterministic section of the product of two bundles outside the span
     of the given product vectors: first quotient-basis vector that escapes.
 
@@ -159,11 +160,7 @@ def _outside_span(field, frame, curve, spaces, span_vecs, what):
         if k in keys:
             raise DegenerateInstance("representative divisors share a point")
         keys.add(k)
-    helper = LineBundle(curve, *frame.ambient, minus=pts, check=False)
-    rows = helper._eval_rows(frame.monos)
-    V = kernel_basis(field, rows, len(frame.monos))
-    reduced = [w for w in (reduce_modulo(frame.red, frame.piv, v) for v in V) if any(w)]
-    basis, _ = rref(field, reduced)
+    basis, _ = sections_through(field, pts, frame.monos, frame.red, frame.piv)
     expect = sum(S.rep.degree_total() for S in spaces)
     if len(basis) != expect:
         raise DegenerateInstance(f"{what}: section count off the expected {expect}")
@@ -194,10 +191,10 @@ def psi1(quad):
     s = S2.forms()
 
     frame01 = _ProductFrame(curve, [S0, S1])
-    a3 = _outside_span(field, frame01, curve, [S0, S1],
+    a3 = _outside_span(field, frame01, [S0, S1],
                        [frame01.vec(ti * r) for ti in t], "first skip arrow")
     frame12 = _ProductFrame(curve, [S1, S2])
-    a6 = _outside_span(field, frame12, curve, [S1, S2],
+    a6 = _outside_span(field, frame12, [S1, S2],
                        [frame12.vec(r * si) for si in s], "second skip arrow")
 
     frame = _ProductFrame(curve, [S0, S1, S2])

@@ -193,7 +193,7 @@ class MultiPoly:
         for e, c in self.terms.items():
             e0, e1 = e[2 * block], e[2 * block + 1]
             expanded = _binary_pow(F, rows[0], e0)
-            expanded = _binary_conv(F, expanded, _binary_pow(F, rows[1], e1))
+            expanded = bf_mul(F, expanded, _binary_pow(F, rows[1], e1))
             for j, coef in enumerate(expanded):
                 if not coef:
                     continue
@@ -201,19 +201,6 @@ class MultiPoly:
                 ne[2 * block] = len(expanded) - 1 - j
                 ne[2 * block + 1] = j
                 out = out + MultiPoly.monomial(F, self.degree, tuple(ne), c * coef)
-        return out
-
-    def swap_blocks(self, order):
-        """Permute the blocks (order[i] = source block of new block i)."""
-        deg = tuple(self.degree[b] for b in order)
-        t = {}
-        for e, c in self.terms.items():
-            ne = ()
-            for b in order:
-                ne += (e[2 * b], e[2 * b + 1])
-            t[ne] = c
-        out = MultiPoly.zero(self.field, deg)
-        out.terms = t
         return out
 
     # -- views -------------------------------------------------------------
@@ -287,17 +274,7 @@ def _binary_pow(field, lin, e):
     """(lin[0]*x0 + lin[1]*x1)^e as coefficient list [x0^e, ..., x1^e]."""
     out = [field.one()]
     for _ in range(e):
-        out = _binary_conv(field, out, [lin[0], lin[1]])
-    return out
-
-
-def _binary_conv(field, a, b):
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
+        out = bf_mul(field, out, [lin[0], lin[1]])
     return out
 
 
@@ -402,16 +379,6 @@ def uv_monic_yun(field, u):
 
 def bf_is_zero(c):
     return not any(c)
-
-
-def bf_eval(field, c, pt):
-    a0, a1 = field.coerce(pt[0]), field.coerce(pt[1])
-    d = len(c) - 1
-    acc = field.zero()
-    for i, x in enumerate(c):
-        if x:
-            acc = acc + x * a0 ** (d - i) * a1 ** i
-    return acc
 
 
 def bf_mul(field, a, b):
@@ -621,18 +588,17 @@ def bf_rational_roots(field, c):
     return [((t1, field.one()), 1), ((t2, field.one()), 1)]
 
 
-def bf_roots_small(field, c, ext=None):
+def bf_roots_small(field, c):
     """All projective roots with multiplicity, for deg(c) <= 2.
 
     Returns (field_used, [((a0, a1), mult)]); coordinates live in `field` when
-    the form splits there and otherwise in a quadratic extension (``ext`` if
-    given, else the default one).
+    the form splits there and otherwise in its default quadratic extension.
     """
     roots = bf_rational_roots(field, c)
     if roots is not None:
         return field, roots
     q0, q1, q2 = (field.coerce(x) for x in c)
-    E = ext if ext is not None else field.quadratic_extension()
+    E = field.quadratic_extension()
     rr = E.sqrt(E.coerce(q1 * q1 - 4 * q0 * q2))
     if rr is None:
         raise AssertionError("discriminant has no square root in the quadratic extension")

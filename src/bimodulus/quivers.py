@@ -112,13 +112,13 @@ def quotient_model_quiver():
 THETA = (-3, 1, 1, 1)
 
 
-def theta_stable(quiver, maps, theta=THETA):
-    """King stability of a representation with a one-dimensional space at
-    each vertex, given as {arrow label: scalar}."""
+def theta_stable(quiver, maps):
+    """King stability for the weight THETA of a representation with a
+    one-dimensional space at each vertex, given as {arrow label: scalar}."""
     if set(maps) != set(quiver.labels()):
         raise ValidationError("representation must assign a scalar to every arrow")
-    if quiver.n != len(theta) or sum(theta):
-        raise ValidationError("weight must match the vertices and sum to zero")
+    if quiver.n != len(THETA):
+        raise ValidationError("the weight has one entry per vertex")
     full = (1 << quiver.n) - 1
     for mask in range(1, full):
         # support {v : bit v-1 set}; subrep <=> closed under nonzero arrows
@@ -129,7 +129,7 @@ def theta_stable(quiver, maps, theta=THETA):
                 break
         if not closed:
             continue
-        if sum(theta[v] for v in range(quiver.n) if mask >> v & 1) <= 0:
+        if sum(THETA[v] for v in range(quiver.n) if mask >> v & 1) <= 0:
             return False
     return True
 
@@ -184,23 +184,24 @@ def strong_threshold(m):
     return -m - 1
 
 
-def descriptor_grid(chi_values=(1, 2), lo=-5, hi=5, degd_hi=5):
-    """Every valid descriptor with the given Euler characteristics and all
-    degree parameters in [lo, hi] (non-reduced co-support degree in
-    [0, degd_hi]).  Twist flags enumerated where the descriptor carries
-    them; the returned pairs are (descriptor, shifted_flag) with the flag
+def descriptor_grid():
+    """Every valid descriptor with Euler characteristic 1 or 2 and all
+    degree parameters in [-5, 5] (non-reduced co-support degree in
+    [0, 5]).  Twist flags enumerated where the descriptor carries them;
+    the returned pairs are (descriptor, shifted_flag) with the flag
     meaningful only where the primed table takes it as an argument."""
     from .bimodules import Descriptor
 
     out = []
-    chis = set(chi_values)
+    chis = (1, 2)
+    lo, hi = -5, 5
     for a in range(lo, hi + 1):
         for b in range(a, hi + 1):
             if a + b + 2 in chis:
                 out.append((Descriptor("split-pair", a=a, b=b), False))
                 out.append((Descriptor("two-lines", p=a, q=b), False))
     for chi in chis:
-        for degd in range(0, degd_hi + 1):
+        for degd in range(0, 6):
             if (chi + degd) % 2:
                 continue
             if degd == 0:
@@ -232,13 +233,13 @@ def descriptor_grid(chi_values=(1, 2), lo=-5, hi=5, degd_hi=5):
     return out
 
 
-def strong_m1_table(chi_values=(1, 2), lo=-5, hi=5, degd_hi=5):
+def strong_m1_table():
     """For every descriptor in the grid: the splitting types, the hom/ext
     matrix of the m=1 collection, and whether it is strong."""
     from .bimodules import split_ab, split_ab_prime
 
     rows = []
-    for desc, flag in descriptor_grid(chi_values, lo, hi, degd_hi):
+    for desc, flag in descriptor_grid():
         ab = split_ab(desc)
         abp = split_ab_prime(desc, shifted_v_pullback=flag)
         M = hom_ext_matrix(1, ab, abp)

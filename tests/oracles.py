@@ -5,9 +5,9 @@ at every point of P1 x P1, incidence points by evaluating both relations
 at each point of their enumerated last shadow, split fibers and sampled
 smooth points by solving every fiber afresh on each call, j through
 cross-ratios of actual branch points, member classification through
-exhaustive singular-point inspection over a quadratic extension,
-doubled-member cohomology through closed forms, elimination through the
-field's own scalar arithmetic, one scalar operation per entry.  The
+exhaustive singular-point inspection over a quadratic extension, binary
+forms by evaluation term by term, elimination through the field's own
+scalar arithmetic, one scalar operation per entry.  The
 package must agree with these wherever both apply.
 """
 
@@ -24,7 +24,18 @@ from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationErro
 from bimodulus.exactmath import reduce_modulo, rref
 from bimodulus.linebundles import _fiber_scan
 from bimodulus.moduli import ci_shadows
-from bimodulus.polyring import bf_eval, bf_is_zero, bf_rational_roots
+from bimodulus.polyring import bf_is_zero, bf_rational_roots
+
+
+def bf_eval(field, c, pt):
+    """Value of the binary form c (coefficients of x0^d, ..., x1^d) at pt."""
+    a0, a1 = field.coerce(pt[0]), field.coerce(pt[1])
+    d = len(c) - 1
+    acc = field.zero()
+    for i, x in enumerate(c):
+        if x:
+            acc = acc + x * a0 ** (d - i) * a1 ** i
+    return acc
 
 
 def brute_points(f):
@@ -213,17 +224,6 @@ def _local_data(f, pair):
     if not t:
         raise AssertionError("tangent along a ruling traps the fiber in the member")
     return 1, bool(c21 * t * t - c12 * t)
-
-
-def nr_closed_form(k, c_nonzero):
-    """(h0, h1) of the doubled-member bundle of class (k, c)."""
-    if k >= 1:
-        h0 = 2 * k
-    elif k == 0:
-        h0 = 0 if c_nonzero else 1
-    else:
-        h0 = 0
-    return (h0, h0 - 2 * k)
 
 
 def split_h0_profile(a, b, window):

@@ -23,6 +23,7 @@ from bimodulus.bimodules import (
     hilbert_polynomial,
     hochschild_dims,
     moduli_dim_check,
+    nr_closed_form,
     nr_invertible_cohomology,
     nr_split_u,
     nr_split_v,
@@ -35,7 +36,7 @@ from bimodulus.bimodules import (
 )
 from bimodulus.quivers import descriptor_grid
 
-from oracles import generic_sparse_rank, nr_closed_form, split_h0_profile
+from oracles import generic_sparse_rank, split_h0_profile
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -212,25 +213,55 @@ def test_split_tables_satisfy_global_invariants():
 def test_split_prime_rejects_flag_on_internal_kinds():
     d = Descriptor("non-reduced", chi=2, degd=0, v_pullback=False,
                    shifted_v_pullback=True)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="determined by the descriptor"):
         split_ab_prime(d, shifted_v_pullback=True)
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("integral", dict(chi=2, invertible=True, v_pullback=True)),
+    ("reducible", dict(p=1, q=1, invertible=True, v_pullback=True)),
+])
+def test_split_prime_rejects_a_pullback_both_ways(kind, params):
+    # a v-pullback whose (-1,0)-twist is a v-pullback too
+    with pytest.raises(ValidationError, match="pullback both ways"):
+        split_ab_prime(Descriptor(kind, **params), shifted_v_pullback=True)
+
+
+# expect: (ab, ab_prime, ab_prime when the twist is declared a v-pullback,
+# or None where the descriptor refuses that flag)
 @pytest.mark.parametrize(
     "kind,params,expect",
     [
-        ("non-reduced", dict(chi=2, degd=0, v_pullback=True, shifted_v_pullback=False), (-1, 1)),
-        ("non-reduced", dict(chi=2, degd=0, v_pullback=False, shifted_v_pullback=False), (0, 0)),
-        ("non-reduced", dict(chi=2, degd=2), (0, 0)),
-        ("non-reduced", dict(chi=1, degd=3), (-1, 0)),
-        ("reducible", dict(p=1, q=1, invertible=True, v_pullback=True), (-1, 1)),
-        ("reducible", dict(p=1, q=3, invertible=True), (1, 1)),
-        ("two-lines", dict(p=0, q=1), (0, 1)),
-        ("split-pair", dict(a=-1, b=2), (-1, 2)),
+        ("non-reduced", dict(chi=2, degd=0, v_pullback=True, shifted_v_pullback=False),
+         ((-1, 1), (-1, -1), None)),
+        ("non-reduced", dict(chi=2, degd=0, v_pullback=False, shifted_v_pullback=False),
+         ((0, 0), (-1, -1), None)),
+        ("non-reduced", dict(chi=2, degd=2), ((0, 0), (-1, -1), None)),
+        ("non-reduced", dict(chi=1, degd=3), ((-1, 0), (-2, -1), None)),
+        ("reducible", dict(p=1, q=1, invertible=True, v_pullback=True), ((-1, 1), (-1, -1), None)),
+        ("reducible", dict(p=1, q=3, invertible=True), ((1, 1), (0, 0), None)),
+        ("two-lines", dict(p=0, q=1), ((0, 1), (-1, 0), None)),
+        ("split-pair", dict(a=-1, b=2), ((-1, 2), (-2, 1), None)),
+        ("non-reduced", dict(chi=2, degd=0, v_pullback=False, shifted_v_pullback=True),
+         ((0, 0), (-2, 0), None)),
+        ("integral", dict(chi=2, invertible=True, v_pullback=False), ((0, 0), (-1, -1), (-2, 0))),
+        ("integral", dict(chi=2, invertible=True, v_pullback=True), ((-1, 1), (-1, -1), None)),
+        ("integral", dict(chi=1, invertible=True), ((-1, 0), (-2, -1), None)),
+        ("integral", dict(chi=2, invertible=False), ((0, 0), (-1, -1), None)),
+        ("reducible", dict(p=1, q=1, invertible=True, v_pullback=False),
+         ((0, 0), (-1, -1), (-2, 0))),
     ],
 )
 def test_split_table_fixtures(kind, params, expect):
-    assert split_ab(Descriptor(kind, **params)) == expect
+    ab, ab_prime, ab_prime_flagged = expect
+    desc = Descriptor(kind, **params)
+    assert split_ab(desc) == ab
+    assert split_ab_prime(desc) == ab_prime
+    if ab_prime_flagged is None:
+        with pytest.raises(ValidationError):
+            split_ab_prime(desc, shifted_v_pullback=True)
+    else:
+        assert split_ab_prime(desc, shifted_v_pullback=True) == ab_prime_flagged
 
 
 def test_stability_matches_golden_table():

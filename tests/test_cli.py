@@ -228,6 +228,36 @@ def test_malformed_instance_is_exit_2(capsys, tmp_path, kind, command, mutate):
     assert code == 2 and rep["type"] == "validation"
 
 
+HOM_PAIRS = {"m": 1, "ab": [0, 0], "ab_prime": [-1, -1]}
+INTEGRAL = {"type": "descriptor", "kind": "integral",
+            "params": {"chi": 2, "invertible": True, "v_pullback": False}}
+
+
+@pytest.mark.parametrize("flag, ab_prime", [(None, [-1, -1]), (False, [-1, -1]), (True, [-2, 0])])
+def test_hom_matrix_from_a_descriptor(capsys, tmp_path, flag, ab_prime):
+    body = {"descriptor": INTEGRAL, "m": 1}
+    if flag is not None:
+        body["shifted_flag"] = flag
+    code, rep = run_on(capsys, tmp_path, "hom-matrix", body)
+    assert code == 0 and rep["ab"] == [0, 0] and rep["ab_prime"] == ab_prime
+
+
+@pytest.mark.parametrize("body", [
+    [],
+    {**HOM_PAIRS, "m": "a"},
+    {**HOM_PAIRS, "m": 1.5},
+    {**HOM_PAIRS, "ab": ["x", 1]},
+    {**HOM_PAIRS, "ab": 5},
+    {**HOM_PAIRS, "ab_prime": [-1, -1, 0]},
+    {"descriptor": INTEGRAL, "shifted_flag": "yes"},
+], ids=["not-an-object", "m-not-a-number", "fractional-m", "ab-not-integers",
+        "ab-not-a-list", "ab-prime-not-a-pair", "flag-not-a-boolean"])
+def test_malformed_hom_matrix_input_is_exit_2(capsys, tmp_path, body):
+    assert run_on(capsys, tmp_path, "hom-matrix", HOM_PAIRS)[0] == 0
+    code, rep = run_on(capsys, tmp_path, "hom-matrix", body)
+    assert code == 2 and rep["type"] == "validation"
+
+
 def test_prime_beyond_the_primality_bound_is_exit_2(capsys, tmp_path):
     body = generated_body(capsys, "smooth-bimodule-chi2", "--seed", "0")
     body["field"]["p"] = 10 ** 30 + 57

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import of the package is used."""
+"""Source hygiene: every module-level import of the package is used, and
+every definition is referenced from the package itself."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,68 @@ def test_no_unused_module_level_imports():
         if unused
     }
     assert found == {}
+
+
+# Definitions the package reaches without naming them in code: the
+# descriptor validators, which `Descriptor.__init__` looks up by `getattr`;
+# and two functions kept for `bench/tracing.py`, whose TARGETS resolve them
+# by `getattr` with no default, so `bench/run.py --trace 1` needs them here.
+UNREFERENCED_ON_PURPOSE = {
+    "Descriptor._check_split_pair",
+    "Descriptor._check_non_reduced",
+    "Descriptor._check_integral",
+    "Descriptor._check_reducible",
+    "Descriptor._check_two_lines",
+    "bf_roots_small",
+    "recover_relations_from_ci",
+}
+
+
+def definitions(source):
+    """Top-level functions and classes, and methods as `Class.method`;
+    dunder methods are called implicitly and are left out."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out.extend(f"{node.name}.{sub.name}" for sub in node.body
+                       if isinstance(sub, ast.FunctionDef)
+                       and not (sub.name.startswith("__") and sub.name.endswith("__")))
+    return out
+
+
+def referenced_names(source):
+    """Every name read as a variable or an attribute.  Methods are matched
+    by attribute name alone, so this can only miss a dead method, never
+    flag a live one."""
+    tree = ast.parse(source)
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_the_scan_finds_an_unreferenced_definition():
+    src = (
+        "class A:\n"
+        "    def f(self):\n"
+        "        return g()\n"
+        "    def h(self):\n"
+        "        pass\n"
+        "    def __repr__(self):\n"
+        "        return ''\n"
+        "def g():\n"
+        "    return A().f\n"
+    )
+    assert definitions(src) == ["A", "A.f", "A.h", "g"]
+    read = referenced_names(src)
+    assert [d for d in definitions(src) if d.rsplit(".", 1)[-1] not in read] == ["A.h"]
+
+
+def test_every_definition_is_referenced_from_the_package():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    read = set().union(*map(referenced_names, sources))
+    exempt = UNREFERENCED_ON_PURPOSE | set(bimodulus.__all__)
+    unreferenced = sorted(
+        name for src in sources for name in definitions(src)
+        if name.rsplit(".", 1)[-1] not in read and name not in exempt)
+    assert unreferenced == []

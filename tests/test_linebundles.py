@@ -75,7 +75,8 @@ def test_genus_one_section_counts(smooth_curve, rng):
             assert h0 == d
         if d < 0:
             assert h0 == 0
-        assert h1 == L.h1_serre()
+        # omega_W is trivial (anticanonical member), so h1(L) = h0(L^-1)
+        assert h1 == L.inverse().h0()
 
 
 def test_degree_zero_sections_detect_triviality(smooth_curve, rng):
