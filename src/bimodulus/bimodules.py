@@ -54,17 +54,19 @@ def _cech_rows(field, k, c, N):
     Returns {('f', e): row} for plain coefficients of z^e and ('u', e) rows.
     """
     one = field.one()
-    cc = field.coerce(c)
+    neg_one, neg_c = -one, -field.coerce(c)
     n1 = N + 1
     NE = N + abs(k) + 4
     rows = {}
+    # the columns of a row never coincide: f-rows meet P and Pt, u-rows
+    # meet Q, Qt and Pt
     for e in range(-NE, NE + 1):
         r = {}
         if 0 <= e <= N:
             r[e] = one
         j = k - e
         if 0 <= j <= N:
-            r[2 * n1 + j] = r.get(2 * n1 + j, field.zero()) - one
+            r[2 * n1 + j] = neg_one
         if r:
             rows[("f", e)] = r
         r = {}
@@ -72,11 +74,10 @@ def _cech_rows(field, k, c, N):
             r[n1 + e] = one
         j = k - 2 - e
         if 0 <= j <= N:
-            r[3 * n1 + j] = r.get(3 * n1 + j, field.zero()) - one
+            r[3 * n1 + j] = neg_one
         j = k - 1 - e
-        if cc and 0 <= j <= N:
-            r[2 * n1 + j] = r.get(2 * n1 + j, field.zero()) - cc
-        r = {col: v for col, v in r.items() if v}
+        if neg_c and 0 <= j <= N:
+            r[2 * n1 + j] = neg_c
         if r:
             rows[("u", e)] = r
     return rows
@@ -235,9 +236,6 @@ class NRSheaf:
         if a != b:
             raise AssertionError("Cech window did not stabilize")
         return a
-
-    def h1(self):
-        return self.cohomology()[1]
 
     def cohomology(self):
         """(h0, h1), each Cech count made once; h1 of a non-invertible

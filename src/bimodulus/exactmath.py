@@ -7,13 +7,17 @@ Three scalar kinds interoperate through the usual arithmetic dunders:
 * ``QEElt`` for a quadratic extension F(sqrt(d)) of either.
 
 Field handles (``QQ``, ``PrimeField``, ``QuadExtField``) build constants,
-parse/format the JSON scalar strings, and provide square roots.  All linear
-algebra is exact and pivots on the *first* nonzero entry, so reduced forms,
-kernels and ranks are bit-reproducible across runs.  Elimination reads each
-entry once through the field's ``coerce`` and, over F_p and Q, runs on
-Python ints: residues in [0, p) over F_p, fraction-free primitive integer
-rows over Q.  Field elements are built once, at exit; only a quadratic
-extension eliminates with scalar arithmetic.
+parse/format the JSON scalar strings, and provide square roots without
+tables: Tonelli-Shanks over F_p, and in a quadratic extension of either
+base one root taken through the norm.  Finite fields stream their
+elements.
+
+All linear algebra is exact and pivots on the *first* nonzero entry, so
+reduced forms, kernels and ranks are bit-reproducible across runs.
+Elimination reads each entry once through the field's ``coerce`` and, over
+F_p and Q, runs on Python ints: residues in [0, p) over F_p, fraction-free
+primitive integer rows over Q.  Field elements are built once, at exit;
+only a quadratic extension eliminates with scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -103,8 +107,8 @@ class RationalField:
     def sqrt(self, x):
         return _fraction_sqrt(self.coerce(x))
 
-    def quadratic_extension(self, d=None):
-        return QuadExtField(self, d)
+    def quadratic_extension(self):
+        return QuadExtField(self)
 
     def format(self, x):
         x = self.coerce(x)
@@ -232,7 +236,6 @@ class PrimeField:
             raise ValidationError(f"characteristic {p} is not supported")
         self.p = p
         self.characteristic = p
-        self._default_ext = None
         self._nonresidue = None
 
     def __call__(self, n=0):
@@ -256,7 +259,7 @@ class PrimeField:
         raise ValidationError(f"cannot coerce {x!r} into F_{self.p}")
 
     def elements(self):
-        return [FpElt(self.p, v) for v in range(self.p)]
+        return (FpElt(self.p, v) for v in range(self.p))
 
     def random(self, rng):
         return FpElt(self.p, rng.randrange(self.p))
@@ -298,13 +301,8 @@ class PrimeField:
             self._nonresidue = next(v for v in range(2, self.p) if not self._is_residue(v))
         return FpElt(self.p, self._nonresidue)
 
-    def quadratic_extension(self, d=None):
-        # cached for d=None: the extension carries a square-root table
-        if d is not None:
-            return QuadExtField(self, d)
-        if self._default_ext is None:
-            self._default_ext = QuadExtField(self, None)
-        return self._default_ext
+    def quadratic_extension(self):
+        return QuadExtField(self)
 
     def format(self, x):
         return f"{self.coerce(x).v} mod {self.p}"
@@ -446,7 +444,6 @@ class QuadExtField:
             raise ValidationError("adjoined element must be a non-square")
         self.d = d
         self.characteristic = base.characteristic
-        self._sqrt_table = None
 
     def __call__(self, x=0):
         if isinstance(x, QEElt):
@@ -467,11 +464,7 @@ class QuadExtField:
         return self(self.base.coerce(x))
 
     def elements(self):
-        out = []
-        for a in self.base.elements():
-            for b in self.base.elements():
-                out.append(QEElt(self, a, b))
-        return out
+        return (QEElt(self, a, b) for a in self.base.elements() for b in self.base.elements())
 
     def random(self, rng):
         return QEElt(self, self.base.random(rng), self.base.random(rng))
@@ -482,36 +475,35 @@ class QuadExtField:
             if x:
                 return x
 
-    def _sqrts(self):
-        # p^2-entry table; only built for small prime bases.
-        if self._sqrt_table is None:
-            if not isinstance(self.base, PrimeField):
-                raise ValidationError("square-root table needs a finite base")
-            t = {}
-            for e in self.elements():
-                t.setdefault((e * e).key(), e)
-            self._sqrt_table = t
-        return self._sqrt_table
-
     def is_square(self, x):
-        x = self.coerce(x)
-        if isinstance(self.base, PrimeField):
-            return x.key() in self._sqrts()
-        if not x.b:
-            return self.base.is_square(x.a) or self.base.is_square(x.a / self.d)
-        return False  # not needed over Q; conservative
+        return self.sqrt(x) is not None
 
     def sqrt(self, x):
+        """A square root through the norm, or None.
+
+        If (c + e sqrt(d))^2 = a + b sqrt(d), then a = c^2 + d e^2, b = 2ce
+        and n = c^2 - d e^2 is a square root of the norm a^2 - d b^2, so c^2
+        is (a + n)/2 or (a - n)/2.  Of the two roots, the one returned has
+        its first nonzero coordinate l equal to the base's root of l^2: over
+        F_p the root first in `elements()` order, over Q the one whose first
+        nonzero coordinate is positive.
+        """
         x = self.coerce(x)
-        if isinstance(self.base, PrimeField):
-            return self._sqrts().get(x.key())
-        if not x.b:
-            r = self.base.sqrt(x.a)
-            if r is not None:
-                return self(r)
-            r = self.base.sqrt(x.a / self.d)
-            if r is not None:
-                return QEElt(self, self.base.zero(), r)
+        base, a, b = self.base, x.a, x.b
+        n = base.sqrt(x.norm())
+        if n is None:
+            return None
+        for c2 in ((a + n) / 2, (a - n) / 2):
+            c = base.sqrt(c2)
+            if c is None:
+                continue
+            e = b / (2 * c) if c else base.sqrt(a / self.d)
+            if e is None:
+                continue
+            r = QEElt(self, c, e)
+            if r * r == x:
+                lead = c or e
+                return r if base.sqrt(lead * lead) == lead else -r
         return None
 
     def format(self, x):
@@ -546,16 +538,6 @@ class QuadExtField:
 
     def __repr__(self):
         return f"{self.base!r}(sqrt({self.d!r}))"
-
-
-def _qe_key(self):
-    a, b = self.a, self.b
-    ka = a.v if isinstance(a, FpElt) else a
-    kb = b.v if isinstance(b, FpElt) else b
-    return (ka, kb)
-
-
-QEElt.key = _qe_key
 
 
 def field_from_json(obj):

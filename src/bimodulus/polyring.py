@@ -480,8 +480,7 @@ def bf_shear(field, c, t):
 
 def _shear_candidates(field):
     if field.characteristic:
-        for e in field.elements():
-            yield e
+        yield from field.elements()
     else:
         yield field.zero()
         k = 1
@@ -597,14 +596,8 @@ def bf_roots_small(field, c):
     roots = bf_rational_roots(field, c)
     if roots is not None:
         return field, roots
-    q0, q1, q2 = (field.coerce(x) for x in c)
     E = field.quadratic_extension()
-    rr = E.sqrt(E.coerce(q1 * q1 - 4 * q0 * q2))
-    if rr is None:
-        raise AssertionError("discriminant has no square root in the quadratic extension")
-    t1 = (E.coerce(-q1) + rr) / E.coerce(2 * q0)
-    t2 = (E.coerce(-q1) - rr) / E.coerce(2 * q0)
-    return E, [((t1, E.one()), 1), ((t2, E.one()), 1)]
+    return E, bf_rational_roots(E, [E.coerce(x) for x in c])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ smooth points by solving every fiber afresh on each call, j through
 cross-ratios of actual branch points, member classification through
 exhaustive singular-point inspection over a quadratic extension, binary
 forms by evaluation term by term, elimination through the field's own
-scalar arithmetic, one scalar operation per entry.  The
+scalar arithmetic, one scalar operation per entry, square roots in a
+quadratic extension by squaring every element.  The
 package must agree with these wherever both apply.
 """
 
@@ -287,6 +288,17 @@ def generic_sparse_rank(field, rows):
                 else:
                     r.pop(col, None)
     return len(pivots)
+
+
+def quad_ext_sqrt_table(ext):
+    """Square roots in the quadratic extension of a prime field, tabulated:
+    each square, keyed by the residues of its coordinates, maps to the
+    first of its roots in `elements()` order."""
+    table = {}
+    for e in ext.elements():
+        s = e * e
+        table.setdefault((s.a.v, s.b.v), e)
+    return table
 
 
 def span_contains(field, basis, vec):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from bimodulus.cli import COMMANDS, main
 from bimodulus.curves import make_kind
 from bimodulus.exactmath import PrimeField
 from bimodulus.jsonio import generate_instance, instance_to_json
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from cli_digest import lift_to_fp2  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -286,3 +290,26 @@ def test_console_script():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"]
+
+
+@pytest.mark.parametrize("prime, seeds", [(5, (0, 1)), (7, (0, 1)), (11, (0, 1)), (101, (0,)), (1009, (0,))])
+def test_split_and_stability_do_not_change_under_base_change_to_fp2(capsys, tmp_path, prime, seeds):
+    # cohomology dimensions do not change under field extension, so the
+    # reports over F_{p^2} are those over F_p; where F_p finds no usable
+    # split fiber, the lift may find one and is not compared
+    for kind in ("smooth-bimodule-chi2", "smooth-bimodule-chi1", "non-reduced", "reducible"):
+        for seed in seeds:
+            body = generated_body(capsys, kind, "--prime", str(prime), "--seed", str(seed))
+            base, lift = tmp_path / "base.json", tmp_path / "lift.json"
+            base.write_text(json.dumps(body))
+            lift.write_text(json.dumps(lift_to_fp2(body)))
+            for command in ("split", "stability"):
+                code = main([command, "--in", str(base)])
+                report = capsys.readouterr().out
+                start = time.process_time()
+                lifted = main([command, "--in", str(lift)]), capsys.readouterr().out
+                # split on the F_{1009^2} lift took over 80 s while the
+                # extension tabulated its square roots
+                assert time.process_time() - start < 10.0
+                if code == 0:
+                    assert lifted == (0, report)

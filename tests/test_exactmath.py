@@ -35,7 +35,7 @@ from bimodulus.exactmath import (
     subspace_equal,
     sum_prod,
 )
-from oracles import generic_rref, generic_sparse_rank, span_contains
+from oracles import generic_rref, generic_sparse_rank, quad_ext_sqrt_table, span_contains
 
 
 def test_prime_field_rejects_characteristic_2_and_3():
@@ -174,6 +174,42 @@ def test_prime_field_square_roots_need_no_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101])
+def test_extension_square_roots_match_the_table_of_squares(p):
+    E = PrimeField(p).quadratic_extension()
+    table = quad_ext_sqrt_table(E)
+    for x in E.elements():
+        want = table.get((x.a.v, x.b.v))
+        assert E.sqrt(x) == want and E.is_square(x) == (want is not None)
+
+
+def test_extension_of_q_has_square_roots_off_the_base_field():
+    E = QuadExtField(QQ, 2)
+    for a, b in ((3, 2), (Fraction(9, 4), 1), (2, 0), (4, 0), (0, 0)):
+        x = QEElt(E, Fraction(a), Fraction(b))
+        r = E.sqrt(x)
+        assert E.is_square(x) and r * r == x
+        # the root whose first nonzero coordinate is positive
+        assert (r.a or r.b) >= 0
+    assert E.sqrt(QEElt(E, Fraction(3), Fraction(2))) == QEElt(E, Fraction(1), Fraction(1))
+    for a, b in ((3, 0), (-1, 0), (1, 1)):
+        x = QEElt(E, Fraction(a), Fraction(b))
+        assert E.sqrt(x) is None and not E.is_square(x)
+
+
+def test_extension_square_roots_need_no_table():
+    tracemalloc.start()
+    try:
+        F = PrimeField(1009)
+        E = F.quadratic_extension()
+        r = E.sqrt(E.coerce(F.smallest_nonresidue()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r * r == E.coerce(F.smallest_nonresidue())
     assert peak < 1 << 20
 
 

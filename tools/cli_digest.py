@@ -13,7 +13,11 @@ diffs against; a change that alters a report by design regenerates it.
 The list: `generate` for every kind at `--prime 0`, 101 and 11, seeds
 0-3; `classify`, `split`, `stability` and `cech` on each generated
 instance (its `validation` entry stripped); then a few commands without
-input files.  309 commands in all.
+input files.  Last, for every kind at `--prime` 5, 7 and 11, seeds 0-1,
+the generated instance is lifted to F_{p^2} (`lift_to_fp2`): `psi` runs
+on each lifted quadruple, and `classify`, `split` and `stability` on each
+other lift, with `roundtrip --in` on the smooth chi = 2 bundles.  393
+commands in all.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -29,6 +34,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bimodulus.cli import main  # noqa: E402
+from bimodulus.exactmath import PrimeField  # noqa: E402
 from bimodulus.jsonio import GENERATE_KINDS  # noqa: E402
 
 ON_EACH_INSTANCE = ("classify", "split", "stability", "cech")
@@ -40,6 +46,25 @@ WITHOUT_INPUT = (
     ["mckay", "--seed", "2"],
     ["hochschild"],
 ) + tuple(["generate", "non-reduced", "--seed", str(s)] for s in (2000, 2001, 2002))
+ON_EACH_LIFT = {
+    "smooth-bimodule-chi2": ("classify", "split", "stability", "roundtrip"),
+    "smooth-bimodule-chi1": ("classify", "split", "stability"),
+    "non-reduced": ("classify", "split", "stability"),
+    "reducible": ("classify", "split", "stability"),
+    "quadruple": ("psi",),
+}
+
+
+def lift_to_fp2(body):
+    """An instance over F_p as the same instance over F_{p^2}: the field
+    becomes the default quadratic extension and every scalar "v mod p"
+    becomes "[v,0] mod p adjoin sqrt(d)"."""
+    p = body["field"]["p"]
+    d = PrimeField(p).quadratic_extension().d.v
+    text = re.sub(rf'"(-?\d+) mod {p}"', rf'"[\1,0] mod {p} adjoin sqrt({d})"', json.dumps(body))
+    lifted = json.loads(text)
+    lifted["field"] = {"kind": "quad-ext", "base": body["field"], "d": d}
+    return lifted
 
 
 def run(argv):
@@ -55,16 +80,23 @@ def emit(argv, code, text):
     print(code, digest, " ".join(argv), flush=True)
 
 
+def generated_body(argv):
+    """(exit code, stdout, instance body without its `validation` entry)
+    of one `generate` run; the body is {} when it fails."""
+    code, text = run(argv)
+    body = json.loads(text)["instances"][0] if code == 0 else {}
+    body.pop("validation", None)
+    return code, text, body
+
+
 def main_digest():
     with tempfile.TemporaryDirectory() as tmp:
         for kind in GENERATE_KINDS:
             for prime in (0, 101, 11):
                 for seed in range(4):
                     argv = ["generate", kind, "--prime", str(prime), "--seed", str(seed)]
-                    code, text = run(argv)
+                    code, text, body = generated_body(argv)
                     emit(argv, code, text)
-                    body = json.loads(text)["instances"][0] if code == 0 else {}
-                    body.pop("validation", None)
                     path = Path(tmp) / f"{kind}-{prime}-{seed}.json"
                     path.write_text(json.dumps(body))
                     for command in ON_EACH_INSTANCE:
@@ -72,6 +104,16 @@ def main_digest():
                         emit([command, "--in", path.name], code, text)
         for argv in WITHOUT_INPUT:
             emit(argv, *run(list(argv)))
+        for kind, commands in ON_EACH_LIFT.items():
+            for prime in (5, 7, 11):
+                for seed in range(2):
+                    _, _, body = generated_body(
+                        ["generate", kind, "--prime", str(prime), "--seed", str(seed)])
+                    path = Path(tmp) / f"{kind}-{prime}x{prime}-{seed}.json"
+                    path.write_text(json.dumps(lift_to_fp2(body)))
+                    for command in commands:
+                        code, text = run([command, "--in", str(path)])
+                        emit([command, "--in", path.name], code, text)
 
 
 if __name__ == "__main__":
