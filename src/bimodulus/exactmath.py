@@ -12,12 +12,14 @@ tables: Tonelli-Shanks over F_p, and in a quadratic extension of either
 base one root taken through the norm.  Finite fields stream their
 elements.
 
-All linear algebra is exact and pivots on the *first* nonzero entry, so
-reduced forms, kernels and ranks are bit-reproducible across runs.
-Elimination reads each entry once through the field's ``coerce`` and, over
-F_p and Q, runs on Python ints: residues in [0, p) over F_p, fraction-free
-primitive integer rows over Q.  Field elements are built once, at exit;
-only a quadratic extension eliminates with scalar arithmetic.
+All linear algebra is exact, and reduced forms, kernels and ranks are
+bit-reproducible across runs.  Elimination reads each entry once through
+the field's ``coerce`` into one of three representations, each with one
+row-echelon loop: residues in [0, p) over F_p, fraction-free primitive
+integer rows over Q, and field elements over a quadratic extension.  The
+loop clears each row at its leading column against the pivot rows keyed
+there; `sparse_rank` counts the pivot rows, and `rref` also runs its back
+substitution through the loop and builds field elements once, at exit.
 """
 
 from __future__ import annotations
@@ -541,16 +543,20 @@ class QuadExtField:
 
 
 def field_from_json(obj):
+    """The field of a descriptor written by `to_json`; a missing or
+    ill-typed key raises ValidationError."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("field descriptor must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "Q":
         return QQ
     if kind == "Fp":
-        return PrimeField(obj["p"])
+        return PrimeField(obj.get("p"))
     if kind == "quad-ext":
-        base = field_from_json(obj["base"])
-        return QuadExtField(base, obj.get("d"))
+        base = field_from_json(obj.get("base"))
+        d = obj.get("d")
+        # `to_json` writes an adjoined rational as a scalar string
+        return QuadExtField(base, base.parse(d) if isinstance(d, str) else d)
     raise ValidationError(f"unknown field kind {kind!r}")
 
 
@@ -565,118 +571,31 @@ def scalar_from_json(field, s):
 
 
 # ---------------------------------------------------------------------------
-# deterministic dense linear algebra (rows = equations unless noted)
+# deterministic linear algebra (rows = equations unless noted)
 
 
 def rref(field, rows):
     """Reduced row echelon form.  Returns (rows, pivot_columns).
 
-    Pivot choice is the first row (top to bottom) with a nonzero entry in the
-    current column (`_pivot_steps`), which makes every downstream basis
-    reproducible.  Each entry is read once through `field.coerce`, so
-    entries from another field raise ValidationError.  Over a PrimeField
-    the work is done on residues (`_rref_mod_p`) and over Q on rows of ints
-    (`_rref_q`); only a QuadExtField takes the scalar loop.  The form is
-    unique, so every loop returns the same rows.
+    The rows go through the field's echelon loop (`_representation`), and
+    so does back substitution: with the pivot columns negated, the pivot
+    rows, fed in last pivot first, are each cleared at the later pivots,
+    last one first, by rows already reduced, and then lead at their own
+    pivot again.  Field elements are built once, at exit.  The reduced form
+    is unique, so it does not depend on the order of the rows.
     """
-    if isinstance(field, PrimeField):
-        return _rref_mod_p(field, rows)
-    if isinstance(field, RationalField):
-        return _rref_q(rows)
-    coerce, one = field.coerce, field.one()
-    m = [[coerce(x) for x in r] for r in rows]
-    pivots = []
-    for r, c in _pivot_steps(m):
-        inv = one / m[r][c]
-        piv = m[r] = [x * inv for x in m[r]]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                m[i] = [a - f * b for a, b in zip(row, piv)]
-        pivots.append(c)
-    return m[:len(pivots)], pivots
-
-
-def _pivot_steps(m):
-    """The pivot rule of every rref loop: for each column in turn, the first
-    row at or below the next pivot row with a nonzero entry there is swapped
-    into place.  Yields (pivot row, column); the caller clears the column in
-    the other rows before the next step."""
-    nrows = len(m)
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        if r >= nrows:
-            return
-        for i in range(r, nrows):
-            if m[i][c]:
-                m[r], m[i] = m[i], m[r]
-                yield r, c
-                r += 1
-                break
-
-
-def _rref_mod_p(field, rows):
-    """rref over F_p on ints in [0, p), the reduced rows wrapped in FpElt
-    once, at exit."""
-    p, coerce = field.p, field.coerce
-    # anything but an FpElt of this field goes through coerce, which rejects
-    # other primes and denominators divisible by p
-    m = [[x.v if x.__class__ is FpElt and x.p == p else coerce(x).v for x in r] for r in rows]
-    pivots = []
-    for r, c in _pivot_steps(m):
-        inv = pow(m[r][c], -1, p)
-        piv = m[r] = [x * inv % p for x in m[r]]
-        # the pivot row is zero left of c and at the earlier pivots, so
-        # rows are updated in place at its nonzero entries only
-        support = [(j, b) for j, b in enumerate(piv) if b]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                for j, b in support:
-                    row[j] = (row[j] - f * b) % p
-        pivots.append(c)
-    return [[FpElt(p, x) for x in row] for row in m[:len(pivots)]], pivots
-
-
-def _integer_row(xs):
-    """Rationals as a primitive row of ints spanning the same line: scaled
-    by the lcm of their denominators, then divided by the gcd of the
-    numerators.  Entries that are not ints or Fractions go through
-    QQ.coerce, which rejects floats and the elements of other fields."""
-    nums, dens = [], []
-    for x in xs:
-        if x.__class__ is not Fraction and x.__class__ is not int:
-            x = QQ.coerce(x)
-        n, d = x.as_integer_ratio()
-        nums.append(n)
-        dens.append(d)
-    den = lcm(*dens)
-    if den != 1:
-        nums = [n * (den // d) for n, d in zip(nums, dens)]
-    g = gcd(*nums)
-    return [n // g for n in nums] if g > 1 else nums
-
-
-def _rref_q(rows):
-    """rref over Q, fraction-free (Bareiss 1968): the rows are primitive
-    rows of ints, a row is cleared at a pivot column by cross-multiplying
-    it with the pivot row, and each reduced row is divided by its pivot
-    entry once, at exit."""
-    m = [_integer_row(r) for r in rows]
-    pivots = []
-    for r, c in _pivot_steps(m):
-        piv = m[r]
-        a = piv[c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                g = gcd(a, f)
-                s, t = a // g, f // g
-                row = [s * x - t * y for x, y in zip(row, piv)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)], pivots
+    read, echelon, finish = _representation(field)
+    pivots = echelon(field, read(field, map(enumerate, rows)))
+    cols = sorted(pivots)
+    back = []
+    for c in reversed(cols):
+        lead, rest = pivots[c]
+        r = {-j if j in pivots else j: v for j, v in rest.items()}
+        r[-c] = lead
+        back.append(r)
+    reduced = echelon(field, back)
+    ncols = len(rows[0]) if rows else 0
+    return [finish(field, *reduced[-c], c, ncols) for c in cols], cols
 
 
 def rank(field, rows):
@@ -718,96 +637,118 @@ def subspace_equal(field, basis1, basis2):
 
 
 def sparse_rank(field, rows):
-    """Rank of a matrix given as sparse rows ({column: value} dicts).
+    """Rank of a matrix given as sparse rows ({column: value} dicts): the
+    number of pivot rows of the field's echelon loop.  The loop touches
+    only nonzero entries and never reduces a pivot row again, so banded
+    systems (Cech matrices) fill in little."""
+    read, echelon, _ = _representation(field)
+    return len(echelon(field, read(field, map(dict.items, rows))))
 
-    Each row in turn is reduced against the pivot rows found so far, which
-    are keyed by leading column, until it vanishes or leads in a new
-    column.  Intended for very sparse systems (Cech matrices); dense
-    inputs should use rank().  Entries are read once through
-    `field.coerce`, as in rref.  Over a PrimeField the rows are reduced on
-    residues (`_sparse_rank_mod_p`) and over Q on ints (`_sparse_rank_q`);
-    only a QuadExtField takes the scalar loop.
+
+def _representation(field):
+    """How a field eliminates: (read, echelon, finish).
+
+    `read` takes rows of (column, value) pairs, reads each value once
+    through `field.coerce` (foreign entries raise ValidationError), and
+    yields rows {column: entry} of the nonzero entries: residues in [0, p)
+    over F_p, primitive rows of ints over Q, field elements otherwise.
+    `echelon` clears each row at its leading column by the pivot row kept
+    there, until it vanishes or leads in a new column, where it is kept;
+    it returns {leading column: (leading entry, rest of the row)}.
+    `finish` writes a reduced pivot row out as a dense row of field
+    elements.
     """
     if isinstance(field, PrimeField):
-        return _sparse_rank_mod_p(field, rows)
+        return _read_mod_p, _echelon_mod_p, _finish_mod_p
     if isinstance(field, RationalField):
-        return _sparse_rank_q(rows)
-    one, zero, coerce = field.one(), field.zero(), field.coerce
-    pivots = {}  # leading column -> row normalized to 1 there
-    for row in rows:
-        r = {}
-        for c, x in row.items():
-            v = coerce(x)
-            if v:
-                r[c] = v
-        while r:
-            c = min(r)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = one / r[c]
-                pivots[c] = {col: v * inv for col, v in r.items()}
-                break
-            f = r[c]
-            for col, v in piv.items():
-                nv = r.get(col, zero) - f * v
-                if nv:
-                    r[col] = nv
-                else:
-                    r.pop(col, None)
-    return len(pivots)
+        return _read_q, _echelon_q, _finish_q
+    return _read_scalar, _echelon_scalar, _finish_scalar
 
 
-def _sparse_rank_mod_p(field, rows):
-    """sparse_rank over F_p on ints in [0, p).  Entries are read as in
-    `_rref_mod_p`, and a pivot row is kept without its leading 1, as
-    (column, value) pairs."""
+def _read_mod_p(field, rows):
     p, coerce = field.p, field.coerce
+    # anything but an FpElt of this field goes through coerce, which rejects
+    # other primes and denominators divisible by p
+    return ({c: v for c, x in row
+             if (v := x.v if x.__class__ is FpElt and x.p == p else coerce(x).v)}
+            for row in rows)
+
+
+def _echelon_mod_p(field, rows):
+    """Pivot rows of residues, each scaled to 1 at its lead."""
+    p = field.p
     pivots = {}
-    for row in rows:
-        r = {}
-        for c, x in row.items():
-            v = x.v if x.__class__ is FpElt and x.p == p else coerce(x).v
-            if v:
-                r[c] = v
+    for r in rows:
         while r:
             c = min(r)
-            piv = pivots.get(c)
             f = r.pop(c)
+            piv = pivots.get(c)
             if piv is None:
-                inv = pow(f, -1, p)
-                pivots[c] = [(col, v * inv % p) for col, v in r.items()]
+                if f != 1:
+                    inv = pow(f, -1, p)
+                    r = {col: v * inv % p for col, v in r.items()}
+                pivots[c] = (1, r)
                 break
-            for col, v in piv:
+            for col, v in piv[1].items():
                 nv = (r.get(col, 0) - f * v) % p
                 if nv:
                     r[col] = nv
                 else:
                     # only a nonzero entry cancels f * v
                     del r[col]
-    return len(pivots)
+    return pivots
 
 
-def _sparse_rank_q(rows):
-    """sparse_rank over Q on primitive rows of ints (see `_integer_row`),
-    reduced by cross-multiplication as in `_rref_q`.  A pivot row is kept
-    as its leading entry and the (column, value) pairs of the rest; no
-    Fraction is built."""
-    pivots = {}
+def _finish_mod_p(field, lead, rest, c, ncols):
+    p = field.p
+    row = [FpElt(p, 0)] * ncols
+    row[c] = FpElt(p, lead)
+    for j, v in rest.items():
+        row[j] = FpElt(p, v)
+    return row
+
+
+def _read_q(field, rows):
+    """Each row of rationals as a primitive row of ints spanning the same
+    line: scaled by the lcm of its denominators, then divided by the gcd
+    of the numerators.  Entries that are not ints or Fractions go through
+    QQ.coerce, which rejects floats and the elements of other fields."""
     for row in rows:
-        r = {c: v for c, v in zip(row, _integer_row(row.values())) if v}
+        cols, nums, dens = [], [], []
+        for c, x in row:
+            if x.__class__ is not Fraction and x.__class__ is not int:
+                x = QQ.coerce(x)
+            if x:
+                n, d = x.as_integer_ratio()
+                cols.append(c)
+                nums.append(n)
+                dens.append(d)
+        den = lcm(*dens)
+        if den != 1:
+            nums = [n * (den // d) for n, d in zip(nums, dens)]
+        g = gcd(*nums)
+        yield dict(zip(cols, [n // g for n in nums] if g > 1 else nums))
+
+
+def _echelon_q(field, rows):
+    """Primitive pivot rows of ints, fraction-free (Bareiss 1968): a row is
+    cleared at a pivot column by cross-multiplying it with the pivot row,
+    then divided by the gcd of its entries."""
+    pivots = {}
+    for r in rows:
         while r:
             c = min(r)
-            piv = pivots.get(c)
             f = r.pop(c)
+            piv = pivots.get(c)
             if piv is None:
-                pivots[c] = (f, list(r.items()))
+                pivots[c] = (f, r)
                 break
             a, rest = piv
             g = gcd(a, f)
             s, t = a // g, f // g
             if s != 1:
                 r = {col: s * v for col, v in r.items()}
-            for col, v in rest:
+            for col, v in rest.items():
                 nv = r.get(col, 0) - t * v
                 if nv:
                     r[col] = nv
@@ -816,7 +757,53 @@ def _sparse_rank_q(rows):
             g = gcd(*r.values())
             if g > 1:
                 r = {col: v // g for col, v in r.items()}
-    return len(pivots)
+    return pivots
+
+
+def _finish_q(field, lead, rest, c, ncols):
+    row = [Fraction(0)] * ncols
+    row[c] = Fraction(1)
+    for j, v in rest.items():
+        row[j] = Fraction(v, lead)
+    return row
+
+
+def _read_scalar(field, rows):
+    coerce = field.coerce
+    return ({c: v for c, x in row if (v := coerce(x))} for row in rows)
+
+
+def _echelon_scalar(field, rows):
+    """Pivot rows in the field's own arithmetic, each scaled to one at its
+    lead."""
+    one, zero = field.one(), field.zero()
+    pivots = {}
+    for r in rows:
+        while r:
+            c = min(r)
+            f = r.pop(c)
+            piv = pivots.get(c)
+            if piv is None:
+                if f != one:
+                    inv = one / f
+                    r = {col: v * inv for col, v in r.items()}
+                pivots[c] = (one, r)
+                break
+            for col, v in piv[1].items():
+                nv = r.get(col, zero) - f * v
+                if nv:
+                    r[col] = nv
+                else:
+                    del r[col]
+    return pivots
+
+
+def _finish_scalar(field, lead, rest, c, ncols):
+    row = [field.zero()] * ncols
+    row[c] = lead
+    for j, v in rest.items():
+        row[j] = v
+    return row
 
 
 def mat_mul(A, B):

@@ -19,6 +19,8 @@ computed from that model.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .curves import (
     FiberTable,
     coerce_pair,
@@ -295,14 +297,13 @@ class SectionSpace:
     the ideal slice; `basis` holds quotient representatives (still vanishing
     on the rep's minus points)."""
 
-    __slots__ = ("rep", "ambient", "monos", "basis", "ideal")
+    __slots__ = ("rep", "ambient", "monos", "basis")
 
-    def __init__(self, rep, monos, basis, ideal):
+    def __init__(self, rep, monos, basis):
         self.rep = rep
         self.ambient = (rep.m, rep.n)
         self.monos = monos
         self.basis = basis
-        self.ideal = ideal
 
     def dim(self):
         return len(self.basis)
@@ -333,7 +334,7 @@ def section_space(bundle):
     basis, vanishing = sections_through(F, rep.minus, monos, red, piv)
     if len(basis) != vanishing - len(ideal):
         raise AssertionError("ideal slice escaped the section kernel")
-    return SectionSpace(rep, monos, basis, ideal)
+    return SectionSpace(rep, monos, basis)
 
 
 def ideal_slice(f, m, n):
@@ -398,12 +399,16 @@ def is_twisted_v_pullback(L):
 def split_from_h0(h0_of_twist, chi, window):
     """Splitting type (a, b), a <= b, of a rank-2 direct image with Euler
     characteristic chi, from h0 of its twists by O(j): located by the first
-    j in [-window, window] with a section and then verified against the
-    whole twist profile.  Each twist is evaluated once."""
-    h0 = {}
-    for j in range(-window, window + 1):
-        h0[j] = h0_of_twist(j)
-        if h0[j] > 0:
+    j with a section and then verified against the whole twist profile
+    scanned.  The scan covers [-window, window], and below -window down to
+    a twist without sections when there is one at -window (b >= window).
+    Each twist is evaluated once."""
+    h0 = cache(h0_of_twist)
+    lo = -window
+    while h0(lo) > 0:
+        lo -= 1
+    for j in range(lo + 1, window + 1):
+        if h0(j) > 0:
             break
     else:
         raise ValidationError("splitting type outside the scanned window")
@@ -411,9 +416,9 @@ def split_from_h0(h0_of_twist, chi, window):
     a = chi - 2 - b
     if a > b:
         raise AssertionError("splitting detection produced a > b")
-    for j in range(-window, window + 1):
+    for j in range(lo, window + 1):
         want = max(a + j + 1, 0) + max(b + j + 1, 0)
-        got = h0[j] if j in h0 else h0_of_twist(j)
+        got = h0(j)
         if got != want:
             raise AssertionError(
                 f"twist profile mismatch at j={j}: got {got}, expected {want}")

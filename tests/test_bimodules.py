@@ -161,6 +161,15 @@ def test_rational_cech_ranks_match_the_scalar_loop():
                 assert sparse_rank(QQ, sparse) == generic_sparse_rank(QQ, sparse)
 
 
+def test_prime_field_cech_ranks_match_the_scalar_loop(F101):
+    for k in (-4, 0, 3, 6):
+        for c in (0, 5, -2):
+            N = 2 * abs(k) + 8
+            rows = list(_cech_rows(F101, k, c, N).values())
+            for sparse in (rows, rows[::-1], rows + _dcond_rows(F101, [1, 0, 1], 1, N)):
+                assert sparse_rank(F101, sparse) == generic_sparse_rank(F101, sparse)
+
+
 def test_nr_split_u_is_split_v_after_swap(F101):
     s = NRSheaf(F101, 1, 2, apic=2)
     assert nr_split_u(s) == nr_split_v(s.swap())

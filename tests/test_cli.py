@@ -68,6 +68,17 @@ def test_split_agrees(capsys, files):
     assert rep["table"]["ab"] == [0, 0] or sum(rep["table"]["ab"]) == 0
 
 
+@pytest.mark.parametrize("n, ab", [(10, [8, 8]), (12, [10, 10]), (16, [14, 14])])
+def test_split_of_a_bundle_whose_b_exceeds_the_twist_window(capsys, tmp_path, n, ab):
+    # the seed-1 bundle at F_11 is O(-1, 2); raising n past 10 puts b past
+    # the window of 8 twists, and the scan must reach below it
+    body = generated_body(capsys, "smooth-bimodule-chi2", "--prime", "11", "--seed", "1")
+    assert (body["m"], body["minus"], body["plus"]) == (-1, [], [])
+    body["n"] = n
+    code, rep = run_on(capsys, tmp_path, "split", body)
+    assert code == 0 and rep["agree"] and rep["computed"]["ab"] == ab
+
+
 def test_split_on_a_doubled_member_sheaf_with_shifted_flag(capsys, tmp_path):
     # the descriptor of this sheaf sets its own twist flag (ku = -1)
     code, rep = run(capsys, "generate", "non-reduced", "--seed", "2002")
@@ -222,8 +233,12 @@ def set_key(key, value, where=None):
     ("non-reduced", "cech", set_key("ku", "a")),
     ("non-reduced", "cech", set_key("dinf", 1.5)),
     ("non-reduced", "cech", set_key("dfin", 5)),
+    ("smooth-bimodule-chi2", "split", set_key("field", {"kind": "Fp"})),
+    ("non-reduced", "cech", set_key("field", {"kind": "quad-ext"})),
+    ("smooth-bimodule-chi2", "classify", set_key("field", {"kind": "Fp", "p": "101"})),
 ], ids=["term-without-exp", "m-not-a-number", "terms-not-a-list", "fractional-m",
-        "ku-not-a-number", "fractional-dinf", "dfin-not-a-list"])
+        "ku-not-a-number", "fractional-dinf", "dfin-not-a-list", "prime-field-without-p",
+        "extension-without-base", "p-not-a-number"])
 def test_malformed_instance_is_exit_2(capsys, tmp_path, kind, command, mutate):
     body = generated_body(capsys, kind, "--seed", "0")
     assert run_on(capsys, tmp_path, command, body)[0] == 0

@@ -110,12 +110,27 @@ def test_scalar_json_roundtrip(any_field):
 
 @pytest.mark.parametrize(
     "obj,char",
-    [({"kind": "Q"}, 0), ({"kind": "Fp", "p": 101}, 101)],
+    [({"kind": "Q"}, 0), ({"kind": "Fp", "p": 101}, 101),
+     ({"kind": "quad-ext", "base": {"kind": "Fp", "p": 7}, "d": 3}, 7),
+     ({"kind": "quad-ext", "base": {"kind": "Q"}, "d": "2"}, 0)],
 )
 def test_field_from_json(obj, char):
     f = field_from_json(obj)
     assert f.characteristic == char
     assert field_from_json(f.to_json()) == f
+
+
+@pytest.mark.parametrize("obj", [
+    None, {}, {"kind": "Fp"}, {"kind": "Fp", "p": "7"}, {"kind": "Fp", "p": 7.0},
+    {"kind": "quad-ext"}, {"kind": "quad-ext", "base": 7},
+    {"kind": "quad-ext", "base": {"kind": "Fp", "p": 7}, "d": 2.5},
+    {"kind": "quad-ext", "base": {"kind": "Fp", "p": 7}, "d": [3]},
+    {"kind": "quad-ext", "base": {"kind": "Q"}, "d": "two"},
+    {"kind": "F4"},
+])
+def test_field_from_json_rejects_malformed_descriptors(obj):
+    with pytest.raises(ValidationError):
+        field_from_json(obj)
 
 
 def test_quadratic_extension_generator_squares_to_nonresidue(F101):
@@ -401,3 +416,44 @@ def test_quadratic_extension_eliminations_read_multiples_of_p_as_zero():
     assert sparse_rank(E, [{0: 5, 1: 1}]) == sparse_rank(F5, [{0: 5, 1: 1}]) == 1
     assert rref(E, [[10, 2]]) == ([[E.zero(), E.one()]], [1])
     assert generic_rref(E, rows) == rref(E, rows)
+
+
+_EXTENSIONS = [QuadExtField(PrimeField(5)), QuadExtField(QQ, 2)]
+
+
+def _extension_entry(E):
+    """An entry of E as a QEElt, an int or a Fraction, zero often."""
+    coord = st.sampled_from([0, 0, 1, -1, 2, 3]) if E.characteristic else _ENTRIES
+    return st.one_of(
+        st.sampled_from([0, 0, 1, -1, 2]),
+        st.builds(lambda a, b: QEElt(E, E.base.coerce(a), E.base.coerce(b)), coord, coord),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_extension_elimination_matches_the_scalar_oracles(data):
+    E = data.draw(st.sampled_from(_EXTENSIONS), label="field")
+    nrows = data.draw(st.integers(0, 6))
+    ncols = data.draw(st.integers(0, 6))
+    entry = _extension_entry(E)
+    rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if rows:
+        # repeated rows, multiples of rows by 2 + sqrt(d), zero rows
+        picks = data.draw(st.lists(st.integers(0, nrows - 1), max_size=3))
+        rows += [list(rows[i]) for i in picks]
+        f = QEElt(E, E.base.coerce(2), E.base.one())
+        for i in data.draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
+            rows.append([f * x for x in rows[i]])
+        if data.draw(st.booleans()):
+            rows.insert(data.draw(st.integers(0, len(rows))), [0] * ncols)
+        data.draw(st.randoms()).shuffle(rows)
+    red, piv = rref(E, rows)
+    assert (red, piv) == generic_rref(E, rows)
+    assert all(x.__class__ is QEElt for row in red for x in row)
+    assert rank(E, rows) == len(piv)
+    with mock.patch.object(exactmath, "rref", generic_rref):
+        want = kernel_basis(E, rows, ncols)
+    assert kernel_basis(E, rows, ncols) == want
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert sparse_rank(E, sparse) == generic_sparse_rank(E, sparse) == len(piv)

@@ -1,12 +1,38 @@
-"""Source hygiene: every module-level import of the package is used, and
-every definition is referenced from the package itself."""
+"""Source hygiene: every module-level import of the package is used, every
+definition is referenced from the package itself, and every function the
+benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import bimodulus
 
 PACKAGE = Path(bimodulus.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def tracer_targets():
+    """(module, class or None, attribute) of every function in the TARGETS
+    of `bench/tracing.py`, read without installing the tracer."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return [(mod, cls, attr) for _, mod, cls, attr in tracing.TARGETS]
+
+
+def test_every_tracer_target_resolves():
+    # the tracer looks each target up with no default; a renamed function
+    # would make `bench/run.py --trace 1` fail
+    missing = []
+    for mod, cls, attr in tracer_targets():
+        owner = importlib.import_module(f"bimodulus.{mod}")
+        if cls is not None:
+            owner = vars(owner).get(cls)
+        if owner is None or not callable(vars(owner).get(attr)):
+            missing.append((mod, cls, attr))
+    assert missing == []
 
 
 def unused_imports(source):
@@ -45,17 +71,14 @@ def test_no_unused_module_level_imports():
 
 # Definitions the package reaches without naming them in code: the
 # descriptor validators, which `Descriptor.__init__` looks up by `getattr`;
-# and two functions kept for `bench/tracing.py`, whose TARGETS resolve them
-# by `getattr` with no default, so `bench/run.py --trace 1` needs them here.
+# and the functions `bench/tracing.py` wraps, which it resolves by name.
 UNREFERENCED_ON_PURPOSE = {
     "Descriptor._check_split_pair",
     "Descriptor._check_non_reduced",
     "Descriptor._check_integral",
     "Descriptor._check_reducible",
     "Descriptor._check_two_lines",
-    "bf_roots_small",
-    "recover_relations_from_ci",
-}
+} | {attr if cls is None else f"{cls}.{attr}" for _, cls, attr in tracer_targets()}
 
 
 def definitions(source):

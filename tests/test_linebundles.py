@@ -26,6 +26,7 @@ from bimodulus.linebundles import (
     section_space,
     section_zero_points,
     split_from_cohomology,
+    split_from_h0,
     transport,
 )
 
@@ -139,6 +140,21 @@ def test_split_profile_matches_direct_sum(smooth_curve, rng):
         profile = split_h0_profile(a, b, 3)
         got = [L.twist(0, j).h0() for j in range(-3, 4)]
         assert got == profile
+
+
+@pytest.mark.parametrize("a, b", [(-2, 0), (0, 7), (8, 8), (10, 10), (-5, 12), (14, 14)])
+def test_split_scan_reaches_below_the_window(a, b):
+    # b >= window: the twist at -window already has sections, so the scan
+    # goes on down to the first twist without any
+    window = 8
+    calls = []
+
+    def h0(j):
+        calls.append(j)
+        return max(a + j + 1, 0) + max(b + j + 1, 0)
+
+    assert split_from_h0(h0, a + b + 2, window) == (a, b)
+    assert sorted(calls) == list(range(min(-window, -b - 1), window + 1))
 
 
 @pytest.mark.parametrize("window", [3, 8])
