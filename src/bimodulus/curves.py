@@ -168,13 +168,6 @@ def local_derivatives(f, pair):
     return tuple(out)
 
 
-def is_smooth_point(f, pair):
-    if not on_curve(f, pair):
-        raise ValidationError("point is not on the curve")
-    du, dv = local_derivatives(f, pair)
-    return bool(du) or bool(dv)
-
-
 def fiber_quadratic(f, side, pt):
     """Restriction of f to the fiber through pt of the chosen ruling
     (side 0 fixes the first block), as a binary form on the other block."""
@@ -185,19 +178,23 @@ _IN_MEMBER = object()  # FiberTable's record of a fiber lying in the member
 
 
 class FiberTable:
-    """The fibers of a (2,2) form, each restricted and solved at most once.
+    """The fibers of a (2,2) form, each restricted and solved at most once,
+    and the smoothness of its points, each tested at most once.
 
     Keyed by ruling (side 0 fixes the first block) and fiber point, it
     records the fiber's rational points on the member, or that its two
-    roots are conjugate, or that the fiber lies in the member; the
-    smoothness of a point is tested on first use."""
+    roots are conjugate, or that the fiber lies in the member.  Smoothness
+    is read off the four chart partials of the form, computed at the first
+    test and kept with the table; f is evaluated only at points that no
+    fiber restriction has found on the member."""
 
-    __slots__ = ("f", "_points", "_smooth")
+    __slots__ = ("f", "_points", "_smooth", "_partials")
 
     def __init__(self, f):
         self.f = f
         self._points = {}
         self._smooth = {}
+        self._partials = None
 
     def points(self, side, x):
         """Normalized points of the member on the fiber through x, one per
@@ -221,12 +218,26 @@ class FiberTable:
             return None
         xn = normalize_point(F, x)
         ys = [normalize_point(F, r) for r, _ in roots]
-        return tuple((xn, y) if side == 0 else (y, xn) for y in ys)
+        pts = tuple((xn, y) if side == 0 else (y, xn) for y in ys)
+        for pt in pts:
+            self._smooth.setdefault(pt, None)  # on the member, smoothness untested
+        return pts
 
     def is_smooth(self, pair):
+        """Whether the normalized point `pair` of the member is smooth on
+        it: some affine-chart partial is nonzero there.  Raises
+        ValidationError when the point is not on the member."""
         smooth = self._smooth.get(pair)
         if smooth is None:
-            smooth = self._smooth[pair] = is_smooth_point(self.f, pair)
+            # a point found on a fiber is on the member without evaluating f
+            if pair not in self._smooth and not on_curve(self.f, pair):
+                raise ValidationError("point is not on the curve")
+            if self._partials is None:
+                self._partials = tuple(tuple(self.f.partial(block, var) for var in (0, 1))
+                                       for block in (0, 1))
+            smooth = self._smooth[pair] = any(
+                self._partials[block][_chart_var(pair[block])].eval_full(pair)
+                for block in (0, 1))
         return smooth
 
 

@@ -58,10 +58,17 @@ def _bundle_body(L):
     }
 
 
+# Bound on the presentation integers (twists m, n, ku, kv and dinf): the
+# cost of `split` and `cech` grows with them, to 1 s near the bound.
+INTEGER_BOUND = 64
+
+
 def _integer(obj, key):
     v = obj.get(key, 0)
     if type(v) is not int:
         raise ValidationError(f"'{key}' must be an integer, got {v!r}")
+    if abs(v) > INTEGER_BOUND:
+        raise ValidationError(f"'{key}' must lie in [-{INTEGER_BOUND}, {INTEGER_BOUND}], got {v}")
     return v
 
 

@@ -26,16 +26,14 @@ from .curves import (
     coerce_pair,
     factor_11,
     fiber_residual_point,
-    is_smooth_point,
     kodaira_classify,
     normalize_point,
-    on_curve,
     pair_key,
     random_smooth_point,
 )
 from .errors import SpecialPosition, ValidationError
 from .exactmath import kernel_basis, rank, reduce_modulo, rref
-from .polyring import MultiPoly, monomial_basis
+from .polyring import MultiPoly, monomial_basis, monomial_values
 
 
 class Curve:
@@ -89,11 +87,6 @@ class Curve:
                 yield pts
 
 
-def eval_monomial(exp, pair):
-    (x0, x1), (y0, y1) = pair
-    return x0 ** exp[0] * x1 ** exp[1] * y0 ** exp[2] * y1 ** exp[3]
-
-
 class LineBundle:
     """O(m,n)|_W(-minus + plus); points are normalized smooth rational pairs."""
 
@@ -117,9 +110,11 @@ class LineBundle:
         self.plus = plus
         if check:
             for p in minus + plus:
-                if not on_curve(curve.f, p):
-                    raise ValidationError("twisting point is not on the curve")
-                if not is_smooth_point(curve.f, p):
+                try:
+                    smooth = curve.fibers.is_smooth(p)
+                except ValidationError:
+                    raise ValidationError("twisting point is not on the curve") from None
+                if not smooth:
                     raise ValidationError("twisting point is singular on the curve")
 
     @property
@@ -172,7 +167,7 @@ class LineBundle:
             except ValidationError:
                 continue
             pair = (p[0], res) if side == 0 else (res, p[1])
-            if not is_smooth_point(f, pair) or pair in self.minus:
+            if not self.curve.fibers.is_smooth(pair) or pair in self.minus:
                 continue
             dm, dn = (1, 0) if side == 0 else (0, 1)
             rest = list(self.plus)
@@ -193,7 +188,7 @@ class LineBundle:
             except ValidationError:
                 continue
             pair = (p[0], res) if side == 0 else (res, p[1])
-            if not is_smooth_point(f, pair):
+            if not self.curve.fibers.is_smooth(pair):
                 continue
             dm, dn = (-1, 0) if side == 0 else (0, -1)
             rest = list(self.minus)
@@ -246,7 +241,7 @@ class LineBundle:
     def h0(self):
         rep = self.canonical()
         monos = monomial_basis((rep.m, rep.n))
-        r = rank(rep.field, _eval_rows(rep.minus, monos))
+        r = rank(rep.field, _eval_rows(rep.field, rep.minus, monos))
         ideal = max(rep.m - 1, 0) * max(rep.n - 1, 0)
         h0 = len(monos) - r - ideal
         if h0 < 0:
@@ -261,8 +256,17 @@ class LineBundle:
         return h
 
 
-def _eval_rows(points, monos):
-    return [[eval_monomial(e, p) for e in monos] for p in points]
+def _eval_rows(field, points, monos):
+    """Values of the bidegree monomials `monos` at each point, one row per
+    point, from the point's two tables of binary monomial values."""
+    if not monos:
+        return [[] for _ in points]
+    dx, dy = monos[0][0] + monos[0][1], monos[0][2] + monos[0][3]
+    rows = []
+    for x, y in points:
+        tx, ty = monomial_values(field, x, dx), monomial_values(field, y, dy)
+        rows.append([tx[e[1]] * ty[e[3]] for e in monos])
+    return rows
 
 
 def _first_duplicate(points):
@@ -320,7 +324,7 @@ def sections_through(field, points, monos, red, piv):
     """Forms on the monomials `monos` vanishing at `points`, modulo the
     echelon basis (red, piv) of an ideal slice: (reduced echelon basis of
     the quotient, dimension of the vanishing forms before the quotient)."""
-    V = kernel_basis(field, _eval_rows(points, monos), len(monos))
+    V = kernel_basis(field, _eval_rows(field, points, monos), len(monos))
     reduced = [w for w in (reduce_modulo(red, piv, v) for v in V) if any(w)]
     return rref(field, reduced)[0], len(V)
 
@@ -459,7 +463,7 @@ def section_zero_points(bundle, form):
     if len(left) != deg:
         raise SpecialPosition("zero divisor is not reduced and rational")
     for p in left:
-        if not is_smooth_point(f, p):
+        if not rep.curve.fibers.is_smooth(p):
             raise SpecialPosition("section vanishes at a singular point")
     left.sort(key=lambda p: pair_key(F, p))
     return left

@@ -27,6 +27,20 @@ def monomial_basis(degree):
     return out
 
 
+def monomial_values(field, point, d):
+    """Values at point = (a0, a1) of the binary monomials of degree d,
+    [a0^d, a0^(d-1)*a1, ..., a1^d], indexed by the exponent of a1: built
+    from the powers of a0 and a1 by products, without exponentiation."""
+    if d == 0:
+        return [field.one()]
+    a0, a1 = point
+    p0, p1 = [a0], [a1]  # p0[i] = a0^(i+1)
+    for _ in range(d - 1):
+        p0.append(p0[-1] * a0)
+        p1.append(p1[-1] * a1)
+    return [p0[-1]] + [p0[d - 1 - i] * p1[i - 1] for i in range(1, d)] + [p1[-1]]
+
+
 class MultiPoly:
     __slots__ = ("field", "degree", "terms")
 
@@ -143,21 +157,22 @@ class MultiPoly:
         """points: one (a0, a1) pair per block."""
         if len(points) != self.nblocks():
             raise ValidationError("wrong number of evaluation points")
+        F = self.field
+        tables = [monomial_values(F, pt, d) for pt, d in zip(points, self.degree)]
         acc = None
         for e, c in self.terms.items():
-            term = c
-            for b, (a0, a1) in enumerate(points):
-                term = term * a0 ** e[2 * b] * a1 ** e[2 * b + 1]
-            acc = term if acc is None else acc + term
-        return self.field.zero() if acc is None else acc
+            for t, k in zip(tables, e[1::2]):
+                c = c * t[k]
+            acc = c if acc is None else acc + c
+        return F.zero() if acc is None else acc
 
     def eval_block(self, block, point):
         """Substitute a point into one block; result lives on the rest."""
-        a0, a1 = point
+        table = monomial_values(self.field, point, self.degree[block])
         deg = tuple(d for b, d in enumerate(self.degree) if b != block)
         t = {}
         for e, c in self.terms.items():
-            val = c * a0 ** e[2 * block] * a1 ** e[2 * block + 1]
+            val = c * table[e[2 * block + 1]]
             rest = e[: 2 * block] + e[2 * block + 2:]
             t[rest] = t[rest] + val if rest in t else val
         out = MultiPoly.zero(self.field, deg)

@@ -5,8 +5,9 @@ at every point of P1 x P1, incidence points by evaluating both relations
 at each point of their enumerated last shadow, split fibers and sampled
 smooth points by solving every fiber afresh on each call, j through
 cross-ratios of actual branch points, member classification through
-exhaustive singular-point inspection over a quadratic extension, binary
-forms by evaluation term by term, elimination through the field's own
+exhaustive singular-point inspection over a quadratic extension, forms
+and binary forms evaluated term by term with powers, smoothness from
+partials evaluated that way, elimination through the field's own
 scalar arithmetic, one scalar operation per entry, square roots in a
 quadratic extension by squaring every element.  The
 package must agree with these wherever both apply.
@@ -15,8 +16,6 @@ package must agree with these wherever both apply.
 from bimodulus.curves import (
     enumerate_points,
     fiber_quadratic,
-    is_smooth_point,
-    local_derivatives,
     normalize_point,
     p1_points,
     random_p1_point,
@@ -25,7 +24,58 @@ from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationErro
 from bimodulus.exactmath import reduce_modulo, rref
 from bimodulus.linebundles import _fiber_scan
 from bimodulus.moduli import ci_shadows
-from bimodulus.polyring import bf_is_zero, bf_rational_roots
+from bimodulus.polyring import MultiPoly, bf_is_zero, bf_rational_roots
+
+
+def power_eval(poly, points):
+    """Value of a multihomogeneous form at one (a0, a1) pair per block,
+    term by term: each monomial as a product of powers of the coordinates."""
+    acc = poly.field.zero()
+    for e, c in poly.terms.items():
+        term = c
+        for b, (a0, a1) in enumerate(points):
+            term = term * a0 ** e[2 * b] * a1 ** e[2 * b + 1]
+        acc = acc + term
+    return acc
+
+
+def power_eval_block(poly, block, point):
+    """The form with one block's variables set to `point`, term by term
+    with powers; a form on the remaining blocks."""
+    a0, a1 = point
+    deg = tuple(d for b, d in enumerate(poly.degree) if b != block)
+    terms = {}
+    for e, c in poly.terms.items():
+        rest = e[: 2 * block] + e[2 * block + 2:]
+        val = c * a0 ** e[2 * block] * a1 ** e[2 * block + 1]
+        terms[rest] = terms.get(rest, poly.field.zero()) + val
+    return MultiPoly(poly.field, deg, terms)
+
+
+def power_rows(points, monos):
+    """Values of the bidegree monomials `monos` at each point, with powers."""
+    return [[x0 ** e[0] * x1 ** e[1] * y0 ** e[2] * y1 ** e[3] for e in monos]
+            for (x0, x1), (y0, y1) in points]
+
+
+def local_derivatives(f, pair):
+    """Values at a point of the two affine-chart partials, one per block:
+    the partial in the coordinate that moves in the standard chart there,
+    evaluated with powers."""
+    out = []
+    for block in (0, 1):
+        var = 0 if pair[block][1] else 1
+        out.append(power_eval(f.partial(block, var), list(pair)))
+    return tuple(out)
+
+
+def is_smooth_point(f, pair):
+    """Whether a point of the member has a nonzero chart partial; raises
+    ValidationError when it is off the member."""
+    if power_eval(f, list(pair)):
+        raise ValidationError("point is not on the curve")
+    du, dv = local_derivatives(f, pair)
+    return bool(du) or bool(dv)
 
 
 def bf_eval(field, c, pt):
@@ -43,7 +93,7 @@ def brute_points(f):
     """Zeros of a (2,2)-form among all q^2 + 2q + 1 points of P1 x P1 over
     a finite field, x-major with y in `p1_points` order."""
     line = p1_points(f.field)
-    return [(x, y) for x in line for y in line if not f.eval_full([x, y])]
+    return [(x, y) for x in line for y in line if not power_eval(f, [x, y])]
 
 
 def shadow_incidence_points(c1, c2):
@@ -58,8 +108,8 @@ def shadow_incidence_points(c1, c2):
     shadow = ci_shadows(c1, c2)[2]
     pts = []
     for (x, y) in enumerate_points(shadow):
-        lin1 = c1.eval_block(0, list(x)).eval_block(0, list(y))
-        lin2 = c2.eval_block(0, list(x)).eval_block(0, list(y))
+        lin1 = power_eval_block(power_eval_block(c1, 0, x), 0, y)
+        lin2 = power_eval_block(power_eval_block(c2, 0, x), 0, y)
         v1 = [lin1.terms.get((1, 0)), lin1.terms.get((0, 1))]
         v2 = [lin2.terms.get((1, 0)), lin2.terms.get((0, 1))]
         v1 = [a if a is not None else field.zero() for a in v1]

@@ -288,6 +288,32 @@ def test_prime_beyond_the_primality_bound_is_exit_2(capsys, tmp_path):
     assert time.process_time() - start < 1.0
 
 
+@pytest.mark.parametrize("kind, command, key", [
+    ("smooth-bimodule-chi2", "split", "n"),
+    ("non-reduced", "cech", "ku"),
+    ("non-reduced", "cech", "kv"),
+    ("non-reduced", "split", "ku"),
+    ("non-reduced", "split", "kv"),
+    ("non-reduced", "cech", "dinf"),
+])
+def test_presentation_integer_beyond_the_bound_is_exit_2_at_once(
+        capsys, tmp_path, kind, command, key):
+    body = generated_body(capsys, kind, "--prime", "11", "--seed", "1")
+    for value in (10 ** 40, -10 ** 40, 65):
+        body[key] = value
+        start = time.process_time()
+        code, rep = run_on(capsys, tmp_path, command, body)
+        assert code == 2 and rep["type"] == "validation" and f"'{key}'" in rep["error"]
+        assert time.process_time() - start < 1.0
+
+
+def test_presentation_integer_at_the_bound_still_parses(capsys, tmp_path):
+    body = generated_body(capsys, "smooth-bimodule-chi2", "--prime", "11", "--seed", "1")
+    body["n"] = 64
+    code, rep = run_on(capsys, tmp_path, "split", body)
+    assert code == 0 and rep["agree"]
+
+
 def test_split_on_huge_rational_coefficients_is_exit_2_at_once(capsys, tmp_path):
     body = generated_body(capsys, "smooth-bimodule-chi2", "--prime", "0", "--seed", "1")
     code, rep = run_on(capsys, tmp_path, "split", body)

@@ -9,11 +9,12 @@ from bimodulus.exactmath import QQ, PrimeField
 from bimodulus.curves import (
     KINDS,
     FiberTable,
+    coerce_pair,
     enumerate_points,
     factor_11,
-    is_smooth_point,
     kodaira_classify,
     make_kind,
+    make_nodal,
     member_j,
     normalize_point,
     on_curve,
@@ -26,7 +27,7 @@ from bimodulus.curves import (
 
 from bimodulus.polyring import MultiPoly, random_multipoly
 
-from oracles import brute_member_kind, brute_points, random_smooth_point_scan
+from oracles import brute_member_kind, brute_points, is_smooth_point, random_smooth_point_scan
 
 
 def test_kinds_are_the_expected_six():
@@ -127,15 +128,45 @@ def test_smooth_members_satisfy_the_hasse_bound(p):
 def test_smooth_points_and_off_curve_rejection(F101, rng):
     f = make_kind(F101, "I0", rng)
     p = random_smooth_point(f, rng)
-    assert on_curve(f, p) and is_smooth_point(f, p)
+    assert on_curve(f, p) and FiberTable(f).is_smooth(p) and is_smooth_point(f, p)
     off = next(
         (x, y)
         for x in p1_points(F101)
         for y in p1_points(F101)
         if not on_curve(f, (x, y))
     )
-    with pytest.raises(ValidationError):
-        is_smooth_point(f, off)
+    with pytest.raises(ValidationError, match="not on the curve"):
+        FiberTable(f).is_smooth(off)
+
+
+@pytest.mark.parametrize("kind", ["I0", "I1", "I2", "II", "III"])
+def test_fiber_table_smoothness_is_the_oracle_on_every_point(kind):
+    F11 = PrimeField(11)
+    rng = random.Random(5)
+    f = make_kind(F11, kind, rng)
+    table = FiberTable(f)
+    pts = brute_points(f)
+    expect = [is_smooth_point(f, p) for p in pts]
+    assert [table.is_smooth(p) for p in pts] == expect
+    assert [table.is_smooth(p) for p in pts] == expect  # read back from the memo
+    assert all(expect) == (kind == "I0")
+    # points first found on fibers are tested without evaluating f there
+    solved = FiberTable(f)
+    for x in p1_points(F11):
+        solved.points(0, x)
+    assert [solved.is_smooth(p) for p in pts] == expect
+    off = next((x, y) for x in p1_points(F11) for y in p1_points(F11) if (x, y) not in pts)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not on the curve"):
+            table.is_smooth(off)
+
+
+def test_fiber_table_finds_the_node_of_a_nodal_member():
+    F11 = PrimeField(11)
+    f, node = make_nodal(F11, random.Random(2))
+    node = coerce_pair(F11, node)
+    table = FiberTable(f)
+    assert not table.is_smooth(node) and not is_smooth_point(f, node)
 
 
 def _draws(sample, f, seed):

@@ -1,16 +1,19 @@
 """Source hygiene: every module-level import of the package is used, every
-definition is referenced from the package itself, and every function the
-benchmark's tracer wraps exists."""
+definition is referenced from the package itself, every function the
+benchmark's tracer wraps exists, and every recorded benchmark comparison
+is machine-readable."""
 
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import bimodulus
 
 PACKAGE = Path(bimodulus.__file__).parent
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def tracer_targets():
@@ -129,3 +132,27 @@ def test_every_definition_is_referenced_from_the_package():
         name for src in sources for name in definitions(src)
         if name.rsplit(".", 1)[-1] not in read and name not in exempt)
     assert unreferenced == []
+
+
+BENCH_METRICS = ("ops_per_s", "op_p50_ms", "setup_s", "peak_rss_mb")
+
+
+def test_every_bench_record_has_the_common_shape():
+    # BENCH_<n>.json files record parent/change pairs of bench/run.py; one
+    # shape lets the performance trajectory be read across changes
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        rec = json.loads(path.read_text())
+        for key in ("change", "parent", "machine", "command"):
+            assert isinstance(rec.get(key), str), (path.name, key)
+        assert {"workload", "metric"} <= set(rec["claim"]), path.name
+        assert rec["claim"]["workload"] in rec["workloads"], path.name
+        for name, workload in rec["workloads"].items():
+            assert workload["pairs"], (path.name, name)
+            for pair in workload["pairs"]:
+                assert type(pair["seed"]) is int and pair["first"] in ("parent", "change")
+                for side in ("parent", "change"):
+                    run = pair[side]
+                    for metric in BENCH_METRICS:
+                        assert isinstance(run[metric], (int, float)), (path.name, name, metric)

@@ -13,8 +13,9 @@ import pytest
 from bimodulus.errors import SpecialPosition, ValidationError
 from bimodulus.exactmath import QQ, PrimeField
 import bimodulus.curves as curves
-from bimodulus.curves import make_kind, random_smooth_point
+from bimodulus.curves import make_kind, make_nodal, p1_points, random_smooth_point
 from bimodulus.jsonio import generate_instance
+from bimodulus.polyring import MultiPoly
 from bimodulus.linebundles import (
     Curve,
     LineBundle,
@@ -49,6 +50,52 @@ def test_curve_caches_kind_and_components(F101, rng):
 def test_curve_rejects_non_reduced(F101, rng):
     with pytest.raises(ValidationError):
         Curve(make_kind(F101, "NonReduced", rng))
+
+
+def test_twisting_points_off_the_curve_or_singular_are_rejected():
+    F11 = PrimeField(11)
+    f, node = make_nodal(F11, random.Random(2))
+    curve = Curve(f)
+    off = next((x, y) for x in p1_points(F11) for y in p1_points(F11)
+               if f.eval_full([x, y]))
+    for _ in range(2):  # again, once the curve's memo holds the node
+        with pytest.raises(ValidationError, match="twisting point is not on the curve"):
+            LineBundle(curve, 1, 1, [off])
+        with pytest.raises(ValidationError, match="twisting point is singular on the curve"):
+            LineBundle(curve, 1, 1, [], [node])
+
+
+def test_smoothness_is_tested_once_per_point_and_partials_once_per_curve(
+        F101, rng, monkeypatch):
+    calls = {"partial": 0, "eval_full": 0}
+
+    def counted(name):
+        real = getattr(MultiPoly, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(MultiPoly, "partial", counted("partial"))
+    monkeypatch.setattr(MultiPoly, "eval_full", counted("eval_full"))
+    for _ in range(3):
+        calls["partial"] = 0
+        curve = Curve(make_kind(F101, "I0", rng))
+        pts = []
+        while len(pts) < 6:
+            p = random_smooth_point(curve.f, rng, fibers=curve.fibers)
+            if p not in pts:
+                pts.append(p)
+        before = calls["eval_full"]
+        L = LineBundle(curve, 2, 1, pts[:3], pts[3:])
+        assert calls["eval_full"] == before
+        for _ in range(4):
+            L = random_line_bundle(curve, rng)
+            L.h0()
+        for pair in curves.enumerate_points(curve.f):
+            assert curve.fibers.is_smooth(pair)
+        assert 0 < calls["partial"] <= 4
 
 
 def test_structure_sheaf_cohomology(smooth_curve):

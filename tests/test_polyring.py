@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimodulus.errors import SpecialPosition, ValidationError
-from bimodulus.exactmath import QQ, PrimeField
+from bimodulus.exactmath import QQ, PrimeField, QuadExtField
+from bimodulus.linebundles import _eval_rows
 from bimodulus.polyring import (
     MultiPoly,
     bf_divexact,
@@ -26,7 +27,7 @@ from bimodulus.polyring import (
     random_multipoly,
 )
 
-from oracles import bf_eval, j_from_cross_ratio
+from oracles import bf_eval, j_from_cross_ratio, power_eval, power_eval_block, power_rows
 
 
 def test_constructor_enforces_homogeneity(F101):
@@ -53,6 +54,39 @@ def test_eval_matches_term_sum(any_field, rng):
     for (a, b, c, d), coef in f.terms.items():
         direct = direct + coef * pt[0][0] ** a * pt[0][1] ** b * pt[1][0] ** c * pt[1][1] ** d
     assert f.eval_full(pt) == direct
+
+
+_EVAL_FIELDS = [PrimeField(101), QQ, QuadExtField(PrimeField(5))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_monomial_table_evaluation_matches_the_power_formula(data):
+    field = data.draw(st.sampled_from(_EVAL_FIELDS), label="field")
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    degree = tuple(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3), label="degree"))
+
+    def coordinate():
+        kind = data.draw(st.sampled_from(["zero", "one", "random"]))
+        if kind == "zero":
+            return field.zero()
+        return field.one() if kind == "one" else field.random(rng)
+
+    def point():
+        return (coordinate(), coordinate())
+
+    # sparse forms too: each monomial kept with probability 3/4
+    f = MultiPoly(field, degree, {e: field.random(rng) for e in monomial_basis(degree)
+                                  if rng.randrange(4)})
+    points = [point() for _ in degree]
+    assert f.eval_full(points) == power_eval(f, points)
+    if len(degree) > 1:
+        for block, pt in enumerate(points):
+            assert f.eval_block(block, pt) == power_eval_block(f, block, pt)
+    m, n = data.draw(st.integers(-1, 3), label="m"), data.draw(st.integers(-1, 3), label="n")
+    monos = monomial_basis((m, n))
+    pairs = [(point(), point()) for _ in range(data.draw(st.integers(0, 3), label="rows"))]
+    assert _eval_rows(field, pairs, monos) == power_rows(pairs, monos)
 
 
 def test_partial_is_a_derivation(any_field, rng):
