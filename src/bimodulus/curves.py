@@ -1,10 +1,12 @@
 """Divisors of bidegree (2,2) on P1 x P1.
 
 Members of the anticanonical class with no ruling-fiber component fall into
-exactly six types, detected here from the multiplicity pattern of the
-discriminant of the projection to the first factor: smooth (I0), irreducible
-with a node (I1) or a cusp (II), two (1,1) components meeting transversally
-(I2) or tangentially (III), and a doubled (1,1) curve (NonReduced).
+exactly six types, detected here from the discriminant of the projection to
+the first factor, a binary quartic: smooth (I0) when the quartic's own
+discriminant 4I^3 - J^2 is nonzero, and otherwise from its multiplicity
+pattern: irreducible with a node (I1) or a cusp (II), two (1,1) components
+meeting transversally (I2) or tangentially (III), and a doubled (1,1) curve
+(NonReduced).
 
 Also provides the pointwise utilities (fibers, residual intersection points,
 smoothness tests, random instances of each type) that the sheaf machinery in
@@ -22,11 +24,11 @@ from .polyring import (
     bf_is_zero,
     bf_multiplicity_pattern,
     bf_rational_roots,
-    bf_root_deflate,
     bf_square_decomp,
     j_from_quartic,
     monomial_basis,
     quadratic_discriminant,
+    quartic_invariants,
 )
 
 KINDS = ("I0", "I1", "I2", "II", "III", "NonReduced")
@@ -72,9 +74,20 @@ def kodaira_classify(f):
     a reduced member is smooth over simple roots, nodal over double roots,
     cuspidal over triple ones; multiplicity four forces two tangent (1,1)
     components, and identically-zero discriminant a doubled (1,1).
+
+    Four simple roots are exactly 4I^3 - J^2 != 0 (27 times the quartic's
+    discriminant, in characteristic 0 or at least 5), and a member with a
+    fiber component has a square factor in its quartic, so a smooth member
+    is recognized from I and J alone; only the others are checked for
+    fibers and decomposed.
     """
+    validate_22(f)
+    disc = quadratic_discriminant(f, 1)
+    if any(disc):
+        I, J = quartic_invariants(f.field, disc)
+        if 4 * I * I * I - J * J:
+            return "I0"
     validate_support(f)
-    disc = quadratic_discriminant(f, 1).to_binary()
     if bf_is_zero(disc):
         return "NonReduced"
     return _PATTERN_TO_KIND[bf_multiplicity_pattern(f.field, disc)]
@@ -84,7 +97,7 @@ def member_j(f, block=1):
     """j-invariant of a smooth member: the branch quartic of either ruling
     projection has four distinct roots, and j is taken from that quartic."""
     validate_22(f)
-    disc = quadratic_discriminant(f, block).to_binary()
+    disc = quadratic_discriminant(f, block)
     return j_from_quartic(f.field, disc)
 
 
@@ -223,6 +236,16 @@ class FiberTable:
             self._smooth.setdefault(pt, None)  # on the member, smoothness untested
         return pts
 
+    def residual(self, side, pair):
+        """Second point of the member on the fiber through the normalized
+        point `pair` of the chosen ruling: the fiber's other point, or
+        `pair` itself where the fiber is tangent.  Raises ValidationError
+        when the fiber lies in the member or `pair` is not on it."""
+        pts = self.points(side, pair[side])
+        if pts is None or pair not in pts:
+            raise ValidationError("point is not on the fiber")
+        return pts[len(pts) - 1 - pts.index(pair)]
+
     def is_smooth(self, pair):
         """Whether the normalized point `pair` of the member is smooth on
         it: some affine-chart partial is nonzero there.  Raises
@@ -239,19 +262,6 @@ class FiberTable:
                 self._partials[block][_chart_var(pair[block])].eval_full(pair)
                 for block in (0, 1))
         return smooth
-
-
-def fiber_residual_point(f, pair, side):
-    """Second intersection of the fiber through a curve point with the curve.
-
-    May coincide with the point itself when the fiber is tangent there.
-    """
-    F = f.field
-    q = fiber_quadratic(f, side, pair[side])
-    if bf_is_zero(q):
-        raise ValidationError("fiber is contained in the divisor")
-    lin = bf_root_deflate(F, q, pair[1 - side])
-    return normalize_point(F, (lin[1], -lin[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +289,7 @@ def factor_11(f):
     kind = kodaira_classify(f)
     if kind not in ("I2", "III"):
         raise ValidationError(f"member of type {kind} is not a product of two (1,1) forms")
-    disc = quadratic_discriminant(f, 1).to_binary()
+    disc = quadratic_discriminant(f, 1)
     sq = bf_square_decomp(F, disc)
     if sq is None:
         raise AssertionError("reducible member with non-square discriminant")

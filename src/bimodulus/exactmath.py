@@ -582,8 +582,11 @@ def rref(field, rows):
     rows, fed in last pivot first, are each cleared at the later pivots,
     last one first, by rows already reduced, and then lead at their own
     pivot again.  Field elements are built once, at exit.  The reduced form
-    is unique, so it does not depend on the order of the rows.
+    is unique, so it does not depend on the order of the rows.  With no
+    rows, or rows of no columns, there is nothing to eliminate.
     """
+    if not rows or not rows[0]:
+        return [], []
     read, echelon, finish = _representation(field)
     pivots = echelon(field, read(field, map(enumerate, rows)))
     cols = sorted(pivots)
@@ -594,8 +597,7 @@ def rref(field, rows):
         r[-c] = lead
         back.append(r)
     reduced = echelon(field, back)
-    ncols = len(rows[0]) if rows else 0
-    return [finish(field, *reduced[-c], c, ncols) for c in cols], cols
+    return [finish(field, *reduced[-c], c, len(rows[0])) for c in cols], cols
 
 
 def rank(field, rows):

@@ -25,7 +25,6 @@ from .curves import (
     FiberTable,
     coerce_pair,
     factor_11,
-    fiber_residual_point,
     kodaira_classify,
     normalize_point,
     pair_key,
@@ -160,13 +159,11 @@ class LineBundle:
 
     def _absorb_one(self, p):
         """Trade the plus point p for a residual minus point."""
-        f = self.curve.f
         for side in (0, 1):
             try:
-                res = fiber_residual_point(f, p, side)
+                pair = self.curve.fibers.residual(side, p)
             except ValidationError:
                 continue
-            pair = (p[0], res) if side == 0 else (res, p[1])
             if not self.curve.fibers.is_smooth(pair) or pair in self.minus:
                 continue
             dm, dn = (1, 0) if side == 0 else (0, 1)
@@ -181,13 +178,11 @@ class LineBundle:
     def _spread_duplicate(self, p):
         """Rewrite one copy of a duplicated minus point as a plus point of a
         neighbouring fiber (to be re-absorbed along the other ruling)."""
-        f = self.curve.f
         for side in (0, 1):
             try:
-                res = fiber_residual_point(f, p, side)
+                pair = self.curve.fibers.residual(side, p)
             except ValidationError:
                 continue
-            pair = (p[0], res) if side == 0 else (res, p[1])
             if not self.curve.fibers.is_smooth(pair):
                 continue
             dm, dn = (-1, 0) if side == 0 else (0, -1)
@@ -350,10 +345,10 @@ def ideal_slice(f, m, n):
     F = f.field
     out = []
     for e in monomial_basis((m - 2, n - 2)):
-        g = f * MultiPoly.monomial(F, (m - 2, n - 2), e)
+        # f times a monomial: f's coefficients at shifted exponents
         vec = [F.zero()] * len(monos)
-        for ee, c in g.terms.items():
-            vec[index[ee]] = c
+        for ee, c in f.terms.items():
+            vec[index[tuple(a + b for a, b in zip(e, ee))]] = c
         out.append(vec)
     return out
 

@@ -227,13 +227,16 @@ class MultiPoly:
         (0,d); for a bidegree-(2,2) form and block=1 this is (A, B, C) with
         f = A*y0^2 + B*y0*y1 + C*y1^2.
         """
-        d = self.degree[block]
         deg_rest = tuple(dd for b, dd in enumerate(self.degree) if b != block)
-        out = [MultiPoly.zero(self.field, deg_rest) for _ in range(d + 1)]
+        # distinct exponents have distinct (block exponent, rest) pairs
+        parts = [{} for _ in range(self.degree[block] + 1)]
         for e, c in self.terms.items():
-            i = e[2 * block + 1]
-            rest = e[: 2 * block] + e[2 * block + 2:]
-            out[i] = out[i] + MultiPoly.monomial(self.field, deg_rest, rest, c)
+            parts[e[2 * block + 1]][e[: 2 * block] + e[2 * block + 2:]] = c
+        out = []
+        for t in parts:
+            form = MultiPoly.zero(self.field, deg_rest)
+            form.terms = t
+            out.append(form)
         return out
 
     def to_binary(self):
@@ -469,16 +472,6 @@ def bf_divexact(field, a, b):
     return out
 
 
-def bf_root_linear(field, pt):
-    """A linear form vanishing at the projective point pt."""
-    a0, a1 = field.coerce(pt[0]), field.coerce(pt[1])
-    return [a1, -a0]
-
-
-def bf_root_deflate(field, c, pt):
-    return bf_divexact(field, c, bf_root_linear(field, pt))
-
-
 def bf_shear(field, c, t):
     """f(x0, x1 + t*x0)."""
     t = field.coerce(t)
@@ -620,11 +613,18 @@ def bf_roots_small(field, c):
 
 
 def quadratic_discriminant(f, block):
-    """B^2 - 4AC for a form of degree 2 in the chosen block."""
-    if f.degree[block] != 2:
-        raise ValidationError("quadratic discriminant needs degree 2 in the block")
-    A, B, C = f.coeff_forms(block)
-    return B * B - (A * C).scale(4)
+    """B^2 - 4AC for a two-block form f = A*z0^2 + B*z0*z1 + C*z1^2 of
+    degree 2 in the chosen block, as a binary coefficient list on the other
+    block: A, B and C are read off the terms as binary lists in one pass."""
+    if f.nblocks() != 2 or f.degree[block] != 2:
+        raise ValidationError("quadratic discriminant needs two blocks and degree 2 in the block")
+    F = f.field
+    other = 1 - block
+    abc = [[F.zero()] * (f.degree[other] + 1) for _ in range(3)]
+    for e, c in f.terms.items():
+        abc[e[2 * block + 1]][e[2 * other + 1]] = c
+    A, B, C = abc
+    return bf_sub(F, bf_mul(F, B, B), bf_scale(F, bf_mul(F, A, C), 4))
 
 
 def linear_resultant(f1, f2, block):

@@ -3,9 +3,11 @@
 Deliberately naive and local: points of a member by evaluating the form
 at every point of P1 x P1, incidence points by evaluating both relations
 at each point of their enumerated last shadow, split fibers and sampled
-smooth points by solving every fiber afresh on each call, j through
+smooth points by solving every fiber afresh on each call, residual
+points of fibers by division by a linear form, j through
 cross-ratios of actual branch points, member classification through
-exhaustive singular-point inspection over a quadratic extension, forms
+exhaustive singular-point inspection over a quadratic extension and
+through the multiplicity pattern of a product-built branch quartic, forms
 and binary forms evaluated term by term with powers, smoothness from
 partials evaluated that way, elimination through the field's own
 scalar arithmetic, one scalar operation per entry, square roots in a
@@ -14,17 +16,27 @@ package must agree with these wherever both apply.
 """
 
 from bimodulus.curves import (
+    _PATTERN_TO_KIND,
     enumerate_points,
     fiber_quadratic,
     normalize_point,
     p1_points,
     random_p1_point,
+    validate_22,
+    validate_support,
 )
 from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationError
 from bimodulus.exactmath import reduce_modulo, rref
 from bimodulus.linebundles import _fiber_scan
 from bimodulus.moduli import ci_shadows
-from bimodulus.polyring import MultiPoly, bf_is_zero, bf_rational_roots
+from bimodulus.polyring import (
+    MultiPoly,
+    bf_divexact,
+    bf_is_zero,
+    bf_multiplicity_pattern,
+    bf_rational_roots,
+    j_from_quartic,
+)
 
 
 def power_eval(poly, points):
@@ -76,6 +88,12 @@ def is_smooth_point(f, pair):
         raise ValidationError("point is not on the curve")
     du, dv = local_derivatives(f, pair)
     return bool(du) or bool(dv)
+
+
+def bf_root_linear(field, pt):
+    """A linear form vanishing at the projective point pt."""
+    a0, a1 = field.coerce(pt[0]), field.coerce(pt[1])
+    return [a1, -a0]
 
 
 def bf_eval(field, c, pt):
@@ -227,6 +245,45 @@ def brute_member_kind(f):
             return "I1"
         return "II" if cubic_off_line else "III"
     raise AssertionError(f"{len(sing)} singular points fit no member type")
+
+
+def fiber_residual(f, pair, side):
+    """Second point of the member on the fiber through `pair` of the chosen
+    ruling, by dividing the fiber's quadratic by the linear form of pair's
+    root; raises ValidationError when the fiber lies in the member or pair
+    is not on it."""
+    F = f.field
+    q = power_eval_block(f, side, pair[side]).to_binary()
+    if bf_is_zero(q):
+        raise ValidationError("fiber is contained in the divisor")
+    lin = bf_divexact(F, q, bf_root_linear(F, pair[1 - side]))
+    res = normalize_point(F, (lin[1], -lin[0]))
+    return (pair[0], res) if side == 0 else (res, pair[1])
+
+
+def product_discriminant(f, block):
+    """B^2 - 4AC of f = A*z0^2 + B*z0*z1 + C*z1^2 in the chosen block,
+    through products of its coefficient forms, as a binary list."""
+    if f.degree[block] != 2:
+        raise ValidationError("quadratic discriminant needs degree 2 in the block")
+    A, B, C = f.coeff_forms(block)
+    return (B * B - (A * C).scale(4)).to_binary()
+
+
+def pattern_member_kind(f):
+    """Member type from the fiber check and the root multiplicity pattern
+    of the branch quartic, whatever the member."""
+    validate_support(f)
+    disc = product_discriminant(f, 1)
+    if bf_is_zero(disc):
+        return "NonReduced"
+    return _PATTERN_TO_KIND[bf_multiplicity_pattern(f.field, disc)]
+
+
+def pattern_member_j(f, block=1):
+    """j of a member from the product-built branch quartic."""
+    validate_22(f)
+    return j_from_quartic(f.field, product_discriminant(f, block))
 
 
 def _is_singular(f, pair):

@@ -30,7 +30,7 @@ from bimodulus.exactmath import QQ, PrimeField
 from bimodulus.linebundles import Curve, random_line_bundle
 from bimodulus.mckay import closure_equals_model_kernel, s_graded_dim
 from bimodulus.moduli import psi0, psi1, random_quadruple, random_sheaf_datum, roundtrip0
-from bimodulus.polyring import MultiPoly, bf_mul, bf_root_linear, j_from_quartic, monomial_basis
+from bimodulus.polyring import MultiPoly, bf_mul, j_from_quartic, monomial_basis
 from bimodulus.quivers import (
     THETA,
     generic_member_quiver,
@@ -41,7 +41,7 @@ from bimodulus.quivers import (
     toric_check,
 )
 
-from oracles import brute_member_kind, j_from_cross_ratio
+from oracles import bf_root_linear, brute_member_kind, j_from_cross_ratio
 
 F101 = PrimeField(101)
 F5 = PrimeField(5)

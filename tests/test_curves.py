@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from bimodulus import curves
 from bimodulus.errors import SpecialPosition, ValidationError
-from bimodulus.exactmath import QQ, PrimeField
+from bimodulus.exactmath import QQ, PrimeField, QuadExtField
 from bimodulus.curves import (
     KINDS,
     FiberTable,
@@ -25,9 +26,18 @@ from bimodulus.curves import (
     validate_support,
 )
 
-from bimodulus.polyring import MultiPoly, random_multipoly
+from bimodulus.polyring import MultiPoly, monomial_basis, quadratic_discriminant, random_multipoly
 
-from oracles import brute_member_kind, brute_points, is_smooth_point, random_smooth_point_scan
+from oracles import (
+    brute_member_kind,
+    brute_points,
+    fiber_residual,
+    is_smooth_point,
+    pattern_member_j,
+    pattern_member_kind,
+    product_discriminant,
+    random_smooth_point_scan,
+)
 
 
 def test_kinds_are_the_expected_six():
@@ -52,6 +62,101 @@ def test_classifier_agrees_with_brute_oracle_small_sample(F5, rng):
         kind = KINDS[i % len(KINDS)]
         f = make_kind(F5, kind, rng)
         assert brute_member_kind(f) == kind
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (SpecialPosition, ValidationError) as e:
+        return type(e), str(e)
+
+
+def _members(field, rng):
+    """Every kind the generators make, sparse random forms, members with a
+    fiber of either ruling, and the zero form."""
+    out = []
+    for kind in KINDS:
+        for _ in range(3):
+            try:
+                out.append(make_kind(field, kind, rng))
+            except SpecialPosition:
+                pass  # some kinds are rare over the smallest fields
+    basis = monomial_basis((2, 2))
+    for _ in range(40):
+        picked = rng.sample(basis, rng.randint(1, len(basis)))
+        out.append(MultiPoly(field, (2, 2), {e: field.random(rng) for e in picked}))
+    for _ in range(5):
+        x_fiber = random_multipoly(field, (1, 0), rng) * random_multipoly(field, (1, 2), rng)
+        y_fiber = random_multipoly(field, (0, 1), rng) * random_multipoly(field, (2, 1), rng)
+        out.extend([x_fiber, y_fiber])
+    out.append(MultiPoly.zero(field, (2, 2)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(5), PrimeField(7), PrimeField(11), PrimeField(101), QQ,
+     QuadExtField(PrimeField(5))],
+    ids=["F5", "F7", "F11", "F101", "Q", "F25"])
+def test_quartic_test_agrees_with_the_pattern_path(field):
+    rng = random.Random(1313)
+    kinds = set()
+    for f in _members(field, rng):
+        kind = _outcome(kodaira_classify, f)
+        assert kind == _outcome(pattern_member_kind, f)
+        kinds.add(kind if isinstance(kind, str) else kind[1])
+        for block in (0, 1):
+            assert _outcome(member_j, f, block) == _outcome(pattern_member_j, f, block)
+            assert quadratic_discriminant(f, block) == product_discriminant(f, block)
+    assert kinds == set(KINDS) | {"divisor contains a ruling fiber",
+                                  "zero form does not define a divisor"}
+
+
+def test_quadratic_discriminant_needs_two_blocks_and_degree_2(F101):
+    with pytest.raises(ValidationError):
+        quadratic_discriminant(MultiPoly(F101, (2,), {(2, 0): 1}), 0)
+    with pytest.raises(ValidationError):
+        quadratic_discriminant(MultiPoly(F101, (2, 1), {(2, 0, 1, 0): 1}), 1)
+    assert len(quadratic_discriminant(MultiPoly(F101, (2, 1), {(2, 0, 1, 0): 1}), 0)) == 3
+
+
+def test_smooth_members_skip_the_fiber_check_and_the_pattern(monkeypatch, rng):
+    smooth = [random_smooth_22(field, rng) for field in (PrimeField(101), QQ) for _ in range(3)]
+    nodal = make_kind(PrimeField(101), "I1", rng)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(curves, "validate_support", counted(curves.validate_support))
+    monkeypatch.setattr(curves, "bf_multiplicity_pattern",
+                        counted(curves.bf_multiplicity_pattern))
+    for f in smooth:
+        assert kodaira_classify(f) == "I0" == pattern_member_kind(f)
+    assert calls == []
+    assert kodaira_classify(nodal) == "I1"
+    assert calls == ["validate_support", "bf_multiplicity_pattern"]
+
+
+@pytest.mark.parametrize("kind", KINDS[:-1])
+def test_fiber_table_residual_is_the_division_oracle(kind):
+    rng = random.Random(5)
+    F = PrimeField(11)
+    fibered = random_multipoly(F, (0, 1), rng) * random_multipoly(F, (2, 1), rng)
+    for f in (make_kind(F, kind, rng), fibered):
+        table = FiberTable(f)
+        for pair in ((x, y) for x in p1_points(F) for y in p1_points(F)):
+            for side in (0, 1):
+                got = _outcome(table.residual, side, pair)
+                want = _outcome(fiber_residual, f, pair, side)
+                if isinstance(want, tuple) and want[0] is ValidationError:
+                    assert isinstance(got, tuple) and got[0] is ValidationError
+                else:
+                    assert got == want
 
 
 def test_validate_22_rejects_wrong_degree(F101):

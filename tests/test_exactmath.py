@@ -161,6 +161,19 @@ def test_prime_field_square_roots_match_the_table_of_squares(p):
     assert F.smallest_nonresidue().v == min(v for v in range(2, p) if v not in table)
 
 
+@pytest.mark.parametrize("field", [PrimeField(101), QQ, QuadExtField(PrimeField(5))],
+                         ids=["F101", "Q", "F25"])
+@pytest.mark.parametrize("rows", [[], [[]], [[], [], []]], ids=["no rows", "one", "three"])
+def test_empty_matrices_need_no_elimination(field, rows):
+    ncols = 0 if rows else 3
+    with mock.patch.object(exactmath, "_representation", side_effect=AssertionError):
+        assert rref(field, rows) == ([], [])
+        assert rank(field, rows) == 0
+        basis = kernel_basis(field, rows, ncols)
+    one, zero = field.one(), field.zero()
+    assert basis == [[one if i == j else zero for j in range(ncols)] for i in range(ncols)]
+
+
 def test_prime_field_searches_for_its_nonresidue_once():
     # 1009 is 1 mod 16 and its smallest non-residue is 11, so the search
     # makes ten Euler tests; each square root makes one more

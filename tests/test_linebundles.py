@@ -15,10 +15,11 @@ from bimodulus.exactmath import QQ, PrimeField
 import bimodulus.curves as curves
 from bimodulus.curves import make_kind, make_nodal, p1_points, random_smooth_point
 from bimodulus.jsonio import generate_instance
-from bimodulus.polyring import MultiPoly
+from bimodulus.polyring import MultiPoly, monomial_basis
 from bimodulus.linebundles import (
     Curve,
     LineBundle,
+    form_to_vec,
     ideal_slice,
     is_twisted_v_pullback,
     is_v_pullback,
@@ -170,9 +171,15 @@ def test_section_space_matches_h0_and_vanishing(smooth_curve, rng):
 
 
 def test_ideal_slice_dimension(smooth_curve):
-    rows = ideal_slice(smooth_curve.f, 3, 2)
+    f = smooth_curve.f
+    rows = ideal_slice(f, 3, 2)
     assert len(rows) == 2 * 1
-    assert ideal_slice(smooth_curve.f, 1, 4) == []
+    assert ideal_slice(f, 1, 4) == []
+    # the rows are the products of f with the monomials of bidegree (m-2, n-2)
+    for m, n in ((3, 2), (4, 3), (2, 2)):
+        products = [f * MultiPoly.monomial(f.field, (m - 2, n - 2), e)
+                    for e in monomial_basis((m - 2, n - 2))]
+        assert ideal_slice(f, m, n) == [form_to_vec(g, monomial_basis((m, n))) for g in products]
 
 
 def test_split_from_cohomology_trivial_bundle(smooth_curve):
@@ -239,7 +246,7 @@ def _exhaust_split_fibers(scan, avoid):
 
 def _rational_smooth_member():
     """A smooth member over Q; see test_rational_field_supported."""
-    from bimodulus.polyring import MultiPoly
+    from bimodulus.polyring import MultiPoly, monomial_basis
 
     return MultiPoly(QQ, (2, 2), {
         (2, 0, 1, 1): 1,

@@ -15,7 +15,6 @@ from bimodulus.polyring import (
     bf_gcd,
     bf_mul,
     bf_multiplicity_pattern,
-    bf_root_linear,
     bf_roots_small,
     bf_square_decomp,
     bf_squarefree_decomposition,
@@ -27,7 +26,14 @@ from bimodulus.polyring import (
     random_multipoly,
 )
 
-from oracles import bf_eval, j_from_cross_ratio, power_eval, power_eval_block, power_rows
+from oracles import (
+    bf_eval,
+    bf_root_linear,
+    j_from_cross_ratio,
+    power_eval,
+    power_eval_block,
+    power_rows,
+)
 
 
 def test_constructor_enforces_homogeneity(F101):
@@ -197,7 +203,7 @@ def test_discriminant_vanishes_where_fibers_degenerate(F101, rng):
     from bimodulus.curves import p1_points
 
     f = make_kind(F101, "I0", rng)
-    q = quadratic_discriminant(f, 1).to_binary()
+    q = quadratic_discriminant(f, 1)
     A, B, C = f.coeff_forms(1)
     for x in p1_points(F101):
         a, b, c = (g.eval_full([x]) for g in (A, B, C))
