@@ -37,13 +37,14 @@ from .polyring import MultiPoly, monomial_basis, monomial_values
 
 class Curve:
     """A reduced (2,2) divisor with cached classification, components and
-    fiber table."""
+    fiber table.  `kind` is the Kodaira type of f when the caller has just
+    classified it; f is classified here otherwise."""
 
     __slots__ = ("f", "kind", "_components", "fibers")
 
-    def __init__(self, f):
+    def __init__(self, f, kind=None):
         self.f = f
-        self.kind = kodaira_classify(f)
+        self.kind = kodaira_classify(f) if kind is None else kind
         if self.kind == "NonReduced":
             raise ValidationError("doubled curves use the thickened-diagonal model")
         self._components = None

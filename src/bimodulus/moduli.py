@@ -20,7 +20,9 @@ A relation pair is a pair of 2x2x2 tensors.  Contracting one with a point x
 of the first line leaves a 2x2 matrix M(x); the incidence points over x are
 the roots y of det[y^T M_1(x); y^T M_2(x)] (the last shadow's fiber), each
 with the common kernel z of the two rows, so no form is evaluated at a
-point.
+point.  Over a prime field F_p this stage (the points and the relation
+plane back from them) runs on int residues in [0, p) and builds field
+elements only for its output; over F_{p^2} it runs on field elements.
 
 Degenerate configurations (isomorphic bundle pairs, products failing to
 span, irrational section divisors) raise DegenerateInstance or
@@ -29,9 +31,11 @@ SpecialPosition; callers redraw.  Everything else is exact.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .curves import kodaira_classify, line_roots, member_j, normalize_point, p1_points, random_smooth_22
 from .errors import DegenerateInstance, SpecialPosition, ValidationError
-from .exactmath import kernel_basis, reduce_modulo, rref, subspace_equal, sum_prod
+from .exactmath import FpElt, PrimeField, kernel_basis, reduce_modulo, rref, subspace_equal, sum_prod
 from .linebundles import (
     Curve,
     LineBundle,
@@ -137,12 +141,9 @@ def psi0(quad):
         if S.dim() != 2:
             raise AssertionError("degree-2 bundle with unexpected section count")
     frame = _ProductFrame(quad.curve, spaces)
-    vecs = []
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                form = spaces[0].form(i) * spaces[1].form(j) * spaces[2].form(k)
-                vecs.append(frame.vec(form))
+    s0, s1, s2 = (S.forms() for S in spaces)
+    # path order: each s0_i s1_j product, formed once, times s2_0 then s2_1
+    vecs = [frame.vec(ab * c) for ab in [a * b for a in s0 for b in s1] for c in s2]
     return _left_kernel(quad.curve.field, vecs, expect=2)
 
 
@@ -278,6 +279,14 @@ def _det_quadratic(m, n):
     return [a * f - b * e, a * h + c * f - b * g - d * e, c * h - d * g]
 
 
+def _fiber_coefficients(t1, t2):
+    """(s00, s01, s11) with det[y^T M_1(x); y^T M_2(x)] equal to
+    x_0^2 s00 + x_0 x_1 s01 + x_1^2 s11, coefficientwise in y: the
+    determinant is bilinear in (M_1, M_2)."""
+    s01 = [u + v for u, v in zip(_det_quadratic(t1[:4], t2[4:]), _det_quadratic(t1[4:], t2[:4]))]
+    return _det_quadratic(t1[:4], t2[:4]), s01, _det_quadratic(t1[4:], t2[4:])
+
+
 def incidence_points(c1, c2):
     """Rational points of the incidence curve in the triple product, x-major
     with y in `p1_points` order.  Finite fields only.
@@ -286,16 +295,18 @@ def incidence_points(c1, c2):
     M_i(x) = x_0 T_i0 + x_1 T_i1; the last shadow's fiber over x is the
     binary quadratic det[y^T M_1(x); y^T M_2(x)], and above each of its
     roots y the coordinate z spans the common kernel of the two rows.  The
-    determinant is bilinear in (M_1, M_2), so the fiber quadratic is a
-    quadratic in x whose three coefficients are computed once, and a fiber
-    is contracted only when it carries points."""
+    fiber quadratic is a quadratic in x whose three coefficients are
+    computed once, and a fiber is contracted only when it carries points.
+
+    Over F_p the pass runs on residues in [0, p) and builds each output
+    point once; over F_{p^2} it runs on field elements."""
     field = c1.field
     if not field.characteristic:
         raise ValidationError("point enumeration needs a finite field")
     t1, t2 = _tensor(c1), _tensor(c2)
-    s00 = _det_quadratic(t1[:4], t2[:4])
-    s01 = [u + v for u, v in zip(_det_quadratic(t1[:4], t2[4:]), _det_quadratic(t1[4:], t2[:4]))]
-    s11 = _det_quadratic(t1[4:], t2[4:])
+    if isinstance(field, PrimeField):
+        return _incidence_points_mod_p(field, t1, t2)
+    s00, s01, s11 = _fiber_coefficients(t1, t2)
     line = p1_points(field)
     position = {pt: i for i, pt in enumerate(line)}
     pts = []
@@ -331,6 +342,73 @@ def incidence_points(c1, c2):
     return pts
 
 
+def _coords(p, i):
+    """Residue coordinates of the point with index i in `p1_points` order:
+    (i, 1) for i < p, then (1, 0)."""
+    return (i, 1) if i < p else (1, 0)
+
+
+def _root_indices(field, q):
+    """Rational roots of a nonzero binary quadratic of residues, as sorted
+    `p1_points` indices; the roots of `bf_rational_roots`."""
+    p = field.p
+    q0, q1, q2 = q
+    if not q0:
+        return [-q2 * pow(q1, -1, p) % p, p] if q1 else [p]
+    r = field.sqrt((q1 * q1 - 4 * q0 * q2) % p)
+    if r is None:
+        return []
+    inv = pow(2 * q0, -1, p)
+    return sorted({(-q1 + r.v) * inv % p, (-q1 - r.v) * inv % p})
+
+
+def _incidence_points_mod_p(field, t1, t2):
+    """`incidence_points` over F_p, on residues; the same checks in the
+    same order."""
+    p = field.p
+    t1 = [field.coerce(a).v for a in t1]
+    t2 = [field.coerce(a).v for a in t2]
+    s00, s01, s11 = _fiber_coefficients(t1, t2)
+    one, zero = FpElt(p, 1), FpElt(p, 0)
+
+    def point(i):
+        return (FpElt(p, i), one) if i < p else (one, zero)
+
+    pts = []
+    zero_fibers = 0
+    for ix in range(p + 1):
+        x0, x1 = _coords(p, ix)
+        w0, w1, w2 = x0 * x0, x0 * x1, x1 * x1
+        q = [(w0 * u + w1 * v + w2 * w) % p for u, v, w in zip(s00, s01, s11)]
+        if not any(q):
+            # a (2,2) shadow vanishing on three x-fibers is zero
+            zero_fibers += 1
+            if zero_fibers == 3:
+                raise DegenerateInstance("relations share a linear factor")
+            ys = range(p + 1)
+        else:
+            ys = _root_indices(field, q)
+        if not ys:
+            continue
+        a, b, c, d = [x0 * u + x1 * v for u, v in zip(t1[:4], t1[4:])]
+        e, f, g, h = [x0 * u + x1 * v for u, v in zip(t2[:4], t2[4:])]
+        x = point(ix)
+        for iy in ys:
+            y0, y1 = _coords(p, iy)
+            v1 = ((a * y0 + c * y1) % p, (b * y0 + d * y1) % p)
+            v2 = ((e * y0 + g * y1) % p, (f * y0 + h * y1) % p)
+            if not any(v1) and not any(v2):
+                raise DegenerateInstance("incidence curve has a one-dimensional fiber")
+            # common zero of u0 z0 + u1 z1: direction (u1, -u0)
+            u0, u1 = v1 if any(v1) else v2
+            iz = -u1 * pow(u0, -1, p) % p if u0 else p
+            z0, z1 = _coords(p, iz)
+            if any(v2) and (v2[0] * z0 + v2[1] * z1) % p:
+                raise AssertionError("shadow point without a common third coordinate")
+            pts.append((x, point(iy), point(iz)))
+    return pts
+
+
 def recover_relations_from_ci(c1, c2):
     """Relation plane recovered from the rational incidence points alone."""
     return relations_through_points(c1.field, incidence_points(c1, c2))
@@ -356,11 +434,15 @@ def relations_through_points(field, pts):
     Rows are reduced one at a time until six are independent; every later
     row is then checked against the two kernel vectors.  When all pass, the
     kernel of the six is the kernel of all rows, and rref is canonical, so
-    the basis is the one a full elimination returns."""
+    the basis is the one a full elimination returns.  Over F_p the rows,
+    their reduction and the check run on residues in [0, p), and only the
+    kernel is made of field elements; otherwise on field elements."""
     # a trilinear form off the relation plane restricts to a nonzero section
     # of a degree-6 bundle on the incidence curve: at most 6 zeros
     if len(pts) <= 6:
         raise DegenerateInstance("too few rational points to pin the ideal down")
+    if isinstance(field, PrimeField):
+        return _relations_through_points_mod_p(field, pts)
     rows = map(_path_values, pts)  # one iterator: the check resumes it
     basis, pivots = [], []
     for row in rows:
@@ -374,6 +456,35 @@ def relations_through_points(field, pts):
                 break
     ker = kernel_basis(field, basis, 8)
     if len(ker) != 2 or any(sum_prod(row, v) for row in rows for v in ker):
+        raise DegenerateInstance("point conditions did not cut the relation plane")
+    return ker
+
+
+def _relations_through_points_mod_p(field, pts):
+    """`relations_through_points` over F_p, on residues."""
+    p, coerce = field.p, field.coerce
+    # anything but an FpElt of this field goes through coerce, which rejects
+    # other primes
+    rows = (_path_values([[c.v if c.__class__ is FpElt and c.p == p else coerce(c).v
+                           for c in pt] for pt in point])
+            for point in pts)
+    basis, pivots = [], []
+    for row in rows:
+        w = [a % p for a in row]
+        for r, pc in zip(basis, pivots):
+            c = w[pc]
+            if c:
+                w = [(a - c * b) % p for a, b in zip(w, r)]
+        pc = next((i for i, a in enumerate(w) if a), None)
+        if pc is not None:
+            inv = pow(w[pc], -1, p)
+            basis.append([a * inv % p for a in w])
+            pivots.append(pc)
+            if len(basis) == 6:
+                break
+    ker = kernel_basis(field, basis, 8)
+    vecs = [[a.v for a in v] for v in ker]
+    if len(ker) != 2 or any(sum(map(mul, row, v)) % p for row in rows for v in vecs):
         raise DegenerateInstance("point conditions did not cut the relation plane")
     return ker
 
@@ -423,7 +534,7 @@ def phi_inverse(quad, rng, tries=40):
     fprime = MultiPoly(field, (2, 2), terms)
     if kodaira_classify(fprime) != "I0":
         raise DegenerateInstance("re-embedded member is not smooth")
-    new_curve = Curve(fprime)
+    new_curve = Curve(fprime, kind="I0")
 
     B = quad.L0.tensor(quad.L0).tensor(quad.L1.inverse())
     SB = section_space(B)
@@ -462,8 +573,7 @@ def random_sheaf_datum(field, rng, degree=2, tries=60):
     """Random (curve, sheaf) with a smooth member and the given sheaf
     degree."""
     for _ in range(tries):
-        f = random_smooth_22(field, rng)
-        curve = Curve(f)
+        curve = Curve(random_smooth_22(field, rng), kind="I0")
         try:
             U = random_line_bundle(curve, rng, deg_lo=degree, deg_hi=degree)
         except (ValidationError, SpecialPosition):
@@ -475,8 +585,7 @@ def random_sheaf_datum(field, rng, degree=2, tries=60):
 def random_quadruple(field, rng, component=0, tries=60):
     d1 = 2 if component == 0 else 1
     for _ in range(tries):
-        f = random_smooth_22(field, rng)
-        curve = Curve(f)
+        curve = Curve(random_smooth_22(field, rng), kind="I0")
         try:
             L0 = random_line_bundle(curve, rng, deg_lo=2, deg_hi=2)
             L1 = random_line_bundle(curve, rng, deg_lo=d1, deg_hi=d1)

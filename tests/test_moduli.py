@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from bimodulus import moduli
+from bimodulus import curves, linebundles, moduli, polyring
 from bimodulus.errors import DegenerateInstance, SpecialPosition
 from bimodulus.curves import enumerate_points, make_kind, member_j, random_p1_point, random_smooth_point
-from bimodulus.exactmath import PrimeField, QuadExtField, kernel_basis, subspace_equal
+from bimodulus.exactmath import FpElt, PrimeField, QuadExtField, kernel_basis, subspace_equal
 from bimodulus.linebundles import Curve, LineBundle, isomorphic, section_space
 from bimodulus.moduli import (
     Quadruple,
@@ -55,6 +55,31 @@ def test_random_sheaf_datum_shape(datum):
     assert U.curve is curve
 
 
+@pytest.mark.parametrize("draw", [random_sheaf_datum, random_quadruple])
+def test_each_drawn_member_is_classified_once(draw, monkeypatch):
+    # the curve takes the type random_smooth_22 just found instead of
+    # classifying the member again
+    drawn, classified = [], []
+    real_draw, real_classify = polyring.random_multipoly, curves.kodaira_classify
+
+    def counted_draw(field, degree, rng):
+        drawn.append(degree)
+        return real_draw(field, degree, rng)
+
+    def counted_classify(f):
+        classified.append(f)
+        return real_classify(f)
+
+    monkeypatch.setattr(polyring, "random_multipoly", counted_draw)
+    for module in (curves, linebundles, moduli):
+        monkeypatch.setattr(module, "kodaira_classify", counted_classify)
+    rng = random.Random(7)
+    for _ in range(20):
+        draw(PrimeField(101), rng)
+    assert drawn.count((2, 2)) >= 20
+    assert len(classified) == drawn.count((2, 2))
+
+
 def test_quadruple_rejects_isomorphic_equal_degree_bundles(datum):
     F101, rng, curve, U, quad, rel, c1, c2 = datum
     L0 = LineBundle(curve, 0, 1)
@@ -73,6 +98,21 @@ def test_phi_lands_in_component_zero(datum):
     F101, rng, curve, U, quad, rel, c1, c2 = datum
     assert quad.component == 0
     assert [L.degree_total() for L in (quad.L0, quad.L1, quad.L2)] == [2, 2, 2]
+
+
+def test_psi0_forms_each_first_product_once(datum, monkeypatch):
+    # s0_i s1_j is formed once for both s2_k: 4 + 8 products, not 8 + 8
+    F101, rng, curve, U, quad, rel, c1, c2 = datum
+    products = []
+    real_mul = MultiPoly.__mul__
+
+    def counted_mul(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted_mul)
+    assert psi0(quad) == rel
+    assert len(products) == 12
 
 
 def test_psi0_kernel_is_a_plane_vanishing_on_the_member(datum):
@@ -183,8 +223,10 @@ def test_roundtrip_computes_the_shadows_once_and_evaluates_no_points(datum, monk
 FIELDS = {
     "F5": PrimeField(5),
     "F7": PrimeField(7),
+    "F11": PrimeField(11),
     "F25": QuadExtField(PrimeField(5)),
     "F101": PrimeField(101),
+    "F103": PrimeField(103),
     "F1009": PrimeField(1009),
 }
 
@@ -216,6 +258,26 @@ def test_incidence_points_match_the_shadow_oracle(name):
         assert outcome(incidence_points, c1, c2) == expect
         kinds.add(expect is DegenerateInstance)
     assert kinds == {False, True}
+
+
+def test_the_incidence_stage_runs_on_residues_over_a_prime_field(datum, monkeypatch):
+    # over F_p the points and the relation plane come from int arithmetic;
+    # field elements are only built for the output
+    F101, rng, curve, U, quad, rel, c1, c2 = datum
+    pts = incidence_points(c1, c2)
+    ker = relations_through_points(F101, pts)
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__"):
+        real = getattr(FpElt, name)
+
+        def counted(self, other, real=real, name=name):
+            calls.append(name)
+            return real(self, other)
+
+        monkeypatch.setattr(FpElt, name, counted)
+    assert incidence_points(c1, c2) == pts
+    assert relations_through_points(F101, pts) == ker
+    assert calls == []
 
 
 def factored_pair(F, rng, blocks):
@@ -251,7 +313,7 @@ def full_kernel(F, pts):
     return kernel_basis(F, rows, 8)
 
 
-@pytest.mark.parametrize("name", ["F7", "F25", "F101"])
+@pytest.mark.parametrize("name", ["F7", "F11", "F25", "F101", "F103"])
 def test_relation_plane_is_the_full_kernel(name):
     F = FIELDS[name]
     rng = random.Random(name)

@@ -16,8 +16,8 @@ instance (its `validation` entry stripped); then a few commands without
 input files.  Last, for every kind at `--prime` 5, 7 and 11, seeds 0-1,
 the generated instance is lifted to F_{p^2} (`lift_to_fp2`): `psi` runs
 on each lifted quadruple, and `classify`, `split` and `stability` on each
-other lift, with `roundtrip --in` on the smooth chi = 2 bundles.  393
-commands in all.
+other lift, with `roundtrip --in` on the smooth chi = 2 bundles.  Then
+two round trips at larger primes (103 and 10007).  395 commands in all.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ WITHOUT_INPUT = (
     ["mckay", "--seed", "2"],
     ["hochschild"],
 ) + tuple(["generate", "non-reduced", "--seed", str(s)] for s in (2000, 2001, 2002))
+AT_LARGER_PRIMES = (
+    ["roundtrip", "--prime", "103", "--seed", "1"],
+    ["roundtrip", "--prime", "10007", "--seed", "0"],
+)
 ON_EACH_LIFT = {
     "smooth-bimodule-chi2": ("classify", "split", "stability", "roundtrip"),
     "smooth-bimodule-chi1": ("classify", "split", "stability"),
@@ -114,6 +118,8 @@ def main_digest():
                     for command in commands:
                         code, text = run([command, "--in", str(path)])
                         emit([command, "--in", path.name], code, text)
+        for argv in AT_LARGER_PRIMES:
+            emit(argv, *run(list(argv)))
 
 
 if __name__ == "__main__":
