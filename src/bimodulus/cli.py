@@ -47,7 +47,7 @@ from .mckay import (
     s_graded_dim,
     s_hilbert_coeffs,
 )
-from .moduli import Quadruple, psi0, psi1, random_sheaf_datum, roundtrip0
+from .moduli import Quadruple, phi, psi0, psi1, random_sheaf_datum, roundtrip0
 from .polyring import MultiPoly
 from .quivers import (
     hom_ext_matrix,
@@ -337,8 +337,6 @@ def cmd_mrel_dim(args):
     else:
         if not field.characteristic:
             raise ValidationError("random drawing here uses a finite field")
-        from .moduli import phi
-
         for _ in range(40):
             try:
                 _, U = random_sheaf_datum(field, rng, degree=2)

@@ -16,19 +16,22 @@ the rest of the package is built on.
 from __future__ import annotations
 
 from .errors import SpecialPosition, ValidationError
-from .exactmath import kernel_basis
+from .exactmath import QuadExtField, kernel_basis
 from .polyring import (
     MultiPoly,
     bf_divexact,
     bf_gcd,
+    bf_gcd_chain,
     bf_is_zero,
     bf_multiplicity_pattern,
+    bf_mul,
     bf_rational_roots,
-    bf_square_decomp,
+    bf_scale,
     j_from_quartic,
     monomial_basis,
     quadratic_discriminant,
     quartic_invariants,
+    random_multipoly,
 )
 
 KINDS = ("I0", "I1", "I2", "II", "III", "NonReduced")
@@ -79,7 +82,8 @@ def kodaira_classify(f):
     discriminant, in characteristic 0 or at least 5), and a member with a
     fiber component has a square factor in its quartic, so a smooth member
     is recognized from I and J alone; only the others are checked for
-    fibers and decomposed.
+    fibers and have the quartic's multiplicity pattern read off the
+    degrees of its `bf_gcd_chain`.
     """
     validate_22(f)
     disc = quadratic_discriminant(f, 1)
@@ -281,24 +285,30 @@ def _mp_from_y_coeffs(field, a, b):
 def factor_11(f):
     """Split a reducible member (types I2, III) into two (1,1) components.
 
-    Returns (field_used, g, h) with g*h equal to f exactly; the pair is
-    rational when the components are individually defined over the base
-    field, and lives over the default quadratic extension otherwise.
+    The branch quartic is c0*s^2, where s is g_1 of its `bf_gcd_chain` for
+    I2 (two double roots) and g_2 for III (one quadruple root), scaled so
+    that its first nonzero coefficient is 1.  Returns (field_used, g, h)
+    with g*h equal to f exactly; the pair is rational when c0 is a square,
+    so that the components are individually defined over the base field,
+    and otherwise lives over the default quadratic extension of a prime
+    field.  Over Q and F_{p^2}, which have no default extension (the
+    package builds no F_{p^4}), conjugate components raise ValidationError.
     """
     F = f.field
     kind = kodaira_classify(f)
     if kind not in ("I2", "III"):
         raise ValidationError(f"member of type {kind} is not a product of two (1,1) forms")
     disc = quadratic_discriminant(f, 1)
-    sq = bf_square_decomp(F, disc)
-    if sq is None:
+    s = bf_gcd_chain(F, disc)[1 if kind == "I2" else 2]
+    s = bf_scale(F, s, F.one() / next(x for x in s if x))
+    c0 = next(x for x in disc if x)  # s^2 also starts with 1
+    if bf_scale(F, bf_mul(F, s, s), c0) != disc:
         raise AssertionError("reducible member with non-square discriminant")
-    c0, s = sq
     root = F.sqrt(c0)
     if root is not None:
         E = F
     else:
-        E = F.quadratic_extension()
+        E = QuadExtField(F)  # raises ValidationError unless F is a prime field
         root = E.sqrt(E.coerce(c0))
         s = [E.coerce(x) for x in s]
     fE = f if E is F else f.coerce_to(E)
@@ -373,8 +383,6 @@ def _from_coeff_vec(field, degree, vec):
 
 
 def random_smooth_22(field, rng, tries=200):
-    from .polyring import random_multipoly
-
     for _ in range(tries):
         f = random_multipoly(field, (2, 2), rng)
         try:

@@ -19,7 +19,7 @@ generator; degenerate draws retry within a bounded budget.
 from __future__ import annotations
 
 from .bimodules import Descriptor, NRSheaf
-from .curves import make_kind
+from .curves import kodaira_classify, make_kind
 from .errors import SpecialPosition, ValidationError
 from .exactmath import field_from_json, scalar_from_json, scalar_to_json
 from .linebundles import Curve, LineBundle, random_line_bundle
@@ -187,8 +187,7 @@ def generate_instance(kind, field, rng, tries=60):
     if kind == "reducible":
         for _ in range(tries):
             try:
-                f = make_kind(field, "I2", rng)
-                curve = Curve(f)
+                curve = Curve(make_kind(field, "I2", rng), kind="I2")
                 return random_line_bundle(curve, rng, deg_lo=-2, deg_hi=4)
             except (ValidationError, SpecialPosition):
                 continue
@@ -203,7 +202,6 @@ def validate_instance(obj):
     """Re-derive the defining checks of a parsed instance; returns a small
     description.  Raises on anything inconsistent."""
     if isinstance(obj, MultiPoly):
-        from .curves import kodaira_classify
         return {"type": "member", "kind": kodaira_classify(obj)}
     if isinstance(obj, LineBundle):
         return {

@@ -24,6 +24,7 @@ from functools import cache
 from .curves import (
     FiberTable,
     coerce_pair,
+    enumerate_points,
     factor_11,
     kodaira_classify,
     normalize_point,
@@ -448,8 +449,6 @@ def section_zero_points(bundle, form):
     if not F.characteristic:
         raise ValidationError("zero-divisor search needs a finite field")
     f = rep.curve.f
-    from .curves import enumerate_points
-
     zeros = [p for p in enumerate_points(f) if not form.eval_full(list(p))]
     minus = set((pair_key(F, p)) for p in rep.minus)
     left = [p for p in zeros if pair_key(F, p) not in minus]

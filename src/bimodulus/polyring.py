@@ -6,8 +6,9 @@ bidegree-(2,2) form on P1 x P1 stores keys like (2,0,1,1).
 
 Binary forms (one block) double as plain coefficient lists
 ``[c0, ..., cd]`` meaning ``sum c[i] * x0^(d-i) * x1^i``; the ``bf_*`` /
-``uv_*`` helpers below implement exact gcds, square detection and squarefree
-decomposition for them.  Everything is valid over Q and over F_p with p > deg.
+``uv_*`` helpers below implement exact gcds and division for them, and read
+root multiplicities off the chain of gcds of partial derivatives.  Everything
+is valid over Q and over F_p with p > deg.
 """
 
 from __future__ import annotations
@@ -306,20 +307,6 @@ def uv_trim(u):
     return u
 
 
-def uv_degree(u):
-    return len(u) - 1
-
-
-def uv_add(field, a, b):
-    n = max(len(a), len(b))
-    out = [field.zero()] * n
-    for i, x in enumerate(a):
-        out[i] = out[i] + x
-    for i, x in enumerate(b):
-        out[i] = out[i] + x
-    return uv_trim(out)
-
-
 def uv_scale(field, a, s):
     return uv_trim([s * x for x in a])
 
@@ -358,37 +345,6 @@ def uv_gcd(field, a, b):
     if a:
         a = uv_scale(field, a, field.one() / a[-1])
     return a
-
-
-def uv_derivative(field, a):
-    return uv_trim([i * a[i] for i in range(1, len(a))])
-
-
-def uv_monic_yun(field, u):
-    """Squarefree decomposition of a monic squarefree-factorizable poly.
-
-    Requires char 0 or char > deg(u).  Returns [(g_i, i)] with u = prod g_i^i,
-    g_i monic squarefree pairwise coprime (degree-0 g_i omitted).
-    """
-    p = field.characteristic
-    if p and p <= uv_degree(u):
-        raise ValidationError("squarefree decomposition needs char 0 or char > deg")
-    du = uv_derivative(field, u)
-    g = uv_gcd(field, u, du)
-    w = uv_divexact(field, u, g)
-    y = uv_divexact(field, du, g)
-    z = uv_add(field, y, uv_scale(field, uv_derivative(field, w), field.coerce(-1)))
-    out = []
-    i = 1
-    while uv_degree(w) > 0:
-        gi = uv_gcd(field, w, z)
-        if uv_degree(gi) > 0:
-            out.append((gi, i))
-        w = uv_divexact(field, w, gi)
-        y = uv_divexact(field, z, gi)
-        z = uv_add(field, y, uv_scale(field, uv_derivative(field, w), field.coerce(-1)))
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,96 +428,36 @@ def bf_divexact(field, a, b):
     return out
 
 
-def bf_shear(field, c, t):
-    """f(x0, x1 + t*x0)."""
-    t = field.coerce(t)
-    d = len(c) - 1
-    out = [field.zero()] * (d + 1)
-    for i, x in enumerate(c):
-        if not x:
-            continue
-        row = _binary_pow(field, [t, field.one()], i)  # (t x0 + x1)^i, coeffs by x1-degree
-        for j, coef in enumerate(row):
-            out[j] = out[j] + x * coef
-    return out
+def bf_gcd_chain(field, c):
+    """[g_0, g_1, ..., g_K] with g_0 = c, g_{k+1} the gcd of the two partial
+    derivatives of g_k, and g_K the first constant.
 
-
-def _shear_candidates(field):
-    if field.characteristic:
-        yield from field.elements()
-    else:
-        yield field.zero()
-        k = 1
-        while True:
-            yield field.coerce(k)
-            yield field.coerce(-k)
-            k += 1
-
-
-def bf_squarefree_decomposition(field, c):
-    """unit, [(factor, multiplicity)] with c = unit * prod factor^mult.
-
-    Factors are binary forms, normalized so that the dehomogenized part is
-    monic; roots at [1:0] are handled by a deterministic shear.
+    Over the closure c = prod l_i^m_i; when char = 0 or char > deg c, Euler's
+    identity d*g = x0*dg/dx0 + x1*dg/dx1 makes the gcd of the partials
+    prod l_i^(m_i - 1), so g_k = prod l_i^max(m_i - k, 0) up to a scalar and
+    deg g_k - deg g_{k+1} roots of c have multiplicity above k.
     """
     if bf_is_zero(c):
-        raise ValidationError("decomposition of the zero form")
-    d = len(c) - 1
-    if d == 0:
-        return c[0], []
-    t_used = None
-    for t in _shear_candidates(field):
-        if bf_shear(field, c, t)[0]:
-            t_used = t
-            break
-    if t_used is None:
-        raise ValidationError("form vanishes on the whole line; char too small")
-    sheared = bf_shear(field, c, t_used)
-    u = _bf_dehom(sheared)
-    lc = u[-1]
-    u = uv_scale(field, u, field.one() / lc)
-    factors = []
-    for g, mult in uv_monic_yun(field, u):
-        gb = _bf_homog(field, g)
-        gb = bf_shear(field, gb, -t_used)
-        # renormalize: first nonzero coefficient 1
-        lead = next(x for x in gb if x)
-        gb = bf_scale(field, gb, field.one() / lead)
-        factors.append((gb, mult))
-    prod = [field.one()]
-    for g, m in factors:
-        for _ in range(m):
-            prod = bf_mul(field, prod, g)
-    idx = next(i for i, x in enumerate(c) if x)
-    if not prod[idx]:
-        raise AssertionError("squarefree decomposition lost a factor")
-    unit = c[idx] / prod[idx]
-    if any(bf_sub(field, c, bf_scale(field, prod, unit))):
-        raise AssertionError("squarefree decomposition failed verification")
-    return unit, factors
+        raise ValidationError("root multiplicities of the zero form")
+    p = field.characteristic
+    if p and p <= len(c) - 1:
+        raise ValidationError("root multiplicities need char 0 or char > deg")
+    chain = [c]
+    while len(c) > 1:
+        d = len(c) - 1
+        c = bf_gcd(field, [(d - i) * c[i] for i in range(d)],
+                   [(i + 1) * c[i + 1] for i in range(d)])
+        chain.append(c)
+    return chain
 
 
 def bf_multiplicity_pattern(field, c):
-    """Sorted (descending) multiset of root multiplicities over the closure."""
-    _, factors = bf_squarefree_decomposition(field, c)
-    pat = []
-    for g, m in factors:
-        pat.extend([m] * (len(g) - 1))
-    return tuple(sorted(pat, reverse=True))
-
-
-def bf_square_decomp(field, c):
-    """(c0, s) with c = c0 * s^2, or None if c is not a square up to scalar."""
-    if bf_is_zero(c):
-        return None
-    unit, factors = bf_squarefree_decomposition(field, c)
-    if any(m % 2 for _, m in factors):
-        return None
-    s = [field.one()]
-    for g, m in factors:
-        for _ in range(m // 2):
-            s = bf_mul(field, s, g)
-    return unit, s
+    """Sorted (descending) multiset of root multiplicities over the closure:
+    the conjugate of the partition whose k-th part, deg g_k - deg g_{k+1}
+    along `bf_gcd_chain`, counts the roots of multiplicity above k."""
+    degrees = [len(g) - 1 for g in bf_gcd_chain(field, c)]
+    above = [a - b for a, b in zip(degrees, degrees[1:])]
+    return tuple(sum(1 for n in above if n > j) for j in range(max(above, default=0)))
 
 
 def bf_rational_roots(field, c):

@@ -21,6 +21,7 @@ rather than the line.
 
 from __future__ import annotations
 
+from .bimodules import Descriptor, split_ab, split_ab_prime
 from .errors import ValidationError
 from .exactmath import QQ, mat_mul, rank
 
@@ -190,8 +191,6 @@ def descriptor_grid():
     [0, 5]).  Twist flags enumerated where the descriptor carries them;
     the returned pairs are (descriptor, shifted_flag) with the flag
     meaningful only where the primed table takes it as an argument."""
-    from .bimodules import Descriptor
-
     out = []
     chis = (1, 2)
     lo, hi = -5, 5
@@ -236,8 +235,6 @@ def descriptor_grid():
 def strong_m1_table():
     """For every descriptor in the grid: the splitting types, the hom/ext
     matrix of the m=1 collection, and whether it is strong."""
-    from .bimodules import split_ab, split_ab_prime
-
     rows = []
     for desc, flag in descriptor_grid():
         ab = split_ab(desc)

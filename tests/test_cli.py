@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from bimodulus import curves, jsonio, linebundles
 from bimodulus.cli import COMMANDS, main
 from bimodulus.curves import make_kind
 from bimodulus.exactmath import PrimeField
@@ -175,6 +176,24 @@ def test_generate_then_classify(capsys, files):
     member.write_text(json.dumps(body))
     code, rep2 = run(capsys, "classify", "--in", str(member))
     assert code == 0 and rep2["kind"] == "I0"
+
+
+def test_generate_reducible_classifies_each_member_once_in_drawing(capsys, monkeypatch):
+    # make_kind classifies the drawn member, the curve takes that type, and
+    # reading the instance back to validate it classifies it once more
+    real, calls = curves.kodaira_classify, []
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    for module in (curves, linebundles, jsonio):
+        monkeypatch.setattr(module, "kodaira_classify", counted)
+    for seed in range(4):
+        code, rep = run(capsys, "generate", "reducible", "--prime", "101", "--seed", str(seed))
+        assert code == 0 and rep["valid"] == 1
+        assert rep["instances"][0]["validation"]["member_kind"] == "I2"
+    assert len(calls) == 8
 
 
 def test_every_command_is_wired():

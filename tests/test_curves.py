@@ -6,7 +6,7 @@ import pytest
 
 from bimodulus import curves
 from bimodulus.errors import SpecialPosition, ValidationError
-from bimodulus.exactmath import QQ, PrimeField, QuadExtField
+from bimodulus.exactmath import QQ, PrimeField, QEElt, QuadExtField
 from bimodulus.curves import (
     KINDS,
     FiberTable,
@@ -309,13 +309,59 @@ def test_fiber_table_keeps_every_draw(field, seed):
     assert outcomes == {"point", "gave up", "fiber in member"}
 
 
-def test_factor_11_reconstructs_reducible_members(F101, rng):
-    for kind in ("I2", "III"):
-        f = make_kind(F101, kind, rng)
+_FACTOR_FIELDS = {"F7": PrimeField(7), "F11": PrimeField(11), "F101": PrimeField(101),
+                  "Q": QQ, "F25": QuadExtField(PrimeField(5))}
+
+
+def _conjugate_pair_members(E, rng, count):
+    """Members g * conj(g) over the base of a quadratic extension E, for
+    (1,1) forms g over E: reducible, with components conjugate over the
+    base, so never drawn by `make_kind`."""
+    field, out = E.base, []
+    while len(out) < count:
+        g = MultiPoly(E, (1, 1), {e: E.random(rng) for e in monomial_basis((1, 1))})
+        conj = MultiPoly(E, (1, 1), {e: QEElt(E, c.a, -c.b) for e, c in g.terms.items()})
+        f = MultiPoly(field, (2, 2), {e: c.a for e, c in (g * conj).terms.items()})
+        try:
+            if kodaira_classify(f) in ("I2", "III") and not g.proportional(conj):
+                out.append(f)
+        except ValidationError:
+            continue  # a fiber component
+    return out
+
+
+def _draw(field, n):
+    """Draw n (from 0) of `random_multipoly(field, (2, 2), Random(0))`."""
+    rng = random.Random(0)
+    for _ in range(n):
+        random_multipoly(field, (2, 2), rng)
+    return random_multipoly(field, (2, 2), rng)
+
+
+@pytest.mark.parametrize("name", _FACTOR_FIELDS)
+def test_factor_11_reconstructs_reducible_members(name):
+    F = _FACTOR_FIELDS[name]
+    rng = random.Random(311)
+    members = [make_kind(F, kind, rng) for kind in ("I2", "III") for _ in range(4)]
+    # Q and F_25 have no default quadratic extension; see the test below
+    conjugate = _conjugate_pair_members(QuadExtField(F), rng, 3) if isinstance(F, PrimeField) else []
+    if name == "F7":
+        conjugate.append(_draw(F, 372))  # a random draw of this kind
+    for f in members + conjugate:
         field_used, g, h = factor_11(f)
-        prod = g * h
-        # equality up to a scalar
-        assert prod.coerce_to(field_used).proportional(f.coerce_to(field_used))
+        assert (field_used is not F) == (f in conjugate)
+        assert g * h == f.coerce_to(field_used)
+
+
+def test_factor_11_refuses_components_conjugate_over_q_or_f_p2():
+    # the draw's components are conjugate over F_25 and would need F_625
+    f = _draw(QuadExtField(PrimeField(5)), 641)
+    assert kodaira_classify(f) == "I2"
+    with pytest.raises(ValidationError):
+        factor_11(f)
+    f, = _conjugate_pair_members(QuadExtField(QQ, 2), random.Random(3), 1)
+    with pytest.raises(ValidationError):
+        factor_11(f)
 
 
 def test_factor_11_refuses_irreducible(F101, rng):

@@ -1,7 +1,7 @@
-"""Source hygiene: every module-level import of the package is used, every
-definition is referenced from the package itself, every function the
-benchmark's tracer wraps exists, and every recorded benchmark comparison
-is machine-readable."""
+"""Source hygiene: every module-level import of the package is used, no
+package import hides inside a function, every definition is referenced
+from the package itself, every function the benchmark's tracer wraps
+exists, and every recorded benchmark comparison is machine-readable."""
 
 import ast
 import importlib
@@ -69,6 +69,27 @@ def test_no_unused_module_level_imports():
         for unused in [unused_imports(path.read_text())]
         if unused
     }
+    assert found == {}
+
+
+def nested_relative_imports(source):
+    """Line numbers of package-relative imports made anywhere but at module
+    level, as (line, module) pairs."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return sorted((node.lineno, node.module) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level and id(node) not in top)
+
+
+def test_the_scan_finds_a_function_level_import():
+    src = "from .a import b\ndef f():\n    from .c import d\n    from os import path\n    return d\n"
+    assert nested_relative_imports(src) == [(3, "c")]
+
+
+def test_no_function_level_package_imports():
+    # no import cycle needs one, so every package import sits at the top
+    found = {path.name: nested for path in sorted(PACKAGE.glob("*.py"))
+             for nested in [nested_relative_imports(path.read_text())] if nested}
     assert found == {}
 
 

@@ -70,7 +70,8 @@ def test_each_drawn_member_is_classified_once(draw, monkeypatch):
         classified.append(f)
         return real_classify(f)
 
-    monkeypatch.setattr(polyring, "random_multipoly", counted_draw)
+    for module in (polyring, curves):
+        monkeypatch.setattr(module, "random_multipoly", counted_draw)
     for module in (curves, linebundles, moduli):
         monkeypatch.setattr(module, "kodaira_classify", counted_classify)
     rng = random.Random(7)

@@ -13,11 +13,10 @@ from bimodulus.polyring import (
     MultiPoly,
     bf_divexact,
     bf_gcd,
+    bf_gcd_chain,
     bf_mul,
     bf_multiplicity_pattern,
-    bf_roots_small,
-    bf_square_decomp,
-    bf_squarefree_decomposition,
+    bf_scale,
     j_from_quartic,
     linear_resultant,
     monomial_basis,
@@ -175,25 +174,72 @@ def test_multiplicity_patterns(F101):
     assert bf_multiplicity_pattern(F101, bf_mul(F101, sq, bf_mul(F101, lin2, lin2))) == (2, 2)
     cube = bf_mul(F101, sq, lin)
     assert bf_multiplicity_pattern(F101, bf_mul(F101, cube, lin2)) == (3, 1)
-    _, parts = bf_squarefree_decomposition(F101, bf_mul(F101, cube, lin2))
-    assert sorted(m for _, m in parts) == [1, 3]
+    # l^3 m, then l^2, l and a constant
+    chain = bf_gcd_chain(F101, bf_mul(F101, cube, lin2))
+    assert [len(g) - 1 for g in chain] == [4, 2, 1, 0]
+
+
+def _proportional(a, b):
+    """Two nonzero coefficient lists of one length differ by a scalar."""
+    return (len(a) == len(b) and any(a) and any(b)
+            and all(x * b[j] == y * a[i] for i, x in enumerate(a) for j, y in enumerate(b)))
 
 
 def test_square_decomposition_detects_perfect_squares(F101, rng):
-    a = [F101.random(rng) for _ in range(3)]
-    if not any(a):
-        a[0] = F101.one()
-    sq = bf_mul(F101, a, a)
-    decomp = bf_square_decomp(F101, sq)
-    assert decomp is not None
-    unit, root = decomp
-    from bimodulus.polyring import bf_scale, bf_sub
+    # g_1 of c0 * s^2 is s up to a scalar when s is squarefree
+    for _ in range(20):
+        s = [F101.random(rng) for _ in range(3)]
+        if not any(s) or bf_multiplicity_pattern(F101, s) != (1, 1):
+            continue
+        sq = bf_scale(F101, bf_mul(F101, s, s), F101.random_nonzero(rng))
+        assert bf_multiplicity_pattern(F101, sq) == (2, 2)
+        assert _proportional(bf_gcd_chain(F101, sq)[1], s)
+        # a form with an odd-multiplicity factor is not a square
+        odd = bf_mul(F101, sq, [F101.one(), F101.one()])
+        assert any(m % 2 for m in bf_multiplicity_pattern(F101, odd))
 
-    back = bf_scale(F101, bf_mul(F101, root, root), unit)
-    assert not any(bf_sub(F101, back, sq))
-    # a form with an odd-multiplicity factor is not a square
-    odd = bf_mul(F101, sq, [F101.one(), F101.one()])
-    assert bf_square_decomp(F101, odd) is None
+
+_CHAIN_FIELDS = {"F101": PrimeField(101), "Q": QQ, "F25": QuadExtField(PrimeField(5))}
+_MULTS = [(1,), (2,), (4,), (1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1),
+          (3, 2, 1), (1, 1, 1, 1, 1, 1), (5, 1)]
+
+
+@pytest.mark.parametrize(
+    "name,mults",
+    [(name, m) for name, F in _CHAIN_FIELDS.items() for m in _MULTS
+     if not F.characteristic or sum(m) < F.characteristic])
+def test_gcd_chain_of_a_product_of_linear_forms(name, mults):
+    field = _CHAIN_FIELDS[name]
+    # prod l_i^m_i over distinct roots, the first at [1:0]: g_k has degree
+    # sum max(m_i - k, 0), and the pattern is the sorted multiplicities
+    rng = random.Random(len(mults) * 31 + sum(mults))
+    roots = [(field.one(), field.zero())]
+    while len(roots) < len(mults):
+        r = (field.random(rng), field.one())
+        if r not in roots:
+            roots.append(r)
+    c = [field.random_nonzero(rng)]
+    for r, m in zip(roots, mults):
+        for _ in range(m):
+            c = bf_mul(field, c, bf_root_linear(field, r))
+    degrees = [sum(max(m - k, 0) for m in mults) for k in range(max(mults) + 1)]
+    assert [len(g) - 1 for g in bf_gcd_chain(field, c)] == degrees
+    assert bf_multiplicity_pattern(field, c) == tuple(sorted(mults, reverse=True))
+
+
+def test_gcd_chain_of_a_constant_is_the_constant(F101):
+    assert bf_gcd_chain(F101, [F101(3)]) == [[F101(3)]]
+    assert bf_multiplicity_pattern(F101, [F101(3)]) == ()
+
+
+def test_multiplicities_need_a_nonzero_form_and_char_above_the_degree(F101):
+    F5 = PrimeField(5)
+    with pytest.raises(ValidationError):
+        bf_multiplicity_pattern(F5, [F5(1), F5(0), F5(0), F5(0), F5(2), F5(1)])
+    with pytest.raises(ValidationError):
+        bf_multiplicity_pattern(F101, [F101.zero()] * 5)
+    with pytest.raises(ValidationError):
+        bf_gcd_chain(F101, [F101.zero()] * 3)
 
 
 def test_discriminant_vanishes_where_fibers_degenerate(F101, rng):
