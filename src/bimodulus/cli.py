@@ -235,11 +235,15 @@ def cmd_psi(args):
 
 
 def cmd_roundtrip(args):
-    field = _field_for(args)
+    data = _load(args, required=False)
+    if data is not None:
+        U = instance_from_json(data)
+        if not isinstance(U, LineBundle) or U.degree_total() != 2:
+            raise ValidationError("roundtrip input must be a degree-2 bundle on a member")
+    field = _field_for(args) if data is None else U.field
     if not field.characteristic:
         raise ValidationError("the roundtrip enumerates points: use a finite field")
     rng = random.Random(args.seed)
-    data = _load(args, required=False)
     trips = []
     redraws = 0
     want = 1 if args.count is None else args.count
@@ -252,10 +256,7 @@ def cmd_roundtrip(args):
                 "stable_reps_checked": rep["stable_reps_checked"]}
 
     if data is not None:
-        obj = instance_from_json(data)
-        if not isinstance(obj, LineBundle) or obj.degree_total() != 2:
-            raise ValidationError("roundtrip input must be a degree-2 bundle on a member")
-        trips.append(trip(obj))
+        trips.append(trip(U))
     else:
         while len(trips) < want:
             try:
@@ -327,16 +328,17 @@ def cmd_mckay(args):
 
 
 def cmd_mrel_dim(args):
-    field = _field_for(args)
-    rng = random.Random(args.seed)
     data = _load(args, required=False)
     if data is not None:
         quad = instance_from_json(data)
         if not isinstance(quad, Quadruple) or quad.component != 0:
             raise ValidationError("need a component-0 quadruple")
+        field = quad.curve.field
     else:
+        field = _field_for(args)
         if not field.characteristic:
             raise ValidationError("random drawing here uses a finite field")
+        rng = random.Random(args.seed)
         for _ in range(40):
             try:
                 _, U = random_sheaf_datum(field, rng, degree=2)

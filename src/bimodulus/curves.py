@@ -155,20 +155,13 @@ def enumerate_points(f):
     pts = []
     for x in line:
         q = fiber_quadratic(f, 0, x)
-        ys = line if bf_is_zero(q) else line_roots(F, q, line, position)
+        if bf_is_zero(q):
+            ys = line
+        else:
+            roots = bf_rational_roots(F, q) or []
+            ys = [line[i] for i in sorted({position[normalize_point(F, r)] for r, _ in roots})]
         pts.extend((x, y) for y in ys)
     return pts
-
-
-def line_roots(field, q, line, position):
-    """Rational roots of a nonzero binary quadratic as points of `line`
-    (the output of `p1_points`), in `line` order; `position` maps each
-    point of `line` to its index."""
-    roots = bf_rational_roots(field, q)
-    if not roots:
-        return []
-    found = {position[normalize_point(field, r)] for r, _ in roots}
-    return [line[i] for i in sorted(found)]
 
 
 def _chart_var(pt):

@@ -109,9 +109,6 @@ class RationalField:
     def sqrt(self, x):
         return _fraction_sqrt(self.coerce(x))
 
-    def quadratic_extension(self):
-        return QuadExtField(self)
-
     def format(self, x):
         x = self.coerce(x)
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -302,9 +299,6 @@ class PrimeField:
         if self._nonresidue is None:
             self._nonresidue = next(v for v in range(2, self.p) if not self._is_residue(v))
         return FpElt(self.p, self._nonresidue)
-
-    def quadratic_extension(self):
-        return QuadExtField(self)
 
     def format(self, x):
         return f"{self.coerce(x).v} mod {self.p}"

@@ -169,21 +169,16 @@ def generate_instance(kind, field, rng, tries=60):
     if kind == "smooth-bimodule-chi1":
         return random_sheaf_datum(field, rng, degree=1, tries=tries)[1]
     if kind == "non-reduced":
-        for _ in range(tries):
-            try:
-                ku = rng.randint(-1, 2)
-                kv = rng.randint(-1, 2)
-                apic = field.random(rng)
-                if rng.random() < 0.5:
-                    deg = rng.randint(1, 2)
-                    dfin = [field.random(rng) for _ in range(deg)] + [field.one()]
-                    dinf = rng.randint(0, 1)
-                else:
-                    dfin, dinf = [], 0
-                return NRSheaf(field, ku, kv, apic, dfin, dinf)
-            except ValidationError:
-                continue
-        raise SpecialPosition("no doubled-member sheaf drawn")
+        ku = rng.randint(-1, 2)
+        kv = rng.randint(-1, 2)
+        apic = field.random(rng)
+        if rng.random() < 0.5:
+            deg = rng.randint(1, 2)
+            dfin = [field.random(rng) for _ in range(deg)] + [field.one()]
+            dinf = rng.randint(0, 1)
+        else:
+            dfin, dinf = [], 0
+        return NRSheaf(field, ku, kv, apic, dfin, dinf)
     if kind == "reducible":
         for _ in range(tries):
             try:

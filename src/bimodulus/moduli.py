@@ -12,17 +12,20 @@ checkable on random instances:
   psi0 / psi1   quadruple   -> relation coefficients on the 8 end-to-end paths
   relations_to_ci, incidence curves, and the j-matching checks
   incidence_points            rational points of the incidence curve (finite
-                              fields), one pass over x with 2x2 contractions
+                              fields): the last shadow's points, each lifted
+                              to its third coordinate
   relations_through_points    the relation plane back from those points
   phi_inverse   quadruple -> re-embedded member plus sheaf, inverse to phi
 
-A relation pair is a pair of 2x2x2 tensors.  Contracting one with a point x
-of the first line leaves a 2x2 matrix M(x); the incidence points over x are
-the roots y of det[y^T M_1(x); y^T M_2(x)] (the last shadow's fiber), each
-with the common kernel z of the two rows, so no form is evaluated at a
-point.  Over a prime field F_p this stage (the points and the relation
-plane back from them) runs on int residues in [0, p) and builds field
-elements only for its output; over F_{p^2} it runs on field elements.
+A relation pair is a pair of 2x2x2 tensors, and each of its three shadows
+(the resultant that eliminates one line factor) is the member again.  The
+incidence points are the points (x, y) of the last shadow, each with the
+common zero z of the two relations there, and the relation plane is the
+left kernel of the path monomials at those points.  Over a prime field F_p
+this stage runs on int residues in [0, p), in one pass over x with 2x2
+contractions, and builds field elements only for its output.  The
+re-embedded member of `phi_inverse` is the shadow that forgets the middle
+line.
 
 Degenerate configurations (isomorphic bundle pairs, products failing to
 span, irrational section divisors) raise DegenerateInstance or
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .curves import kodaira_classify, line_roots, member_j, normalize_point, p1_points, random_smooth_22
+from .curves import enumerate_points, kodaira_classify, member_j, normalize_point, random_smooth_22
 from .errors import DegenerateInstance, SpecialPosition, ValidationError
 from .exactmath import FpElt, PrimeField, kernel_basis, reduce_modulo, rref, subspace_equal, sum_prod
 from .linebundles import (
@@ -47,7 +50,7 @@ from .linebundles import (
     section_zero_points,
     sections_through,
 )
-from .polyring import MultiPoly, bf_is_zero, linear_resultant, monomial_basis
+from .polyring import MultiPoly, linear_resultant, monomial_basis
 from .quivers import generic_member_quiver, middle_member_quiver, theta_stable
 
 
@@ -120,12 +123,12 @@ class _ProductFrame:
         return reduce_modulo(self.red, self.piv, form_to_vec(form, self.monos))
 
 
-def _left_kernel(field, vecs, expect=None, what="products"):
+def _left_kernel(field, vecs, expect):
     rows = [list(col) for col in zip(*vecs)]
     ker = kernel_basis(field, rows, len(vecs))
-    if expect is not None and len(ker) != expect:
+    if len(ker) != expect:
         raise DegenerateInstance(
-            f"{what}: relation space has dimension {len(ker)}, expected {expect}")
+            f"products: relation space has dimension {len(ker)}, expected {expect}")
     return ker
 
 
@@ -291,54 +294,37 @@ def incidence_points(c1, c2):
     """Rational points of the incidence curve in the triple product, x-major
     with y in `p1_points` order.  Finite fields only.
 
-    One pass over x.  Contracting relation i with x leaves the 2x2 matrix
-    M_i(x) = x_0 T_i0 + x_1 T_i1; the last shadow's fiber over x is the
-    binary quadratic det[y^T M_1(x); y^T M_2(x)], and above each of its
-    roots y the coordinate z spans the common kernel of the two rows.  The
-    fiber quadratic is a quadratic in x whose three coefficients are
-    computed once, and a fiber is contracted only when it carries points.
-
-    Over F_p the pass runs on residues in [0, p) and builds each output
-    point once; over F_{p^2} it runs on field elements."""
+    The points (x, y) of the last shadow, which eliminates z, each with the
+    common zero z of the two relations there; a zero shadow means that the
+    relations share a linear factor.  Over F_p the same points come from
+    one pass over x on residues in [0, p): contracting relation i with x
+    leaves the 2x2 matrix M_i(x) = x_0 T_i0 + x_1 T_i1, the shadow's fiber
+    over x is the binary quadratic det[y^T M_1(x); y^T M_2(x)], whose three
+    coefficients in x are computed once, and a fiber is contracted only
+    when it carries points."""
     field = c1.field
     if not field.characteristic:
         raise ValidationError("point enumeration needs a finite field")
     t1, t2 = _tensor(c1), _tensor(c2)
     if isinstance(field, PrimeField):
         return _incidence_points_mod_p(field, t1, t2)
-    s00, s01, s11 = _fiber_coefficients(t1, t2)
-    line = p1_points(field)
-    position = {pt: i for i, pt in enumerate(line)}
+    shadow = linear_resultant(c1, c2, 2)
+    if shadow.is_zero():
+        raise DegenerateInstance("relations share a linear factor")
     pts = []
-    zero_fibers = 0
-    for x in line:
-        x0, x1 = x
-        w0, w1, w2 = x0 * x0, x0 * x1, x1 * x1
-        q = [w0 * u + w1 * v + w2 * w for u, v, w in zip(s00, s01, s11)]
-        if bf_is_zero(q):
-            # a (2,2) shadow vanishing on three x-fibers is zero
-            zero_fibers += 1
-            if zero_fibers == 3:
-                raise DegenerateInstance("relations share a linear factor")
-            ys = line
-        else:
-            ys = line_roots(field, q, line, position)
-        if not ys:
-            continue
-        a, b, c, d = [x0 * u + x1 * v for u, v in zip(t1[:4], t1[4:])]
-        e, f, g, h = [x0 * u + x1 * v for u, v in zip(t2[:4], t2[4:])]
-        for y in ys:
-            y0, y1 = y
-            v1 = (a * y0 + c * y1, b * y0 + d * y1)
-            v2 = (e * y0 + g * y1, f * y0 + h * y1)
-            if not any(v1) and not any(v2):
-                raise DegenerateInstance("incidence curve has a one-dimensional fiber")
-            # common zero of u0 z0 + u1 z1: direction (u1, -u0)
-            u = v1 if any(v1) else v2
-            z = normalize_point(field, (u[1], -u[0]))
-            if any(v2) and (v2[0] * z[0] + v2[1] * z[1]):
-                raise AssertionError("shadow point without a common third coordinate")
-            pts.append((x, y, z))
+    for x, y in enumerate_points(shadow):
+        # entries k, k+2, k+4, k+6 of a tensor multiply z_k by x_0 y_0,
+        # x_0 y_1, x_1 y_0 and x_1 y_1
+        xy = [xi * yj for xi in x for yj in y]
+        v1, v2 = ([sum_prod(xy, t[k::2]) for k in (0, 1)] for t in (t1, t2))
+        if not any(v1) and not any(v2):
+            raise DegenerateInstance("incidence curve has a one-dimensional fiber")
+        # common zero of u0 z0 + u1 z1: direction (u1, -u0)
+        u = v1 if any(v1) else v2
+        z = normalize_point(field, (u[1], -u[0]))
+        if any(v2) and (v2[0] * z[0] + v2[1] * z[1]):
+            raise AssertionError("shadow point without a common third coordinate")
+        pts.append((x, y, z))
     return pts
 
 
@@ -431,31 +417,20 @@ def relations_through_points(field, pts):
     points; equals the span of the relations once the point count exceeds
     the zero bound for trilinear sections.
 
-    Rows are reduced one at a time until six are independent; every later
-    row is then checked against the two kernel vectors.  When all pass, the
-    kernel of the six is the kernel of all rows, and rref is canonical, so
-    the basis is the one a full elimination returns.  Over F_p the rows,
-    their reduction and the check run on residues in [0, p), and only the
-    kernel is made of field elements; otherwise on field elements."""
+    Over F_p the rows are reduced on residues in [0, p), one at a time
+    until six are independent, and every later row is then checked against
+    the two kernel vectors.  When all pass, the kernel of the six is the
+    kernel of all rows, and rref is canonical, so the basis is the one
+    `kernel_basis` of all rows returns; only the kernel is made of field
+    elements."""
     # a trilinear form off the relation plane restricts to a nonzero section
     # of a degree-6 bundle on the incidence curve: at most 6 zeros
     if len(pts) <= 6:
         raise DegenerateInstance("too few rational points to pin the ideal down")
     if isinstance(field, PrimeField):
         return _relations_through_points_mod_p(field, pts)
-    rows = map(_path_values, pts)  # one iterator: the check resumes it
-    basis, pivots = [], []
-    for row in rows:
-        w = reduce_modulo(basis, pivots, row)
-        pc = next((i for i, a in enumerate(w) if a), None)
-        if pc is not None:
-            inv = field.one() / w[pc]
-            basis.append([a * inv for a in w])
-            pivots.append(pc)
-            if len(basis) == 6:
-                break
-    ker = kernel_basis(field, basis, 8)
-    if len(ker) != 2 or any(sum_prod(row, v) for row in rows for v in ker):
+    ker = kernel_basis(field, [_path_values(pt) for pt in pts], 8)
+    if len(ker) != 2:
         raise DegenerateInstance("point conditions did not cut the relation plane")
     return ker
 
@@ -507,50 +482,43 @@ def point_representation(point):
 def phi_inverse(quad, rng, tries=40):
     """Member-plus-sheaf datum reconstructed from a component-0 quadruple.
 
-    The member is re-embedded through the section bases of L2 and L0 (its
-    equation is the unique relation among the nine products of symmetric
-    pairs); the sheaf is the (1,1)-restriction minus the transported zero
-    divisor of a section of L0^2 (x) L1^(-1) with reduced rational zeros.
+    The member is re-embedded through the section bases s of L2 and t of
+    L0: the shadow of `psi0`'s relation pair that forgets L1 is the image
+    of W under (t, s), so with its two blocks swapped it is the member in
+    (s, t).  The sheaf is the (1,1)-restriction minus the transported zero
+    divisor of a section of L0^2 (x) L1^(-1) with reduced rational zeros,
+    redrawn while the divisor meets a point where s or t vanishes.
     Returns (curve, sheaf, (s_basis, t_basis))."""
     if quad.component != 0:
         raise ValidationError("the reconstruction needs component 0")
     curve = quad.curve
     field = curve.field
-    S2, S0 = section_space(quad.L2), section_space(quad.L0)
-    s, t = S2.forms(), S0.forms()
-    frame = _ProductFrame(curve, [S2, S2, S0, S0])
-    sym = ((0, 0), (0, 1), (1, 1))
-    vecs = []
-    for (i, j) in sym:
-        for (k, l) in sym:
-            vecs.append(frame.vec(s[i] * s[j] * t[k] * t[l]))
-    ker = _left_kernel(field, vecs, expect=1, what="re-embedding products")
-    terms = {}
-    for a in range(3):
-        for b in range(3):
-            v = ker[0][3 * a + b]
-            if v:
-                terms[(2 - a, a, 2 - b, b)] = v
-    fprime = MultiPoly(field, (2, 2), terms)
+    c1, c2 = relations_to_ci(field, psi0(quad))
+    shadow = linear_resultant(c1, c2, 1)
+    fprime = MultiPoly(field, (2, 2), {e[2:] + e[:2]: c for e, c in shadow.terms.items()})
     if kodaira_classify(fprime) != "I0":
         raise DegenerateInstance("re-embedded member is not smooth")
     new_curve = Curve(fprime, kind="I0")
 
+    S2, S0 = section_space(quad.L2), section_space(quad.L0)
+    s, t = S2.forms(), S0.forms()
+    # the section bases vanish together exactly at their reps' minus points
+    base = S2.rep.minus + S0.rep.minus
     B = quad.L0.tensor(quad.L0).tensor(quad.L1.inverse())
     SB = section_space(B)
     if SB.dim() != 2:
         raise AssertionError("twisting bundle with unexpected section count")
-    divisor = None
     for _ in range(tries):
         form = SB.form(0).scale(field.random(rng)) + SB.form(1).scale(field.random(rng))
         if form.is_zero():
             continue
         try:
             divisor = section_zero_points(SB.rep, form)
-            break
         except SpecialPosition:
             continue
-    if divisor is None:
+        if not any(p in base for p in divisor):
+            break
+    else:
         raise DegenerateInstance("no section with reduced rational zeros found")
 
     def transport(p):
@@ -558,8 +526,7 @@ def phi_inverse(quad, rng, tries=40):
         tv = (t[0].eval_full(list(p)), t[1].eval_full(list(p)))
         return (normalize_point(field, sv), normalize_point(field, tv))
 
-    pts = [transport(p) for p in divisor]
-    sheaf = LineBundle(new_curve, 1, 1, minus=pts)
+    sheaf = LineBundle(new_curve, 1, 1, minus=[transport(p) for p in divisor])
     if sheaf.degree_total() != 2:
         raise AssertionError("reconstructed sheaf has the wrong degree")
     return new_curve, sheaf, (s, t)

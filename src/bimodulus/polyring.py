@@ -14,7 +14,7 @@ is valid over Q and over F_p with p > deg.
 from __future__ import annotations
 
 from .errors import SpecialPosition, ValidationError
-from .exactmath import scalar_from_json, scalar_to_json
+from .exactmath import QuadExtField, scalar_from_json, scalar_to_json
 
 
 def monomial_basis(degree):
@@ -495,12 +495,14 @@ def bf_roots_small(field, c):
     """All projective roots with multiplicity, for deg(c) <= 2.
 
     Returns (field_used, [((a0, a1), mult)]); coordinates live in `field` when
-    the form splits there and otherwise in its default quadratic extension.
+    the form splits there and otherwise in the default quadratic extension of
+    a prime field.  Over Q and F_{p^2}, which have none, conjugate roots raise
+    ValidationError.
     """
     roots = bf_rational_roots(field, c)
     if roots is not None:
         return field, roots
-    E = field.quadratic_extension()
+    E = QuadExtField(field)
     return E, bf_rational_roots(E, [E.coerce(x) for x in c])
 
 

@@ -3,7 +3,8 @@
 Deliberately naive and local: points of a member by evaluating the form
 at every point of P1 x P1, incidence points by evaluating both relations
 at each point of their enumerated last shadow, split fibers and sampled
-smooth points by solving every fiber afresh on each call, residual
+smooth points by solving every fiber afresh on each call, the member
+of `phi_inverse` as the relation among nine products of sections, residual
 points of fibers by division by a linear form, j through
 cross-ratios of actual branch points, member classification through
 exhaustive singular-point inspection over a quadratic extension and
@@ -26,8 +27,8 @@ from bimodulus.curves import (
     validate_support,
 )
 from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationError
-from bimodulus.exactmath import reduce_modulo, rref
-from bimodulus.linebundles import _fiber_scan
+from bimodulus.exactmath import QuadExtField, kernel_basis, reduce_modulo, rref
+from bimodulus.linebundles import _fiber_scan, form_to_vec, ideal_slice, section_space
 from bimodulus.moduli import ci_shadows
 from bimodulus.polyring import (
     MultiPoly,
@@ -36,6 +37,7 @@ from bimodulus.polyring import (
     bf_multiplicity_pattern,
     bf_rational_roots,
     j_from_quartic,
+    monomial_basis,
 )
 
 
@@ -143,6 +145,28 @@ def shadow_incidence_points(c1, c2):
     return pts
 
 
+def reembedded_member(quad):
+    """The member of a component-0 quadruple re-embedded through the
+    section bases s of L2 and t of L0: the unique linear relation among the
+    nine products s_i s_j t_k t_l of symmetric pairs modulo the member,
+    read as a (2,2)-form in (s, t).  Raises DegenerateInstance when the
+    relation is not unique."""
+    field = quad.curve.field
+    s, t = section_space(quad.L2).forms(), section_space(quad.L0).forms()
+    sym = ((0, 0), (0, 1), (1, 1))
+    products = [s[i] * s[j] * t[k] * t[l] for (i, j) in sym for (k, l) in sym]
+    degree = products[0].degree
+    monos = monomial_basis(degree)
+    ideal = ideal_slice(quad.curve.f, *degree)
+    red, piv = rref(field, ideal) if ideal else ([], [])
+    vecs = [reduce_modulo(red, piv, form_to_vec(g, monos)) for g in products]
+    ker = kernel_basis(field, [list(col) for col in zip(*vecs)], len(vecs))
+    if len(ker) != 1:
+        raise DegenerateInstance(f"re-embedding products: {len(ker)} relations")
+    terms = {(2 - a, a, 2 - b, b): ker[0][3 * a + b] for a in range(3) for b in range(3)}
+    return MultiPoly(field, (2, 2), {e: c for e, c in terms.items() if c})
+
+
 def split_fiber_scan(f, side, avoid):
     """First fiber of the chosen ruling, in `_fiber_scan` order, meeting
     the member in two distinct rational smooth points outside `avoid`;
@@ -206,7 +230,7 @@ def j_from_cross_ratio(field, roots):
 def quartic_roots_in_extension(field, quartic):
     """Projective roots of a binary quartic over the quadratic extension of
     a prime field."""
-    ext = field.quadratic_extension()
+    ext = QuadExtField(field)
     coeffs = [ext.coerce(c) for c in quartic]
     return ext, [pt for pt in p1_points(ext) if not bf_eval(ext, coeffs, pt)]
 
@@ -225,7 +249,7 @@ def brute_member_kind(f):
     worst a node when there are two.
     """
     field = f.field
-    ext = field.quadratic_extension()
+    ext = QuadExtField(field)
     fe = f.coerce_to(ext)
     pts = enumerate_points(fe)  # cross-checked against brute_points in the tests
     sing = [p for p in pts if _is_singular(fe, p)]

@@ -14,8 +14,10 @@ import pytest
 from bimodulus import curves, jsonio, linebundles
 from bimodulus.cli import COMMANDS, main
 from bimodulus.curves import make_kind
-from bimodulus.exactmath import PrimeField
+from bimodulus.errors import DegenerateInstance
+from bimodulus.exactmath import QQ, PrimeField
 from bimodulus.jsonio import generate_instance, instance_to_json
+from bimodulus.moduli import phi, random_sheaf_datum
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from cli_digest import lift_to_fp2  # noqa: E402
@@ -200,6 +202,40 @@ def test_every_command_is_wired():
     assert len(COMMANDS) == 14
 
 
+def test_the_digest_runs_every_command():
+    digest = Path(__file__).resolve().parent / "data" / "cli_digest.txt"
+    run_commands = {line.split()[2] for line in digest.read_text().splitlines()}
+    assert set(COMMANDS) <= run_commands
+
+
+def component0_quadruple(field, seed):
+    rng = random.Random(seed)
+    while True:
+        _, U = random_sheaf_datum(field, rng)
+        try:
+            return phi(U)
+        except DegenerateInstance:
+            continue  # the sheaf hit a ruling pullback; redraw
+
+
+@pytest.mark.parametrize("prime", [11, 0])
+def test_mrel_dim_reads_the_field_of_its_instance(capsys, tmp_path, prime):
+    # --prime only picks the field of a draw; the F_11 quadruple would be
+    # coerced into F_101, and the Q one has a denominator divisible by 5
+    field = PrimeField(11) if prime else QQ
+    path = write_instance(tmp_path, "quad.json", component0_quadruple(field, 54))
+    code, rep = run(capsys, "mrel-dim", "--in", path)
+    assert code == 0 and rep["agree"] and rep["action_rank"] == 13
+    assert run(capsys, "mrel-dim", "--in", path, "--prime", "5") == (code, rep)
+
+
+def test_roundtrip_reads_the_field_of_its_instance(capsys, tmp_path):
+    body = generated_body(capsys, "smooth-bimodule-chi2", "--prime", "11", "--seed", "0")
+    code, rep = run_on(capsys, tmp_path, "roundtrip", body)
+    assert code == 0 and rep["trips"][0]["points"] > 6
+    assert run_on(capsys, tmp_path, "roundtrip", body, "--prime", "0") == (code, rep)
+
+
 def test_small_characteristic_is_exit_2(capsys):
     for cmd in ("toric-check", "mckay", "roundtrip"):
         code, rep = run(capsys, cmd, "--prime", "2")
@@ -228,10 +264,10 @@ def generated_body(capsys, *argv):
     return body
 
 
-def run_on(capsys, tmp_path, command, body):
+def run_on(capsys, tmp_path, command, body, *argv):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(body))
-    return run(capsys, command, "--in", str(path))
+    return run(capsys, command, "--in", str(path), *argv)
 
 
 def drop_exp(body):

@@ -30,7 +30,7 @@ from bimodulus.moduli import (
 )
 from bimodulus.polyring import MultiPoly
 from bimodulus.quivers import generic_member_quiver, theta_stable
-from oracles import shadow_incidence_points
+from oracles import reembedded_member, shadow_incidence_points
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +183,52 @@ def test_phi_inverse_reconstructs_the_sheaf(datum):
     assert curve2.f.proportional(curve.f)
     back = LineBundle(curve, 1, 1, minus=sheaf.minus)
     assert isomorphic(back, U)
+
+
+def phi_inverse_draw(F, seed):
+    """phi_inverse on the seeded component-0 quadruple: (quadruple, result)."""
+    quad = random_quadruple(F, random.Random(seed), component=0)
+    return quad, phi_inverse(quad, random.Random(1000 + seed))
+
+
+@pytest.mark.parametrize("name, seeds", [
+    ("F11", (0, 1, 5, 9, 10, 13, 19)), ("F101", (1, 12)), ("F25", (5, 7, 18, 19, 28, 29))])
+def test_phi_inverse_redraws_a_divisor_through_a_base_point(name, seeds):
+    # at these seeds the first section with reduced rational zeros vanishes
+    # at a point where both sections of L2 (or of L0) vanish, a point with
+    # no image in the re-embedding
+    for seed in seeds:
+        _, (curve, sheaf, _) = phi_inverse_draw(FIELDS[name], seed)
+        assert curve.kind == "I0" and sheaf.degree_total() == 2
+        assert len(set(sheaf.minus)) == 2
+
+
+def test_phi_inverse_raises_only_redraw_errors_over_f11():
+    # a valid quadruple is never invalid input; the remaining failures are
+    # special positions that a caller redraws
+    done = 0
+    for seed in range(40):
+        try:
+            phi_inverse_draw(FIELDS["F11"], seed)
+        except (DegenerateInstance, SpecialPosition):
+            continue
+        done += 1
+    assert done >= 20
+
+
+@pytest.mark.parametrize("name", ["F11", "F101", "F1009", "F25"])
+def test_phi_inverse_member_is_the_product_reembedding(name):
+    # the shadow of psi0's relations that forgets L1 is the one relation
+    # among the nine symmetric products of the sections of L2 and L0
+    compared = 0
+    for seed in range(10):
+        try:
+            quad, (curve, _, _) = phi_inverse_draw(FIELDS[name], seed)
+        except (DegenerateInstance, SpecialPosition):
+            continue
+        assert curve.f.proportional(reembedded_member(quad))
+        compared += 1
+    assert compared >= 4
 
 
 def test_roundtrip_report(datum):

@@ -16,6 +16,7 @@ from bimodulus.polyring import (
     bf_gcd_chain,
     bf_mul,
     bf_multiplicity_pattern,
+    bf_roots_small,
     bf_scale,
     j_from_quartic,
     linear_resultant,
@@ -240,6 +241,20 @@ def test_multiplicities_need_a_nonzero_form_and_char_above_the_degree(F101):
         bf_multiplicity_pattern(F101, [F101.zero()] * 5)
     with pytest.raises(ValidationError):
         bf_gcd_chain(F101, [F101.zero()] * 3)
+
+
+def test_bf_roots_small_extends_only_prime_fields():
+    F7 = PrimeField(7)
+    assert bf_roots_small(F7, [1, 0, -1])[0] is F7
+    E, roots = bf_roots_small(F7, [1, 0, 1])  # -1 is not a square mod 7
+    assert isinstance(E, QuadExtField) and E.base is F7 and len(roots) == 2
+    assert all(m == 1 and not bf_eval(E, [1, 0, 1], r) for r, m in roots)
+    # Q and F_25 have no default quadratic extension
+    F25 = QuadExtField(PrimeField(5))
+    d = next(e for e in F25.elements() if e and F25.sqrt(e) is None)
+    for F, c in ((QQ, [1, 0, -2]), (F25, [F25.one(), F25.zero(), -d])):
+        with pytest.raises(ValidationError):
+            bf_roots_small(F, c)
 
 
 def test_discriminant_vanishes_where_fibers_degenerate(F101, rng):

@@ -11,13 +11,16 @@ The digest is also committed as `tests/data/cli_digest.txt`, which CI
 diffs against; a change that alters a report by design regenerates it.
 
 The list: `generate` for every kind at `--prime 0`, 101 and 11, seeds
-0-3; `classify`, `split`, `stability` and `cech` on each generated
-instance (its `validation` entry stripped); then a few commands without
-input files.  Last, for every kind at `--prime` 5, 7 and 11, seeds 0-1,
-the generated instance is lifted to F_{p^2} (`lift_to_fp2`): `psi` runs
-on each lifted quadruple, and `classify`, `split` and `stability` on each
-other lift, with `roundtrip --in` on the smooth chi = 2 bundles.  Then
-two round trips at larger primes (103 and 10007).  395 commands in all.
+0-3; `classify`, `split`, `stability`, `cech` and `ext` on each generated
+instance (its `validation` entry stripped), and `psi` and `mrel-dim --in`
+on each generated quadruple; then a few commands without input files,
+and `hom-matrix` on one descriptor file and one pair file.  Last, for
+every kind at `--prime` 5, 7 and 11, seeds 0-1, the generated instance is
+lifted to F_{p^2} (`lift_to_fp2`): `psi` runs on each lifted quadruple,
+and `classify`, `split` and `stability` on each other lift, with
+`roundtrip --in` on the smooth chi = 2 bundles.  Then two round trips at
+larger primes (103 and 10007).  484 commands in all, and every command
+of the CLI among them.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bimodulus.cli import main  # noqa: E402
-from bimodulus.exactmath import PrimeField  # noqa: E402
+from bimodulus.exactmath import PrimeField, QuadExtField  # noqa: E402
 from bimodulus.jsonio import GENERATE_KINDS  # noqa: E402
 
-ON_EACH_INSTANCE = ("classify", "split", "stability", "cech")
+ON_EACH_INSTANCE = ("classify", "split", "stability", "cech", "ext")
+ON_EACH_QUADRUPLE = ("psi", "mrel-dim")
 WITHOUT_INPUT = (
     ["roundtrip", "--seed", "3", "--count", "2"],
     ["roundtrip", "--prime", "11", "--seed", "1"],
@@ -45,7 +49,16 @@ WITHOUT_INPUT = (
     ["mckay"],
     ["mckay", "--seed", "2"],
     ["hochschild"],
+    ["toric-check"],
+    ["mrel-dim"],
+    ["mrel-dim", "--prime", "11", "--seed", "1"],
 ) + tuple(["generate", "non-reduced", "--seed", str(s)] for s in (2000, 2001, 2002))
+HOM_MATRIX_INPUTS = {
+    "hom-descriptor.json": {"m": 1, "shifted_flag": True, "descriptor": {
+        "type": "descriptor", "kind": "integral",
+        "params": {"chi": 2, "invertible": True, "v_pullback": False}}},
+    "hom-pairs.json": {"m": 1, "ab": [0, 0], "ab_prime": [-1, -1]},
+}
 AT_LARGER_PRIMES = (
     ["roundtrip", "--prime", "103", "--seed", "1"],
     ["roundtrip", "--prime", "10007", "--seed", "0"],
@@ -64,7 +77,7 @@ def lift_to_fp2(body):
     becomes the default quadratic extension and every scalar "v mod p"
     becomes "[v,0] mod p adjoin sqrt(d)"."""
     p = body["field"]["p"]
-    d = PrimeField(p).quadratic_extension().d.v
+    d = QuadExtField(PrimeField(p)).d.v
     text = re.sub(rf'"(-?\d+) mod {p}"', rf'"[\1,0] mod {p} adjoin sqrt({d})"', json.dumps(body))
     lifted = json.loads(text)
     lifted["field"] = {"kind": "quad-ext", "base": body["field"], "d": d}
@@ -103,11 +116,16 @@ def main_digest():
                     emit(argv, code, text)
                     path = Path(tmp) / f"{kind}-{prime}-{seed}.json"
                     path.write_text(json.dumps(body))
-                    for command in ON_EACH_INSTANCE:
+                    commands = ON_EACH_INSTANCE + (ON_EACH_QUADRUPLE if kind == "quadruple" else ())
+                    for command in commands:
                         code, text = run([command, "--in", str(path)])
                         emit([command, "--in", path.name], code, text)
         for argv in WITHOUT_INPUT:
             emit(argv, *run(list(argv)))
+        for name, body in HOM_MATRIX_INPUTS.items():
+            path = Path(tmp) / name
+            path.write_text(json.dumps(body))
+            emit(["hom-matrix", "--in", name], *run(["hom-matrix", "--in", str(path)]))
         for kind, commands in ON_EACH_LIFT.items():
             for prime in (5, 7, 11):
                 for seed in range(2):
