@@ -10,13 +10,18 @@ meeting transversally (I2) or tangentially (III), and a doubled (1,1) curve
 
 Also provides the pointwise utilities (fibers, residual intersection points,
 smoothness tests, random instances of each type) that the sheaf machinery in
-the rest of the package is built on.
+the rest of the package is built on.  A `FiberTable` restricts and solves
+each fiber once, over F_p on residues, with the roots in
+`bf_rational_roots` order, and tests each point's smoothness once: on a
+member its caller knows to be smooth only whether the point is on it,
+otherwise through the member's four chart partials, computed once per
+table.
 """
 
 from __future__ import annotations
 
 from .errors import SpecialPosition, ValidationError
-from .exactmath import QuadExtField, kernel_basis
+from .exactmath import FpElt, PrimeField, QuadExtField, kernel_basis
 from .polyring import (
     MultiPoly,
     bf_divexact,
@@ -178,6 +183,25 @@ def local_derivatives(f, pair):
     return tuple(out)
 
 
+def residue_roots(field, q):
+    """Rational roots of a nonzero binary quadratic [q0, q1, q2] of
+    residues over F_p, each once, in `bf_rational_roots` order, as
+    `p1_points` indices (i < p for (i, 1), p for (1, 0)); None when they
+    are conjugate."""
+    p = field.p
+    q0, q1, q2 = q
+    if not q0:
+        return [p, -q2 * pow(q1, -1, p) % p] if q1 else [p]
+    inv = pow(2 * q0, -1, p)
+    disc = (q1 * q1 - 4 * q0 * q2) % p
+    if not disc:
+        return [-q1 * inv % p]
+    r = field.sqrt(disc)
+    if r is None:
+        return None
+    return [(-q1 + r.v) * inv % p, (-q1 - r.v) * inv % p]
+
+
 def fiber_quadratic(f, side, pt):
     """Restriction of f to the fiber through pt of the chosen ruling
     (side 0 fixes the first block), as a binary form on the other block."""
@@ -193,18 +217,23 @@ class FiberTable:
 
     Keyed by ruling (side 0 fixes the first block) and fiber point, it
     records the fiber's rational points on the member, or that its two
-    roots are conjugate, or that the fiber lies in the member.  Smoothness
-    is read off the four chart partials of the form, computed at the first
-    test and kept with the table; f is evaluated only at points that no
-    fiber restriction has found on the member."""
+    roots are conjugate, or that the fiber lies in the member.  Over F_p a
+    fiber is restricted and solved on residues.  When the caller knows the
+    member to be smooth (`smooth`, as a Curve of type I0 does), every point
+    on it is smooth, and a test only checks that the point is on the
+    member.  Otherwise smoothness is read off the four chart partials of
+    the form, computed at the first test and kept with the table.  f is
+    evaluated only at points that no fiber restriction has found on the
+    member."""
 
-    __slots__ = ("f", "_points", "_smooth", "_partials")
+    __slots__ = ("f", "_points", "_smooth", "_partials", "_member_smooth")
 
-    def __init__(self, f):
+    def __init__(self, f, smooth=False):
         self.f = f
         self._points = {}
         self._smooth = {}
         self._partials = None
+        self._member_smooth = smooth
 
     def points(self, side, x):
         """Normalized points of the member on the fiber through x, one per
@@ -220,14 +249,32 @@ class FiberTable:
 
     def _restrict(self, side, x):
         F = self.f.field
-        q = fiber_quadratic(self.f, side, x)
-        if bf_is_zero(q):
-            return _IN_MEMBER
-        roots = bf_rational_roots(F, q)
-        if roots is None:
-            return None
+        if isinstance(F, PrimeField):
+            # the fiber quadratic on residues: the block fixed by x has
+            # degree 2, so each term takes one of x0^2, x0 x1, x1^2
+            p = F.p
+            x0, x1 = (F.coerce(c).v for c in x)
+            t = (x0 * x0, x0 * x1, x1 * x1)
+            q = [0, 0, 0]
+            for e, c in self.f.terms.items():
+                q[e[3 - 2 * side]] += c.v * t[e[2 * side + 1]]
+            q = [a % p for a in q]
+            if not any(q):
+                return _IN_MEMBER
+            roots = residue_roots(F, q)
+            if roots is None:
+                return None
+            one = F.one()
+            ys = [(FpElt(p, i), one) if i < p else (one, F.zero()) for i in roots]
+        else:
+            q = fiber_quadratic(self.f, side, x)
+            if bf_is_zero(q):
+                return _IN_MEMBER
+            roots = bf_rational_roots(F, q)
+            if roots is None:
+                return None
+            ys = [normalize_point(F, r) for r, _ in roots]
         xn = normalize_point(F, x)
-        ys = [normalize_point(F, r) for r, _ in roots]
         pts = tuple((xn, y) if side == 0 else (y, xn) for y in ys)
         for pt in pts:
             self._smooth.setdefault(pt, None)  # on the member, smoothness untested
@@ -245,19 +292,23 @@ class FiberTable:
 
     def is_smooth(self, pair):
         """Whether the normalized point `pair` of the member is smooth on
-        it: some affine-chart partial is nonzero there.  Raises
-        ValidationError when the point is not on the member."""
+        it: the member is smooth, or some affine-chart partial is nonzero
+        there.  Raises ValidationError when the point is not on the
+        member."""
         smooth = self._smooth.get(pair)
         if smooth is None:
             # a point found on a fiber is on the member without evaluating f
             if pair not in self._smooth and not on_curve(self.f, pair):
                 raise ValidationError("point is not on the curve")
-            if self._partials is None:
-                self._partials = tuple(tuple(self.f.partial(block, var) for var in (0, 1))
-                                       for block in (0, 1))
-            smooth = self._smooth[pair] = any(
-                self._partials[block][_chart_var(pair[block])].eval_full(pair)
-                for block in (0, 1))
+            if self._member_smooth:
+                smooth = True
+            else:
+                if self._partials is None:
+                    self._partials = tuple(tuple(self.f.partial(block, var) for var in (0, 1))
+                                           for block in (0, 1))
+                smooth = any(self._partials[block][_chart_var(pair[block])].eval_full(pair)
+                             for block in (0, 1))
+            self._smooth[pair] = smooth
         return smooth
 
 

@@ -18,8 +18,11 @@ the field's ``coerce`` into one of three representations, each with one
 row-echelon loop: residues in [0, p) over F_p, fraction-free primitive
 integer rows over Q, and field elements over a quadratic extension.  The
 loop clears each row at its leading column against the pivot rows keyed
-there; `sparse_rank` counts the pivot rows, and `rref` also runs its back
-substitution through the loop and builds field elements once, at exit.
+there; `sparse_rank` and `rank` count the pivot rows, and `rref` also runs
+its back substitution through the loop and builds field elements once, at
+exit.  Over F_p, ints are read as residues without `coerce`, and
+`reduce_modulo` reduces a vector against an echelon basis on residues,
+making field elements only of its result.
 """
 
 from __future__ import annotations
@@ -595,7 +598,13 @@ def rref(field, rows):
 
 
 def rank(field, rows):
-    return len(rref(field, rows)[0])
+    """The number of pivot rows of the field's echelon loop: no back
+    substitution, and no row is written out.  With no rows, or rows of no
+    columns, there is nothing to eliminate."""
+    if not rows or not rows[0]:
+        return 0
+    read, echelon, _ = _representation(field)
+    return len(echelon(field, read(field, map(enumerate, rows))))
 
 
 def kernel_basis(field, rows, ncols):
@@ -613,11 +622,23 @@ def kernel_basis(field, rows, ncols):
     return basis
 
 
-def reduce_modulo(red, pivots, vec):
+def reduce_modulo(field, red, pivots, vec):
     """vec minus its components along the rows of a reduced row echelon
     basis (as returned by rref); zero exactly when vec lies in their span.
     Rows built up one at a time also do, if each is 1 at its pivot and 0 at
-    the pivots of the rows before it."""
+    the pivots of the rows before it.  Over F_p the entries of vec are read
+    once (as `rref` reads them) and reduced as residues, and the result is
+    made of field elements at exit."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        w = [0] * len(vec)
+        for c, v in next(_read_mod_p(field, [enumerate(vec)])).items():
+            w[c] = v
+        for r, pc in zip(red, pivots):
+            c = w[pc] % p
+            if c:
+                w = [a - c * b.v for a, b in zip(w, r)]
+        return [FpElt(p, a) for a in w]
     w = list(vec)
     for r, pc in zip(red, pivots):
         if w[pc]:
@@ -663,10 +684,12 @@ def _representation(field):
 
 def _read_mod_p(field, rows):
     p, coerce = field.p, field.coerce
-    # anything but an FpElt of this field goes through coerce, which rejects
-    # other primes and denominators divisible by p
+    # ints are reduced as they are; anything but an int or an FpElt of this
+    # field goes through coerce, which rejects other primes and denominators
+    # divisible by p
     return ({c: v for c, x in row
-             if (v := x.v if x.__class__ is FpElt and x.p == p else coerce(x).v)}
+             if (v := x.v if x.__class__ is FpElt and x.p == p
+                 else x % p if x.__class__ is int else coerce(x).v)}
             for row in rows)
 
 

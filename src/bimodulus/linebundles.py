@@ -14,7 +14,11 @@ Once (m,n) is large enough that the ambient restriction
 H0(O(m,n)) -> H0(O(m,n)|_W) is onto (a Kunneth condition on O(m-2,n-2)),
 global sections are exactly the ambient forms vanishing on Z_minus, taken
 modulo the ideal slice f*H0(O(m-2,n-2)).  All ranks, bases and products are
-computed from that model.
+computed from that model.  Over F_p the point conditions are rows of
+residues, read by the elimination as they are, and the vanishing forms are
+reduced modulo the ideal slice on residues.  A Curve of type I0 tells its
+fiber table that the member is smooth, so no smoothness test computes a
+partial derivative.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .curves import (
     random_smooth_point,
 )
 from .errors import SpecialPosition, ValidationError
-from .exactmath import kernel_basis, rank, reduce_modulo, rref
+from .exactmath import PrimeField, kernel_basis, rank, reduce_modulo, rref
 from .polyring import MultiPoly, monomial_basis, monomial_values
 
 
@@ -49,7 +53,7 @@ class Curve:
         if self.kind == "NonReduced":
             raise ValidationError("doubled curves use the thickened-diagonal model")
         self._components = None
-        self.fibers = FiberTable(f)
+        self.fibers = FiberTable(f, smooth=self.kind == "I0")
 
     @property
     def field(self):
@@ -260,6 +264,15 @@ def _eval_rows(field, points, monos):
         return [[] for _ in points]
     dx, dy = monos[0][0] + monos[0][1], monos[0][2] + monos[0][3]
     rows = []
+    if isinstance(field, PrimeField):
+        # rows of residues, which the echelon loop reads as they are
+        p = field.p
+        for x, y in points:
+            (x0, x1), (y0, y1) = [(a.v, b.v) for a, b in (x, y)]
+            tx = [pow(x0, dx - i, p) * pow(x1, i, p) % p for i in range(dx + 1)]
+            ty = [pow(y0, dy - i, p) * pow(y1, i, p) % p for i in range(dy + 1)]
+            rows.append([tx[e[1]] * ty[e[3]] % p for e in monos])
+        return rows
     for x, y in points:
         tx, ty = monomial_values(field, x, dx), monomial_values(field, y, dy)
         rows.append([tx[e[1]] * ty[e[3]] for e in monos])
@@ -322,7 +335,7 @@ def sections_through(field, points, monos, red, piv):
     echelon basis (red, piv) of an ideal slice: (reduced echelon basis of
     the quotient, dimension of the vanishing forms before the quotient)."""
     V = kernel_basis(field, _eval_rows(field, points, monos), len(monos))
-    reduced = [w for w in (reduce_modulo(red, piv, v) for v in V) if any(w)]
+    reduced = [w for w in (reduce_modulo(field, red, piv, v) for v in V) if any(w)]
     return rref(field, reduced)[0], len(V)
 
 

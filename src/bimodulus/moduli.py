@@ -27,6 +27,12 @@ contractions, and builds field elements only for its output.  The
 re-embedded member of `phi_inverse` is the shadow that forgets the middle
 line.
 
+Over F_p the products of sections behind `psi0`/`psi1` are formed and
+reduced modulo the member on residues (`MultiPoly.__mul__`,
+`reduce_modulo`).  The round trip decides the stability of the point
+representations once per zero pattern: King stability of a
+(1,1,1,1)-representation reads only which arrows are nonzero.
+
 Degenerate configurations (isomorphic bundle pairs, products failing to
 span, irrational section divisors) raise DegenerateInstance or
 SpecialPosition; callers redraw.  Everything else is exact.
@@ -36,7 +42,14 @@ from __future__ import annotations
 
 from operator import mul
 
-from .curves import enumerate_points, kodaira_classify, member_j, normalize_point, random_smooth_22
+from .curves import (
+    enumerate_points,
+    kodaira_classify,
+    member_j,
+    normalize_point,
+    random_smooth_22,
+    residue_roots,
+)
 from .errors import DegenerateInstance, SpecialPosition, ValidationError
 from .exactmath import FpElt, PrimeField, kernel_basis, reduce_modulo, rref, subspace_equal, sum_prod
 from .linebundles import (
@@ -120,7 +133,7 @@ class _ProductFrame:
     def vec(self, form):
         if form.degree != self.ambient:
             raise ValidationError("product form has the wrong bidegree")
-        return reduce_modulo(self.red, self.piv, form_to_vec(form, self.monos))
+        return reduce_modulo(self.field, self.red, self.piv, form_to_vec(form, self.monos))
 
 
 def _left_kernel(field, vecs, expect):
@@ -172,7 +185,7 @@ def _outside_span(field, frame, spaces, span_vecs, what):
     if len(span) != len(span_vecs):
         raise DegenerateInstance(f"{what}: products are linearly dependent")
     for w in basis:
-        if any(reduce_modulo(span, span_piv, w)):
+        if any(reduce_modulo(field, span, span_piv, w)):
             return MultiPoly(field, frame.ambient, dict(zip(frame.monos, w)))
     raise DegenerateInstance(f"{what}: no complement vector found")
 
@@ -334,20 +347,6 @@ def _coords(p, i):
     return (i, 1) if i < p else (1, 0)
 
 
-def _root_indices(field, q):
-    """Rational roots of a nonzero binary quadratic of residues, as sorted
-    `p1_points` indices; the roots of `bf_rational_roots`."""
-    p = field.p
-    q0, q1, q2 = q
-    if not q0:
-        return [-q2 * pow(q1, -1, p) % p, p] if q1 else [p]
-    r = field.sqrt((q1 * q1 - 4 * q0 * q2) % p)
-    if r is None:
-        return []
-    inv = pow(2 * q0, -1, p)
-    return sorted({(-q1 + r.v) * inv % p, (-q1 - r.v) * inv % p})
-
-
 def _incidence_points_mod_p(field, t1, t2):
     """`incidence_points` over F_p, on residues; the same checks in the
     same order."""
@@ -373,7 +372,7 @@ def _incidence_points_mod_p(field, t1, t2):
                 raise DegenerateInstance("relations share a linear factor")
             ys = range(p + 1)
         else:
-            ys = _root_indices(field, q)
+            ys = sorted(residue_roots(field, q) or ())
         if not ys:
             continue
         a, b, c, d = [x0 * u + x1 * v for u, v in zip(t1[:4], t1[4:])]
@@ -584,9 +583,15 @@ def roundtrip0(U, sample_reps=4):
     if not subspace_equal(field, recovered, relations):
         raise AssertionError("recovered relations differ from the computed ones")
     quiver = generic_member_quiver()
+    # stability reads only which arrows are nonzero: one verdict per pattern
+    verdicts = {}
     checked = 0
     for p in pts[:sample_reps]:
-        if not theta_stable(quiver, point_representation(p)):
+        rep = point_representation(p)
+        pattern = tuple(map(bool, rep.values()))
+        if pattern not in verdicts:
+            verdicts[pattern] = theta_stable(quiver, rep)
+        if not verdicts[pattern]:
             raise AssertionError("incidence point carries an unstable representation")
         checked += 1
     return {

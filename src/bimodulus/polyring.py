@@ -2,7 +2,9 @@
 
 A ``MultiPoly`` is homogeneous of a fixed degree in each of 1--3 blocks of two
 variables.  Exponent tuples concatenate the per-block exponents, so a
-bidegree-(2,2) form on P1 x P1 stores keys like (2,0,1,1).
+bidegree-(2,2) form on P1 x P1 stores keys like (2,0,1,1).  Over F_p the
+product of two forms multiplies residues and makes field elements only of
+its coefficients.
 
 Binary forms (one block) double as plain coefficient lists
 ``[c0, ..., cd]`` meaning ``sum c[i] * x0^(d-i) * x1^i``; the ``bf_*`` /
@@ -13,8 +15,10 @@ is valid over Q and over F_p with p > deg.
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import SpecialPosition, ValidationError
-from .exactmath import QuadExtField, scalar_from_json, scalar_to_json
+from .exactmath import FpElt, PrimeField, QuadExtField, scalar_from_json, scalar_to_json
 
 
 def monomial_basis(degree):
@@ -138,15 +142,27 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             if self.nblocks() != other.nblocks():
                 raise ValidationError("block-count mismatch in product")
-            deg = tuple(a + b for a, b in zip(self.degree, other.degree))
+            F = self.field
+            deg = tuple(map(add, self.degree, other.degree))
             t = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    c = c1 * c2
-                    t[e] = t[e] + c if e in t else c
-            out = MultiPoly.zero(self.field, deg)
-            out.terms = {e: c for e, c in t.items() if c}
+            if isinstance(F, PrimeField) and other.field == F:
+                # residues, reduced once per coefficient of the product
+                p = F.p
+                for e1, c1 in self.terms.items():
+                    a = c1.v
+                    for e2, c2 in other.terms.items():
+                        e = tuple(map(add, e1, e2))
+                        t[e] = t.get(e, 0) + a * c2.v
+                t = {e: FpElt(p, c) for e, c in t.items() if c % p}
+            else:
+                for e1, c1 in self.terms.items():
+                    for e2, c2 in other.terms.items():
+                        e = tuple(map(add, e1, e2))
+                        c = c1 * c2
+                        t[e] = t[e] + c if e in t else c
+                t = {e: c for e, c in t.items() if c}
+            out = MultiPoly.zero(F, deg)
+            out.terms = t
             return out
         return self.scale(other)
 

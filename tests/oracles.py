@@ -10,10 +10,12 @@ cross-ratios of actual branch points, member classification through
 exhaustive singular-point inspection over a quadratic extension and
 through the multiplicity pattern of a product-built branch quartic, forms
 and binary forms evaluated term by term with powers, smoothness from
-partials evaluated that way, elimination through the field's own
-scalar arithmetic, one scalar operation per entry, square roots in a
-quadratic extension by squaring every element.  The
-package must agree with these wherever both apply.
+partials evaluated that way, elimination, reduction modulo an echelon
+basis and products of forms through the field's own scalar arithmetic,
+one scalar operation per entry, the points of a fiber from the roots of
+its restricted quadratic, square roots in a quadratic extension by
+squaring every element.  The package must agree with these wherever both
+apply.
 """
 
 from bimodulus.curves import (
@@ -159,7 +161,7 @@ def reembedded_member(quad):
     monos = monomial_basis(degree)
     ideal = ideal_slice(quad.curve.f, *degree)
     red, piv = rref(field, ideal) if ideal else ([], [])
-    vecs = [reduce_modulo(red, piv, form_to_vec(g, monos)) for g in products]
+    vecs = [reduce_modulo(field, red, piv, form_to_vec(g, monos)) for g in products]
     ker = kernel_basis(field, [list(col) for col in zip(*vecs)], len(vecs))
     if len(ker) != 1:
         raise DegenerateInstance(f"re-embedding products: {len(ker)} relations")
@@ -436,4 +438,45 @@ def span_contains(field, basis, vec):
     """Whether vec lies in the span of the rows of basis."""
     if not basis:
         return not any(vec)
-    return not any(reduce_modulo(*rref(field, basis), vec))
+    return not any(reduce_modulo(field, *rref(field, basis), vec))
+
+
+def scalar_reduce_modulo(field, red, pivots, vec):
+    """vec, its entries read through field.coerce, minus its components
+    along the rows of a reduced echelon basis, by the field's own scalar
+    arithmetic."""
+    w = [field.coerce(x) for x in vec]
+    for r, pc in zip(red, pivots):
+        c = w[pc]
+        if c:
+            w = [a - c * b for a, b in zip(w, r)]
+    return w
+
+
+def scalar_product(f, g):
+    """The product of two forms, term by term in the field's own
+    arithmetic, zero sums dropped."""
+    terms = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, f.field.zero()) + c1 * c2
+    degree = tuple(a + b for a, b in zip(f.degree, g.degree))
+    return MultiPoly(f.field, degree, {e: c for e, c in terms.items() if c})
+
+
+def fiber_points(f, side, x):
+    """The normalized points of a (2,2) member on the fiber through x of
+    the chosen ruling, one per root of `bf_rational_roots` of the fiber
+    quadratic, in its order; None when the roots are conjugate.  Raises
+    ValidationError when the fiber lies in the member."""
+    F = f.field
+    q = fiber_quadratic(f, side, x)
+    if bf_is_zero(q):
+        raise ValidationError("divisor contains a ruling fiber")
+    roots = bf_rational_roots(F, q)
+    if roots is None:
+        return None
+    xn = normalize_point(F, x)
+    return tuple((xn, normalize_point(F, r)) if side == 0 else (normalize_point(F, r), xn)
+                 for r, _ in roots)

@@ -31,6 +31,7 @@ from bimodulus.polyring import MultiPoly, monomial_basis, quadratic_discriminant
 from oracles import (
     brute_member_kind,
     brute_points,
+    fiber_points,
     fiber_residual,
     is_smooth_point,
     pattern_member_j,
@@ -157,6 +158,34 @@ def test_fiber_table_residual_is_the_division_oracle(kind):
                     assert isinstance(got, tuple) and got[0] is ValidationError
                 else:
                     assert got == want
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 101, 1009])
+def test_fiber_table_points_on_residues_are_the_roots_of_the_fiber_quadratic(p):
+    F = PrimeField(p)
+    inf = (F.one(), F.zero())
+    fibers = p1_points(F)[:12] + [inf]
+    seen = set()
+    for f in _members(F, random.Random(p)):
+        table = FiberTable(f)
+        for side in (0, 1):
+            for x in fibers:
+                # a second representative of the same fiber point
+                for rep in (x, tuple(F.coerce(3) * c for c in x)):
+                    want = _outcome(fiber_points, f, side, rep)
+                    if isinstance(want, tuple) and want[0] is ValidationError:
+                        with pytest.raises(ValidationError):
+                            table.points(side, rep)
+                        seen.add("in member")
+                        continue
+                    assert table.points(side, rep) == want
+                    if want is None:
+                        seen.add("conjugate")
+                    else:
+                        seen.add(f"{len(want)} points")
+                        if x == inf or any(pt[1 - side] == inf for pt in want):
+                            seen.add("at infinity")
+    assert seen == {"in member", "conjugate", "1 points", "2 points", "at infinity"}
 
 
 def test_validate_22_rejects_wrong_degree(F101):

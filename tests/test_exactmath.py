@@ -28,6 +28,7 @@ from bimodulus.exactmath import (
     kernel_basis,
     mat_mul,
     rank,
+    reduce_modulo,
     rref,
     scalar_from_json,
     scalar_to_json,
@@ -35,7 +36,13 @@ from bimodulus.exactmath import (
     subspace_equal,
     sum_prod,
 )
-from oracles import generic_rref, generic_sparse_rank, quad_ext_sqrt_table, span_contains
+from oracles import (
+    generic_rref,
+    generic_sparse_rank,
+    quad_ext_sqrt_table,
+    scalar_reduce_modulo,
+    span_contains,
+)
 
 
 def test_prime_field_rejects_characteristic_2_and_3():
@@ -367,6 +374,51 @@ def test_prime_field_elimination_matches_the_scalar_loops(data):
     assert kernel_basis(field, rows, ncols) == want
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
     assert sparse_rank(field, sparse) == generic_sparse_rank(field, sparse) == len(piv)
+
+
+_RESIDUE_PRIMES = [5, 7, 11, 101, 1009]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_reduction_modulo_an_echelon_basis_on_residues_is_the_scalar_loop(data):
+    p = data.draw(st.sampled_from(_RESIDUE_PRIMES))
+    field = PrimeField(p)
+    ncols = data.draw(st.integers(0, 12))
+    entry = _entry(p)
+    basis = [[data.draw(entry) for _ in range(ncols)] for _ in range(data.draw(st.integers(0, 8)))]
+    red, piv = rref(field, basis)  # an empty basis too
+    vecs = [[data.draw(entry) for _ in range(ncols)], [0] * ncols, [field.zero()] * ncols]
+    if red:
+        # a combination of the basis rows, in their span
+        coef = [data.draw(entry) for _ in red]
+        vecs.append([sum((field.coerce(c) * r[j] for c, r in zip(coef, red)), field.zero())
+                     for j in range(ncols)])
+    for vec in vecs:
+        got = reduce_modulo(field, red, piv, vec)
+        assert got == scalar_reduce_modulo(field, red, piv, vec)
+        assert all(x.__class__ is FpElt and x.p == p for x in got)
+        assert any(got) == (not span_contains(field, red, vec))
+    if ncols:
+        with pytest.raises(ValidationError):
+            reduce_modulo(field, red, piv, [Fraction(1, p)] + [0] * (ncols - 1))
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(1009), QQ, QuadExtField(PrimeField(7))],
+                         ids=["F5", "F1009", "Q", "F49"])
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_counts_the_pivots_of_rref(field, seed):
+    rng = random.Random(seed)
+    cases = [[], [[]], [[], [], []], [[0, 0, 0]], [[field.zero()] * 4] * 3]
+    for _ in range(6):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[field.random(rng) if rng.randrange(3) else field.zero() for _ in range(ncols)]
+                for _ in range(nrows)]
+        # repeated rows make the rank fall short of the row count
+        rows += [list(rng.choice(rows)) for _ in range(rng.randint(0, 3))]
+        cases.append(rows)
+    for rows in cases:
+        assert rank(field, rows) == len(rref(field, rows)[0])
 
 
 @pytest.mark.parametrize(

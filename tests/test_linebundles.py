@@ -80,9 +80,11 @@ def test_smoothness_is_tested_once_per_point_and_partials_once_per_curve(
 
     monkeypatch.setattr(MultiPoly, "partial", counted("partial"))
     monkeypatch.setattr(MultiPoly, "eval_full", counted("eval_full"))
-    for _ in range(3):
-        calls["partial"] = 0
-        curve = Curve(make_kind(F101, "I0", rng))
+    # a smooth member (I0) has no singular point, so its table computes no
+    # partials; a reducible one (I2, III) computes its four partials once
+    for kind in ("I0", "I0", "I0", "I2", "III"):
+        curve = Curve(make_kind(F101, kind, rng))
+        calls["partial"] = 0  # drawing a III member takes partials
         pts = []
         while len(pts) < 6:
             p = random_smooth_point(curve.f, rng, fibers=curve.fibers)
@@ -94,9 +96,19 @@ def test_smoothness_is_tested_once_per_point_and_partials_once_per_curve(
         for _ in range(4):
             L = random_line_bundle(curve, rng)
             L.h0()
-        for pair in curves.enumerate_points(curve.f):
-            assert curve.fibers.is_smooth(pair)
-        assert 0 < calls["partial"] <= 4
+        singular = [pair for pair in curves.enumerate_points(curve.f)
+                    if not curve.fibers.is_smooth(pair)]
+        off = next((x, y) for x in p1_points(F101) for y in p1_points(F101)
+                   if curve.f.eval_full([x, y]))
+        with pytest.raises(ValidationError, match="not on the curve"):
+            curve.fibers.is_smooth(off)
+        if kind == "I0":
+            assert singular == [] and calls["partial"] == 0
+        else:
+            # the components meet twice (I2, perhaps at conjugate points) or
+            # once, tangentially at a rational point (III)
+            assert len(singular) <= 2 if kind == "I2" else len(singular) == 1
+            assert 0 < calls["partial"] <= 4
 
 
 def test_structure_sheaf_cohomology(smooth_curve):

@@ -267,6 +267,33 @@ def test_roundtrip_computes_the_shadows_once_and_evaluates_no_points(datum, monk
     assert len(evals) <= 40
 
 
+def test_roundtrip_decides_stability_once_per_zero_pattern(datum, monkeypatch):
+    # King stability reads only which arrows are nonzero, and each of the
+    # three coordinates of an incidence point is (0:1), (1:0) or neither
+    F101, rng, curve, U, quad, rel, c1, c2 = datum
+    patterns = []
+    real = moduli.theta_stable
+
+    def counted(quiver, maps):
+        patterns.append(tuple(map(bool, maps.values())))
+        return real(quiver, maps)
+
+    monkeypatch.setattr(moduli, "theta_stable", counted)
+    rep = roundtrip0(U, sample_reps=10 ** 9)
+    assert rep["stable_reps_checked"] == rep["points"]
+    pts = incidence_points(c1, c2)
+    assert all(real(generic_member_quiver(), point_representation(p)) for p in pts)
+    want = {tuple(map(bool, point_representation(p).values())) for p in pts}
+    assert len(patterns) == len(set(patterns)) == len(want) <= 27
+    assert set(patterns) == want
+
+    # a verdict against one pattern still fails the trip
+    monkeypatch.setattr(moduli, "theta_stable",
+                        lambda quiver, maps: tuple(map(bool, maps.values())) != patterns[-1])
+    with pytest.raises(AssertionError, match="unstable representation"):
+        roundtrip0(U, sample_reps=10 ** 9)
+
+
 FIELDS = {
     "F5": PrimeField(5),
     "F7": PrimeField(7),

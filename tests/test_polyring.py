@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimodulus.errors import SpecialPosition, ValidationError
-from bimodulus.exactmath import QQ, PrimeField, QuadExtField
+from bimodulus.exactmath import QQ, FpElt, PrimeField, QuadExtField
 from bimodulus.linebundles import _eval_rows
 from bimodulus.polyring import (
     MultiPoly,
@@ -33,6 +33,7 @@ from oracles import (
     power_eval,
     power_eval_block,
     power_rows,
+    scalar_product,
 )
 
 
@@ -93,6 +94,35 @@ def test_monomial_table_evaluation_matches_the_power_formula(data):
     monos = monomial_basis((m, n))
     pairs = [(point(), point()) for _ in range(data.draw(st.integers(0, 3), label="rows"))]
     assert _eval_rows(field, pairs, monos) == power_rows(pairs, monos)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 101, 1009])
+def test_products_on_residues_are_the_scalar_products(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    x0y0 = MultiPoly.monomial(F, (1, 1), (1, 0, 1, 0))
+    x1y1 = MultiPoly.monomial(F, (1, 1), (0, 1, 0, 1))
+    x0, x1 = (MultiPoly.monomial(F, (1,), e) for e in ((1, 0), (0, 1)))
+    pairs = [
+        # the x0 x1 y0 y1 terms cancel over the integers
+        (x0y0 + x1y1, x0y0 - x1y1),
+        # the x0 x1 coefficient is (p - 1) + 1, which vanishes only mod p
+        (x0 + x1, x0 + x1.scale(p - 1)),
+        (MultiPoly.zero(F, (2, 2)), random_multipoly(F, (1, 2), rng)),
+    ]
+    for _ in range(12):
+        degrees = [tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))]
+        degrees.append(tuple(rng.randint(0, 2) for _ in degrees[0]))
+        # sparse forms, each monomial kept with probability 1/2
+        pairs.append(tuple(
+            MultiPoly(F, d, {e: F.random(rng) for e in monomial_basis(d) if rng.randrange(2)})
+            for d in degrees))
+    for f, g in pairs:
+        prod = f * g
+        assert prod == scalar_product(f, g)
+        assert prod.degree == tuple(a + b for a, b in zip(f.degree, g.degree))
+        assert all(c.__class__ is FpElt and c.p == p and c.v for c in prod.terms.values())
+    assert set(((x0 + x1) * (x0 + x1.scale(p - 1))).terms) == {(2, 0), (0, 2)}
 
 
 def test_partial_is_a_derivation(any_field, rng):
