@@ -15,7 +15,12 @@ each fiber once, over F_p on residues, with the roots in
 `bf_rational_roots` order, and tests each point's smoothness once: on a
 member its caller knows to be smooth only whether the point is on it,
 otherwise through the member's four chart partials, computed once per
-table.
+table.  A random point of P1 is drawn as a key of ints (`random_p1_key`:
+None for (1:0), else the field's `random_key`), and the point is the
+point of its key; the table keeps the fiber points found for each key
+drawn, so rational-point sampling builds and hashes field elements only
+on a key's first draw, and a try costs its generator calls and one
+lookup.
 """
 
 from __future__ import annotations
@@ -209,6 +214,7 @@ def fiber_quadratic(f, side, pt):
 
 
 _IN_MEMBER = object()  # FiberTable's record of a fiber lying in the member
+_UNDRAWN = object()  # a draw key the FiberTable has not seen
 
 
 class FiberTable:
@@ -217,7 +223,9 @@ class FiberTable:
 
     Keyed by ruling (side 0 fixes the first block) and fiber point, it
     records the fiber's rational points on the member, or that its two
-    roots are conjugate, or that the fiber lies in the member.  Over F_p a
+    roots are conjugate, or that the fiber lies in the member; the same
+    records are kept by the draw key of each first-ruling fiber drawn
+    through `drawn_points`.  Over F_p a
     fiber is restricted and solved on residues.  When the caller knows the
     member to be smooth (`smooth`, as a Curve of type I0 does), every point
     on it is smooth, and a test only checks that the point is on the
@@ -226,11 +234,12 @@ class FiberTable:
     evaluated only at points that no fiber restriction has found on the
     member."""
 
-    __slots__ = ("f", "_points", "_smooth", "_partials", "_member_smooth")
+    __slots__ = ("f", "_points", "_drawn", "_smooth", "_partials", "_member_smooth")
 
     def __init__(self, f, smooth=False):
         self.f = f
         self._points = {}
+        self._drawn = {}
         self._smooth = {}
         self._partials = None
         self._member_smooth = smooth
@@ -243,6 +252,21 @@ class FiberTable:
         if key not in self._points:
             self._points[key] = self._restrict(side, x)
         pts = self._points[key]
+        if pts is _IN_MEMBER:
+            raise ValidationError("divisor contains a ruling fiber")
+        return pts
+
+    def drawn_points(self, key):
+        """`points(0, x)` for the point x of P1 of the draw key `key` (see
+        `random_p1_key`).  The outcome is kept per key, so a key drawn again
+        costs one lookup on ints and builds no field element."""
+        pts = self._drawn.get(key, _UNDRAWN)
+        if pts is _UNDRAWN:
+            try:
+                pts = self.points(0, p1_point_of_key(self.f.field, key))
+            except ValidationError:
+                pts = _IN_MEMBER
+            self._drawn[key] = pts
         if pts is _IN_MEMBER:
             raise ValidationError("divisor contains a ruling fiber")
         return pts
@@ -387,10 +411,22 @@ def factor_11(f):
 # random instances
 
 
-def random_p1_point(field, rng):
+def random_p1_key(field, rng):
+    """The key a random point of P1 is drawn as: None for (1:0), one draw
+    in nine, otherwise the field's key of x for (x:1)."""
     if rng.randrange(9) == 0:
+        return None
+    return field.random_key(rng)
+
+
+def p1_point_of_key(field, key):
+    if key is None:
         return (field.one(), field.zero())
-    return (field.random(rng), field.one())
+    return (field.of_key(key), field.one())
+
+
+def random_p1_point(field, rng):
+    return p1_point_of_key(field, random_p1_key(field, rng))
 
 
 def _functional_row(field, degree, func):
@@ -591,13 +627,17 @@ def make_kind(field, kind, rng):
 def random_smooth_point(f, rng, tries=200, fibers=None):
     """A rational point of the curve that is smooth on it, by fiber sampling.
 
-    `fibers`, a FiberTable of f, carries the fibers restricted by earlier
-    calls; without one, each distinct fiber is restricted once per call."""
+    Each try draws a fiber of the first ruling as a key of ints
+    (`random_p1_key`), picks one of its rational points, if any, and
+    keeps it when it is smooth.  `fibers`, a FiberTable of f, carries the
+    fibers drawn by earlier calls, by key; without one, each distinct key
+    is solved once per call.  A try on a key drawn before costs its
+    generator calls and one dict lookup."""
     if fibers is None:
         fibers = FiberTable(f)
     F = f.field
     for _ in range(tries):
-        pts = fibers.points(0, random_p1_point(F, rng))
+        pts = fibers.drawn_points(random_p1_key(F, rng))
         if pts is None:
             continue  # conjugate roots: try another fiber
         pair = pts[rng.randrange(len(pts))]

@@ -10,7 +10,9 @@ Field handles (``QQ``, ``PrimeField``, ``QuadExtField``) build constants,
 parse/format the JSON scalar strings, and provide square roots without
 tables: Tonelli-Shanks over F_p, and in a quadratic extension of either
 base one root taken through the norm.  Finite fields stream their
-elements.
+elements.  A random element is drawn as a key of ints (``random_key``)
+and built from it (``of_key``), so a caller can keep what it computed
+for a draw by its key.
 
 All linear algebra is exact, and reduced forms, kernels and ranks are
 bit-reproducible across runs.  Elimination reads each entry once through
@@ -97,8 +99,15 @@ class RationalField:
             return Fraction(x)
         raise ValidationError(f"cannot coerce {x!r} into Q")
 
+    def random_key(self, rng):
+        """The ints a random element is drawn as: (n, d) for n/d."""
+        return (rng.randint(-12, 12), rng.randint(1, 6))
+
+    def of_key(self, key):
+        return Fraction(*key)
+
     def random(self, rng):
-        return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+        return self.of_key(self.random_key(rng))
 
     def random_nonzero(self, rng):
         while True:
@@ -263,8 +272,15 @@ class PrimeField:
     def elements(self):
         return (FpElt(self.p, v) for v in range(self.p))
 
+    def random_key(self, rng):
+        """The int a random element is drawn as: its residue."""
+        return rng.randrange(self.p)
+
+    def of_key(self, key):
+        return FpElt(self.p, key)
+
     def random(self, rng):
-        return FpElt(self.p, rng.randrange(self.p))
+        return self.of_key(self.random_key(rng))
 
     def random_nonzero(self, rng):
         return FpElt(self.p, rng.randrange(1, self.p))
@@ -465,8 +481,16 @@ class QuadExtField:
     def elements(self):
         return (QEElt(self, a, b) for a in self.base.elements() for b in self.base.elements())
 
+    def random_key(self, rng):
+        """The ints a random element a + b sqrt(d) is drawn as: the base
+        keys of a and of b."""
+        return (self.base.random_key(rng), self.base.random_key(rng))
+
+    def of_key(self, key):
+        return QEElt(self, self.base.of_key(key[0]), self.base.of_key(key[1]))
+
     def random(self, rng):
-        return QEElt(self, self.base.random(rng), self.base.random(rng))
+        return self.of_key(self.random_key(rng))
 
     def random_nonzero(self, rng):
         while True:

@@ -103,9 +103,14 @@ class LineBundle:
         self.curve = curve
         self.m = int(m)
         self.n = int(n)
-        F = curve.field
-        minus = [coerce_pair(F, p) for p in minus]
-        plus = [coerce_pair(F, p) for p in plus]
+        if check:
+            F = curve.field
+            minus = [coerce_pair(F, p) for p in minus]
+            plus = [coerce_pair(F, p) for p in plus]
+        else:
+            # points of another bundle or of the fiber table, already
+            # normalized; copied so that no two bundles share a list
+            minus, plus = list(minus), list(plus)
         # cancel common points of opposite sign
         for p in list(plus):
             if p in minus:

@@ -3,7 +3,8 @@
 Deliberately naive and local: points of a member by evaluating the form
 at every point of P1 x P1, incidence points by evaluating both relations
 at each point of their enumerated last shadow, split fibers and sampled
-smooth points by solving every fiber afresh on each call, the member
+smooth points by solving every fiber afresh on each call, random field
+elements and points of P1 drawn straight from the generator, the member
 of `phi_inverse` as the relation among nine products of sections, residual
 points of fibers by division by a linear form, j through
 cross-ratios of actual branch points, member classification through
@@ -18,18 +19,19 @@ squaring every element.  The package must agree with these wherever both
 apply.
 """
 
+from fractions import Fraction
+
 from bimodulus.curves import (
     _PATTERN_TO_KIND,
     enumerate_points,
     fiber_quadratic,
     normalize_point,
     p1_points,
-    random_p1_point,
     validate_22,
     validate_support,
 )
 from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationError
-from bimodulus.exactmath import QuadExtField, kernel_basis, reduce_modulo, rref
+from bimodulus.exactmath import FpElt, QEElt, QuadExtField, kernel_basis, reduce_modulo, rref
 from bimodulus.linebundles import _fiber_scan, form_to_vec, ideal_slice, section_space
 from bimodulus.moduli import ci_shadows
 from bimodulus.polyring import (
@@ -194,9 +196,30 @@ def split_fiber_scan(f, side, avoid):
     raise SpecialPosition("no usable split fiber found")
 
 
+def random_element(field, rng):
+    """A random element of the field, with no draw keys: n/d with n in
+    [-12, 12] and d in [1, 6] over Q, a residue over F_p, and a + b sqrt(d)
+    with a drawn before b over a quadratic extension."""
+    if isinstance(field, QuadExtField):
+        a = random_element(field.base, rng)
+        return QEElt(field, a, random_element(field.base, rng))
+    if field.characteristic:
+        return FpElt(field.p, rng.randrange(field.p))
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+
+
+def random_p1_point(field, rng):
+    """A random point of P1: (1:0) one draw in nine, else (x:1) for a
+    random element x."""
+    if rng.randrange(9) == 0:
+        return (field.one(), field.zero())
+    return (random_element(field, rng), field.one())
+
+
 def random_smooth_point_scan(f, rng, tries=200):
     """`random_smooth_point` with every drawn fiber restricted and solved
-    afresh: the same generator calls, in the same order."""
+    afresh, and drawn as field elements: the same generator calls, in the
+    same order."""
     F = f.field
     for _ in range(tries):
         x = random_p1_point(F, rng)

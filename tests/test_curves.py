@@ -6,7 +6,7 @@ import pytest
 
 from bimodulus import curves
 from bimodulus.errors import SpecialPosition, ValidationError
-from bimodulus.exactmath import QQ, PrimeField, QEElt, QuadExtField
+from bimodulus.exactmath import QQ, PrimeField, QEElt, QuadExtField, RationalField
 from bimodulus.curves import (
     KINDS,
     FiberTable,
@@ -19,7 +19,10 @@ from bimodulus.curves import (
     member_j,
     normalize_point,
     on_curve,
+    p1_point_of_key,
     p1_points,
+    random_p1_key,
+    random_p1_point,
     random_smooth_22,
     random_smooth_point,
     validate_22,
@@ -39,6 +42,7 @@ from oracles import (
     product_discriminant,
     random_smooth_point_scan,
 )
+from oracles import random_p1_point as oracle_p1_point
 
 
 def test_kinds_are_the_expected_six():
@@ -304,11 +308,11 @@ def test_fiber_table_finds_the_node_of_a_nodal_member():
 
 
 def _draws(sample, f, seed):
-    """Outcomes of 24 sample(f, rng, tries) calls on one generator,
+    """Outcomes of 36 sample(f, rng, tries) calls on one generator,
     and its state afterwards; a try budget of 1 makes some calls give up."""
     rng = random.Random(seed)
     out = []
-    for i in range(24):
+    for i in range(36):
         try:
             out.append(sample(f, rng, (1, 200, 4)[i % 3]))
         except SpecialPosition:
@@ -318,8 +322,25 @@ def _draws(sample, f, seed):
     return out, rng.getstate()
 
 
-@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(11), PrimeField(101), QQ],
-                         ids=["F5", "F11", "F101", "Q"])
+_DRAW_FIELDS = [PrimeField(5), PrimeField(11), PrimeField(101), QQ, QuadExtField(PrimeField(5))]
+_DRAW_IDS = ["F5", "F11", "F101", "Q", "F25"]
+
+
+@pytest.mark.parametrize("field", _DRAW_FIELDS, ids=_DRAW_IDS)
+def test_a_random_point_of_p1_is_the_point_of_its_key(field):
+    for seed in range(4):
+        drawn, keyed, plain = random.Random(seed), random.Random(seed), random.Random(seed)
+        at_infinity = set()
+        for _ in range(60):
+            key = random_p1_key(field, keyed)
+            at_infinity.add(key is None)
+            assert random_p1_point(field, drawn) == p1_point_of_key(field, key) \
+                == oracle_p1_point(field, plain)
+        assert drawn.getstate() == keyed.getstate() == plain.getstate()
+        assert at_infinity == {True, False}
+
+
+@pytest.mark.parametrize("field", _DRAW_FIELDS, ids=_DRAW_IDS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fiber_table_keeps_every_draw(field, seed):
     rng = random.Random(seed)
@@ -336,6 +357,63 @@ def test_fiber_table_keeps_every_draw(field, seed):
         assert shared == _draws(random_smooth_point_scan, f, seed)
         outcomes.update(o if isinstance(o, str) else "point" for o in shared[0])
     assert outcomes == {"point", "gave up", "fiber in member"}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fiber_table_keeps_every_draw_on_a_nodal_member(monkeypatch, seed):
+    F11 = PrimeField(11)
+    f, node = make_nodal(F11, random.Random(seed))
+    tested = {}
+    is_smooth = FiberTable.is_smooth
+
+    def recording(table, pair):
+        tested[pair] = is_smooth(table, pair)
+        return tested[pair]
+
+    monkeypatch.setattr(FiberTable, "is_smooth", recording)
+    table = FiberTable(f)
+    shared = _draws(lambda f, rng, tries: random_smooth_point(f, rng, tries, fibers=table),
+                    f, seed)
+    assert shared == _draws(random_smooth_point, f, seed)
+    assert shared == _draws(random_smooth_point_scan, f, seed)
+    # the node was drawn, found singular and never returned
+    node = coerce_pair(F11, node)
+    assert tested[node] is False and node not in shared[0]
+    assert {"gave up"} < {o if isinstance(o, str) else "point" for o in shared[0]}
+
+
+def test_give_ups_solve_and_build_each_drawn_key_once(monkeypatch):
+    # a smooth member over Q with no real points: every fiber's roots are
+    # conjugate, so every call gives up after its 200 tries
+    f = MultiPoly(QQ, (2, 2), {(2, 0, 2, 0): 1, (2, 0, 0, 2): 1, (0, 2, 2, 0): 1,
+                               (0, 2, 0, 2): 3, (1, 1, 1, 1): 1})
+    assert kodaira_classify(f) == "I0"
+    counts = {"points": 0, "built": 0}
+    keys = []
+    draw_key = curves.random_p1_key
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def recording_key(field, rng):
+        keys.append(draw_key(field, rng))
+        return keys[-1]
+
+    monkeypatch.setattr(curves, "random_p1_key", recording_key)
+    monkeypatch.setattr(FiberTable, "points", counting("points", FiberTable.points))
+    monkeypatch.setattr(RationalField, "of_key", counting("built", RationalField.of_key))
+    monkeypatch.setattr(RationalField, "random", counting("built", RationalField.random))
+    table, rng = FiberTable(f, smooth=True), random.Random(3)
+    for _ in range(5):
+        with pytest.raises(SpecialPosition):
+            random_smooth_point(f, rng, fibers=table)
+    distinct = set(keys)
+    assert len(keys) == 1000 and len(distinct) <= 151
+    assert counts["points"] == len(distinct)
+    assert counts["built"] == len(distinct - {None})
 
 
 _FACTOR_FIELDS = {"F7": PrimeField(7), "F11": PrimeField(11), "F101": PrimeField(101),

@@ -40,6 +40,7 @@ from oracles import (
     generic_rref,
     generic_sparse_rank,
     quad_ext_sqrt_table,
+    random_element,
     scalar_reduce_modulo,
     span_contains,
 )
@@ -104,6 +105,18 @@ def test_fp_format_parse_roundtrip(F101):
     for _ in range(20):
         x = F101.random(rng)
         assert F101.parse(F101.format(x)) == x
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(101), QuadExtField(PrimeField(5))],
+                         ids=["Q", "F5", "F101", "F25"])
+def test_a_random_element_is_the_element_of_its_key(field):
+    for seed in range(4):
+        drawn, keyed, plain = random.Random(seed), random.Random(seed), random.Random(seed)
+        for _ in range(60):
+            x = field.random(drawn)
+            assert x == field.of_key(field.random_key(keyed)) == random_element(field, plain)
+            assert type(x) is type(random_element(field, random.Random(0)))
+        assert drawn.getstate() == keyed.getstate() == plain.getstate()
 
 
 def test_scalar_json_roundtrip(any_field):

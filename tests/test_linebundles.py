@@ -111,6 +111,42 @@ def test_smoothness_is_tested_once_per_point_and_partials_once_per_curve(
             assert 0 < calls["partial"] <= 4
 
 
+def test_only_checked_constructions_normalize_their_points(monkeypatch):
+    F = PrimeField(101)
+    rng = random.Random(4)
+    curve = Curve(make_kind(F, "I0", rng))
+    pts = []
+    while len(pts) < 5:
+        p = random_smooth_point(curve.f, rng, fibers=curve.fibers)
+        if p not in pts:
+            pts.append(p)
+    three = F(3)
+    scaled = [tuple(tuple(three * c for c in pt) for pt in pair) for pair in pts]
+    L = LineBundle(curve, 2, 0, scaled[:3], scaled[3:])
+    M = LineBundle(curve, 0, 1, pts[:1])
+    assert (L.minus, L.plus) == (pts[:3], pts[3:])
+    # solve every fiber the rewriting reads, so that only bundle
+    # constructions could normalize below
+    L.canonical(), L.h0(), L.tensor(M).h0()
+    calls = []
+    normalize = curves.normalize_point
+
+    def counting(field, pt):
+        calls.append(pt)
+        return normalize(field, pt)
+
+    monkeypatch.setattr(curves, "normalize_point", counting)
+    assert not L.canonical().plus
+    assert L.h0() == 2 * 2 - 3 + 2
+    T = L.tensor(M)
+    assert T.h0() == T.degree_total() == 4
+    assert calls == []
+    twisted = L.twist(0, 0)
+    assert twisted.minus == L.minus and twisted.minus is not L.minus
+    N = LineBundle(curve, 1, 1, scaled[:2])
+    assert N.minus == pts[:2] and len(calls) == 4
+
+
 def test_structure_sheaf_cohomology(smooth_curve):
     # genus one: one constant section and one unit of h1
     O = LineBundle(smooth_curve, 0, 0)

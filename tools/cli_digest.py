@@ -19,8 +19,10 @@ every kind at `--prime` 5, 7 and 11, seeds 0-1, the generated instance is
 lifted to F_{p^2} (`lift_to_fp2`): `psi` runs on each lifted quadruple,
 and `classify`, `split` and `stability` on each other lift, with
 `roundtrip --in` on the smooth chi = 2 bundles.  Then two round trips at
-larger primes (103 and 10007).  484 commands in all, and every command
-of the CLI among them.
+larger primes (103 and 10007), and last `generate` of the smooth
+bimodules over Q at seeds 4-7, draws on which the rational-point sampler
+often gives up.  492 commands in all, and every command of the CLI among
+them.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ AT_LARGER_PRIMES = (
     ["roundtrip", "--prime", "103", "--seed", "1"],
     ["roundtrip", "--prime", "10007", "--seed", "0"],
 )
+OVER_Q = tuple(["generate", kind, "--prime", "0", "--seed", str(s)]
+               for kind in ("smooth-bimodule-chi2", "smooth-bimodule-chi1") for s in range(4, 8))
 ON_EACH_LIFT = {
     "smooth-bimodule-chi2": ("classify", "split", "stability", "roundtrip"),
     "smooth-bimodule-chi1": ("classify", "split", "stability"),
@@ -136,7 +140,7 @@ def main_digest():
                     for command in commands:
                         code, text = run([command, "--in", str(path)])
                         emit([command, "--in", path.name], code, text)
-        for argv in AT_LARGER_PRIMES:
+        for argv in AT_LARGER_PRIMES + OVER_Q:
             emit(argv, *run(list(argv)))
 
 
