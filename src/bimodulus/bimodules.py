@@ -6,10 +6,13 @@ The concrete layer computes cohomology on the doubled-(1,1) member ("the
 thickened diagonal"): its Picard group is Z x G_a, a bundle is presented by
 pullback data (ku, kv, apic), and cohomology comes from an exact two-chart
 Cech complex truncated at a window that is re-run larger and must agree.
+One elimination per window gives both ranks: the outer rows go in first,
+and the rank after them is what h1 needs, then the inner rows, and the rank
+after all of them is what h0 needs.  Over F_p the rows are residues.
 Rank-1 torsion-free but non-invertible sheaves are kernels of a surjection
 onto the structure sheaf of a divisor D of the reduced locus; their h0 adds
-Taylor-vanishing rows to the same kernel computation and h1 follows from the
-long exact sequence.
+Taylor-vanishing rows to the same kernel computation, in a window that
+grows with deg D, and h1 follows from the long exact sequence.
 
 The combinatorial layer encodes the classification tables: a descriptor names
 the member type and the discrete invariants, and pure functions return the
@@ -24,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ValidationError
-from .exactmath import sparse_rank
+from .exactmath import PrimeField, block_ranks, sparse_rank
 from .linebundles import (
     LineBundle,
     is_twisted_v_pullback,
@@ -52,9 +55,12 @@ def _cech_rows(field, k, c, N):
         u part of d:      Q(z) - z^(k-2) Qt(1/z) - c z^(k-1) Pt(1/z)
 
     Returns {('f', e): row} for plain coefficients of z^e and ('u', e) rows.
+    The entries 1 and -1 are ints, and over F_p so is -c, a residue: the
+    echelon loops read ints as they are.
     """
-    one = field.one()
-    neg_one, neg_c = -one, -field.coerce(c)
+    neg_c = -field.coerce(c)
+    if isinstance(field, PrimeField):
+        neg_c = neg_c.v
     n1 = N + 1
     NE = N + abs(k) + 4
     rows = {}
@@ -63,18 +69,18 @@ def _cech_rows(field, k, c, N):
     for e in range(-NE, NE + 1):
         r = {}
         if 0 <= e <= N:
-            r[e] = one
+            r[e] = 1
         j = k - e
         if 0 <= j <= N:
-            r[2 * n1 + j] = neg_one
+            r[2 * n1 + j] = -1
         if r:
             rows[("f", e)] = r
         r = {}
         if 0 <= e <= N:
-            r[n1 + e] = one
+            r[n1 + e] = 1
         j = k - 2 - e
         if 0 <= j <= N:
-            r[3 * n1 + j] = neg_one
+            r[3 * n1 + j] = -1
         j = k - 1 - e
         if neg_c and 0 <= j <= N:
             r[2 * n1 + j] = neg_c
@@ -86,46 +92,55 @@ def _cech_rows(field, k, c, N):
 def _dcond_rows(field, dfin, dinf, N):
     """Taylor-vanishing rows along the divisor D of the reduced locus:
     the plain part P must be divisible by dfin(z), and the first dinf
-    coefficients of Pt must vanish (multiplicity of D at infinity)."""
+    coefficients of Pt must vanish (multiplicity of D at infinity).  Row j
+    of the first kind holds the z^j coefficients of z^i mod dfin for
+    i <= N; the recurrence runs on residues over F_p and on field elements
+    otherwise."""
     n1 = N + 1
     rows = []
     dfin = uv_trim([field.coerce(x) for x in dfin]) if dfin else []
     degf = len(dfin) - 1 if dfin else 0
-    if dfin and degf > 0:
-        # residue of z^i modulo dfin, iteratively
-        cur = [field.zero()] * degf
-        cur[0] = field.one()
-        lead_inv = field.one() / dfin[-1]
-        reductions = []
-        for _ in range(N + 1):
-            reductions.append(list(cur))
+    if degf > 0:
+        if isinstance(field, PrimeField):
+            p = field.p
+            dfin = [x.v for x in dfin]
+            lead_inv = pow(dfin[-1], -1, p)
+
+            def mod(x):
+                return x % p
+        else:
+            lead_inv = field.one() / dfin[-1]
+
+            def mod(x):
+                return x
+        rows = [{} for _ in range(degf)]
+        cur = [1] + [0] * (degf - 1)  # z^0 mod dfin
+        for i in range(N + 1):
+            for row, v in zip(rows, cur):
+                if v:
+                    row[i] = v
             top = cur[-1]
-            cur = [field.zero()] + cur[:-1]
+            cur = [0] + cur[:-1]
             if top:
-                f = top * lead_inv
-                for j in range(degf):
-                    cur[j] = cur[j] - f * dfin[j]
-        for j in range(degf):
-            row = {}
-            for i in range(N + 1):
-                if reductions[i][j]:
-                    row[i] = reductions[i][j]
-            rows.append(row)
+                f = mod(top * lead_inv)
+                cur = [mod(a - f * b) for a, b in zip(cur, dfin)]
     for j in range(int(dinf)):
-        rows.append({2 * n1 + j: field.one()})
+        rows.append({2 * n1 + j: 1})
     return rows
 
 
 def _nr_counts(field, k, c, N):
-    rows = _cech_rows(field, k, c, N)
-    full = list(rows.values())
-    rank_full = sparse_rank(field, full)
-    h0 = 4 * (N + 1) - rank_full
+    """(h0, h1) of the Cech complex truncated at N, from one elimination:
+    the outer rows (|e| > N - |k| - 4) first, whose rank h1 needs, and then
+    the inner rows, which complete the rank h0 needs."""
     Nsm = N - (abs(k) + 4)
     if Nsm < 1:
         raise AssertionError("window too small for the outer projection")
-    out = [r for (part, e), r in rows.items() if abs(e) > Nsm]
-    rank_out = sparse_rank(field, out)
+    rows = _cech_rows(field, k, c, N)
+    outer = [r.items() for (_, e), r in rows.items() if abs(e) > Nsm]
+    inner = [r.items() for (_, e), r in rows.items() if abs(e) <= Nsm]
+    rank_out, rank_full = block_ranks(field, (outer, inner))
+    h0 = 4 * (N + 1) - rank_full
     c1_small = 2 * (2 * Nsm + 1)
     h1 = c1_small - (rank_full - rank_out)
     return h0, h1
@@ -230,7 +245,8 @@ class NRSheaf:
     def h0(self):
         if self.is_invertible():
             return self._bundle_cohomology()[0]
-        N = 2 * (abs(self.ku) + abs(self.kv)) + 8
+        # the D rows reach column 2(N + 1) + dinf - 1, inside the Pt block
+        N = max(2 * (abs(self.ku) + abs(self.kv)), self.degd()) + 8
         a, b = (_nr_h0_with_d(self.field, self.k, self.c, n, self.dfin, self.dinf)
                 for n in (N, N + 4))
         if a != b:

@@ -609,7 +609,7 @@ def rref(field, rows):
     if not rows or not rows[0]:
         return [], []
     read, echelon, finish = _representation(field)
-    pivots = echelon(field, read(field, map(enumerate, rows)))
+    pivots = echelon(field, read(field, map(enumerate, rows)), {})
     cols = sorted(pivots)
     back = []
     for c in reversed(cols):
@@ -617,7 +617,7 @@ def rref(field, rows):
         r = {-j if j in pivots else j: v for j, v in rest.items()}
         r[-c] = lead
         back.append(r)
-    reduced = echelon(field, back)
+    reduced = echelon(field, back, {})
     return [finish(field, *reduced[-c], c, len(rows[0])) for c in cols], cols
 
 
@@ -627,8 +627,7 @@ def rank(field, rows):
     columns, there is nothing to eliminate."""
     if not rows or not rows[0]:
         return 0
-    read, echelon, _ = _representation(field)
-    return len(echelon(field, read(field, map(enumerate, rows))))
+    return next(block_ranks(field, [map(enumerate, rows)]))
 
 
 def kernel_basis(field, rows, ncols):
@@ -682,8 +681,21 @@ def sparse_rank(field, rows):
     number of pivot rows of the field's echelon loop.  The loop touches
     only nonzero entries and never reduces a pivot row again, so banded
     systems (Cech matrices) fill in little."""
+    return next(block_ranks(field, [map(dict.items, rows)]))
+
+
+def block_ranks(field, blocks):
+    """The rank of a matrix growing by blocks of rows, after each block.
+
+    A row is an iterable of (column, value) pairs.  One run of the field's
+    echelon loop takes every block: each row is reduced once, against the
+    pivot rows kept so far, so the ranks of all the prefixes cost one
+    elimination of the whole.  Lazy: a block is read only when the rank
+    after it is asked for."""
     read, echelon, _ = _representation(field)
-    return len(echelon(field, read(field, map(dict.items, rows))))
+    pivots = {}
+    for block in blocks:
+        yield len(echelon(field, read(field, block), pivots))
 
 
 def _representation(field):
@@ -695,7 +707,8 @@ def _representation(field):
     over F_p, primitive rows of ints over Q, field elements otherwise.
     `echelon` clears each row at its leading column by the pivot row kept
     there, until it vanishes or leads in a new column, where it is kept;
-    it returns {leading column: (leading entry, rest of the row)}.
+    it adds to the pivot rows it is given, {leading column: (leading entry,
+    rest of the row)}, and returns them.
     `finish` writes a reduced pivot row out as a dense row of field
     elements.
     """
@@ -717,10 +730,9 @@ def _read_mod_p(field, rows):
             for row in rows)
 
 
-def _echelon_mod_p(field, rows):
+def _echelon_mod_p(field, rows, pivots):
     """Pivot rows of residues, each scaled to 1 at its lead."""
     p = field.p
-    pivots = {}
     for r in rows:
         while r:
             c = min(r)
@@ -773,11 +785,10 @@ def _read_q(field, rows):
         yield dict(zip(cols, [n // g for n in nums] if g > 1 else nums))
 
 
-def _echelon_q(field, rows):
+def _echelon_q(field, rows, pivots):
     """Primitive pivot rows of ints, fraction-free (Bareiss 1968): a row is
     cleared at a pivot column by cross-multiplying it with the pivot row,
     then divided by the gcd of its entries."""
-    pivots = {}
     for r in rows:
         while r:
             c = min(r)
@@ -816,11 +827,10 @@ def _read_scalar(field, rows):
     return ({c: v for c, x in row if (v := coerce(x))} for row in rows)
 
 
-def _echelon_scalar(field, rows):
+def _echelon_scalar(field, rows, pivots):
     """Pivot rows in the field's own arithmetic, each scaled to one at its
     lead."""
     one, zero = field.one(), field.zero()
-    pivots = {}
     for r in rows:
         while r:
             c = min(r)

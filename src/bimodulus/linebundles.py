@@ -8,7 +8,10 @@ exact:
   the residual intersection of the fiber through P, so plus points can always
   be traded for minus points at the cost of raising (m,n);
 * raising: tensoring with O(F)(-P-Q) for a fiber F meeting W in two distinct
-  rational smooth points changes nothing but increases (m,n).
+  rational smooth points changes nothing but increases (m,n).  A rep is
+  raised along one ruling only, by every fiber it needs at once: the first
+  split fibers of that ruling missing its minus points, in scan order, from
+  one scan; each fiber counts as one of the 60 rewriting steps.
 
 Once (m,n) is large enough that the ambient restriction
 H0(O(m,n)) -> H0(O(m,n)|_W) is onto (a Kunneth condition on O(m-2,n-2)),
@@ -18,12 +21,16 @@ computed from that model.  Over F_p the point conditions are rows of
 residues, read by the elimination as they are, and the vanishing forms are
 reduced modulo the ideal slice on residues.  A Curve of type I0 tells its
 fiber table that the member is smooth, so no smoothness test computes a
-partial derivative.
+partial derivative.  The twists O(0, j) a split scan raises along the
+second ruling are O(m,1)(-Z-F_1-...-F_t) for growing t: the same monomials
+and more rows, so one elimination, read after each fiber, gives all their
+h0.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain, islice
 
 from .curves import (
     FiberTable,
@@ -36,8 +43,11 @@ from .curves import (
     random_smooth_point,
 )
 from .errors import SpecialPosition, ValidationError
-from .exactmath import PrimeField, kernel_basis, rank, reduce_modulo, rref
+from .exactmath import PrimeField, block_ranks, kernel_basis, rank, reduce_modulo, rref
 from .polyring import MultiPoly, monomial_basis, monomial_values
+
+# rewriting moves `canonical` makes before it gives up; each raised fiber is one
+REWRITING_STEPS = 60
 
 
 class Curve:
@@ -205,42 +215,51 @@ class LineBundle:
             )
         raise SpecialPosition("duplicated point cannot be moved off its fibers")
 
-    def _split_fiber(self, side, avoid):
-        """A fiber of the chosen ruling meeting the curve in two distinct
-        rational smooth points outside `avoid`; deterministic scan."""
-        for pairs in self.curve.split_fibers(side):
-            if not any(p in avoid for p in pairs):
-                return list(pairs)
-        raise SpecialPosition("no usable split fiber found")
-
-    def canonical(self):
-        """Equivalent plus-free representative satisfying the Kunneth
-        condition, so that section computations below are exact; gives up
-        after 60 rewriting steps."""
+    def _settled(self):
+        """(rep, steps): an equivalent representative with no plus points
+        and distinct minus points, and the rewriting steps it took.  The
+        moves read only the points, so a twist of self settles to the same
+        twist of rep in as many steps."""
         rep = self
-        for _ in range(60):
+        for steps in range(REWRITING_STEPS):
             if rep.plus:
                 rep = rep._absorb_one(rep.plus[0])
                 continue
             dup = _first_duplicate(rep.minus)
-            if dup is not None:
-                rep = rep._spread_duplicate(dup)
-                continue
-            a, b = rep.m - 2, rep.n - 2
-            if a <= -2 and b >= 0:
-                pts = rep._split_fiber(0, rep.minus)
-                rep = LineBundle(rep.curve, rep.m + 1, rep.n,
-                                 rep.minus + pts, [], check=False)
-                continue
-            if a >= 0 and b <= -2:
-                pts = rep._split_fiber(1, rep.minus)
-                rep = LineBundle(rep.curve, rep.m, rep.n + 1,
-                                 rep.minus + pts, [], check=False)
-                continue
-            if rep.degree_total() != self.degree_total():
-                raise AssertionError("rewriting changed the degree")
-            return rep
+            if dup is None:
+                return rep, steps
+            rep = rep._spread_duplicate(dup)
         raise SpecialPosition("rewriting did not terminate")
+
+    def _raising_fibers(self, side):
+        """The fibers raising takes, in one lazy scan: the split fibers of
+        the ruling (`Curve.split_fibers`) that miss the minus points, each
+        as its two points.  Fibers of one ruling are disjoint, so the points
+        of the fibers taken never meet a later one."""
+        for pts in self.curve.split_fibers(side):
+            if not any(p in self.minus for p in pts):
+                yield pts
+
+    def canonical(self):
+        """Equivalent plus-free representative satisfying the Kunneth
+        condition, so that section computations below are exact; gives up
+        after 60 rewriting steps, each raised fiber counting as one."""
+        rep, steps = self._settled()
+        side, t = _raising(rep.m, rep.n)
+        if t:
+            budget = REWRITING_STEPS - steps
+            pts = []
+            for fiber in islice(rep._raising_fibers(side), min(t, budget)):
+                pts += fiber
+            if len(pts) < 2 * min(t, budget):
+                raise SpecialPosition("no usable split fiber found")
+            if t >= budget:
+                raise SpecialPosition("rewriting did not terminate")
+            dm, dn = (t, 0) if side == 0 else (0, t)
+            rep = LineBundle(rep.curve, rep.m + dm, rep.n + dn, rep.minus + pts, [], check=False)
+        if rep.degree_total() != self.degree_total():
+            raise AssertionError("rewriting changed the degree")
+        return rep
 
     # -- cohomology ----------------------------------------------------------
 
@@ -282,6 +301,18 @@ def _eval_rows(field, points, monos):
         tx, ty = monomial_values(field, x, dx), monomial_values(field, y, dy)
         rows.append([tx[e[1]] * ty[e[3]] for e in monos])
     return rows
+
+
+def _raising(m, n):
+    """(side, t) for a settled rep of class O(m, n): the Kunneth condition
+    asks it to be raised by t fibers of the ruling `side`, until m - 2 (or
+    n - 2) reaches -1; t = 0 when the condition holds."""
+    a, b = m - 2, n - 2
+    if a <= -2 and b >= 0:
+        return 0, -1 - a
+    if a >= 0 and b <= -2:
+        return 1, -1 - b
+    return 0, 0
 
 
 def _first_duplicate(points):
@@ -421,7 +452,8 @@ def split_from_h0(h0_of_twist, chi, window):
     j with a section and then verified against the whole twist profile
     scanned.  The scan covers [-window, window], and below -window down to
     a twist without sections when there is one at -window (b >= window).
-    Each twist is evaluated once."""
+    Each twist is evaluated once, lowest first, so a caller may answer the
+    low twists from one incremental computation."""
     h0 = cache(h0_of_twist)
     lo = -window
     while h0(lo) > 0:
@@ -446,8 +478,55 @@ def split_from_h0(h0_of_twist, chi, window):
 
 def split_from_cohomology(L, window=8):
     """Splitting type (a, b), a <= b, of the direct image on the second
-    factor, from the h0 profile of the twists O(0, j)."""
-    return split_from_h0(lambda j: L.twist(0, j).h0(), L.degree_total(), window)
+    factor, from the h0 profile of the twists O(0, j).
+
+    L settles (`LineBundle._settled`) to O(m, n)(-Z).  The twists raised
+    along the second ruling (m >= 2, n + j <= 0) have the canonical reps
+    O(m, 1)(-Z - F_1 - ... - F_t), t = 1 - n - j: one elimination of the
+    rows of Z and then of each fiber, read at each prefix, answers all of
+    them (`_raised_h0`).  The other twists go through `LineBundle.h0`."""
+    rep, steps = L._settled()
+    raised = _raised_h0(rep, steps)
+
+    def h0(j):
+        side, t = _raising(rep.m, rep.n + j)
+        if side == 1 and t:
+            return raised(t)
+        return L.twist(0, j).h0()
+
+    return split_from_h0(h0, L.degree_total(), window)
+
+
+def _raised_h0(rep, steps):
+    """h0 of the twist of a settled rep whose canonical rep is raised by t
+    fibers of the second ruling, as a function of t >= 1.  The fibers are
+    those `canonical` takes, pulled from one scan as a larger t asks for
+    them, and the rank after each is read off one elimination.  It raises
+    where `canonical` would: when the fibers run out, or when t reaches the
+    rewriting steps left after the `steps` of settling."""
+    F = rep.field
+    monos = monomial_basis((rep.m, 1))
+    blocks = chain([rep.minus], rep._raising_fibers(1))
+    ranks = block_ranks(F, (map(enumerate, _eval_rows(F, pts, monos)) for pts in blocks))
+    prefix = []  # prefix[i]: the rank of the rows of Z and of i fibers
+    budget = REWRITING_STEPS - steps
+
+    def h0(t):
+        for _ in range(len(prefix), min(t, budget) + 1):
+            # Z's block always comes, so only a fiber can be missing
+            r = next(ranks, None)
+            if r is None:
+                raise SpecialPosition("no usable split fiber found")
+            prefix.append(r)
+        if t >= budget:
+            raise SpecialPosition("rewriting did not terminate")
+        # O(m, 1) has no ideal slice: f * H0(O(m - 2, -1)) = 0
+        h = len(monos) - prefix[t]
+        if h < 0:
+            raise AssertionError("negative section count")
+        return h
+
+    return h0
 
 
 # ---------------------------------------------------------------------------

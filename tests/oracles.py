@@ -3,7 +3,8 @@
 Deliberately naive and local: points of a member by evaluating the form
 at every point of P1 x P1, incidence points by evaluating both relations
 at each point of their enumerated last shadow, split fibers and sampled
-smooth points by solving every fiber afresh on each call, random field
+smooth points by solving every fiber afresh on each call, canonical
+representatives raised one fiber per rewriting step, random field
 elements and points of P1 drawn straight from the generator, the member
 of `phi_inverse` as the relation among nine products of sections, residual
 points of fibers by division by a linear form, j through
@@ -32,7 +33,14 @@ from bimodulus.curves import (
 )
 from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationError
 from bimodulus.exactmath import FpElt, QEElt, QuadExtField, kernel_basis, reduce_modulo, rref
-from bimodulus.linebundles import _fiber_scan, form_to_vec, ideal_slice, section_space
+from bimodulus.linebundles import (
+    LineBundle,
+    _fiber_scan,
+    _first_duplicate,
+    form_to_vec,
+    ideal_slice,
+    section_space,
+)
 from bimodulus.moduli import ci_shadows
 from bimodulus.polyring import (
     MultiPoly,
@@ -194,6 +202,33 @@ def split_fiber_scan(f, side, avoid):
             continue
         return pairs
     raise SpecialPosition("no usable split fiber found")
+
+
+def canonical_one_fiber_at_a_time(L):
+    """`LineBundle.canonical` one rewriting move per step, 60 steps at
+    most: absorb a plus point, spread a duplicated minus point, or raise
+    by one fiber found by `split_fiber_scan` outside the minus points so
+    far, until the Kunneth condition holds."""
+    rep = L
+    for _ in range(60):
+        if rep.plus:
+            rep = rep._absorb_one(rep.plus[0])
+            continue
+        dup = _first_duplicate(rep.minus)
+        if dup is not None:
+            rep = rep._spread_duplicate(dup)
+            continue
+        a, b = rep.m - 2, rep.n - 2
+        if a <= -2 and b >= 0:
+            pts = split_fiber_scan(rep.curve.f, 0, rep.minus)
+            rep = LineBundle(rep.curve, rep.m + 1, rep.n, rep.minus + pts, [], check=False)
+            continue
+        if a >= 0 and b <= -2:
+            pts = split_fiber_scan(rep.curve.f, 1, rep.minus)
+            rep = LineBundle(rep.curve, rep.m, rep.n + 1, rep.minus + pts, [], check=False)
+            continue
+        return rep
+    raise SpecialPosition("rewriting did not terminate")
 
 
 def random_element(field, rng):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bimodulus.errors import ValidationError
-from bimodulus.exactmath import QQ, rank, sparse_rank
+from bimodulus.exactmath import QQ, PrimeField, QuadExtField, block_ranks, rank, sparse_rank
 from bimodulus.curves import make_kind
 from bimodulus.linebundles import Curve, random_line_bundle
 from bimodulus.bimodules import (
@@ -168,6 +168,42 @@ def test_prime_field_cech_ranks_match_the_scalar_loop(F101):
             rows = list(_cech_rows(F101, k, c, N).values())
             for sparse in (rows, rows[::-1], rows + _dcond_rows(F101, [1, 0, 1], 1, N)):
                 assert sparse_rank(F101, sparse) == generic_sparse_rank(F101, sparse)
+
+
+@pytest.mark.parametrize("field, c, dfin", [
+    (PrimeField(101), 5, [1, 0, 1]),
+    (QQ, Fraction(-7, 2), [Fraction(2, 5), 0, 3]),
+    (QuadExtField(PrimeField(5)), 2, [1, 1]),
+], ids=["F101", "Q", "F25"])
+def test_block_ranks_of_cech_matrices_are_the_ranks_of_every_prefix(field, c, dfin):
+    # outer rows, inner rows, then the D rows: the blocks `_nr_counts` and
+    # `_nr_h0_with_d` eliminate
+    for k in (-3, 0, 2, 5):
+        N = 2 * abs(k) + 8
+        Nsm = N - (abs(k) + 4)
+        rows = _cech_rows(field, k, c, N)
+        blocks = [[r for (_, e), r in rows.items() if abs(e) > Nsm],
+                  [r for (_, e), r in rows.items() if abs(e) <= Nsm],
+                  _dcond_rows(field, dfin, 2, N)]
+        got = list(block_ranks(field, ([r.items() for r in b] for b in blocks)))
+        want = [generic_sparse_rank(field, sum(blocks[:i + 1], [])) for i in range(3)]
+        assert got == want
+
+
+def test_divisor_rows_over_fp_are_residues_of_z_to_the_i_modulo_dfin(F101):
+    # dfin = (z - 3)(z - 5)(z - 7)(z - 10), so z^i mod dfin takes the value
+    # r^i at each root r
+    roots = [3, 5, 7, 10]
+    dfin = [1]
+    for r in roots:
+        dfin = [(a - r * b) % 101 for a, b in zip([0] + dfin, dfin + [0])]
+    N = 20
+    rows = _dcond_rows(F101, dfin, 2, N)
+    assert rows[4:] == [{2 * (N + 1): 1}, {2 * (N + 1) + 1: 1}]
+    assert all(type(v) is int and 0 < v < 101 for row in rows for v in row.values())
+    for r in roots:
+        for i in range(N + 1):
+            assert sum(row.get(i, 0) * r ** j for j, row in enumerate(rows[:4])) % 101 == pow(r, i, 101)
 
 
 def test_nr_split_u_is_split_v_after_swap(F101):

@@ -96,6 +96,24 @@ def test_split_on_a_doubled_member_sheaf_with_shifted_flag(capsys, tmp_path):
     assert rep["table"]["ab_prime"] == [-3, -1]
 
 
+@pytest.mark.parametrize("field, ku, kv, apic, dinf", [
+    ({"kind": "Fp", "p": 101}, 0, 0, "5 mod 101", 14),
+    ({"kind": "Fp", "p": 101}, 0, 0, "5 mod 101", 20),
+    ({"kind": "Fp", "p": 101}, 3, 3, "5 mod 101", 25),
+    ({"kind": "Q"}, 0, 0, "5", 20),
+])
+def test_doubled_member_sheaf_with_a_divisor_past_the_twist_window(
+        capsys, tmp_path, field, ku, kv, apic, dinf):
+    # deg D beyond 2(|ku| + |kv|) + 8 once put D rows outside the Cech
+    # window's Pt block, and the two windows then disagreed (exit 3)
+    body = {"type": "nr-sheaf", "field": field, "ku": ku, "kv": kv, "apic": apic,
+            "dfin": [], "dinf": dinf}
+    code, rep = run_on(capsys, tmp_path, "split", body)
+    assert code == 0 and rep["agree"] and rep["table"] == rep["computed"]
+    code, rep = run_on(capsys, tmp_path, "cech", body)
+    assert code == 0 and rep["h0"] - rep["h1"] == rep["chi"] == 2 * (ku + kv) - dinf
+
+
 def test_stability_on_descriptor(capsys, files):
     code, rep = run(capsys, "stability", "--in", files["desc"])
     assert code == 0

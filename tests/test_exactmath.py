@@ -24,6 +24,7 @@ from bimodulus.exactmath import (
     QEElt,
     QuadExtField,
     _is_prime,
+    block_ranks,
     field_from_json,
     kernel_basis,
     mat_mul,
@@ -345,6 +346,30 @@ def test_sparse_rank_is_the_dense_rank(data):
             rows.insert(data.draw(st.integers(0, len(rows))), [field.zero()] * ncols)
     sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
     assert sparse_rank(field, sparse) == rank(field, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_ranks_are_the_ranks_of_every_prefix(data):
+    field = data.draw(st.sampled_from([PrimeField(5), PrimeField(101), QQ, QuadExtField(PrimeField(5))]))
+    ncols = data.draw(st.integers(1, 16))
+    blocks = data.draw(st.lists(st.lists(st.dictionaries(
+        st.integers(0, ncols - 1), _ENTRIES, max_size=5), max_size=6), max_size=6))
+    got = list(block_ranks(field, ([r.items() for r in block] for block in blocks)))
+    prefixes = [sum(blocks[:i + 1], []) for i in range(len(blocks))]
+    assert got == [generic_sparse_rank(field, rows) for rows in prefixes]
+
+
+def test_block_ranks_read_a_block_only_when_asked():
+    read = []
+
+    def block(i):
+        read.append(i)
+        return [{i: 1}.items()]
+
+    ranks = block_ranks(PrimeField(7), (block(i) for i in range(5)))
+    assert next(ranks) == 1 and read == [0]
+    assert next(ranks) == 2 and read == [0, 1]
 
 
 def test_mat_mul_shapes():

@@ -11,8 +11,9 @@ import random
 import pytest
 
 from bimodulus.errors import SpecialPosition, ValidationError
-from bimodulus.exactmath import QQ, PrimeField
+from bimodulus.exactmath import QQ, PrimeField, QuadExtField
 import bimodulus.curves as curves
+import bimodulus.linebundles as linebundles
 from bimodulus.curves import make_kind, make_nodal, p1_points, random_smooth_point
 from bimodulus.jsonio import generate_instance
 from bimodulus.polyring import MultiPoly, monomial_basis
@@ -32,7 +33,7 @@ from bimodulus.linebundles import (
     transport,
 )
 
-from oracles import split_fiber_scan, split_h0_profile
+from oracles import canonical_one_fiber_at_a_time, split_fiber_scan, split_h0_profile
 
 
 @pytest.fixture
@@ -292,6 +293,30 @@ def _exhaust_split_fibers(scan, avoid):
     return out
 
 
+def _first_raising_fiber(L):
+    """The first fiber `LineBundle._raising_fibers` yields for L's class
+    with minus points `avoid`, as a scan(side, avoid) that raises like
+    `split_fiber_scan` when there is none."""
+    def scan(side, avoid):
+        for pts in LineBundle(L.curve, L.m, L.n, avoid, check=False)._raising_fibers(side):
+            return list(pts)
+        raise SpecialPosition("no usable split fiber found")
+    return scan
+
+
+def _oracle_raising_fibers(L, side):
+    """`split_fiber_scan` outside L's minus points and the fibers found so
+    far, until it finds none."""
+    avoid = list(L.minus)
+    while True:
+        try:
+            pts = split_fiber_scan(L.curve.f, side, avoid)
+        except SpecialPosition:
+            return
+        yield pts
+        avoid += pts
+
+
 def _rational_smooth_member():
     """A smooth member over Q; see test_rational_field_supported."""
     from bimodulus.polyring import MultiPoly, monomial_basis
@@ -323,12 +348,16 @@ def test_cached_split_fibers_match_the_uncached_scan(case):
         kind = "I1" if case.endswith("I1") else "I0"
         L = random_line_bundle(Curve(make_kind(F, kind, rng)), rng)
     f = L.curve.f
-    got = _exhaust_split_fibers(L._split_fiber, L.minus)
+    got = _exhaust_split_fibers(_first_raising_fiber(L), L.minus)
     want = _exhaust_split_fibers(lambda side, avoid: split_fiber_scan(f, side, avoid), L.minus)
     assert got == want
     assert any(pts for _, pts in got)
     # a second pass is served by the curve's cache and must not drift
-    assert _exhaust_split_fibers(L._split_fiber, L.minus) == want
+    assert _exhaust_split_fibers(_first_raising_fiber(L), L.minus) == want
+    # one scan of each ruling yields the fibers that searching afresh
+    # outside the points taken so far finds one at a time
+    for side in (0, 1):
+        assert list(map(list, L._raising_fibers(side))) == list(_oracle_raising_fibers(L, side))
 
 
 def test_random_line_bundle_restricts_each_fiber_once_per_curve(monkeypatch):
@@ -351,11 +380,98 @@ def test_split_with_the_uncached_scan_fails_alike_over_f11(monkeypatch):
     L = generate_instance("smooth-bimodule-chi2", PrimeField(11), random.Random(2))
     with pytest.raises(SpecialPosition):
         split_from_cohomology(L)
-    monkeypatch.setattr(
-        LineBundle, "_split_fiber",
-        lambda self, side, avoid: split_fiber_scan(self.curve.f, side, avoid))
+    monkeypatch.setattr(LineBundle, "_raising_fibers", _oracle_raising_fibers)
     with pytest.raises(SpecialPosition):
         split_from_cohomology(L)
+
+
+def _outcome(f):
+    """What f() returns, or the message of the SpecialPosition it raises."""
+    try:
+        return f()
+    except SpecialPosition as e:
+        return ("SpecialPosition", str(e))
+
+
+def _seeded_bundles(name):
+    """Seeded bundles on a smooth member, each also twisted by O(2, 0) and
+    O(4, 0), so that twists O(0, j) with low j are raised along the second
+    ruling."""
+    rng = random.Random(7)
+    if name == "Q":
+        curve = Curve(_rational_smooth_member())
+        drawn = [LineBundle(curve, 0, 0), LineBundle(curve, 1, 1, plus=[((1, 0), (1, 0))]),
+                 random_line_bundle(curve, rng, deg_lo=2, deg_hi=2)]
+    else:
+        F = {"F11": PrimeField(11), "F101": PrimeField(101),
+             "F25": QuadExtField(PrimeField(5))}[name]
+        curve = Curve(make_kind(F, "I0", rng))
+        drawn = [random_line_bundle(curve, rng) for _ in range(3)]
+    return [L.twist(dm, 0) for L in drawn for dm in (0, 2, 4)]
+
+
+@pytest.mark.parametrize("name", ["F11", "F101", "F25", "Q"])
+def test_split_reads_each_twist_h0_as_the_twist_computes_it(monkeypatch, name):
+    # split_from_h0 replaced by a stub that hands back the h0 of twists
+    # split_from_cohomology scans with
+    monkeypatch.setattr(linebundles, "split_from_h0", lambda h0, chi, window: h0)
+    raised = 0
+    for L in _seeded_bundles(name):
+        settled = _outcome(L._settled)
+        for order in (1, -1):
+            h0 = _outcome(lambda: split_from_cohomology(L))
+            for j in range(-12, 13)[::order]:
+                got = _outcome(lambda: h0(j)) if callable(h0) else h0
+                assert got == _outcome(L.twist(0, j).h0), (L, j)
+                if type(got) is int and isinstance(settled[0], LineBundle):
+                    rep = settled[0]
+                    raised += rep.m >= 2 and rep.n + j <= 0
+    assert raised
+
+
+def _presentation(f):
+    """(m, n, minus, plus) of the rep f() returns, or the message of the
+    SpecialPosition it raises."""
+    def read():
+        rep = f()
+        return rep.m, rep.n, rep.minus, rep.plus
+    return _outcome(read)
+
+
+@pytest.mark.parametrize("name", ["F11", "F101", "F25", "Q"])
+def test_canonical_takes_the_fibers_one_step_at_a_time_would(name):
+    for L in _seeded_bundles(name):
+        for dn in range(-12, 13, 3):
+            for dm in (-4, 0):
+                T = L.twist(dm, dn)
+                want = _presentation(lambda: canonical_one_fiber_at_a_time(T))
+                assert _presentation(T.canonical) == want, (T, dm, dn)
+
+
+@pytest.mark.parametrize("n, raises", [(-57, False), (-58, False), (-59, True), (-64, True)])
+def test_canonical_gives_up_after_sixty_raised_fibers(n, raises):
+    # O(2, n) raises 1 - n fibers of the second ruling; the last rewriting
+    # step checks the result, so 59 raised fibers are the most it takes
+    L = LineBundle(Curve(make_kind(PrimeField(1009), "I0", random.Random(3))), 2, n)
+    want = _outcome(lambda: canonical_one_fiber_at_a_time(L))
+    got = _outcome(L.canonical)
+    if raises:
+        assert got == want == ("SpecialPosition", "rewriting did not terminate")
+    else:
+        assert (got.m, got.n, got.minus) == (want.m, want.n, want.minus)
+        assert len(got.minus) == 2 * (1 - n)
+
+
+def test_raised_twists_give_up_where_their_canonical_reps_do(monkeypatch):
+    # twists O(2, -50 + j) of the scan raise 51 - j fibers: up to 59 they
+    # have h0 = 0, and from 60 on rewriting does not terminate
+    monkeypatch.setattr(linebundles, "split_from_h0", lambda h0, chi, window: h0)
+    L = LineBundle(Curve(make_kind(PrimeField(1009), "I0", random.Random(3))), 2, -50)
+    h0 = split_from_cohomology(L)
+    got = [_outcome(lambda: h0(j)) for j in range(-12, 13)]
+    assert got == [_outcome(L.twist(0, j).h0) for j in range(-12, 13)]
+    assert got[:4] == [("SpecialPosition", "rewriting did not terminate")] * 4
+    assert got[4:] == [0] * 21
 
 
 def test_twist_shifts_split(smooth_curve, rng):

@@ -21,8 +21,9 @@ and `classify`, `split` and `stability` on each other lift, with
 `roundtrip --in` on the smooth chi = 2 bundles.  Then two round trips at
 larger primes (103 and 10007), and last `generate` of the smooth
 bimodules over Q at seeds 4-7, draws on which the rational-point sampler
-often gives up.  492 commands in all, and every command of the CLI among
-them.
+often gives up.  Last, `split` and `stability` on edited instances that
+drive the twist scans hard (`EDITED`).  520 commands in all, and every
+command of the CLI among them.
 """
 
 from __future__ import annotations
@@ -67,6 +68,28 @@ AT_LARGER_PRIMES = (
 )
 OVER_Q = tuple(["generate", kind, "--prime", "0", "--seed", str(s)]
                for kind in ("smooth-bimodule-chi2", "smooth-bimodule-chi1") for s in range(4, 8))
+FP101 = {"kind": "Fp", "p": 101}
+# instance files run through `split` and `stability`: the seed-0 smooth
+# chi = 2 bundle, O(2,1) minus four points, with (m, n) changed so that the
+# canonical reps of its low twists raise more than ten fibers along the
+# second ruling (at F_101 and F_1009) or so that b reaches past the twist
+# window (also on the seed-1 bundle at F_11, O(-1,2)); and doubled-member
+# sheaves with a divisor and |ku| + |kv| >= 6 over F_101 and Q
+EDITED = tuple(
+    (f"raised-{p}-{m}-{n}.json", ("smooth-bimodule-chi2", p, seed), {"m": m, "n": n})
+    for p, seed, m, n in ((101, 0, 6, -4), (101, 0, 4, -8), (101, 0, 2, -10),
+                          (1009, 0, 6, -4), (1009, 0, 4, -8), (1009, 0, 2, -10),
+                          (101, 0, 2, 12), (101, 0, 2, 16), (11, 1, -1, 12), (11, 1, -1, 16))
+) + tuple((f"divisor-{i}.json", None, body) for i, body in enumerate((
+    {"type": "nr-sheaf", "field": FP101, "ku": 4, "kv": 2, "apic": "3 mod 101",
+     "dfin": ["1 mod 101", "0 mod 101", "1 mod 101"], "dinf": 1},
+    {"type": "nr-sheaf", "field": FP101, "ku": -3, "kv": 4, "apic": "7 mod 101",
+     "dfin": ["2 mod 101", "1 mod 101"], "dinf": 2},
+    {"type": "nr-sheaf", "field": {"kind": "Q"}, "ku": 3, "kv": 3, "apic": "-2/7",
+     "dfin": ["2/5", "0", "3"], "dinf": 1},
+    {"type": "nr-sheaf", "field": {"kind": "Q"}, "ku": 5, "kv": -2, "apic": "1/3",
+     "dfin": ["-1", "1"], "dinf": 3},
+)))
 ON_EACH_LIFT = {
     "smooth-bimodule-chi2": ("classify", "split", "stability", "roundtrip"),
     "smooth-bimodule-chi1": ("classify", "split", "stability"),
@@ -142,6 +165,18 @@ def main_digest():
                         emit([command, "--in", path.name], code, text)
         for argv in AT_LARGER_PRIMES + OVER_Q:
             emit(argv, *run(list(argv)))
+        for name, generated, edits in EDITED:
+            body = {}
+            if generated is not None:
+                kind, prime, seed = generated
+                _, _, body = generated_body(
+                    ["generate", kind, "--prime", str(prime), "--seed", str(seed)])
+            body.update(edits)
+            path = Path(tmp) / name
+            path.write_text(json.dumps(body))
+            for command in ("split", "stability"):
+                code, text = run([command, "--in", str(path)])
+                emit([command, "--in", name], code, text)
 
 
 if __name__ == "__main__":
