@@ -6,13 +6,15 @@ The concrete layer computes cohomology on the doubled-(1,1) member ("the
 thickened diagonal"): its Picard group is Z x G_a, a bundle is presented by
 pullback data (ku, kv, apic), and cohomology comes from an exact two-chart
 Cech complex truncated at a window that is re-run larger and must agree.
-One elimination per window gives both ranks: the outer rows go in first,
+One elimination per window gives every count: the outer rows go in first,
 and the rank after them is what h1 needs, then the inner rows, and the rank
-after all of them is what h0 needs.  Over F_p the rows are residues.
-Rank-1 torsion-free but non-invertible sheaves are kernels of a surjection
-onto the structure sheaf of a divisor D of the reduced locus; their h0 adds
-Taylor-vanishing rows to the same kernel computation, in a window that
-grows with deg D, and h1 follows from the long exact sequence.
+after them is what h0 needs.  Over F_p the rows are residues.  Rank-1
+torsion-free but non-invertible sheaves are kernels of a surjection onto
+the structure sheaf of a divisor D of the reduced locus; their
+Taylor-vanishing rows go last into the same elimination, in a window that
+grows with deg D, and the rank after them gives the sheaf's h0.  So a
+sheaf's cohomology costs one elimination per window, and h1 follows from
+the long exact sequence.
 
 The combinatorial layer encodes the classification tables: a descriptor names
 the member type and the discrete invariants, and pure functions return the
@@ -27,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ValidationError
-from .exactmath import PrimeField, block_ranks, sparse_rank
+from .exactmath import PrimeField, block_ranks
 from .linebundles import (
     LineBundle,
     is_twisted_v_pullback,
@@ -129,28 +131,35 @@ def _dcond_rows(field, dfin, dinf, N):
     return rows
 
 
-def _nr_counts(field, k, c, N):
-    """(h0, h1) of the Cech complex truncated at N, from one elimination:
-    the outer rows (|e| > N - |k| - 4) first, whose rank h1 needs, and then
-    the inner rows, which complete the rank h0 needs."""
+def _nr_counts(field, k, c, N, dfin, dinf):
+    """(h0, h1) of the Cech complex truncated at N and h0 of its sections
+    vanishing on D, from one elimination: the outer rows (|e| > N - |k| - 4)
+    first, whose rank h1 needs, then the inner rows, which complete the rank
+    h0 needs, and last the D rows."""
     Nsm = N - (abs(k) + 4)
     if Nsm < 1:
         raise AssertionError("window too small for the outer projection")
-    rows = _cech_rows(field, k, c, N)
-    outer = [r.items() for (_, e), r in rows.items() if abs(e) > Nsm]
-    inner = [r.items() for (_, e), r in rows.items() if abs(e) <= Nsm]
-    rank_out, rank_full = block_ranks(field, (outer, inner))
-    h0 = 4 * (N + 1) - rank_full
+    outer, inner = [], []
+    for (_, e), r in _cech_rows(field, k, c, N).items():
+        (outer if abs(e) > Nsm else inner).append(r.items())
+    dcond = [r.items() for r in _dcond_rows(field, dfin, dinf, N)]
+    rank_out, rank_full, rank_d = block_ranks(field, (outer, inner, dcond))
     c1_small = 2 * (2 * Nsm + 1)
-    h1 = c1_small - (rank_full - rank_out)
-    return h0, h1
+    return 4 * (N + 1) - rank_full, c1_small - (rank_full - rank_out), 4 * (N + 1) - rank_d
 
 
-def _nr_h0_with_d(field, k, c, N, dfin, dinf):
-    """Truncated h0 of the bundle's sections vanishing on D: one elimination
-    of the Cech matrix together with the D conditions."""
-    rows = list(_cech_rows(field, k, c, N).values()) + _dcond_rows(field, dfin, dinf, N)
-    return 4 * (N + 1) - sparse_rank(field, rows)
+def _nr_cohomology(field, k, c, N, dfin=(), dinf=0):
+    """The counts of `_nr_counts`, made at the windows N and N + 4, which
+    must agree; the bundle's h0 - h1 must be 2k."""
+    a = _nr_counts(field, k, c, N, dfin, dinf)
+    b = _nr_counts(field, k, c, N + 4, dfin, dinf)
+    if a != b:
+        raise AssertionError(f"Cech window did not stabilize: {a} vs {b}")
+    if min(a) < 0:
+        raise AssertionError("negative cohomology dimension")
+    if a[0] - a[1] != 2 * k:
+        raise AssertionError("Euler characteristic mismatch in the Cech computation")
+    return a
 
 
 def nr_closed_form(k, c_nonzero):
@@ -169,15 +178,7 @@ def nr_invertible_cohomology(field, k, c, window=None):
     """(h0, h1) of the bundle with transition z^k(1 + c*u/z); the truncated
     computation is repeated with a larger window and must agree."""
     N = window if window is not None else 2 * abs(k) + 8
-    a = _nr_counts(field, k, c, N)
-    b = _nr_counts(field, k, c, N + 4)
-    if a != b:
-        raise AssertionError(f"Cech window did not stabilize: {a} vs {b}")
-    if a[0] < 0 or a[1] < 0:
-        raise AssertionError("negative cohomology dimension")
-    if a[0] - a[1] != 2 * k:
-        raise AssertionError("Euler characteristic mismatch in the Cech computation")
-    return a
+    return _nr_cohomology(field, k, c, N)[:2]
 
 
 class NRSheaf:
@@ -239,32 +240,18 @@ class NRSheaf:
         reduced locus pointwise, so D is unchanged)."""
         return NRSheaf(self.field, self.kv, self.ku, -self.apic, self.dfin, self.dinf)
 
-    def _bundle_cohomology(self):
-        return nr_invertible_cohomology(self.field, self.k, self.c)
-
     def h0(self):
-        if self.is_invertible():
-            return self._bundle_cohomology()[0]
-        # the D rows reach column 2(N + 1) + dinf - 1, inside the Pt block
-        N = max(2 * (abs(self.ku) + abs(self.kv)), self.degd()) + 8
-        a, b = (_nr_h0_with_d(self.field, self.k, self.c, n, self.dfin, self.dinf)
-                for n in (N, N + 4))
-        if a != b:
-            raise AssertionError("Cech window did not stabilize")
-        return a
+        return self.cohomology()[0]
 
     def cohomology(self):
-        """(h0, h1), each Cech count made once; h1 of a non-invertible
-        sheaf follows from the long exact sequence."""
-        h0l, h1l = self._bundle_cohomology()
-        if self.is_invertible():
-            return h0l, h1l
-        h0 = self.h0()
+        """(h0, h1), from one elimination per Cech window; h1 of a
+        non-invertible sheaf follows from the long exact sequence."""
+        # the D rows reach column 2(N + 1) + dinf - 1, inside the Pt block
+        N = max(2 * abs(self.k), self.degd()) + 8
+        h0l, h1l, h0 = _nr_cohomology(self.field, self.k, self.c, N, self.dfin, self.dinf)
         h1 = h1l + self.degd() - h0l + h0
         if h1 < 0:
             raise AssertionError("negative h1 from the long exact sequence")
-        if h0 - h1 != self.chi():
-            raise AssertionError("Euler characteristic mismatch")
         return h0, h1
 
     def __repr__(self):
@@ -272,10 +259,10 @@ class NRSheaf:
                 f"degd={self.degd()})")
 
 
-def nr_split_v(sheaf, window=8):
+def nr_split_v(sheaf):
     """Splitting type of the direct image on the second factor, from the h0
-    profile of v-twists, verified across the whole window."""
-    return split_from_h0(lambda j: sheaf.twist_v(j).h0(), sheaf.chi(), window)
+    profile of v-twists (`split_from_h0`)."""
+    return split_from_h0(lambda j: sheaf.twist_v(j).h0(), sheaf.chi())
 
 
 def nr_split_u(sheaf):

@@ -420,13 +420,26 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
+def _usage_error(message):
+    """The parser's `error`: a usage error is reported like any other
+    invalid input, exit 2 and a JSON error object on stdout."""
+    raise ValidationError(message)
+
+
+def _command(name):
+    # argparse words an unknown choice differently across Python versions
+    if name not in _HANDLERS:
+        raise argparse.ArgumentTypeError(f"unknown command {name!r}")
+    return name
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="bimodulus",
         description="exact computations for sheaves on anticanonical members, "
                     "their splitting tables, quiver presentations and moduli",
     )
-    p.add_argument("command", choices=COMMANDS)
+    p.add_argument("command", type=_command, choices=COMMANDS)
     p.add_argument("kind", nargs="?", default=None,
                    help="instance kind (generate only)")
     p.add_argument("--in", dest="input", default=None, metavar="FILE",
@@ -437,12 +450,13 @@ def build_parser():
     p.add_argument("--count", type=int, default=None, help="repetition count")
     p.add_argument("--out", dest="output", default=None, metavar="FILE",
                    help="also write the report to this file")
+    p.error = _usage_error
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _field_for(args)  # reject unusable characteristics up front
         report = _HANDLERS[args.command](args)
     except (ValidationError, SpecialPosition) as e:

@@ -21,10 +21,12 @@ computed from that model.  Over F_p the point conditions are rows of
 residues, read by the elimination as they are, and the vanishing forms are
 reduced modulo the ideal slice on residues.  A Curve of type I0 tells its
 fiber table that the member is smooth, so no smoothness test computes a
-partial derivative.  The twists O(0, j) a split scan raises along the
-second ruling are O(m,1)(-Z-F_1-...-F_t) for growing t: the same monomials
-and more rows, so one elimination, read after each fiber, gives all their
-h0.
+partial derivative.  A split scan reads the splitting type (a, b) off h0
+of one twist, O(0, -s-1) with s = (chi-2)//2, where only O(b) has sections,
+and verifies it on the twists O(0, j) of a fixed window widened to where
+each summand turns on.  The twists it raises along the second ruling are
+O(m,1)(-Z-F_1-...-F_t) for growing t: the same monomials and more rows, so
+one elimination, read after each fiber, gives all their h0.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from .polyring import MultiPoly, monomial_basis, monomial_values
 
 # rewriting moves `canonical` makes before it gives up; each raised fiber is one
 REWRITING_STEPS = 60
+# the twists O(j), |j| <= SPLIT_WINDOW, whose h0 `split_from_h0` verifies
+SPLIT_WINDOW = 8
 
 
 class Curve:
@@ -446,28 +450,20 @@ def is_twisted_v_pullback(L):
     return is_v_pullback(L.twist(-1, 0))
 
 
-def split_from_h0(h0_of_twist, chi, window):
+def split_from_h0(h0_of_twist, chi):
     """Splitting type (a, b), a <= b, of a rank-2 direct image with Euler
-    characteristic chi, from h0 of its twists by O(j): located by the first
-    j with a section and then verified against the whole twist profile
-    scanned.  The scan covers [-window, window], and below -window down to
-    a twist without sections when there is one at -window (b >= window).
-    Each twist is evaluated once, lowest first, so a caller may answer the
-    low twists from one incremental computation."""
+    characteristic chi, from h0 of its twists by O(j).  As a + b = chi - 2,
+    a <= s <= b for s = (chi - 2) // 2, so at the twist j = -s - 1 only O(b)
+    has sections, and b = s + h0(-s - 1).  The type is then verified against
+    the whole twist profile over [-SPLIT_WINDOW, SPLIT_WINDOW], widened to
+    the twists -b - 1 and -a - 1 where each summand turns on.  Each twist is
+    evaluated once, and the profile lowest first, so a caller may answer
+    the low twists from one incremental computation."""
     h0 = cache(h0_of_twist)
-    lo = -window
-    while h0(lo) > 0:
-        lo -= 1
-    for j in range(lo + 1, window + 1):
-        if h0(j) > 0:
-            break
-    else:
-        raise ValidationError("splitting type outside the scanned window")
-    b = -j
+    s = (chi - 2) // 2
+    b = s + h0(-s - 1)
     a = chi - 2 - b
-    if a > b:
-        raise AssertionError("splitting detection produced a > b")
-    for j in range(lo, window + 1):
+    for j in range(min(-SPLIT_WINDOW, -b - 1), max(SPLIT_WINDOW, -a - 1) + 1):
         want = max(a + j + 1, 0) + max(b + j + 1, 0)
         got = h0(j)
         if got != want:
@@ -476,9 +472,11 @@ def split_from_h0(h0_of_twist, chi, window):
     return (a, b)
 
 
-def split_from_cohomology(L, window=8):
+def split_from_cohomology(L):
     """Splitting type (a, b), a <= b, of the direct image on the second
-    factor, from the h0 profile of the twists O(0, j).
+    factor: read off h0 of the one twist O(0, -s - 1), s = (chi - 2) // 2,
+    and verified against the h0 profile of the twists O(0, j)
+    (`split_from_h0`).
 
     L settles (`LineBundle._settled`) to O(m, n)(-Z).  The twists raised
     along the second ruling (m >= 2, n + j <= 0) have the canonical reps
@@ -494,7 +492,7 @@ def split_from_cohomology(L, window=8):
             return raised(t)
         return L.twist(0, j).h0()
 
-    return split_from_h0(h0, L.degree_total(), window)
+    return split_from_h0(h0, L.degree_total())
 
 
 def _raised_h0(rep, steps):

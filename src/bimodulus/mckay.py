@@ -19,7 +19,7 @@ the derived equivalence here.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .exactmath import kernel_basis, rref, subspace_equal
+from .exactmath import kernel_basis, rank, subspace_equal
 from .polyring import bf_mul, bf_scale
 from .quivers import quotient_model_quiver
 
@@ -98,7 +98,7 @@ def closure_dim(field, lam, src, dst):
     src -> dst."""
     quiver = quotient_model_quiver()
     _, vecs = _relation_vectors(field, quiver, qweyl_relations(field, lam), src, dst)
-    return len(rref(field, vecs)[0]) if vecs else 0
+    return rank(field, vecs)
 
 
 def collection_hom_dims(field, lam):
@@ -189,13 +189,13 @@ def closure_equals_model_kernel(field, lam):
     quiver = quotient_model_quiver()
     _, vecs = _relation_vectors(field, quiver, qweyl_relations(field, lam), 1, 4)
     ker = matrix_model_kernel(field, lam)
-    closure = rref(field, vecs)[0]
+    dim = rank(field, vecs)
     return {
-        "closure_dim": len(closure),
+        "closure_dim": dim,
         "kernel_dim": len(ker),
         "equal": subspace_equal(field, vecs, ker),
         "paths": 12,
-        "quotient_dim": 12 - len(closure),
+        "quotient_dim": 12 - dim,
         "graded_dim_3": s_graded_dim(2, 3),
     }
 

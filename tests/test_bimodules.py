@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import bimodulus.bimodules as bimodules
+import bimodulus.linebundles as linebundles
 from bimodulus.errors import ValidationError
 from bimodulus.exactmath import QQ, PrimeField, QuadExtField, block_ranks, rank, sparse_rank
 from bimodulus.curves import make_kind
@@ -64,6 +66,17 @@ def test_window_enlargement_is_stable(F101):
     assert nr_invertible_cohomology(F101, 3, 2, window=30) == base
 
 
+def test_nr_sheaf_window_grows_with_k_and_deg_d_only(F101):
+    # the Cech complex sees the class through k = ku + kv alone, so the
+    # window max(2|k|, deg D) + 8 gives the counts of a much larger one
+    for ku, kv in ((5, -5), (-6, 2), (3, 3), (0, -4)):
+        for dfin, dinf in (([], 0), ([1, 0, 1], 1), ([2, 1], 3), ([], 5)):
+            s = NRSheaf(F101, ku, kv, apic=3, dfin=dfin, dinf=dinf)
+            N = 2 * (abs(ku) + abs(kv)) + s.degd() + 20
+            h0l, h1l, h0 = bimodules._nr_cohomology(F101, s.k, s.c, N, s.dfin, s.dinf)
+            assert s.cohomology() == (h0, h1l + s.degd() - h0l + h0)
+
+
 def test_nr_sheaf_euler_characteristic(F101):
     s = NRSheaf(F101, 2, 1, apic=5)
     assert s.chi() == 2 * s.k
@@ -106,6 +119,7 @@ def test_nr_split_profile_matches_direct_sum(F101):
 
 @pytest.mark.parametrize("window", [3, 8])
 def test_nr_split_scan_computes_each_twist_once(F101, monkeypatch, window):
+    monkeypatch.setattr(linebundles, "SPLIT_WINDOW", window)
     calls = []
     h0 = NRSheaf.h0
 
@@ -116,22 +130,25 @@ def test_nr_split_scan_computes_each_twist_once(F101, monkeypatch, window):
     monkeypatch.setattr(NRSheaf, "h0", counted)
     for s in (NRSheaf(F101, 0, 0), NRSheaf(F101, 1, -1, apic=2, dfin=[1, 0, 1])):
         calls.clear()
-        nr_split_v(s, window=window)
+        nr_split_v(s)
         assert len(calls) == len(set(calls)) == 2 * window + 1
 
 
 def test_nr_h0_with_a_divisor_eliminates_once_per_window(F101, monkeypatch):
-    import bimodulus.bimodules as bimodules
-
+    # the bundle's counts and the D rows share one elimination per window,
+    # so cohomology() of a non-invertible sheaf makes 2 rather than 4
     calls = []
 
-    def counted(field, rows):
-        calls.append(len(rows))
-        return sparse_rank(field, rows)
+    def counted(field, blocks):
+        calls.append(field)
+        return block_ranks(field, blocks)
 
-    monkeypatch.setattr(bimodules, "sparse_rank", counted)
-    NRSheaf(F101, 1, -1, apic=2, dfin=[1, 0, 1]).h0()
-    assert len(calls) == 2
+    monkeypatch.setattr(bimodules, "block_ranks", counted)
+    s = NRSheaf(F101, 1, -1, apic=2, dfin=[1, 0, 1])
+    for compute in (s.h0, s.cohomology):
+        calls.clear()
+        compute()
+        assert len(calls) == 2
 
 
 @pytest.mark.parametrize("k", range(-6, 7))
@@ -176,8 +193,8 @@ def test_prime_field_cech_ranks_match_the_scalar_loop(F101):
     (QuadExtField(PrimeField(5)), 2, [1, 1]),
 ], ids=["F101", "Q", "F25"])
 def test_block_ranks_of_cech_matrices_are_the_ranks_of_every_prefix(field, c, dfin):
-    # outer rows, inner rows, then the D rows: the blocks `_nr_counts` and
-    # `_nr_h0_with_d` eliminate
+    # outer rows, inner rows, then the D rows: the blocks `_nr_counts`
+    # eliminates
     for k in (-3, 0, 2, 5):
         N = 2 * abs(k) + 8
         Nsm = N - (abs(k) + 4)

@@ -82,6 +82,16 @@ def test_split_of_a_bundle_whose_b_exceeds_the_twist_window(capsys, tmp_path, n,
     assert code == 0 and rep["agree"] and rep["computed"]["ab"] == ab
 
 
+def test_split_of_a_bundle_whose_first_twist_with_sections_is_above_the_window(
+        capsys, tmp_path):
+    # the seed-0 bundle at F_101 edited to O(2, -10) splits as (-11, -11):
+    # no twist in [-8, 8] has sections, so b is read off the twist -s - 1
+    body = generated_body(capsys, "smooth-bimodule-chi2", "--prime", "101", "--seed", "0")
+    body.update(m=2, n=-10)
+    code, rep = run_on(capsys, tmp_path, "split", body)
+    assert code == 0 and rep["agree"] and rep["computed"]["ab"] == [-11, -11]
+
+
 def test_split_on_a_doubled_member_sheaf_with_shifted_flag(capsys, tmp_path):
     # the descriptor of this sheaf sets its own twist flag (ku = -1)
     code, rep = run(capsys, "generate", "non-reduced", "--seed", "2002")
@@ -404,6 +414,36 @@ def test_console_script():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"]
+
+
+USAGE_ERRORS = [
+    (["bogus"], "argument command: unknown command 'bogus'"),
+    (["split", "--prime", "abc"], "argument --prime: invalid int value: 'abc'"),
+    (["split", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=["unknown-command", "bad-int", "unknown-flag", "no-command"])
+def test_usage_errors_are_exit_2_with_a_json_error(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": message, "type": "validation"} and err == ""
+
+
+def test_usage_error_of_the_console_script_is_json_on_stdout():
+    proc = subprocess.run([sys.executable, "-m", "bimodulus.cli", "split", "--prime", "abc"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert json.loads(proc.stdout)["type"] == "validation"
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bimodulus")
 
 
 @pytest.mark.parametrize("prime, seeds", [(5, (0, 1)), (7, (0, 1)), (11, (0, 1)), (101, (0,)), (1009, (0,))])

@@ -245,23 +245,36 @@ def test_split_profile_matches_direct_sum(smooth_curve, rng):
         assert got == profile
 
 
-@pytest.mark.parametrize("a, b", [(-2, 0), (0, 7), (8, 8), (10, 10), (-5, 12), (14, 14)])
+@pytest.mark.parametrize("a, b", [(-2, 0), (0, 7), (8, 8), (10, 10), (-5, 12), (14, 14),
+                                  (-11, -11), (-14, -11), (-12, -11), (-20, 5)])
 def test_split_scan_reaches_below_the_window(a, b):
     # b >= window: the twist at -window already has sections, so the scan
-    # goes on down to the first twist without any
-    window = 8
+    # goes on down to the first twist without any; b < -window or
+    # a < -window - 1: it goes on up to the twist where O(a) turns on; and
+    # wherever the window is, b is read off the one twist -s - 1
+    window = linebundles.SPLIT_WINDOW
     calls = []
 
     def h0(j):
         calls.append(j)
         return max(a + j + 1, 0) + max(b + j + 1, 0)
 
-    assert split_from_h0(h0, a + b + 2, window) == (a, b)
-    assert sorted(calls) == list(range(min(-window, -b - 1), window + 1))
+    assert split_from_h0(h0, a + b + 2) == (a, b)
+    assert sorted(calls) == list(range(min(-window, -b - 1), max(window, -a - 1) + 1))
+
+
+@pytest.mark.parametrize("chi, h0", [
+    (1, lambda j: 0),  # would read (a, b) = (0, -1)
+    (2, lambda j: max(j + 1, 0) + max(j + 2, 0)),  # would read (-1, 1)
+], ids=["a-above-b", "not-a-split-profile"])
+def test_split_scan_rejects_a_profile_of_no_split_pair(chi, h0):
+    with pytest.raises(AssertionError, match="twist profile mismatch"):
+        split_from_h0(h0, chi)
 
 
 @pytest.mark.parametrize("window", [3, 8])
 def test_split_scan_computes_each_twist_once(smooth_curve, rng, monkeypatch, window):
+    monkeypatch.setattr(linebundles, "SPLIT_WINDOW", window)
     calls = []
     h0 = LineBundle.h0
 
@@ -272,7 +285,7 @@ def test_split_scan_computes_each_twist_once(smooth_curve, rng, monkeypatch, win
     monkeypatch.setattr(LineBundle, "h0", counted)
     for L in (LineBundle(smooth_curve, 0, 0), random_line_bundle(smooth_curve, rng)):
         calls.clear()
-        split_from_cohomology(L, window=window)
+        split_from_cohomology(L)
         assert len(calls) == len(set(calls)) == 2 * window + 1
 
 
@@ -414,7 +427,7 @@ def _seeded_bundles(name):
 def test_split_reads_each_twist_h0_as_the_twist_computes_it(monkeypatch, name):
     # split_from_h0 replaced by a stub that hands back the h0 of twists
     # split_from_cohomology scans with
-    monkeypatch.setattr(linebundles, "split_from_h0", lambda h0, chi, window: h0)
+    monkeypatch.setattr(linebundles, "split_from_h0", lambda h0, chi: h0)
     raised = 0
     for L in _seeded_bundles(name):
         settled = _outcome(L._settled)
@@ -465,7 +478,7 @@ def test_canonical_gives_up_after_sixty_raised_fibers(n, raises):
 def test_raised_twists_give_up_where_their_canonical_reps_do(monkeypatch):
     # twists O(2, -50 + j) of the scan raise 51 - j fibers: up to 59 they
     # have h0 = 0, and from 60 on rewriting does not terminate
-    monkeypatch.setattr(linebundles, "split_from_h0", lambda h0, chi, window: h0)
+    monkeypatch.setattr(linebundles, "split_from_h0", lambda h0, chi: h0)
     L = LineBundle(Curve(make_kind(PrimeField(1009), "I0", random.Random(3))), 2, -50)
     h0 = split_from_cohomology(L)
     got = [_outcome(lambda: h0(j)) for j in range(-12, 13)]

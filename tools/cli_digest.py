@@ -21,9 +21,10 @@ and `classify`, `split` and `stability` on each other lift, with
 `roundtrip --in` on the smooth chi = 2 bundles.  Then two round trips at
 larger primes (103 and 10007), and last `generate` of the smooth
 bimodules over Q at seeds 4-7, draws on which the rational-point sampler
-often gives up.  Last, `split` and `stability` on edited instances that
-drive the twist scans hard (`EDITED`).  520 commands in all, and every
-command of the CLI among them.
+often gives up.  Then `split` and `stability` on edited instances that
+drive the twist scans hard (`EDITED`), and last three usage errors
+(`USAGE_ERRORS`), each reported as a JSON error object with exit 2.
+523 commands in all, and every command of the CLI among them.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ EDITED = tuple(
     {"type": "nr-sheaf", "field": {"kind": "Q"}, "ku": 5, "kv": -2, "apic": "1/3",
      "dfin": ["-1", "1"], "dinf": 3},
 )))
+USAGE_ERRORS = (["bogus"], ["split", "--prime", "abc"], ["split", "--bogus"])
 ON_EACH_LIFT = {
     "smooth-bimodule-chi2": ("classify", "split", "stability", "roundtrip"),
     "smooth-bimodule-chi1": ("classify", "split", "stability"),
@@ -177,6 +179,8 @@ def main_digest():
             for command in ("split", "stability"):
                 code, text = run([command, "--in", str(path)])
                 emit([command, "--in", name], code, text)
+        for argv in USAGE_ERRORS:
+            emit(argv, *run(list(argv)))
 
 
 if __name__ == "__main__":
