@@ -17,12 +17,15 @@ Once (m,n) is large enough that the ambient restriction
 H0(O(m,n)) -> H0(O(m,n)|_W) is onto (a Kunneth condition on O(m-2,n-2)),
 global sections are exactly the ambient forms vanishing on Z_minus, taken
 modulo the ideal slice f*H0(O(m-2,n-2)).  All ranks, bases and products are
-computed from that model.  Over F_p the point conditions are rows of
-residues, read by the elimination as they are, and the vanishing forms are
-reduced modulo the ideal slice on residues.  A Curve of type I0 tells its
-fiber table that the member is smooth, so no smoothness test computes a
-partial derivative.  A split scan reads the splitting type (a, b) off h0
-of one twist, O(0, -s-1) with s = (chi-2)//2, where only O(b) has sections,
+computed from that model.  A class modulo the slice is kept as its normal
+form, the remainder of division by f (`NormalForm`), so sections are the
+normal forms vanishing on Z_minus: the point rows are eliminated on the
+2(m+n) normal-form columns, and a point listed twice (in the divisor of a
+product of two bundles) adds a tangent row.  Over F_p the point rows and
+the division run on residues.  A Curve of type I0 tells its fiber table
+that the member is smooth, so no smoothness test computes a partial
+derivative.  A split scan reads the splitting type (a, b) off h0 of one
+twist, O(0, -s-1) with s = (chi-2)//2, where only O(b) has sections,
 and verifies it on the twists O(0, j) of a fixed window widened to where
 each summand turns on.  The twists it raises along the second ruling are
 O(m,1)(-Z-F_1-...-F_t) for growing t: the same monomials and more rows, so
@@ -45,7 +48,7 @@ from .curves import (
     random_smooth_point,
 )
 from .errors import SpecialPosition, ValidationError
-from .exactmath import PrimeField, block_ranks, kernel_basis, rank, reduce_modulo, rref
+from .exactmath import FpElt, PrimeField, block_ranks, kernel_basis, rank
 from .polyring import MultiPoly, monomial_basis, monomial_values
 
 # rewriting moves `canonical` makes before it gives up; each raised fiber is one
@@ -307,6 +310,37 @@ def _eval_rows(field, points, monos):
     return rows
 
 
+def _tangent_rows(field, f, points, monos):
+    """One row per point P of the member f: the derivative along W at P of
+    the bidegree monomials `monos`, G_X F_Y - G_Y F_X in an affine chart
+    (X, Y) of P.  With P's value row, it asks a form to vanish to order two
+    on W at P, as W is smooth there.  The chart's coordinates are x1/x0 (or
+    x0/x1 where x0 = 0) and likewise in y, and the partials are taken at
+    P's coordinates as they are: rescaling them multiplies the row by a
+    unit."""
+    dx, dy = monos[0][0] + monos[0][1], monos[0][2] + monos[0][3]
+    rows = []
+    for x, y in points:
+        kx, ky = (1 if x[0] else 0), (1 if y[0] else 0)
+        fx = f.partial(0, kx).eval_full([x, y])
+        fy = f.partial(1, ky).eval_full([x, y])
+        vx, gx = monomial_values(field, x, dx), _derivative_values(field, x, dx, kx)
+        vy, gy = monomial_values(field, y, dy), _derivative_values(field, y, dy, ky)
+        rows.append([gx[e[1]] * vy[e[3]] * fy - vx[e[1]] * gy[e[3]] * fx for e in monos])
+    return rows
+
+
+def _derivative_values(field, point, d, k):
+    """Values at `point` of the derivatives by its coordinate k of the
+    binary monomials of degree d, indexed as in `monomial_values`."""
+    if d == 0:
+        return [field.zero()]
+    v = monomial_values(field, point, d - 1)
+    if k == 1:
+        return [field.zero()] + [v[i - 1] * i for i in range(1, d + 1)]
+    return [v[i] * (d - i) for i in range(d)] + [field.zero()]
+
+
 def _raising(m, n):
     """(side, t) for a settled rep of class O(m, n): the Kunneth condition
     asks it to be raised by t fibers of the ruling `side`, until m - 2 (or
@@ -346,75 +380,127 @@ def _fiber_scan(field):
 # section spaces
 
 
+class NormalForm:
+    """Normal forms of the forms of bidegree `degree` = (M, N) modulo the
+    member f: each class of forms as its coefficient vector on `monos`, the
+    2(M+N) monomials off the pivots of the ideal slice f * H0(O(M-2, N-2))
+    (all monomials when M < 2 or N < 2).
+
+    `monomial_basis` order is a monomial order (lex, x0 and y0 first), so
+    the reduced echelon basis of the ideal slice has its pivots exactly at
+    LM(f) times the monomials of bidegree (M-2, N-2), and reducing modulo it
+    is division by f, leading monomial first: each pivot in turn is cleared
+    by a multiple of f times its monomial, which touches only later
+    columns.  Both leave the one vector of the class that is zero at every
+    pivot, so the normal form is the vector `reduce_modulo` makes.  The
+    division steps are read off f once; over F_p they run on residues."""
+
+    __slots__ = ("f", "field", "degree", "monos", "_size", "_cols", "_steps")
+
+    def __init__(self, f, degree):
+        self.f = f
+        F = self.field = f.field
+        M, N = self.degree = tuple(degree)
+        width = N + 1
+        full = monomial_basis(self.degree)
+        self._size = len(full)
+        self._steps = []  # (pivot column, [(column, multiplier), ...])
+        if M >= 2 and N >= 2:
+            # f's terms as column offsets, the leading term first
+            terms = sorted((e[1] * width + e[3], c) for e, c in f.terms.items())
+            (lead, lc), rest = terms[0], terms[1:]
+            if isinstance(F, PrimeField):
+                inv = pow(lc.v, -1, F.p)
+                rest = [(off, -c.v * inv % F.p) for off, c in rest]
+            else:
+                rest = [(off, -c / lc) for off, c in rest]
+            for _, i, _, j in monomial_basis((M - 2, N - 2)):
+                base = i * width + j
+                self._steps.append((base + lead, [(base + off, k) for off, k in rest]))
+        pivots = {pc for pc, _ in self._steps}
+        self._cols = [c for c in range(self._size) if c not in pivots]
+        self.monos = [full[c] for c in self._cols]
+
+    def vec(self, form):
+        """The normal form of a form of bidegree `degree`."""
+        if form.degree != self.degree:
+            raise ValidationError("product form has the wrong bidegree")
+        F, width = self.field, self.degree[1] + 1
+        if isinstance(F, PrimeField):
+            p = F.p
+            w = [0] * self._size
+            for e, c in form.terms.items():
+                w[e[1] * width + e[3]] = c.v
+            for pc, step in self._steps:
+                a = w[pc] % p
+                if a:
+                    for col, k in step:
+                        w[col] += a * k
+            return [FpElt(p, w[c]) for c in self._cols]
+        w = [F.zero()] * self._size
+        for e, c in form.terms.items():
+            w[e[1] * width + e[3]] = c
+        for pc, step in self._steps:
+            a = w[pc]
+            if a:
+                for col, k in step:
+                    w[col] = w[col] + a * k
+        return [w[c] for c in self._cols]
+
+    def form(self, vec):
+        """The form with normal-form coefficients `vec`."""
+        return MultiPoly(self.field, self.degree, dict(zip(self.monos, vec)))
+
+
 class SectionSpace:
-    """Concrete model of H0(L): ambient forms of bidegree `ambient`, modulo
-    the ideal slice; `basis` holds quotient representatives (still vanishing
-    on the rep's minus points)."""
+    """Concrete model of H0(L): the normal forms `nf` in the bidegree of the
+    rep that vanish on its minus points; `basis` is their reduced echelon
+    basis."""
 
-    __slots__ = ("rep", "ambient", "monos", "basis")
+    __slots__ = ("rep", "nf", "basis")
 
-    def __init__(self, rep, monos, basis):
+    def __init__(self, rep, nf, basis):
         self.rep = rep
-        self.ambient = (rep.m, rep.n)
-        self.monos = monos
+        self.nf = nf
         self.basis = basis
 
     def dim(self):
         return len(self.basis)
 
     def form(self, i):
-        F = self.rep.field
-        return MultiPoly(F, self.ambient, dict(zip(self.monos, self.basis[i])))
+        return self.nf.form(self.basis[i])
 
     def forms(self):
         return [self.form(i) for i in range(self.dim())]
 
 
-def sections_through(field, points, monos, red, piv):
-    """Forms on the monomials `monos` vanishing at `points`, modulo the
-    echelon basis (red, piv) of an ideal slice: (reduced echelon basis of
-    the quotient, dimension of the vanishing forms before the quotient)."""
-    V = kernel_basis(field, _eval_rows(field, points, monos), len(monos))
-    reduced = [w for w in (reduce_modulo(field, red, piv, v) for v in V) if any(w)]
-    return rref(field, reduced)[0], len(V)
+def sections_through(nf, points):
+    """Reduced echelon basis of the normal forms in `nf` that vanish on the
+    divisor of `points` counted with multiplicity: at each point, and to
+    order two on W at each point listed twice (`_tangent_rows`).  A normal
+    form vanishes at a point of W exactly when its class does, so the point
+    rows are eliminated on the normal-form columns alone."""
+    field = nf.field
+    simple, twice = [], []
+    for p in points:
+        if p not in simple:
+            simple.append(p)
+        elif p not in twice:
+            twice.append(p)
+        else:
+            raise ValidationError("a divisor point of multiplicity above two")
+    rows = _eval_rows(field, simple, nf.monos) + _tangent_rows(field, nf.f, twice, nf.monos)
+    # a kernel vector of `kernel_basis` is 1 at its free column, 0 at the
+    # others and nonzero only before it; so with the columns reversed, and
+    # read back, the kernel basis is the reduced echelon basis
+    ker = kernel_basis(field, [row[::-1] for row in rows], len(nf.monos))
+    return [v[::-1] for v in reversed(ker)]
 
 
 def section_space(bundle):
     rep = bundle.canonical()
-    F = rep.field
-    monos = monomial_basis((rep.m, rep.n))
-    ideal = ideal_slice(rep.curve.f, rep.m, rep.n)
-    red, piv = rref(F, ideal) if ideal else ([], [])
-    basis, vanishing = sections_through(F, rep.minus, monos, red, piv)
-    if len(basis) != vanishing - len(ideal):
-        raise AssertionError("ideal slice escaped the section kernel")
-    return SectionSpace(rep, monos, basis)
-
-
-def ideal_slice(f, m, n):
-    """Coefficient vectors of f * H0(O(m-2, n-2)) inside O(m,n)."""
-    if m - 2 < 0 or n - 2 < 0:
-        return []
-    monos = monomial_basis((m, n))
-    index = {e: i for i, e in enumerate(monos)}
-    F = f.field
-    out = []
-    for e in monomial_basis((m - 2, n - 2)):
-        # f times a monomial: f's coefficients at shifted exponents
-        vec = [F.zero()] * len(monos)
-        for ee, c in f.terms.items():
-            vec[index[tuple(a + b for a, b in zip(e, ee))]] = c
-        out.append(vec)
-    return out
-
-
-def form_to_vec(form, monos):
-    F = form.field
-    index = {e: i for i, e in enumerate(monos)}
-    vec = [F.zero()] * len(monos)
-    for e, c in form.terms.items():
-        vec[index[e]] = c
-    return vec
+    nf = NormalForm(rep.curve.f, (rep.m, rep.n))
+    return SectionSpace(rep, nf, sections_through(nf, rep.minus))
 
 
 # ---------------------------------------------------------------------------

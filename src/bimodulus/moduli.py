@@ -27,11 +27,15 @@ contractions, and builds field elements only for its output.  The
 re-embedded member of `phi_inverse` is the shadow that forgets the middle
 line.
 
-Over F_p the products of sections behind `psi0`/`psi1` are formed and
-reduced modulo the member on residues (`MultiPoly.__mul__`,
-`reduce_modulo`).  The round trip decides the stability of the point
-representations once per zero pattern: King stability of a
-(1,1,1,1)-representation reads only which arrows are nonzero.
+The products of sections behind `psi0`/`psi1` are kept as normal forms
+modulo the member, remainders of division by the member leading monomial
+first (`NormalForm`), on residues over F_p.  The sections of a product of
+two bundles, from which `psi1` picks its skip arrows, are the normal forms
+vanishing on the sum of the two representatives' divisors: a point of both
+is counted twice, with a tangent row (`sections_through`).  The round trip
+decides the stability of the point representations once per zero pattern:
+King stability of a (1,1,1,1)-representation reads only which arrows are
+nonzero.
 
 Degenerate configurations (isomorphic bundle pairs, products failing to
 span, irrational section divisors) raise DegenerateInstance or
@@ -55,15 +59,14 @@ from .exactmath import FpElt, PrimeField, kernel_basis, reduce_modulo, rref, sub
 from .linebundles import (
     Curve,
     LineBundle,
-    form_to_vec,
-    ideal_slice,
+    NormalForm,
     isomorphic,
     random_line_bundle,
     section_space,
     section_zero_points,
     sections_through,
 )
-from .polyring import MultiPoly, linear_resultant, monomial_basis
+from .polyring import MultiPoly, linear_resultant
 from .quivers import generic_member_quiver, middle_member_quiver, theta_stable
 
 
@@ -114,26 +117,10 @@ def phi(U):
 # products of sections, modulo the member
 
 
-class _ProductFrame:
-    """Shared ambient for products of sections: bidegree the sum of the
-    canonical representatives, reduced modulo the ideal slice of the
-    member."""
-
-    __slots__ = ("field", "monos", "red", "piv", "ambient")
-
-    def __init__(self, curve, spaces):
-        M = sum(S.rep.m for S in spaces)
-        N = sum(S.rep.n for S in spaces)
-        self.field = curve.field
-        self.ambient = (M, N)
-        self.monos = monomial_basis((M, N))
-        ideal = ideal_slice(curve.f, M, N)
-        self.red, self.piv = rref(self.field, ideal) if ideal else ([], [])
-
-    def vec(self, form):
-        if form.degree != self.ambient:
-            raise ValidationError("product form has the wrong bidegree")
-        return reduce_modulo(self.field, self.red, self.piv, form_to_vec(form, self.monos))
+def _frame(curve, spaces):
+    """Normal forms modulo the member in the bidegree of the products of
+    sections of `spaces`: the sum of their canonical representatives'."""
+    return NormalForm(curve.f, (sum(S.rep.m for S in spaces), sum(S.rep.n for S in spaces)))
 
 
 def _left_kernel(field, vecs, expect):
@@ -156,37 +143,30 @@ def psi0(quad):
     for S in spaces:
         if S.dim() != 2:
             raise AssertionError("degree-2 bundle with unexpected section count")
-    frame = _ProductFrame(quad.curve, spaces)
+    frame = _frame(quad.curve, spaces)
     s0, s1, s2 = (S.forms() for S in spaces)
     # path order: each s0_i s1_j product, formed once, times s2_0 then s2_1
     vecs = [frame.vec(ab * c) for ab in [a * b for a in s0 for b in s1] for c in s2]
     return _left_kernel(quad.curve.field, vecs, expect=2)
 
 
-def _outside_span(field, frame, spaces, span_vecs, what):
+def _outside_span(frame, spaces, span_vecs, what):
     """Deterministic section of the product of two bundles outside the span
     of the given product vectors: first quotient-basis vector that escapes.
 
-    The product space is modelled in the shared ambient by vanishing
-    conditions at the (necessarily distinct) minus points of the canonical
-    representatives."""
-    pts = [p for S in spaces for p in S.rep.minus]
-    keys = set()
-    for p in pts:
-        k = (tuple(p[0]), tuple(p[1]))
-        if k in keys:
-            raise DegenerateInstance("representative divisors share a point")
-        keys.add(k)
-    basis, _ = sections_through(field, pts, frame.monos, frame.red, frame.piv)
+    The product space is modelled in the shared ambient by vanishing on the
+    sum of the minus divisors of the canonical representatives, a point of
+    both counted twice (`sections_through`)."""
+    basis = sections_through(frame, [p for S in spaces for p in S.rep.minus])
     expect = sum(S.rep.degree_total() for S in spaces)
     if len(basis) != expect:
         raise DegenerateInstance(f"{what}: section count off the expected {expect}")
-    span, span_piv = rref(field, [list(v) for v in span_vecs])
+    span, span_piv = rref(frame.field, span_vecs)
     if len(span) != len(span_vecs):
         raise DegenerateInstance(f"{what}: products are linearly dependent")
     for w in basis:
-        if any(reduce_modulo(field, span, span_piv, w)):
-            return MultiPoly(field, frame.ambient, dict(zip(frame.monos, w)))
+        if any(reduce_modulo(frame.field, span, span_piv, w)):
+            return frame.form(w)
     raise DegenerateInstance(f"{what}: no complement vector found")
 
 
@@ -207,14 +187,14 @@ def psi1(quad):
     r = S1.form(0)
     s = S2.forms()
 
-    frame01 = _ProductFrame(curve, [S0, S1])
-    a3 = _outside_span(field, frame01, [S0, S1],
-                       [frame01.vec(ti * r) for ti in t], "first skip arrow")
-    frame12 = _ProductFrame(curve, [S1, S2])
-    a6 = _outside_span(field, frame12, [S1, S2],
-                       [frame12.vec(r * si) for si in s], "second skip arrow")
+    frame01 = _frame(curve, [S0, S1])
+    a3 = _outside_span(frame01, [S0, S1], [frame01.vec(ti * r) for ti in t],
+                       "first skip arrow")
+    frame12 = _frame(curve, [S1, S2])
+    a6 = _outside_span(frame12, [S1, S2], [frame12.vec(r * si) for si in s],
+                       "second skip arrow")
 
-    frame = _ProductFrame(curve, [S0, S1, S2])
+    frame = _frame(curve, [S0, S1, S2])
     arrow_forms = {
         "a1": t[0], "a2": t[1], "a3": a3, "a7": r,
         "a6": a6, "a4": s[0], "a5": s[1],

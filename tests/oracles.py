@@ -12,11 +12,13 @@ cross-ratios of actual branch points, member classification through
 exhaustive singular-point inspection over a quadratic extension and
 through the multiplicity pattern of a product-built branch quartic, forms
 and binary forms evaluated term by term with powers, smoothness from
-partials evaluated that way, elimination, reduction modulo an echelon
-basis and products of forms through the field's own scalar arithmetic,
-one scalar operation per entry, the points of a fiber from the roots of
-its restricted quadratic, square roots in a quadratic extension by
-squaring every element.  The package must agree with these wherever both
+partials evaluated that way, vanishing to order two at a point of the
+member by the rank of the two gradients there, reduction modulo the member
+against the echelon form of its ideal slice, elimination, reduction modulo
+an echelon basis and products of forms through the field's own scalar
+arithmetic, one scalar operation per entry, the points of a fiber from
+the roots of its restricted quadratic, square roots in a quadratic
+extension by squaring every element.  The package must agree with these wherever both
 apply.
 """
 
@@ -33,14 +35,7 @@ from bimodulus.curves import (
 )
 from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationError
 from bimodulus.exactmath import FpElt, QEElt, QuadExtField, kernel_basis, reduce_modulo, rref
-from bimodulus.linebundles import (
-    LineBundle,
-    _fiber_scan,
-    _first_duplicate,
-    form_to_vec,
-    ideal_slice,
-    section_space,
-)
+from bimodulus.linebundles import LineBundle, _fiber_scan, _first_duplicate, section_space
 from bimodulus.moduli import ci_shadows
 from bimodulus.polyring import (
     MultiPoly,
@@ -93,6 +88,19 @@ def local_derivatives(f, pair):
         var = 0 if pair[block][1] else 1
         out.append(power_eval(f.partial(block, var), list(pair)))
     return tuple(out)
+
+
+def vanishes_doubly(f, g, pair):
+    """Whether the form g vanishes to order two at a smooth point of the
+    member f on it: g is zero there and its bihomogeneous gradient (the
+    four partials, evaluated with powers) is proportional to f's, so the
+    2 x 4 matrix of the two gradients has rank at most one."""
+    if power_eval(g, list(pair)):
+        return False
+    grads = [[power_eval(h.partial(block, var), list(pair)) for block in (0, 1) for var in (0, 1)]
+             for h in (g, f)]
+    return all(not (grads[0][i] * grads[1][j] - grads[0][j] * grads[1][i])
+               for i in range(4) for j in range(i + 1, 4))
 
 
 def is_smooth_point(f, pair):
@@ -155,6 +163,31 @@ def shadow_incidence_points(c1, c2):
             raise AssertionError("shadow point without a common third coordinate")
         pts.append((x, y, z))
     return pts
+
+
+def ideal_slice(f, m, n):
+    """Coefficient vectors of f * H0(O(m-2, n-2)) inside O(m,n)."""
+    if m - 2 < 0 or n - 2 < 0:
+        return []
+    monos = monomial_basis((m, n))
+    index = {e: i for i, e in enumerate(monos)}
+    out = []
+    for e in monomial_basis((m - 2, n - 2)):
+        # f times a monomial: f's coefficients at shifted exponents
+        vec = [f.field.zero()] * len(monos)
+        for ee, c in f.terms.items():
+            vec[index[tuple(a + b for a, b in zip(e, ee))]] = c
+        out.append(vec)
+    return out
+
+
+def form_to_vec(form, monos):
+    """The coefficients of a form on the monomials `monos`."""
+    vec = [form.field.zero()] * len(monos)
+    index = {e: i for i, e in enumerate(monos)}
+    for e, c in form.terms.items():
+        vec[index[e]] = c
+    return vec
 
 
 def reembedded_member(quad):

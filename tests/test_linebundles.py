@@ -11,17 +11,16 @@ import random
 import pytest
 
 from bimodulus.errors import SpecialPosition, ValidationError
-from bimodulus.exactmath import QQ, PrimeField, QuadExtField
+from bimodulus.exactmath import QQ, PrimeField, QuadExtField, reduce_modulo, rref
 import bimodulus.curves as curves
 import bimodulus.linebundles as linebundles
 from bimodulus.curves import make_kind, make_nodal, p1_points, random_smooth_point
 from bimodulus.jsonio import generate_instance
-from bimodulus.polyring import MultiPoly, monomial_basis
+from bimodulus.polyring import MultiPoly, monomial_basis, random_multipoly
 from bimodulus.linebundles import (
     Curve,
     LineBundle,
-    form_to_vec,
-    ideal_slice,
+    NormalForm,
     is_twisted_v_pullback,
     is_v_pullback,
     isomorphic,
@@ -33,7 +32,13 @@ from bimodulus.linebundles import (
     transport,
 )
 
-from oracles import canonical_one_fiber_at_a_time, split_fiber_scan, split_h0_profile
+from oracles import (
+    canonical_one_fiber_at_a_time,
+    form_to_vec,
+    ideal_slice,
+    split_fiber_scan,
+    split_h0_profile,
+)
 
 
 @pytest.fixture
@@ -229,6 +234,34 @@ def test_ideal_slice_dimension(smooth_curve):
         products = [f * MultiPoly.monomial(f.field, (m - 2, n - 2), e)
                     for e in monomial_basis((m - 2, n - 2))]
         assert ideal_slice(f, m, n) == [form_to_vec(g, monomial_basis((m, n))) for g in products]
+
+
+DIVISION_FIELDS = {"F5": PrimeField(5), "F101": PrimeField(101),
+                   "F25": QuadExtField(PrimeField(5)), "Q": QQ}
+
+
+@pytest.mark.parametrize("name", DIVISION_FIELDS)
+def test_normal_form_is_reduction_modulo_the_ideal_slice(name):
+    # division by f, leading monomial first, leaves what reducing modulo the
+    # reduced echelon basis of the ideal slice leaves; the members drop
+    # their first `skip` monomials, so LM(f) need not be x0^2 y0^2
+    F = DIVISION_FIELDS[name]
+    rng = random.Random(2021)
+    for skip in (0, 1, 3):
+        f = MultiPoly(F, (2, 2), {e: F.random_nonzero(rng) if i == skip else F.random(rng)
+                                  for i, e in enumerate(monomial_basis((2, 2))) if i >= skip})
+        for m in range(2, 7):
+            for n in range(2, 7):
+                nf = NormalForm(f, (m, n))
+                monos = monomial_basis((m, n))
+                red, piv = rref(F, ideal_slice(f, m, n))
+                cols = [monos.index(e) for e in nf.monos]
+                assert len(cols) == 2 * (m + n)
+                assert sorted(set(range(len(monos))) - set(cols)) == piv
+                g = random_multipoly(F, (m, n), rng)
+                want = reduce_modulo(F, red, piv, form_to_vec(g, monos))
+                assert nf.vec(g) == [want[c] for c in cols]
+                assert not any(want[c] for c in piv)
 
 
 def test_split_from_cohomology_trivial_bundle(smooth_curve):

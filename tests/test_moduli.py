@@ -9,8 +9,16 @@ import pytest
 from bimodulus import curves, linebundles, moduli, polyring
 from bimodulus.errors import DegenerateInstance, SpecialPosition
 from bimodulus.curves import enumerate_points, make_kind, member_j, random_p1_point, random_smooth_point
-from bimodulus.exactmath import FpElt, PrimeField, QuadExtField, kernel_basis, subspace_equal
-from bimodulus.linebundles import Curve, LineBundle, isomorphic, section_space
+from bimodulus.exactmath import QQ, FpElt, PrimeField, QuadExtField, kernel_basis, subspace_equal
+from bimodulus.linebundles import (
+    Curve,
+    LineBundle,
+    NormalForm,
+    _raising,
+    isomorphic,
+    section_space,
+    sections_through,
+)
 from bimodulus.moduli import (
     Quadruple,
     ci_shadows,
@@ -30,7 +38,13 @@ from bimodulus.moduli import (
 )
 from bimodulus.polyring import MultiPoly
 from bimodulus.quivers import generic_member_quiver, theta_stable
-from oracles import reembedded_member, shadow_incidence_points
+from oracles import (
+    power_eval,
+    reembedded_member,
+    shadow_incidence_points,
+    span_contains,
+    vanishes_doubly,
+)
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +189,74 @@ def test_psi1_kernel_dimension(F101, rng):
         assert len(rel) == 3 and all(len(v) == 8 for v in rel)
         return
     pytest.skip("no middle-component quadruple found in the budget")
+
+
+SHARED_FIELDS = {"F11": PrimeField(11), "F101": PrimeField(101), "F1009": PrimeField(1009),
+                 "F25": QuadExtField(PrimeField(5)), "Q": QQ}
+
+
+def shared_support_products(field, seeds):
+    """(quadruple, bundles, section spaces, shared points) for each product
+    behind `psi1`'s skip arrows whose canonical representatives share a
+    point, over component-1 draws from the given seeds; products whose
+    bidegree fails the Kunneth condition are left out."""
+    for seed in seeds:
+        try:
+            quad = random_quadruple(field, random.Random(seed), component=1)
+            spaces = [section_space(L) for L in (quad.L0, quad.L1, quad.L2)]
+        except SpecialPosition:
+            continue
+        bundles = (quad.L0, quad.L1, quad.L2)
+        for i in (0, 1):
+            A, B = spaces[i], spaces[i + 1]
+            shared = [p for p in A.rep.minus if p in B.rep.minus]
+            if shared and _raising(A.rep.m + B.rep.m, A.rep.n + B.rep.n) == (0, 0):
+                yield quad, bundles[i:i + 2], (A, B), shared
+
+
+@pytest.mark.parametrize("name", SHARED_FIELDS)
+def test_products_vanish_doubly_where_the_divisors_share_a_point(name):
+    # the space `_outside_span` picks from: every normal form in it, and
+    # every product of sections, vanishes at the points of both divisors
+    # and to order two (gradient oracle) at the shared ones; its dimension
+    # is h0 of the tensor product, wherever that has a canonical rep
+    F = SHARED_FIELDS[name]
+    seeds = range(12) if name == "Q" else range(40)
+    found = dims = 0
+    for quad, (La, Lb), (A, B), shared in shared_support_products(F, seeds):
+        f = quad.curve.f
+        nf = NormalForm(f, (A.rep.m + B.rep.m, A.rep.n + B.rep.n))
+        basis = sections_through(nf, A.rep.minus + B.rep.minus)
+        try:
+            assert len(basis) == La.tensor(Lb).h0()
+            dims += 1
+        except SpecialPosition:
+            pass  # the tensor product runs out of split fibers
+        for g in [nf.form(w) for w in basis]:
+            assert not any(power_eval(g, list(p)) for p in A.rep.minus + B.rep.minus)
+            assert all(vanishes_doubly(f, g, p) for p in shared)
+        for t in A.forms():
+            for r in B.forms():
+                assert all(vanishes_doubly(f, t * r, p) for p in shared)
+                assert span_contains(F, basis, nf.vec(t * r))
+        found += 1
+    assert found >= 2 and dims >= 2
+
+
+@pytest.mark.parametrize("p, most", [(101, 15), (11, 59)])
+def test_psi1_redraws_only_for_geometry(p, most):
+    # 300 distinct component-1 draws: representatives sharing a point are
+    # no reason to redraw
+    F = PrimeField(p)
+    raised = []
+    for seed in range(300):
+        quad = random_quadruple(F, random.Random(seed), component=1)
+        try:
+            psi1(quad)
+        except (DegenerateInstance, SpecialPosition) as e:
+            raised.append(str(e))
+    assert len(raised) <= most
+    assert not [r for r in raised if "share a point" in r]
 
 
 def test_phi_inverse_reconstructs_the_sheaf(datum):

@@ -22,9 +22,12 @@ and `classify`, `split` and `stability` on each other lift, with
 larger primes (103 and 10007), and last `generate` of the smooth
 bimodules over Q at seeds 4-7, draws on which the rational-point sampler
 often gives up.  Then `split` and `stability` on edited instances that
-drive the twist scans hard (`EDITED`), and last three usage errors
-(`USAGE_ERRORS`), each reported as a JSON error object with exit 2.
-523 commands in all, and every command of the CLI among them.
+drive the twist scans hard (`EDITED`), then three usage errors
+(`USAGE_ERRORS`), each reported as a JSON error object with exit 2.  Last,
+`psi --in` on generated component-1 quadruples at F_101 and F_11 whose
+canonical representatives share a point (`SHARED_SUPPORT`), so that the
+products of sections vanish doubly there.
+527 commands in all, and every command of the CLI among them.
 """
 
 from __future__ import annotations
@@ -92,6 +95,9 @@ EDITED = tuple(
      "dfin": ["-1", "1"], "dinf": 3},
 )))
 USAGE_ERRORS = (["bogus"], ["split", "--prime", "abc"], ["split", "--bogus"])
+# (prime, seed) of `generate quadruple` draws of component 1 on which both
+# products behind `psi1`'s skip arrows take a point twice
+SHARED_SUPPORT = ((101, 5), (101, 7), (11, 5), (11, 7))
 ON_EACH_LIFT = {
     "smooth-bimodule-chi2": ("classify", "split", "stability", "roundtrip"),
     "smooth-bimodule-chi1": ("classify", "split", "stability"),
@@ -181,6 +187,13 @@ def main_digest():
                 emit([command, "--in", name], code, text)
         for argv in USAGE_ERRORS:
             emit(argv, *run(list(argv)))
+        for prime, seed in SHARED_SUPPORT:
+            _, _, body = generated_body(
+                ["generate", "quadruple", "--prime", str(prime), "--seed", str(seed)])
+            name = f"quadruple-{prime}-{seed}.json"
+            path = Path(tmp) / name
+            path.write_text(json.dumps(body))
+            emit(["psi", "--in", name], *run(["psi", "--in", str(path)]))
 
 
 if __name__ == "__main__":
