@@ -5,16 +5,18 @@ Two layers live here.
 The concrete layer computes cohomology on the doubled-(1,1) member ("the
 thickened diagonal"): its Picard group is Z x G_a, a bundle is presented by
 pullback data (ku, kv, apic), and cohomology comes from an exact two-chart
-Cech complex truncated at a window that is re-run larger and must agree.
-One elimination per window gives every count: the outer rows go in first,
-and the rank after them is what h1 needs, then the inner rows, and the rank
-after them is what h0 needs.  Over F_p the rows are residues.  Rank-1
-torsion-free but non-invertible sheaves are kernels of a surjection onto
-the structure sheaf of a divisor D of the reduced locus; their
-Taylor-vanishing rows go last into the same elimination, in a window that
-grows with deg D, and the rank after them gives the sheaf's h0.  So a
-sheaf's cohomology costs one elimination per window, and h1 follows from
-the long exact sequence.
+Cech complex truncated at a window N, whose counts must agree with those
+at N + 4.  One elimination of window N + 4 gives every count at both: its
+columns of degree <= N come first, so window N is its restriction to those
+leading columns, and the rank of window N after each block of rows is the
+number of pivots there.  The outer rows go in first, and the rank after
+them is what h1 needs, then the inner rows, and the rank after them is what
+h0 needs.  Over F_p the rows are residues.  Rank-1 torsion-free but
+non-invertible sheaves are kernels of a surjection onto the structure sheaf
+of a divisor D of the reduced locus; their Taylor-vanishing rows go last
+into the same elimination, in a window that grows with deg D, and the rank
+after them gives the sheaf's h0.  So a sheaf's cohomology costs one
+elimination, and h1 follows from the long exact sequence.
 
 The combinatorial layer encodes the classification tables: a descriptor names
 the member type and the discrete invariants, and pure functions return the
@@ -46,59 +48,73 @@ DESCRIPTOR_KINDS = ("split-pair", "non-reduced", "integral", "reducible", "two-l
 # thickened-diagonal Cech cohomology
 
 
-def _cech_rows(field, k, c, N):
-    """Sparse rows of the Cech differential, keyed by output coefficient.
+def _columns(N, M):
+    """Column of each coefficient of the unknowns of degree <= M, as four
+    lists [P, Q, Pt, Qt] indexed by degree: the degree-<= N coefficients of
+    all four blocks come first, in the layout of window N, and the degrees
+    N + 1..M after them, block by block."""
+    n1, extra = N + 1, M - N
+    return [[b * n1 + d if d <= N else 4 * n1 + b * extra + d - n1 for d in range(M + 1)]
+            for b in range(4)]
+
+
+def _cech_rows(field, k, c, N, M):
+    """Sparse rows of the Cech differential truncated at window M >= N,
+    keyed by output coefficient, in the columns of `_columns(N, M)`.
 
     Unknowns: chart-0 section P + uQ and chart-1 section Pt + vQt, all of
-    degree <= N; layout [P | Q | Pt | Qt].  On the overlap (w = 1/z,
-    v = u/z^2, transition z^k(1 + c*u/z)):
+    degree <= M.  On the overlap (w = 1/z, v = u/z^2, transition
+    z^k(1 + c*u/z)):
 
         plain part of d:  P(z) - z^k Pt(1/z)
         u part of d:      Q(z) - z^(k-2) Qt(1/z) - c z^(k-1) Pt(1/z)
 
     Returns {('f', e): row} for plain coefficients of z^e and ('u', e) rows.
-    The entries 1 and -1 are ints, and over F_p so is -c, a residue: the
-    echelon loops read ints as they are.
+    On its leading 4(N + 1) columns each row is the row of window N with
+    that key, or zero where window N has none.  The entries 1 and -1 are
+    ints, and over F_p so is -c, a residue: the echelon loops read ints as
+    they are.
     """
     neg_c = -field.coerce(c)
     if isinstance(field, PrimeField):
         neg_c = neg_c.v
-    n1 = N + 1
-    NE = N + abs(k) + 4
+    P, Q, Pt, Qt = _columns(N, M)
+    NE = M + abs(k) + 4
     rows = {}
     # the columns of a row never coincide: f-rows meet P and Pt, u-rows
     # meet Q, Qt and Pt
     for e in range(-NE, NE + 1):
         r = {}
-        if 0 <= e <= N:
-            r[e] = 1
+        if 0 <= e <= M:
+            r[P[e]] = 1
         j = k - e
-        if 0 <= j <= N:
-            r[2 * n1 + j] = -1
+        if 0 <= j <= M:
+            r[Pt[j]] = -1
         if r:
             rows[("f", e)] = r
         r = {}
-        if 0 <= e <= N:
-            r[n1 + e] = 1
+        if 0 <= e <= M:
+            r[Q[e]] = 1
         j = k - 2 - e
-        if 0 <= j <= N:
-            r[3 * n1 + j] = -1
+        if 0 <= j <= M:
+            r[Qt[j]] = -1
         j = k - 1 - e
-        if neg_c and 0 <= j <= N:
-            r[2 * n1 + j] = neg_c
+        if neg_c and 0 <= j <= M:
+            r[Pt[j]] = neg_c
         if r:
             rows[("u", e)] = r
     return rows
 
 
-def _dcond_rows(field, dfin, dinf, N):
-    """Taylor-vanishing rows along the divisor D of the reduced locus:
-    the plain part P must be divisible by dfin(z), and the first dinf
-    coefficients of Pt must vanish (multiplicity of D at infinity).  Row j
-    of the first kind holds the z^j coefficients of z^i mod dfin for
-    i <= N; the recurrence runs on residues over F_p and on field elements
-    otherwise."""
-    n1 = N + 1
+def _dcond_rows(field, dfin, dinf, N, M):
+    """Taylor-vanishing rows along the divisor D of the reduced locus, at
+    window M in the columns of `_columns(N, M)`: the plain part P must be
+    divisible by dfin(z), and the first dinf coefficients of Pt must vanish
+    (multiplicity of D at infinity).  Row j of the first kind holds the z^j
+    coefficients of z^i mod dfin for i <= M; the recurrence runs on
+    residues over F_p and on field elements otherwise.  Restricted to the
+    leading 4(N + 1) columns, these are the rows of window N."""
+    P, _, Pt, _ = _columns(N, M)
     rows = []
     dfin = uv_trim([field.coerce(x) for x in dfin]) if dfin else []
     degf = len(dfin) - 1 if dfin else 0
@@ -117,42 +133,50 @@ def _dcond_rows(field, dfin, dinf, N):
                 return x
         rows = [{} for _ in range(degf)]
         cur = [1] + [0] * (degf - 1)  # z^0 mod dfin
-        for i in range(N + 1):
+        for i in range(M + 1):
             for row, v in zip(rows, cur):
                 if v:
-                    row[i] = v
+                    row[P[i]] = v
             top = cur[-1]
             cur = [0] + cur[:-1]
             if top:
                 f = mod(top * lead_inv)
                 cur = [mod(a - f * b) for a, b in zip(cur, dfin)]
     for j in range(int(dinf)):
-        rows.append({2 * n1 + j: 1})
+        rows.append({Pt[j]: 1})
     return rows
 
 
-def _nr_counts(field, k, c, N, dfin, dinf):
-    """(h0, h1) of the Cech complex truncated at N and h0 of its sections
-    vanishing on D, from one elimination: the outer rows (|e| > N - |k| - 4)
-    first, whose rank h1 needs, then the inner rows, which complete the rank
-    h0 needs, and last the D rows."""
+def _nr_cohomology(field, k, c, N, dfin=(), dinf=0):
+    """(h0, h1) of the Cech complex truncated at window N and h0 of its
+    sections vanishing on D, made at the windows N and N + 4, which must
+    agree; the bundle's h0 - h1 must be 2k.
+
+    One elimination of window N + 4 gives both windows.  Its rows go in by
+    blocks, |e| > Nsm + 4, then Nsm < |e| <= Nsm + 4, then |e| <= Nsm, then
+    the D rows, where Nsm = N - |k| - 4.  Window N is window N + 4
+    restricted to the leading 4(N + 1) columns of `_columns`, so after each
+    block the rank of window N is the pivot count there (`block_ranks`).
+    At a window, the rank after the outer rows (|e| > Nsm) is what h1
+    needs, after the inner rows what h0 needs, and after the D rows what
+    the sheaf's h0 needs."""
+    M = N + 4
     Nsm = N - (abs(k) + 4)
     if Nsm < 1:
         raise AssertionError("window too small for the outer projection")
-    outer, inner = [], []
-    for (_, e), r in _cech_rows(field, k, c, N).items():
-        (outer if abs(e) > Nsm else inner).append(r.items())
-    dcond = [r.items() for r in _dcond_rows(field, dfin, dinf, N)]
-    rank_out, rank_full, rank_d = block_ranks(field, (outer, inner, dcond))
-    c1_small = 2 * (2 * Nsm + 1)
-    return 4 * (N + 1) - rank_full, c1_small - (rank_full - rank_out), 4 * (N + 1) - rank_d
+    blocks = ([], [], [])
+    for (_, e), r in _cech_rows(field, k, c, N, M).items():
+        blocks[(abs(e) <= Nsm + 4) + (abs(e) <= Nsm)].append(r.items())
+    dcond = [r.items() for r in _dcond_rows(field, dfin, dinf, N, M)]
+    (out_b, _), (_, out_a), (full_b, full_a), (d_b, d_a) = block_ranks(
+        field, (*blocks, dcond), lead=4 * (N + 1))
 
+    def counts(n, nsm, rank_out, rank_full, rank_d):
+        return (4 * (n + 1) - rank_full, 2 * (2 * nsm + 1) - (rank_full - rank_out),
+                4 * (n + 1) - rank_d)
 
-def _nr_cohomology(field, k, c, N, dfin=(), dinf=0):
-    """The counts of `_nr_counts`, made at the windows N and N + 4, which
-    must agree; the bundle's h0 - h1 must be 2k."""
-    a = _nr_counts(field, k, c, N, dfin, dinf)
-    b = _nr_counts(field, k, c, N + 4, dfin, dinf)
+    a = counts(N, Nsm, out_a, full_a, d_a)
+    b = counts(M, Nsm + 4, out_b, full_b, d_b)
     if a != b:
         raise AssertionError(f"Cech window did not stabilize: {a} vs {b}")
     if min(a) < 0:
@@ -244,7 +268,7 @@ class NRSheaf:
         return self.cohomology()[0]
 
     def cohomology(self):
-        """(h0, h1), from one elimination per Cech window; h1 of a
+        """(h0, h1), from one elimination for both Cech windows; h1 of a
         non-invertible sheaf follows from the long exact sequence."""
         # the D rows reach column 2(N + 1) + dinf - 1, inside the Pt block
         N = max(2 * abs(self.k), self.degd()) + 8

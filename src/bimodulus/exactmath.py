@@ -684,18 +684,27 @@ def sparse_rank(field, rows):
     return next(block_ranks(field, [map(dict.items, rows)]))
 
 
-def block_ranks(field, blocks):
+def block_ranks(field, blocks, lead=None):
     """The rank of a matrix growing by blocks of rows, after each block.
 
     A row is an iterable of (column, value) pairs.  One run of the field's
     echelon loop takes every block: each row is reduced once, against the
     pivot rows kept so far, so the ranks of all the prefixes cost one
     elimination of the whole.  Lazy: a block is read only when the rank
-    after it is asked for."""
+    after it is asked for.
+
+    Given `lead`, each rank comes as a pair (rank, rank of the same rows
+    restricted to the columns below `lead`).  Every pivot row leads at its
+    smallest column, so the pivot rows leading below `lead` stay independent
+    there, the others vanish there, and the second rank is their number."""
     read, echelon, _ = _representation(field)
     pivots = {}
     for block in blocks:
-        yield len(echelon(field, read(field, block), pivots))
+        echelon(field, read(field, block), pivots)
+        if lead is None:
+            yield len(pivots)
+        else:
+            yield len(pivots), sum(c < lead for c in pivots)
 
 
 def _representation(field):

@@ -251,19 +251,7 @@ class LineBundle:
         """Equivalent plus-free representative satisfying the Kunneth
         condition, so that section computations below are exact; gives up
         after 60 rewriting steps, each raised fiber counting as one."""
-        rep, steps = self._settled()
-        side, t = _raising(rep.m, rep.n)
-        if t:
-            budget = REWRITING_STEPS - steps
-            pts = []
-            for fiber in islice(rep._raising_fibers(side), min(t, budget)):
-                pts += fiber
-            if len(pts) < 2 * min(t, budget):
-                raise SpecialPosition("no usable split fiber found")
-            if t >= budget:
-                raise SpecialPosition("rewriting did not terminate")
-            dm, dn = (t, 0) if side == 0 else (0, t)
-            rep = LineBundle(rep.curve, rep.m + dm, rep.n + dn, rep.minus + pts, [], check=False)
+        rep = _kunneth(*self._settled())
         if rep.degree_total() != self.degree_total():
             raise AssertionError("rewriting changed the degree")
         return rep
@@ -271,14 +259,7 @@ class LineBundle:
     # -- cohomology ----------------------------------------------------------
 
     def h0(self):
-        rep = self.canonical()
-        monos = monomial_basis((rep.m, rep.n))
-        r = rank(rep.field, _eval_rows(rep.field, rep.minus, monos))
-        ideal = max(rep.m - 1, 0) * max(rep.n - 1, 0)
-        h0 = len(monos) - r - ideal
-        if h0 < 0:
-            raise AssertionError("negative section count")
-        return h0
+        return _canonical_h0(self.canonical())
 
     def h1(self):
         # chi(O_W) = 0, so chi(L) = deg(L)
@@ -286,6 +267,37 @@ class LineBundle:
         if h < 0:
             raise AssertionError("negative h1")
         return h
+
+
+def _kunneth(rep, steps):
+    """The canonical rep of a settled rep that took `steps` rewriting
+    steps: raised by the fibers the Kunneth condition asks for, taken from
+    one scan, within the steps left of the 60."""
+    side, t = _raising(rep.m, rep.n)
+    if not t:
+        return rep
+    budget = REWRITING_STEPS - steps
+    pts = []
+    for fiber in islice(rep._raising_fibers(side), min(t, budget)):
+        pts += fiber
+    if len(pts) < 2 * min(t, budget):
+        raise SpecialPosition("no usable split fiber found")
+    if t >= budget:
+        raise SpecialPosition("rewriting did not terminate")
+    dm, dn = (t, 0) if side == 0 else (0, t)
+    return LineBundle(rep.curve, rep.m + dm, rep.n + dn, rep.minus + pts, [], check=False)
+
+
+def _canonical_h0(rep):
+    """h0 of a canonical rep: the forms of its class modulo the ideal
+    slice that vanish at its minus points."""
+    monos = monomial_basis((rep.m, rep.n))
+    r = rank(rep.field, _eval_rows(rep.field, rep.minus, monos))
+    ideal = max(rep.m - 1, 0) * max(rep.n - 1, 0)
+    h0 = len(monos) - r - ideal
+    if h0 < 0:
+        raise AssertionError("negative section count")
+    return h0
 
 
 def _eval_rows(field, points, monos):
@@ -564,11 +576,14 @@ def split_from_cohomology(L):
     and verified against the h0 profile of the twists O(0, j)
     (`split_from_h0`).
 
-    L settles (`LineBundle._settled`) to O(m, n)(-Z).  The twists raised
-    along the second ruling (m >= 2, n + j <= 0) have the canonical reps
-    O(m, 1)(-Z - F_1 - ... - F_t), t = 1 - n - j: one elimination of the
-    rows of Z and then of each fiber, read at each prefix, answers all of
-    them (`_raised_h0`).  The other twists go through `LineBundle.h0`."""
+    L settles (`LineBundle._settled`) once, to O(m, n)(-Z) in some steps;
+    the moves read only the points, so each twist O(0, j) of L settles to
+    O(m, n + j)(-Z) in as many.  The twists raised along the second ruling
+    (m >= 2, n + j <= 0) have the canonical reps O(m, 1)(-Z - F_1 - ... -
+    F_t), t = 1 - n - j: one elimination of the rows of Z and then of each
+    fiber, read at each prefix, answers all of them (`_raised_h0`).  The
+    other twists are made canonical from their settled reps (`_kunneth`),
+    with the steps that are left."""
     rep, steps = L._settled()
     raised = _raised_h0(rep, steps)
 
@@ -576,7 +591,7 @@ def split_from_cohomology(L):
         side, t = _raising(rep.m, rep.n + j)
         if side == 1 and t:
             return raised(t)
-        return L.twist(0, j).h0()
+        return _canonical_h0(_kunneth(rep.twist(0, j), steps))
 
     return split_from_h0(h0, L.degree_total())
 

@@ -18,12 +18,14 @@ against the echelon form of its ideal slice, elimination, reduction modulo
 an echelon basis and products of forms through the field's own scalar
 arithmetic, one scalar operation per entry, the points of a fiber from
 the roots of its restricted quadratic, square roots in a quadratic
-extension by squaring every element.  The package must agree with these wherever both
-apply.
+extension by squaring every element, and the doubled member's Cech counts
+from a separate elimination at each window.  The package must agree with
+these wherever both apply.
 """
 
 from fractions import Fraction
 
+from bimodulus.bimodules import _cech_rows, _dcond_rows
 from bimodulus.curves import (
     _PATTERN_TO_KIND,
     enumerate_points,
@@ -34,7 +36,7 @@ from bimodulus.curves import (
     validate_support,
 )
 from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationError
-from bimodulus.exactmath import FpElt, QEElt, QuadExtField, kernel_basis, reduce_modulo, rref
+from bimodulus.exactmath import FpElt, QEElt, QuadExtField, block_ranks, kernel_basis, reduce_modulo, rref
 from bimodulus.linebundles import LineBundle, _fiber_scan, _first_duplicate, section_space
 from bimodulus.moduli import ci_shadows
 from bimodulus.polyring import (
@@ -512,6 +514,39 @@ def generic_sparse_rank(field, rows):
                 else:
                     r.pop(col, None)
     return len(pivots)
+
+
+def nr_counts(field, k, c, N, dfin, dinf):
+    """(h0, h1) of the doubled member's Cech complex truncated at window N
+    and h0 of its sections vanishing on D, from an elimination of window N
+    alone: the outer rows (|e| > N - |k| - 4) first, whose rank h1 needs,
+    then the inner rows, which complete the rank h0 needs, and last the D
+    rows."""
+    Nsm = N - (abs(k) + 4)
+    if Nsm < 1:
+        raise AssertionError("window too small for the outer projection")
+    outer, inner = [], []
+    for (_, e), r in _cech_rows(field, k, c, N, N).items():
+        (outer if abs(e) > Nsm else inner).append(r.items())
+    dcond = [r.items() for r in _dcond_rows(field, dfin, dinf, N, N)]
+    rank_out, rank_full, rank_d = block_ranks(field, (outer, inner, dcond))
+    c1_small = 2 * (2 * Nsm + 1)
+    return 4 * (N + 1) - rank_full, c1_small - (rank_full - rank_out), 4 * (N + 1) - rank_d
+
+
+def nr_cohomology_per_window(field, k, c, N, dfin=(), dinf=0):
+    """The counts of `nr_counts`, made at the windows N and N + 4 by one
+    elimination each, with the checks `bimodules._nr_cohomology` makes, in
+    its order: they must agree, be nonnegative, and h0 - h1 must be 2k."""
+    a = nr_counts(field, k, c, N, dfin, dinf)
+    b = nr_counts(field, k, c, N + 4, dfin, dinf)
+    if a != b:
+        raise AssertionError(f"Cech window did not stabilize: {a} vs {b}")
+    if min(a) < 0:
+        raise AssertionError("negative cohomology dimension")
+    if a[0] - a[1] != 2 * k:
+        raise AssertionError("Euler characteristic mismatch in the Cech computation")
+    return a
 
 
 def quad_ext_sqrt_table(ext):

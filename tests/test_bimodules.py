@@ -38,7 +38,7 @@ from bimodulus.bimodules import (
 )
 from bimodulus.quivers import descriptor_grid
 
-from oracles import generic_sparse_rank, split_h0_profile
+from oracles import generic_sparse_rank, nr_cohomology_per_window, split_h0_profile
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -135,20 +135,80 @@ def test_nr_split_scan_computes_each_twist_once(F101, monkeypatch, window):
 
 
 def test_nr_h0_with_a_divisor_eliminates_once_per_window(F101, monkeypatch):
-    # the bundle's counts and the D rows share one elimination per window,
-    # so cohomology() of a non-invertible sheaf makes 2 rather than 4
+    # the bundle's counts and the D rows share one elimination, and it
+    # gives both windows, so cohomology() of a non-invertible sheaf makes 1
     calls = []
 
-    def counted(field, blocks):
+    def counted(field, blocks, **kw):
         calls.append(field)
-        return block_ranks(field, blocks)
+        return block_ranks(field, blocks, **kw)
 
     monkeypatch.setattr(bimodules, "block_ranks", counted)
     s = NRSheaf(F101, 1, -1, apic=2, dfin=[1, 0, 1])
     for compute in (s.h0, s.cohomology):
         calls.clear()
         compute()
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+
+def test_nr_split_runs_one_elimination_per_twist(F101, monkeypatch):
+    eliminations, twists = [], []
+    h0 = NRSheaf.h0
+
+    def counted_h0(self):
+        twists.append(self.kv)
+        return h0(self)
+
+    def counted_ranks(field, blocks, **kw):
+        eliminations.append(field)
+        return block_ranks(field, blocks, **kw)
+
+    monkeypatch.setattr(NRSheaf, "h0", counted_h0)
+    monkeypatch.setattr(bimodules, "block_ranks", counted_ranks)
+    for s in (NRSheaf(F101, 0, 0), NRSheaf(F101, 4, 2, apic=3, dfin=[1, 0, 1], dinf=1),
+              NRSheaf(QQ, 3, -1, apic=Fraction(1, 3), dfin=[2, 1])):
+        eliminations.clear()
+        twists.clear()
+        nr_split_v(s)
+        assert twists and len(eliminations) == len(twists)
+
+
+def _outcome(f):
+    """What f() returns, or the message of the AssertionError it raises."""
+    try:
+        return f()
+    except AssertionError as e:
+        return ("AssertionError", str(e))
+
+
+# divisors D as (dfin, dinf): empty, a finite part of degree 1-3, a part at
+# infinity of multiplicity 1-3, and both
+_DIVISORS = [([], 0), ([2, 1], 0), ([1, 0, 1], 0), ([1, 2, 0, 1], 0),
+             ([], 1), ([], 2), ([], 3), ([2, 1], 3), ([1, 2, 0, 1], 2)]
+
+
+@pytest.mark.parametrize("field", [
+    PrimeField(5), PrimeField(7), PrimeField(101), QuadExtField(PrimeField(5)), QQ,
+], ids=["F5", "F7", "F101", "F25", "Q"])
+def test_one_elimination_gives_the_counts_of_both_windows(field):
+    # _nr_cohomology reads windows N and N + 4 off one elimination; the
+    # oracle eliminates each window on its own
+    cs = (0, 1, 3) + ((Fraction(1, 3),) if field is QQ else ())
+    raised = set()
+    for k in range(-12, 13):
+        for c in cs:
+            for dfin, dinf in _DIVISORS:
+                N = max(2 * abs(k), len(dfin) - 1 + dinf if dfin else dinf) + 8
+                got = _outcome(lambda: bimodules._nr_cohomology(field, k, c, N, dfin, dinf))
+                assert got == _outcome(lambda: nr_cohomology_per_window(field, k, c, N, dfin, dinf))
+            # windows forced too small: both sides raise alike
+            for window in range(abs(k) + 2, abs(k) + 12):
+                got = _outcome(lambda: nr_invertible_cohomology(field, k, c, window=window))
+                want = _outcome(lambda: nr_cohomology_per_window(field, k, c, window))
+                assert got == (want if want[0] == "AssertionError" else want[:2])
+                if got[0] == "AssertionError":
+                    raised.add(got[1].split(":")[0])
+    assert raised == {"window too small for the outer projection", "Cech window did not stabilize"}
 
 
 @pytest.mark.parametrize("k", range(-6, 7))
@@ -156,9 +216,10 @@ def test_sparse_rank_of_cech_matrices_is_the_dense_rank(F101, k):
     zero = F101.zero()
     for c in (0, 1, 5):
         N0 = 2 * abs(k) + 8  # the window nr_invertible_cohomology starts from
+        # window N0 alone, and window N0 + 4 with N0's columns first
         for N in (N0, N0 + 4):
-            rows = list(_cech_rows(F101, k, c, N).values())
-            for extra in ([], _dcond_rows(F101, [1, 0, 1], 1, N)):
+            rows = list(_cech_rows(F101, k, c, N0, N).values())
+            for extra in ([], _dcond_rows(F101, [1, 0, 1], 1, N0, N)):
                 sparse = rows + extra
                 dense = [[r.get(j, zero) for j in range(4 * (N + 1))] for r in sparse]
                 assert sparse_rank(F101, sparse) == rank(F101, dense)
@@ -168,12 +229,12 @@ def test_rational_cech_ranks_match_the_scalar_loop():
     for k in (-3, 0, 2, 5):
         for c in (Fraction(1, 3), Fraction(-7, 2)):
             N = 2 * abs(k) + 8
-            rows = _cech_rows(QQ, k, c, N)
+            rows = _cech_rows(QQ, k, c, N, N + 4)
             Nsm = N - (abs(k) + 4)
             for sparse in (
                 list(rows.values()),
                 [r for (_, e), r in rows.items() if abs(e) > Nsm],
-                list(rows.values()) + _dcond_rows(QQ, [Fraction(2, 5), 0, 3], 1, N),
+                list(rows.values()) + _dcond_rows(QQ, [Fraction(2, 5), 0, 3], 1, N, N + 4),
             ):
                 assert sparse_rank(QQ, sparse) == generic_sparse_rank(QQ, sparse)
 
@@ -182,8 +243,8 @@ def test_prime_field_cech_ranks_match_the_scalar_loop(F101):
     for k in (-4, 0, 3, 6):
         for c in (0, 5, -2):
             N = 2 * abs(k) + 8
-            rows = list(_cech_rows(F101, k, c, N).values())
-            for sparse in (rows, rows[::-1], rows + _dcond_rows(F101, [1, 0, 1], 1, N)):
+            rows = list(_cech_rows(F101, k, c, N, N + 4).values())
+            for sparse in (rows, rows[::-1], rows + _dcond_rows(F101, [1, 0, 1], 1, N, N + 4)):
                 assert sparse_rank(F101, sparse) == generic_sparse_rank(F101, sparse)
 
 
@@ -193,18 +254,36 @@ def test_prime_field_cech_ranks_match_the_scalar_loop(F101):
     (QuadExtField(PrimeField(5)), 2, [1, 1]),
 ], ids=["F101", "Q", "F25"])
 def test_block_ranks_of_cech_matrices_are_the_ranks_of_every_prefix(field, c, dfin):
-    # outer rows, inner rows, then the D rows: the blocks `_nr_counts`
-    # eliminates
+    # the blocks `_nr_cohomology` eliminates at window N + 4, with window
+    # N's columns first: its outer rows, the rows outer at N only, the inner
+    # rows, then the D rows; restricted to the leading columns, the first
+    # two are window N's outer rows, the others its inner rows and D rows
+    def restricted(rows):
+        return [{j: v for j, v in r.items() if j < lead} for r in rows]
+
+    def same_rows(xs, ys):
+        def key(r):
+            return sorted((j, repr(v)) for j, v in r.items())
+        return sorted(key(r) for r in xs if r) == sorted(key(r) for r in ys if r)
+
     for k in (-3, 0, 2, 5):
         N = 2 * abs(k) + 8
         Nsm = N - (abs(k) + 4)
-        rows = _cech_rows(field, k, c, N)
-        blocks = [[r for (_, e), r in rows.items() if abs(e) > Nsm],
+        lead = 4 * (N + 1)
+        rows = _cech_rows(field, k, c, N, N + 4)
+        blocks = [[r for (_, e), r in rows.items() if abs(e) > Nsm + 4],
+                  [r for (_, e), r in rows.items() if Nsm < abs(e) <= Nsm + 4],
                   [r for (_, e), r in rows.items() if abs(e) <= Nsm],
-                  _dcond_rows(field, dfin, 2, N)]
-        got = list(block_ranks(field, ([r.items() for r in b] for b in blocks)))
-        want = [generic_sparse_rank(field, sum(blocks[:i + 1], [])) for i in range(3)]
-        assert got == want
+                  _dcond_rows(field, dfin, 2, N, N + 4)]
+        got = list(block_ranks(field, ([r.items() for r in b] for b in blocks), lead=lead))
+        prefixes = [sum(blocks[:i + 1], []) for i in range(4)]
+        assert got == [(generic_sparse_rank(field, rows), generic_sparse_rank(field, restricted(rows)))
+                       for rows in prefixes]
+        small = _cech_rows(field, k, c, N, N)
+        assert same_rows(restricted(blocks[0] + blocks[1]),
+                         [r for (_, e), r in small.items() if abs(e) > Nsm])
+        assert same_rows(restricted(blocks[2]), [r for (_, e), r in small.items() if abs(e) <= Nsm])
+        assert same_rows(restricted(blocks[3]), _dcond_rows(field, dfin, 2, N, N))
 
 
 def test_divisor_rows_over_fp_are_residues_of_z_to_the_i_modulo_dfin(F101):
@@ -215,7 +294,7 @@ def test_divisor_rows_over_fp_are_residues_of_z_to_the_i_modulo_dfin(F101):
     for r in roots:
         dfin = [(a - r * b) % 101 for a, b in zip([0] + dfin, dfin + [0])]
     N = 20
-    rows = _dcond_rows(F101, dfin, 2, N)
+    rows = _dcond_rows(F101, dfin, 2, N, N)
     assert rows[4:] == [{2 * (N + 1): 1}, {2 * (N + 1) + 1: 1}]
     assert all(type(v) is int and 0 < v < 101 for row in rows for v in row.values())
     for r in roots:

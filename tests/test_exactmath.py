@@ -360,6 +360,26 @@ def test_block_ranks_are_the_ranks_of_every_prefix(data):
     assert got == [generic_sparse_rank(field, rows) for rows in prefixes]
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_ranks_count_the_pivots_among_the_leading_columns(data):
+    # after each block, the pivots below `lead` are the rank of the rows so
+    # far restricted to those columns
+    field = data.draw(st.sampled_from([PrimeField(5), PrimeField(101), QQ, QuadExtField(PrimeField(5))]))
+    ncols = data.draw(st.integers(1, 16))
+    lead = data.draw(st.integers(0, ncols))
+    blocks = data.draw(st.lists(st.lists(st.dictionaries(
+        st.integers(0, ncols - 1), _ENTRIES, max_size=5), max_size=6), max_size=6))
+    got = list(block_ranks(field, ([r.items() for r in block] for block in blocks), lead=lead))
+    zero = field.zero()
+    want = []
+    for i in range(len(blocks)):
+        rows = sum(blocks[:i + 1], [])
+        dense = [[field.coerce(r.get(j, zero)) for j in range(ncols)] for r in rows]
+        want.append((rank(field, dense), rank(field, [row[:lead] for row in dense])))
+    assert got == want
+
+
 def test_block_ranks_read_a_block_only_when_asked():
     read = []
 

@@ -308,14 +308,15 @@ def test_split_scan_rejects_a_profile_of_no_split_pair(chi, h0):
 @pytest.mark.parametrize("window", [3, 8])
 def test_split_scan_computes_each_twist_once(smooth_curve, rng, monkeypatch, window):
     monkeypatch.setattr(linebundles, "SPLIT_WINDOW", window)
+    # the h0 of a twist off the raised ladder is the h0 of its canonical rep
     calls = []
-    h0 = LineBundle.h0
+    h0 = linebundles._canonical_h0
 
-    def counted(self):
-        calls.append((self.m, self.n))
-        return h0(self)
+    def counted(rep):
+        calls.append((rep.m, rep.n))
+        return h0(rep)
 
-    monkeypatch.setattr(LineBundle, "h0", counted)
+    monkeypatch.setattr(linebundles, "_canonical_h0", counted)
     for L in (LineBundle(smooth_curve, 0, 0), random_line_bundle(smooth_curve, rng)):
         calls.clear()
         split_from_cohomology(L)
@@ -473,6 +474,22 @@ def test_split_reads_each_twist_h0_as_the_twist_computes_it(monkeypatch, name):
                     rep = settled[0]
                     raised += rep.m >= 2 and rep.n + j <= 0
     assert raised
+
+
+@pytest.mark.parametrize("name", ["F11", "F101", "F25", "Q"])
+def test_split_settles_the_bundle_once_per_scan(monkeypatch, name):
+    calls = []
+    settled = LineBundle._settled
+
+    def counted(self):
+        calls.append(self)
+        return settled(self)
+
+    monkeypatch.setattr(LineBundle, "_settled", counted)
+    for L in _seeded_bundles(name):
+        calls.clear()
+        _outcome(lambda: split_from_cohomology(L))
+        assert calls == [L]
 
 
 def _presentation(f):

@@ -26,8 +26,9 @@ drive the twist scans hard (`EDITED`), then three usage errors
 (`USAGE_ERRORS`), each reported as a JSON error object with exit 2.  Last,
 `psi --in` on generated component-1 quadruples at F_101 and F_11 whose
 canonical representatives share a point (`SHARED_SUPPORT`), so that the
-products of sections vanish doubly there.
-527 commands in all, and every command of the CLI among them.
+products of sections vanish doubly there.  Last, `cech --in` on the edited
+doubled-member sheaves with a divisor (`divisor-{0..3}.json` of `EDITED`).
+531 commands in all, and every command of the CLI among them.
 """
 
 from __future__ import annotations
@@ -194,6 +195,9 @@ def main_digest():
             path = Path(tmp) / name
             path.write_text(json.dumps(body))
             emit(["psi", "--in", name], *run(["psi", "--in", str(path)]))
+        for name, generated, _ in EDITED:
+            if generated is None:
+                emit(["cech", "--in", name], *run(["cech", "--in", str(Path(tmp) / name)]))
 
 
 if __name__ == "__main__":
