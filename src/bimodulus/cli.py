@@ -454,9 +454,13 @@ def build_parser():
     return p
 
 
+# built once: parsing leaves the parser as it was
+PARSER = build_parser()
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
         _field_for(args)  # reject unusable characteristics up front
         report = _HANDLERS[args.command](args)
     except (ValidationError, SpecialPosition) as e:

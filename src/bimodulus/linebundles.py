@@ -34,8 +34,9 @@ one elimination, read after each fiber, gives all their h0.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, islice
+from operator import mul
 
 from .curves import (
     FiberTable,
@@ -49,7 +50,7 @@ from .curves import (
 )
 from .errors import SpecialPosition, ValidationError
 from .exactmath import FpElt, PrimeField, block_ranks, kernel_basis, rank
-from .polyring import MultiPoly, monomial_basis, monomial_values
+from .polyring import MultiPoly, monomial_basis, monomial_values, residue_product
 
 # rewriting moves `canonical` makes before it gives up; each raised fiber is one
 REWRITING_STEPS = 60
@@ -405,7 +406,13 @@ class NormalForm:
     by a multiple of f times its monomial, which touches only later
     columns.  Both leave the one vector of the class that is zero at every
     pivot, so the normal form is the vector `reduce_modulo` makes.  The
-    division steps are read off f once; over F_p they run on residues."""
+    division steps are read off f once; over F_p they run on residues.
+
+    A product of classes (`product`) is taken from their normal forms
+    straight to this one: over F_p the factors' vectors are packed as ints
+    with one slot per column here and multiplied (`residue_product`), and
+    the product's dense coefficients go through the same division as
+    `vec`'s, so no form is built."""
 
     __slots__ = ("f", "field", "degree", "monos", "_size", "_cols", "_steps")
 
@@ -438,20 +445,44 @@ class NormalForm:
         if form.degree != self.degree:
             raise ValidationError("product form has the wrong bidegree")
         F, width = self.field, self.degree[1] + 1
+        prime = isinstance(F, PrimeField)
+        w = [0 if prime else F.zero()] * self._size
+        for e, c in form.terms.items():
+            w[e[1] * width + e[3]] = c.v if prime else c
+        return self._divide(w)
+
+    def product(self, *factors):
+        """The normal form of the product of the classes given by the
+        (nf, vec) pairs of `factors`, normal-form coefficients `vec` on
+        `nf.monos`, whose bidegrees sum to `degree`.
+
+        Over F_p the product is one product of ints (`residue_product`)
+        made straight from the vectors: monomial e takes the slot of its
+        column e[1](N+1) + e[3] here, and column indices add as exponents
+        do.  Over other fields the forms are multiplied left to right."""
+        if tuple(map(sum, zip(*(nf.degree for nf, _ in factors)))) != self.degree:
+            raise ValidationError("product form has the wrong bidegree")
+        F = self.field
+        if not isinstance(F, PrimeField):
+            return self.vec(reduce(mul, (nf.form(v) for nf, v in factors)))
+        width = self.degree[1] + 1
+        slotted = [[(e[1] * width + e[3], c.v) for e, c in zip(nf.monos, v) if c.v]
+                   for nf, v in factors]
+        return self._divide(residue_product(F.p, slotted, self._size))
+
+    def _divide(self, w):
+        """Division by f of the dense coefficients `w`, indexed by column
+        (over F_p residues, not necessarily reduced), read off at the
+        normal-form columns; `w` is overwritten."""
+        F = self.field
         if isinstance(F, PrimeField):
             p = F.p
-            w = [0] * self._size
-            for e, c in form.terms.items():
-                w[e[1] * width + e[3]] = c.v
             for pc, step in self._steps:
                 a = w[pc] % p
                 if a:
                     for col, k in step:
                         w[col] += a * k
             return [FpElt(p, w[c]) for c in self._cols]
-        w = [F.zero()] * self._size
-        for e, c in form.terms.items():
-            w[e[1] * width + e[3]] = c
         for pc, step in self._steps:
             a = w[pc]
             if a:

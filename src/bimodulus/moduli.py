@@ -29,7 +29,10 @@ line.
 
 The products of sections behind `psi0`/`psi1` are kept as normal forms
 modulo the member, remainders of division by the member leading monomial
-first (`NormalForm`), on residues over F_p.  The sections of a product of
+first (`NormalForm`), and taken from the sections' normal forms straight
+to the product's (`NormalForm.product`): over F_p each path product is
+one product of ints by Kronecker substitution, divided by the member on
+residues, and no form is built.  The sections of a product of
 two bundles, from which `psi1` picks its skip arrows, are the normal forms
 vanishing on the sum of the two representatives' divisors: a point of both
 is counted twice, with a tangent row (`sections_through`).  The round trip
@@ -144,15 +147,16 @@ def psi0(quad):
         if S.dim() != 2:
             raise AssertionError("degree-2 bundle with unexpected section count")
     frame = _frame(quad.curve, spaces)
-    s0, s1, s2 = (S.forms() for S in spaces)
-    # path order: each s0_i s1_j product, formed once, times s2_0 then s2_1
-    vecs = [frame.vec(ab * c) for ab in [a * b for a in s0 for b in s1] for c in s2]
+    s0, s1, s2 = ([(S.nf, v) for v in S.basis] for S in spaces)
+    # path order: s0_i s1_j s2_k, k fastest
+    vecs = [frame.product(a, b, c) for a in s0 for b in s1 for c in s2]
     return _left_kernel(quad.curve.field, vecs, expect=2)
 
 
 def _outside_span(frame, spaces, span_vecs, what):
     """Deterministic section of the product of two bundles outside the span
-    of the given product vectors: first quotient-basis vector that escapes.
+    of the given product vectors: first quotient-basis vector that escapes,
+    as the pair (frame, vector) that `NormalForm.product` takes.
 
     The product space is modelled in the shared ambient by vanishing on the
     sum of the minus divisors of the canonical representatives, a point of
@@ -166,7 +170,7 @@ def _outside_span(frame, spaces, span_vecs, what):
         raise DegenerateInstance(f"{what}: products are linearly dependent")
     for w in basis:
         if any(reduce_modulo(frame.field, span, span_piv, w)):
-            return frame.form(w)
+            return frame, w
     raise DegenerateInstance(f"{what}: no complement vector found")
 
 
@@ -183,28 +187,25 @@ def psi1(quad):
     S0, S1, S2 = (section_space(L) for L in (quad.L0, quad.L1, quad.L2))
     if S0.dim() != 2 or S1.dim() != 1 or S2.dim() != 2:
         raise AssertionError("unexpected section counts for a component-1 quadruple")
-    t = S0.forms()
-    r = S1.form(0)
-    s = S2.forms()
+    # each arrow's section as a (normal forms, vector) pair
+    t = [(S0.nf, v) for v in S0.basis]
+    r = (S1.nf, S1.basis[0])
+    s = [(S2.nf, v) for v in S2.basis]
 
     frame01 = _frame(curve, [S0, S1])
-    a3 = _outside_span(frame01, [S0, S1], [frame01.vec(ti * r) for ti in t],
+    a3 = _outside_span(frame01, [S0, S1], [frame01.product(ti, r) for ti in t],
                        "first skip arrow")
     frame12 = _frame(curve, [S1, S2])
-    a6 = _outside_span(frame12, [S1, S2], [frame12.vec(r * si) for si in s],
+    a6 = _outside_span(frame12, [S1, S2], [frame12.product(r, si) for si in s],
                        "second skip arrow")
 
     frame = _frame(curve, [S0, S1, S2])
-    arrow_forms = {
+    arrows = {
         "a1": t[0], "a2": t[1], "a3": a3, "a7": r,
         "a6": a6, "a4": s[0], "a5": s[1],
     }
-    vecs = []
-    for path in middle_member_quiver().path_basis(1, 4):
-        form = arrow_forms[path[0]]
-        for lab in path[1:]:
-            form = form * arrow_forms[lab]
-        vecs.append(frame.vec(form))
+    vecs = [frame.product(*(arrows[lab] for lab in path))
+            for path in middle_member_quiver().path_basis(1, 4)]
     return _left_kernel(field, vecs, expect=3)
 
 

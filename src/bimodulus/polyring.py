@@ -3,8 +3,11 @@
 A ``MultiPoly`` is homogeneous of a fixed degree in each of 1--3 blocks of two
 variables.  Exponent tuples concatenate the per-block exponents, so a
 bidegree-(2,2) form on P1 x P1 stores keys like (2,0,1,1).  Over F_p the
-product of two forms multiplies residues and makes field elements only of
-its coefficients.
+product of two forms is one product of integers (Kronecker substitution,
+`residue_product`): each form is packed as an int with one fixed-width slot
+per monomial of the product's degree, numbered in `monomial_basis` order,
+and the product's coefficients are read back off the slots, so field
+elements are made only of its coefficients.
 
 Binary forms (one block) double as plain coefficient lists
 ``[c0, ..., cd]`` meaning ``sum c[i] * x0^(d-i) * x1^i``; the ``bf_*`` /
@@ -15,6 +18,7 @@ is valid over Q and over F_p with p > deg.
 
 from __future__ import annotations
 
+from math import prod
 from operator import add
 
 from .errors import SpecialPosition, ValidationError
@@ -44,6 +48,29 @@ def monomial_values(field, point, d):
         p0.append(p0[-1] * a0)
         p1.append(p1[-1] * a1)
     return [p0[-1]] + [p0[d - 1 - i] * p1[i - 1] for i in range(1, d)] + [p1[-1]]
+
+
+def residue_product(p, factors, size):
+    """Coefficients of a product of polynomials over F_p by Kronecker
+    substitution, as `size` nonnegative ints, not reduced mod p.
+
+    Each factor is a list of (slot, residue) pairs with residues in [0, p),
+    its monomials numbered so that the slot of a product of monomials is the
+    sum of theirs, below `size`.  A factor becomes the one int
+    sum(residue << slot * bits), and the factors are multiplied as ints.  A
+    coefficient of the product is a sum of at most prod(len(factor)) terms,
+    each at most (p - 1)^len(factors), so with `bits` one more than the bit
+    length of prod(len(factor) * (p - 1)) no slot overflows into the next
+    and each coefficient is read off its own slot."""
+    bits = prod(len(f) * (p - 1) for f in factors).bit_length() + 1
+    acc = 1
+    for f in factors:
+        x = 0
+        for slot, v in f:
+            x |= v << slot * bits
+        acc *= x
+    mask = (1 << bits) - 1
+    return [acc >> shift & mask for shift in range(0, size * bits, bits)]
 
 
 class MultiPoly:
@@ -144,17 +171,24 @@ class MultiPoly:
                 raise ValidationError("block-count mismatch in product")
             F = self.field
             deg = tuple(map(add, self.degree, other.degree))
-            t = {}
             if isinstance(F, PrimeField) and other.field == F:
-                # residues, reduced once per coefficient of the product
+                # slots numbered mixed-radix by the second exponents, block
+                # by block: the index of a monomial in monomial_basis(deg)
+                radices = [d + 1 for d in deg]
+                factors = []
+                for f in (self, other):
+                    slotted = []
+                    for e, c in f.terms.items():
+                        slot = 0
+                        for k, r in zip(e[1::2], radices):
+                            slot = slot * r + k
+                        slotted.append((slot, c.v))
+                    factors.append(slotted)
                 p = F.p
-                for e1, c1 in self.terms.items():
-                    a = c1.v
-                    for e2, c2 in other.terms.items():
-                        e = tuple(map(add, e1, e2))
-                        t[e] = t.get(e, 0) + a * c2.v
-                t = {e: FpElt(p, c) for e, c in t.items() if c % p}
+                coefs = residue_product(p, factors, prod(radices))
+                t = {e: FpElt(p, c) for e, c in zip(monomial_basis(deg), coefs) if c % p}
             else:
+                t = {}
                 for e1, c1 in self.terms.items():
                     for e2, c2 in other.terms.items():
                         e = tuple(map(add, e1, e2))

@@ -16,7 +16,8 @@ partials evaluated that way, vanishing to order two at a point of the
 member by the rank of the two gradients there, reduction modulo the member
 against the echelon form of its ideal slice, elimination, reduction modulo
 an echelon basis and products of forms through the field's own scalar
-arithmetic, one scalar operation per entry, the points of a fiber from
+arithmetic, one scalar operation per entry, the relations of `psi0` and
+`psi1` from those products of forms rather than from normal forms, the points of a fiber from
 the roots of its restricted quadratic, square roots in a quadratic
 extension by squaring every element, and the doubled member's Cech counts
 from a separate elimination at each window.  The package must agree with
@@ -24,6 +25,7 @@ these wherever both apply.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 from bimodulus.bimodules import _cech_rows, _dcond_rows
 from bimodulus.curves import (
@@ -38,7 +40,7 @@ from bimodulus.curves import (
 from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationError
 from bimodulus.exactmath import FpElt, QEElt, QuadExtField, block_ranks, kernel_basis, reduce_modulo, rref
 from bimodulus.linebundles import LineBundle, _fiber_scan, _first_duplicate, section_space
-from bimodulus.moduli import ci_shadows
+from bimodulus.moduli import _frame, _left_kernel, _outside_span, ci_shadows
 from bimodulus.polyring import (
     MultiPoly,
     bf_divexact,
@@ -48,6 +50,7 @@ from bimodulus.polyring import (
     j_from_quartic,
     monomial_basis,
 )
+from bimodulus.quivers import middle_member_quiver
 
 
 def power_eval(poly, points):
@@ -589,6 +592,46 @@ def scalar_product(f, g):
             terms[e] = terms.get(e, f.field.zero()) + c1 * c2
     degree = tuple(a + b for a, b in zip(f.degree, g.degree))
     return MultiPoly(f.field, degree, {e: c for e, c in terms.items() if c})
+
+
+def psi0_by_forms(quad):
+    """`psi0` with every product of sections made as a form, term by term in
+    the field's own arithmetic (`scalar_product`), and taken to its normal
+    form by `NormalForm.vec`; the same checks in the same order."""
+    if quad.component != 0:
+        raise ValidationError("the two-relation presentation needs component 0")
+    spaces = [section_space(L) for L in (quad.L0, quad.L1, quad.L2)]
+    if any(S.dim() != 2 for S in spaces):
+        raise AssertionError("degree-2 bundle with unexpected section count")
+    frame = _frame(quad.curve, spaces)
+    s0, s1, s2 = (S.forms() for S in spaces)
+    vecs = [frame.vec(scalar_product(scalar_product(a, b), c))
+            for a in s0 for b in s1 for c in s2]
+    return _left_kernel(quad.curve.field, vecs, expect=2)
+
+
+def psi1_by_forms(quad):
+    """`psi1` with every product of sections made as a form, as in
+    `psi0_by_forms`; the skip arrows are the forms of `_outside_span`'s
+    picks."""
+    if quad.component != 1:
+        raise ValidationError("the three-relation presentation needs component 1")
+    curve = quad.curve
+    S0, S1, S2 = (section_space(L) for L in (quad.L0, quad.L1, quad.L2))
+    if S0.dim() != 2 or S1.dim() != 1 or S2.dim() != 2:
+        raise AssertionError("unexpected section counts for a component-1 quadruple")
+    t, r, s = S0.forms(), S1.form(0), S2.forms()
+    frame01, frame12 = _frame(curve, [S0, S1]), _frame(curve, [S1, S2])
+    _, w3 = _outside_span(frame01, [S0, S1], [frame01.vec(scalar_product(ti, r)) for ti in t],
+                          "first skip arrow")
+    _, w6 = _outside_span(frame12, [S1, S2], [frame12.vec(scalar_product(r, si)) for si in s],
+                          "second skip arrow")
+    forms = {"a1": t[0], "a2": t[1], "a3": frame01.form(w3), "a7": r,
+             "a6": frame12.form(w6), "a4": s[0], "a5": s[1]}
+    frame = _frame(curve, [S0, S1, S2])
+    vecs = [frame.vec(reduce(scalar_product, [forms[lab] for lab in path]))
+            for path in middle_member_quiver().path_basis(1, 4)]
+    return _left_kernel(curve.field, vecs, expect=3)
 
 
 def fiber_points(f, side, x):

@@ -439,6 +439,22 @@ def test_usage_error_of_the_console_script_is_json_on_stdout():
     assert json.loads(proc.stdout)["type"] == "validation"
 
 
+def test_the_shared_parser_keeps_no_state_between_runs(capsys):
+    # one parser serves every run in a process: a usage error, or a run with
+    # options, must leave the next run as a fresh interpreter would see it
+    fresh = {}
+    for argv in (["mrel-dim", "--prime", "11", "--seed", "1"], ["mrel-dim"]):
+        proc = subprocess.run([sys.executable, "-m", "bimodulus.cli", *argv],
+                              capture_output=True, text=True)
+        fresh[tuple(argv)] = (proc.returncode, proc.stdout)
+    for argv, message in USAGE_ERRORS[:2]:
+        assert main(list(argv)) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": message, "type": "validation"}
+        for valid, want in fresh.items():
+            assert main(list(valid)) == want[0]
+            assert capsys.readouterr().out == want[1]
+
+
 def test_help_still_prints_usage_and_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -7,8 +7,11 @@ canonical) then gives independent checks for every computation.
 """
 
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimodulus.errors import SpecialPosition, ValidationError
 from bimodulus.exactmath import QQ, PrimeField, QuadExtField, reduce_modulo, rref
@@ -36,6 +39,7 @@ from oracles import (
     canonical_one_fiber_at_a_time,
     form_to_vec,
     ideal_slice,
+    scalar_product,
     split_fiber_scan,
     split_h0_profile,
 )
@@ -262,6 +266,39 @@ def test_normal_form_is_reduction_modulo_the_ideal_slice(name):
                 want = reduce_modulo(F, red, piv, form_to_vec(g, monos))
                 assert nf.vec(g) == [want[c] for c in cols]
                 assert not any(want[c] for c in piv)
+
+
+# characteristics 2 and 3 are not fields of the package; the residue
+# kernel is checked at p = 2 and 3 in test_polyring
+PRODUCT_FIELDS = {"F5": PrimeField(5), "F7": PrimeField(7), "F101": PrimeField(101),
+                  "F1009": PrimeField(1009), "F(2^61-1)": PrimeField(2**61 - 1),
+                  "F25": QuadExtField(PrimeField(5)), "Q": QQ}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_normal_form_of_a_product_is_that_of_the_product_of_forms(data):
+    # 1-3 factors of bidegree up to (3, 3), so the frame often has M or N
+    # below 2 and no division step; each vector dense, zero or sparse
+    F = PRODUCT_FIELDS[data.draw(st.sampled_from(sorted(PRODUCT_FIELDS)), label="field")]
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    f = MultiPoly(F, (2, 2), {e: F.random(rng) for e in monomial_basis((2, 2))})
+    if f.is_zero():
+        f = MultiPoly.monomial(F, (2, 2), (1, 1, 1, 1))
+    degrees = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                 min_size=1, max_size=3), label="degrees")
+    factors = []
+    for d in degrees:
+        nf = NormalForm(f, d)
+        kind = data.draw(st.sampled_from(["dense", "zero", "sparse"]), label="vector")
+        draw = {"dense": F.random_nonzero, "zero": lambda _: F.zero(), "sparse": F.random}[kind]
+        factors.append((nf, [draw(rng) for _ in nf.monos]))
+    frame = NormalForm(f, tuple(map(sum, zip(*degrees))))
+    want = frame.vec(reduce(scalar_product, [nf.form(v) for nf, v in factors]))
+    assert frame.product(*factors) == want
+    if len(factors) > 1 and degrees[0] != (0, 0):
+        with pytest.raises(ValidationError, match="wrong bidegree"):
+            frame.product(*factors[1:])
 
 
 def test_split_from_cohomology_trivial_bundle(smooth_curve):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from bimodulus import curves, linebundles, moduli, polyring
-from bimodulus.errors import DegenerateInstance, SpecialPosition
+from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationError
 from bimodulus.curves import enumerate_points, make_kind, member_j, random_p1_point, random_smooth_point
 from bimodulus.exactmath import QQ, FpElt, PrimeField, QuadExtField, kernel_basis, subspace_equal
 from bimodulus.linebundles import (
@@ -40,6 +40,8 @@ from bimodulus.polyring import MultiPoly
 from bimodulus.quivers import generic_member_quiver, theta_stable
 from oracles import (
     power_eval,
+    psi0_by_forms,
+    psi1_by_forms,
     reembedded_member,
     shadow_incidence_points,
     span_contains,
@@ -115,19 +117,30 @@ def test_phi_lands_in_component_zero(datum):
     assert [L.degree_total() for L in (quad.L0, quad.L1, quad.L2)] == [2, 2, 2]
 
 
-def test_psi0_forms_each_first_product_once(datum, monkeypatch):
-    # s0_i s1_j is formed once for both s2_k: 4 + 8 products, not 8 + 8
+def test_psi_multiplies_sections_as_normal_forms(datum, monkeypatch):
+    # over F_p every product of sections goes from normal forms to a normal
+    # form, and no form is multiplied: psi0 takes one product per path,
+    # psi1 one per path and per one-step product behind a skip arrow
     F101, rng, curve, U, quad, rel, c1, c2 = datum
-    products = []
-    real_mul = MultiPoly.__mul__
+    quad1 = random_quadruple(F101, random.Random(3), component=1)
+    rel1 = psi1(quad1)
+    calls = {"form": 0, "normal form": 0}
+    real_mul, real_product = MultiPoly.__mul__, NormalForm.product
 
     def counted_mul(self, other):
-        products.append(1)
+        calls["form"] += 1
         return real_mul(self, other)
 
+    def counted_product(self, *factors):
+        calls["normal form"] += 1
+        return real_product(self, *factors)
+
     monkeypatch.setattr(MultiPoly, "__mul__", counted_mul)
+    monkeypatch.setattr(NormalForm, "product", counted_product)
     assert psi0(quad) == rel
-    assert len(products) == 12
+    assert calls == {"form": 0, "normal form": 8}
+    assert psi1(quad1) == rel1
+    assert calls == {"form": 0, "normal form": 8 + 12}
 
 
 def test_psi0_kernel_is_a_plane_vanishing_on_the_member(datum):
@@ -241,6 +254,31 @@ def test_products_vanish_doubly_where_the_divisors_share_a_point(name):
                 assert span_contains(F, basis, nf.vec(t * r))
         found += 1
     assert found >= 2 and dims >= 2
+
+
+def psi_outcome(psi, quad):
+    """The relations, or the type and message of what `psi` raised."""
+    try:
+        return psi(quad)
+    except (DegenerateInstance, SpecialPosition, ValidationError, AssertionError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("component", [0, 1])
+@pytest.mark.parametrize("name", ["F5", "F11", "F101", "F1009", "F25"])
+def test_psi_relations_are_those_of_products_of_forms(name, component):
+    F = FIELDS[name]
+    psi, oracle = (psi0, psi0_by_forms) if component == 0 else (psi1, psi1_by_forms)
+    answered = 0
+    for seed in range(50):
+        try:
+            quad = random_quadruple(F, random.Random(seed), component=component)
+        except SpecialPosition:
+            continue
+        want = psi_outcome(oracle, quad)
+        assert psi_outcome(psi, quad) == want
+        answered += isinstance(want, list)
+    assert answered >= 10
 
 
 @pytest.mark.parametrize("p, most", [(101, 15), (11, 59)])

@@ -1,5 +1,7 @@
 """Homogeneous multi-block polynomials and the binary-form toolkit."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -24,6 +26,7 @@ from bimodulus.polyring import (
     quadratic_discriminant,
     quartic_invariants,
     random_multipoly,
+    residue_product,
 )
 
 from oracles import (
@@ -96,7 +99,25 @@ def test_monomial_table_evaluation_matches_the_power_formula(data):
     assert _eval_rows(field, pairs, monos) == power_rows(pairs, monos)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 101, 1009])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_residue_product_is_the_integer_convolution(data):
+    # slots of one variable, where a product of monomials adds exponents;
+    # residues at p - 1 fill the slots up to the bound on their width, and
+    # p = 2 and 3, which are not fields of the package, give the least width
+    p = data.draw(st.sampled_from([2, 3, 5, 101, 2**61 - 1]), label="p")
+    residue = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    factors = data.draw(st.lists(
+        st.lists(st.tuples(st.integers(0, 6), residue), max_size=7, unique_by=lambda t: t[0]),
+        min_size=1, max_size=3), label="factors")
+    size = sum(max((slot for slot, _ in f), default=0) for f in factors) + 1
+    want = [0] * size
+    for terms in itertools.product(*factors):
+        want[sum(slot for slot, _ in terms)] += math.prod(v for _, v in terms)
+    assert residue_product(p, factors, size) == want
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 101, 1009, 2**61 - 1])
 def test_products_on_residues_are_the_scalar_products(p):
     F = PrimeField(p)
     rng = random.Random(p)
@@ -117,6 +138,13 @@ def test_products_on_residues_are_the_scalar_products(p):
         pairs.append(tuple(
             MultiPoly(F, d, {e: F.random(rng) for e in monomial_basis(d) if rng.randrange(2)})
             for d in degrees))
+    for fill in (F.random_nonzero, lambda _: F.coerce(-1), lambda _: F.coerce(-1)):
+        # dense forms up to degree 5 per block; all coefficients -1 give
+        # the largest residue sums
+        degrees = [tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 3)))]
+        degrees.append(tuple(rng.randint(0, 5) for _ in degrees[0]))
+        pairs.append(tuple(MultiPoly(F, d, {e: fill(rng) for e in monomial_basis(d)})
+                           for d in degrees))
     for f, g in pairs:
         prod = f * g
         assert prod == scalar_product(f, g)

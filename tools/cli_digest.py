@@ -26,9 +26,12 @@ drive the twist scans hard (`EDITED`), then three usage errors
 (`USAGE_ERRORS`), each reported as a JSON error object with exit 2.  Last,
 `psi --in` on generated component-1 quadruples at F_101 and F_11 whose
 canonical representatives share a point (`SHARED_SUPPORT`), so that the
-products of sections vanish doubly there.  Last, `cech --in` on the edited
+products of sections vanish doubly there.  Then `cech --in` on the edited
 doubled-member sheaves with a divisor (`divisor-{0..3}.json` of `EDITED`).
-531 commands in all, and every command of the CLI among them.
+Last, `generate quadruple` at the primes 1000003 and 2^61 - 1, seeds 0-3
+(both components occur), and `psi --in` on each (`WORD_SIZE_PRIMES`), so
+that products of sections run with residues near the word size.
+547 commands in all, and every command of the CLI among them.
 """
 
 from __future__ import annotations
@@ -99,6 +102,8 @@ USAGE_ERRORS = (["bogus"], ["split", "--prime", "abc"], ["split", "--bogus"])
 # (prime, seed) of `generate quadruple` draws of component 1 on which both
 # products behind `psi1`'s skip arrows take a point twice
 SHARED_SUPPORT = ((101, 5), (101, 7), (11, 5), (11, 7))
+# primes of the `generate quadruple` draws, seeds 0-3, run through `psi`
+WORD_SIZE_PRIMES = (1000003, 2305843009213693951)
 ON_EACH_LIFT = {
     "smooth-bimodule-chi2": ("classify", "split", "stability", "roundtrip"),
     "smooth-bimodule-chi1": ("classify", "split", "stability"),
@@ -198,6 +203,15 @@ def main_digest():
         for name, generated, _ in EDITED:
             if generated is None:
                 emit(["cech", "--in", name], *run(["cech", "--in", str(Path(tmp) / name)]))
+        for prime in WORD_SIZE_PRIMES:
+            for seed in range(4):
+                argv = ["generate", "quadruple", "--prime", str(prime), "--seed", str(seed)]
+                code, text, body = generated_body(argv)
+                emit(argv, code, text)
+                name = f"quadruple-{prime}-{seed}.json"
+                path = Path(tmp) / name
+                path.write_text(json.dumps(body))
+                emit(["psi", "--in", name], *run(["psi", "--in", str(path)]))
 
 
 if __name__ == "__main__":
