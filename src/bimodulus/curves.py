@@ -20,7 +20,8 @@ None for (1:0), else the field's `random_key`), and the point is the
 point of its key; the table keeps the fiber points found for each key
 drawn, so rational-point sampling builds and hashes field elements only
 on a key's first draw, and a try costs its generator calls and one
-lookup.
+lookup.  Over F_p the j of a smooth member is taken on residues
+(`residue_j`), from its branch quartic computed on ints.
 """
 
 from __future__ import annotations
@@ -109,10 +110,41 @@ def kodaira_classify(f):
 
 def member_j(f, block=1):
     """j-invariant of a smooth member: the branch quartic of either ruling
-    projection has four distinct roots, and j is taken from that quartic."""
+    projection has four distinct roots, and j is taken from that quartic.
+    Over F_p it is taken on residues (`residue_j`); a member that is not
+    smooth there goes the element-wise way, which raises."""
     validate_22(f)
+    field = f.field
+    if isinstance(field, PrimeField):
+        grid = [[0] * 3 for _ in range(3)]
+        for e, c in f.terms.items():
+            grid[e[3 - 2 * block]][e[2 * block + 1]] = c.v
+        j = residue_j(field.p, grid)
+        if j is not None:
+            return FpElt(field.p, j)
     disc = quadratic_discriminant(f, block)
-    return j_from_quartic(f.field, disc)
+    return j_from_quartic(field, disc)
+
+
+def residue_j(p, grid):
+    """j of the (2,2)-form whose coefficient of u0^(2-a) u1^a v0^(2-b) v1^b
+    is grid[a][b], on residues mod p: the branch quartic B^2 - 4AC of the
+    projection to the u-line, its invariants I and J, and 6912 I^3 over
+    4I^3 - J^2, as `quartic_invariants` and `j_from_quartic` take them.
+    None when 4I^3 - J^2 vanishes, which is exactly when `kodaira_classify`
+    finds the form not smooth (a zero quartic included)."""
+    A, B, C = zip(*grid)
+    q = [sum(B[i] * B[k - i] - 4 * A[i] * C[k - i] for i in range(max(0, k - 2), min(k, 2) + 1))
+         % p for k in range(5)]
+    a0, a1, a2, a3, a4 = q
+    I = (12 * a0 * a4 - 3 * a1 * a3 + a2 * a2) % p
+    J = (72 * a0 * a2 * a4 - 27 * a0 * a3 * a3 - 27 * a1 * a1 * a4
+         + 9 * a1 * a2 * a3 - 2 * a2 * a2 * a2) % p
+    cube = I * I * I
+    den = (4 * cube - J * J) % p
+    if not den:
+        return None
+    return 6912 * cube * pow(den, -1, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +233,10 @@ def residue_roots(field, q):
     disc = (q1 * q1 - 4 * q0 * q2) % p
     if not disc:
         return [-q1 * inv % p]
-    r = field.sqrt(disc)
+    r = field.residue_sqrt(disc)
     if r is None:
         return None
-    return [(-q1 + r.v) * inv % p, (-q1 - r.v) * inv % p]
+    return [(-q1 + r) * inv % p, (-q1 - r) * inv % p]
 
 
 def fiber_quadratic(f, side, pt):

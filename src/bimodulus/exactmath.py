@@ -8,11 +8,12 @@ Three scalar kinds interoperate through the usual arithmetic dunders:
 
 Field handles (``QQ``, ``PrimeField``, ``QuadExtField``) build constants,
 parse/format the JSON scalar strings, and provide square roots without
-tables: Tonelli-Shanks over F_p, and in a quadratic extension of either
-base one root taken through the norm.  Finite fields stream their
-elements.  A random element is drawn as a key of ints (``random_key``)
-and built from it (``of_key``), so a caller can keep what it computed
-for a draw by its key.
+tables: Tonelli-Shanks over F_p (on an int residue, ``residue_sqrt``,
+with the field's non-residue power found once), and in a quadratic
+extension of either base one root taken through the norm.  Finite fields
+stream their elements.  A random element is drawn as a key of ints
+(``random_key``) and built from it (``of_key``), so a caller can keep
+what it computed for a draw by its key.
 
 All linear algebra is exact, and reduced forms, kernels and ranks are
 bit-reproducible across runs.  Elimination reads each entry once through
@@ -248,6 +249,7 @@ class PrimeField:
         self.p = p
         self.characteristic = p
         self._nonresidue = None
+        self._tonelli = None  # (q, s, c^q) with p - 1 = q 2^s, c a non-residue
 
     def __call__(self, n=0):
         if isinstance(n, FpElt):
@@ -293,17 +295,25 @@ class PrimeField:
         return self._is_residue(self.coerce(x).v)
 
     def sqrt(self, x):
-        """The smaller of the two square roots (Tonelli-Shanks), or None."""
-        p, v = self.p, self.coerce(x).v
+        """The smaller of the two square roots, or None."""
+        r = self.residue_sqrt(self.coerce(x).v)
+        return None if r is None else FpElt(self.p, r)
+
+    def residue_sqrt(self, v):
+        """`sqrt` of an int in [0, p), as an int in [0, p) (Tonelli-Shanks)."""
+        p = self.p
         if not self._is_residue(v):
             return None
-        q, s = p - 1, 0
-        while not q % 2:
-            q, s = q // 2, s + 1
+        if self._tonelli is None:
+            q, s = p - 1, 0
+            while not q % 2:
+                q, s = q // 2, s + 1
+            c = pow(self.smallest_nonresidue().v, q, p) if s > 1 else p - 1
+            self._tonelli = (q, s, c)
+        q, m, c = self._tonelli
         # invariant: r^2 = v t, with t of order dividing 2^m and c of order
         # 2^m; v = 0 starts and ends at t = r = 0
-        m, t, r = s, pow(v, q, p), pow(v, (q + 1) // 2, p)
-        c = pow(self.smallest_nonresidue().v, q, p) if s > 1 else p - 1
+        t, r = pow(v, q, p), pow(v, (q + 1) // 2, p)
         while t > 1:
             i, t2 = 0, t
             while t2 != 1:
@@ -311,10 +321,10 @@ class PrimeField:
             b = pow(c, 1 << (m - i - 1), p)
             m, c = i, b * b % p
             t, r = t * c % p, r * b % p
-        return FpElt(p, min(r, p - r))
+        return min(r, p - r)
 
     def smallest_nonresidue(self):
-        # searched once per field: sqrt needs it on every call when p = 1 mod 4
+        # searched once per field, by the first square root when p = 1 mod 4
         if self._nonresidue is None:
             self._nonresidue = next(v for v in range(2, self.p) if not self._is_residue(v))
         return FpElt(self.p, self._nonresidue)

@@ -23,9 +23,13 @@ incidence points are the points (x, y) of the last shadow, each with the
 common zero z of the two relations there, and the relation plane is the
 left kernel of the path monomials at those points.  Over a prime field F_p
 this stage runs on int residues in [0, p), in one pass over x with 2x2
-contractions, and builds field elements only for its output.  The
-re-embedded member of `phi_inverse` is the shadow that forgets the middle
-line.
+contractions, and builds field elements only for its output.  The round
+trip streams these points as `p1_points` index triples and keeps none of
+them: it reduces path rows until six are independent, checks every later
+point against the kernel and counts them.  Every j it compares is taken
+on residues too, the member's from its terms and each shadow's from the
+relation tensors, so no shadow is built as a form.  The re-embedded
+member of `phi_inverse` is the shadow that forgets the middle line.
 
 The products of sections behind `psi0`/`psi1` are kept as normal forms
 modulo the member, remainders of division by the member leading monomial
@@ -55,6 +59,7 @@ from .curves import (
     member_j,
     normalize_point,
     random_smooth_22,
+    residue_j,
     residue_roots,
 )
 from .errors import DegenerateInstance, SpecialPosition, ValidationError
@@ -245,7 +250,22 @@ def ci_shadows(c1, c2):
 
 def ci_smooth_j(c1, c2):
     """Common j-invariant of the three shadows; every shadow must be a
-    smooth member."""
+    smooth member.
+
+    Over F_p each shadow's coefficients come from `_fiber_coefficients` on
+    the residue tensors, with the eliminated line factor moved last, and
+    its j from `residue_j`; a shadow that is zero or not smooth sends the
+    pair the `MultiPoly` way, which raises."""
+    field = c1.field
+    if isinstance(field, PrimeField):
+        p = field.p
+        t1, t2 = _residue_tensor(field, c1), _residue_tensor(field, c2)
+        js = [residue_j(p, _fiber_coefficients([t1[i] for i in order], [t2[i] for i in order]))
+              for order in _ELIMINATING]
+        if None not in js:
+            if js[0] != js[1] or js[0] != js[2]:
+                raise AssertionError("shadow members disagree about j")
+            return FpElt(p, js[0])
     js = []
     for res in ci_shadows(c1, c2):
         kind = kodaira_classify(res)
@@ -266,6 +286,17 @@ def _tensor(c):
     zero = c.field.zero()
     return [c.terms.get((1 - i, i, 1 - j, j, 1 - k, k), zero)
             for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+
+
+def _residue_tensor(field, c):
+    """`_tensor` as residues in [0, p) over F_p."""
+    return [field.coerce(a).v for a in _tensor(c)]
+
+
+# for x, y and z, the tensor's entries in path order once that line factor
+# is moved last and the other two keep their order: (y, z, x), (x, z, y)
+# and (x, y, z)
+_ELIMINATING = ([0, 4, 1, 5, 2, 6, 3, 7], [0, 2, 1, 3, 4, 6, 5, 7], list(range(8)))
 
 
 def _det_quadratic(m, n):
@@ -299,9 +330,15 @@ def incidence_points(c1, c2):
     field = c1.field
     if not field.characteristic:
         raise ValidationError("point enumeration needs a finite field")
-    t1, t2 = _tensor(c1), _tensor(c2)
     if isinstance(field, PrimeField):
-        return _incidence_points_mod_p(field, t1, t2)
+        p = field.p
+        one, zero = FpElt(p, 1), FpElt(p, 0)
+
+        def point(i):
+            return (FpElt(p, i), one) if i < p else (one, zero)
+
+        return [tuple(map(point, pt)) for pt in _incidence_points_mod_p(field, c1, c2)]
+    t1, t2 = _tensor(c1), _tensor(c2)
     shadow = linear_resultant(c1, c2, 2)
     if shadow.is_zero():
         raise DegenerateInstance("relations share a linear factor")
@@ -328,19 +365,12 @@ def _coords(p, i):
     return (i, 1) if i < p else (1, 0)
 
 
-def _incidence_points_mod_p(field, t1, t2):
-    """`incidence_points` over F_p, on residues; the same checks in the
-    same order."""
+def _incidence_points_mod_p(field, c1, c2):
+    """`incidence_points` over F_p, on residues, as a stream of `p1_points`
+    index triples (ix, iy, iz); the same checks in the same order."""
     p = field.p
-    t1 = [field.coerce(a).v for a in t1]
-    t2 = [field.coerce(a).v for a in t2]
+    t1, t2 = _residue_tensor(field, c1), _residue_tensor(field, c2)
     s00, s01, s11 = _fiber_coefficients(t1, t2)
-    one, zero = FpElt(p, 1), FpElt(p, 0)
-
-    def point(i):
-        return (FpElt(p, i), one) if i < p else (one, zero)
-
-    pts = []
     zero_fibers = 0
     for ix in range(p + 1):
         x0, x1 = _coords(p, ix)
@@ -358,21 +388,21 @@ def _incidence_points_mod_p(field, t1, t2):
             continue
         a, b, c, d = [x0 * u + x1 * v for u, v in zip(t1[:4], t1[4:])]
         e, f, g, h = [x0 * u + x1 * v for u, v in zip(t2[:4], t2[4:])]
-        x = point(ix)
         for iy in ys:
             y0, y1 = _coords(p, iy)
-            v1 = ((a * y0 + c * y1) % p, (b * y0 + d * y1) % p)
-            v2 = ((e * y0 + g * y1) % p, (f * y0 + h * y1) % p)
-            if not any(v1) and not any(v2):
-                raise DegenerateInstance("incidence curve has a one-dimensional fiber")
+            # the relations at (x, y): u0 z0 + u1 z1 and v0 z0 + v1 z1
+            u0, u1 = (a * y0 + c * y1) % p, (b * y0 + d * y1) % p
+            v0, v1 = (e * y0 + g * y1) % p, (f * y0 + h * y1) % p
+            if not (u0 or u1):
+                if not (v0 or v1):
+                    raise DegenerateInstance("incidence curve has a one-dimensional fiber")
+                u0, u1 = v0, v1
             # common zero of u0 z0 + u1 z1: direction (u1, -u0)
-            u0, u1 = v1 if any(v1) else v2
             iz = -u1 * pow(u0, -1, p) % p if u0 else p
             z0, z1 = _coords(p, iz)
-            if any(v2) and (v2[0] * z0 + v2[1] * z1) % p:
+            if (v0 * z0 + v1 * z1) % p:
                 raise AssertionError("shadow point without a common third coordinate")
-            pts.append((x, point(iy), point(iz)))
-    return pts
+            yield ix, iy, iz
 
 
 def recover_relations_from_ci(c1, c2):
@@ -403,16 +433,20 @@ def relations_through_points(field, pts):
     kernel of all rows, and rref is canonical, so the basis is the one
     `kernel_basis` of all rows returns; only the kernel is made of field
     elements."""
-    # a trilinear form off the relation plane restricts to a nonzero section
-    # of a degree-6 bundle on the incidence curve: at most 6 zeros
-    if len(pts) <= 6:
-        raise DegenerateInstance("too few rational points to pin the ideal down")
+    _require_enough_points(len(pts))
     if isinstance(field, PrimeField):
         return _relations_through_points_mod_p(field, pts)
     ker = kernel_basis(field, [_path_values(pt) for pt in pts], 8)
     if len(ker) != 2:
         raise DegenerateInstance("point conditions did not cut the relation plane")
     return ker
+
+
+def _require_enough_points(count):
+    # a trilinear form off the relation plane restricts to a nonzero section
+    # of a degree-6 bundle on the incidence curve: at most 6 zeros
+    if count <= 6:
+        raise DegenerateInstance("too few rational points to pin the ideal down")
 
 
 def _relations_through_points_mod_p(field, pts):
@@ -423,6 +457,17 @@ def _relations_through_points_mod_p(field, pts):
     rows = (_path_values([[c.v if c.__class__ is FpElt and c.p == p else coerce(c).v
                            for c in pt] for pt in point])
             for point in pts)
+    ker = kernel_basis(field, _independent_rows(p, rows), 8)
+    vecs = [[a.v for a in v] for v in ker]
+    if len(ker) != 2 or any(sum(map(mul, row, v)) % p for row in rows for v in vecs):
+        raise DegenerateInstance("point conditions did not cut the relation plane")
+    return ker
+
+
+def _independent_rows(p, rows):
+    """Echelon rows of residues with leading entries 1, taken from the
+    iterator `rows` one at a time until six are independent (fewer if it
+    runs out first); the rest of `rows` is left unread."""
     basis, pivots = [], []
     for row in rows:
         w = [a % p for a in row]
@@ -437,11 +482,7 @@ def _relations_through_points_mod_p(field, pts):
             pivots.append(pc)
             if len(basis) == 6:
                 break
-    ker = kernel_basis(field, basis, 8)
-    vecs = [[a.v for a in v] for v in ker]
-    if len(ker) != 2 or any(sum(map(mul, row, v)) % p for row in rows for v in vecs):
-        raise DegenerateInstance("point conditions did not cut the relation plane")
-    return ker
+    return basis
 
 
 def point_representation(point):
@@ -549,7 +590,9 @@ def roundtrip0(U, sample_reps=4):
 
     Verifies that the three shadows are smooth with the member's own j, that
     the enumerated points recover exactly the relation plane, and that the
-    point representations are stable.  Returns a small report."""
+    first `sample_reps` point representations are stable.  Returns a small
+    report.  Over F_p the points are one stream of residues that is read
+    once and never kept (`_incidence_pass_mod_p`)."""
     curve = U.curve
     field = curve.field
     quad = phi(U)
@@ -559,24 +602,72 @@ def roundtrip0(U, sample_reps=4):
     j_shadows = ci_smooth_j(c1, c2)
     if j_shadows != j_member:
         raise AssertionError("shadow j differs from the member j")
-    pts = incidence_points(c1, c2)
-    recovered = relations_through_points(field, pts)
+    if isinstance(field, PrimeField):
+        count, recovered, reps = _incidence_pass_mod_p(field, c1, c2, sample_reps)
+    else:
+        pts = incidence_points(c1, c2)
+        recovered = relations_through_points(field, pts)
+        count = len(pts)
+        reps = {tuple(map(bool, rep.values())): rep
+                for rep in map(point_representation, pts[:sample_reps])}
     if not subspace_equal(field, recovered, relations):
         raise AssertionError("recovered relations differ from the computed ones")
-    quiver = generic_member_quiver()
     # stability reads only which arrows are nonzero: one verdict per pattern
-    verdicts = {}
-    checked = 0
-    for p in pts[:sample_reps]:
-        rep = point_representation(p)
-        pattern = tuple(map(bool, rep.values()))
-        if pattern not in verdicts:
-            verdicts[pattern] = theta_stable(quiver, rep)
-        if not verdicts[pattern]:
-            raise AssertionError("incidence point carries an unstable representation")
-        checked += 1
+    quiver = generic_member_quiver()
+    if not all(theta_stable(quiver, rep) for rep in reps.values()):
+        raise AssertionError("incidence point carries an unstable representation")
     return {
         "j": j_member,
-        "points": len(pts),
-        "stable_reps_checked": checked,
+        "points": count,
+        "stable_reps_checked": min(count, sample_reps),
     }
+
+
+def _incidence_pass_mod_p(field, c1, c2, sample_reps):
+    """The incidence stage of `roundtrip0` over F_p in one pass over the
+    stream of `_incidence_points_mod_p`, keeping no point.
+
+    Path rows are reduced until six are independent; every later point is
+    then checked against the two kernel vectors, contracted with x once per
+    fiber, and the first `sample_reps` points leave one representation per
+    zero pattern.  Raises as `relations_through_points` would on the list
+    of points, once the stream is read to its end.  Returns the number of
+    points, the relation plane and the representations by pattern."""
+    p = field.p
+    count = 0
+    reps = {}
+
+    def tallied(points):
+        nonlocal count
+        for pt in points:
+            if count < sample_reps:
+                # (i, 1) has a zero first coordinate only at i = 0, and
+                # (1, 0) is the index p
+                ix, iy, iz = pt
+                pattern = (ix != 0, ix < p, iy != 0, iy < p, iz != 0, iz < p)
+                if pattern not in reps:
+                    reps[pattern] = point_representation([_coords(p, i) for i in pt])
+            count += 1
+            yield pt
+
+    stream = tallied(_incidence_points_mod_p(field, c1, c2))
+    ker = kernel_basis(field, _independent_rows(
+        p, (_path_values([_coords(p, i) for i in pt]) for pt in stream)), 8)
+    vecs = [[a.v for a in v] for v in ker]
+    off, fiber = False, None
+    for ix, iy, iz in stream:
+        if off:
+            continue
+        if ix != fiber:
+            fiber = ix
+            x0, x1 = _coords(p, ix)
+            ws = [[x0 * a + x1 * b for a, b in zip(v[:4], v[4:])] for v in vecs]
+        y0, y1 = _coords(p, iy)
+        z0, z1 = _coords(p, iz)
+        for w0, w1, w2, w3 in ws:
+            if (y0 * (w0 * z0 + w1 * z1) + y1 * (w2 * z0 + w3 * z1)) % p:
+                off = True
+    _require_enough_points(count)
+    if len(ker) != 2 or off:
+        raise DegenerateInstance("point conditions did not cut the relation plane")
+    return count, ker, reps

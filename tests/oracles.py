@@ -6,22 +6,24 @@ at each point of their enumerated last shadow, split fibers and sampled
 smooth points by solving every fiber afresh on each call, canonical
 representatives raised one fiber per rewriting step, random field
 elements and points of P1 drawn straight from the generator, the member
-of `phi_inverse` as the relation among nine products of sections, residual
-points of fibers by division by a linear form, j through
+of `phi_inverse` as the relation among nine products of sections,
+residual points of fibers by division by a linear form, j through
 cross-ratios of actual branch points, member classification through
 exhaustive singular-point inspection over a quadratic extension and
-through the multiplicity pattern of a product-built branch quartic, forms
-and binary forms evaluated term by term with powers, smoothness from
-partials evaluated that way, vanishing to order two at a point of the
-member by the rank of the two gradients there, reduction modulo the member
-against the echelon form of its ideal slice, elimination, reduction modulo
-an echelon basis and products of forms through the field's own scalar
-arithmetic, one scalar operation per entry, the relations of `psi0` and
-`psi1` from those products of forms rather than from normal forms, the points of a fiber from
-the roots of its restricted quadratic, square roots in a quadratic
-extension by squaring every element, and the doubled member's Cech counts
-from a separate elimination at each window.  The package must agree with
-these wherever both apply.
+through the multiplicity pattern of a product-built branch quartic,
+forms and binary forms evaluated term by term with powers, smoothness
+from partials evaluated that way, the round trip with its points kept in
+a list and every j from a shadow built as a form, vanishing to order two
+at a point of the member by the rank of the two gradients there,
+reduction modulo the member against the echelon form of its ideal slice,
+elimination, reduction modulo an echelon basis and products of forms
+through the field's own scalar arithmetic, one scalar operation per
+entry, the relations of `psi0` and `psi1` from those products of forms
+rather than from normal forms, the points of a fiber from the roots of
+its restricted quadratic, square roots in a quadratic extension by
+squaring every element, and the doubled member's Cech counts from a
+separate elimination at each window.  The package must agree with these
+wherever both apply.
 """
 
 from fractions import Fraction
@@ -32,15 +34,35 @@ from bimodulus.curves import (
     _PATTERN_TO_KIND,
     enumerate_points,
     fiber_quadratic,
+    kodaira_classify,
     normalize_point,
     p1_points,
     validate_22,
     validate_support,
 )
 from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationError
-from bimodulus.exactmath import FpElt, QEElt, QuadExtField, block_ranks, kernel_basis, reduce_modulo, rref
+from bimodulus.exactmath import (
+    FpElt,
+    QEElt,
+    QuadExtField,
+    block_ranks,
+    kernel_basis,
+    reduce_modulo,
+    rref,
+    subspace_equal,
+)
 from bimodulus.linebundles import LineBundle, _fiber_scan, _first_duplicate, section_space
-from bimodulus.moduli import _frame, _left_kernel, _outside_span, ci_shadows
+from bimodulus.moduli import (
+    _frame,
+    _left_kernel,
+    _outside_span,
+    ci_shadows,
+    incidence_points,
+    phi,
+    point_representation,
+    psi0,
+    relations_to_ci,
+)
 from bimodulus.polyring import (
     MultiPoly,
     bf_divexact,
@@ -50,7 +72,7 @@ from bimodulus.polyring import (
     j_from_quartic,
     monomial_basis,
 )
-from bimodulus.quivers import middle_member_quiver
+from bimodulus.quivers import generic_member_quiver, middle_member_quiver, theta_stable
 
 
 def power_eval(poly, points):
@@ -649,3 +671,47 @@ def fiber_points(f, side, x):
     xn = normalize_point(F, x)
     return tuple((xn, normalize_point(F, r)) if side == 0 else (normalize_point(F, r), xn)
                  for r, _ in roots)
+
+
+def shadow_smooth_j(c1, c2):
+    """`ci_smooth_j` through the three shadows built as forms
+    (`ci_shadows`), each classified by `kodaira_classify` and its j taken
+    from the product-built branch quartic; the same checks in the same
+    order."""
+    js = []
+    for res in ci_shadows(c1, c2):
+        kind = kodaira_classify(res)
+        if kind != "I0":
+            raise DegenerateInstance(f"shadow member has type {kind}")
+        js.append(pattern_member_j(res))
+    if js[0] != js[1] or js[0] != js[2]:
+        raise AssertionError("shadow members disagree about j")
+    return js[0]
+
+
+def listed_roundtrip(U, sample_reps=4):
+    """`roundtrip0` element-wise: every j from a form's branch quartic, the
+    incidence points as a list of field elements (`shadow_incidence_points`),
+    the relation plane as the kernel of the path values at all of them, and
+    stability decided point by point; the same checks in the same order."""
+    field = U.curve.field
+    relations = psi0(phi(U))
+    c1, c2 = relations_to_ci(field, relations)
+    j_member = pattern_member_j(U.curve.f)
+    if shadow_smooth_j(c1, c2) != j_member:
+        raise AssertionError("shadow j differs from the member j")
+    pts = incidence_points(c1, c2)
+    if len(pts) <= 6:
+        raise DegenerateInstance("too few rational points to pin the ideal down")
+    rows = [[x[i] * y[j] * z[k] for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+            for (x, y, z) in pts]
+    recovered = kernel_basis(field, rows, 8)
+    if len(recovered) != 2:
+        raise DegenerateInstance("point conditions did not cut the relation plane")
+    if not subspace_equal(field, recovered, relations):
+        raise AssertionError("recovered relations differ from the computed ones")
+    quiver = generic_member_quiver()
+    for pt in pts[:sample_reps]:
+        if not theta_stable(quiver, point_representation(pt)):
+            raise AssertionError("incidence point carries an unstable representation")
+    return {"j": j_member, "points": len(pts), "stable_reps_checked": min(len(pts), sample_reps)}

@@ -3,6 +3,7 @@ round trip between sheaf data and relation planes."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -38,12 +39,15 @@ from bimodulus.moduli import (
 )
 from bimodulus.polyring import MultiPoly
 from bimodulus.quivers import generic_member_quiver, theta_stable
+import oracles
 from oracles import (
+    listed_roundtrip,
     power_eval,
     psi0_by_forms,
     psi1_by_forms,
     reembedded_member,
     shadow_incidence_points,
+    shadow_smooth_j,
     span_contains,
     vanishes_doubly,
 )
@@ -366,25 +370,26 @@ def test_roundtrip_counts_the_points_of_the_member(datum):
 
 
 def test_roundtrip_computes_the_shadows_once_and_evaluates_no_points(datum, monkeypatch):
-    # the incidence points come from 2x2 contractions, not from evaluating
-    # the relations (four eval_block calls per point) on an enumerated shadow
+    # over F_p the shadows' j come from the relation tensors on residues and
+    # the incidence points from 2x2 contractions: no shadow is built as a
+    # form and the relations are not evaluated (four eval_block calls per
+    # point) on an enumerated shadow
     F101, rng, curve, U, quad, rel, c1, c2 = datum
-    shadows, evals = [], []
-    real_shadows, real_eval = moduli.ci_shadows, MultiPoly.eval_block
+    calls = []
 
-    def counted_shadows(a, b):
-        shadows.append(1)
-        return real_shadows(a, b)
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
 
-    def counted_eval(self, block, point):
-        evals.append(1)
-        return real_eval(self, block, point)
-
-    monkeypatch.setattr(moduli, "ci_shadows", counted_shadows)
-    monkeypatch.setattr(MultiPoly, "eval_block", counted_eval)
+    monkeypatch.setattr(moduli, "ci_shadows", counted("ci_shadows", moduli.ci_shadows))
+    monkeypatch.setattr(moduli, "linear_resultant",
+                        counted("linear_resultant", moduli.linear_resultant))
+    monkeypatch.setattr(MultiPoly, "eval_block", counted("eval_block", MultiPoly.eval_block))
     roundtrip0(U)
-    assert len(shadows) == 1
-    assert len(evals) <= 40
+    assert calls.count("ci_shadows") == calls.count("linear_resultant") == 0
+    assert calls.count("eval_block") <= 40
 
 
 def test_roundtrip_decides_stability_once_per_zero_pattern(datum, monkeypatch):
@@ -418,6 +423,7 @@ FIELDS = {
     "F5": PrimeField(5),
     "F7": PrimeField(7),
     "F11": PrimeField(11),
+    "F13": PrimeField(13),
     "F25": QuadExtField(PrimeField(5)),
     "F101": PrimeField(101),
     "F103": PrimeField(103),
@@ -575,3 +581,146 @@ def test_seeded_roundtrip_over_f1009():
         assert rep["j"] == member_j(curve.f) and rep["stable_reps_checked"] == 4
         return
     pytest.fail("no round trip over F_1009 in 20 draws")
+
+
+def failure(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("name,seeds", [("F5", 100), ("F7", 100), ("F11", 100), ("F13", 100),
+                                        ("F25", 30), ("F101", 40), ("F1009", 40)])
+def test_the_streamed_roundtrip_is_the_listed_one(name, seeds):
+    # the trip on a stream of residue points and the element-wise one with
+    # its points in a list give the same report or the same failure; F_25
+    # takes the trip's element-wise branch
+    F = FIELDS[name]
+    reports = 0
+    for seed in range(seeds):
+        try:
+            _, U = random_sheaf_datum(F, random.Random(seed))
+        except SpecialPosition:
+            continue
+        got = failure(roundtrip0, U)
+        assert got == failure(listed_roundtrip, U), seed
+        reports += isinstance(got, dict)
+    assert reports >= seeds // 10
+
+
+def streamed_datum(p, seed):
+    F = PrimeField(p)
+    rng = random.Random(seed)
+    while True:
+        _, U = random_sheaf_datum(F, rng)
+        try:
+            roundtrip0(U)
+        except DegenerateInstance:
+            continue
+        return U
+
+
+def off_curve(pt, p):
+    """The index triple of a point off the incidence curve over the same
+    (x, y): a fiber of the curve meets the z-line once."""
+    ix, iy, iz = pt
+    return ix, iy, (iz + 1) % (p + 1)
+
+
+def raising(pts):
+    yield from pts
+    raise DegenerateInstance("incidence curve has a one-dimensional fiber")
+
+
+# edits of the point stream, and the failure each makes
+STREAM_EDITS = {
+    "six points": (lambda pts, p: pts[:6], "too few rational points"),
+    "seven points": (lambda pts, p: pts[:7], None),
+    "one point repeated": (lambda pts, p: pts[:1] * 40, "did not cut the relation plane"),
+    "off the curve first": (lambda pts, p: [off_curve(pts[0], p)] + pts,
+                            "did not cut the relation plane"),
+    "off the curve seventh": (lambda pts, p: pts[:6] + [off_curve(pts[0], p)] + pts[6:],
+                              "did not cut the relation plane"),
+    "off the curve last": (lambda pts, p: pts + [off_curve(pts[-1], p)],
+                           "did not cut the relation plane"),
+    "raising after a point off the curve": (
+        lambda pts, p: raising(pts[:8] + [off_curve(pts[0], p)]), "one-dimensional fiber"),
+}
+
+
+@pytest.mark.parametrize("unstable", [False, True])
+@pytest.mark.parametrize("edit", sorted(STREAM_EDITS))
+def test_the_streamed_roundtrip_defers_its_failures_as_the_listed_one(edit, unstable, monkeypatch):
+    # each failure of the trip waits for the end of the stream and comes in
+    # the order of the listed trip: the stream's own, too few points, the
+    # relation plane, then stability
+    p = 101
+    U = streamed_datum(p, 11)
+    real = moduli._incidence_points_mod_p
+    change, message = STREAM_EDITS[edit]
+    monkeypatch.setattr(moduli, "_incidence_points_mod_p",
+                        lambda field, c1, c2: change(list(real(field, c1, c2)), p))
+    if unstable:
+        monkeypatch.setattr(moduli, "theta_stable", lambda quiver, maps: False)
+        monkeypatch.setattr(oracles, "theta_stable", lambda quiver, maps: False)
+    got = failure(roundtrip0, U, 10 ** 9)
+    assert got == failure(listed_roundtrip, U, 10 ** 9)
+    if message is None and unstable:
+        message = "unstable representation"
+    if message is None:
+        assert isinstance(got, dict)
+    else:
+        assert message in got[1]
+
+
+def test_the_streamed_roundtrip_checks_stability_of_the_first_points_only(monkeypatch):
+    U = streamed_datum(101, 11)
+    c1, c2 = relations_to_ci(U.field, psi0(phi(U)))
+    patterns = [tuple(map(bool, point_representation(pt).values()))
+                for pt in incidence_points(c1, c2)]
+    # the first point whose pattern is not the first point's
+    first = next(i for i, pattern in enumerate(patterns) if pattern != patterns[0])
+
+    def verdict(quiver, maps):
+        return tuple(map(bool, maps.values())) != patterns[first]
+
+    monkeypatch.setattr(moduli, "theta_stable", verdict)
+    monkeypatch.setattr(oracles, "theta_stable", verdict)
+    for reps in (first, first + 1):
+        got = failure(roundtrip0, U, reps)
+        assert got == failure(listed_roundtrip, U, reps)
+        assert (got["stable_reps_checked"] == first if reps == first
+                else "unstable representation" in got[1])
+
+
+@pytest.mark.parametrize("name", ["F5", "F7", "F11", "F101", "F1009"])
+def test_shadow_j_on_residues_is_the_shadow_forms_j(name):
+    # zero and singular shadows send the pair the form way, so the failure
+    # is the same as well
+    F = FIELDS[name]
+    rng = random.Random(name)
+    pairs = [factored_pair(F, rng, blocks) for blocks in [(0,), (1,), (2,), (0, 1), (1, 2)]]
+    pairs += [random_pair(F, rng, density) for density in (0.3, 0.5, 1.0) for _ in range(20)]
+    seen = set()
+    for c1, c2 in pairs:
+        got = failure(ci_smooth_j, c1, c2)
+        assert got == failure(shadow_smooth_j, c1, c2)
+        seen.add(got[1].split(" type")[0] if isinstance(got, tuple) else "j")
+    assert {"j", "relations share a linear factor", "shadow member has"} <= seen
+
+
+def test_the_roundtrip_keeps_no_list_of_points():
+    # about 10^4 incidence points at p = 10007: kept as field elements they
+    # would hold about 4 MiB
+    F = PrimeField(10007)
+    _, U = random_sheaf_datum(F, random.Random(0))
+    tracemalloc.start()
+    try:
+        rep = roundtrip0(U)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rep["points"] - 10008) ** 2 <= 4 * 10007
+    assert peak < 2 ** 20
