@@ -11,11 +11,12 @@ columns of degree <= N come first, so window N is its restriction to those
 leading columns, and the rank of window N after each block of rows is the
 number of pivots there.  The outer rows go in first, and the rank after
 them is what h1 needs, then the inner rows, and the rank after them is what
-h0 needs.  Over F_p the rows are residues.  Rank-1 torsion-free but
-non-invertible sheaves are kernels of a surjection onto the structure sheaf
-of a divisor D of the reduced locus; their Taylor-vanishing rows go last
-into the same elimination, in a window that grows with deg D, and the rank
-after them gives the sheaf's h0.  So a sheaf's cohomology costs one
+h0 needs.  Over F_p the rows are residues, and over Q ints, each row up
+to a nonzero factor, which leaves every rank as it is.  Rank-1
+torsion-free but non-invertible sheaves are kernels of a surjection onto
+the structure sheaf of a divisor D of the reduced locus; their
+Taylor-vanishing rows go last into the same elimination, in a window that
+grows with deg D, and the rank after them gives the sheaf's h0.  So a sheaf's cohomology costs one
 elimination, and h1 follows from the long exact sequence.
 
 The combinatorial layer encodes the classification tables: a descriptor names
@@ -29,9 +30,10 @@ linebundles) exists so the tables can be checked against honest cohomology.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ValidationError
-from .exactmath import PrimeField, block_ranks
+from .exactmath import PrimeField, RationalField, block_ranks
 from .linebundles import (
     LineBundle,
     is_twisted_v_pullback,
@@ -73,11 +75,14 @@ def _cech_rows(field, k, c, N, M):
     On its leading 4(N + 1) columns each row is the row of window N with
     that key, or zero where window N has none.  The entries 1 and -1 are
     ints, and over F_p so is -c, a residue: the echelon loops read ints as
-    they are.
+    they are.  Over Q the u-rows are multiplied by the denominator of c,
+    so every row is made of ints.
     """
-    neg_c = -field.coerce(c)
+    neg_c, unit = -field.coerce(c), 1
     if isinstance(field, PrimeField):
         neg_c = neg_c.v
+    elif isinstance(field, RationalField):
+        neg_c, unit = neg_c.as_integer_ratio()
     P, Q, Pt, Qt = _columns(N, M)
     NE = M + abs(k) + 4
     rows = {}
@@ -94,10 +99,10 @@ def _cech_rows(field, k, c, N, M):
             rows[("f", e)] = r
         r = {}
         if 0 <= e <= M:
-            r[Q[e]] = 1
+            r[Q[e]] = unit
         j = k - 2 - e
         if 0 <= j <= M:
-            r[Qt[j]] = -1
+            r[Qt[j]] = -unit
         j = k - 1 - e
         if neg_c and 0 <= j <= M:
             r[Pt[j]] = neg_c
@@ -111,37 +116,54 @@ def _dcond_rows(field, dfin, dinf, N, M):
     window M in the columns of `_columns(N, M)`: the plain part P must be
     divisible by dfin(z), and the first dinf coefficients of Pt must vanish
     (multiplicity of D at infinity).  Row j of the first kind holds the z^j
-    coefficients of z^i mod dfin for i <= M; the recurrence runs on
-    residues over F_p and on field elements otherwise.  Restricted to the
-    leading 4(N + 1) columns, these are the rows of window N."""
+    coefficients of z^i mod dfin for i <= M, up to a nonzero factor.  The
+    recurrence runs on residues over F_p, on field elements over a
+    quadratic extension, both with dfin made monic, and on ints over Q:
+    there dfin is made a primitive integer polynomial with leading
+    coefficient a > 0, and each step that reduces by it multiplies by a
+    (a pseudo-remainder), so column i holds a^s_i (z^i mod dfin) after s_i
+    such steps, and is multiplied by a^(s_M - s_i), which makes row j a^s_M
+    times its row of rationals.  Restricted to the leading 4(N + 1)
+    columns, these are the rows of window N, over Q up to a factor."""
     P, _, Pt, _ = _columns(N, M)
     rows = []
     dfin = uv_trim([field.coerce(x) for x in dfin]) if dfin else []
     degf = len(dfin) - 1 if dfin else 0
     if degf > 0:
+        lead, p = 1, None
         if isinstance(field, PrimeField):
             p = field.p
-            dfin = [x.v for x in dfin]
-            lead_inv = pow(dfin[-1], -1, p)
-
-            def mod(x):
-                return x % p
+            inv = pow(dfin[-1].v, -1, p)
+            dfin = [x.v * inv % p for x in dfin]
+        elif isinstance(field, RationalField):
+            den = lcm(*(x.denominator for x in dfin))
+            dfin = [x.numerator * (den // x.denominator) for x in dfin]
+            g = gcd(*dfin) if dfin[-1] > 0 else -gcd(*dfin)
+            dfin = [x // g for x in dfin]
+            lead = dfin[-1]
         else:
-            lead_inv = field.one() / dfin[-1]
-
-            def mod(x):
-                return x
-        rows = [{} for _ in range(degf)]
+            inv = field.one() / dfin[-1]
+            dfin = [x * inv for x in dfin]
+        cols, steps = [], []
         cur = [1] + [0] * (degf - 1)  # z^0 mod dfin
-        for i in range(M + 1):
-            for row, v in zip(rows, cur):
-                if v:
-                    row[P[i]] = v
+        s = 0
+        for _ in range(M + 1):
+            cols.append(cur)
+            steps.append(s)
             top = cur[-1]
             cur = [0] + cur[:-1]
             if top:
-                f = mod(top * lead_inv)
-                cur = [mod(a - f * b) for a, b in zip(cur, dfin)]
+                cur = [lead * a - top * b for a, b in zip(cur, dfin)]
+                if p:
+                    cur = [a % p for a in cur]
+                s += 1
+        if lead != 1:
+            cols = [[lead ** (steps[-1] - si) * v for v in col] for col, si in zip(cols, steps)]
+        rows = [{} for _ in range(degf)]
+        for i, col in enumerate(cols):
+            for row, v in zip(rows, col):
+                if v:
+                    row[P[i]] = v
     for j in range(int(dinf)):
         rows.append({Pt[j]: 1})
     return rows

@@ -11,8 +11,8 @@ meeting transversally (I2) or tangentially (III), and a doubled (1,1) curve
 Also provides the pointwise utilities (fibers, residual intersection points,
 smoothness tests, random instances of each type) that the sheaf machinery in
 the rest of the package is built on.  A `FiberTable` restricts and solves
-each fiber once, over F_p on residues, with the roots in
-`bf_rational_roots` order, and tests each point's smoothness once: on a
+each fiber once, over F_p on residues and over Q on ints, with the roots
+in `bf_rational_roots` order, and tests each point's smoothness once: on a
 member its caller knows to be smooth only whether the point is on it,
 otherwise through the member's four chart partials, computed once per
 table.  A random point of P1 is drawn as a key of ints (`random_p1_key`:
@@ -20,14 +20,21 @@ None for (1:0), else the field's `random_key`), and the point is the
 point of its key; the table keeps the fiber points found for each key
 drawn, so rational-point sampling builds and hashes field elements only
 on a key's first draw, and a try costs its generator calls and one
-lookup.  Over F_p the j of a smooth member is taken on residues
-(`residue_j`), from its branch quartic computed on ints.
+lookup.  Over Q and F_p a smooth member is recognized, and its j taken,
+from its branch quartic computed on ints (`grid_invariants`): on the
+residues of its coefficients over F_p, and over Q on its coefficients
+with their denominators cleared, which scales the quartic's I^3 and
+4I^3 - J^2 alike.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import isqrt, lcm
+from operator import mul
+
 from .errors import SpecialPosition, ValidationError
-from .exactmath import FpElt, PrimeField, QuadExtField, kernel_basis
+from .exactmath import FpElt, PrimeField, QuadExtField, RationalField, kernel_basis
 from .polyring import (
     MultiPoly,
     bf_divexact,
@@ -92,13 +99,17 @@ def kodaira_classify(f):
     Four simple roots are exactly 4I^3 - J^2 != 0 (27 times the quartic's
     discriminant, in characteristic 0 or at least 5), and a member with a
     fiber component has a square factor in its quartic, so a smooth member
-    is recognized from I and J alone; only the others are checked for
-    fibers and have the quartic's multiplicity pattern read off the
-    degrees of its `bf_gcd_chain`.
+    is recognized from I and J alone, over Q and F_p on the integer grid of
+    f (`coefficient_grid`); only the others are checked for fibers and have
+    the quartic's multiplicity pattern read off the degrees of its
+    `bf_gcd_chain`.
     """
     validate_22(f)
+    grid = coefficient_grid(f)
+    if grid is not None and grid_invariants(grid, f.field.characteristic)[1]:
+        return "I0"
     disc = quadratic_discriminant(f, 1)
-    if any(disc):
+    if grid is None and any(disc):
         I, J = quartic_invariants(f.field, disc)
         if 4 * I * I * I - J * J:
             return "I0"
@@ -111,37 +122,74 @@ def kodaira_classify(f):
 def member_j(f, block=1):
     """j-invariant of a smooth member: the branch quartic of either ruling
     projection has four distinct roots, and j is taken from that quartic.
-    Over F_p it is taken on residues (`residue_j`); a member that is not
-    smooth there goes the element-wise way, which raises."""
+    Over Q and F_p it is taken on the integer grid of f (`grid_invariants`):
+    scaling f by t scales I^3 and 4I^3 - J^2 by t^12, so j does not
+    change.  A member that is not smooth there goes the element-wise way,
+    which raises."""
     validate_22(f)
     field = f.field
-    if isinstance(field, PrimeField):
-        grid = [[0] * 3 for _ in range(3)]
-        for e, c in f.terms.items():
-            grid[e[3 - 2 * block]][e[2 * block + 1]] = c.v
-        j = residue_j(field.p, grid)
-        if j is not None:
-            return FpElt(field.p, j)
+    grid = coefficient_grid(f, block)
+    if grid is not None:
+        p = field.characteristic
+        cube, den = grid_invariants(grid, p)
+        if den:
+            if p:
+                return FpElt(p, 6912 * cube * pow(den, -1, p))
+            return Fraction(6912 * cube, den)
     disc = quadratic_discriminant(f, block)
     return j_from_quartic(field, disc)
 
 
-def residue_j(p, grid):
-    """j of the (2,2)-form whose coefficient of u0^(2-a) u1^a v0^(2-b) v1^b
-    is grid[a][b], on residues mod p: the branch quartic B^2 - 4AC of the
-    projection to the u-line, its invariants I and J, and 6912 I^3 over
-    4I^3 - J^2, as `quartic_invariants` and `j_from_quartic` take them.
-    None when 4I^3 - J^2 vanishes, which is exactly when `kodaira_classify`
-    finds the form not smooth (a zero quartic included)."""
+def coefficient_grid(f, block=1):
+    """The (2,2)-form f as a 3x3 grid of ints, grid[a][b] its coefficient
+    of u0^(2-a) u1^a v0^(2-b) v1^b, where v is the chosen block and u the
+    other: residues over F_p, and over Q the coefficients times the lcm of
+    their denominators, so the grid is f times a positive factor.  None
+    over other fields."""
+    field = f.field
+    if isinstance(field, PrimeField):
+        terms = [(e, c.v) for e, c in f.terms.items()]
+    elif isinstance(field, RationalField):
+        den = lcm(*(c.denominator for c in f.terms.values()))
+        terms = [(e, c.numerator * (den // c.denominator)) for e, c in f.terms.items()]
+    else:
+        return None
+    grid = [[0] * 3 for _ in range(3)]
+    for e, c in terms:
+        grid[e[3 - 2 * block]][e[2 * block + 1]] = c
+    return grid
+
+
+def grid_invariants(grid, p=0):
+    """(I^3, 4I^3 - J^2) of the (2,2)-form whose coefficient of
+    u0^(2-a) u1^a v0^(2-b) v1^b is grid[a][b], on ints, reduced mod p when
+    p is nonzero: I and J are the invariants of the branch quartic
+    B^2 - 4AC of the projection to the u-line, as `quartic_invariants`
+    takes them.  4I^3 - J^2 vanishes exactly when `kodaira_classify` finds
+    the form not smooth (a zero quartic included)."""
     A, B, C = zip(*grid)
     q = [sum(B[i] * B[k - i] - 4 * A[i] * C[k - i] for i in range(max(0, k - 2), min(k, 2) + 1))
-         % p for k in range(5)]
+         for k in range(5)]
+    if p:
+        q = [a % p for a in q]
     a0, a1, a2, a3, a4 = q
-    I = (12 * a0 * a4 - 3 * a1 * a3 + a2 * a2) % p
+    I = 12 * a0 * a4 - 3 * a1 * a3 + a2 * a2
     J = (72 * a0 * a2 * a4 - 27 * a0 * a3 * a3 - 27 * a1 * a1 * a4
-         + 9 * a1 * a2 * a3 - 2 * a2 * a2 * a2) % p
+         + 9 * a1 * a2 * a3 - 2 * a2 * a2 * a2)
+    if p:
+        I, J = I % p, J % p
+        cube = I * I * I % p
+        return cube, (4 * cube - J * J) % p
     cube = I * I * I
-    den = (4 * cube - J * J) % p
+    return cube, 4 * cube - J * J
+
+
+def residue_j(p, grid):
+    """j of the (2,2)-form whose coefficient of u0^(2-a) u1^a v0^(2-b) v1^b
+    is grid[a][b], on residues mod p: 6912 I^3 over 4I^3 - J^2
+    (`grid_invariants`), as `j_from_quartic` takes them.  None when
+    4I^3 - J^2 vanishes."""
+    cube, den = grid_invariants(grid, p)
     if not den:
         return None
     return 6912 * cube * pow(den, -1, p) % p
@@ -239,6 +287,35 @@ def residue_roots(field, q):
     return [(-q1 + r) * inv % p, (-q1 - r) * inv % p]
 
 
+def integer_point(field, pt):
+    """Coordinates of a point of P1 as ints: residues over F_p, and over Q
+    the coordinates times the lcm of their denominators, a positive
+    factor."""
+    if isinstance(field, PrimeField):
+        return tuple(field.coerce(c).v for c in pt)
+    (n0, d0), (n1, d1) = (field.coerce(c).as_integer_ratio() for c in pt)
+    den = lcm(d0, d1)
+    return n0 * (den // d0), n1 * (den // d1)
+
+
+def integer_roots(q):
+    """`bf_rational_roots` of a nonzero binary quadratic [q0, q1, q2] of
+    ints over Q, each root once and normalized as `normalize_point` makes
+    it, in that order; None when they are conjugate.  Scaling q by a
+    positive factor changes neither the roots nor their order."""
+    one, zero = Fraction(1), Fraction(0)
+    q0, q1, q2 = q
+    if not q0:
+        return [(one, zero), (Fraction(-q2, q1), one)] if q1 else [(one, zero)]
+    disc = q1 * q1 - 4 * q0 * q2
+    if not disc:
+        return [(Fraction(-q1, 2 * q0), one)]
+    r = isqrt(disc) if disc > 0 else -1
+    if r * r != disc:
+        return None
+    return [(Fraction(-q1 + r, 2 * q0), one), (Fraction(-q1 - r, 2 * q0), one)]
+
+
 def fiber_quadratic(f, side, pt):
     """Restriction of f to the fiber through pt of the chosen ruling
     (side 0 fixes the first block), as a binary form on the other block."""
@@ -257,8 +334,10 @@ class FiberTable:
     records the fiber's rational points on the member, or that its two
     roots are conjugate, or that the fiber lies in the member; the same
     records are kept by the draw key of each first-ruling fiber drawn
-    through `drawn_points`.  Over F_p a
-    fiber is restricted and solved on residues.  When the caller knows the
+    through `drawn_points`.  Over F_p a fiber is restricted and solved on
+    residues, and over Q on ints, from f with its denominators cleared
+    once and the fiber point scaled to integer coordinates, the roots
+    taken with `isqrt`.  When the caller knows the
     member to be smooth (`smooth`, as a Curve of type I0 does), every point
     on it is smooth, and a test only checks that the point is on the
     member.  Otherwise smoothness is read off the four chart partials of
@@ -266,10 +345,13 @@ class FiberTable:
     evaluated only at points that no fiber restriction has found on the
     member."""
 
-    __slots__ = ("f", "_points", "_drawn", "_smooth", "_partials", "_member_smooth")
+    __slots__ = ("f", "_grids", "_points", "_drawn", "_smooth", "_partials", "_member_smooth")
 
     def __init__(self, f, smooth=False):
         self.f = f
+        # over Q and F_p, for each ruling, f's integer grid with the block
+        # that ruling fixes as the second
+        self._grids = (coefficient_grid(f, 0), coefficient_grid(f, 1))
         self._points = {}
         self._drawn = {}
         self._smooth = {}
@@ -305,23 +387,30 @@ class FiberTable:
 
     def _restrict(self, side, x):
         F = self.f.field
-        if isinstance(F, PrimeField):
-            # the fiber quadratic on residues: the block fixed by x has
-            # degree 2, so each term takes one of x0^2, x0 x1, x1^2
-            p = F.p
-            x0, x1 = (F.coerce(c).v for c in x)
+        grid = self._grids[side]
+        if grid is not None:
+            # the fiber quadratic on ints: the block fixed by x has degree
+            # 2, so each term takes one of x0^2, x0 x1, x1^2 of x's integer
+            # coordinates, a positive multiple of the quadratic of x
+            x0, x1 = integer_point(F, x)
             t = (x0 * x0, x0 * x1, x1 * x1)
-            q = [0, 0, 0]
-            for e, c in self.f.terms.items():
-                q[e[3 - 2 * side]] += c.v * t[e[2 * side + 1]]
-            q = [a % p for a in q]
-            if not any(q):
-                return _IN_MEMBER
-            roots = residue_roots(F, q)
-            if roots is None:
-                return None
-            one = F.one()
-            ys = [(FpElt(p, i), one) if i < p else (one, F.zero()) for i in roots]
+            q = [sum(map(mul, row, t)) for row in grid]
+            if isinstance(F, PrimeField):
+                p = F.p
+                q = [a % p for a in q]
+                if not any(q):
+                    return _IN_MEMBER
+                roots = residue_roots(F, q)
+                if roots is None:
+                    return None
+                one = F.one()
+                ys = [(FpElt(p, i), one) if i < p else (one, F.zero()) for i in roots]
+            else:
+                if not any(q):
+                    return _IN_MEMBER
+                ys = integer_roots(q)
+                if ys is None:
+                    return None
         else:
             q = fiber_quadratic(self.f, side, x)
             if bf_is_zero(q):

@@ -785,23 +785,20 @@ def _finish_mod_p(field, lead, rest, c, ncols):
 def _read_q(field, rows):
     """Each row of rationals as a primitive row of ints spanning the same
     line: scaled by the lcm of its denominators, then divided by the gcd
-    of the numerators.  Entries that are not ints or Fractions go through
-    QQ.coerce, which rejects floats and the elements of other fields."""
+    of the numerators.  A row of ints (one `gcd` takes) is only divided.
+    Other entries that are not Fractions go through QQ.coerce, which
+    rejects floats and the elements of other fields."""
     for row in rows:
-        cols, nums, dens = [], [], []
-        for c, x in row:
-            if x.__class__ is not Fraction and x.__class__ is not int:
-                x = QQ.coerce(x)
-            if x:
-                n, d = x.as_integer_ratio()
-                cols.append(c)
-                nums.append(n)
-                dens.append(d)
-        den = lcm(*dens)
-        if den != 1:
-            nums = [n * (den // d) for n, d in zip(nums, dens)]
-        g = gcd(*nums)
-        yield dict(zip(cols, [n // g for n in nums] if g > 1 else nums))
+        r = {c: x for c, x in row if x or x.__class__ is not int}
+        try:
+            g = gcd(*r.values())
+        except TypeError:
+            r = {c: y for c, x in r.items()
+                 if (y := x if x.__class__ is Fraction else QQ.coerce(x))}
+            den = lcm(*(x.denominator for x in r.values()))
+            r = {c: x.numerator * (den // x.denominator) for c, x in r.items()}
+            g = gcd(*r.values())
+        yield {c: v // g for c, v in r.items()} if g > 1 else r
 
 
 def _echelon_q(field, rows, pivots):

@@ -22,7 +22,9 @@ form, the remainder of division by f (`NormalForm`), so sections are the
 normal forms vanishing on Z_minus: the point rows are eliminated on the
 2(m+n) normal-form columns, and a point listed twice (in the divisor of a
 product of two bundles) adds a tangent row.  Over F_p the point rows and
-the division run on residues.  A Curve of type I0 tells its fiber table
+the division run on residues; over Q a point row is made of ints, from
+the point's integer coordinates, and is defined up to a nonzero factor,
+as the condition it states is.  A Curve of type I0 tells its fiber table
 that the member is smooth, so no smoothness test computes a partial
 derivative.  A split scan reads the splitting type (a, b) off h0 of one
 twist, O(0, -s-1) with s = (chi-2)//2, where only O(b) has sections,
@@ -43,13 +45,14 @@ from .curves import (
     coerce_pair,
     enumerate_points,
     factor_11,
+    integer_point,
     kodaira_classify,
     normalize_point,
     pair_key,
     random_smooth_point,
 )
 from .errors import SpecialPosition, ValidationError
-from .exactmath import FpElt, PrimeField, block_ranks, kernel_basis, rank
+from .exactmath import FpElt, PrimeField, RationalField, block_ranks, kernel_basis, rank
 from .polyring import MultiPoly, monomial_basis, monomial_values, residue_product
 
 # rewriting moves `canonical` makes before it gives up; each raised fiber is one
@@ -303,7 +306,10 @@ def _canonical_h0(rep):
 
 def _eval_rows(field, points, monos):
     """Values of the bidegree monomials `monos` at each point, one row per
-    point, from the point's two tables of binary monomial values."""
+    point, from the point's two tables of binary monomial values.  Over Q
+    the values are taken at the point's integer coordinates
+    (`integer_point`), so a row is a positive multiple of the point's row
+    of values, of ints, and cuts out the same condition."""
     if not monos:
         return [[] for _ in points]
     dx, dy = monos[0][0] + monos[0][1], monos[0][2] + monos[0][3]
@@ -316,6 +322,13 @@ def _eval_rows(field, points, monos):
             tx = [pow(x0, dx - i, p) * pow(x1, i, p) % p for i in range(dx + 1)]
             ty = [pow(y0, dy - i, p) * pow(y1, i, p) % p for i in range(dy + 1)]
             rows.append([tx[e[1]] * ty[e[3]] % p for e in monos])
+        return rows
+    if isinstance(field, RationalField):
+        for x, y in points:
+            (x0, x1), (y0, y1) = integer_point(field, x), integer_point(field, y)
+            tx = [x0 ** (dx - i) * x1 ** i for i in range(dx + 1)]
+            ty = [y0 ** (dy - i) * y1 ** i for i in range(dy + 1)]
+            rows.append([tx[e[1]] * ty[e[3]] for e in monos])
         return rows
     for x, y in points:
         tx, ty = monomial_values(field, x, dx), monomial_values(field, y, dy)

@@ -11,25 +11,28 @@ residual points of fibers by division by a linear form, j through
 cross-ratios of actual branch points, member classification through
 exhaustive singular-point inspection over a quadratic extension and
 through the multiplicity pattern of a product-built branch quartic,
-forms and binary forms evaluated term by term with powers, smoothness
-from partials evaluated that way, the round trip with its points kept in
-a list and every j from a shadow built as a form, vanishing to order two
-at a point of the member by the rank of the two gradients there,
-reduction modulo the member against the echelon form of its ideal slice,
-elimination, reduction modulo an echelon basis and products of forms
-through the field's own scalar arithmetic, one scalar operation per
-entry, the relations of `psi0` and `psi1` from those products of forms
-rather than from normal forms, the points of a fiber from the roots of
-its restricted quadratic, square roots in a quadratic extension by
-squaring every element, and the doubled member's Cech counts from a
-separate elimination at each window.  The package must agree with these
-wherever both apply.
+smoothness and j from the branch quartic built as a form on field
+elements, point rows from the monomial value tables of the point's
+coordinates, the divisor rows of the doubled member by the remainder
+recurrence on field elements, forms and binary forms evaluated term by
+term with powers, smoothness from partials evaluated that way, the round
+trip with its points kept in a list and every j from a shadow built as a
+form, vanishing to order two at a point of the member by the rank of the
+two gradients there, reduction modulo the member against the echelon
+form of its ideal slice, elimination, reduction modulo an echelon basis
+and products of forms through the field's own scalar arithmetic, one
+scalar operation per entry, the relations of `psi0` and `psi1` from
+those products of forms rather than from normal forms, the points of a
+fiber from the roots of its restricted quadratic, square roots in a
+quadratic extension by squaring every element, and the doubled member's
+Cech counts from a separate elimination at each window.  The package
+must agree with these wherever both apply.
 """
 
 from fractions import Fraction
 from functools import reduce
 
-from bimodulus.bimodules import _cech_rows, _dcond_rows
+from bimodulus.bimodules import _cech_rows, _columns, _dcond_rows
 from bimodulus.curves import (
     _PATTERN_TO_KIND,
     enumerate_points,
@@ -71,6 +74,10 @@ from bimodulus.polyring import (
     bf_rational_roots,
     j_from_quartic,
     monomial_basis,
+    monomial_values,
+    quadratic_discriminant,
+    quartic_invariants,
+    uv_trim,
 )
 from bimodulus.quivers import generic_member_quiver, middle_member_quiver, theta_stable
 
@@ -428,6 +435,83 @@ def pattern_member_j(f, block=1):
     """j of a member from the product-built branch quartic."""
     validate_22(f)
     return j_from_quartic(f.field, product_discriminant(f, block))
+
+
+def discriminant_form_is_smooth(f):
+    """Whether the member is smooth, decided on field elements: the branch
+    quartic as the form `quadratic_discriminant` builds, nonzero, with
+    4I^3 - J^2 of its `quartic_invariants` nonzero."""
+    validate_22(f)
+    disc = quadratic_discriminant(f, 1)
+    if not any(disc):
+        return False
+    I, J = quartic_invariants(f.field, disc)
+    return bool(4 * I * I * I - J * J)
+
+
+def discriminant_form_j(f, block=1):
+    """j of a member from the branch quartic built as a form on field
+    elements (`quadratic_discriminant`), by `j_from_quartic`."""
+    validate_22(f)
+    return j_from_quartic(f.field, quadratic_discriminant(f, block))
+
+
+def value_rows(field, points, monos):
+    """Values of the bidegree monomials `monos` at each point, one row per
+    point, from the tables `monomial_values` makes of the point's
+    coordinates, on field elements."""
+    if not monos:
+        return [[] for _ in points]
+    dx, dy = monos[0][0] + monos[0][1], monos[0][2] + monos[0][3]
+    rows = []
+    for x, y in points:
+        tx, ty = monomial_values(field, x, dx), monomial_values(field, y, dy)
+        rows.append([tx[e[1]] * ty[e[3]] for e in monos])
+    return rows
+
+
+def field_dcond_rows(field, dfin, dinf, N, M):
+    """The rows of `bimodules._dcond_rows` on field elements: row j holds,
+    in the P columns of `_columns(N, M)`, the z^j coefficients of z^i mod
+    dfin for i <= M, by the recurrence z^(i+1) = z * z^i reduced by dfin
+    over its leading coefficient; then one row per vanishing coefficient
+    of Pt at infinity."""
+    P, _, Pt, _ = _columns(N, M)
+    dfin = uv_trim([field.coerce(x) for x in dfin]) if dfin else []
+    degf = len(dfin) - 1 if dfin else 0
+    rows = []
+    if degf > 0:
+        lead_inv = field.one() / dfin[-1]
+        rows = [{} for _ in range(degf)]
+        cur = [field.one()] + [field.zero()] * (degf - 1)
+        for i in range(M + 1):
+            for row, v in zip(rows, cur):
+                if v:
+                    row[P[i]] = v
+            top = cur[-1]
+            cur = [field.zero()] + cur[:-1]
+            if top:
+                f = top * lead_inv
+                cur = [a - f * b for a, b in zip(cur, dfin)]
+    for j in range(int(dinf)):
+        rows.append({Pt[j]: field.one()})
+    return rows
+
+
+def is_multiple(row, ref):
+    """Whether the sparse or dense row `row` is a nonzero multiple of `ref`
+    (both zero included), returning the factor, or None."""
+    if isinstance(row, list):
+        row, ref = dict(enumerate(row)), dict(enumerate(ref))
+    row = {c: v for c, v in row.items() if v}
+    ref = {c: v for c, v in ref.items() if v}
+    if row.keys() != ref.keys():
+        return None
+    if not row:
+        return 1
+    c0 = min(row)
+    factor = Fraction(row[c0]) / Fraction(ref[c0])
+    return factor if all(row[c] == factor * ref[c] for c in row) else None
 
 
 def _is_singular(f, pair):

@@ -38,7 +38,13 @@ from bimodulus.bimodules import (
 )
 from bimodulus.quivers import descriptor_grid
 
-from oracles import generic_sparse_rank, nr_cohomology_per_window, split_h0_profile
+from oracles import (
+    field_dcond_rows,
+    generic_sparse_rank,
+    is_multiple,
+    nr_cohomology_per_window,
+    split_h0_profile,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -262,7 +268,13 @@ def test_block_ranks_of_cech_matrices_are_the_ranks_of_every_prefix(field, c, df
         return [{j: v for j, v in r.items() if j < lead} for r in rows]
 
     def same_rows(xs, ys):
+        # over Q a row is defined up to a nonzero factor (a D row's grows
+        # with the window), so rows are compared divided by their leading
+        # entry; zero rows match
         def key(r):
+            if field == QQ:
+                lead = Fraction(r[min(r)])
+                r = {j: v / lead for j, v in r.items()}
             return sorted((j, repr(v)) for j, v in r.items())
         return sorted(key(r) for r in xs if r) == sorted(key(r) for r in ys if r)
 
@@ -300,6 +312,44 @@ def test_divisor_rows_over_fp_are_residues_of_z_to_the_i_modulo_dfin(F101):
     for r in roots:
         for i in range(N + 1):
             assert sum(row.get(i, 0) * r ** j for j, row in enumerate(rows[:4])) % 101 == pow(r, i, 101)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101), QuadExtField(PrimeField(5))],
+                         ids=["Q", "F101", "F25"])
+def test_divisor_rows_are_the_remainder_recurrence_on_field_elements(field):
+    # over Q each row of z^i mod dfin is made of ints, from pseudo-remainders
+    # by the primitive dfin, and is a positive multiple of the row the
+    # recurrence on Fractions gives; elsewhere the rows are those rows
+    dfins = [[1, 1], [Fraction(2, 5), 0, 3], [Fraction(-1, 3), Fraction(4, 9), -1],
+             [Fraction(1, 3), Fraction(-4, 9), 1, Fraction(2, 11)], [6, -5, 1], [0, 0, -7],
+             [Fraction(5, 2), 1, Fraction(-3, 4), 0, Fraction(9, 8)]]
+    for dfin in dfins:
+        p = field.characteristic
+        if p and any(Fraction(x).denominator % p == 0 for x in dfin):
+            continue  # not a polynomial over F_p
+        for N, M, dinf in ((8, 8, 0), (14, 18, 2), (21, 25, 1)):
+            got, want = _dcond_rows(field, dfin, dinf, N, M), field_dcond_rows(field, dfin, dinf, N, M)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                if field == QQ:
+                    assert all(type(v) is int for v in g.values())
+                    factor = is_multiple(g, w)
+                    assert factor is not None and factor > 0
+                else:
+                    assert g == w
+
+
+def test_cech_rows_over_q_are_ints_up_to_the_denominator_of_c():
+    # the u-rows are multiplied by the denominator of c, the f-rows are
+    # left as they are
+    for c in (Fraction(-7, 2), Fraction(5, 3), 4, 0):
+        for k in (-3, 0, 2):
+            rows = _cech_rows(QQ, k, c, 12, 16)
+            den = Fraction(c).denominator
+            for (kind, _), r in rows.items():
+                assert all(type(v) is int for v in r.values())
+                unit = den if kind == "u" else 1
+                assert set(r.values()) <= {unit, -unit, -Fraction(c) * den}
 
 
 def test_nr_split_u_is_split_v_after_swap(F101):

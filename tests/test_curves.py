@@ -1,6 +1,7 @@
 """Classification of (2,2) members and point utilities."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +35,8 @@ from bimodulus.polyring import MultiPoly, monomial_basis, quadratic_discriminant
 from oracles import (
     brute_member_kind,
     brute_points,
+    discriminant_form_is_smooth,
+    discriminant_form_j,
     fiber_points,
     fiber_residual,
     is_smooth_point,
@@ -105,14 +108,20 @@ def _members(field, rng):
      QuadExtField(PrimeField(5))],
     ids=["F5", "F7", "F11", "F101", "Q", "F25"])
 def test_quartic_test_agrees_with_the_pattern_path(field):
+    # over Q and F_p smoothness and j are read off the integer grid; they
+    # must also agree with the branch quartic built as a form
     rng = random.Random(1313)
     kinds = set()
     for f in _members(field, rng):
         kind = _outcome(kodaira_classify, f)
         assert kind == _outcome(pattern_member_kind, f)
+        assert (kind == "I0") is (_outcome(discriminant_form_is_smooth, f) is True)
         kinds.add(kind if isinstance(kind, str) else kind[1])
         for block in (0, 1):
-            assert _outcome(member_j, f, block) == _outcome(pattern_member_j, f, block)
+            j = _outcome(member_j, f, block)
+            assert j == _outcome(pattern_member_j, f, block) == _outcome(discriminant_form_j, f, block)
+            if field == QQ and kind == "I0":
+                assert type(j) is Fraction
             assert quadratic_discriminant(f, block) == product_discriminant(f, block)
     assert kinds == set(KINDS) | {"divisor contains a ruling fiber",
                                   "zero form does not define a divisor"}
@@ -190,6 +199,92 @@ def test_fiber_table_points_on_residues_are_the_roots_of_the_fiber_quadratic(p):
                         if x == inf or any(pt[1 - side] == inf for pt in want):
                             seen.add("at infinity")
     assert seen == {"in member", "conjugate", "1 points", "2 points", "at infinity"}
+
+
+def _swapped(f):
+    """f with its two blocks exchanged."""
+    return MultiPoly(f.field, f.degree[::-1], {e[2:] + e[:2]: c for e, c in f.terms.items()})
+
+
+def _with_fiber_quadratic(x, quad, rng):
+    """A member over Q whose fiber quadratic over the first-ruling point x
+    is x0^2 + x1^2 at x times the binary quadratic `quad`: (x0^2 + x1^2)
+    quad(y) plus a random multiple of the linear form vanishing at x."""
+    a, b = x
+    g = MultiPoly(QQ, (2, 0), {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1})
+    q = MultiPoly(QQ, (0, 2), {(0, 0, 2 - i, i): c for i, c in enumerate(quad)})
+    line = MultiPoly(QQ, (1, 0), {(1, 0, 0, 0): b, (0, 1, 0, 0): -a})
+    return g * q + line * random_multipoly(QQ, (1, 2), rng)
+
+
+_Q_FIBERS = [
+    ("fiber at (1:0)", (1, 0), (1, -3, 2)),
+    ("q0 = 0", (Fraction(2, 3), 1), (0, 5, -7)),
+    ("q0 = q1 = 0", (Fraction(-5, 4), 1), (0, 0, 4)),
+    ("zero discriminant", (Fraction(-5, 4), 1), (4, -12, 9)),
+    ("negative discriminant", (3, 1), (1, 1, 1)),
+    ("non-square discriminant", (Fraction(2, 3), 1), (1, 0, -2)),
+    ("square discriminant", (0, 1), (6, -5, 1)),
+    ("negative lead", (Fraction(7, 2), 1), (-6, 5, -1)),
+    ("fiber in the member", (Fraction(2, 3), 1), (0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("case", _Q_FIBERS, ids=[c[0] for c in _Q_FIBERS])
+def test_fiber_table_points_over_q_are_the_element_wise_roots(case):
+    # the fiber quadratic on ints, from the member with its denominators
+    # cleared and the fiber point scaled to integer coordinates, has the
+    # roots `fiber_points` finds on the Fractions, in its order
+    _, x, quad = case
+    rng = random.Random(25)
+    f = _with_fiber_quadratic(tuple(map(Fraction, x)), quad, rng)
+    f = f.scale(Fraction(-3, 14))  # a negative factor with a denominator
+    for side, g in ((0, f), (1, _swapped(f))):
+        table = FiberTable(g)
+        # representatives with negative and mixed denominators
+        for k in (1, Fraction(-3, 7), Fraction(5, 6), -2):
+            rep = tuple(k * c for c in x)
+            got = _outcome(table.points, side, rep)
+            assert got == _outcome(fiber_points, g, side, rep)
+            if got and got[0] is not ValidationError:
+                assert all(type(c) is Fraction for pt in got for y in pt for c in y)
+
+
+def test_fiber_table_points_over_q_are_the_roots_on_random_members():
+    # the F_p counterpart is the residue test above
+    rng, field = random.Random(2525), QQ
+    fibers = [(1, 0), (0, 1), (1, 1), (-1, 1), (Fraction(2, 3), 1), (Fraction(-5, 4), Fraction(7, 6)),
+              (3, -7)]
+    fibers = [tuple(field.coerce(c) for c in x) for x in fibers]
+    seen = set()
+    for f in _members(field, rng):
+        table = FiberTable(f)
+        for side in (0, 1):
+            for x in fibers + [random_p1_point(field, rng) for _ in range(4)]:
+                want = _outcome(fiber_points, f, side, x)
+                assert _outcome(table.points, side, x) == want
+                seen.add("conjugate" if want is None else
+                         "in member" if want[0] is ValidationError else f"{len(want)} points")
+    assert seen == {"in member", "conjugate", "1 points", "2 points"}
+
+
+def test_classify_over_q_builds_no_discriminant_form(monkeypatch, rng):
+    smooth = [random_smooth_22(QQ, rng) for _ in range(3)]
+    nodal = make_kind(QQ, "I1", rng)
+    made = []
+
+    def counted(f, block):
+        made.append(block)
+        return quadratic_discriminant(f, block)
+
+    monkeypatch.setattr(curves, "quadratic_discriminant", counted)
+    for f in smooth:
+        assert kodaira_classify(f) == "I0"
+        assert member_j(f) == member_j(f, 0)
+    assert made == []
+    # a member that is not smooth goes the element-wise way
+    assert kodaira_classify(nodal) == "I1"
+    assert made == [1]
 
 
 def test_validate_22_rejects_wrong_degree(F101):

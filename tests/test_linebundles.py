@@ -7,6 +7,7 @@ canonical) then gives independent checks for every computation.
 """
 
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -39,9 +40,11 @@ from oracles import (
     canonical_one_fiber_at_a_time,
     form_to_vec,
     ideal_slice,
+    is_multiple,
     scalar_product,
     split_fiber_scan,
     split_h0_profile,
+    value_rows,
 )
 
 
@@ -653,3 +656,22 @@ def test_rational_field_supported():
     O = LineBundle(c, 0, 0)
     assert (O.h0(), O.h1()) == (1, 1)
     assert split_from_cohomology(O) == (-2, 0)
+
+
+def test_point_rows_over_q_are_positive_multiples_of_the_value_rows():
+    # a row taken at the point's integer coordinates is a positive multiple
+    # of its row of values, made of ints, so ranks and reduced echelon
+    # forms do not change; zero rows match
+    rng = random.Random(2527)
+    coords = [0, 1, -1, 3, Fraction(2, 3), Fraction(-5, 4), Fraction(7, -6), Fraction(1, 12)]
+    for _ in range(60):
+        monos = monomial_basis((rng.randint(0, 4), rng.randint(0, 4)))
+        points = [tuple((QQ.coerce(rng.choice(coords)), QQ.coerce(rng.choice(coords)))
+                        for _ in range(2)) for _ in range(rng.randint(1, 5))]
+        got, want = linebundles._eval_rows(QQ, points, monos), value_rows(QQ, points, monos)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert all(type(v) is int for v in g)
+            factor = is_multiple(g, w)
+            assert factor is not None and factor > 0
+        assert rref(QQ, got) == rref(QQ, want)

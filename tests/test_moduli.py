@@ -392,6 +392,49 @@ def test_roundtrip_computes_the_shadows_once_and_evaluates_no_points(datum, monk
     assert calls.count("eval_block") <= 40
 
 
+@pytest.mark.parametrize("p", [11, 101, 1009])
+def test_each_eliminating_order_gives_the_shadow_of_its_block(p, monkeypatch):
+    # ci_smooth_j reads shadow `block` off the relation tensors permuted by
+    # _ELIMINATING[block]: that grid must be, up to a nonzero factor, the
+    # coefficients of linear_resultant(c1, c2, block), and it must be the
+    # grid ci_smooth_j hands to residue_j for that shadow
+    F = PrimeField(p)
+    rng = random.Random(2528 + p)
+    passed = []
+    real_j = moduli.residue_j
+
+    def recorded(q, grid):
+        passed.append([[v % q for v in row] for row in grid])
+        return real_j(q, grid)
+
+    monkeypatch.setattr(moduli, "residue_j", recorded)
+    pairs = 0
+    while pairs < 6:
+        try:
+            _, U = random_sheaf_datum(F, rng)
+            c1, c2 = relations_to_ci(F, psi0(phi(U)))
+        except (DegenerateInstance, SpecialPosition):
+            continue
+        pairs += 1
+        t1, t2 = moduli._residue_tensor(F, c1), moduli._residue_tensor(F, c2)
+        grids = []
+        for block, order in enumerate(moduli._ELIMINATING):
+            grid = [[v % p for v in row] for row in moduli._fiber_coefficients(
+                [t1[i] for i in order], [t2[i] for i in order])]
+            want = curves.coefficient_grid(polyring.linear_resultant(c1, c2, block))
+            flat, ref = sum(grid, []), sum(want, [])
+            lead = next(i for i, v in enumerate(ref) if v)
+            factor = flat[lead] * pow(ref[lead], -1, p) % p
+            assert factor and all((a - factor * b) % p == 0 for a, b in zip(flat, ref)), block
+            grids.append(grid)
+        passed.clear()
+        try:
+            ci_smooth_j(c1, c2)
+        except DegenerateInstance:
+            pass  # a shadow that is not smooth; its grid was still read
+        assert passed == grids
+
+
 def test_roundtrip_decides_stability_once_per_zero_pattern(datum, monkeypatch):
     # King stability reads only which arrows are nonzero, and each of the
     # three coordinates of an incidence point is (0:1), (1:0) or neither
