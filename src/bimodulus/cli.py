@@ -59,6 +59,11 @@ from .quivers import (
     toric_check,
 )
 
+# the largest --count each command takes: a trip costs milliseconds at
+# small p and under a second at p = 2^61 - 1, a Hochschild row nothing
+COUNT_CEILINGS = {"roundtrip": 100, "hochschild": 10_000}
+
+
 def _field_for(args):
     return QQ if args.prime == 0 else PrimeField(args.prime)
 
@@ -462,6 +467,10 @@ def main(argv=None):
     try:
         args = PARSER.parse_args(argv)
         _field_for(args)  # reject unusable characteristics up front
+        limit = COUNT_CEILINGS.get(args.command)
+        if limit is not None and args.count is not None and args.count > limit:
+            raise ValidationError(f"--count {args.count} is above the ceiling of {limit} "
+                                  f"for {args.command}")
         report = _HANDLERS[args.command](args)
     except (ValidationError, SpecialPosition) as e:
         kind = "special-position" if isinstance(e, SpecialPosition) else "validation"

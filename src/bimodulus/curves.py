@@ -24,13 +24,17 @@ lookup.  Over Q and F_p a smooth member is recognized, and its j taken,
 from its branch quartic computed on ints (`grid_invariants`): on the
 residues of its coefficients over F_p, and over Q on its coefficients
 with their denominators cleared, which scales the quartic's I^3 and
-4I^3 - J^2 alike.
+4I^3 - J^2 alike.  The same quartic counts a smooth member's points over
+F_p without visiting them (`point_count`): a character sum over the line
+up to p = 229, and above it the order of the Jacobian by baby-step
+giant-step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import SpecialPosition, ValidationError
@@ -160,24 +164,37 @@ def coefficient_grid(f, block=1):
     return grid
 
 
-def grid_invariants(grid, p=0):
-    """(I^3, 4I^3 - J^2) of the (2,2)-form whose coefficient of
-    u0^(2-a) u1^a v0^(2-b) v1^b is grid[a][b], on ints, reduced mod p when
-    p is nonzero: I and J are the invariants of the branch quartic
-    B^2 - 4AC of the projection to the u-line, as `quartic_invariants`
-    takes them.  4I^3 - J^2 vanishes exactly when `kodaira_classify` finds
-    the form not smooth (a zero quartic included)."""
+def branch_quartic(grid, p=0):
+    """The branch quartic B^2 - 4AC of the projection to the u-line of the
+    (2,2)-form whose coefficient of u0^(2-a) u1^a v0^(2-b) v1^b is
+    grid[a][b]: its coefficients of u0^(4-k) u1^k, k = 0..4, on ints,
+    reduced mod p when p is nonzero.  Over each point u of the line the
+    form is the binary quadratic A(u) v0^2 + B(u) v0 v1 + C(u) v1^2, whose
+    discriminant is the quartic's value at u."""
     A, B, C = zip(*grid)
     q = [sum(B[i] * B[k - i] - 4 * A[i] * C[k - i] for i in range(max(0, k - 2), min(k, 2) + 1))
          for k in range(5)]
-    if p:
-        q = [a % p for a in q]
+    return [a % p for a in q] if p else q
+
+
+def _quartic_ij(q, p=0):
+    """The invariants I and J of a binary quartic, as `quartic_invariants`
+    takes them, on ints; reduced mod p when p is nonzero."""
     a0, a1, a2, a3, a4 = q
     I = 12 * a0 * a4 - 3 * a1 * a3 + a2 * a2
     J = (72 * a0 * a2 * a4 - 27 * a0 * a3 * a3 - 27 * a1 * a1 * a4
          + 9 * a1 * a2 * a3 - 2 * a2 * a2 * a2)
+    return (I % p, J % p) if p else (I, J)
+
+
+def grid_invariants(grid, p=0):
+    """(I^3, 4I^3 - J^2) of the (2,2)-form whose coefficient of
+    u0^(2-a) u1^a v0^(2-b) v1^b is grid[a][b], on ints, reduced mod p when
+    p is nonzero: I and J are the invariants of its `branch_quartic`.
+    4I^3 - J^2 vanishes exactly when `kodaira_classify` finds the form not
+    smooth (a zero quartic included)."""
+    I, J = _quartic_ij(branch_quartic(grid, p), p)
     if p:
-        I, J = I % p, J % p
         cube = I * I * I % p
         return cube, (4 * cube - J * J) % p
     cube = I * I * I
@@ -193,6 +210,211 @@ def residue_j(p, grid):
     if not den:
         return None
     return 6912 * cube * pow(den, -1, p) % p
+
+
+# up to this prime the count is a character sum over the line; above it a
+# point of the Jacobian or of its quadratic twist has an order with only one
+# multiple in the Hasse interval (Mestre; Cohen, A Course in Computational
+# Algebraic Number Theory, 7.4.3)
+_SUM_CUTOFF = 229
+
+
+def point_count(p, grid):
+    """Number of F_p-points of the smooth (2,2)-form whose coefficient of
+    u0^(2-a) u1^a v0^(2-b) v1^b is grid[a][b] (the `coefficient_grid`
+    layout, any ints), p a prime that `PrimeField` takes.  Raises
+    ValidationError when 4I^3 - J^2 vanishes mod p.
+
+    The fiber over a point u of the u-line holds 1 + chi(D(u)) points, D
+    the `branch_quartic` and chi the quadratic character, so the member
+    has as many points as the genus-one curve w^2 = D(u).  That curve has
+    a point, so it is its own Jacobian Y^2 = X^3 - 27I X - 27J (An, Kim,
+    Marshall, Marshall, McCallum and Perlis, J. Number Theory 90, 2001).
+    Up to p = 229 the sum over the p + 1 points u is taken, with chi read
+    from a table; above, the Jacobian's order by baby-step giant-step
+    (`_curve_order`), in about p^(1/4) group operations."""
+    q = branch_quartic(grid, p)
+    I, J = _quartic_ij(q, p)
+    if not (4 * I * I * I - J * J) % p:
+        raise ValidationError("member is not smooth")
+    if p > _SUM_CUTOFF:
+        return _curve_order(p, -27 * I % p, -27 * J % p)
+    chi = _characters(p)
+    a0, a1, a2, a3, a4 = q
+    # D is a0 at u = (1:0) and D(x) at u = (x:1)
+    return p + 1 + chi[a0] + sum(chi[((((a0 * x + a1) * x + a2) * x + a3) * x + a4) % p]
+                                 for x in range(p))
+
+
+@lru_cache(maxsize=None)
+def _characters(p):
+    """The quadratic character mod p as a table: chi[v] for v in [0, p)."""
+    chi = [-1] * p
+    chi[0] = 0
+    for x in range(1, (p + 1) // 2):
+        chi[x * x % p] = 1
+    return chi
+
+
+def _curve_order(p, a, b):
+    """#E(F_p) for the elliptic curve E: Y^2 = X^3 + aX + b, p > 229.
+
+    #E and the order #E' of its quadratic twist lie in the Hasse interval
+    [p + 1 - s, p + 1 + s], s = isqrt(4p), and add up to 2p + 2.  The
+    points come from X = 0, 1, 2, ...: where c = X^3 + aX + b is nonzero,
+    (cX, c^2) lies on Y^2 = X^3 + ac^2 X + bc^3, which is E when c is a
+    square and E' when it is not, so E and E' take turns as the characters
+    of c fall.  A point whose order has one multiple in the interval gives
+    its curve's order; a point whose order is found confines #E to a
+    residue class, and the count is found once one member of the class is
+    left in the interval.  For p > 229 one of E and E' has a point whose
+    order has one multiple in the interval (Mestre), so the loop ends."""
+    s = isqrt(4 * p)
+    lo, hi = p + 1 - s, p + 1 + s
+    r, m = 0, 1  # #E = r mod m
+    for x in range(p):
+        c = (x * x * x + a * x + b) % p
+        if not c:
+            continue
+        twist = pow(c, (p - 1) // 2, p) != 1
+        order, n = _order_or_multiple(p, a * c * c % p, (c * x % p, c * c % p), lo, hi)
+        if order is None:
+            return 2 * p + 2 - n if twist else n
+        # #E = 0, or #E' = 2p + 2 - #E = 0, mod the order
+        r, m = _crt(r, m, (2 * p + 2) % order if twist else 0, order)
+        first = lo + (r - lo) % m
+        if first > hi:
+            raise AssertionError("no group order left in the Hasse interval")
+        if first + m > hi:
+            return first
+    raise AssertionError("point count undecided")
+
+
+def _crt(r, m, r2, m2):
+    """(r', lcm(m, m2)) with n = r' mod lcm exactly when n = r mod m and
+    n = r2 mod m2."""
+    g = gcd(m, m2)
+    if (r2 - r) % g:
+        raise AssertionError("point orders disagree about the group order")
+    t = (r2 - r) // g * pow(m // g, -1, m2 // g) % (m2 // g)
+    return (r + m * t) % (m // g * m2), m // g * m2
+
+
+def _ec_add(p, a, P, Q):
+    """P + Q on Y^2 = X^3 + aX + b over F_p, points as residue pairs and
+    None for the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if not (y1 + y2) % p:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(p, a, k, P):
+    out = None
+    while k:
+        if k & 1:
+            out = _ec_add(p, a, out, P)
+        P = _ec_add(p, a, P, P)
+        k >>= 1
+    return out
+
+
+def _ec_progression(p, a, start, step, count):
+    """start, start + step, ..., count points, one `_ec_add` each."""
+    out = [start]
+    for _ in range(count - 1):
+        out.append(_ec_add(p, a, out[-1], step))
+    return out
+
+
+def _ec_add_all(p, a, points, D):
+    """[P + D for P in points], with one inversion for every P off the
+    vertical line through D (Montgomery's simultaneous inversion); the
+    others, and D = None, go through `_ec_add`."""
+    if D is None:
+        return list(points)
+    xd, yd = D
+    chord = [P is not None and P[0] != xd for P in points]
+    # before[i]: the product of the chord denominators X - xd before i
+    before, acc = [], 1
+    for P, c in zip(points, chord):
+        before.append(acc)
+        if c:
+            acc = acc * (P[0] - xd) % p
+    inv = pow(acc, -1, p)  # of the product up to i, from the last i down
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        P = points[i]
+        if not chord[i]:
+            out[i] = _ec_add(p, a, P, D)
+            continue
+        lam = (P[1] - yd) * inv * before[i] % p
+        inv = inv * (P[0] - xd) % p
+        x3 = (lam * lam - P[0] - xd) % p
+        out[i] = x3, (lam * (xd - x3) - yd) % p
+    return out
+
+
+def _order_or_multiple(p, a, P, lo, hi):
+    """(order, None) when baby-step giant-step finds the order of P, else
+    (None, n) for the one multiple n of it in [lo, hi].
+
+    Baby steps jP, j = 1..k, k about sqrt((hi - lo) / 2), find an order
+    up to 2k exactly: the first jP that has Y = 0 (order 2j) or shares its
+    X with an earlier iP (jP = -iP, order i + j; a point of order j is
+    caught at j - 1, as (j - 1)P = -P, so no jP is zero).  Otherwise
+    the order exceeds 2k, and giant steps nP, n = lo + k, lo + 3k + 1, ...,
+    find every multiple in the interval, one at most in each window
+    [n - k, n + k]: nP = O, or nP = jP (n - j), or nP = -jP (n + j).  Two
+    consecutive multiples differ by the order.  Both kinds of step advance
+    about sqrt(k) points at a time, with one inversion per advance
+    (`_ec_add_all`)."""
+    k = isqrt((hi - lo) // 2) + 1
+    width = isqrt(k) + 1
+    baby = {}
+    row = _ec_progression(p, a, P, P, width)
+    shift = row[-1]  # width P
+    j = 0
+    while j < k:
+        for x, y in row:
+            j += 1
+            if not y:
+                return 2 * j, None
+            if x in baby:
+                return baby[x][0] + j, None
+            baby[x] = (j, y)
+        row = _ec_add_all(p, a, row, shift)
+    k = j
+    stride = 2 * k + 1
+    n = lo + k
+    row = _ec_progression(p, a, _ec_mul(p, a, n, P), _ec_mul(p, a, stride, P), width)
+    shift = _ec_mul(p, a, width * stride, P)
+    found = []
+    while n - k <= hi:
+        for G in row:
+            if G is None:
+                found.append(n)
+            elif G[0] in baby:
+                j, y = baby[G[0]]
+                found.append(n - j if G[1] == y else n + j)
+            n += stride
+        row = _ec_add_all(p, a, row, shift)
+    found = [v for v in found if v <= hi]
+    if not found:
+        raise AssertionError("no multiple of a point order in the Hasse interval")
+    if len(found) == 1:
+        return None, found[0]
+    return found[1] - found[0], None
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,14 @@ common zero z of the two relations there, and the relation plane is the
 left kernel of the path monomials at those points.  Over a prime field F_p
 this stage runs on int residues in [0, p), in one pass over x with 2x2
 contractions, and builds field elements only for its output.  The round
-trip streams these points as `p1_points` index triples and keeps none of
-them: it reduces path rows until six are independent, checks every later
-point against the kernel and counts them.  Every j it compares is taken
-on residues too, the member's from its terms and each shadow's from the
-relation tensors, so no shadow is built as a form.  The re-embedded
-member of `phi_inverse` is the shadow that forgets the middle line.
+trip over F_p visits no more than 16 of these points: it counts them
+with `curves.point_count` of the member, checked against the count of
+the last shadow and the Hasse bound, and reads the first 16 of the
+stream of `p1_points` index triples, which pin the relation plane and
+are each checked against it.  Every j it compares is taken on residues
+too, the member's from its terms and each shadow's from the relation
+tensors, so no shadow is built as a form.  The re-embedded member of
+`phi_inverse` is the shadow that forgets the middle line.
 
 The products of sections behind `psi0`/`psi1` are kept as normal forms
 modulo the member, remainders of division by the member leading monomial
@@ -40,9 +42,9 @@ residues, and no form is built.  The sections of a product of
 two bundles, from which `psi1` picks its skip arrows, are the normal forms
 vanishing on the sum of the two representatives' divisors: a point of both
 is counted twice, with a tangent row (`sections_through`).  The round trip
-decides the stability of the point representations once per zero pattern:
-King stability of a (1,1,1,1)-representation reads only which arrows are
-nonzero.
+decides the stability of the point representations with one call: King
+stability of a (1,1,1,1)-representation reads only which arrows are
+nonzero, and every point has a nonzero arrow in each layer.
 
 Degenerate configurations (isomorphic bundle pairs, products failing to
 span, irrational section divisors) raise DegenerateInstance or
@@ -51,13 +53,16 @@ SpecialPosition; callers redraw.  Everything else is exact.
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import mul
 
 from .curves import (
+    coefficient_grid,
     enumerate_points,
     kodaira_classify,
     member_j,
     normalize_point,
+    point_count,
     random_smooth_22,
     residue_j,
     residue_roots,
@@ -457,6 +462,15 @@ def _relations_through_points_mod_p(field, pts):
     rows = (_path_values([[c.v if c.__class__ is FpElt and c.p == p else coerce(c).v
                            for c in pt] for pt in point])
             for point in pts)
+    return _plane_of_rows(field, rows)
+
+
+def _plane_of_rows(field, rows):
+    """The left kernel of the path rows of residues that the iterator `rows`
+    yields: reduced one at a time until six are independent, every later
+    row then checked against the two kernel vectors.  Raises unless the
+    kernel is a plane."""
+    p = field.p
     ker = kernel_basis(field, _independent_rows(p, rows), 8)
     vecs = [[a.v for a in v] for v in ker]
     if len(ker) != 2 or any(sum(map(mul, row, v)) % p for row in rows for v in vecs):
@@ -589,10 +603,16 @@ def roundtrip0(U, sample_reps=4):
     quadruple and the relation pair to the incidence curve and back.
 
     Verifies that the three shadows are smooth with the member's own j, that
-    the enumerated points recover exactly the relation plane, and that the
-    first `sample_reps` point representations are stable.  Returns a small
-    report.  Over F_p the points are one stream of residues that is read
-    once and never kept (`_incidence_pass_mod_p`)."""
+    incidence points recover exactly the relation plane, and that the point
+    representations are stable.  Returns a small report: j, the number of
+    points and min(points, `sample_reps`), the representations the report
+    vouches for; one verdict covers them all.
+
+    Over F_p the points are counted without being visited: `point_count`
+    of the member, which must equal that of the last shadow (the incidence
+    curve's isomorphic image) and meet the Hasse bound; the plane comes
+    from the first points of the stream (`_incidence_pass_mod_p`).  Over
+    F_{p^2} every incidence point is enumerated and used."""
     curve = U.curve
     field = curve.field
     quad = phi(U)
@@ -603,18 +623,28 @@ def roundtrip0(U, sample_reps=4):
     if j_shadows != j_member:
         raise AssertionError("shadow j differs from the member j")
     if isinstance(field, PrimeField):
-        count, recovered, reps = _incidence_pass_mod_p(field, c1, c2, sample_reps)
+        p = field.p
+        count = point_count(p, coefficient_grid(curve.f))
+        # the grid of the last shadow, which eliminates z
+        shadow = _fiber_coefficients(_residue_tensor(field, c1), _residue_tensor(field, c2))
+        if point_count(p, shadow) != count:
+            raise AssertionError("the last shadow and the member differ in point count")
+        if (count - p - 1) ** 2 > 4 * p:
+            raise AssertionError("point count outside the Hasse bound")
+        _require_enough_points(count)
+        recovered = _incidence_pass_mod_p(field, c1, c2, count)
     else:
         pts = incidence_points(c1, c2)
         recovered = relations_through_points(field, pts)
         count = len(pts)
-        reps = {tuple(map(bool, rep.values())): rep
-                for rep in map(point_representation, pts[:sample_reps])}
     if not subspace_equal(field, recovered, relations):
         raise AssertionError("recovered relations differ from the computed ones")
-    # stability reads only which arrows are nonzero: one verdict per pattern
-    quiver = generic_member_quiver()
-    if not all(theta_stable(quiver, rep) for rep in reps.values()):
+    # King stability reads only which arrows are nonzero, the two arrows of
+    # each layer join the same two vertices, and every point of (P1)^3 has
+    # a nonzero coordinate in each layer: every incidence point has the
+    # verdict of the representation with all six arrows nonzero
+    one = field.one()
+    if not theta_stable(generic_member_quiver(), point_representation([(one, one)] * 3)):
         raise AssertionError("incidence point carries an unstable representation")
     return {
         "j": j_member,
@@ -623,51 +653,23 @@ def roundtrip0(U, sample_reps=4):
     }
 
 
-def _incidence_pass_mod_p(field, c1, c2, sample_reps):
-    """The incidence stage of `roundtrip0` over F_p in one pass over the
-    stream of `_incidence_points_mod_p`, keeping no point.
+# incidence points that `roundtrip0` reads over F_p: seven distinct points
+# pin the relation plane (`_require_enough_points`)
+_PREFIX = 16
 
-    Path rows are reduced until six are independent; every later point is
-    then checked against the two kernel vectors, contracted with x once per
-    fiber, and the first `sample_reps` points leave one representation per
-    zero pattern.  Raises as `relations_through_points` would on the list
-    of points, once the stream is read to its end.  Returns the number of
-    points, the relation plane and the representations by pattern."""
+
+def _incidence_pass_mod_p(field, c1, c2, count):
+    """The relation plane over F_p from the first `_PREFIX` points of
+    `_incidence_points_mod_p`, for an incidence curve of `count` points.
+
+    A stream that ends sooner has given every point, so it must have given
+    `count`.  The points' path rows are reduced until six are independent,
+    and each of them is checked against the two kernel vectors
+    (`_plane_of_rows`).  The stream's own checks (three zero fibers, a
+    one-dimensional fiber, no common z) can fire only on a last shadow that
+    is zero or singular, and `ci_smooth_j` refuses those first."""
     p = field.p
-    count = 0
-    reps = {}
-
-    def tallied(points):
-        nonlocal count
-        for pt in points:
-            if count < sample_reps:
-                # (i, 1) has a zero first coordinate only at i = 0, and
-                # (1, 0) is the index p
-                ix, iy, iz = pt
-                pattern = (ix != 0, ix < p, iy != 0, iy < p, iz != 0, iz < p)
-                if pattern not in reps:
-                    reps[pattern] = point_representation([_coords(p, i) for i in pt])
-            count += 1
-            yield pt
-
-    stream = tallied(_incidence_points_mod_p(field, c1, c2))
-    ker = kernel_basis(field, _independent_rows(
-        p, (_path_values([_coords(p, i) for i in pt]) for pt in stream)), 8)
-    vecs = [[a.v for a in v] for v in ker]
-    off, fiber = False, None
-    for ix, iy, iz in stream:
-        if off:
-            continue
-        if ix != fiber:
-            fiber = ix
-            x0, x1 = _coords(p, ix)
-            ws = [[x0 * a + x1 * b for a, b in zip(v[:4], v[4:])] for v in vecs]
-        y0, y1 = _coords(p, iy)
-        z0, z1 = _coords(p, iz)
-        for w0, w1, w2, w3 in ws:
-            if (y0 * (w0 * z0 + w1 * z1) + y1 * (w2 * z0 + w3 * z1)) % p:
-                off = True
-    _require_enough_points(count)
-    if len(ker) != 2 or off:
-        raise DegenerateInstance("point conditions did not cut the relation plane")
-    return count, ker, reps
+    pts = list(islice(_incidence_points_mod_p(field, c1, c2), _PREFIX))
+    if len(pts) < _PREFIX and len(pts) != count:
+        raise AssertionError("the incidence points ended before the point count")
+    return _plane_of_rows(field, (_path_values([_coords(p, i) for i in pt]) for pt in pts))

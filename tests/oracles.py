@@ -4,7 +4,10 @@ Deliberately naive and local: points of a member by evaluating the form
 at every point of P1 x P1, incidence points by evaluating both relations
 at each point of their enumerated last shadow, split fibers and sampled
 smooth points by solving every fiber afresh on each call, canonical
-representatives raised one fiber per rewriting step, random field
+representatives raised one fiber per rewriting step, point counts of a
+member's coefficient grid by evaluating it at every point of P1 x P1 and
+of an elliptic curve by the character sum over every X, the order of a
+point by adding it to itself until infinity, random field
 elements and points of P1 drawn straight from the generator, the member
 of `phi_inverse` as the relation among nine products of sections,
 residual points of fibers by division by a linear form, j through
@@ -168,6 +171,46 @@ def brute_points(f):
     a finite field, x-major with y in `p1_points` order."""
     line = p1_points(f.field)
     return [(x, y) for x in line for y in line if not power_eval(f, [x, y])]
+
+
+def brute_point_count(p, grid):
+    """Zeros mod p of the (2,2)-form whose coefficient of
+    u0^(2-a) u1^a v0^(2-b) v1^b is grid[a][b], among all (p + 1)^2 points
+    of P1 x P1 over F_p."""
+    line = [(i, 1) for i in range(p)] + [(1, 0)]
+    squares = [(t0 * t0, t0 * t1, t1 * t1) for t0, t1 in line]
+    return sum(1 for u in squares for v in squares
+               if not sum(grid[a][b] * u[a] * v[b] for a in range(3) for b in range(3)) % p)
+
+
+def brute_curve_order(p, a, b):
+    """#E(F_p) for Y^2 = X^3 + aX + b: the point at infinity, and 1 +
+    (c | p) points over each X, c = X^3 + aX + b, by Euler's criterion."""
+    n = 1
+    for x in range(p):
+        c = (x * x * x + a * x + b) % p
+        n += 1 if not c else 2 if pow(c, (p - 1) // 2, p) == 1 else 0
+    return n
+
+
+def brute_point_order(p, a, P):
+    """Order of the point P on Y^2 = X^3 + aX + b over F_p, by adding P
+    to its multiples one at a time until the point at infinity."""
+    x0, y0 = P
+    Q, n = P, 1
+    while Q is not None:
+        x, y = Q
+        if x == x0 and (y + y0) % p == 0:
+            Q = None
+        else:
+            if x == x0:
+                lam = (3 * x * x + a) * pow(2 * y, p - 2, p) % p
+            else:
+                lam = (y - y0) * pow(x - x0, p - 2, p) % p
+            x3 = (lam * lam - x - x0) % p
+            Q = (x3, (lam * (x0 - x3) - y0) % p)
+        n += 1
+    return n
 
 
 def shadow_incidence_points(c1, c2):

@@ -3,6 +3,7 @@ contract, and file output."""
 
 import json
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from bimodulus import curves, jsonio, linebundles
-from bimodulus.cli import COMMANDS, main
+from bimodulus.cli import COMMANDS, COUNT_CEILINGS, main
 from bimodulus.curves import make_kind
 from bimodulus.errors import DegenerateInstance
 from bimodulus.exactmath import QQ, PrimeField
@@ -168,6 +169,41 @@ def test_roundtrip(capsys):
     code, rep = run(capsys, "roundtrip", "--seed", "3", "--count", "1")
     assert code == 0 and len(rep["trips"]) == 1
     assert rep["trips"][0]["points"] > 6
+
+
+@pytest.mark.parametrize("command", sorted(COUNT_CEILINGS))
+def test_a_count_above_the_ceiling_is_exit_2_at_once(capsys, command):
+    limit = COUNT_CEILINGS[command]
+    start = time.process_time()
+    code, rep = run(capsys, command, "--count", str(limit + 1))
+    assert time.process_time() - start < 0.5
+    assert code == 2 and rep["type"] == "validation" and str(limit) in rep["error"]
+    if command == "hochschild":
+        code, rep = run(capsys, command, "--count", str(limit))
+        assert code == 0 and len(rep["rows"]) == limit + 1
+
+
+def run_child(argv, cpu_seconds=10):
+    """`bimodulus argv` as a child process that caps its own CPU time:
+    its exit code and its JSON report."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
+
+    proc = subprocess.run([sys.executable, "-m", "bimodulus.cli", *argv],
+                          capture_output=True, text=True, preexec_fn=cap)
+    return proc.returncode, json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("prime", [1000003, 2305843009213693951])
+def test_the_roundtrip_at_large_primes_within_a_cpu_budget(prime):
+    # at 1000003 the report is the one the full pass over the incidence
+    # points printed
+    code, rep = run_child(["roundtrip", "--prime", str(prime), "--seed", "0"])
+    assert code == 0 and len(rep["trips"]) == 1
+    trip = rep["trips"][0]
+    assert (trip["points"] - prime - 1) ** 2 <= 4 * prime
+    if prime == 1000003:
+        assert trip == {"j": "440618 mod 1000003", "points": 1000799, "stable_reps_checked": 4}
 
 
 def test_cech(capsys, files):

@@ -1,7 +1,9 @@
 """Classification of (2,2) members and point utilities."""
 
 import random
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -11,16 +13,19 @@ from bimodulus.exactmath import QQ, PrimeField, QEElt, QuadExtField, RationalFie
 from bimodulus.curves import (
     KINDS,
     FiberTable,
+    coefficient_grid,
     coerce_pair,
     enumerate_points,
     factor_11,
     kodaira_classify,
+    make_cuspidal,
     make_kind,
     make_nodal,
     member_j,
     normalize_point,
     on_curve,
     p1_point_of_key,
+    point_count,
     p1_points,
     random_p1_key,
     random_p1_point,
@@ -33,7 +38,10 @@ from bimodulus.curves import (
 from bimodulus.polyring import MultiPoly, monomial_basis, quadratic_discriminant, random_multipoly
 
 from oracles import (
+    brute_curve_order,
+    brute_point_order,
     brute_member_kind,
+    brute_point_count,
     brute_points,
     discriminant_form_is_smooth,
     discriminant_form_j,
@@ -356,6 +364,91 @@ def test_smooth_members_satisfy_the_hasse_bound(p):
         n = len(enumerate_points(random_smooth_22(F, rng)))
         # |n - (p + 1)| <= 2 sqrt(p), squared to stay in the integers
         assert (n - (p + 1)) ** 2 <= 4 * p
+
+
+# on both sides of the prime where the count leaves the character sum for
+# the Jacobian (229)
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 227, 229, 233, 1009, 10007])
+def test_point_count_is_the_number_of_points(p):
+    F = PrimeField(p)
+    rng = random.Random(f"count{p}")
+    for k in range(4 if p < 200 else 2):
+        f = random_smooth_22(F, rng)
+        n = len(enumerate_points(f))
+        assert point_count(p, coefficient_grid(f, 0)) == point_count(p, coefficient_grid(f, 1)) == n
+        assert (n - (p + 1)) ** 2 <= 4 * p
+        if p <= 13 or (k == 0 and p <= 233):
+            assert brute_point_count(p, coefficient_grid(f)) == n
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_point_count_gives_the_count_of_the_lift_to_fp2(p):
+    # over F_{p^2} the Frobenius trace is a_p^2 - 2p, a_p = p + 1 - #W(F_p)
+    F = PrimeField(p)
+    E = QuadExtField(F)
+    rng = random.Random(f"lift{p}")
+    for _ in range(4):
+        f = random_smooth_22(F, rng)
+        a_p = p + 1 - point_count(p, coefficient_grid(f))
+        assert len(enumerate_points(f.coerce_to(E))) == p * p + 1 - (a_p * a_p - 2 * p)
+
+
+def test_point_count_near_10_to_the_12_is_fast():
+    p = 10 ** 12 + 39
+    rng = random.Random(p)
+    for _ in range(3):
+        grid = coefficient_grid(random_smooth_22(PrimeField(p), rng))
+        start = time.process_time()
+        n = point_count(p, grid)
+        assert time.process_time() - start < 0.1
+        assert (n - (p + 1)) ** 2 <= 4 * p
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+@pytest.mark.parametrize("make", [make_nodal, make_cuspidal])
+def test_point_count_refuses_singular_members(make, p):
+    f, _ = make(PrimeField(p), random.Random(p))
+    with pytest.raises(ValidationError, match="not smooth"):
+        point_count(p, coefficient_grid(f))
+
+
+@pytest.mark.parametrize("p", [233, 239, 241, 1009])
+def test_curve_order_is_the_character_sum(p):
+    # j = 0 and j = 1728 curves, supersingular at some of these p, have the
+    # groups of smallest exponent, where one point's order leaves several
+    # candidates in the Hasse interval
+    rng = random.Random(p)
+    curves_ab = [(0, 1), (0, 2), (0, 5), (1, 0), (2, 0), (p - 1, 0)]
+    curves_ab += [(rng.randrange(p), rng.randrange(p)) for _ in range(10)]
+    for a, b in curves_ab:
+        if (4 * a ** 3 + 27 * b * b) % p:
+            assert curves._curve_order(p, a, b) == brute_curve_order(p, a, b)
+
+
+@pytest.mark.parametrize("p", [233, 1009])
+def test_baby_and_giant_steps_give_the_order_or_its_one_multiple(p):
+    # points as `_curve_order` takes them, (cX, c^2) on the twist by c; on
+    # j = 0 curves X = 0 gives a point of order 3, found in the baby steps
+    s = isqrt(4 * p)
+    lo, hi = p + 1 - s, p + 1 + s
+    rng = random.Random(p)
+    found = set()
+    for a, b in [(0, 1), (0, 5), (1, 0), (p - 1, 0)] + [(rng.randrange(p), rng.randrange(p))
+                                                        for _ in range(6)]:
+        for x in range(16):
+            c = (x ** 3 + a * x + b) % p
+            if not c:
+                continue
+            ac, P = a * c * c % p, (c * x % p, c * c % p)
+            want = brute_point_order(p, ac, P)
+            order, n = curves._order_or_multiple(p, ac, P, lo, hi)
+            if order is None:
+                assert [m for m in range(lo, hi + 1) if m % want == 0] == [n]
+            else:
+                assert order == want
+            found.add("multiple" if order is None else "small" if want <= 2 * isqrt(s) + 2
+                      else "order")
+    assert found == {"multiple", "small", "order"}
 
 
 def test_smooth_points_and_off_curve_rejection(F101, rng):

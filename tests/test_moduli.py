@@ -435,9 +435,10 @@ def test_each_eliminating_order_gives_the_shadow_of_its_block(p, monkeypatch):
         assert passed == grids
 
 
-def test_roundtrip_decides_stability_once_per_zero_pattern(datum, monkeypatch):
-    # King stability reads only which arrows are nonzero, and each of the
-    # three coordinates of an incidence point is (0:1), (1:0) or neither
+def test_roundtrip_decides_stability_once_for_every_point(datum, monkeypatch):
+    # King stability reads only which arrows are nonzero, and every point of
+    # (P1)^3 has a nonzero coordinate in each layer: one verdict, on the
+    # representation with all six arrows nonzero, covers every point
     F101, rng, curve, U, quad, rel, c1, c2 = datum
     patterns = []
     real = moduli.theta_stable
@@ -449,17 +450,21 @@ def test_roundtrip_decides_stability_once_per_zero_pattern(datum, monkeypatch):
     monkeypatch.setattr(moduli, "theta_stable", counted)
     rep = roundtrip0(U, sample_reps=10 ** 9)
     assert rep["stable_reps_checked"] == rep["points"]
+    assert patterns == [(True,) * 6]
     pts = incidence_points(c1, c2)
     assert all(real(generic_member_quiver(), point_representation(p)) for p in pts)
-    want = {tuple(map(bool, point_representation(p).values())) for p in pts}
-    assert len(patterns) == len(set(patterns)) == len(want) <= 27
-    assert set(patterns) == want
+    assert {tuple(map(bool, point_representation(p).values())) for p in pts} != {(True,) * 6}
 
-    # a verdict against one pattern still fails the trip
-    monkeypatch.setattr(moduli, "theta_stable",
-                        lambda quiver, maps: tuple(map(bool, maps.values())) != patterns[-1])
-    with pytest.raises(AssertionError, match="unstable representation"):
-        roundtrip0(U, sample_reps=10 ** 9)
+
+def test_every_pattern_with_nonzero_layers_has_the_all_nonzero_verdict():
+    # a layer's coordinates are (a, b) with (a, b) != (0, 0): three zero
+    # patterns per layer, 27 in all
+    quiver = generic_member_quiver()
+    layer = [(True, False), (False, True), (True, True)]
+    labels = ["s1a", "s1b", "s2a", "s2b", "s3a", "s3b"]
+    verdicts = {theta_stable(quiver, dict(zip(labels, x + y + z)))
+                for x in layer for y in layer for z in layer}
+    assert verdicts == {theta_stable(quiver, dict.fromkeys(labels, True))} == {True}
 
 
 FIELDS = {
@@ -677,65 +682,97 @@ def raising(pts):
     raise DegenerateInstance("incidence curve has a one-dimensional fiber")
 
 
-# edits of the point stream, and the failure each makes
+# edits of the point stream, and what the trip does on each: the first
+# 16 points are read, and the rest of the stream is left unread
 STREAM_EDITS = {
-    "six points": (lambda pts, p: pts[:6], "too few rational points"),
-    "seven points": (lambda pts, p: pts[:7], None),
-    "one point repeated": (lambda pts, p: pts[:1] * 40, "did not cut the relation plane"),
     "off the curve first": (lambda pts, p: [off_curve(pts[0], p)] + pts,
-                            "did not cut the relation plane"),
-    "off the curve seventh": (lambda pts, p: pts[:6] + [off_curve(pts[0], p)] + pts[6:],
-                              "did not cut the relation plane"),
-    "off the curve last": (lambda pts, p: pts + [off_curve(pts[-1], p)],
-                           "did not cut the relation plane"),
-    "raising after a point off the curve": (
-        lambda pts, p: raising(pts[:8] + [off_curve(pts[0], p)]), "one-dimensional fiber"),
+                            (DegenerateInstance, "point conditions did not cut the relation plane")),
+    "off the curve sixteenth": (lambda pts, p: pts[:15] + [off_curve(pts[0], p)] + pts[15:],
+                                (DegenerateInstance, "point conditions did not cut the relation plane")),
+    "one point repeated": (lambda pts, p: pts[:1] * 40,
+                           (DegenerateInstance, "point conditions did not cut the relation plane")),
+    "six points": (lambda pts, p: pts[:6],
+                   (AssertionError, "the incidence points ended before the point count")),
+    "raising inside the first sixteen": (lambda pts, p: raising(pts[:8]),
+                                         (DegenerateInstance, "incidence curve has a one-dimensional fiber")),
+    "off the curve seventeenth": (lambda pts, p: pts[:16] + [off_curve(pts[0], p)] + pts[16:], None),
+    "raising after sixteen points": (lambda pts, p: raising(pts[:16]), None),
 }
 
 
-@pytest.mark.parametrize("unstable", [False, True])
 @pytest.mark.parametrize("edit", sorted(STREAM_EDITS))
-def test_the_streamed_roundtrip_defers_its_failures_as_the_listed_one(edit, unstable, monkeypatch):
-    # each failure of the trip waits for the end of the stream and comes in
-    # the order of the listed trip: the stream's own, too few points, the
-    # relation plane, then stability
+def test_the_roundtrip_reads_the_first_sixteen_incidence_points(edit, monkeypatch):
     p = 101
     U = streamed_datum(p, 11)
+    report = roundtrip0(U, 10 ** 9)
     real = moduli._incidence_points_mod_p
-    change, message = STREAM_EDITS[edit]
+    change, want = STREAM_EDITS[edit]
     monkeypatch.setattr(moduli, "_incidence_points_mod_p",
                         lambda field, c1, c2: change(list(real(field, c1, c2)), p))
+    assert failure(roundtrip0, U, 10 ** 9) == (report if want is None else want)
+
+
+@pytest.mark.parametrize("unstable", [False, True])
+@pytest.mark.parametrize("edit", ["six points", "seven points"])
+def test_the_streamed_roundtrip_defers_its_failures_as_the_listed_one(edit, unstable, monkeypatch):
+    # the stability verdict waits behind the checks of the points: on the
+    # whole stream the trip fails on an unstable verdict as the listed one
+    # does, and on a stream that ends before the member's point count it
+    # fails on the count whatever the verdict
+    p = 101
+    U = streamed_datum(p, 11)
     if unstable:
         monkeypatch.setattr(moduli, "theta_stable", lambda quiver, maps: False)
         monkeypatch.setattr(oracles, "theta_stable", lambda quiver, maps: False)
-    got = failure(roundtrip0, U, 10 ** 9)
-    assert got == failure(listed_roundtrip, U, 10 ** 9)
-    if message is None and unstable:
-        message = "unstable representation"
-    if message is None:
-        assert isinstance(got, dict)
+    whole = failure(roundtrip0, U, 10 ** 9)
+    assert whole == failure(listed_roundtrip, U, 10 ** 9)
+    if unstable:
+        assert whole == (AssertionError, "incidence point carries an unstable representation")
     else:
-        assert message in got[1]
+        assert isinstance(whole, dict)
+    real = moduli._incidence_points_mod_p
+    kept = {"six points": 6, "seven points": 7}[edit]
+    monkeypatch.setattr(moduli, "_incidence_points_mod_p",
+                        lambda field, c1, c2: list(real(field, c1, c2))[:kept])
+    assert failure(roundtrip0, U, 10 ** 9) == (
+        AssertionError, "the incidence points ended before the point count")
 
 
-def test_the_streamed_roundtrip_checks_stability_of_the_first_points_only(monkeypatch):
+@pytest.mark.parametrize("counts, message", [
+    ((115, 116), "the last shadow and the member differ in point count"),
+    ((123, 123), "point count outside the Hasse bound"),
+    ((122, 122), None),
+    ((81, 81), "point count outside the Hasse bound"),
+])
+def test_the_roundtrip_checks_its_point_counts(counts, message, monkeypatch):
+    # point_count is called on the member, then on the last shadow; at
+    # p = 101 the Hasse interval is [82, 122]
     U = streamed_datum(101, 11)
-    c1, c2 = relations_to_ci(U.field, psi0(phi(U)))
-    patterns = [tuple(map(bool, point_representation(pt).values()))
-                for pt in incidence_points(c1, c2)]
-    # the first point whose pattern is not the first point's
-    first = next(i for i, pattern in enumerate(patterns) if pattern != patterns[0])
+    given = iter(counts)
+    monkeypatch.setattr(moduli, "point_count", lambda p, grid: next(given))
+    got = failure(roundtrip0, U)
+    if message is None:
+        assert got["points"] == 122
+    else:
+        assert got == (AssertionError, message)
 
-    def verdict(quiver, maps):
-        return tuple(map(bool, maps.values())) != patterns[first]
 
-    monkeypatch.setattr(moduli, "theta_stable", verdict)
-    monkeypatch.setattr(oracles, "theta_stable", verdict)
-    for reps in (first, first + 1):
-        got = failure(roundtrip0, U, reps)
-        assert got == failure(listed_roundtrip, U, reps)
-        assert (got["stable_reps_checked"] == first if reps == first
-                else "unstable representation" in got[1])
+@pytest.mark.parametrize("name", ["F7", "F25", "F101", "F1009"])
+def test_an_unstable_all_nonzero_class_fails_every_trip(name, monkeypatch):
+    F = FIELDS[name]
+    monkeypatch.setattr(moduli, "theta_stable",
+                        lambda quiver, maps: not all(maps.values()))
+    trips = 0
+    for seed in range(12):
+        try:
+            _, U = random_sheaf_datum(F, random.Random(seed))
+        except SpecialPosition:
+            continue
+        got = failure(roundtrip0, U, 0)
+        if got[0] not in (DegenerateInstance, SpecialPosition):
+            assert got == (AssertionError, "incidence point carries an unstable representation")
+            trips += 1
+    assert trips >= 3
 
 
 @pytest.mark.parametrize("name", ["F5", "F7", "F11", "F101", "F1009"])
