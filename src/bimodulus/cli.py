@@ -248,6 +248,11 @@ def cmd_roundtrip(args):
     field = _field_for(args) if data is None else U.field
     if not field.characteristic:
         raise ValidationError("the roundtrip enumerates points: use a finite field")
+    # its point counts grow as p^(1/4): 0.6 s of process time at 2^61 - 1,
+    # a second at 2^64 + 13, half a minute near the bound PrimeField takes
+    if field.characteristic >= 2 ** 64:
+        raise ValidationError(f"the roundtrip takes primes below the ceiling of 2^64, "
+                              f"got {field.characteristic}")
     rng = random.Random(args.seed)
     trips = []
     redraws = 0

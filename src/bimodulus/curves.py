@@ -10,9 +10,9 @@ meeting transversally (I2) or tangentially (III), and a doubled (1,1) curve
 
 Also provides the pointwise utilities (fibers, residual intersection points,
 smoothness tests, random instances of each type) that the sheaf machinery in
-the rest of the package is built on.  A `FiberTable` restricts and solves
-each fiber once, over F_p on residues and over Q on ints, with the roots
-in `bf_rational_roots` order, and tests each point's smoothness once: on a
+the rest of the package is built on.  A `FiberTable` restricts each fiber
+once, on the member's grid, and solves it once, with the roots in
+`bf_rational_roots` order, and tests each point's smoothness once: on a
 member its caller knows to be smooth only whether the point is on it,
 otherwise through the member's four chart partials, computed once per
 table.  A random point of P1 is drawn as a key of ints (`random_p1_key`:
@@ -20,14 +20,15 @@ None for (1:0), else the field's `random_key`), and the point is the
 point of its key; the table keeps the fiber points found for each key
 drawn, so rational-point sampling builds and hashes field elements only
 on a key's first draw, and a try costs its generator calls and one
-lookup.  Over Q and F_p a smooth member is recognized, and its j taken,
-from its branch quartic computed on ints (`grid_invariants`): on the
-residues of its coefficients over F_p, and over Q on its coefficients
-with their denominators cleared, which scales the quartic's I^3 and
-4I^3 - J^2 alike.  The same quartic counts a smooth member's points over
-F_p without visiting them (`point_count`): a character sum over the line
-up to p = 229, and above it the order of the Jacobian by baby-step
-giant-step.
+lookup.  On every field a member is read through its coefficient grid
+(`coefficient_grid`): residues over F_p, over Q its coefficients with
+their denominators cleared, which scales the branch quartic's I^3 and
+4I^3 - J^2 alike, and over F_{p^2} its coefficients themselves.  A smooth
+member is recognized, and its j taken, from the grid's branch quartic
+(`grid_invariants`), and a fiber is restricted on the grid.  The same
+quartic counts a smooth member's points over F_p without visiting them
+(`point_count`): a character sum over the line up to p = 229, and above
+it the order of the Jacobian by baby-step giant-step.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import SpecialPosition, ValidationError
 from .exactmath import FpElt, PrimeField, QuadExtField, RationalField, kernel_basis
 from .polyring import (
     MultiPoly,
+    _quartic_ij,
     bf_divexact,
     bf_gcd,
     bf_gcd_chain,
@@ -49,10 +51,8 @@ from .polyring import (
     bf_mul,
     bf_rational_roots,
     bf_scale,
-    j_from_quartic,
     monomial_basis,
     quadratic_discriminant,
-    quartic_invariants,
     random_multipoly,
 )
 
@@ -103,20 +103,15 @@ def kodaira_classify(f):
     Four simple roots are exactly 4I^3 - J^2 != 0 (27 times the quartic's
     discriminant, in characteristic 0 or at least 5), and a member with a
     fiber component has a square factor in its quartic, so a smooth member
-    is recognized from I and J alone, over Q and F_p on the integer grid of
-    f (`coefficient_grid`); only the others are checked for fibers and have
-    the quartic's multiplicity pattern read off the degrees of its
-    `bf_gcd_chain`.
+    is recognized from I and J alone, on every field from the grid of f
+    (`coefficient_grid`, `grid_invariants`); only the others are checked
+    for fibers and have the quartic's multiplicity pattern read off the
+    degrees of its `bf_gcd_chain`.
     """
     validate_22(f)
-    grid = coefficient_grid(f)
-    if grid is not None and grid_invariants(grid, f.field.characteristic)[1]:
+    if grid_invariants(coefficient_grid(f), grid_modulus(f.field))[1]:
         return "I0"
     disc = quadratic_discriminant(f, 1)
-    if grid is None and any(disc):
-        I, J = quartic_invariants(f.field, disc)
-        if 4 * I * I * I - J * J:
-            return "I0"
     validate_support(f)
     if bf_is_zero(disc):
         return "NonReduced"
@@ -125,40 +120,36 @@ def kodaira_classify(f):
 
 def member_j(f, block=1):
     """j-invariant of a smooth member: the branch quartic of either ruling
-    projection has four distinct roots, and j is taken from that quartic.
-    Over Q and F_p it is taken on the integer grid of f (`grid_invariants`):
-    scaling f by t scales I^3 and 4I^3 - J^2 by t^12, so j does not
-    change.  A member that is not smooth there goes the element-wise way,
-    which raises."""
+    projection has four distinct roots, and j is taken from that quartic,
+    on the grid of f (`grid_j`).  Raises SpecialPosition on a member that
+    is not smooth."""
     validate_22(f)
-    field = f.field
-    grid = coefficient_grid(f, block)
-    if grid is not None:
-        p = field.characteristic
-        cube, den = grid_invariants(grid, p)
-        if den:
-            if p:
-                return FpElt(p, 6912 * cube * pow(den, -1, p))
-            return Fraction(6912 * cube, den)
-    disc = quadratic_discriminant(f, block)
-    return j_from_quartic(field, disc)
+    j = grid_j(f.field, coefficient_grid(f, block))
+    if j is None:
+        raise SpecialPosition("repeated branch point: j undefined")
+    return j
+
+
+def grid_modulus(field):
+    """The modulus the grids over `field` are reduced by (`coefficient_grid`,
+    `integer_point`): p over F_p, and 0 (no reduction) over other fields."""
+    return field.p if isinstance(field, PrimeField) else 0
 
 
 def coefficient_grid(f, block=1):
-    """The (2,2)-form f as a 3x3 grid of ints, grid[a][b] its coefficient
-    of u0^(2-a) u1^a v0^(2-b) v1^b, where v is the chosen block and u the
-    other: residues over F_p, and over Q the coefficients times the lcm of
-    their denominators, so the grid is f times a positive factor.  None
-    over other fields."""
+    """The (2,2)-form f as a 3x3 grid, grid[a][b] its coefficient of
+    u0^(2-a) u1^a v0^(2-b) v1^b, where v is the chosen block and u the
+    other: residues over F_p, over Q the coefficients times the lcm of
+    their denominators, so the grid is f times a positive factor, and the
+    coefficients themselves over F_{p^2}."""
     field = f.field
+    terms, zero = f.terms.items(), field.zero()
     if isinstance(field, PrimeField):
-        terms = [(e, c.v) for e, c in f.terms.items()]
+        terms, zero = [(e, c.v) for e, c in terms], 0
     elif isinstance(field, RationalField):
         den = lcm(*(c.denominator for c in f.terms.values()))
-        terms = [(e, c.numerator * (den // c.denominator)) for e, c in f.terms.items()]
-    else:
-        return None
-    grid = [[0] * 3 for _ in range(3)]
+        terms, zero = [(e, c.numerator * (den // c.denominator)) for e, c in terms], 0
+    grid = [[zero] * 3 for _ in range(3)]
     for e, c in terms:
         grid[e[3 - 2 * block]][e[2 * block + 1]] = c
     return grid
@@ -168,32 +159,23 @@ def branch_quartic(grid, p=0):
     """The branch quartic B^2 - 4AC of the projection to the u-line of the
     (2,2)-form whose coefficient of u0^(2-a) u1^a v0^(2-b) v1^b is
     grid[a][b]: its coefficients of u0^(4-k) u1^k, k = 0..4, on ints,
-    reduced mod p when p is nonzero.  Over each point u of the line the
-    form is the binary quadratic A(u) v0^2 + B(u) v0 v1 + C(u) v1^2, whose
-    discriminant is the quartic's value at u."""
+    reduced mod p when p is nonzero (and on field elements for a grid of
+    them).  Over each point u of the line the form is the binary quadratic
+    A(u) v0^2 + B(u) v0 v1 + C(u) v1^2, whose discriminant is the
+    quartic's value at u."""
     A, B, C = zip(*grid)
     q = [sum(B[i] * B[k - i] - 4 * A[i] * C[k - i] for i in range(max(0, k - 2), min(k, 2) + 1))
          for k in range(5)]
     return [a % p for a in q] if p else q
 
 
-def _quartic_ij(q, p=0):
-    """The invariants I and J of a binary quartic, as `quartic_invariants`
-    takes them, on ints; reduced mod p when p is nonzero."""
-    a0, a1, a2, a3, a4 = q
-    I = 12 * a0 * a4 - 3 * a1 * a3 + a2 * a2
-    J = (72 * a0 * a2 * a4 - 27 * a0 * a3 * a3 - 27 * a1 * a1 * a4
-         + 9 * a1 * a2 * a3 - 2 * a2 * a2 * a2)
-    return (I % p, J % p) if p else (I, J)
-
-
 def grid_invariants(grid, p=0):
     """(I^3, 4I^3 - J^2) of the (2,2)-form whose coefficient of
-    u0^(2-a) u1^a v0^(2-b) v1^b is grid[a][b], on ints, reduced mod p when
-    p is nonzero: I and J are the invariants of its `branch_quartic`.
-    4I^3 - J^2 vanishes exactly when `kodaira_classify` finds the form not
-    smooth (a zero quartic included)."""
-    I, J = _quartic_ij(branch_quartic(grid, p), p)
+    u0^(2-a) u1^a v0^(2-b) v1^b is grid[a][b], in the ring of the grid,
+    reduced mod p when p is nonzero: I and J are the invariants of its
+    `branch_quartic`.  4I^3 - J^2 vanishes exactly when `kodaira_classify`
+    finds the form not smooth (a zero quartic included)."""
+    I, J = _quartic_ij(branch_quartic(grid, p))
     if p:
         cube = I * I * I % p
         return cube, (4 * cube - J * J) % p
@@ -201,15 +183,16 @@ def grid_invariants(grid, p=0):
     return cube, 4 * cube - J * J
 
 
-def residue_j(p, grid):
-    """j of the (2,2)-form whose coefficient of u0^(2-a) u1^a v0^(2-b) v1^b
-    is grid[a][b], on residues mod p: 6912 I^3 over 4I^3 - J^2
-    (`grid_invariants`), as `j_from_quartic` takes them.  None when
-    4I^3 - J^2 vanishes."""
-    cube, den = grid_invariants(grid, p)
+def grid_j(field, grid):
+    """j in `field` of the (2,2)-form whose grid over `field` is `grid`
+    (the `coefficient_grid` layout, residues over F_p): 6912 I^3 over
+    4I^3 - J^2 (`grid_invariants`), as `j_from_quartic` takes them.
+    Scaling the form by t scales both by t^12, so j does not change.  None
+    when 4I^3 - J^2 vanishes."""
+    cube, den = grid_invariants(grid, grid_modulus(field))
     if not den:
         return None
-    return 6912 * cube * pow(den, -1, p) % p
+    return field.coerce(6912 * cube) / field.coerce(den)
 
 
 # up to this prime the count is a character sum over the line; above it a
@@ -234,7 +217,7 @@ def point_count(p, grid):
     from a table; above, the Jacobian's order by baby-step giant-step
     (`_curve_order`), in about p^(1/4) group operations."""
     q = branch_quartic(grid, p)
-    I, J = _quartic_ij(q, p)
+    I, J = (v % p for v in _quartic_ij(q))
     if not (4 * I * I * I - J * J) % p:
         raise ValidationError("member is not smooth")
     if p > _SUM_CUTOFF:
@@ -510,11 +493,14 @@ def residue_roots(field, q):
 
 
 def integer_point(field, pt):
-    """Coordinates of a point of P1 as ints: residues over F_p, and over Q
-    the coordinates times the lcm of their denominators, a positive
-    factor."""
+    """Coordinates of a point of P1 as a `coefficient_grid` reads them:
+    residues over F_p, over Q the coordinates times the lcm of their
+    denominators, a positive factor, and the coordinates themselves over
+    F_{p^2}."""
     if isinstance(field, PrimeField):
         return tuple(field.coerce(c).v for c in pt)
+    if not isinstance(field, RationalField):
+        return tuple(map(field.coerce, pt))
     (n0, d0), (n1, d1) = (field.coerce(c).as_integer_ratio() for c in pt)
     den = lcm(d0, d1)
     return n0 * (den // d0), n1 * (den // d1)
@@ -556,10 +542,12 @@ class FiberTable:
     records the fiber's rational points on the member, or that its two
     roots are conjugate, or that the fiber lies in the member; the same
     records are kept by the draw key of each first-ruling fiber drawn
-    through `drawn_points`.  Over F_p a fiber is restricted and solved on
-    residues, and over Q on ints, from f with its denominators cleared
-    once and the fiber point scaled to integer coordinates, the roots
-    taken with `isqrt`.  When the caller knows the
+    through `drawn_points`.  A fiber is restricted on the grid of f
+    (`coefficient_grid`) at the fiber point's `integer_point` coordinates,
+    one way on every field, and solved by the field's own solver: on
+    residues over F_p, on ints with `isqrt` over Q (f with its
+    denominators cleared once, the point scaled to integer coordinates),
+    and on field elements over F_{p^2}.  When the caller knows the
     member to be smooth (`smooth`, as a Curve of type I0 does), every point
     on it is smooth, and a test only checks that the point is on the
     member.  Otherwise smoothness is read off the four chart partials of
@@ -571,8 +559,8 @@ class FiberTable:
 
     def __init__(self, f, smooth=False):
         self.f = f
-        # over Q and F_p, for each ruling, f's integer grid with the block
-        # that ruling fixes as the second
+        # for each ruling, f's grid with the block that ruling fixes as the
+        # second
         self._grids = (coefficient_grid(f, 0), coefficient_grid(f, 1))
         self._points = {}
         self._drawn = {}
@@ -609,38 +597,29 @@ class FiberTable:
 
     def _restrict(self, side, x):
         F = self.f.field
-        grid = self._grids[side]
-        if grid is not None:
-            # the fiber quadratic on ints: the block fixed by x has degree
-            # 2, so each term takes one of x0^2, x0 x1, x1^2 of x's integer
-            # coordinates, a positive multiple of the quadratic of x
-            x0, x1 = integer_point(F, x)
-            t = (x0 * x0, x0 * x1, x1 * x1)
-            q = [sum(map(mul, row, t)) for row in grid]
-            if isinstance(F, PrimeField):
-                p = F.p
-                q = [a % p for a in q]
-                if not any(q):
-                    return _IN_MEMBER
-                roots = residue_roots(F, q)
-                if roots is None:
-                    return None
-                one = F.one()
-                ys = [(FpElt(p, i), one) if i < p else (one, F.zero()) for i in roots]
-            else:
-                if not any(q):
-                    return _IN_MEMBER
-                ys = integer_roots(q)
-                if ys is None:
-                    return None
+        p = grid_modulus(F)
+        # the fiber quadratic on the grid: the block fixed by x has degree
+        # 2, so each term takes one of x0^2, x0 x1, x1^2 of x's grid
+        # coordinates, a nonzero multiple of the quadratic of x
+        x0, x1 = integer_point(F, x)
+        t = (x0 * x0, x0 * x1, x1 * x1)
+        q = [sum(map(mul, row, t)) for row in self._grids[side]]
+        if p:
+            q = [a % p for a in q]
+        if not any(q):
+            return _IN_MEMBER
+        if p:
+            roots = residue_roots(F, q)
+            one = F.one()
+            ys = None if roots is None else [(FpElt(p, i), one) if i < p else (one, F.zero())
+                                             for i in roots]
+        elif isinstance(F, RationalField):
+            ys = integer_roots(q)
         else:
-            q = fiber_quadratic(self.f, side, x)
-            if bf_is_zero(q):
-                return _IN_MEMBER
             roots = bf_rational_roots(F, q)
-            if roots is None:
-                return None
-            ys = [normalize_point(F, r) for r, _ in roots]
+            ys = None if roots is None else [normalize_point(F, r) for r, _ in roots]
+        if ys is None:
+            return None
         xn = normalize_point(F, x)
         pts = tuple((xn, y) if side == 0 else (y, xn) for y in ys)
         for pt in pts:

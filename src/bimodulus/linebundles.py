@@ -52,7 +52,7 @@ from .curves import (
     random_smooth_point,
 )
 from .errors import SpecialPosition, ValidationError
-from .exactmath import FpElt, PrimeField, RationalField, block_ranks, kernel_basis, rank
+from .exactmath import FpElt, PrimeField, block_ranks, kernel_basis, rank
 from .polyring import MultiPoly, monomial_basis, monomial_values, residue_product
 
 # rewriting moves `canonical` makes before it gives up; each raised fiber is one
@@ -306,10 +306,10 @@ def _canonical_h0(rep):
 
 def _eval_rows(field, points, monos):
     """Values of the bidegree monomials `monos` at each point, one row per
-    point, from the point's two tables of binary monomial values.  Over Q
-    the values are taken at the point's integer coordinates
-    (`integer_point`), so a row is a positive multiple of the point's row
-    of values, of ints, and cuts out the same condition."""
+    point, from the point's two tables of binary monomial values.  They
+    are taken at the point's `integer_point` coordinates: over Q its
+    coordinates scaled to ints, so a row is a positive multiple of the
+    point's row of values and cuts out the same condition."""
     if not monos:
         return [[] for _ in points]
     dx, dy = monos[0][0] + monos[0][1], monos[0][2] + monos[0][3]
@@ -323,15 +323,11 @@ def _eval_rows(field, points, monos):
             ty = [pow(y0, dy - i, p) * pow(y1, i, p) % p for i in range(dy + 1)]
             rows.append([tx[e[1]] * ty[e[3]] % p for e in monos])
         return rows
-    if isinstance(field, RationalField):
-        for x, y in points:
-            (x0, x1), (y0, y1) = integer_point(field, x), integer_point(field, y)
-            tx = [x0 ** (dx - i) * x1 ** i for i in range(dx + 1)]
-            ty = [y0 ** (dy - i) * y1 ** i for i in range(dy + 1)]
-            rows.append([tx[e[1]] * ty[e[3]] for e in monos])
-        return rows
     for x, y in points:
-        tx, ty = monomial_values(field, x, dx), monomial_values(field, y, dy)
+        # over Q the tables are of ints, so the one monomial of degree 0
+        # takes the int 1
+        tx, ty = (monomial_values(field, integer_point(field, pt), d) if d else [1]
+                  for pt, d in ((x, dx), (y, dy)))
         rows.append([tx[e[1]] * ty[e[3]] for e in monos])
     return rows
 

@@ -21,17 +21,19 @@ A relation pair is a pair of 2x2x2 tensors, and each of its three shadows
 (the resultant that eliminates one line factor) is the member again.  The
 incidence points are the points (x, y) of the last shadow, each with the
 common zero z of the two relations there, and the relation plane is the
-left kernel of the path monomials at those points.  Over a prime field F_p
-this stage runs on int residues in [0, p), in one pass over x with 2x2
-contractions, and builds field elements only for its output.  The round
-trip over F_p visits no more than 16 of these points: it counts them
-with `curves.point_count` of the member, checked against the count of
-the last shadow and the Hasse bound, and reads the first 16 of the
-stream of `p1_points` index triples, which pin the relation plane and
-are each checked against it.  Every j it compares is taken on residues
-too, the member's from its terms and each shadow's from the relation
-tensors, so no shadow is built as a form.  The re-embedded member of
-`phi_inverse` is the shadow that forgets the middle line.
+left kernel of the path monomials at those points, taken at their grid
+coordinates (`curves.integer_point`) on every field, one `kernel_basis`
+(`_plane`).  Over a prime field F_p the points come from int residues in
+[0, p), in one pass over x with 2x2 contractions, and field elements are
+built only for the output.  The round trip over F_p visits no more than
+16 of these points: it counts them with `curves.point_count` of the
+member, checked against the count of the last shadow and the Hasse
+bound, and takes the plane from the first 16 of the stream of
+`p1_points` index triples.  Every j it compares is read off a grid
+(`curves.grid_j`), the member's from its terms and each shadow's from
+the relation tensors, so no smooth shadow is built as a form.  The
+re-embedded member of `phi_inverse` is the shadow that forgets the
+middle line.
 
 The products of sections behind `psi0`/`psi1` are kept as normal forms
 modulo the member, remainders of division by the member leading monomial
@@ -54,17 +56,18 @@ SpecialPosition; callers redraw.  Everything else is exact.
 from __future__ import annotations
 
 from itertools import islice
-from operator import mul
 
 from .curves import (
     coefficient_grid,
     enumerate_points,
+    grid_j,
+    grid_modulus,
+    integer_point,
     kodaira_classify,
     member_j,
     normalize_point,
     point_count,
     random_smooth_22,
-    residue_j,
     residue_roots,
 )
 from .errors import DegenerateInstance, SpecialPosition, ValidationError
@@ -257,26 +260,20 @@ def ci_smooth_j(c1, c2):
     """Common j-invariant of the three shadows; every shadow must be a
     smooth member.
 
-    Over F_p each shadow's coefficients come from `_fiber_coefficients` on
-    the residue tensors, with the eliminated line factor moved last, and
-    its j from `residue_j`; a shadow that is zero or not smooth sends the
-    pair the `MultiPoly` way, which raises."""
+    Each shadow's grid comes from `_fiber_coefficients` on the relation
+    tensors (`_tensor`), with the eliminated line factor moved last, and
+    its j from `grid_j`.  A shadow that is zero or not smooth has no j
+    there; the shadows are then built as forms only to say which
+    (`ci_shadows`, `kodaira_classify`)."""
     field = c1.field
-    if isinstance(field, PrimeField):
-        p = field.p
-        t1, t2 = _residue_tensor(field, c1), _residue_tensor(field, c2)
-        js = [residue_j(p, _fiber_coefficients([t1[i] for i in order], [t2[i] for i in order]))
-              for order in _ELIMINATING]
-        if None not in js:
-            if js[0] != js[1] or js[0] != js[2]:
-                raise AssertionError("shadow members disagree about j")
-            return FpElt(p, js[0])
-    js = []
-    for res in ci_shadows(c1, c2):
-        kind = kodaira_classify(res)
-        if kind != "I0":
-            raise DegenerateInstance(f"shadow member has type {kind}")
-        js.append(member_j(res))
+    t1, t2 = _tensor(c1), _tensor(c2)
+    js = [grid_j(field, _fiber_coefficients([t1[i] for i in order], [t2[i] for i in order]))
+          for order in _ELIMINATING]
+    if None in js:
+        for res in ci_shadows(c1, c2):
+            kind = kodaira_classify(res)
+            if kind != "I0":
+                raise DegenerateInstance(f"shadow member has type {kind}")
     if js[0] != js[1] or js[0] != js[2]:
         raise AssertionError("shadow members disagree about j")
     return js[0]
@@ -285,17 +282,14 @@ def ci_smooth_j(c1, c2):
 def _tensor(c):
     """A (1,1,1)-form as its 2x2x2 coefficient tensor, flattened in path
     order: entry 4i+2j+k multiplies x_i y_j z_k.  Entries 4i..4i+3 are the
-    2x2 matrix T_i (rows y, columns z) with c = x_0 T_0 + x_1 T_1."""
+    2x2 matrix T_i (rows y, columns z) with c = x_0 T_0 + x_1 T_1.  The
+    entries are residues in [0, p) over F_p, field elements elsewhere."""
     if c.degree != (1, 1, 1):
         raise ValidationError("a relation is a (1,1,1)-form")
     zero = c.field.zero()
-    return [c.terms.get((1 - i, i, 1 - j, j, 1 - k, k), zero)
-            for i in (0, 1) for j in (0, 1) for k in (0, 1)]
-
-
-def _residue_tensor(field, c):
-    """`_tensor` as residues in [0, p) over F_p."""
-    return [field.coerce(a).v for a in _tensor(c)]
+    t = [c.terms.get((1 - i, i, 1 - j, j, 1 - k, k), zero)
+         for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    return [a.v for a in t] if grid_modulus(c.field) else t
 
 
 # for x, y and z, the tensor's entries in path order once that line factor
@@ -374,7 +368,7 @@ def _incidence_points_mod_p(field, c1, c2):
     """`incidence_points` over F_p, on residues, as a stream of `p1_points`
     index triples (ix, iy, iz); the same checks in the same order."""
     p = field.p
-    t1, t2 = _residue_tensor(field, c1), _residue_tensor(field, c2)
+    t1, t2 = _tensor(c1), _tensor(c2)
     s00, s01, s11 = _fiber_coefficients(t1, t2)
     zero_fibers = 0
     for ix in range(p + 1):
@@ -432,16 +426,16 @@ def relations_through_points(field, pts):
     points; equals the span of the relations once the point count exceeds
     the zero bound for trilinear sections.
 
-    Over F_p the rows are reduced on residues in [0, p), one at a time
-    until six are independent, and every later row is then checked against
-    the two kernel vectors.  When all pass, the kernel of the six is the
-    kernel of all rows, and rref is canonical, so the basis is the one
-    `kernel_basis` of all rows returns; only the kernel is made of field
-    elements."""
+    The monomials are taken at the points' `integer_point` coordinates
+    (residues over F_p, ints over Q), which scales each row by a nonzero
+    factor and leaves the kernel alone (`_plane`)."""
     _require_enough_points(len(pts))
-    if isinstance(field, PrimeField):
-        return _relations_through_points_mod_p(field, pts)
-    ker = kernel_basis(field, [_path_values(pt) for pt in pts], 8)
+    return _plane(field, [_path_values([integer_point(field, c) for c in pt]) for pt in pts])
+
+
+def _plane(field, rows):
+    """The left kernel of the path rows; raises unless it is a plane."""
+    ker = kernel_basis(field, rows, 8)
     if len(ker) != 2:
         raise DegenerateInstance("point conditions did not cut the relation plane")
     return ker
@@ -452,51 +446,6 @@ def _require_enough_points(count):
     # of a degree-6 bundle on the incidence curve: at most 6 zeros
     if count <= 6:
         raise DegenerateInstance("too few rational points to pin the ideal down")
-
-
-def _relations_through_points_mod_p(field, pts):
-    """`relations_through_points` over F_p, on residues."""
-    p, coerce = field.p, field.coerce
-    # anything but an FpElt of this field goes through coerce, which rejects
-    # other primes
-    rows = (_path_values([[c.v if c.__class__ is FpElt and c.p == p else coerce(c).v
-                           for c in pt] for pt in point])
-            for point in pts)
-    return _plane_of_rows(field, rows)
-
-
-def _plane_of_rows(field, rows):
-    """The left kernel of the path rows of residues that the iterator `rows`
-    yields: reduced one at a time until six are independent, every later
-    row then checked against the two kernel vectors.  Raises unless the
-    kernel is a plane."""
-    p = field.p
-    ker = kernel_basis(field, _independent_rows(p, rows), 8)
-    vecs = [[a.v for a in v] for v in ker]
-    if len(ker) != 2 or any(sum(map(mul, row, v)) % p for row in rows for v in vecs):
-        raise DegenerateInstance("point conditions did not cut the relation plane")
-    return ker
-
-
-def _independent_rows(p, rows):
-    """Echelon rows of residues with leading entries 1, taken from the
-    iterator `rows` one at a time until six are independent (fewer if it
-    runs out first); the rest of `rows` is left unread."""
-    basis, pivots = [], []
-    for row in rows:
-        w = [a % p for a in row]
-        for r, pc in zip(basis, pivots):
-            c = w[pc]
-            if c:
-                w = [(a - c * b) % p for a, b in zip(w, r)]
-        pc = next((i for i, a in enumerate(w) if a), None)
-        if pc is not None:
-            inv = pow(w[pc], -1, p)
-            basis.append([a * inv % p for a in w])
-            pivots.append(pc)
-            if len(basis) == 6:
-                break
-    return basis
 
 
 def point_representation(point):
@@ -626,7 +575,7 @@ def roundtrip0(U, sample_reps=4):
         p = field.p
         count = point_count(p, coefficient_grid(curve.f))
         # the grid of the last shadow, which eliminates z
-        shadow = _fiber_coefficients(_residue_tensor(field, c1), _residue_tensor(field, c2))
+        shadow = _fiber_coefficients(_tensor(c1), _tensor(c2))
         if point_count(p, shadow) != count:
             raise AssertionError("the last shadow and the member differ in point count")
         if (count - p - 1) ** 2 > 4 * p:
@@ -663,13 +612,12 @@ def _incidence_pass_mod_p(field, c1, c2, count):
     `_incidence_points_mod_p`, for an incidence curve of `count` points.
 
     A stream that ends sooner has given every point, so it must have given
-    `count`.  The points' path rows are reduced until six are independent,
-    and each of them is checked against the two kernel vectors
-    (`_plane_of_rows`).  The stream's own checks (three zero fibers, a
-    one-dimensional fiber, no common z) can fire only on a last shadow that
-    is zero or singular, and `ci_smooth_j` refuses those first."""
+    `count`.  The plane is the kernel of the points' path rows (`_plane`).
+    The stream's own checks (three zero fibers, a one-dimensional fiber,
+    no common z) can fire only on a last shadow that is zero or singular,
+    and `ci_smooth_j` refuses those first."""
     p = field.p
     pts = list(islice(_incidence_points_mod_p(field, c1, c2), _PREFIX))
     if len(pts) < _PREFIX and len(pts) != count:
         raise AssertionError("the incidence points ended before the point count")
-    return _plane_of_rows(field, (_path_values([_coords(p, i) for i in pt]) for pt in pts))
+    return _plane(field, [_path_values([_coords(p, i) for i in pt]) for pt in pts])

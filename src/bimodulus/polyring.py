@@ -585,19 +585,21 @@ def linear_resultant(f1, f2, block):
     return A1 * B2 - A2 * B1
 
 
+def _quartic_ij(q):
+    """The invariants I and J of the binary quartic [a0, ..., a4], in the
+    ring of its coefficients: field elements, or ints, which a caller may
+    reduce mod p."""
+    a0, a1, a2, a3, a4 = q
+    I = 12 * a0 * a4 - 3 * a1 * a3 + a2 * a2
+    J = (72 * a0 * a2 * a4 - 27 * a0 * a3 * a3 - 27 * a1 * a1 * a4
+         + 9 * a1 * a2 * a3 - 2 * a2 * a2 * a2)
+    return I, J
+
+
 def quartic_invariants(field, q):
     if len(q) != 5:
         raise ValidationError("need a binary quartic")
-    a0, a1, a2, a3, a4 = (field.coerce(x) for x in q)
-    i_inv = 12 * a0 * a4 - 3 * a1 * a3 + a2 * a2
-    j_inv = (
-        72 * a0 * a2 * a4
-        - 27 * a0 * a3 * a3
-        - 27 * a1 * a1 * a4
-        + 9 * a1 * a2 * a3
-        - 2 * a2 * a2 * a2
-    )
-    return i_inv, j_inv
+    return _quartic_ij([field.coerce(x) for x in q])
 
 
 def j_from_quartic(field, q):

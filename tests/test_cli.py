@@ -204,6 +204,26 @@ def test_the_roundtrip_at_large_primes_within_a_cpu_budget(prime):
     assert (trip["points"] - prime - 1) ** 2 <= 4 * prime
     if prime == 1000003:
         assert trip == {"j": "440618 mod 1000003", "points": 1000799, "stable_reps_checked": 4}
+    else:
+        assert trip == {"j": "1459955389145647174 mod 2305843009213693951",
+                        "points": 2305843007556666894, "stable_reps_checked": 4}
+
+
+def test_a_roundtrip_prime_above_the_ceiling_is_exit_2_at_once(capsys, tmp_path):
+    # at 2^64 + 13 the two point counts alone took about a second; the
+    # child's process time here is mostly its start
+    prime = 2 ** 64 + 13
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    code, rep = run_child(["roundtrip", "--prime", str(prime)])
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 0.5
+    assert code == 2 and rep["type"] == "validation" and "2^64" in rep["error"]
+    # an instance over that prime is refused the same way
+    body = generated_body(capsys, "smooth-bimodule-chi2", "--prime", str(prime))
+    start = time.process_time()
+    code, rep = run_on(capsys, tmp_path, "roundtrip", body)
+    assert time.process_time() - start < 0.5
+    assert code == 2 and rep["type"] == "validation" and "2^64" in rep["error"]
 
 
 def test_cech(capsys, files):

@@ -675,3 +675,10 @@ def test_point_rows_over_q_are_positive_multiples_of_the_value_rows():
             factor = is_multiple(g, w)
             assert factor is not None and factor > 0
         assert rref(QQ, got) == rref(QQ, want)
+    # over F_{p^2} the coordinates are taken as they are
+    F25 = QuadExtField(PrimeField(5))
+    for _ in range(20):
+        monos = monomial_basis((rng.randint(0, 4), rng.randint(0, 4)))
+        points = [tuple((F25.random(rng), F25.random(rng)) for _ in range(2))
+                  for _ in range(rng.randint(1, 5))]
+        assert linebundles._eval_rows(F25, points, monos) == value_rows(F25, points, monos)

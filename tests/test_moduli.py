@@ -397,17 +397,17 @@ def test_each_eliminating_order_gives_the_shadow_of_its_block(p, monkeypatch):
     # ci_smooth_j reads shadow `block` off the relation tensors permuted by
     # _ELIMINATING[block]: that grid must be, up to a nonzero factor, the
     # coefficients of linear_resultant(c1, c2, block), and it must be the
-    # grid ci_smooth_j hands to residue_j for that shadow
+    # grid ci_smooth_j hands to grid_j for that shadow
     F = PrimeField(p)
     rng = random.Random(2528 + p)
     passed = []
-    real_j = moduli.residue_j
+    real_j = moduli.grid_j
 
-    def recorded(q, grid):
-        passed.append([[v % q for v in row] for row in grid])
-        return real_j(q, grid)
+    def recorded(field, grid):
+        passed.append([[v % p for v in row] for row in grid])
+        return real_j(field, grid)
 
-    monkeypatch.setattr(moduli, "residue_j", recorded)
+    monkeypatch.setattr(moduli, "grid_j", recorded)
     pairs = 0
     while pairs < 6:
         try:
@@ -416,7 +416,7 @@ def test_each_eliminating_order_gives_the_shadow_of_its_block(p, monkeypatch):
         except (DegenerateInstance, SpecialPosition):
             continue
         pairs += 1
-        t1, t2 = moduli._residue_tensor(F, c1), moduli._residue_tensor(F, c2)
+        t1, t2 = moduli._tensor(c1), moduli._tensor(c2)
         grids = []
         for block, order in enumerate(moduli._ELIMINATING):
             grid = [[v % p for v in row] for row in moduli._fiber_coefficients(
@@ -775,14 +775,19 @@ def test_an_unstable_all_nonzero_class_fails_every_trip(name, monkeypatch):
     assert trips >= 3
 
 
-@pytest.mark.parametrize("name", ["F5", "F7", "F11", "F101", "F1009"])
+@pytest.mark.parametrize("name", ["F5", "F7", "F11", "F101", "F1009", "F25", "Q"])
 def test_shadow_j_on_residues_is_the_shadow_forms_j(name):
-    # zero and singular shadows send the pair the form way, so the failure
-    # is the same as well
-    F = FIELDS[name]
+    # the shadows' grids are residues over F_p and field elements over Q
+    # and F_{p^2}; zero and singular shadows are built as forms to word the
+    # failure, so it is the same as well
+    F = QQ if name == "Q" else FIELDS[name]
     rng = random.Random(name)
     pairs = [factored_pair(F, rng, blocks) for blocks in [(0,), (1,), (2,), (0, 1), (1, 2)]]
     pairs += [random_pair(F, rng, density) for density in (0.3, 0.5, 1.0) for _ in range(20)]
+    # entries in {0, 1, -1, 2}: over Q random entries rarely give a
+    # singular shadow
+    small = ([[rng.choice((0, 1, -1, 2)) for _ in range(8)] for _ in range(2)] for _ in range(40))
+    pairs += [relations_to_ci(F, vecs) for vecs in small if all(any(v) for v in vecs)]
     seen = set()
     for c1, c2 in pairs:
         got = failure(ci_smooth_j, c1, c2)

@@ -30,8 +30,11 @@ products of sections vanish doubly there.  Then `cech --in` on the edited
 doubled-member sheaves with a divisor (`divisor-{0..3}.json` of `EDITED`).
 Last, `generate quadruple` at the primes 1000003 and 2^61 - 1, seeds 0-3
 (both components occur), and `psi --in` on each (`WORD_SIZE_PRIMES`), so
-that products of sections run with residues near the word size.
-547 commands in all, and every command of the CLI among them.
+that products of sections run with residues near the word size.  Last,
+`classify --in` on the lifted smooth chi = 2 members at `--prime` 5, 7
+and 11, seeds 0-1, with every scalar "[v,0]" rewritten to "[v,1]"
+(`off_base_field`), so that their coefficients leave F_p.
+553 commands in all, and every command of the CLI among them.
 """
 
 from __future__ import annotations
@@ -125,6 +128,13 @@ def lift_to_fp2(body):
     return lifted
 
 
+def off_base_field(body):
+    """The member of a lifted instance as a member instance whose every
+    coefficient [v,0] becomes [v,1], v + sqrt(d), off the base field."""
+    text = re.sub(r'"\[(-?\d+),0\] mod', r'"[\1,1] mod', json.dumps(body["curve"]))
+    return {"type": "member", "field": body["field"], "f": json.loads(text)}
+
+
 def run(argv):
     """(exit code, stdout) of one in-process CLI run."""
     out = io.StringIO()
@@ -212,6 +222,14 @@ def main_digest():
                 path = Path(tmp) / name
                 path.write_text(json.dumps(body))
                 emit(["psi", "--in", name], *run(["psi", "--in", str(path)]))
+        for prime in (5, 7, 11):
+            for seed in range(2):
+                _, _, body = generated_body(
+                    ["generate", "smooth-bimodule-chi2", "--prime", str(prime), "--seed", str(seed)])
+                name = f"member-{prime}x{prime}-{seed}-off-base.json"
+                path = Path(tmp) / name
+                path.write_text(json.dumps(off_base_field(lift_to_fp2(body))))
+                emit(["classify", "--in", name], *run(["classify", "--in", str(path)]))
 
 
 if __name__ == "__main__":
