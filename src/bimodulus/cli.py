@@ -60,8 +60,10 @@ from .quivers import (
 )
 
 # the largest --count each command takes: a trip costs milliseconds at
-# small p and under a second at p = 2^61 - 1, a Hochschild row nothing
-COUNT_CEILINGS = {"roundtrip": 100, "hochschild": 10_000}
+# small p and under a second at p = 2^61 - 1, a McKay draw about a
+# millisecond, a generated instance up to about 0.15 s (a quadruple over
+# Q), a Hochschild row nothing
+COUNT_CEILINGS = {"roundtrip": 100, "hochschild": 10_000, "mckay": 1000, "generate": 50}
 
 
 def _field_for(args):
@@ -166,8 +168,6 @@ def cmd_ext(args):
 
 def cmd_hochschild(args):
     top = 6 if args.count is None else args.count
-    if top < 0:
-        raise ValidationError("--count must be nonnegative")
     rows = []
     for d in range(top + 1):
         h1, h2, h3, alt = hochschild_dims(d)
@@ -472,6 +472,8 @@ def main(argv=None):
     try:
         args = PARSER.parse_args(argv)
         _field_for(args)  # reject unusable characteristics up front
+        if args.count is not None and args.count < 0:
+            raise ValidationError("--count must be nonnegative")
         limit = COUNT_CEILINGS.get(args.command)
         if limit is not None and args.count is not None and args.count > limit:
             raise ValidationError(f"--count {args.count} is above the ceiling of {limit} "

@@ -13,7 +13,7 @@ checkable on random instances:
   relations_to_ci, incidence curves, and the j-matching checks
   incidence_points            rational points of the incidence curve (finite
                               fields): the last shadow's points, each lifted
-                              to its third coordinate
+                              to its third coordinate, in one stream
   relations_through_points    the relation plane back from those points
   phi_inverse   quadruple -> re-embedded member plus sheaf, inverse to phi
 
@@ -23,13 +23,14 @@ incidence points are the points (x, y) of the last shadow, each with the
 common zero z of the two relations there, and the relation plane is the
 left kernel of the path monomials at those points, taken at their grid
 coordinates (`curves.integer_point`) on every field, one `kernel_basis`
-(`_plane`).  Over a prime field F_p the points come from int residues in
-[0, p), in one pass over x with 2x2 contractions, and field elements are
-built only for the output.  The round trip over F_p visits no more than
-16 of these points: it counts them with `curves.point_count` of the
-member, checked against the count of the last shadow and the Hasse
-bound, and takes the plane from the first 16 of the stream of
-`p1_points` index triples.  Every j it compares is read off a grid
+(`_plane`).  One stream serves every finite field (`_incidence_stream`):
+one pass over x with 2x2 contractions, on field elements over F_{p^2}
+and on residues in [0, p) over F_p, where field elements are built only
+for the output of `incidence_points`.  The round trip takes the plane
+from the first 16 of these points.  It counts them over F_p with
+`curves.point_count` of the member, checked against the count of the
+last shadow, and over F_{p^2} by reading the rest of the stream; on both
+the count must meet the Hasse bound.  Every j it compares is read off a grid
 (`curves.grid_j`), the member's from its terms and each shadow's from
 the relation tensors, so no smooth shadow is built as a form.  The
 re-embedded member of `phi_inverse` is the shadow that forgets the
@@ -55,23 +56,23 @@ SpecialPosition; callers redraw.  Everything else is exact.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice, repeat
 
 from .curves import (
     coefficient_grid,
-    enumerate_points,
     grid_j,
     grid_modulus,
     integer_point,
     kodaira_classify,
     member_j,
     normalize_point,
+    p1_points,
     point_count,
     random_smooth_22,
     residue_roots,
 )
 from .errors import DegenerateInstance, SpecialPosition, ValidationError
-from .exactmath import FpElt, PrimeField, kernel_basis, reduce_modulo, rref, subspace_equal, sum_prod
+from .exactmath import kernel_basis, reduce_modulo, rref, subspace_equal
 from .linebundles import (
     Curve,
     LineBundle,
@@ -82,7 +83,7 @@ from .linebundles import (
     section_zero_points,
     sections_through,
 )
-from .polyring import MultiPoly, linear_resultant
+from .polyring import MultiPoly, bf_rational_roots, linear_resultant
 from .quivers import generic_member_quiver, middle_member_quiver, theta_stable
 
 
@@ -316,92 +317,83 @@ def _fiber_coefficients(t1, t2):
 
 def incidence_points(c1, c2):
     """Rational points of the incidence curve in the triple product, x-major
-    with y in `p1_points` order.  Finite fields only.
+    with y in `p1_points` order, as field elements.  Finite fields only: the
+    points of `_incidence_stream`."""
+    field = c1.field
+    return [tuple(tuple(map(field.coerce, c)) for c in pt)
+            for pt in _incidence_stream(field, c1, c2)]
+
+
+def _line(field):
+    """The points of P1 in `p1_points` order and `integer_point`'s
+    convention: over F_p a lazy stream of residue pairs (i, 1), then (1, 0)."""
+    p = grid_modulus(field)
+    return chain(zip(range(p), repeat(1)), [(1, 0)]) if p else p1_points(field)
+
+
+def _incidence_stream(field, c1, c2):
+    """The rational points of the incidence curve as a stream of coordinate
+    triples in `integer_point`'s convention (residues over F_p, field
+    elements over F_{p^2}), each coordinate normalized as in `p1_points`,
+    x-major with y in `p1_points` order.
 
     The points (x, y) of the last shadow, which eliminates z, each with the
-    common zero z of the two relations there; a zero shadow means that the
-    relations share a linear factor.  Over F_p the same points come from
-    one pass over x on residues in [0, p): contracting relation i with x
-    leaves the 2x2 matrix M_i(x) = x_0 T_i0 + x_1 T_i1, the shadow's fiber
-    over x is the binary quadratic det[y^T M_1(x); y^T M_2(x)], whose three
-    coefficients in x are computed once, and a fiber is contracted only
-    when it carries points."""
-    field = c1.field
+    common zero z of the two relations there, in one pass over x.
+    Contracting relation i with x leaves the 2x2 matrix
+    M_i(x) = x_0 T_i0 + x_1 T_i1, the shadow's fiber over x is the binary
+    quadratic det[y^T M_1(x); y^T M_2(x)], whose three coefficients in x are
+    computed once, and a fiber is contracted only when it carries points.
+    A shadow zero on three x-fibers is zero: the relations share a linear
+    factor.  Over F_p the line is streamed too, so nothing grows with p."""
     if not field.characteristic:
         raise ValidationError("point enumeration needs a finite field")
-    if isinstance(field, PrimeField):
-        p = field.p
-        one, zero = FpElt(p, 1), FpElt(p, 0)
-
-        def point(i):
-            return (FpElt(p, i), one) if i < p else (one, zero)
-
-        return [tuple(map(point, pt)) for pt in _incidence_points_mod_p(field, c1, c2)]
-    t1, t2 = _tensor(c1), _tensor(c2)
-    shadow = linear_resultant(c1, c2, 2)
-    if shadow.is_zero():
-        raise DegenerateInstance("relations share a linear factor")
-    pts = []
-    for x, y in enumerate_points(shadow):
-        # entries k, k+2, k+4, k+6 of a tensor multiply z_k by x_0 y_0,
-        # x_0 y_1, x_1 y_0 and x_1 y_1
-        xy = [xi * yj for xi in x for yj in y]
-        v1, v2 = ([sum_prod(xy, t[k::2]) for k in (0, 1)] for t in (t1, t2))
-        if not any(v1) and not any(v2):
-            raise DegenerateInstance("incidence curve has a one-dimensional fiber")
-        # common zero of u0 z0 + u1 z1: direction (u1, -u0)
-        u = v1 if any(v1) else v2
-        z = normalize_point(field, (u[1], -u[0]))
-        if any(v2) and (v2[0] * z[0] + v2[1] * z[1]):
-            raise AssertionError("shadow point without a common third coordinate")
-        pts.append((x, y, z))
-    return pts
-
-
-def _coords(p, i):
-    """Residue coordinates of the point with index i in `p1_points` order:
-    (i, 1) for i < p, then (1, 0)."""
-    return (i, 1) if i < p else (1, 0)
-
-
-def _incidence_points_mod_p(field, c1, c2):
-    """`incidence_points` over F_p, on residues, as a stream of `p1_points`
-    index triples (ix, iy, iz); the same checks in the same order."""
-    p = field.p
+    p = grid_modulus(field)
+    one, zero = integer_point(field, (1, 0))
+    if not p:
+        position = {pt: i for i, pt in enumerate(_line(field))}
     t1, t2 = _tensor(c1), _tensor(c2)
     s00, s01, s11 = _fiber_coefficients(t1, t2)
     zero_fibers = 0
-    for ix in range(p + 1):
-        x0, x1 = _coords(p, ix)
+    for x0, x1 in _line(field):
         w0, w1, w2 = x0 * x0, x0 * x1, x1 * x1
-        q = [(w0 * u + w1 * v + w2 * w) % p for u, v, w in zip(s00, s01, s11)]
+        q = [w0 * u + w1 * v + w2 * w for u, v, w in zip(s00, s01, s11)]
+        if p:
+            q = [c % p for c in q]
         if not any(q):
-            # a (2,2) shadow vanishing on three x-fibers is zero
             zero_fibers += 1
             if zero_fibers == 3:
                 raise DegenerateInstance("relations share a linear factor")
-            ys = range(p + 1)
+            ys = _line(field)
+        elif p:
+            ys = [(i, one) if i < p else (one, zero) for i in sorted(residue_roots(field, q) or ())]
         else:
-            ys = sorted(residue_roots(field, q) or ())
+            roots = {normalize_point(field, r) for r, _ in bf_rational_roots(field, q) or ()}
+            ys = sorted(roots, key=position.get)
         if not ys:
             continue
         a, b, c, d = [x0 * u + x1 * v for u, v in zip(t1[:4], t1[4:])]
         e, f, g, h = [x0 * u + x1 * v for u, v in zip(t2[:4], t2[4:])]
-        for iy in ys:
-            y0, y1 = _coords(p, iy)
+        for y0, y1 in ys:
             # the relations at (x, y): u0 z0 + u1 z1 and v0 z0 + v1 z1
-            u0, u1 = (a * y0 + c * y1) % p, (b * y0 + d * y1) % p
-            v0, v1 = (e * y0 + g * y1) % p, (f * y0 + h * y1) % p
+            u0, u1 = a * y0 + c * y1, b * y0 + d * y1
+            v0, v1 = e * y0 + g * y1, f * y0 + h * y1
+            if p:
+                u0, u1, v0, v1 = u0 % p, u1 % p, v0 % p, v1 % p
             if not (u0 or u1):
                 if not (v0 or v1):
                     raise DegenerateInstance("incidence curve has a one-dimensional fiber")
                 u0, u1 = v0, v1
             # common zero of u0 z0 + u1 z1: direction (u1, -u0)
-            iz = -u1 * pow(u0, -1, p) % p if u0 else p
-            z0, z1 = _coords(p, iz)
-            if (v0 * z0 + v1 * z1) % p:
+            if not u0:
+                z0, z1 = one, zero
+            elif p:
+                z0, z1 = -u1 * pow(u0, -1, p) % p, one
+            else:
+                z0, z1 = -u1 / u0, one
+            w = v0 * z0 + v1 * z1
+            if w % p if p else w:
                 raise AssertionError("shadow point without a common third coordinate")
-            yield ix, iy, iz
+            yield (x0, x1), (y0, y1), (z0, z1)
 
 
 def recover_relations_from_ci(c1, c2):
@@ -557,11 +549,16 @@ def roundtrip0(U, sample_reps=4):
     points and min(points, `sample_reps`), the representations the report
     vouches for; one verdict covers them all.
 
-    Over F_p the points are counted without being visited: `point_count`
-    of the member, which must equal that of the last shadow (the incidence
-    curve's isomorphic image) and meet the Hasse bound; the plane comes
-    from the first points of the stream (`_incidence_pass_mod_p`).  Over
-    F_{p^2} every incidence point is enumerated and used."""
+    The plane is the kernel of the path rows of the first `_PREFIX`
+    points of `_incidence_stream` (`_plane`).  Over F_p the points are
+    counted without being visited: `point_count` of the member, which must
+    equal that of the last shadow (the incidence curve's isomorphic image);
+    over F_{p^2} the count is the length of the stream.  On every field the
+    count must meet the Hasse bound, and a stream that ends before
+    `_PREFIX` points must have given all of them.  The stream's own checks
+    (three zero fibers, a one-dimensional fiber, no common z) can fire only
+    on a last shadow that is zero or singular, and `ci_smooth_j` refuses
+    those first."""
     curve = U.curve
     field = curve.field
     quad = phi(U)
@@ -571,21 +568,25 @@ def roundtrip0(U, sample_reps=4):
     j_shadows = ci_smooth_j(c1, c2)
     if j_shadows != j_member:
         raise AssertionError("shadow j differs from the member j")
-    if isinstance(field, PrimeField):
-        p = field.p
+    stream = _incidence_stream(field, c1, c2)
+    pts = list(islice(stream, _PREFIX))
+    p = grid_modulus(field)
+    if p:
         count = point_count(p, coefficient_grid(curve.f))
         # the grid of the last shadow, which eliminates z
         shadow = _fiber_coefficients(_tensor(c1), _tensor(c2))
         if point_count(p, shadow) != count:
             raise AssertionError("the last shadow and the member differ in point count")
-        if (count - p - 1) ** 2 > 4 * p:
-            raise AssertionError("point count outside the Hasse bound")
-        _require_enough_points(count)
-        recovered = _incidence_pass_mod_p(field, c1, c2, count)
     else:
-        pts = incidence_points(c1, c2)
-        recovered = relations_through_points(field, pts)
-        count = len(pts)
+        count = len(pts) + sum(1 for _ in stream)
+    # F_p and F_{p^2} are the finite fields built here
+    q = p or field.characteristic ** 2
+    if (count - q - 1) ** 2 > 4 * q:
+        raise AssertionError("point count outside the Hasse bound")
+    _require_enough_points(count)
+    if len(pts) < _PREFIX and len(pts) != count:
+        raise AssertionError("the incidence points ended before the point count")
+    recovered = _plane(field, [_path_values(pt) for pt in pts])
     if not subspace_equal(field, recovered, relations):
         raise AssertionError("recovered relations differ from the computed ones")
     # King stability reads only which arrows are nonzero, the two arrows of
@@ -602,22 +603,6 @@ def roundtrip0(U, sample_reps=4):
     }
 
 
-# incidence points that `roundtrip0` reads over F_p: seven distinct points
-# pin the relation plane (`_require_enough_points`)
+# incidence points that `roundtrip0` reads: seven distinct points pin the
+# relation plane (`_require_enough_points`)
 _PREFIX = 16
-
-
-def _incidence_pass_mod_p(field, c1, c2, count):
-    """The relation plane over F_p from the first `_PREFIX` points of
-    `_incidence_points_mod_p`, for an incidence curve of `count` points.
-
-    A stream that ends sooner has given every point, so it must have given
-    `count`.  The plane is the kernel of the points' path rows (`_plane`).
-    The stream's own checks (three zero fibers, a one-dimensional fiber,
-    no common z) can fire only on a last shadow that is zero or singular,
-    and `ci_smooth_j` refuses those first."""
-    p = field.p
-    pts = list(islice(_incidence_points_mod_p(field, c1, c2), _PREFIX))
-    if len(pts) < _PREFIX and len(pts) != count:
-        raise AssertionError("the incidence points ended before the point count")
-    return _plane(field, [_path_values([_coords(p, i) for i in pt]) for pt in pts])

@@ -2,12 +2,11 @@
 
 A ``MultiPoly`` is homogeneous of a fixed degree in each of 1--3 blocks of two
 variables.  Exponent tuples concatenate the per-block exponents, so a
-bidegree-(2,2) form on P1 x P1 stores keys like (2,0,1,1).  Over F_p the
-product of two forms is one product of integers (Kronecker substitution,
-`residue_product`): each form is packed as an int with one fixed-width slot
-per monomial of the product's degree, numbered in `monomial_basis` order,
-and the product's coefficients are read back off the slots, so field
-elements are made only of its coefficients.
+bidegree-(2,2) form on P1 x P1 stores keys like (2,0,1,1).  The product of
+two forms is the schoolbook sum over pairs of terms on every field.  Over
+F_p, a product of polynomials given by residues can be one product of
+integers (Kronecker substitution, `residue_product`), which the products
+of sections modulo a member use (`linebundles.NormalForm.product`).
 
 Binary forms (one block) double as plain coefficient lists
 ``[c0, ..., cd]`` meaning ``sum c[i] * x0^(d-i) * x1^i``; the ``bf_*`` /
@@ -22,7 +21,7 @@ from math import prod
 from operator import add
 
 from .errors import SpecialPosition, ValidationError
-from .exactmath import FpElt, PrimeField, QuadExtField, scalar_from_json, scalar_to_json
+from .exactmath import QuadExtField, scalar_from_json, scalar_to_json
 
 
 def monomial_basis(degree):
@@ -171,30 +170,13 @@ class MultiPoly:
                 raise ValidationError("block-count mismatch in product")
             F = self.field
             deg = tuple(map(add, self.degree, other.degree))
-            if isinstance(F, PrimeField) and other.field == F:
-                # slots numbered mixed-radix by the second exponents, block
-                # by block: the index of a monomial in monomial_basis(deg)
-                radices = [d + 1 for d in deg]
-                factors = []
-                for f in (self, other):
-                    slotted = []
-                    for e, c in f.terms.items():
-                        slot = 0
-                        for k, r in zip(e[1::2], radices):
-                            slot = slot * r + k
-                        slotted.append((slot, c.v))
-                    factors.append(slotted)
-                p = F.p
-                coefs = residue_product(p, factors, prod(radices))
-                t = {e: FpElt(p, c) for e, c in zip(monomial_basis(deg), coefs) if c % p}
-            else:
-                t = {}
-                for e1, c1 in self.terms.items():
-                    for e2, c2 in other.terms.items():
-                        e = tuple(map(add, e1, e2))
-                        c = c1 * c2
-                        t[e] = t[e] + c if e in t else c
-                t = {e: c for e, c in t.items() if c}
+            t = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = tuple(map(add, e1, e2))
+                    c = c1 * c2
+                    t[e] = t[e] + c if e in t else c
+            t = {e: c for e, c in t.items() if c}
             out = MultiPoly.zero(F, deg)
             out.terms = t
             return out

@@ -183,6 +183,13 @@ def test_a_count_above_the_ceiling_is_exit_2_at_once(capsys, command):
         assert code == 0 and len(rep["rows"]) == limit + 1
 
 
+def test_a_negative_count_is_exit_2_on_every_command(capsys):
+    for command in COMMANDS:
+        code, rep = run(capsys, command, "--count", "-1")
+        assert code == 2 and rep == {"error": "--count must be nonnegative",
+                                     "type": "validation"}, command
+
+
 def run_child(argv, cpu_seconds=10):
     """`bimodulus argv` as a child process that caps its own CPU time:
     its exit code and its JSON report."""

@@ -642,9 +642,9 @@ def failure(fn, *args):
 @pytest.mark.parametrize("name,seeds", [("F5", 100), ("F7", 100), ("F11", 100), ("F13", 100),
                                         ("F25", 30), ("F101", 40), ("F1009", 40)])
 def test_the_streamed_roundtrip_is_the_listed_one(name, seeds):
-    # the trip on a stream of residue points and the element-wise one with
-    # its points in a list give the same report or the same failure; F_25
-    # takes the trip's element-wise branch
+    # the trip on the point stream and the element-wise one with its points
+    # in a list give the same report or the same failure; over F_25 the
+    # stream runs on field elements
     F = FIELDS[name]
     reports = 0
     for seed in range(seeds):
@@ -658,8 +658,7 @@ def test_the_streamed_roundtrip_is_the_listed_one(name, seeds):
     assert reports >= seeds // 10
 
 
-def streamed_datum(p, seed):
-    F = PrimeField(p)
+def streamed_datum(F, seed):
     rng = random.Random(seed)
     while True:
         _, U = random_sheaf_datum(F, rng)
@@ -671,10 +670,13 @@ def streamed_datum(p, seed):
 
 
 def off_curve(pt, p):
-    """The index triple of a point off the incidence curve over the same
-    (x, y): a fiber of the curve meets the z-line once."""
-    ix, iy, iz = pt
-    return ix, iy, (iz + 1) % (p + 1)
+    """The point over the same (x, y) with the next z in the stream's grid
+    coordinates (residues mod p, or field elements when p is 0): off the
+    incidence curve, since a fiber of the curve meets the z-line once."""
+    x, y, (z0, z1) = pt
+    if not z1:
+        return x, y, (z1, z0)
+    return x, y, ((z0 + 1) % p if p else z0 + 1, z1)
 
 
 def raising(pts):
@@ -703,11 +705,11 @@ STREAM_EDITS = {
 @pytest.mark.parametrize("edit", sorted(STREAM_EDITS))
 def test_the_roundtrip_reads_the_first_sixteen_incidence_points(edit, monkeypatch):
     p = 101
-    U = streamed_datum(p, 11)
+    U = streamed_datum(PrimeField(p), 11)
     report = roundtrip0(U, 10 ** 9)
-    real = moduli._incidence_points_mod_p
+    real = moduli._incidence_stream
     change, want = STREAM_EDITS[edit]
-    monkeypatch.setattr(moduli, "_incidence_points_mod_p",
+    monkeypatch.setattr(moduli, "_incidence_stream",
                         lambda field, c1, c2: change(list(real(field, c1, c2)), p))
     assert failure(roundtrip0, U, 10 ** 9) == (report if want is None else want)
 
@@ -719,8 +721,7 @@ def test_the_streamed_roundtrip_defers_its_failures_as_the_listed_one(edit, unst
     # whole stream the trip fails on an unstable verdict as the listed one
     # does, and on a stream that ends before the member's point count it
     # fails on the count whatever the verdict
-    p = 101
-    U = streamed_datum(p, 11)
+    U = streamed_datum(PrimeField(101), 11)
     if unstable:
         monkeypatch.setattr(moduli, "theta_stable", lambda quiver, maps: False)
         monkeypatch.setattr(oracles, "theta_stable", lambda quiver, maps: False)
@@ -730,9 +731,9 @@ def test_the_streamed_roundtrip_defers_its_failures_as_the_listed_one(edit, unst
         assert whole == (AssertionError, "incidence point carries an unstable representation")
     else:
         assert isinstance(whole, dict)
-    real = moduli._incidence_points_mod_p
+    real = moduli._incidence_stream
     kept = {"six points": 6, "seven points": 7}[edit]
-    monkeypatch.setattr(moduli, "_incidence_points_mod_p",
+    monkeypatch.setattr(moduli, "_incidence_stream",
                         lambda field, c1, c2: list(real(field, c1, c2))[:kept])
     assert failure(roundtrip0, U, 10 ** 9) == (
         AssertionError, "the incidence points ended before the point count")
@@ -747,7 +748,7 @@ def test_the_streamed_roundtrip_defers_its_failures_as_the_listed_one(edit, unst
 def test_the_roundtrip_checks_its_point_counts(counts, message, monkeypatch):
     # point_count is called on the member, then on the last shadow; at
     # p = 101 the Hasse interval is [82, 122]
-    U = streamed_datum(101, 11)
+    U = streamed_datum(PrimeField(101), 11)
     given = iter(counts)
     monkeypatch.setattr(moduli, "point_count", lambda p, grid: next(given))
     got = failure(roundtrip0, U)
@@ -755,6 +756,40 @@ def test_the_roundtrip_checks_its_point_counts(counts, message, monkeypatch):
         assert got["points"] == 122
     else:
         assert got == (AssertionError, message)
+
+
+def edited_stream(edit):
+    """A stand-in for `moduli._incidence_stream` that streams the edited list
+    of the real stream's points."""
+    real = moduli._incidence_stream
+    return lambda field, c1, c2: iter(edit(list(real(field, c1, c2))))
+
+
+def test_the_roundtrip_over_f25_reads_the_shared_stream(monkeypatch):
+    # the trip over F_{p^2} takes its plane from the same stream as over
+    # F_p: a first point moved off the curve leaves no plane
+    U = streamed_datum(FIELDS["F25"], 0)
+    monkeypatch.setattr(moduli, "_incidence_stream",
+                        edited_stream(lambda pts: [off_curve(pts[0], 0)] + pts[1:]))
+    assert failure(roundtrip0, U) == (
+        DegenerateInstance, "point conditions did not cut the relation plane")
+
+
+@pytest.mark.parametrize("total", [36, 37])
+def test_the_roundtrip_over_f25_checks_the_hasse_bound(total, monkeypatch):
+    # over F_{p^2} the count is the length of the stream, and at q = 25 the
+    # Hasse interval is [16, 36]: a stream padded with repeats of its first
+    # point to 36 points meets it, and to 37 points does not
+    U = streamed_datum(FIELDS["F25"], 0)
+    report = roundtrip0(U)
+    assert report["points"] < 36
+    monkeypatch.setattr(moduli, "_incidence_stream",
+                        edited_stream(lambda pts: pts + pts[:1] * (total - len(pts))))
+    got = failure(roundtrip0, U)
+    if total == 36:
+        assert got == dict(report, points=36)
+    else:
+        assert got == (AssertionError, "point count outside the Hasse bound")
 
 
 @pytest.mark.parametrize("name", ["F7", "F25", "F101", "F1009"])

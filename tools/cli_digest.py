@@ -33,8 +33,11 @@ Last, `generate quadruple` at the primes 1000003 and 2^61 - 1, seeds 0-3
 that products of sections run with residues near the word size.  Last,
 `classify --in` on the lifted smooth chi = 2 members at `--prime` 5, 7
 and 11, seeds 0-1, with every scalar "[v,0]" rewritten to "[v,1]"
-(`off_base_field`), so that their coefficients leave F_p.
-553 commands in all, and every command of the CLI among them.
+(`off_base_field`), so that their coefficients leave F_p.  Last,
+`roundtrip --in` on the lifted smooth chi = 2 bundles at `--prime` 5, 7
+and 11, seeds 2-5 (`LIFTED_ROUNDTRIP_SEEDS`), so that more trips stream
+their incidence points over F_{p^2}.
+565 commands in all, and every command of the CLI among them.
 """
 
 from __future__ import annotations
@@ -107,6 +110,8 @@ USAGE_ERRORS = (["bogus"], ["split", "--prime", "abc"], ["split", "--bogus"])
 SHARED_SUPPORT = ((101, 5), (101, 7), (11, 5), (11, 7))
 # primes of the `generate quadruple` draws, seeds 0-3, run through `psi`
 WORD_SIZE_PRIMES = (1000003, 2305843009213693951)
+# seeds of the further lifted smooth chi = 2 bundles run through `roundtrip`
+LIFTED_ROUNDTRIP_SEEDS = range(2, 6)
 ON_EACH_LIFT = {
     "smooth-bimodule-chi2": ("classify", "split", "stability", "roundtrip"),
     "smooth-bimodule-chi1": ("classify", "split", "stability"),
@@ -230,6 +235,14 @@ def main_digest():
                 path = Path(tmp) / name
                 path.write_text(json.dumps(off_base_field(lift_to_fp2(body))))
                 emit(["classify", "--in", name], *run(["classify", "--in", str(path)]))
+        for prime in (5, 7, 11):
+            for seed in LIFTED_ROUNDTRIP_SEEDS:
+                _, _, body = generated_body(
+                    ["generate", "smooth-bimodule-chi2", "--prime", str(prime), "--seed", str(seed)])
+                name = f"smooth-bimodule-chi2-{prime}x{prime}-{seed}.json"
+                path = Path(tmp) / name
+                path.write_text(json.dumps(lift_to_fp2(body)))
+                emit(["roundtrip", "--in", name], *run(["roundtrip", "--in", str(path)]))
 
 
 if __name__ == "__main__":
