@@ -11,8 +11,9 @@ columns of degree <= N come first, so window N is its restriction to those
 leading columns, and the rank of window N after each block of rows is the
 number of pivots there.  The outer rows go in first, and the rank after
 them is what h1 needs, then the inner rows, and the rank after them is what
-h0 needs.  Over F_p the rows are residues, and over Q ints, each row up
-to a nonzero factor, which leaves every rank as it is.  Rank-1
+h0 needs.  The rows are in the field's representation (`ints`, see
+`exactmath`): over F_p residues, over Q ints, each row up to a positive
+factor, which leaves every rank as it is.  Rank-1
 torsion-free but non-invertible sheaves are kernels of a surjection onto
 the structure sheaf of a divisor D of the reduced locus; their
 Taylor-vanishing rows go last into the same elimination, in a window that
@@ -30,10 +31,9 @@ linebundles) exists so the tables can be checked against honest cohomology.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import ValidationError
-from .exactmath import PrimeField, RationalField, block_ranks
+from .exactmath import block_ranks
 from .linebundles import (
     LineBundle,
     is_twisted_v_pullback,
@@ -73,16 +73,11 @@ def _cech_rows(field, k, c, N, M):
 
     Returns {('f', e): row} for plain coefficients of z^e and ('u', e) rows.
     On its leading 4(N + 1) columns each row is the row of window N with
-    that key, or zero where window N has none.  The entries 1 and -1 are
-    ints, and over F_p so is -c, a residue: the echelon loops read ints as
-    they are.  Over Q the u-rows are multiplied by the denominator of c,
-    so every row is made of ints.
+    that key, or zero where window N has none.  The u-rows take 1 and -c
+    in the field's `ints` (over Q both times the denominator of c), the
+    f-rows the ints 1 and -1.
     """
-    neg_c, unit = -field.coerce(c), 1
-    if isinstance(field, PrimeField):
-        neg_c = neg_c.v
-    elif isinstance(field, RationalField):
-        neg_c, unit = neg_c.as_integer_ratio()
+    unit, neg_c = field.ints([1, -field.coerce(c)])
     P, Q, Pt, Qt = _columns(N, M)
     NE = M + abs(k) + 4
     rows = {}
@@ -117,33 +112,22 @@ def _dcond_rows(field, dfin, dinf, N, M):
     divisible by dfin(z), and the first dinf coefficients of Pt must vanish
     (multiplicity of D at infinity).  Row j of the first kind holds the z^j
     coefficients of z^i mod dfin for i <= M, up to a nonzero factor.  The
-    recurrence runs on residues over F_p, on field elements over a
-    quadratic extension, both with dfin made monic, and on ints over Q:
-    there dfin is made a primitive integer polynomial with leading
-    coefficient a > 0, and each step that reduces by it multiplies by a
-    (a pseudo-remainder), so column i holds a^s_i (z^i mod dfin) after s_i
-    such steps, and is multiplied by a^(s_M - s_i), which makes row j a^s_M
-    times its row of rationals.  Restricted to the leading 4(N + 1)
-    columns, these are the rows of window N, over Q up to a factor."""
+    recurrence runs on dfin made monic, in the field's `ints`.  Over Q that
+    is the primitive integer polynomial with leading coefficient a > 0, and
+    each step that reduces by it multiplies by a (a pseudo-remainder), so
+    column i holds a^s_i (z^i mod dfin) after s_i such steps, and is
+    multiplied by a^(s_M - s_i), which makes row j a^s_M times its row of
+    rationals.  Restricted to the leading 4(N + 1) columns, these are the
+    rows of window N, over Q up to a factor."""
     P, _, Pt, _ = _columns(N, M)
     rows = []
     dfin = uv_trim([field.coerce(x) for x in dfin]) if dfin else []
     degf = len(dfin) - 1 if dfin else 0
     if degf > 0:
-        lead, p = 1, None
-        if isinstance(field, PrimeField):
-            p = field.p
-            inv = pow(dfin[-1].v, -1, p)
-            dfin = [x.v * inv % p for x in dfin]
-        elif isinstance(field, RationalField):
-            den = lcm(*(x.denominator for x in dfin))
-            dfin = [x.numerator * (den // x.denominator) for x in dfin]
-            g = gcd(*dfin) if dfin[-1] > 0 else -gcd(*dfin)
-            dfin = [x // g for x in dfin]
-            lead = dfin[-1]
-        else:
-            inv = field.one() / dfin[-1]
-            dfin = [x * inv for x in dfin]
+        p = field.modulus
+        inv = field.one() / dfin[-1]
+        dfin = field.ints([x * inv for x in dfin])
+        lead = dfin[-1]
         cols, steps = [], []
         cur = [1] + [0] * (degf - 1)  # z^0 mod dfin
         s = 0

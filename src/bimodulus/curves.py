@@ -21,25 +21,25 @@ point of its key; the table keeps the fiber points found for each key
 drawn, so rational-point sampling builds and hashes field elements only
 on a key's first draw, and a try costs its generator calls and one
 lookup.  On every field a member is read through its coefficient grid
-(`coefficient_grid`): residues over F_p, over Q its coefficients with
-their denominators cleared, which scales the branch quartic's I^3 and
-4I^3 - J^2 alike, and over F_{p^2} its coefficients themselves.  A smooth
-member is recognized, and its j taken, from the grid's branch quartic
-(`grid_invariants`), and a fiber is restricted on the grid.  The same
-quartic counts a smooth member's points over F_p without visiting them
-(`point_count`): a character sum over the line up to p = 229, and above
-it the order of the Jacobian by baby-step giant-step.
+(`coefficient_grid`), its coefficients in the field's representation
+(`ints`, see `exactmath`); over Q that scales the branch quartic's I^3
+and 4I^3 - J^2 alike.  A smooth member is recognized, and its j taken,
+from the grid's branch quartic (`grid_invariants`), and a fiber is
+restricted on the grid.  The same quartic counts a smooth member's
+points over F_p without visiting them (`point_count`): a character sum
+over the line up to p = 229, and above it the order of the Jacobian by
+baby-step giant-step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 
 from .errors import SpecialPosition, ValidationError
-from .exactmath import FpElt, PrimeField, QuadExtField, RationalField, kernel_basis
+from .exactmath import QQ, QuadExtField, kernel_basis
 from .polyring import (
     MultiPoly,
     _quartic_ij,
@@ -109,7 +109,7 @@ def kodaira_classify(f):
     degrees of its `bf_gcd_chain`.
     """
     validate_22(f)
-    if grid_invariants(coefficient_grid(f), grid_modulus(f.field))[1]:
+    if grid_invariants(coefficient_grid(f), f.field.modulus)[1]:
         return "I0"
     disc = quadratic_discriminant(f, 1)
     validate_support(f)
@@ -130,27 +130,15 @@ def member_j(f, block=1):
     return j
 
 
-def grid_modulus(field):
-    """The modulus the grids over `field` are reduced by (`coefficient_grid`,
-    `integer_point`): p over F_p, and 0 (no reduction) over other fields."""
-    return field.p if isinstance(field, PrimeField) else 0
-
-
 def coefficient_grid(f, block=1):
     """The (2,2)-form f as a 3x3 grid, grid[a][b] its coefficient of
     u0^(2-a) u1^a v0^(2-b) v1^b, where v is the chosen block and u the
-    other: residues over F_p, over Q the coefficients times the lcm of
-    their denominators, so the grid is f times a positive factor, and the
-    coefficients themselves over F_{p^2}."""
-    field = f.field
-    terms, zero = f.terms.items(), field.zero()
-    if isinstance(field, PrimeField):
-        terms, zero = [(e, c.v) for e, c in terms], 0
-    elif isinstance(field, RationalField):
-        den = lcm(*(c.denominator for c in f.terms.values()))
-        terms, zero = [(e, c.numerator * (den // c.denominator)) for e, c in terms], 0
+    other, in the field's representation (`ints`): over Q the grid is f
+    times a positive factor, and reduced mod `modulus` where it is
+    nonzero."""
+    zero, *coeffs = f.field.ints([0, *f.terms.values()])
     grid = [[zero] * 3 for _ in range(3)]
-    for e, c in terms:
+    for e, c in zip(f.terms, coeffs):
         grid[e[3 - 2 * block]][e[2 * block + 1]] = c
     return grid
 
@@ -185,11 +173,11 @@ def grid_invariants(grid, p=0):
 
 def grid_j(field, grid):
     """j in `field` of the (2,2)-form whose grid over `field` is `grid`
-    (the `coefficient_grid` layout, residues over F_p): 6912 I^3 over
+    (the `coefficient_grid` layout, in the field's `ints`): 6912 I^3 over
     4I^3 - J^2 (`grid_invariants`), as `j_from_quartic` takes them.
     Scaling the form by t scales both by t^12, so j does not change.  None
     when 4I^3 - J^2 vanishes."""
-    cube, den = grid_invariants(grid, grid_modulus(field))
+    cube, den = grid_invariants(grid, field.modulus)
     if not den:
         return None
     return field.coerce(6912 * cube) / field.coerce(den)
@@ -492,20 +480,6 @@ def residue_roots(field, q):
     return [(-q1 + r) * inv % p, (-q1 - r) * inv % p]
 
 
-def integer_point(field, pt):
-    """Coordinates of a point of P1 as a `coefficient_grid` reads them:
-    residues over F_p, over Q the coordinates times the lcm of their
-    denominators, a positive factor, and the coordinates themselves over
-    F_{p^2}."""
-    if isinstance(field, PrimeField):
-        return tuple(field.coerce(c).v for c in pt)
-    if not isinstance(field, RationalField):
-        return tuple(map(field.coerce, pt))
-    (n0, d0), (n1, d1) = (field.coerce(c).as_integer_ratio() for c in pt)
-    den = lcm(d0, d1)
-    return n0 * (den // d0), n1 * (den // d1)
-
-
 def integer_roots(q):
     """`bf_rational_roots` of a nonzero binary quadratic [q0, q1, q2] of
     ints over Q, each root once and normalized as `normalize_point` makes
@@ -543,11 +517,10 @@ class FiberTable:
     roots are conjugate, or that the fiber lies in the member; the same
     records are kept by the draw key of each first-ruling fiber drawn
     through `drawn_points`.  A fiber is restricted on the grid of f
-    (`coefficient_grid`) at the fiber point's `integer_point` coordinates,
-    one way on every field, and solved by the field's own solver: on
-    residues over F_p, on ints with `isqrt` over Q (f with its
-    denominators cleared once, the point scaled to integer coordinates),
-    and on field elements over F_{p^2}.  When the caller knows the
+    (`coefficient_grid`) at the fiber point's coordinates in the field's
+    `ints`, one way on every field, and solved by the field's own solver:
+    on residues over F_p, on ints with `isqrt` over Q, and on field
+    elements over F_{p^2}.  When the caller knows the
     member to be smooth (`smooth`, as a Curve of type I0 does), every point
     on it is smooth, and a test only checks that the point is on the
     member.  Otherwise smoothness is read off the four chart partials of
@@ -597,11 +570,11 @@ class FiberTable:
 
     def _restrict(self, side, x):
         F = self.f.field
-        p = grid_modulus(F)
+        p = F.modulus
         # the fiber quadratic on the grid: the block fixed by x has degree
         # 2, so each term takes one of x0^2, x0 x1, x1^2 of x's grid
         # coordinates, a nonzero multiple of the quadratic of x
-        x0, x1 = integer_point(F, x)
+        x0, x1 = F.ints(x)
         t = (x0 * x0, x0 * x1, x1 * x1)
         q = [sum(map(mul, row, t)) for row in self._grids[side]]
         if p:
@@ -611,9 +584,9 @@ class FiberTable:
         if p:
             roots = residue_roots(F, q)
             one = F.one()
-            ys = None if roots is None else [(FpElt(p, i), one) if i < p else (one, F.zero())
+            ys = None if roots is None else [(F(i), one) if i < p else (one, F.zero())
                                              for i in roots]
-        elif isinstance(F, RationalField):
+        elif F == QQ:
             ys = integer_roots(q)
         else:
             roots = bf_rational_roots(F, q)

@@ -15,17 +15,23 @@ stream their elements.  A random element is drawn as a key of ints
 (``random_key``) and built from it (``of_key``), so a caller can keep
 what it computed for a draw by its key.
 
+Each field has one representation, the form the hot loops compute on:
+``ints(values)`` reads values through ``coerce``, so a foreign value
+raises ValidationError, as residues in [0, p) over F_p, over Q as ints,
+each value times the lcm of all their denominators (one positive
+factor), and as field elements over a quadratic extension.  ``modulus``
+is p over F_p and 0 on the others.
+
 All linear algebra is exact, and reduced forms, kernels and ranks are
-bit-reproducible across runs.  Elimination reads each entry once through
-the field's ``coerce`` into one of three representations, each with one
-row-echelon loop: residues in [0, p) over F_p, fraction-free primitive
-integer rows over Q, and field elements over a quadratic extension.  The
-loop clears each row at its leading column against the pivot rows keyed
-there; `sparse_rank` and `rank` count the pivot rows, and `rref` also runs
-its back substitution through the loop and builds field elements once, at
-exit.  Over F_p, ints are read as residues without `coerce`, and
-`reduce_modulo` reduces a vector against an echelon basis on residues,
-making field elements only of its result.
+bit-reproducible across runs.  Elimination reads each entry once into
+the field's representation, with one row-echelon loop each (over Q on
+fraction-free primitive integer rows).  The loop clears each row at its
+leading column against the pivot rows keyed there; `sparse_rank` and
+`rank` count the pivot rows, and `rref` also runs its back substitution
+through the loop and builds field elements once, at exit.  Over F_p,
+ints are read as residues without `coerce`, and `reduce_modulo` reduces
+a vector against an echelon basis on residues, making field elements
+only of its result.
 """
 
 from __future__ import annotations
@@ -83,6 +89,7 @@ class RationalField:
     """The field Q, backed by fractions.Fraction."""
 
     characteristic = 0
+    modulus = 0
 
     def __call__(self, n=0, d=1):
         return Fraction(n, d)
@@ -99,6 +106,13 @@ class RationalField:
         if isinstance(x, int):
             return Fraction(x)
         raise ValidationError(f"cannot coerce {x!r} into Q")
+
+    def ints(self, values):
+        """The values as ints, times the lcm of their denominators."""
+        pairs = [(x if x.__class__ in (Fraction, int) else self.coerce(x)).as_integer_ratio()
+                 for x in values]
+        den = lcm(*[d for _, d in pairs])
+        return [n * (den // d) for n, d in pairs]
 
     def random_key(self, rng):
         """The ints a random element is drawn as: (n, d) for n/d."""
@@ -246,19 +260,22 @@ class PrimeField:
             raise ValidationError(f"{p!r} is not prime")
         if p in (2, 3):
             raise ValidationError(f"characteristic {p} is not supported")
-        self.p = p
-        self.characteristic = p
+        self.p = self.modulus = self.characteristic = p
         self._nonresidue = None
         self._tonelli = None  # (q, s, c^q) with p - 1 = q 2^s, c a non-residue
 
     def __call__(self, n=0):
+        if n.__class__ is int:
+            return FpElt(self.p, n)
         if isinstance(n, FpElt):
             if n.p != self.p:
                 raise ValidationError("mixed prime fields")
             return n
-        if isinstance(n, Fraction):
+        if isinstance(n, (int, Fraction)):
             return FpElt(self.p, 0)._co(n)
-        return FpElt(self.p, n)
+        raise ValidationError(f"cannot coerce {n!r} into F_{self.p}")
+
+    coerce = __call__
 
     def zero(self):
         return FpElt(self.p, 0)
@@ -266,10 +283,12 @@ class PrimeField:
     def one(self):
         return FpElt(self.p, 1)
 
-    def coerce(self, x):
-        if isinstance(x, (FpElt, int, Fraction)):
-            return self(x)
-        raise ValidationError(f"cannot coerce {x!r} into F_{self.p}")
+    def ints(self, values):
+        """The residues of the values in [0, p)."""
+        p = self.p
+        return [x.v if x.__class__ is FpElt and x.p == p
+                else x % p if x.__class__ is int else self.coerce(x).v
+                for x in values]
 
     def elements(self):
         return (FpElt(self.p, v) for v in range(self.p))
@@ -458,6 +477,8 @@ class QEElt:
 class QuadExtField:
     """F(sqrt(d)); by default d is the smallest non-residue of a prime base."""
 
+    modulus = 0
+
     def __init__(self, base, d=None):
         self.base = base
         if d is None:
@@ -477,16 +498,17 @@ class QuadExtField:
             return x
         return QEElt(self, self.base.coerce(x), self.base.zero())
 
+    coerce = __call__
+
     def zero(self):
         return self(0)
 
     def one(self):
         return self(1)
 
-    def coerce(self, x):
-        if isinstance(x, QEElt):
-            return self(x)
-        return self(self.base.coerce(x))
+    def ints(self, values):
+        """The values as elements of the extension."""
+        return [self.coerce(x) for x in values]
 
     def elements(self):
         return (QEElt(self, a, b) for a in self.base.elements() for b in self.base.elements())
@@ -660,13 +682,11 @@ def reduce_modulo(field, red, pivots, vec):
     basis (as returned by rref); zero exactly when vec lies in their span.
     Rows built up one at a time also do, if each is 1 at its pivot and 0 at
     the pivots of the rows before it.  Over F_p the entries of vec are read
-    once (as `rref` reads them) and reduced as residues, and the result is
+    once, as the field's `ints`, and reduced as residues, and the result is
     made of field elements at exit."""
     if isinstance(field, PrimeField):
         p = field.p
-        w = [0] * len(vec)
-        for c, v in next(_read_mod_p(field, [enumerate(vec)])).items():
-            w[c] = v
+        w = field.ints(vec)
         for r, pc in zip(red, pivots):
             c = w[pc] % p
             if c:
@@ -784,19 +804,15 @@ def _finish_mod_p(field, lead, rest, c, ncols):
 
 def _read_q(field, rows):
     """Each row of rationals as a primitive row of ints spanning the same
-    line: scaled by the lcm of its denominators, then divided by the gcd
-    of the numerators.  A row of ints (one `gcd` takes) is only divided.
-    Other entries that are not Fractions go through QQ.coerce, which
-    rejects floats and the elements of other fields."""
+    line: its `QQ.ints`, divided by their gcd.  A row of ints (one `gcd`
+    takes) is only divided.  `QQ.ints` rejects floats and the elements of
+    other fields."""
     for row in rows:
         r = {c: x for c, x in row if x or x.__class__ is not int}
         try:
             g = gcd(*r.values())
         except TypeError:
-            r = {c: y for c, x in r.items()
-                 if (y := x if x.__class__ is Fraction else QQ.coerce(x))}
-            den = lcm(*(x.denominator for x in r.values()))
-            r = {c: x.numerator * (den // x.denominator) for c, x in r.items()}
+            r = {c: v for c, v in zip(r, QQ.ints(r.values())) if v}
             g = gcd(*r.values())
         yield {c: v // g for c, v in r.items()} if g > 1 else r
 

@@ -21,10 +21,10 @@ computed from that model.  A class modulo the slice is kept as its normal
 form, the remainder of division by f (`NormalForm`), so sections are the
 normal forms vanishing on Z_minus: the point rows are eliminated on the
 2(m+n) normal-form columns, and a point listed twice (in the divisor of a
-product of two bundles) adds a tangent row.  Over F_p the point rows and
-the division run on residues; over Q a point row is made of ints, from
-the point's integer coordinates, and is defined up to a nonzero factor,
-as the condition it states is.  A Curve of type I0 tells its fiber table
+product of two bundles) adds a tangent row.  The point rows and the
+division run in the field's representation (`ints`, see `exactmath`), so
+over Q a point row is defined up to a positive factor, as the condition
+it states is.  A Curve of type I0 tells its fiber table
 that the member is smooth, so no smoothness test computes a partial
 derivative.  A split scan reads the splitting type (a, b) off h0 of one
 twist, O(0, -s-1) with s = (chi-2)//2, where only O(b) has sections,
@@ -45,14 +45,13 @@ from .curves import (
     coerce_pair,
     enumerate_points,
     factor_11,
-    integer_point,
     kodaira_classify,
     normalize_point,
     pair_key,
     random_smooth_point,
 )
 from .errors import SpecialPosition, ValidationError
-from .exactmath import FpElt, PrimeField, block_ranks, kernel_basis, rank
+from .exactmath import block_ranks, kernel_basis, rank
 from .polyring import MultiPoly, monomial_basis, monomial_values, residue_product
 
 # rewriting moves `canonical` makes before it gives up; each raised fiber is one
@@ -307,18 +306,18 @@ def _canonical_h0(rep):
 def _eval_rows(field, points, monos):
     """Values of the bidegree monomials `monos` at each point, one row per
     point, from the point's two tables of binary monomial values.  They
-    are taken at the point's `integer_point` coordinates: over Q its
-    coordinates scaled to ints, so a row is a positive multiple of the
-    point's row of values and cuts out the same condition."""
+    are taken at the point's coordinates in the field's `ints`, so over Q
+    a row is a positive multiple of the point's row of values and cuts
+    out the same condition."""
     if not monos:
         return [[] for _ in points]
     dx, dy = monos[0][0] + monos[0][1], monos[0][2] + monos[0][3]
     rows = []
-    if isinstance(field, PrimeField):
+    p = field.modulus
+    if p:
         # rows of residues, which the echelon loop reads as they are
-        p = field.p
         for x, y in points:
-            (x0, x1), (y0, y1) = [(a.v, b.v) for a, b in (x, y)]
+            x0, x1, y0, y1 = field.ints((*x, *y))
             tx = [pow(x0, dx - i, p) * pow(x1, i, p) % p for i in range(dx + 1)]
             ty = [pow(y0, dy - i, p) * pow(y1, i, p) % p for i in range(dy + 1)]
             rows.append([tx[e[1]] * ty[e[3]] % p for e in monos])
@@ -326,7 +325,7 @@ def _eval_rows(field, points, monos):
     for x, y in points:
         # over Q the tables are of ints, so the one monomial of degree 0
         # takes the int 1
-        tx, ty = (monomial_values(field, integer_point(field, pt), d) if d else [1]
+        tx, ty = (monomial_values(field, field.ints(pt), d) if d else [1]
                   for pt, d in ((x, dx), (y, dy)))
         rows.append([tx[e[1]] * ty[e[3]] for e in monos])
     return rows
@@ -415,7 +414,7 @@ class NormalForm:
     by a multiple of f times its monomial, which touches only later
     columns.  Both leave the one vector of the class that is zero at every
     pivot, so the normal form is the vector `reduce_modulo` makes.  The
-    division steps are read off f once; over F_p they run on residues.
+    division steps are read off f once, on residues (`ints`) over F_p.
 
     A product of classes (`product`) is taken from their normal forms
     straight to this one: over F_p the factors' vectors are packed as ints
@@ -437,11 +436,14 @@ class NormalForm:
             # f's terms as column offsets, the leading term first
             terms = sorted((e[1] * width + e[3], c) for e, c in f.terms.items())
             (lead, lc), rest = terms[0], terms[1:]
-            if isinstance(F, PrimeField):
-                inv = pow(lc.v, -1, F.p)
-                rest = [(off, -c.v * inv % F.p) for off, c in rest]
+            p = F.modulus
+            if p:
+                lc, *ks = F.ints([lc, *(c for _, c in rest)])
+                inv = pow(lc, -1, p)
+                ks = [-c * inv % p for c in ks]
             else:
-                rest = [(off, -c / lc) for off, c in rest]
+                ks = [-c / lc for _, c in rest]
+            rest = list(zip((off for off, _ in rest), ks))
             for _, i, _, j in monomial_basis((M - 2, N - 2)):
                 base = i * width + j
                 self._steps.append((base + lead, [(base + off, k) for off, k in rest]))
@@ -453,11 +455,10 @@ class NormalForm:
         """The normal form of a form of bidegree `degree`."""
         if form.degree != self.degree:
             raise ValidationError("product form has the wrong bidegree")
-        F, width = self.field, self.degree[1] + 1
-        prime = isinstance(F, PrimeField)
-        w = [0 if prime else F.zero()] * self._size
-        for e, c in form.terms.items():
-            w[e[1] * width + e[3]] = c.v if prime else c
+        F, width, coeffs = self.field, self.degree[1] + 1, form.terms.values()
+        w = [0 if F.modulus else F.zero()] * self._size
+        for e, c in zip(form.terms, F.ints(coeffs) if F.modulus else coeffs):
+            w[e[1] * width + e[3]] = c
         return self._divide(w)
 
     def product(self, *factors):
@@ -472,26 +473,26 @@ class NormalForm:
         if tuple(map(sum, zip(*(nf.degree for nf, _ in factors)))) != self.degree:
             raise ValidationError("product form has the wrong bidegree")
         F = self.field
-        if not isinstance(F, PrimeField):
+        if not F.modulus:
             return self.vec(reduce(mul, (nf.form(v) for nf, v in factors)))
         width = self.degree[1] + 1
-        slotted = [[(e[1] * width + e[3], c.v) for e, c in zip(nf.monos, v) if c.v]
+        slotted = [[(e[1] * width + e[3], c) for e, c in zip(nf.monos, F.ints(v)) if c]
                    for nf, v in factors]
-        return self._divide(residue_product(F.p, slotted, self._size))
+        return self._divide(residue_product(F.modulus, slotted, self._size))
 
     def _divide(self, w):
         """Division by f of the dense coefficients `w`, indexed by column
         (over F_p residues, not necessarily reduced), read off at the
         normal-form columns; `w` is overwritten."""
         F = self.field
-        if isinstance(F, PrimeField):
-            p = F.p
+        p = F.modulus
+        if p:
             for pc, step in self._steps:
                 a = w[pc] % p
                 if a:
                     for col, k in step:
                         w[col] += a * k
-            return [FpElt(p, w[c]) for c in self._cols]
+            return [F(w[c]) for c in self._cols]
         for pc, step in self._steps:
             a = w[pc]
             if a:

@@ -21,20 +21,19 @@ A relation pair is a pair of 2x2x2 tensors, and each of its three shadows
 (the resultant that eliminates one line factor) is the member again.  The
 incidence points are the points (x, y) of the last shadow, each with the
 common zero z of the two relations there, and the relation plane is the
-left kernel of the path monomials at those points, taken at their grid
-coordinates (`curves.integer_point`) on every field, one `kernel_basis`
-(`_plane`).  One stream serves every finite field (`_incidence_stream`):
-one pass over x with 2x2 contractions, on field elements over F_{p^2}
-and on residues in [0, p) over F_p, where field elements are built only
-for the output of `incidence_points`.  The round trip takes the plane
-from the first 16 of these points.  It counts them over F_p with
-`curves.point_count` of the member, checked against the count of the
-last shadow, and over F_{p^2} by reading the rest of the stream; on both
-the count must meet the Hasse bound.  Every j it compares is read off a grid
-(`curves.grid_j`), the member's from its terms and each shadow's from
-the relation tensors, so no smooth shadow is built as a form.  The
-re-embedded member of `phi_inverse` is the shadow that forgets the
-middle line.
+left kernel of the path monomials at those points, one `kernel_basis`
+(`_plane`).  Points and tensors are read in the field's representation
+(`ints`, see `exactmath`).  One stream serves every finite field
+(`_incidence_stream`): one pass over x with 2x2 contractions, over F_p
+on residues, building field elements only for `incidence_points`.  The
+round trip takes the plane from the first 16 of these points.  It counts
+them over F_p with `curves.point_count` of the member, checked against
+the count of the last shadow, and over F_{p^2} by reading the rest of
+the stream; on both the count must meet the Hasse bound.  Every j it
+compares is read off a grid (`curves.grid_j`), the member's from its
+terms and each shadow's from the relation tensors, so no smooth shadow
+is built as a form.  The re-embedded member of `phi_inverse` is the
+shadow that forgets the middle line.
 
 The products of sections behind `psi0`/`psi1` are kept as normal forms
 modulo the member, remainders of division by the member leading monomial
@@ -61,8 +60,6 @@ from itertools import chain, islice, repeat
 from .curves import (
     coefficient_grid,
     grid_j,
-    grid_modulus,
-    integer_point,
     kodaira_classify,
     member_j,
     normalize_point,
@@ -284,13 +281,12 @@ def _tensor(c):
     """A (1,1,1)-form as its 2x2x2 coefficient tensor, flattened in path
     order: entry 4i+2j+k multiplies x_i y_j z_k.  Entries 4i..4i+3 are the
     2x2 matrix T_i (rows y, columns z) with c = x_0 T_0 + x_1 T_1.  The
-    entries are residues in [0, p) over F_p, field elements elsewhere."""
+    entries are in the field's `ints`, so over Q the tensor is c times a
+    positive factor."""
     if c.degree != (1, 1, 1):
         raise ValidationError("a relation is a (1,1,1)-form")
-    zero = c.field.zero()
-    t = [c.terms.get((1 - i, i, 1 - j, j, 1 - k, k), zero)
-         for i in (0, 1) for j in (0, 1) for k in (0, 1)]
-    return [a.v for a in t] if grid_modulus(c.field) else t
+    return c.field.ints([c.terms.get((1 - i, i, 1 - j, j, 1 - k, k), 0)
+                         for i in (0, 1) for j in (0, 1) for k in (0, 1)])
 
 
 # for x, y and z, the tensor's entries in path order once that line factor
@@ -325,16 +321,16 @@ def incidence_points(c1, c2):
 
 
 def _line(field):
-    """The points of P1 in `p1_points` order and `integer_point`'s
-    convention: over F_p a lazy stream of residue pairs (i, 1), then (1, 0)."""
-    p = grid_modulus(field)
+    """The points of P1 in `p1_points` order, in the field's `ints`: over
+    F_p a lazy stream of residue pairs (i, 1), then (1, 0)."""
+    p = field.modulus
     return chain(zip(range(p), repeat(1)), [(1, 0)]) if p else p1_points(field)
 
 
 def _incidence_stream(field, c1, c2):
     """The rational points of the incidence curve as a stream of coordinate
-    triples in `integer_point`'s convention (residues over F_p, field
-    elements over F_{p^2}), each coordinate normalized as in `p1_points`,
+    triples in the field's `ints` (residues over F_p, field elements over
+    F_{p^2}), each coordinate normalized as in `p1_points`,
     x-major with y in `p1_points` order.
 
     The points (x, y) of the last shadow, which eliminates z, each with the
@@ -347,8 +343,8 @@ def _incidence_stream(field, c1, c2):
     factor.  Over F_p the line is streamed too, so nothing grows with p."""
     if not field.characteristic:
         raise ValidationError("point enumeration needs a finite field")
-    p = grid_modulus(field)
-    one, zero = integer_point(field, (1, 0))
+    p = field.modulus
+    one, zero = field.ints([1, 0])
     if not p:
         position = {pt: i for i, pt in enumerate(_line(field))}
     t1, t2 = _tensor(c1), _tensor(c2)
@@ -418,11 +414,11 @@ def relations_through_points(field, pts):
     points; equals the span of the relations once the point count exceeds
     the zero bound for trilinear sections.
 
-    The monomials are taken at the points' `integer_point` coordinates
-    (residues over F_p, ints over Q), which scales each row by a nonzero
-    factor and leaves the kernel alone (`_plane`)."""
+    The monomials are taken at the points' coordinates in the field's
+    `ints`, which scales each row by a nonzero factor and leaves the kernel
+    alone (`_plane`)."""
     _require_enough_points(len(pts))
-    return _plane(field, [_path_values([integer_point(field, c) for c in pt]) for pt in pts])
+    return _plane(field, [_path_values([field.ints(c) for c in pt]) for pt in pts])
 
 
 def _plane(field, rows):
@@ -570,7 +566,7 @@ def roundtrip0(U, sample_reps=4):
         raise AssertionError("shadow j differs from the member j")
     stream = _incidence_stream(field, c1, c2)
     pts = list(islice(stream, _PREFIX))
-    p = grid_modulus(field)
+    p = field.modulus
     if p:
         count = point_count(p, coefficient_grid(curve.f))
         # the grid of the last shadow, which eliminates z

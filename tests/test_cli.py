@@ -233,6 +233,80 @@ def test_a_roundtrip_prime_above_the_ceiling_is_exit_2_at_once(capsys, tmp_path)
     assert code == 2 and rep["type"] == "validation" and "2^64" in rep["error"]
 
 
+def test_a_roundtrip_over_an_extension_above_the_ceiling_is_exit_2_at_once(capsys, tmp_path):
+    # over F_{p^2} the trip streams all p^2 + 1 fibers: about 3 s at p = 101
+    body = generated_body(capsys, "smooth-bimodule-chi2", "--prime", "101")
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(lift_to_fp2(body)))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    code, rep = run_child(["roundtrip", "--in", str(path)])
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 0.5
+    assert code == 2 and rep["type"] == "validation"
+    assert "10000" in rep["error"] and "10201" in rep["error"]
+
+
+# one child process runs, in-process, `generate` of every kind at the prime
+# of argv[1], seed 0, every command that reads an instance on each of those
+# instances, and every command without input at that prime; it prints each
+# argv with its exit code and whether its stdout was one JSON document
+EVERY_COMMAND = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+from bimodulus.cli import main
+from bimodulus.jsonio import GENERATE_KINDS
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    try:
+        report = json.loads(out.getvalue())
+    except ValueError:
+        report = None
+    results.append([argv, code, report is not None])
+    return code, report
+
+prime, results = sys.argv[1], []
+with tempfile.TemporaryDirectory() as tmp:
+    pairs = Path(tmp, "pairs.json")
+    pairs.write_text(json.dumps({"m": 1, "ab": [0, 0], "ab_prime": [-1, -1]}))
+    run(["hom-matrix", "--in", str(pairs)])
+    for command in ("roundtrip", "strong", "mckay", "hochschild", "toric-check", "mrel-dim"):
+        run([command, "--prime", prime])
+    for kind in GENERATE_KINDS:
+        code, report = run(["generate", kind, "--prime", prime, "--seed", "0"])
+        if code:
+            continue
+        body = report["instances"][0]
+        body.pop("validation", None)
+        path = Path(tmp, kind + ".json")
+        path.write_text(json.dumps(body))
+        for command in ("classify", "split", "stability", "cech", "ext", "psi", "mrel-dim",
+                        "roundtrip"):
+            run([command, "--in", str(path)])
+print(json.dumps(results))
+"""
+
+
+def test_every_command_at_a_word_size_prime_within_a_cpu_budget():
+    # a missed reduction mod p would let the ints of a residue loop grow
+    # without bound; each command answers in milliseconds but the round
+    # trips, which count points in about 0.2 s each
+    prime = str(2 ** 61 - 1)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+
+    proc = subprocess.run([sys.executable, "-c", EVERY_COMMAND, prime],
+                          capture_output=True, text=True, preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert {argv[0] for argv, _, _ in results} == set(COMMANDS)
+    assert [code for argv, code, _ in results if argv[0] == "generate"] == [0] * 5
+    assert [(argv, code, ok) for argv, code, ok in results if code not in (0, 2) or not ok] == []
+
+
 def test_cech(capsys, files):
     code, rep = run(capsys, "cech", "--in", files["nr"])
     assert code == 0

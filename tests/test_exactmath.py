@@ -120,6 +120,40 @@ def test_a_random_element_is_the_element_of_its_key(field):
         assert drawn.getstate() == keyed.getstate() == plain.getstate()
 
 
+_E5, _Q2 = QuadExtField(PrimeField(5)), QuadExtField(QQ, 2)
+# values no field of the contract below takes: an element of another prime
+# field, a float, and an element of another extension
+_FOREIGN = (FpElt(13, 3), 1.5, QEElt(QuadExtField(QQ, 3), Fraction(1), Fraction(1)))
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(101), PrimeField(2 ** 61 - 1),
+                                   QQ, _E5, _Q2],
+                         ids=["F5", "F101", "F2^61-1", "Q", "F25", "Q(sqrt2)"])
+def test_ints_give_the_values_in_the_field_representation(field):
+    rng = random.Random(5)
+    values = [field.random(rng) for _ in range(12)] + [field.zero(), 0, 7, -3, Fraction(2, 3)]
+    got = field.ints(values)
+    if isinstance(field, PrimeField):
+        assert field.modulus == field.p
+        assert got == [field.coerce(x).v for x in values]
+    elif field == QQ:
+        assert field.modulus == 0
+        assert all(type(v) is int for v in got)
+        # one positive factor for all the values, the lcm of their
+        # denominators, and the zeros kept
+        factor = got[values.index(7)] // 7
+        assert factor > 0 and factor % 3 == 0
+        assert [Fraction(v) for v in got] == [factor * x for x in values]
+    else:
+        assert field.modulus == 0
+        assert got == [field.coerce(x) for x in values]
+        assert all(type(v) is QEElt and v.fld == field for v in got)
+    assert field.ints([]) == []
+    for bad in _FOREIGN:
+        with pytest.raises(ValidationError):
+            field.ints([1, bad])
+
+
 def test_scalar_json_roundtrip(any_field):
     rng = random.Random(2)
     for _ in range(10):

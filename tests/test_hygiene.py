@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import of the package is used, no
 package import hides inside a function, every definition is referenced
-from the package itself, every function the benchmark's tracer wraps
-exists, and every recorded benchmark comparison is machine-readable."""
+from the package itself, only `exactmath` tells the fields apart by
+class, every function the benchmark's tracer wraps exists, and every
+recorded benchmark comparison is machine-readable."""
 
 import ast
 import importlib
@@ -90,6 +91,46 @@ def test_no_function_level_package_imports():
     # no import cycle needs one, so every package import sits at the top
     found = {path.name: nested for path in sorted(PACKAGE.glob("*.py"))
              for nested in [nested_relative_imports(path.read_text())] if nested}
+    assert found == {}
+
+
+FIELD_CLASSES = {"PrimeField", "RationalField", "QuadExtField"}
+
+
+def field_forks(source):
+    """(line, name) of each `isinstance` test on a field class and each
+    import of `FpElt`: the places a module chooses a field's
+    representation itself instead of asking the field (`modulus`, `ints`)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.args[1])
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            found += [(node.lineno, name) for name in sorted(names & FIELD_CLASSES)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, "FpElt") for alias in node.names
+                      if alias.name.rsplit(".", 1)[-1] == "FpElt"]
+    return sorted(found)
+
+
+def test_the_scan_finds_a_field_fork():
+    src = (
+        "from .exactmath import FpElt, QQ, PrimeField\n"
+        "def f(F, x):\n"
+        "    if isinstance(F, (PrimeField, int)):\n"
+        "        return x.v\n"
+        "    return isinstance(x, int) or isinstance(F, exactmath.QuadExtField)\n"
+        "def g(F):\n"
+        "    return PrimeField(5) == F\n"
+    )
+    assert field_forks(src) == [(1, "FpElt"), (3, "PrimeField"), (5, "QuadExtField")]
+
+
+def test_only_exactmath_tells_the_fields_apart_by_class():
+    found = {path.name: forks for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "exactmath.py"
+             for forks in [field_forks(path.read_text())] if forks}
     assert found == {}
 
 
