@@ -20,7 +20,9 @@ None for (1:0), else the field's `random_key`), and the point is the
 point of its key; the table keeps the fiber points found for each key
 drawn, so rational-point sampling builds and hashes field elements only
 on a key's first draw, and a try costs its generator calls and one
-lookup.  On every field a member is read through its coefficient grid
+lookup.  Over Q a smooth member is drawn through two points
+(`plant_smooth_22`), whose fibers and residuals its table keeps, so a
+point is drawn among known ones without a search.  On every field a member is read through its coefficient grid
 (`coefficient_grid`), its coefficients in the field's representation
 (`ints`, see `exactmath`); over Q that scales the branch quartic's I^3
 and 4I^3 - J^2 alike.  A smooth member is recognized, and its j taken,
@@ -52,6 +54,7 @@ from .polyring import (
     bf_rational_roots,
     bf_scale,
     monomial_basis,
+    monomial_values,
     quadratic_discriminant,
     random_multipoly,
 )
@@ -447,6 +450,34 @@ def enumerate_points(f):
     return pts
 
 
+def _eval_rows(field, points, monos):
+    """Values of the bidegree monomials `monos` at each point, one row per
+    point, from the point's two tables of binary monomial values.  They
+    are taken at the point's coordinates in the field's `ints`, so over Q
+    a row is a positive multiple of the point's row of values and cuts
+    out the same condition."""
+    if not monos:
+        return [[] for _ in points]
+    dx, dy = monos[0][0] + monos[0][1], monos[0][2] + monos[0][3]
+    rows = []
+    p = field.modulus
+    if p:
+        # rows of residues, which the echelon loop reads as they are
+        for x, y in points:
+            x0, x1, y0, y1 = field.ints((*x, *y))
+            tx = [pow(x0, dx - i, p) * pow(x1, i, p) % p for i in range(dx + 1)]
+            ty = [pow(y0, dy - i, p) * pow(y1, i, p) % p for i in range(dy + 1)]
+            rows.append([tx[e[1]] * ty[e[3]] % p for e in monos])
+        return rows
+    for x, y in points:
+        # over Q the tables are of ints, so the one monomial of degree 0
+        # takes the int 1
+        tx, ty = (monomial_values(field, field.ints(pt), d) if d else [1]
+                  for pt, d in ((x, dx), (y, dy)))
+        rows.append([tx[e[1]] * ty[e[3]] for e in monos])
+    return rows
+
+
 def _chart_var(pt):
     # the coordinate free to move in the standard affine chart at pt
     return 0 if pt[1] else 1
@@ -520,17 +551,20 @@ class FiberTable:
     (`coefficient_grid`) at the fiber point's coordinates in the field's
     `ints`, one way on every field, and solved by the field's own solver:
     on residues over F_p, on ints with `isqrt` over Q, and on field
-    elements over F_{p^2}.  When the caller knows the
-    member to be smooth (`smooth`, as a Curve of type I0 does), every point
-    on it is smooth, and a test only checks that the point is on the
-    member.  Otherwise smoothness is read off the four chart partials of
-    the form, computed at the first test and kept with the table.  f is
-    evaluated only at points that no fiber restriction has found on the
-    member."""
+    elements over F_{p^2}.  When the caller knows the member to be smooth
+    (`smooth`, as a Curve of type I0 does), every point on it is smooth,
+    and a test only checks that the point is on the member.  Otherwise
+    smoothness is read off the four chart partials of the form, computed
+    at the first test and kept with the table.  f is evaluated only at
+    points that no fiber restriction has found on the member.  Given
+    rational points of a smooth f, the table keeps as `planted` the
+    first-ruling fibers through them and through their second-ruling
+    residuals, whose points are all rational."""
 
-    __slots__ = ("f", "_grids", "_points", "_drawn", "_smooth", "_partials", "_member_smooth")
+    __slots__ = ("f", "planted", "_grids", "_points", "_drawn", "_smooth", "_partials",
+                 "_member_smooth")
 
-    def __init__(self, f, smooth=False):
+    def __init__(self, f, smooth=False, planted=()):
         self.f = f
         # for each ruling, f's grid with the block that ruling fixes as the
         # second
@@ -540,15 +574,22 @@ class FiberTable:
         self._smooth = {}
         self._partials = None
         self._member_smooth = smooth
+        xs = []
+        for pair in planted:
+            for x in (pair[0], self.residual(1, pair)[0]):
+                if x not in xs:
+                    xs.append(x)
+        self.planted = tuple(xs)
 
-    def points(self, side, x):
+    def points(self, side, x, ints=None):
         """Normalized points of the member on the fiber through x, one per
         rational root in `bf_rational_roots` order; None when the roots are
-        conjugate.  Raises ValidationError when the fiber lies in the member."""
+        conjugate.  Raises ValidationError when the fiber lies in the member.
+        `ints`, when given, are x's coordinates in the field's `ints`."""
         key = (side, x)
-        if key not in self._points:
-            self._points[key] = self._restrict(side, x)
-        pts = self._points[key]
+        pts = self._points.get(key, _UNDRAWN)
+        if pts is _UNDRAWN:
+            pts = self._points[key] = self._restrict(side, x, ints)
         if pts is _IN_MEMBER:
             raise ValidationError("divisor contains a ruling fiber")
         return pts
@@ -556,11 +597,14 @@ class FiberTable:
     def drawn_points(self, key):
         """`points(0, x)` for the point x of P1 of the draw key `key` (see
         `random_p1_key`).  The outcome is kept per key, so a key drawn again
-        costs one lookup on ints and builds no field element."""
+        costs one lookup on ints and builds no field element.  Over Q the
+        key (n, d) is x = n/d, so its ints restrict the fiber."""
         pts = self._drawn.get(key, _UNDRAWN)
         if pts is _UNDRAWN:
+            F = self.f.field
+            ints = ((1, 0) if key is None else key) if F == QQ else None
             try:
-                pts = self.points(0, p1_point_of_key(self.f.field, key))
+                pts = self.points(0, p1_point_of_key(F, key), ints)
             except ValidationError:
                 pts = _IN_MEMBER
             self._drawn[key] = pts
@@ -568,13 +612,13 @@ class FiberTable:
             raise ValidationError("divisor contains a ruling fiber")
         return pts
 
-    def _restrict(self, side, x):
+    def _restrict(self, side, x, ints):
         F = self.f.field
         p = F.modulus
         # the fiber quadratic on the grid: the block fixed by x has degree
         # 2, so each term takes one of x0^2, x0 x1, x1^2 of x's grid
         # coordinates, a nonzero multiple of the quadratic of x
-        x0, x1 = F.ints(x)
+        x0, x1 = F.ints(x) if ints is None else ints
         t = (x0 * x0, x0 * x1, x1 * x1)
         q = [sum(map(mul, row, t)) for row in self._grids[side]]
         if p:
@@ -758,12 +802,37 @@ def _from_coeff_vec(field, degree, vec):
 
 
 def random_smooth_22(field, rng, tries=200):
+    """A random smooth member: over a finite field a random form, redrawn
+    until smooth; in characteristic 0 the member `plant_smooth_22` draws
+    through two points."""
+    if not field.characteristic:
+        return plant_smooth_22(field, rng, tries)[0]
     for _ in range(tries):
         f = random_multipoly(field, (2, 2), rng)
         try:
             if kodaira_classify(f) == "I0":
                 return f
         except ValidationError:
+            continue
+    raise SpecialPosition("could not draw a smooth member")
+
+
+def plant_smooth_22(field, rng, tries=200):
+    """(f, (P, Q)): a random smooth member f through two random points P
+    and Q with distinct x and distinct y, a random form vanishing at both,
+    redrawn until smooth.  A fiber through a rational point of f meets it
+    again in a rational point, so f has rational points by construction."""
+    monos = monomial_basis((2, 2))
+    for _ in range(tries):
+        planted = [(random_p1_point(field, rng), random_p1_point(field, rng)) for _ in range(2)]
+        if planted[0][0] == planted[1][0] or planted[0][1] == planted[1][1]:
+            continue
+        try:
+            vec = _random_kernel_element(field, _eval_rows(field, planted, monos), 9, rng)
+            f = _from_coeff_vec(field, (2, 2), vec)
+            if kodaira_classify(f) == "I0":
+                return f, tuple(planted)
+        except (SpecialPosition, ValidationError):
             continue
     raise SpecialPosition("could not draw a smooth member")
 
@@ -922,14 +991,18 @@ def make_kind(field, kind, rng):
 def random_smooth_point(f, rng, tries=200, fibers=None):
     """A rational point of the curve that is smooth on it, by fiber sampling.
 
-    Each try draws a fiber of the first ruling as a key of ints
-    (`random_p1_key`), picks one of its rational points, if any, and
-    keeps it when it is smooth.  `fibers`, a FiberTable of f, carries the
-    fibers drawn by earlier calls, by key; without one, each distinct key
-    is solved once per call.  A try on a key drawn before costs its
-    generator calls and one dict lookup."""
+    On a table `fibers` with planted fibers, one draw picks one of them and
+    one its point.  Otherwise each try draws a fiber of the first ruling as
+    a key of ints (`random_p1_key`), picks one of its rational points, if
+    any, and keeps it when it is smooth.  `fibers`, a FiberTable of f,
+    carries the fibers drawn by earlier calls, by key; without one, each
+    distinct key is solved once per call.  A try on a key drawn before
+    costs its generator calls and one dict lookup."""
     if fibers is None:
         fibers = FiberTable(f)
+    if fibers.planted:
+        pts = fibers.points(0, fibers.planted[rng.randrange(len(fibers.planted))])
+        return pts[rng.randrange(len(pts))]
     F = f.field
     for _ in range(tries):
         pts = fibers.drawn_points(random_p1_key(F, rng))

@@ -42,12 +42,15 @@ from operator import mul
 
 from .curves import (
     FiberTable,
+    _eval_rows,
     coerce_pair,
     enumerate_points,
     factor_11,
     kodaira_classify,
     normalize_point,
     pair_key,
+    plant_smooth_22,
+    random_smooth_22,
     random_smooth_point,
 )
 from .errors import SpecialPosition, ValidationError
@@ -63,17 +66,17 @@ SPLIT_WINDOW = 8
 class Curve:
     """A reduced (2,2) divisor with cached classification, components and
     fiber table.  `kind` is the Kodaira type of f when the caller has just
-    classified it; f is classified here otherwise."""
+    classified it, else f is classified here; `planted` goes to the table."""
 
     __slots__ = ("f", "kind", "_components", "fibers")
 
-    def __init__(self, f, kind=None):
+    def __init__(self, f, kind=None, planted=()):
         self.f = f
         self.kind = kodaira_classify(f) if kind is None else kind
         if self.kind == "NonReduced":
             raise ValidationError("doubled curves use the thickened-diagonal model")
         self._components = None
-        self.fibers = FiberTable(f, smooth=self.kind == "I0")
+        self.fibers = FiberTable(f, smooth=self.kind == "I0", planted=planted)
 
     @property
     def field(self):
@@ -301,34 +304,6 @@ def _canonical_h0(rep):
     if h0 < 0:
         raise AssertionError("negative section count")
     return h0
-
-
-def _eval_rows(field, points, monos):
-    """Values of the bidegree monomials `monos` at each point, one row per
-    point, from the point's two tables of binary monomial values.  They
-    are taken at the point's coordinates in the field's `ints`, so over Q
-    a row is a positive multiple of the point's row of values and cuts
-    out the same condition."""
-    if not monos:
-        return [[] for _ in points]
-    dx, dy = monos[0][0] + monos[0][1], monos[0][2] + monos[0][3]
-    rows = []
-    p = field.modulus
-    if p:
-        # rows of residues, which the echelon loop reads as they are
-        for x, y in points:
-            x0, x1, y0, y1 = field.ints((*x, *y))
-            tx = [pow(x0, dx - i, p) * pow(x1, i, p) % p for i in range(dx + 1)]
-            ty = [pow(y0, dy - i, p) * pow(y1, i, p) % p for i in range(dy + 1)]
-            rows.append([tx[e[1]] * ty[e[3]] % p for e in monos])
-        return rows
-    for x, y in points:
-        # over Q the tables are of ints, so the one monomial of degree 0
-        # takes the int 1
-        tx, ty = (monomial_values(field, field.ints(pt), d) if d else [1]
-                  for pt, d in ((x, dx), (y, dy)))
-        rows.append([tx[e[1]] * ty[e[3]] for e in monos])
-    return rows
 
 
 def _tangent_rows(field, f, points, monos):
@@ -699,6 +674,15 @@ def section_zero_points(bundle, form):
             raise SpecialPosition("section vanishes at a singular point")
     left.sort(key=lambda p: pair_key(F, p))
     return left
+
+
+def random_smooth_curve(field, rng):
+    """A Curve on a random smooth member: `random_smooth_22`'s over a finite
+    field, else `plant_smooth_22`'s, its table planted through the points."""
+    if field.characteristic:
+        return Curve(random_smooth_22(field, rng), kind="I0")
+    f, planted = plant_smooth_22(field, rng)
+    return Curve(f, kind="I0", planted=planted)
 
 
 def random_line_bundle(curve, rng, deg_lo=-2, deg_hi=4, tries=100):

@@ -65,7 +65,6 @@ from .curves import (
     normalize_point,
     p1_points,
     point_count,
-    random_smooth_22,
     residue_roots,
 )
 from .errors import DegenerateInstance, SpecialPosition, ValidationError
@@ -76,6 +75,7 @@ from .linebundles import (
     NormalForm,
     isomorphic,
     random_line_bundle,
+    random_smooth_curve,
     section_space,
     section_zero_points,
     sections_through,
@@ -512,7 +512,7 @@ def random_sheaf_datum(field, rng, degree=2, tries=60):
     """Random (curve, sheaf) with a smooth member and the given sheaf
     degree."""
     for _ in range(tries):
-        curve = Curve(random_smooth_22(field, rng), kind="I0")
+        curve = random_smooth_curve(field, rng)
         try:
             U = random_line_bundle(curve, rng, deg_lo=degree, deg_hi=degree)
         except (ValidationError, SpecialPosition):
@@ -524,7 +524,7 @@ def random_sheaf_datum(field, rng, degree=2, tries=60):
 def random_quadruple(field, rng, component=0, tries=60):
     d1 = 2 if component == 0 else 1
     for _ in range(tries):
-        curve = Curve(random_smooth_22(field, rng), kind="I0")
+        curve = random_smooth_curve(field, rng)
         try:
             L0 = random_line_bundle(curve, rng, deg_lo=2, deg_hi=2)
             L1 = random_line_bundle(curve, rng, deg_lo=d1, deg_hi=d1)

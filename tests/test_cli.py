@@ -190,15 +190,79 @@ def test_a_negative_count_is_exit_2_on_every_command(capsys):
                                      "type": "validation"}, command
 
 
-def run_child(argv, cpu_seconds=10):
-    """`bimodulus argv` as a child process that caps its own CPU time:
-    its exit code and its JSON report."""
+def capped_child(args, cpu_seconds=10):
+    """`python args` as a child process that caps its own CPU time."""
     def cap():
         resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
 
-    proc = subprocess.run([sys.executable, "-m", "bimodulus.cli", *argv],
-                          capture_output=True, text=True, preexec_fn=cap)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          preexec_fn=cap)
+
+
+def run_child(argv, cpu_seconds=10):
+    """`bimodulus argv` as a child process that caps its own CPU time:
+    its exit code and its JSON report."""
+    proc = capped_child(["-m", "bimodulus.cli", *argv], cpu_seconds)
     return proc.returncode, json.loads(proc.stdout)
+
+
+# random_sheaf_datum at degrees 1 and 2 and random_quadruple over Q, seeds
+# 0-29: the draws, their degrees, the sampler's give-ups and every twisting
+# point, checked on the member's terms in Fractions: on it, and smooth (some
+# partial of the bihomogeneous form nonzero there)
+_Q_DRAWS = """
+import json, random
+from fractions import Fraction
+from bimodulus import linebundles, moduli
+from bimodulus.errors import SpecialPosition
+from bimodulus.exactmath import QQ
+
+give_ups = 0
+sample = linebundles.random_smooth_point
+
+def counted(*args, **kwargs):
+    global give_ups
+    try:
+        return sample(*args, **kwargs)
+    except SpecialPosition:
+        give_ups += 1
+        raise
+
+linebundles.random_smooth_point = counted
+
+def values(terms, pt):
+    out = [Fraction(0)] * 5  # f, then its four partials
+    for e, c in terms.items():
+        c = Fraction(c)
+        out[0] += c * pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2] * pt[3] ** e[3]
+        for i in range(4):
+            if e[i]:
+                d = list(e)
+                d[i] -= 1
+                out[i + 1] += c * e[i] * pt[0] ** d[0] * pt[1] ** d[1] * pt[2] ** d[2] * pt[3] ** d[3]
+    return out
+
+problems = []
+for s in range(30):
+    drawn = [(moduli.random_sheaf_datum(QQ, random.Random(s), degree=d)[1], d) for d in (1, 2)]
+    q = moduli.random_quadruple(QQ, random.Random(s), component=s % 2)
+    drawn += [(q.L0, 2), (q.L1, 2 - s % 2), (q.L2, 2)]
+    for L, d in drawn:
+        if L.degree_total() != d:
+            problems.append([s, "degree", L.degree_total(), d])
+        for x, y in L.minus + L.plus:
+            pt = [Fraction(c) for c in (*x, *y)]
+            f, *grad = values(L.curve.f.terms, pt)
+            if f or not any(grad):
+                problems.append([s, "point", str(pt)])
+print(json.dumps({"give_ups": give_ups, "problems": problems}))
+"""
+
+
+def test_draws_over_q_plant_their_points_and_never_give_up():
+    proc = capped_child(["-c", _Q_DRAWS], cpu_seconds=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"give_ups": 0, "problems": []}
 
 
 @pytest.mark.parametrize("prime", [1000003, 2305843009213693951])

@@ -27,6 +27,7 @@ from bimodulus.curves import (
     p1_point_of_key,
     point_count,
     p1_points,
+    plant_smooth_22,
     random_p1_key,
     random_p1_point,
     random_smooth_22,
@@ -570,6 +571,30 @@ def test_fiber_table_keeps_every_draw_on_a_nodal_member(monkeypatch, seed):
     node = coerce_pair(F11, node)
     assert tested[node] is False and node not in shared[0]
     assert {"gave up"} < {o if isinstance(o, str) else "point" for o in shared[0]}
+
+
+def test_a_planted_member_is_sampled_on_its_planted_fibers():
+    for seed in range(10):
+        rng = random.Random(seed)
+        f, planted = plant_smooth_22(QQ, rng)
+        assert kodaira_classify(f) == "I0" and all(on_curve(f, pair) for pair in planted)
+        (x1, y1), (x2, y2) = planted
+        assert x1 != x2 and y1 != y2
+        table = FiberTable(f, smooth=True, planted=planted)
+        # the fibers through P and Q, then through their second-ruling
+        # residuals, each once
+        residuals = [table.residual(1, pair)[0] for pair in planted]
+        assert table.planted == tuple(dict.fromkeys([x1, residuals[0], x2, residuals[1]]))
+        on_planted = {pt for x in table.planted for pt in table.points(0, x)}
+        assert set(planted) <= on_planted and all(on_curve(f, pt) for pt in on_planted)
+        for _ in range(20):
+            state = rng.getstate()
+            pt = random_smooth_point(f, rng, fibers=table)
+            after = rng.getstate()
+            # one draw for the fiber and one for its point
+            rng.setstate(state)
+            pts = table.points(0, table.planted[rng.randrange(len(table.planted))])
+            assert pt == pts[rng.randrange(len(pts))] and rng.getstate() == after
 
 
 def test_give_ups_solve_and_build_each_drawn_key_once(monkeypatch):

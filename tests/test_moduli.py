@@ -75,6 +75,27 @@ def test_random_sheaf_datum_shape(datum):
     assert U.curve is curve
 
 
+@pytest.mark.parametrize("p", [11, 101])
+def test_finite_field_sheaf_draws_are_the_unplanted_ones(p):
+    # over F_p a member carries no planted fibers, and the datum is the one
+    # drawn by hand from random_smooth_22 and random_line_bundle
+    F = PrimeField(p)
+    for seed in range(10):
+        drawn, by_hand = random.Random(seed), random.Random(seed)
+        curve, U = random_sheaf_datum(F, drawn)
+        while True:
+            hand = Curve(curves.random_smooth_22(F, by_hand), kind="I0")
+            try:
+                V = linebundles.random_line_bundle(hand, by_hand, deg_lo=2, deg_hi=2)
+                break
+            except (ValidationError, SpecialPosition):
+                continue
+        assert curve.fibers.planted == ()
+        assert curve.f == hand.f
+        assert (U.m, U.n, U.minus, U.plus) == (V.m, V.n, V.minus, V.plus)
+        assert drawn.getstate() == by_hand.getstate()
+
+
 @pytest.mark.parametrize("draw", [random_sheaf_datum, random_quadruple])
 def test_each_drawn_member_is_classified_once(draw, monkeypatch):
     # the curve takes the type random_smooth_22 just found instead of

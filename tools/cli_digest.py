@@ -20,8 +20,8 @@ lifted to F_{p^2} (`lift_to_fp2`): `psi` runs on each lifted quadruple,
 and `classify`, `split` and `stability` on each other lift, with
 `roundtrip --in` on the smooth chi = 2 bundles.  Then two round trips at
 larger primes (103 and 10007), and last `generate` of the smooth
-bimodules over Q at seeds 4-7, draws on which the rational-point sampler
-often gives up.  Then `split` and `stability` on edited instances that
+bimodules over Q at seeds 4-7, members drawn through two planted points
+whose bundles take their points off the planted fibers.  Then `split` and `stability` on edited instances that
 drive the twist scans hard (`EDITED`), then three usage errors
 (`USAGE_ERRORS`), each reported as a JSON error object with exit 2.  Last,
 `psi --in` on generated component-1 quadruples at F_101 and F_11 whose
