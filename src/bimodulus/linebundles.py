@@ -1,8 +1,8 @@
 """Exact cohomology of invertible sheaves on reduced (2,2) divisors.
 
 A bundle is presented as O(m,n)|_W(-Z_minus + Z_plus) with Z_* lists of
-distinct rational smooth points of W.  Two rewriting moves keep computations
-exact:
+rational smooth points of W, a point listed k times counted k times.  Two
+rewriting moves keep computations exact:
 
 * absorption: a plus point P satisfies O(P) = O(1,0)(-P') on W, where P' is
   the residual intersection of the fiber through P, so plus points can always
@@ -20,16 +20,17 @@ modulo the ideal slice f*H0(O(m-2,n-2)).  All ranks, bases and products are
 computed from that model.  A class modulo the slice is kept as its normal
 form, the remainder of division by f (`NormalForm`), so sections are the
 normal forms vanishing on Z_minus: the point rows are eliminated on the
-2(m+n) normal-form columns, and a point listed twice (in the divisor of a
-product of two bundles) adds a tangent row.  The point rows and the
-division run in the field's representation (`ints`, see `exactmath`), so
-over Q a point row is defined up to a positive factor, as the condition
-it states is.  A Curve of type I0 tells its fiber table
-that the member is smooth, so no smoothness test computes a partial
-derivative.  A split scan reads the splitting type (a, b) off h0 of one
-twist, O(0, -s-1) with s = (chi-2)//2, where only O(b) has sections,
-and verifies it on the twists O(0, j) of a fixed window widened to where
-each summand turns on.  The twists it raises along the second ruling are
+2(m+n) normal-form columns.  One builder (`_divisor_rows`) makes the rows
+of a divisor for h0, section bases and products of sections alike: a
+point's value row, and for a point listed k times the first k - 1 Taylor
+coefficients along W there.  The point rows and the division run in the
+field's representation (`ints`, see `exactmath`), so over Q a point row
+is defined up to a positive factor, as the condition it states is.  A
+Curve of type I0 tells its fiber table that the member is smooth, so no
+smoothness test computes a partial derivative.  A split scan reads the
+splitting type (a, b) off h0 of one twist, O(0, -s-1) with
+s = (chi-2)//2, where only O(b) has sections, and verifies it on the
+twists O(0, j) of a fixed window widened to where each summand turns on.  The twists it raises along the second ruling are
 O(m,1)(-Z-F_1-...-F_t) for growing t: the same monomials and more rows, so
 one elimination, read after each fiber, gives all their h0.
 """
@@ -47,6 +48,7 @@ from .curves import (
     enumerate_points,
     factor_11,
     kodaira_classify,
+    local_derivatives,
     normalize_point,
     pair_key,
     plant_smooth_22,
@@ -55,7 +57,7 @@ from .curves import (
 )
 from .errors import SpecialPosition, ValidationError
 from .exactmath import block_ranks, kernel_basis, rank
-from .polyring import MultiPoly, monomial_basis, monomial_values, residue_product
+from .polyring import MultiPoly, monomial_basis, residue_product
 
 # rewriting moves `canonical` makes before it gives up; each raised fiber is one
 REWRITING_STEPS = 60
@@ -116,7 +118,8 @@ class Curve:
 
 
 class LineBundle:
-    """O(m,n)|_W(-minus + plus); points are normalized smooth rational pairs."""
+    """O(m,n)|_W(-minus + plus); points are normalized smooth rational pairs,
+    and a point may be listed more than once: it counts with multiplicity."""
 
     __slots__ = ("curve", "m", "n", "minus", "plus")
 
@@ -209,39 +212,16 @@ class LineBundle:
             )
         raise SpecialPosition("both fibers through a plus point are unusable")
 
-    def _spread_duplicate(self, p):
-        """Rewrite one copy of a duplicated minus point as a plus point of a
-        neighbouring fiber (to be re-absorbed along the other ruling)."""
-        for side in (0, 1):
-            try:
-                pair = self.curve.fibers.residual(side, p)
-            except ValidationError:
-                continue
-            if not self.curve.fibers.is_smooth(pair):
-                continue
-            dm, dn = (-1, 0) if side == 0 else (0, -1)
-            rest = list(self.minus)
-            rest.remove(p)
-            return LineBundle(
-                self.curve, self.m + dm, self.n + dn,
-                rest, self.plus + [pair], check=False,
-            )
-        raise SpecialPosition("duplicated point cannot be moved off its fibers")
-
     def _settled(self):
-        """(rep, steps): an equivalent representative with no plus points
-        and distinct minus points, and the rewriting steps it took.  The
-        moves read only the points, so a twist of self settles to the same
-        twist of rep in as many steps."""
+        """(rep, steps): an equivalent representative with no plus points,
+        each absorbed in turn, and the rewriting steps it took; the minus
+        points keep their multiplicity.  The moves read only the points, so
+        a twist of self settles to the same twist of rep in as many steps."""
         rep = self
         for steps in range(REWRITING_STEPS):
-            if rep.plus:
-                rep = rep._absorb_one(rep.plus[0])
-                continue
-            dup = _first_duplicate(rep.minus)
-            if dup is None:
+            if not rep.plus:
                 return rep, steps
-            rep = rep._spread_duplicate(dup)
+            rep = rep._absorb_one(rep.plus[0])
         raise SpecialPosition("rewriting did not terminate")
 
     def _raising_fibers(self, side):
@@ -255,8 +235,10 @@ class LineBundle:
 
     def canonical(self):
         """Equivalent plus-free representative satisfying the Kunneth
-        condition, so that section computations below are exact; gives up
-        after 60 rewriting steps, each raised fiber counting as one."""
+        condition, so that section computations below are exact: the plus
+        points absorbed, then raised by fibers, a repeated minus point left
+        as it is; gives up after 60 rewriting steps, each raised fiber
+        counting as one."""
         rep = _kunneth(*self._settled())
         if rep.degree_total() != self.degree_total():
             raise AssertionError("rewriting changed the degree")
@@ -296,9 +278,9 @@ def _kunneth(rep, steps):
 
 def _canonical_h0(rep):
     """h0 of a canonical rep: the forms of its class modulo the ideal
-    slice that vanish at its minus points."""
+    slice that vanish on its minus divisor (`_divisor_rows`)."""
     monos = monomial_basis((rep.m, rep.n))
-    r = rank(rep.field, _eval_rows(rep.field, rep.minus, monos))
+    r = rank(rep.field, _divisor_rows(rep.field, rep.curve.f, rep.minus, monos))
     ideal = max(rep.m - 1, 0) * max(rep.n - 1, 0)
     h0 = len(monos) - r - ideal
     if h0 < 0:
@@ -306,35 +288,64 @@ def _canonical_h0(rep):
     return h0
 
 
-def _tangent_rows(field, f, points, monos):
-    """One row per point P of the member f: the derivative along W at P of
-    the bidegree monomials `monos`, G_X F_Y - G_Y F_X in an affine chart
-    (X, Y) of P.  With P's value row, it asks a form to vanish to order two
-    on W at P, as W is smooth there.  The chart's coordinates are x1/x0 (or
-    x0/x1 where x0 = 0) and likewise in y, and the partials are taken at
-    P's coordinates as they are: rescaling them multiplies the row by a
-    unit."""
-    dx, dy = monos[0][0] + monos[0][1], monos[0][2] + monos[0][3]
-    rows = []
-    for x, y in points:
-        kx, ky = (1 if x[0] else 0), (1 if y[0] else 0)
-        fx = f.partial(0, kx).eval_full([x, y])
-        fy = f.partial(1, ky).eval_full([x, y])
-        vx, gx = monomial_values(field, x, dx), _derivative_values(field, x, dx, kx)
-        vy, gy = monomial_values(field, y, dy), _derivative_values(field, y, dy, ky)
-        rows.append([gx[e[1]] * vy[e[3]] * fy - vx[e[1]] * gy[e[3]] * fx for e in monos])
+def _divisor_rows(field, f, points, monos):
+    """The conditions on forms in the monomials `monos` to vanish on the
+    divisor of `points` on the member f, a point listed k times to order k
+    on W: its value row (`_eval_rows`) and, for k >= 2, the coefficients of
+    t, ..., t^(k-1) of the monomials along a local parametrization of W at
+    P.  The points are normalized, so each block's chart coordinate (`X`
+    below) moves and the other stays 1.  W is smooth at P, so the chart
+    partial of some block is nonzero (`local_derivatives`); the other
+    block's coordinate is moved by t, and this one is solved for as a
+    power series, from the tangent line on, so k = 2 needs no iteration.
+    Another parametrization or chart multiplies the rows of P by an
+    invertible matrix, so the conditions are those of the divisor.  Over
+    F_p the series are of residues, reduced only where the iteration
+    divides, and the rows are left for the echelon loop to reduce."""
+    distinct = list(dict.fromkeys(points))
+    rows = _eval_rows(field, distinct, monos)
+    if len(distinct) == len(points) or not monos:
+        return rows
+    p = field.modulus
+    read = field.ints if p else list
+    degs = (monos[0][0] + monos[0][1], monos[0][2] + monos[0][3])
+    for P in distinct:
+        k = points.count(P)
+        if k < 2:
+            continue
+        # each block's chart coordinate, and its column in a monomial
+        free = [0 if x[1] else 1 for x in P]
+        cols = (free[0], 2 + free[1])
+        d = read(local_derivatives(f, P))
+        lead = 1 if d[1] else 0
+        inv = pow(d[lead], -1, p) if p else 1 / d[lead]
+        X = [[c] + [0] * (k - 1) for c in read(x[i] for x, i in zip(P, free))]
+        X[1 - lead][1] = 1
+        X[lead][1] = -d[1 - lead] * inv
+        for j in range(2, k):
+            # f along the series so far: its t^j coefficient moves by
+            # d[lead] times that of X[lead]
+            fw = [_series_powers(x, 2) for x in X]
+            v = sum(_series_mul(fw[0][e[cols[0]]], fw[1][e[cols[1]]])[j] * c
+                    for e, c in zip(f.terms, read(f.terms.values())))
+            X[lead][j] = read([-inv * v])[0]
+        pw = [_series_powers(x, dg) for x, dg in zip(X, degs)]
+        values = [_series_mul(pw[0][e[cols[0]]], pw[1][e[cols[1]]]) for e in monos]
+        rows += [[v[j] for v in values] for j in range(1, k)]
     return rows
 
 
-def _derivative_values(field, point, d, k):
-    """Values at `point` of the derivatives by its coordinate k of the
-    binary monomials of degree d, indexed as in `monomial_values`."""
-    if d == 0:
-        return [field.zero()]
-    v = monomial_values(field, point, d - 1)
-    if k == 1:
-        return [field.zero()] + [v[i - 1] * i for i in range(1, d + 1)]
-    return [v[i] * (d - i) for i in range(d)] + [field.zero()]
+def _series_mul(a, b):
+    """The product of two power series of the same length, truncated."""
+    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
+
+
+def _series_powers(x, d):
+    """The powers x^0, ..., x^d of a truncated power series."""
+    pw = [[1] + [0] * (len(x) - 1)]
+    for _ in range(d):
+        pw.append(_series_mul(pw[-1], x))
+    return pw
 
 
 def _raising(m, n):
@@ -347,16 +358,6 @@ def _raising(m, n):
     if a >= 0 and b <= -2:
         return 1, -1 - b
     return 0, 0
-
-
-def _first_duplicate(points):
-    seen = set()
-    for p in points:
-        k = p[0] + p[1]
-        if k in seen:
-            return p
-        seen.add(k)
-    return None
 
 
 def _fiber_scan(field):
@@ -504,20 +505,12 @@ class SectionSpace:
 
 def sections_through(nf, points):
     """Reduced echelon basis of the normal forms in `nf` that vanish on the
-    divisor of `points` counted with multiplicity: at each point, and to
-    order two on W at each point listed twice (`_tangent_rows`).  A normal
-    form vanishes at a point of W exactly when its class does, so the point
-    rows are eliminated on the normal-form columns alone."""
+    divisor of `points` counted with multiplicity, to order k on W at a
+    point listed k times (`_divisor_rows`).  A normal form vanishes to an
+    order at a point of W exactly when its class does, so the rows are
+    eliminated on the normal-form columns alone."""
     field = nf.field
-    simple, twice = [], []
-    for p in points:
-        if p not in simple:
-            simple.append(p)
-        elif p not in twice:
-            twice.append(p)
-        else:
-            raise ValidationError("a divisor point of multiplicity above two")
-    rows = _eval_rows(field, simple, nf.monos) + _tangent_rows(field, nf.f, twice, nf.monos)
+    rows = _divisor_rows(field, nf.f, points, nf.monos)
     # a kernel vector of `kernel_basis` is 1 at its free column, 0 at the
     # others and nonzero only before it; so with the columns reversed, and
     # read back, the kernel basis is the reduced echelon basis
@@ -621,8 +614,9 @@ def _raised_h0(rep, steps):
     rewriting steps left after the `steps` of settling."""
     F = rep.field
     monos = monomial_basis((rep.m, 1))
-    blocks = chain([rep.minus], rep._raising_fibers(1))
-    ranks = block_ranks(F, (map(enumerate, _eval_rows(F, pts, monos)) for pts in blocks))
+    blocks = chain([_divisor_rows(F, rep.curve.f, rep.minus, monos)],
+                   (_eval_rows(F, pts, monos) for pts in rep._raising_fibers(1)))
+    ranks = block_ranks(F, (map(enumerate, rows) for rows in blocks))
     prefix = []  # prefix[i]: the rank of the rows of Z and of i fibers
     budget = REWRITING_STEPS - steps
 
@@ -653,8 +647,10 @@ def section_zero_points(bundle, form):
     reduced, rational, smooth and disjoint from the rep's minus points;
     raises SpecialPosition otherwise.  Finite fields only.
 
-    The certificate is exact: the leftover zeros C satisfy |C| = deg(L) and
-    the form lies in H0(L(-C)), so div - C is effective of degree zero.
+    The certificate is exact: the form's divisor is D + E, with D the minus
+    points counted with multiplicity and deg E = deg(L).  The zeros met are
+    the distinct points of D and the leftover zeros C, which lie on E; so
+    |C| = deg(L) forces E = C.
     """
     rep = bundle if not bundle.plus else bundle.canonical()
     F = rep.field
@@ -664,7 +660,7 @@ def section_zero_points(bundle, form):
     zeros = [p for p in enumerate_points(f) if not form.eval_full(list(p))]
     minus = set((pair_key(F, p)) for p in rep.minus)
     left = [p for p in zeros if pair_key(F, p) not in minus]
-    if len(zeros) - len(left) != len(rep.minus):
+    if len(zeros) - len(left) != len(minus):
         raise SpecialPosition("section vanishes beyond the prescribed points")
     deg = rep.degree_total()
     if len(left) != deg:

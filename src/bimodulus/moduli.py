@@ -42,8 +42,8 @@ to the product's (`NormalForm.product`): over F_p each path product is
 one product of ints by Kronecker substitution, divided by the member on
 residues, and no form is built.  The sections of a product of
 two bundles, from which `psi1` picks its skip arrows, are the normal forms
-vanishing on the sum of the two representatives' divisors: a point of both
-is counted twice, with a tangent row (`sections_through`).  The round trip
+vanishing on the sum of the two representatives' divisors, each point with
+the sum of its multiplicities (`sections_through`).  The round trip
 decides the stability of the point representations with one call: King
 stability of a (1,1,1,1)-representation reads only which arrows are
 nonzero, and every point has a nonzero arrow in each layer.
@@ -170,8 +170,8 @@ def _outside_span(frame, spaces, span_vecs, what):
     as the pair (frame, vector) that `NormalForm.product` takes.
 
     The product space is modelled in the shared ambient by vanishing on the
-    sum of the minus divisors of the canonical representatives, a point of
-    both counted twice (`sections_through`)."""
+    sum of the minus divisors of the canonical representatives, a point
+    counted as often as the two list it (`sections_through`)."""
     basis = sections_through(frame, [p for S in spaces for p in S.rep.minus])
     expect = sum(S.rep.degree_total() for S in spaces)
     if len(basis) != expect:

@@ -57,7 +57,7 @@ from bimodulus.exactmath import (
     rref,
     subspace_equal,
 )
-from bimodulus.linebundles import LineBundle, _fiber_scan, _first_duplicate, section_space
+from bimodulus.linebundles import LineBundle, _fiber_scan, section_space
 from bimodulus.moduli import (
     _frame,
     _left_kernel,
@@ -316,17 +316,13 @@ def split_fiber_scan(f, side, avoid):
 
 def canonical_one_fiber_at_a_time(L):
     """`LineBundle.canonical` one rewriting move per step, 60 steps at
-    most: absorb a plus point, spread a duplicated minus point, or raise
-    by one fiber found by `split_fiber_scan` outside the minus points so
-    far, until the Kunneth condition holds."""
+    most: absorb a plus point, or raise by one fiber found by
+    `split_fiber_scan` outside the minus points so far, until the Kunneth
+    condition holds.  Minus points keep their multiplicity."""
     rep = L
     for _ in range(60):
         if rep.plus:
             rep = rep._absorb_one(rep.plus[0])
-            continue
-        dup = _first_duplicate(rep.minus)
-        if dup is not None:
-            rep = rep._spread_duplicate(dup)
             continue
         a, b = rep.m - 2, rep.n - 2
         if a <= -2 and b >= 0:

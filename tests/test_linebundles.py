@@ -25,6 +25,7 @@ from bimodulus.linebundles import (
     Curve,
     LineBundle,
     NormalForm,
+    _raising,
     is_twisted_v_pullback,
     is_v_pullback,
     isomorphic,
@@ -38,13 +39,16 @@ from bimodulus.linebundles import (
 
 from oracles import (
     canonical_one_fiber_at_a_time,
+    fiber_residual,
     form_to_vec,
     ideal_slice,
     is_multiple,
     scalar_product,
     split_fiber_scan,
+    span_contains,
     split_h0_profile,
     value_rows,
+    vanishes_doubly,
 )
 
 
@@ -483,7 +487,7 @@ def _outcome(f):
 def _seeded_bundles(name):
     """Seeded bundles on a smooth member, each also twisted by O(2, 0) and
     O(4, 0), so that twists O(0, j) with low j are raised along the second
-    ruling."""
+    ruling.  The last two list a point twice and three times."""
     rng = random.Random(7)
     if name == "Q":
         curve = Curve(_rational_smooth_member())
@@ -494,6 +498,8 @@ def _seeded_bundles(name):
              "F25": QuadExtField(PrimeField(5))}[name]
         curve = Curve(make_kind(F, "I0", rng))
         drawn = [random_line_bundle(curve, rng) for _ in range(3)]
+    P, Q = (random_smooth_point(curve.f, rng, fibers=curve.fibers) for _ in range(2))
+    drawn += [LineBundle(curve, 1, 1, [P, P]), LineBundle(curve, 1, 2, [P] * 3, [Q])]
     return [L.twist(dm, 0) for L in drawn for dm in (0, 2, 4)]
 
 
@@ -549,6 +555,53 @@ def test_canonical_takes_the_fibers_one_step_at_a_time_would(name):
                 T = L.twist(dm, dn)
                 want = _presentation(lambda: canonical_one_fiber_at_a_time(T))
                 assert _presentation(T.canonical) == want, (T, dm, dn)
+
+
+MULTIPLICITY_FIELDS = {"F11": PrimeField(11), "F101": PrimeField(101),
+                       "F25": QuadExtField(PrimeField(5)), "Q": QQ}
+
+
+@pytest.mark.parametrize("name", MULTIPLICITY_FIELDS)
+def test_a_point_listed_k_times_is_a_point_of_multiplicity_k(name):
+    # O(m, n)(-kP) with P listed k times: h0 is Riemann-Roch's on a grid of
+    # twists, and the class is the one the spread presentation gives, each
+    # extra copy of P moved to its residual on a fiber, the first ruling's
+    # and the second's in turn (O(-P) = O(-1, 0)(P') = O(0, -1)(P'')).  Over
+    # Q the member splits few fibers besides those through P, so only the
+    # twists that need none are read there
+    F = MULTIPLICITY_FIELDS[name]
+    rng = random.Random(5)
+    curve = linebundles.random_smooth_curve(F, rng)
+    f = curve.f
+    for _ in range(2):
+        P = random_smooth_point(f, rng, fibers=curve.fibers)
+        residuals = [fiber_residual(f, P, side) for side in (0, 1)]
+        assert P not in residuals
+        for k in (2, 3, 4):
+            for m in range(-1, 4):
+                for n in range(-1, 4):
+                    if F is QQ and _raising(m, n) != (0, 0):
+                        continue
+                    L = LineBundle(curve, m, n, [P] * k)
+                    d = L.degree_total()
+                    if d:
+                        assert L.h0() == max(d, 0), (P, k, m, n)
+            moved = [residuals[i % 2] for i in range(k - 1)]
+            dm, dn = len(moved[::2]), len(moved[1::2])
+            spread = LineBundle(curve, 1 - dm, 1 - dn, [P], moved)
+            assert isomorphic(LineBundle(curve, 1, 1, [P] * k), spread)
+        S = section_space(LineBundle(curve, 2, 1, [P, P]))
+        assert S.dim() == 4
+        assert all(vanishes_doubly(f, g, P) for g in S.forms())
+        # a product of sections vanishing to orders 2 and k - 2 at P lies
+        # in the forms cut out by P listed k times, which are deg = 8 - k
+        nf = NormalForm(f, (2, 2))
+        for k in (3, 4):
+            basis = linebundles.sections_through(nf, [P] * k)
+            assert len(basis) == 8 - k
+            for a in section_space(LineBundle(curve, 1, 1, [P, P])).forms():
+                for b in section_space(LineBundle(curve, 1, 1, [P] * (k - 2))).forms():
+                    assert span_contains(F, basis, nf.vec(a * b))
 
 
 @pytest.mark.parametrize("n, raises", [(-57, False), (-58, False), (-59, True), (-64, True)])

@@ -36,8 +36,11 @@ and 11, seeds 0-1, with every scalar "[v,0]" rewritten to "[v,1]"
 (`off_base_field`), so that their coefficients leave F_p.  Last,
 `roundtrip --in` on the lifted smooth chi = 2 bundles at `--prime` 5, 7
 and 11, seeds 2-5 (`LIFTED_ROUNDTRIP_SEEDS`), so that more trips stream
-their incidence points over F_{p^2}.
-565 commands in all, and every command of the CLI among them.
+their incidence points over F_{p^2}.  Last, edited instances with a point
+listed twice (`REPEATED_POINT`): `split`, `stability` and `roundtrip` on
+two bundles O(1,1)(-2P), and `psi` on two component-1 quadruples whose
+bundles share the doubled point.
+573 commands in all, and every command of the CLI among them.
 """
 
 from __future__ import annotations
@@ -104,6 +107,37 @@ EDITED = tuple(
     {"type": "nr-sheaf", "field": {"kind": "Q"}, "ku": 5, "kv": -2, "apic": "1/3",
      "dfin": ["-1", "1"], "dinf": 3},
 )))
+
+
+def _pair(p, x, y):
+    """The point (x, y) of an instance over F_p, None standing for (1 : 0)."""
+    return [[f"{c} mod {p}", f"1 mod {p}"] if c is not None else [f"1 mod {p}", f"0 mod {p}"]
+            for c in (x, y)]
+
+
+def _doubled_quadruple(x, y):
+    """The bundles of the component-1 quadruple at F_11 (seed 0) with L0 =
+    O(1,1)(-2P) and L1 = O(1,1)(-2P-Q), P = (x, y) and Q = (None, 5), and
+    the drawn L2."""
+    P, Q = _pair(11, x, y), _pair(11, None, 5)
+    L2 = [_pair(11, 4, None), _pair(11, 2, None), _pair(11, 7, 3), _pair(11, 10, 9)]
+    return {"bundles": [{"m": 1, "n": 1, "minus": [P, P], "plus": []},
+                        {"m": 1, "n": 1, "minus": [P, P, Q], "plus": []},
+                        {"m": 1, "n": 2, "minus": L2, "plus": []}]}
+
+
+# instances with a point P listed twice, edited like `EDITED`: O(1,1)(-2P)
+# on the smooth chi = 2 members at F_11 (seed 3) and F_101 (seed 0), and two
+# component-1 quadruples whose L0 and L1 share the doubled point, so that
+# the product behind `psi1`'s first skip arrow vanishes to order 4 at P
+REPEATED_POINT = (
+    ("doubled-11.json", ("smooth-bimodule-chi2", 11, 3),
+     {"m": 1, "n": 1, "minus": [_pair(11, 4, 5)] * 2}),
+    ("doubled-101.json", ("smooth-bimodule-chi2", 101, 0),
+     {"m": 1, "n": 1, "minus": [_pair(101, 64, 52)] * 2}),
+    ("doubled-quadruple-11-a.json", ("quadruple", 11, 0), _doubled_quadruple(2, 0)),
+    ("doubled-quadruple-11-b.json", ("quadruple", 11, 0), _doubled_quadruple(3, 6)),
+)
 USAGE_ERRORS = (["bogus"], ["split", "--prime", "abc"], ["split", "--bogus"])
 # (prime, seed) of `generate quadruple` draws of component 1 on which both
 # products behind `psi1`'s skip arrows take a point twice
@@ -162,6 +196,19 @@ def generated_body(argv):
     return code, text, body
 
 
+def edited_instance(tmp, name, generated, edits):
+    """The path of the instance `generate` draws for `generated` = (kind,
+    prime, seed), or of {} when it is None, updated by `edits`."""
+    body = {}
+    if generated is not None:
+        kind, prime, seed = generated
+        _, _, body = generated_body(["generate", kind, "--prime", str(prime), "--seed", str(seed)])
+    body.update(edits)
+    path = Path(tmp) / name
+    path.write_text(json.dumps(body))
+    return path
+
+
 def main_digest():
     with tempfile.TemporaryDirectory() as tmp:
         for kind in GENERATE_KINDS:
@@ -195,14 +242,7 @@ def main_digest():
         for argv in AT_LARGER_PRIMES + OVER_Q:
             emit(argv, *run(list(argv)))
         for name, generated, edits in EDITED:
-            body = {}
-            if generated is not None:
-                kind, prime, seed = generated
-                _, _, body = generated_body(
-                    ["generate", kind, "--prime", str(prime), "--seed", str(seed)])
-            body.update(edits)
-            path = Path(tmp) / name
-            path.write_text(json.dumps(body))
+            path = edited_instance(tmp, name, generated, edits)
             for command in ("split", "stability"):
                 code, text = run([command, "--in", str(path)])
                 emit([command, "--in", name], code, text)
@@ -243,6 +283,11 @@ def main_digest():
                 path = Path(tmp) / name
                 path.write_text(json.dumps(lift_to_fp2(body)))
                 emit(["roundtrip", "--in", name], *run(["roundtrip", "--in", str(path)]))
+        for name, generated, edits in REPEATED_POINT:
+            path = edited_instance(tmp, name, generated, edits)
+            commands = ("psi",) if generated[0] == "quadruple" else ("split", "stability", "roundtrip")
+            for command in commands:
+                emit([command, "--in", name], *run([command, "--in", str(path)]))
 
 
 if __name__ == "__main__":
