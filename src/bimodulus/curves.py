@@ -483,13 +483,17 @@ def _chart_var(pt):
     return 0 if pt[1] else 1
 
 
-def local_derivatives(f, pair):
-    """Values at a point of the two affine-chart partials (one per block)."""
-    out = []
-    for block in (0, 1):
-        d = f.partial(block, _chart_var(pair[block]))
-        out.append(d.eval_full(list(pair)))
-    return tuple(out)
+def chart_partials(f):
+    """The four partials of f, [block][var]: the affine-chart partial of a
+    block at a point is the one in the variable its chart frees."""
+    return tuple(tuple(f.partial(block, var) for var in (0, 1)) for block in (0, 1))
+
+
+def local_derivatives(partials, pair):
+    """Values at a point of the two affine-chart partials (one per block),
+    read off the form's `chart_partials`."""
+    return tuple(partials[block][_chart_var(pair[block])].eval_full(list(pair))
+                 for block in (0, 1))
 
 
 def residue_roots(field, q):
@@ -554,12 +558,13 @@ class FiberTable:
     elements over F_{p^2}.  When the caller knows the member to be smooth
     (`smooth`, as a Curve of type I0 does), every point on it is smooth,
     and a test only checks that the point is on the member.  Otherwise
-    smoothness is read off the four chart partials of the form, computed
-    at the first test and kept with the table.  f is evaluated only at
-    points that no fiber restriction has found on the member.  Given
-    rational points of a smooth f, the table keeps as `planted` the
-    first-ruling fibers through them and through their second-ruling
-    residuals, whose points are all rational."""
+    smoothness is read off the four chart partials of the form
+    (`partials`), which are computed at their first use, here or for the
+    Taylor rows of a repeated divisor point, and kept with the table.  f
+    is evaluated only at points that no fiber restriction has found on the
+    member.  Given rational points of a smooth f, the table keeps as
+    `planted` the first-ruling fibers through them and through their
+    second-ruling residuals, whose points are all rational."""
 
     __slots__ = ("f", "planted", "_grids", "_points", "_drawn", "_smooth", "_partials",
                  "_member_smooth")
@@ -653,6 +658,12 @@ class FiberTable:
             raise ValidationError("point is not on the fiber")
         return pts[len(pts) - 1 - pts.index(pair)]
 
+    def partials(self):
+        """f's `chart_partials`, computed at the first call and kept."""
+        if self._partials is None:
+            self._partials = chart_partials(self.f)
+        return self._partials
+
     def is_smooth(self, pair):
         """Whether the normalized point `pair` of the member is smooth on
         it: the member is smooth, or some affine-chart partial is nonzero
@@ -666,10 +677,8 @@ class FiberTable:
             if self._member_smooth:
                 smooth = True
             else:
-                if self._partials is None:
-                    self._partials = tuple(tuple(self.f.partial(block, var) for var in (0, 1))
-                                           for block in (0, 1))
-                smooth = any(self._partials[block][_chart_var(pair[block])].eval_full(pair)
+                partials = self.partials()
+                smooth = any(partials[block][_chart_var(pair[block])].eval_full(pair)
                              for block in (0, 1))
             self._smooth[pair] = smooth
         return smooth
@@ -936,7 +945,7 @@ def make_tangent_11(field, rng, tries=400):
             pair = point_on_11(g, rng)
         except SpecialPosition:
             continue
-        dug, dvg = local_derivatives(g, pair)
+        dug, dvg = local_derivatives(chart_partials(g), pair)
         u = (0, _chart_var(pair[0]))
         v = (1, _chart_var(pair[1]))
         row_val = _functional_row(field, (1, 1), _deriv_at(pair, []))

@@ -242,7 +242,8 @@ class FpElt:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Fp", self.p, self.v))
+        # equal elements have equal residues
+        return hash(self.v)
 
     def __bool__(self):
         return self.v != 0

@@ -280,7 +280,7 @@ def _canonical_h0(rep):
     """h0 of a canonical rep: the forms of its class modulo the ideal
     slice that vanish on its minus divisor (`_divisor_rows`)."""
     monos = monomial_basis((rep.m, rep.n))
-    r = rank(rep.field, _divisor_rows(rep.field, rep.curve.f, rep.minus, monos))
+    r = rank(rep.field, _divisor_rows(rep.curve.fibers, rep.minus, monos))
     ideal = max(rep.m - 1, 0) * max(rep.n - 1, 0)
     h0 = len(monos) - r - ideal
     if h0 < 0:
@@ -288,20 +288,23 @@ def _canonical_h0(rep):
     return h0
 
 
-def _divisor_rows(field, f, points, monos):
+def _divisor_rows(fibers, points, monos):
     """The conditions on forms in the monomials `monos` to vanish on the
-    divisor of `points` on the member f, a point listed k times to order k
-    on W: its value row (`_eval_rows`) and, for k >= 2, the coefficients of
-    t, ..., t^(k-1) of the monomials along a local parametrization of W at
-    P.  The points are normalized, so each block's chart coordinate (`X`
-    below) moves and the other stays 1.  W is smooth at P, so the chart
-    partial of some block is nonzero (`local_derivatives`); the other
+    divisor of `points` on the member f of the fiber table `fibers`, a
+    point listed k times to order k on W: its value row (`_eval_rows`)
+    and, for k >= 2, the coefficients of t, ..., t^(k-1) of the monomials
+    along a local parametrization of W at P.  The points are normalized,
+    so each block's chart coordinate (`X` below) moves and the other stays
+    1.  W is smooth at P, so the chart partial of some block is nonzero
+    (`local_derivatives`, on the partials the table keeps); the other
     block's coordinate is moved by t, and this one is solved for as a
     power series, from the tangent line on, so k = 2 needs no iteration.
     Another parametrization or chart multiplies the rows of P by an
     invertible matrix, so the conditions are those of the divisor.  Over
     F_p the series are of residues, reduced only where the iteration
     divides, and the rows are left for the echelon loop to reduce."""
+    f = fibers.f
+    field = f.field
     distinct = list(dict.fromkeys(points))
     rows = _eval_rows(field, distinct, monos)
     if len(distinct) == len(points) or not monos:
@@ -316,7 +319,7 @@ def _divisor_rows(field, f, points, monos):
         # each block's chart coordinate, and its column in a monomial
         free = [0 if x[1] else 1 for x in P]
         cols = (free[0], 2 + free[1])
-        d = read(local_derivatives(f, P))
+        d = read(local_derivatives(fibers.partials(), P))
         lead = 1 if d[1] else 0
         inv = pow(d[lead], -1, p) if p else 1 / d[lead]
         X = [[c] + [0] * (k - 1) for c in read(x[i] for x, i in zip(P, free))]
@@ -390,7 +393,9 @@ class NormalForm:
     by a multiple of f times its monomial, which touches only later
     columns.  Both leave the one vector of the class that is zero at every
     pivot, so the normal form is the vector `reduce_modulo` makes.  The
-    division steps are read off f once, on residues (`ints`) over F_p.
+    division steps are read off f once, on residues (`ints`) over F_p, and
+    there a normal form comes out as residues in [0, p): its readers
+    (`kernel_basis`, `rref`, `reduce_modulo`) take the field's `ints`.
 
     A product of classes (`product`) is taken from their normal forms
     straight to this one: over F_p the factors' vectors are packed as ints
@@ -459,7 +464,8 @@ class NormalForm:
     def _divide(self, w):
         """Division by f of the dense coefficients `w`, indexed by column
         (over F_p residues, not necessarily reduced), read off at the
-        normal-form columns; `w` is overwritten."""
+        normal-form columns, over F_p as residues in [0, p); `w` is
+        overwritten."""
         F = self.field
         p = F.modulus
         if p:
@@ -468,7 +474,7 @@ class NormalForm:
                 if a:
                     for col, k in step:
                         w[col] += a * k
-            return [F(w[c]) for c in self._cols]
+            return [w[c] % p for c in self._cols]
         for pc, step in self._steps:
             a = w[pc]
             if a:
@@ -503,14 +509,15 @@ class SectionSpace:
         return [self.form(i) for i in range(self.dim())]
 
 
-def sections_through(nf, points):
+def sections_through(nf, points, fibers):
     """Reduced echelon basis of the normal forms in `nf` that vanish on the
     divisor of `points` counted with multiplicity, to order k on W at a
-    point listed k times (`_divisor_rows`).  A normal form vanishes to an
-    order at a point of W exactly when its class does, so the rows are
-    eliminated on the normal-form columns alone."""
+    point listed k times (`_divisor_rows`, on `fibers`, the fiber table of
+    nf's member).  A normal form vanishes to an order at a point of W
+    exactly when its class does, so the rows are eliminated on the
+    normal-form columns alone."""
     field = nf.field
-    rows = _divisor_rows(field, nf.f, points, nf.monos)
+    rows = _divisor_rows(fibers, points, nf.monos)
     # a kernel vector of `kernel_basis` is 1 at its free column, 0 at the
     # others and nonzero only before it; so with the columns reversed, and
     # read back, the kernel basis is the reduced echelon basis
@@ -521,7 +528,7 @@ def sections_through(nf, points):
 def section_space(bundle):
     rep = bundle.canonical()
     nf = NormalForm(rep.curve.f, (rep.m, rep.n))
-    return SectionSpace(rep, nf, sections_through(nf, rep.minus))
+    return SectionSpace(rep, nf, sections_through(nf, rep.minus, rep.curve.fibers))
 
 
 # ---------------------------------------------------------------------------
@@ -529,12 +536,24 @@ def section_space(bundle):
 
 
 def isomorphic(L1, L2):
-    """Exact isomorphism test for bundles presented on the same curve object."""
+    """Exact isomorphism test for bundles presented on the same curve object.
+
+    Bundles of equal multidegree are isomorphic exactly when D = L1 (x)
+    L2^-1 has a section: the member is connected and reduced, so a bundle
+    of multidegree 0 with a section is trivial, and then so is its inverse.
+    h0 is taken on whichever of D and D^-1 has fewer plus points, D on a
+    tie, since each plus point is absorbed and raises the rep; where that
+    side's `canonical` raises SpecialPosition, on the other side."""
     if L1.curve is not L2.curve:
         raise ValidationError("isomorphism test needs a shared curve object")
     if L1.degree_by_component() != L2.degree_by_component():
         return False
-    h = L1.tensor(L2.inverse()).h0()
+    D = L1.tensor(L2.inverse())
+    first, second = sorted((D, D.inverse()), key=lambda L: len(L.plus))
+    try:
+        h = first.h0()
+    except SpecialPosition:
+        h = second.h0()
     if h > 1:
         raise AssertionError("degree-zero bundle with several sections")
     return h == 1
@@ -614,7 +633,7 @@ def _raised_h0(rep, steps):
     rewriting steps left after the `steps` of settling."""
     F = rep.field
     monos = monomial_basis((rep.m, 1))
-    blocks = chain([_divisor_rows(F, rep.curve.f, rep.minus, monos)],
+    blocks = chain([_divisor_rows(rep.curve.fibers, rep.minus, monos)],
                    (_eval_rows(F, pts, monos) for pts in rep._raising_fibers(1)))
     ranks = block_ranks(F, (map(enumerate, rows) for rows in blocks))
     prefix = []  # prefix[i]: the rank of the rows of Z and of i fibers

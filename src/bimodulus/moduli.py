@@ -17,23 +17,26 @@ checkable on random instances:
   relations_through_points    the relation plane back from those points
   phi_inverse   quadruple -> re-embedded member plus sheaf, inverse to phi
 
-A relation pair is a pair of 2x2x2 tensors, and each of its three shadows
-(the resultant that eliminates one line factor) is the member again.  The
-incidence points are the points (x, y) of the last shadow, each with the
-common zero z of the two relations there, and the relation plane is the
-left kernel of the path monomials at those points, one `kernel_basis`
-(`_plane`).  Points and tensors are read in the field's representation
-(`ints`, see `exactmath`).  One stream serves every finite field
-(`_incidence_stream`): one pass over x with 2x2 contractions, over F_p
-on residues, building field elements only for `incidence_points`.  The
-round trip takes the plane from the first 16 of these points.  It counts
-them over F_p with `curves.point_count` of the member, checked against
-the count of the last shadow, and over F_{p^2} by reading the rest of
-the stream; on both the count must meet the Hasse bound.  Every j it
-compares is read off a grid (`curves.grid_j`), the member's from its
-terms and each shadow's from the relation tensors, so no smooth shadow
-is built as a form.  The re-embedded member of `phi_inverse` is the
-shadow that forgets the middle line.
+A relation pair is a pair of 2x2x2 tensors, and each of its three
+shadows (the resultant that eliminates one line factor) is the member
+again.  The incidence points are the points (x, y) of the last shadow,
+each with the common zero z of the two relations there, and the relation
+plane is the left kernel of the path monomials at those points, one
+`kernel_basis` (`relations_through_points`).  Points and tensors are
+read in the field's representation (`ints`, see `exactmath`).  One
+stream serves every finite field (`_incidence_stream`): one pass over x
+with 2x2 contractions, over F_p on residues, building field elements
+only for `incidence_points`.  The round trip checks the plane on the
+first 16 of these points with one `rank` and no kernel: the path rows
+must have rank 6, and the relations must annihilate every row.  It
+counts them over F_p with `curves.point_count` of the member, checked
+against the count of the last shadow, and over F_{p^2} by reading the
+rest of the stream; on both the count must meet the Hasse bound.  Every
+j it compares is read off a grid (`curves.grid_j`), the member's from
+its terms and each shadow's from the relation tensors (`_shadow_grids`,
+made once a trip), so no smooth shadow is built as a form.  The
+re-embedded member of `phi_inverse` is the shadow that forgets the
+middle line.
 
 The products of sections behind `psi0`/`psi1` are kept as normal forms
 modulo the member, remainders of division by the member leading monomial
@@ -56,6 +59,7 @@ SpecialPosition; callers redraw.  Everything else is exact.
 from __future__ import annotations
 
 from itertools import chain, islice, repeat
+from operator import mul
 
 from .curves import (
     coefficient_grid,
@@ -68,7 +72,7 @@ from .curves import (
     residue_roots,
 )
 from .errors import DegenerateInstance, SpecialPosition, ValidationError
-from .exactmath import kernel_basis, reduce_modulo, rref, subspace_equal
+from .exactmath import kernel_basis, rank, reduce_modulo, rref
 from .linebundles import (
     Curve,
     LineBundle,
@@ -172,7 +176,8 @@ def _outside_span(frame, spaces, span_vecs, what):
     The product space is modelled in the shared ambient by vanishing on the
     sum of the minus divisors of the canonical representatives, a point
     counted as often as the two list it (`sections_through`)."""
-    basis = sections_through(frame, [p for S in spaces for p in S.rep.minus])
+    basis = sections_through(frame, [p for S in spaces for p in S.rep.minus],
+                             spaces[0].rep.curve.fibers)
     expect = sum(S.rep.degree_total() for S in spaces)
     if len(basis) != expect:
         raise DegenerateInstance(f"{what}: section count off the expected {expect}")
@@ -254,19 +259,16 @@ def ci_shadows(c1, c2):
     return shadows
 
 
-def ci_smooth_j(c1, c2):
+def ci_smooth_j(c1, c2, grids=None):
     """Common j-invariant of the three shadows; every shadow must be a
     smooth member.
 
-    Each shadow's grid comes from `_fiber_coefficients` on the relation
-    tensors (`_tensor`), with the eliminated line factor moved last, and
-    its j from `grid_j`.  A shadow that is zero or not smooth has no j
-    there; the shadows are then built as forms only to say which
-    (`ci_shadows`, `kodaira_classify`)."""
+    Each shadow's j is read off its grid (`grid_j`): `grids`, when given,
+    are the three that `_shadow_grids` makes of the pair.  A shadow that is
+    zero or not smooth has no j there; the shadows are then built as forms
+    only to say which (`ci_shadows`, `kodaira_classify`)."""
     field = c1.field
-    t1, t2 = _tensor(c1), _tensor(c2)
-    js = [grid_j(field, _fiber_coefficients([t1[i] for i in order], [t2[i] for i in order]))
-          for order in _ELIMINATING]
+    js = [grid_j(field, grid) for grid in grids or _shadow_grids(c1, c2)]
     if None in js:
         for res in ci_shadows(c1, c2):
             kind = kodaira_classify(res)
@@ -293,6 +295,16 @@ def _tensor(c):
 # is moved last and the other two keep their order: (y, z, x), (x, z, y)
 # and (x, y, z)
 _ELIMINATING = ([0, 4, 1, 5, 2, 6, 3, 7], [0, 2, 1, 3, 4, 6, 5, 7], list(range(8)))
+
+
+def _shadow_grids(c1, c2):
+    """The grids of the three shadows, eliminating x, y and z in turn:
+    `_fiber_coefficients` on the relation tensors (`_tensor`) with the
+    eliminated line factor moved last.  The last is the grid of the shadow
+    whose points `_incidence_stream` lifts."""
+    t1, t2 = _tensor(c1), _tensor(c2)
+    return [_fiber_coefficients([t1[i] for i in order], [t2[i] for i in order])
+            for order in _ELIMINATING]
 
 
 def _det_quadratic(m, n):
@@ -416,14 +428,9 @@ def relations_through_points(field, pts):
 
     The monomials are taken at the points' coordinates in the field's
     `ints`, which scales each row by a nonzero factor and leaves the kernel
-    alone (`_plane`)."""
+    alone."""
     _require_enough_points(len(pts))
-    return _plane(field, [_path_values([field.ints(c) for c in pt]) for pt in pts])
-
-
-def _plane(field, rows):
-    """The left kernel of the path rows; raises unless it is a plane."""
-    ker = kernel_basis(field, rows, 8)
+    ker = kernel_basis(field, [_path_values([field.ints(c) for c in pt]) for pt in pts], 8)
     if len(ker) != 2:
         raise DegenerateInstance("point conditions did not cut the relation plane")
     return ker
@@ -545,8 +552,11 @@ def roundtrip0(U, sample_reps=4):
     points and min(points, `sample_reps`), the representations the report
     vouches for; one verdict covers them all.
 
-    The plane is the kernel of the path rows of the first `_PREFIX`
-    points of `_incidence_stream` (`_plane`).  Over F_p the points are
+    The plane is checked on the path rows of the first `_PREFIX` points
+    of `_incidence_stream`, in the field's `ints`: their rank must be 6,
+    so that their left kernel is a plane, and psi0's two independent
+    relations must annihilate every row, so that they span it.  The shadow
+    grids are made once (`_shadow_grids`).  Over F_p the points are
     counted without being visited: `point_count` of the member, which must
     equal that of the last shadow (the incidence curve's isomorphic image);
     over F_{p^2} the count is the length of the stream.  On every field the
@@ -561,7 +571,8 @@ def roundtrip0(U, sample_reps=4):
     relations = psi0(quad)
     c1, c2 = relations_to_ci(field, relations)
     j_member = member_j(curve.f)
-    j_shadows = ci_smooth_j(c1, c2)
+    grids = _shadow_grids(c1, c2)
+    j_shadows = ci_smooth_j(c1, c2, grids)
     if j_shadows != j_member:
         raise AssertionError("shadow j differs from the member j")
     stream = _incidence_stream(field, c1, c2)
@@ -570,8 +581,7 @@ def roundtrip0(U, sample_reps=4):
     if p:
         count = point_count(p, coefficient_grid(curve.f))
         # the grid of the last shadow, which eliminates z
-        shadow = _fiber_coefficients(_tensor(c1), _tensor(c2))
-        if point_count(p, shadow) != count:
+        if point_count(p, grids[2]) != count:
             raise AssertionError("the last shadow and the member differ in point count")
     else:
         count = len(pts) + sum(1 for _ in stream)
@@ -582,9 +592,14 @@ def roundtrip0(U, sample_reps=4):
     _require_enough_points(count)
     if len(pts) < _PREFIX and len(pts) != count:
         raise AssertionError("the incidence points ended before the point count")
-    recovered = _plane(field, [_path_values(pt) for pt in pts])
-    if not subspace_equal(field, recovered, relations):
-        raise AssertionError("recovered relations differ from the computed ones")
+    rows = [_path_values(pt) for pt in pts]
+    if rank(field, rows) != 6:
+        raise DegenerateInstance("point conditions did not cut the relation plane")
+    for c in map(field.ints, relations):
+        for row in rows:
+            v = sum(map(mul, c, row))
+            if v % p if p else v:
+                raise AssertionError("recovered relations differ from the computed ones")
     # King stability reads only which arrows are nonzero, the two arrows of
     # each layer join the same two vertices, and every point of (P1)^3 has
     # a nonzero coordinate in each layer: every incidence point has the

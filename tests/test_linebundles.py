@@ -128,6 +128,23 @@ def test_smoothness_is_tested_once_per_point_and_partials_once_per_curve(
             assert 0 < calls["partial"] <= 4
 
 
+def test_repeated_points_take_the_partials_once_per_member(F101, rng, monkeypatch):
+    # the Taylor rows of a repeated point read the chart partials the
+    # member's fiber table keeps: four partials, however many bundles,
+    # points and multiplicities ask for them
+    calls = []
+    real = MultiPoly.partial
+    monkeypatch.setattr(MultiPoly, "partial",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    curve = Curve(make_kind(F101, "I0", rng))
+    pts = [random_smooth_point(curve.f, rng, fibers=curve.fibers) for _ in range(3)]
+    for P in pts:
+        for k in (2, 3):
+            assert LineBundle(curve, 1, 1, [P] * k).h0() == 4 - k
+            assert section_space(LineBundle(curve, 2, 1, [P] * k)).dim() == 6 - k
+    assert len(calls) == 4
+
+
 def test_only_checked_constructions_normalize_their_points(monkeypatch):
     F = PrimeField(101)
     rng = random.Random(4)
@@ -203,6 +220,39 @@ def test_degree_zero_sections_detect_triviality(smooth_curve, rng):
     assert L.degree_total() == 0
     assert L.h0() in (0, 1)
     assert isomorphic(L, O) == (L.h0() == 1)
+
+
+def h0_or_none(L):
+    try:
+        return L.h0()
+    except SpecialPosition:
+        return None
+
+
+@pytest.mark.parametrize("name, draws", [("F11", 300), ("F101", 300), ("Q", 100)])
+def test_isomorphic_answers_wherever_either_side_of_the_tensor_does(name, draws):
+    # pairs of degree-2 bundles on seeded members: D = A (x) B^-1 has a
+    # section exactly when D^-1 does, so `isomorphic` must give the answer
+    # of each side that answers, and raise only where neither does; the
+    # side with fewer plus points answers where D alone does not
+    F = QQ if name == "Q" else PrimeField(int(name[1:]))
+    unanswered = {"D": 0, "either": 0}
+    for seed in range(draws):
+        rng = random.Random(seed)
+        curve = linebundles.random_smooth_curve(F, rng)
+        A, B = (random_line_bundle(curve, rng, 2, 2) for _ in range(2))
+        D = A.tensor(B.inverse())
+        h, g = h0_or_none(D), h0_or_none(D.inverse())
+        unanswered["D"] += h is None
+        sides = [x for x in (h, g) if x is not None]
+        if not sides:
+            unanswered["either"] += 1
+            with pytest.raises(SpecialPosition):
+                isomorphic(A, B)
+            continue
+        assert all(isomorphic(A, B) == (x == 1) for x in sides), seed
+    assert unanswered == {"F11": {"D": 38, "either": 16}, "F101": {"D": 1, "either": 0},
+                          "Q": {"D": 39, "either": 23}}[name]
 
 
 def test_tensor_and_inverse(smooth_curve, rng):
@@ -597,7 +647,7 @@ def test_a_point_listed_k_times_is_a_point_of_multiplicity_k(name):
         # in the forms cut out by P listed k times, which are deg = 8 - k
         nf = NormalForm(f, (2, 2))
         for k in (3, 4):
-            basis = linebundles.sections_through(nf, [P] * k)
+            basis = linebundles.sections_through(nf, [P] * k, curve.fibers)
             assert len(basis) == 8 - k
             for a in section_space(LineBundle(curve, 1, 1, [P, P])).forms():
                 for b in section_space(LineBundle(curve, 1, 1, [P] * (k - 2))).forms():

@@ -10,7 +10,7 @@ import pytest
 from bimodulus import curves, linebundles, moduli, polyring
 from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationError
 from bimodulus.curves import enumerate_points, make_kind, member_j, random_p1_point, random_smooth_point
-from bimodulus.exactmath import QQ, FpElt, PrimeField, QuadExtField, kernel_basis, subspace_equal
+from bimodulus.exactmath import QQ, FpElt, PrimeField, QuadExtField, kernel_basis, rank, subspace_equal
 from bimodulus.linebundles import (
     Curve,
     LineBundle,
@@ -128,6 +128,25 @@ def test_quadruple_rejects_isomorphic_equal_degree_bundles(datum):
     L2 = LineBundle(curve, 1, 0)
     with pytest.raises(DegenerateInstance):
         Quadruple(curve, L0, L0, L2)
+
+
+def test_phi_tests_isomorphism_without_absorbing_a_point(monkeypatch):
+    # U = O(m, n)(-Z) has no plus point, so each of phi's pairs has a
+    # plus-free side of A (x) B^-1: O(m - 1, n)(-Z) for (L0, L1),
+    # O(m - 2, n + 1)(-Z) for (L1, L2) and O(-1, 1) for (L0, L2)
+    absorbed = []
+    real = LineBundle._absorb_one
+    monkeypatch.setattr(LineBundle, "_absorb_one",
+                        lambda self, p: absorbed.append(p) or real(self, p))
+    built = 0
+    for seed in range(10):
+        _, U = random_sheaf_datum(PrimeField(101), random.Random(seed))
+        try:
+            phi(U)
+            built += 1
+        except DegenerateInstance:
+            pass
+    assert built >= 5 and absorbed == []
 
 
 def test_quadruple_requires_smooth_member(F101, rng):
@@ -264,7 +283,7 @@ def test_products_vanish_doubly_where_the_divisors_share_a_point(name):
     for quad, (La, Lb), (A, B), shared in shared_support_products(F, seeds):
         f = quad.curve.f
         nf = NormalForm(f, (A.rep.m + B.rep.m, A.rep.n + B.rep.n))
-        basis = sections_through(nf, A.rep.minus + B.rep.minus)
+        basis = sections_through(nf, A.rep.minus + B.rep.minus, quad.curve.fibers)
         try:
             assert len(basis) == La.tensor(Lb).h0()
             dims += 1
@@ -298,7 +317,7 @@ def test_psi1_takes_a_point_listed_four_times_in_a_skip_product(name):
     assert len(relations) == 3
     assert relations == psi1_by_forms(quad)
     nf = NormalForm(curve.f, (2, 2))
-    basis = sections_through(nf, [P] * 4 + [Q])
+    basis = sections_through(nf, [P] * 4 + [Q], curve.fibers)
     assert len(basis) == 3
     for t in section_space(L0).forms():
         for r in section_space(L1).forms():
@@ -361,13 +380,19 @@ def phi_inverse_draw(F, seed):
 
 
 @pytest.mark.parametrize("name, seeds", [
-    ("F11", (0, 1, 5, 9, 10, 13, 19)), ("F101", (1, 12)), ("F25", (5, 7, 18, 19, 28, 29))])
-def test_phi_inverse_redraws_a_divisor_through_a_base_point(name, seeds):
+    ("F11", (0, 1, 9, 10, 13, 18, 30)), ("F101", (68, 99)), ("F25", (5, 7, 18, 21, 29, 33))])
+def test_phi_inverse_redraws_a_divisor_through_a_base_point(name, seeds, monkeypatch):
     # at these seeds the first section with reduced rational zeros vanishes
     # at a point where both sections of L2 (or of L0) vanish, a point with
     # no image in the re-embedding
+    real = moduli.section_zero_points
     for seed in seeds:
-        _, (curve, sheaf, _) = phi_inverse_draw(FIELDS[name], seed)
+        divisors = []
+        monkeypatch.setattr(moduli, "section_zero_points",
+                            lambda *args: divisors.append(real(*args)) or divisors[-1])
+        quad, (curve, sheaf, _) = phi_inverse_draw(FIELDS[name], seed)
+        base = section_space(quad.L2).rep.minus + section_space(quad.L0).rep.minus
+        assert any(p in base for p in divisors[0]), seed
         assert curve.kind == "I0" and sheaf.degree_total() == 2
         assert len(set(sheaf.minus)) == 2
 
@@ -795,6 +820,21 @@ def test_the_roundtrip_reads_the_first_sixteen_incidence_points(edit, monkeypatc
     monkeypatch.setattr(moduli, "_incidence_stream",
                         lambda field, c1, c2: change(list(real(field, c1, c2)), p))
     assert failure(roundtrip0, U, 10 ** 9) == (report if want is None else want)
+
+
+def test_the_roundtrip_rejects_points_of_another_relation_pair(monkeypatch):
+    # the stream gives the points of another trip's incidence curve: their
+    # path rows cut a plane, but not the one of the trip's own relations
+    F = PrimeField(101)
+    U = streamed_datum(F, 11)
+    other = relations_to_ci(F, psi0(phi(streamed_datum(F, 12))))
+    pts = list(itertools.islice(moduli._incidence_stream(F, *other), 16))
+    rows = [moduli._path_values(pt) for pt in pts]
+    assert rank(F, rows) == 6
+    assert not subspace_equal(F, kernel_basis(F, rows, 8), psi0(phi(U)))
+    monkeypatch.setattr(moduli, "_incidence_stream", lambda field, c1, c2: iter(pts))
+    assert failure(roundtrip0, U) == (
+        AssertionError, "recovered relations differ from the computed ones")
 
 
 @pytest.mark.parametrize("unstable", [False, True])
