@@ -30,15 +30,24 @@ Curve of type I0 tells its fiber table that the member is smooth, so no
 smoothness test computes a partial derivative.  A split scan reads the
 splitting type (a, b) off h0 of one twist, O(0, -s-1) with
 s = (chi-2)//2, where only O(b) has sections, and verifies it on the
-twists O(0, j) of a fixed window widened to where each summand turns on.  The twists it raises along the second ruling are
-O(m,1)(-Z-F_1-...-F_t) for growing t: the same monomials and more rows, so
-one elimination, read after each fiber, gives all their h0.
+twists O(0, j) of a fixed window widened to where each summand turns on.
+Each Kunneth regime of the scan answers all its twists from one
+elimination.  The twists raised along the second ruling are
+O(m,1)(-Z-F_1-...-F_t) for growing t: the same monomials and more rows,
+read after each fiber.  The others are O(M,N)(-Z') for growing N, with M
+and Z' fixed (M = m unraised, M = 1 raised along the first ruling): more
+monomials and the same rows, so the conditions of Z' are eliminated
+transposed, one block of monomials x^a y0^i y1^(N-i) for each i, which
+off y = (1:0) take the same values in every degree N >= i.  Points on
+y = (1:0) are first moved by the shear y -> (y0, y1 + s*y0) that clears
+them, and where no shear does, each twist is counted on its own.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, islice
+from itertools import chain, count, islice
 from operator import mul
 
 from .curves import (
@@ -584,7 +593,11 @@ def split_from_h0(h0_of_twist, chi):
     the whole twist profile over [-SPLIT_WINDOW, SPLIT_WINDOW], widened to
     the twists -b - 1 and -a - 1 where each summand turns on.  Each twist is
     evaluated once, and the profile lowest first, so a caller may answer
-    the low twists from one incremental computation."""
+    the twists from one incremental computation: `split_from_cohomology`
+    answers those of each Kunneth regime from one elimination, extended
+    as higher twists are asked for, the points moved off y = (1 : 0) by a
+    shear first, or counts each twist of a regime on its own where no
+    shear clears them."""
     h0 = cache(h0_of_twist)
     s = (chi - 2) // 2
     b = s + h0(-s - 1)
@@ -606,20 +619,31 @@ def split_from_cohomology(L):
 
     L settles (`LineBundle._settled`) once, to O(m, n)(-Z) in some steps;
     the moves read only the points, so each twist O(0, j) of L settles to
-    O(m, n + j)(-Z) in as many.  The twists raised along the second ruling
-    (m >= 2, n + j <= 0) have the canonical reps O(m, 1)(-Z - F_1 - ... -
-    F_t), t = 1 - n - j: one elimination of the rows of Z and then of each
-    fiber, read at each prefix, answers all of them (`_raised_h0`).  The
-    other twists are made canonical from their settled reps (`_kunneth`),
-    with the steps that are left."""
+    O(m, n + j)(-Z) in as many.  Its canonical rep then falls in one of
+    three Kunneth regimes, and each regime the scan enters answers all its
+    twists from one elimination, made when its first twist is asked:
+
+    * raised along the second ruling (m >= 2, n + j <= 0): O(m, 1)(-Z -
+      F_1 - ... - F_t), t = 1 - n - j, the rows of Z and then of each
+      fiber eliminated once and read at each prefix (`_raised_h0`);
+    * unraised: O(m, N)(-Z), N = n + j;
+    * raised along the first ruling (m <= 0, n + j >= 2): O(1, N)(-Z'),
+      Z' the points of Z and of the 1 - m fibers `_kunneth` takes, the
+      same for every j.
+
+    In the last two only N grows, so the forms of all their twists are
+    read off one elimination (`_regime_h0`).  A twist raises
+    SpecialPosition where its canonical rep does."""
     rep, steps = L._settled()
-    raised = _raised_h0(rep, steps)
+    regimes = {}
 
     def h0(j):
         side, t = _raising(rep.m, rep.n + j)
-        if side == 1 and t:
-            return raised(t)
-        return _canonical_h0(_kunneth(rep.twist(0, j), steps))
+        regime = (side, t > 0)
+        if regime not in regimes:
+            regimes[regime] = (_raised_h0(rep, steps) if side
+                               else _regime_h0(_kunneth(rep.twist(0, j), steps)))
+        return regimes[regime](t if side else rep.n + j)
 
     return split_from_h0(h0, L.degree_total())
 
@@ -650,6 +674,61 @@ def _raised_h0(rep, steps):
             raise SpecialPosition("rewriting did not terminate")
         # O(m, 1) has no ideal slice: f * H0(O(m - 2, -1)) = 0
         h = len(monos) - prefix[t]
+        if h < 0:
+            raise AssertionError("negative section count")
+        return h
+
+    return h0
+
+
+def _regime_h0(rep):
+    """h0 of the canonical reps O(M, N)(-Z) with the M = rep.m and Z =
+    rep.minus of a canonical rep, as a function of N: the twists O(0, k)
+    of rep that stay in its Kunneth regime.
+
+    When no point of Z has y = (1, 0), the monomial x^a y0^i y1^(N-i)
+    takes the value x^a t^i at a point (x, (t, 1)), and so do its Taylor
+    coefficients there; so the forms of degree N are those of degree N + 1
+    with i <= N.  The conditions of Z (`_divisor_rows`) are eliminated
+    transposed, one row per monomial, in blocks of equal i, and the rank
+    after block N is the rank of the conditions in degree N.  Otherwise
+    the points are first moved by y -> (y0, y1 + s y0) for the first s of
+    `_fiber_scan` order that takes no point of Z to y = (1, 0), which
+    leaves h0 as it is.  Where there is none, each twist is counted on
+    its own (`_canonical_h0`); over a finite field the y-values of Z then
+    hold (1, 0) and every (t, 1) with t != 0, so |Z| >= |F|, and over Q
+    Z has a distinct y-value barring each of the 79 candidates."""
+    M, curve, points = rep.m, rep.curve, rep.minus
+    F = curve.field
+    s = next((s for s, one in _fiber_scan(F)
+              if one and all(s * y0 + y1 for _, (y0, y1) in points)), None)
+    if s is None:
+        return lambda N: _canonical_h0(rep.twist(0, N - rep.n))
+    if s:
+        curve, move = _moved(curve, ((1, 0), (0, 1)), ((1, 0), (s, 1)), kind=curve.kind)
+        points = [move(p) for p in points]
+    # over Q a value row is taken at the point's ints (`_eval_rows`), y =
+    # (c t, c) for y = (t, 1): in block i it is c^i times the row at (t, 1);
+    # the value rows of `_divisor_rows` come first, one per distinct point
+    scale = [F.ints(y)[1] for _, y in dict.fromkeys(points)] if not F.characteristic else []
+
+    def block(i):
+        rows = _divisor_rows(curve.fibers, points, [(M - a, a, i, 0) for a in range(M + 1)])
+        for k, c in enumerate(scale):
+            if c != 1:
+                rows[k] = [Fraction(v, c ** i) for v in rows[k]]
+        return map(enumerate, zip(*rows))
+
+    ranks = block_ranks(F, map(block, count()))
+    prefix = []  # prefix[i]: the rank of the conditions on blocks 0, ..., i
+
+    def h0(N):
+        if M < 0 or N < 0:
+            return 0
+        while len(prefix) <= N:
+            # once the conditions are independent, later blocks add no rank
+            prefix.append(prefix[-1] if prefix and prefix[-1] == len(points) else next(ranks))
+        h = (M + 1) * (N + 1) - prefix[N] - max(M - 1, 0) * max(N - 1, 0)
         if h < 0:
             raise AssertionError("negative section count")
         return h
@@ -748,19 +827,27 @@ def transport(bundle, g, h):
     and every marked point moves by direct matrix action, so classification,
     degrees and splitting data are all preserved.
     """
-    field = bundle.field
-    g = [[field.coerce(x) for x in row] for row in g]
-    h = [[field.coerce(x) for x in row] for row in h]
-    f2 = bundle.curve.f.substitute_block(0, _inverse_2x2(field, g))
-    f2 = f2.substitute_block(1, _inverse_2x2(field, h))
-    curve2 = Curve(f2)
-    def move(p):
-        return (_apply_2x2(field, g, p[0]), _apply_2x2(field, h, p[1]))
-
+    curve, move = _moved(bundle.curve, g, h)
     return LineBundle(
-        curve2,
+        curve,
         bundle.m,
         bundle.n,
         [move(p) for p in bundle.minus],
         [move(p) for p in bundle.plus],
     )
+
+
+def _moved(curve, g, h, kind=None):
+    """(curve2, move): the member moved by the ruling-preserving
+    automorphism (g, h), as a Curve of Kodaira type `kind` (classified
+    when None), and the map taking its points to curve2's."""
+    field = curve.field
+    g = [[field.coerce(x) for x in row] for row in g]
+    h = [[field.coerce(x) for x in row] for row in h]
+    f2 = curve.f.substitute_block(0, _inverse_2x2(field, g))
+    f2 = f2.substitute_block(1, _inverse_2x2(field, h))
+
+    def move(p):
+        return (_apply_2x2(field, g, p[0]), _apply_2x2(field, h, p[1]))
+
+    return Curve(f2, kind), move

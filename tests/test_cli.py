@@ -93,6 +93,25 @@ def test_split_of_a_bundle_whose_first_twist_with_sections_is_above_the_window(
     assert code == 0 and rep["agree"] and rep["computed"]["ab"] == [-11, -11]
 
 
+@pytest.mark.parametrize("m, n, want", [
+    (0, 64, (0, {"ab": [61, 61], "ab_prime": [60, 60]})),
+    (-20, 30, (0, {"ab": [7, 7], "ab_prime": [6, 6]})),
+    (64, 64, (2, "no usable split fiber found")),
+])
+def test_split_at_the_integer_bound_within_a_cpu_budget(capsys, tmp_path, m, n, want):
+    # the seed-0 bundle at F_101 edited to O(m, n) near the bound of 64 on
+    # |m| and |n|: the scans run the twists O(0, j) far past the window,
+    # raised along the first ruling, and O(64, 64) runs out of fibers
+    # raised along the second
+    body = generated_body(capsys, "smooth-bimodule-chi2", "--prime", "101", "--seed", "0")
+    body.update(m=m, n=n)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(body))
+    code, rep = run_child(["split", "--in", str(path)])
+    assert code in (0, 2)
+    assert (code, rep["computed"] if code == 0 else rep["error"]) == want
+
+
 def test_split_on_a_doubled_member_sheaf_with_shifted_flag(capsys, tmp_path):
     # the descriptor of this sheaf sets its own twist flag (ku = -1)
     code, rep = run(capsys, "generate", "non-reduced", "--seed", "2002")

@@ -400,21 +400,46 @@ def test_split_scan_rejects_a_profile_of_no_split_pair(chi, h0):
 
 
 @pytest.mark.parametrize("window", [3, 8])
-def test_split_scan_computes_each_twist_once(smooth_curve, rng, monkeypatch, window):
+def test_split_scan_eliminates_once_per_kunneth_regime(smooth_curve, rng, monkeypatch, window):
     monkeypatch.setattr(linebundles, "SPLIT_WINDOW", window)
-    # the h0 of a twist off the raised ladder is the h0 of its canonical rep
-    calls = []
-    h0 = linebundles._canonical_h0
+    # no twist is counted on its own: each Kunneth regime the scan enters,
+    # the second-ruling ladder of `_raised_h0` among them, answers all its
+    # twists from one elimination
+    counted, eliminations, asked = [], [], []
+    canonical_h0, ranks = linebundles._canonical_h0, linebundles.block_ranks
 
-    def counted(rep):
-        calls.append((rep.m, rep.n))
-        return h0(rep)
+    def counting(rep):
+        counted.append(rep)
+        return canonical_h0(rep)
 
-    monkeypatch.setattr(linebundles, "_canonical_h0", counted)
+    def eliminated(*args):
+        eliminations.append(args)
+        return ranks(*args)
+
+    monkeypatch.setattr(linebundles, "_canonical_h0", counting)
+    monkeypatch.setattr(linebundles, "block_ranks", eliminated)
+    scan = linebundles.split_from_h0
+
+    def recorded(h0, chi):
+        def h(j):
+            asked.append(j)
+            return h0(j)
+        return scan(h, chi)
+
+    monkeypatch.setattr(linebundles, "split_from_h0", recorded)
+    entered = []
     for L in (LineBundle(smooth_curve, 0, 0), random_line_bundle(smooth_curve, rng)):
-        calls.clear()
+        eliminations.clear()
+        asked.clear()
         split_from_cohomology(L)
-        assert len(calls) == len(set(calls)) == 2 * window + 1
+        rep, _ = L._settled()
+        # (1, True) raised along the second ruling, (0, True) along the
+        # first, (0, False) unraised
+        regimes = {(side, t > 0) for side, t in (_raising(rep.m, rep.n + j) for j in asked)}
+        assert len(eliminations) == len(regimes)
+        entered.append(len(regimes))
+    assert counted == []
+    assert entered[0] == 2
 
 
 def _exhaust_split_fibers(scan, avoid):
@@ -586,6 +611,56 @@ def test_split_settles_the_bundle_once_per_scan(monkeypatch, name):
         calls.clear()
         _outcome(lambda: split_from_cohomology(L))
         assert calls == [L]
+
+
+def _bundles_with_a_point_at_infinity(name):
+    """Bundles with a minus point P at y = (1, 0), on a smooth member over
+    the field `name`, P once and twice, each also twisted by O(-1, 0) and
+    O(2, 0): every Kunneth regime of their scans has a point there."""
+    rng = random.Random(3)
+    while True:
+        if name == "Q":
+            curve = Curve(_rational_smooth_member())
+        else:
+            F = MULTIPLICITY_FIELDS[name]
+            curve = Curve(make_kind(F, "I0", rng))
+        F = curve.field
+        pts = curve.fibers.points(1, (F.one(), F.zero()))
+        if pts:
+            break
+    P = pts[0]
+    Q = random_smooth_point(curve.f, rng, fibers=curve.fibers)
+    drawn = [LineBundle(curve, 1, 1, [P, Q]), LineBundle(curve, 1, 1, [P, P]),
+             LineBundle(curve, 0, 2, [P, P, Q])]
+    return [L.twist(dm, 0) for L in drawn for dm in (-1, 0, 2)]
+
+
+def _no_shear_clears_infinity(rep):
+    """Whether y -> (y0, y1 + s y0) takes a point of rep.minus to y = (1, 0)
+    for every s: its y-values hold (1, 0) and every (t, 1) with t != 0."""
+    F = rep.field
+    return {y for _, y in rep.minus} >= set(p1_points(F)) - {(F.zero(), F.one())}
+
+
+@pytest.mark.parametrize("name", ["F11", "F101", "F25", "Q", "F5-no-shear"])
+def test_split_reads_twists_whose_points_meet_the_second_ruling_at_infinity(monkeypatch, name):
+    # the scan moves the points off y = (1, 0) before it eliminates, and
+    # counts each twist on its own where no move does (at F_5, once the
+    # first ruling's fibers are taken)
+    if name == "F5-no-shear":
+        L = generate_instance("reducible", PrimeField(5), random.Random(7)).twist(-1, 0)
+        rep, steps = L._settled()
+        assert _no_shear_clears_infinity(linebundles._kunneth(rep.twist(0, 2 - rep.n), steps))
+        bundles = [L]
+    else:
+        bundles = _bundles_with_a_point_at_infinity(name)
+    monkeypatch.setattr(linebundles, "split_from_h0", lambda h0, chi: h0)
+    for L in bundles:
+        for order in (1, -1):
+            h0 = _outcome(lambda: split_from_cohomology(L))
+            for j in range(-12, 13)[::order]:
+                got = _outcome(lambda: h0(j)) if callable(h0) else h0
+                assert got == _outcome(L.twist(0, j).h0), (L, j)
 
 
 def _presentation(f):

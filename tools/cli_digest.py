@@ -39,8 +39,10 @@ and 11, seeds 2-5 (`LIFTED_ROUNDTRIP_SEEDS`), so that more trips stream
 their incidence points over F_{p^2}.  Last, edited instances with a point
 listed twice (`REPEATED_POINT`): `split`, `stability` and `roundtrip` on
 two bundles O(1,1)(-2P), and `psi` on two component-1 quadruples whose
-bundles share the doubled point.
-573 commands in all, and every command of the CLI among them.
+bundles share the doubled point.  Last, edited instances with a minus
+point on the second-ruling fiber y = (1 : 0) (`AT_INFINITY`): `split` and
+`stability` on one at F_101, and `split` on one at F_5.
+576 commands in all, and every command of the CLI among them.
 """
 
 from __future__ import annotations
@@ -137,6 +139,17 @@ REPEATED_POINT = (
      {"m": 1, "n": 1, "minus": [_pair(101, 64, 52)] * 2}),
     ("doubled-quadruple-11-a.json", ("quadruple", 11, 0), _doubled_quadruple(2, 0)),
     ("doubled-quadruple-11-b.json", ("quadruple", 11, 0), _doubled_quadruple(3, 6)),
+)
+# instances whose split scans meet y = (1 : 0): the seed-1 smooth chi = 2
+# bundle at F_101 as O(0,2) minus its two points and a point there, run
+# through `split` and `stability`, and the seed-7 reducible bundle at F_5
+# twisted by O(-1,0), run through `split`, whose points with the fibers
+# raised along the first ruling meet every fiber y = (t : 1), t != 0, too
+AT_INFINITY = (
+    ("infinity-101.json", ("smooth-bimodule-chi2", 101, 1),
+     {"m": 0, "n": 2, "minus": [_pair(101, 57, None), _pair(101, 62, 36), _pair(101, 55, 26)]},
+     ("split", "stability")),
+    ("infinity-5.json", ("reducible", 5, 7), {"m": -2}, ("split",)),
 )
 USAGE_ERRORS = (["bogus"], ["split", "--prime", "abc"], ["split", "--bogus"])
 # (prime, seed) of `generate quadruple` draws of component 1 on which both
@@ -286,6 +299,10 @@ def main_digest():
         for name, generated, edits in REPEATED_POINT:
             path = edited_instance(tmp, name, generated, edits)
             commands = ("psi",) if generated[0] == "quadruple" else ("split", "stability", "roundtrip")
+            for command in commands:
+                emit([command, "--in", name], *run([command, "--in", str(path)]))
+        for name, generated, edits, commands in AT_INFINITY:
+            path = edited_instance(tmp, name, generated, edits)
             for command in commands:
                 emit([command, "--in", name], *run([command, "--in", str(path)]))
 
