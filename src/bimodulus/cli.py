@@ -82,6 +82,10 @@ def _load(args, required=True):
         raise ValidationError(f"cannot read {args.input}: {e}") from e
     except json.JSONDecodeError as e:
         raise ValidationError(f"{args.input} is not valid JSON: {e}") from e
+    except (ValueError, RecursionError) as e:
+        # not UTF-8, nested past the recursion limit, or an integer past the
+        # digit limit of int
+        raise ValidationError(f"cannot parse {args.input}: {e}") from e
 
 
 def _descriptor_and_flag(obj):
@@ -483,6 +487,13 @@ def main(argv=None):
             raise ValidationError(f"--count {args.count} is above the ceiling of {limit} "
                                   f"for {args.command}")
         report = _HANDLERS[args.command](args)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as e:
+                raise ValidationError(f"cannot write {args.output}: {e}") from e
     except (ValidationError, SpecialPosition) as e:
         kind = "special-position" if isinstance(e, SpecialPosition) else "validation"
         print(json.dumps({"error": str(e), "type": kind}, sort_keys=True))
@@ -490,10 +501,6 @@ def main(argv=None):
     except AssertionError as e:
         print(json.dumps({"error": str(e), "type": "assertion"}, sort_keys=True))
         return 3
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     print(text)
     return 0
 

@@ -31,12 +31,10 @@ smoothness test computes a partial derivative.  A split scan reads the
 splitting type (a, b) off h0 of one twist, O(0, -s-1) with
 s = (chi-2)//2, where only O(b) has sections, and verifies it on the
 twists O(0, j) of a fixed window widened to where each summand turns on.
-Each Kunneth regime of the scan answers all its twists from one
-elimination.  The twists raised along the second ruling are
-O(m,1)(-Z-F_1-...-F_t) for growing t: the same monomials and more rows,
-read after each fiber.  The others are O(M,N)(-Z') for growing N, with M
-and Z' fixed (M = m unraised, M = 1 raised along the first ruling): more
-monomials and the same rows, so the conditions of Z' are eliminated
+It reads every twist off one rep O(1, N)(-Z') of first degree 1, made
+with split fibers of the first ruling (`_degree_one`), for which the
+Kunneth condition holds in every N: the twists differ only in N, by more
+monomials and the same rows.  The conditions of Z' are eliminated once,
 transposed, one block of monomials x^a y0^i y1^(N-i) for each i, which
 off y = (1:0) take the same values in every degree N >= i.  Points on
 y = (1:0) are first moved by the shear y -> (y0, y1 + s*y0) that clears
@@ -47,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, count, islice
+from itertools import count, islice
 from operator import mul
 
 from .curves import (
@@ -142,6 +140,14 @@ class LineBundle:
             F = curve.field
             minus = [coerce_pair(F, p) for p in minus]
             plus = [coerce_pair(F, p) for p in plus]
+            # every listed point, a cancelling one too
+            for p in minus + plus:
+                try:
+                    smooth = curve.fibers.is_smooth(p)
+                except ValidationError:
+                    raise ValidationError("twisting point is not on the curve") from None
+                if not smooth:
+                    raise ValidationError("twisting point is singular on the curve")
         else:
             # points of another bundle or of the fiber table, already
             # normalized; copied so that no two bundles share a list
@@ -153,14 +159,6 @@ class LineBundle:
                 plus.remove(p)
         self.minus = minus
         self.plus = plus
-        if check:
-            for p in minus + plus:
-                try:
-                    smooth = curve.fibers.is_smooth(p)
-                except ValidationError:
-                    raise ValidationError("twisting point is not on the curve") from None
-                if not smooth:
-                    raise ValidationError("twisting point is singular on the curve")
 
     @property
     def field(self):
@@ -273,16 +271,22 @@ def _kunneth(rep, steps):
     side, t = _raising(rep.m, rep.n)
     if not t:
         return rep
+    pts = _take_fibers(rep._raising_fibers(side), t, steps)
+    dm, dn = (t, 0) if side == 0 else (0, t)
+    return LineBundle(rep.curve, rep.m + dm, rep.n + dn, rep.minus + pts, [], check=False)
+
+
+def _take_fibers(fibers, t, steps):
+    """The points of the first t of `fibers`, each fiber one rewriting step
+    after the `steps` taken: raises when they run out, or when t reaches
+    the steps left."""
     budget = REWRITING_STEPS - steps
-    pts = []
-    for fiber in islice(rep._raising_fibers(side), min(t, budget)):
-        pts += fiber
-    if len(pts) < 2 * min(t, budget):
+    taken = list(islice(fibers, min(t, budget)))
+    if len(taken) < min(t, budget):
         raise SpecialPosition("no usable split fiber found")
     if t >= budget:
         raise SpecialPosition("rewriting did not terminate")
-    dm, dn = (t, 0) if side == 0 else (0, t)
-    return LineBundle(rep.curve, rep.m + dm, rep.n + dn, rep.minus + pts, [], check=False)
+    return [p for fiber in taken for p in fiber]
 
 
 def _canonical_h0(rep):
@@ -594,10 +598,8 @@ def split_from_h0(h0_of_twist, chi):
     the twists -b - 1 and -a - 1 where each summand turns on.  Each twist is
     evaluated once, and the profile lowest first, so a caller may answer
     the twists from one incremental computation: `split_from_cohomology`
-    answers those of each Kunneth regime from one elimination, extended
-    as higher twists are asked for, the points moved off y = (1 : 0) by a
-    shear first, or counts each twist of a regime on its own where no
-    shear clears them."""
+    answers them all from one elimination on one rep of first degree 1,
+    extended as higher twists are asked for."""
     h0 = cache(h0_of_twist)
     s = (chi - 2) // 2
     b = s + h0(-s - 1)
@@ -617,74 +619,38 @@ def split_from_cohomology(L):
     and verified against the h0 profile of the twists O(0, j)
     (`split_from_h0`).
 
-    L settles (`LineBundle._settled`) once, to O(m, n)(-Z) in some steps;
-    the moves read only the points, so each twist O(0, j) of L settles to
-    O(m, n + j)(-Z) in as many.  Its canonical rep then falls in one of
-    three Kunneth regimes, and each regime the scan enters answers all its
-    twists from one elimination, made when its first twist is asked:
-
-    * raised along the second ruling (m >= 2, n + j <= 0): O(m, 1)(-Z -
-      F_1 - ... - F_t), t = 1 - n - j, the rows of Z and then of each
-      fiber eliminated once and read at each prefix (`_raised_h0`);
-    * unraised: O(m, N)(-Z), N = n + j;
-    * raised along the first ruling (m <= 0, n + j >= 2): O(1, N)(-Z'),
-      Z' the points of Z and of the 1 - m fibers `_kunneth` takes, the
-      same for every j.
-
-    In the last two only N grows, so the forms of all their twists are
-    read off one elimination (`_regime_h0`).  A twist raises
-    SpecialPosition where its canonical rep does."""
-    rep, steps = L._settled()
-    regimes = {}
-
-    def h0(j):
-        side, t = _raising(rep.m, rep.n + j)
-        regime = (side, t > 0)
-        if regime not in regimes:
-            regimes[regime] = (_raised_h0(rep, steps) if side
-                               else _regime_h0(_kunneth(rep.twist(0, j), steps)))
-        return regimes[regime](t if side else rep.n + j)
-
-    return split_from_h0(h0, L.degree_total())
+    L settles once (`LineBundle._settled`), and the settled rep moves to
+    one rep O(1, N)(-Z') of first degree 1 (`_degree_one`).  Its twists
+    O(1, N + j)(-Z') need no raising, and all are read off one
+    elimination (`_twists_h0`).  The scan raises SpecialPosition up front,
+    where that rep's fibers run out or take more than the rewriting steps
+    left."""
+    return split_from_h0(_twists_h0(_degree_one(*L._settled())), L.degree_total())
 
 
-def _raised_h0(rep, steps):
-    """h0 of the twist of a settled rep whose canonical rep is raised by t
-    fibers of the second ruling, as a function of t >= 1.  The fibers are
-    those `canonical` takes, pulled from one scan as a larger t asks for
-    them, and the rank after each is read off one elimination.  It raises
-    where `canonical` would: when the fibers run out, or when t reaches the
-    rewriting steps left after the `steps` of settling."""
-    F = rep.field
-    monos = monomial_basis((rep.m, 1))
-    blocks = chain([_divisor_rows(rep.curve.fibers, rep.minus, monos)],
-                   (_eval_rows(F, pts, monos) for pts in rep._raising_fibers(1)))
-    ranks = block_ranks(F, (map(enumerate, rows) for rows in blocks))
-    prefix = []  # prefix[i]: the rank of the rows of Z and of i fibers
-    budget = REWRITING_STEPS - steps
-
-    def h0(t):
-        for _ in range(len(prefix), min(t, budget) + 1):
-            # Z's block always comes, so only a fiber can be missing
-            r = next(ranks, None)
-            if r is None:
-                raise SpecialPosition("no usable split fiber found")
-            prefix.append(r)
-        if t >= budget:
-            raise SpecialPosition("rewriting did not terminate")
-        # O(m, 1) has no ideal slice: f * H0(O(m - 2, -1)) = 0
-        h = len(monos) - prefix[t]
-        if h < 0:
-            raise AssertionError("negative section count")
-        return h
-
-    return h0
+def _degree_one(rep, steps):
+    """A rep O(1, N)(-Z') of the class of a settled rep O(m, n)(-Z) that
+    took `steps` rewriting steps.  For m <= 0 it is raised by 1 - m fibers
+    of the first ruling, as `_kunneth` raises it.  For m >= 2 each of m - 1
+    such fibers, F with F . W = P + P', lowers m by one: O(1, 0) = O(P + P')
+    = O(0, 2)(-iP - iP') on W, where iP is P's residual on its fiber of the
+    second ruling, so N = n + 2(m - 1) and Z' adds the residuals.  They are
+    smooth: a fiber meets W twice, so one through a singular point meets W
+    there only.  Either way the fibers come from one `_raising_fibers`
+    scan, within the steps left of the 60.  On first degree 1 the Kunneth
+    condition holds on every twist O(0, j), as H1(O(-1, k)) = 0 for every
+    k."""
+    fibers, n = rep._raising_fibers(0), rep.n
+    if rep.m >= 2:
+        fibers = ([rep.curve.fibers.residual(1, p) for p in pts] for pts in fibers)
+        n += 2 * (rep.m - 1)
+    pts = _take_fibers(fibers, abs(rep.m - 1), steps)
+    return LineBundle(rep.curve, 1, n, rep.minus + pts, [], check=False)
 
 
-def _regime_h0(rep):
-    """h0 of the canonical reps O(M, N)(-Z) with the M = rep.m and Z =
-    rep.minus of a canonical rep, as a function of N: the twists O(0, k)
-    of rep that stay in its Kunneth regime.
+def _twists_h0(rep):
+    """h0 of the twists O(0, j) of a rep O(1, n)(-Z), as a function of j;
+    none needs raising, and none with N = n + j < 0 has a form.
 
     When no point of Z has y = (1, 0), the monomial x^a y0^i y1^(N-i)
     takes the value x^a t^i at a point (x, (t, 1)), and so do its Taylor
@@ -698,12 +664,12 @@ def _regime_h0(rep):
     its own (`_canonical_h0`); over a finite field the y-values of Z then
     hold (1, 0) and every (t, 1) with t != 0, so |Z| >= |F|, and over Q
     Z has a distinct y-value barring each of the 79 candidates."""
-    M, curve, points = rep.m, rep.curve, rep.minus
+    curve, points = rep.curve, rep.minus
     F = curve.field
     s = next((s for s, one in _fiber_scan(F)
               if one and all(s * y0 + y1 for _, (y0, y1) in points)), None)
     if s is None:
-        return lambda N: _canonical_h0(rep.twist(0, N - rep.n))
+        return lambda j: _canonical_h0(rep.twist(0, j))
     if s:
         curve, move = _moved(curve, ((1, 0), (0, 1)), ((1, 0), (s, 1)), kind=curve.kind)
         points = [move(p) for p in points]
@@ -713,7 +679,7 @@ def _regime_h0(rep):
     scale = [F.ints(y)[1] for _, y in dict.fromkeys(points)] if not F.characteristic else []
 
     def block(i):
-        rows = _divisor_rows(curve.fibers, points, [(M - a, a, i, 0) for a in range(M + 1)])
+        rows = _divisor_rows(curve.fibers, points, [(1, 0, i, 0), (0, 1, i, 0)])
         for k, c in enumerate(scale):
             if c != 1:
                 rows[k] = [Fraction(v, c ** i) for v in rows[k]]
@@ -722,13 +688,14 @@ def _regime_h0(rep):
     ranks = block_ranks(F, map(block, count()))
     prefix = []  # prefix[i]: the rank of the conditions on blocks 0, ..., i
 
-    def h0(N):
-        if M < 0 or N < 0:
+    def h0(j):
+        N = rep.n + j
+        if N < 0:
             return 0
         while len(prefix) <= N:
             # once the conditions are independent, later blocks add no rank
             prefix.append(prefix[-1] if prefix and prefix[-1] == len(points) else next(ranks))
-        h = (M + 1) * (N + 1) - prefix[N] - max(M - 1, 0) * max(N - 1, 0)
+        h = 2 * (N + 1) - prefix[N]
         if h < 0:
             raise AssertionError("negative section count")
         return h

@@ -7,8 +7,10 @@ canonical) then gives independent checks for every computation.
 """
 
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from bimodulus.exactmath import QQ, PrimeField, QuadExtField, reduce_modulo, rre
 import bimodulus.curves as curves
 import bimodulus.linebundles as linebundles
 from bimodulus.curves import make_kind, make_nodal, p1_points, random_smooth_point
-from bimodulus.jsonio import generate_instance
+from bimodulus.jsonio import generate_instance, instance_from_json, instance_to_json
 from bimodulus.polyring import MultiPoly, monomial_basis, random_multipoly
 from bimodulus.linebundles import (
     Curve,
@@ -50,6 +52,9 @@ from oracles import (
     value_rows,
     vanishes_doubly,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from cli_digest import lift_to_fp2  # noqa: E402
 
 
 @pytest.fixture
@@ -400,12 +405,11 @@ def test_split_scan_rejects_a_profile_of_no_split_pair(chi, h0):
 
 
 @pytest.mark.parametrize("window", [3, 8])
-def test_split_scan_eliminates_once_per_kunneth_regime(smooth_curve, rng, monkeypatch, window):
+def test_split_scan_eliminates_once(smooth_curve, rng, monkeypatch, window):
     monkeypatch.setattr(linebundles, "SPLIT_WINDOW", window)
-    # no twist is counted on its own: each Kunneth regime the scan enters,
-    # the second-ruling ladder of `_raised_h0` among them, answers all its
-    # twists from one elimination
-    counted, eliminations, asked = [], [], []
+    # no twist is counted on its own: every twist the scan asks for, below,
+    # inside and above the window, is read off one elimination
+    counted, eliminations = [], []
     canonical_h0, ranks = linebundles._canonical_h0, linebundles.block_ranks
 
     def counting(rep):
@@ -418,28 +422,12 @@ def test_split_scan_eliminates_once_per_kunneth_regime(smooth_curve, rng, monkey
 
     monkeypatch.setattr(linebundles, "_canonical_h0", counting)
     monkeypatch.setattr(linebundles, "block_ranks", eliminated)
-    scan = linebundles.split_from_h0
-
-    def recorded(h0, chi):
-        def h(j):
-            asked.append(j)
-            return h0(j)
-        return scan(h, chi)
-
-    monkeypatch.setattr(linebundles, "split_from_h0", recorded)
-    entered = []
-    for L in (LineBundle(smooth_curve, 0, 0), random_line_bundle(smooth_curve, rng)):
+    bundles = [LineBundle(smooth_curve, 0, 0), random_line_bundle(smooth_curve, rng)]
+    for L in bundles + [L.twist(dm, 0) for L in bundles for dm in (-3, 3)]:
         eliminations.clear()
-        asked.clear()
         split_from_cohomology(L)
-        rep, _ = L._settled()
-        # (1, True) raised along the second ruling, (0, True) along the
-        # first, (0, False) unraised
-        regimes = {(side, t > 0) for side, t in (_raising(rep.m, rep.n + j) for j in asked)}
-        assert len(eliminations) == len(regimes)
-        entered.append(len(regimes))
+        assert len(eliminations) == 1
     assert counted == []
-    assert entered[0] == 2
 
 
 def _exhaust_split_fibers(scan, avoid):
@@ -501,7 +489,8 @@ def _rational_smooth_member():
 def test_cached_split_fibers_match_the_uncached_scan(case):
     rng = random.Random(7)
     if case == "F11-found":
-        # smooth-bimodule-chi2 at p = 11, seed 2: `split` finds no usable fiber
+        # smooth-bimodule-chi2 at p = 11, seed 2: its low twists run out of
+        # split fibers of the second ruling
         L = generate_instance("smooth-bimodule-chi2", PrimeField(11), random.Random(2))
     elif case == "Q":
         L = LineBundle(Curve(_rational_smooth_member()), 0, 0)
@@ -542,13 +531,56 @@ def test_random_line_bundle_restricts_each_fiber_once_per_curve(monkeypatch):
     assert len(restricted) == len(set(restricted))
 
 
-def test_split_with_the_uncached_scan_fails_alike_over_f11(monkeypatch):
+def test_split_with_the_uncached_scan_answers_alike_over_f11(monkeypatch):
+    # the bundle whose second-ruling fibers once ran out before the scan
+    # read its first twist
     L = generate_instance("smooth-bimodule-chi2", PrimeField(11), random.Random(2))
-    with pytest.raises(SpecialPosition):
-        split_from_cohomology(L)
+    got = split_from_cohomology(L)
     monkeypatch.setattr(LineBundle, "_raising_fibers", _oracle_raising_fibers)
-    with pytest.raises(SpecialPosition):
-        split_from_cohomology(L)
+    assert split_from_cohomology(L) == got == (0, 0)
+
+
+ORACLE_FIELDS = {"F5": PrimeField(5), "F7": PrimeField(7), "F11": PrimeField(11),
+                 "F101": PrimeField(101), "F25": QuadExtField(PrimeField(5)), "Q": QQ}
+
+
+def _per_twist_split(L):
+    """The splitting type from each twist's own h0, or the message of the
+    SpecialPosition it raises."""
+    return _outcome(lambda: split_from_h0(lambda j: L.twist(0, j).h0(), L.degree_total()))
+
+
+@pytest.mark.parametrize("name", ORACLE_FIELDS)
+def test_split_scan_answers_as_the_per_twist_oracle(name):
+    # generated bundles of both smooth kinds and on I2 members, and bundles
+    # on an I1 member twisted by O(2, 0), each twisted six ways: the scan
+    # gives the per-twist answer wherever that answers, and over F_p, where
+    # only the scan answers, the per-twist answer of the lift to F_{p^2}
+    F = ORACLE_FIELDS[name]
+    kinds = ("smooth-bimodule-chi2", "smooth-bimodule-chi1", "reducible")
+    bundles = [generate_instance(k, F, random.Random(seed)) for k in kinds for seed in (0, 1)]
+    rng = random.Random(5)
+    nodal = Curve(make_kind(F, "I1", rng))
+    bundles += [random_line_bundle(nodal, rng).twist(2, 0) for _ in range(2)]
+    # the rep of first degree 1 of O(m, n), m >= 2, takes the second-ruling
+    # residuals of split fibers' points, smooth on singular members too
+    for curve in (nodal, bundles[4].curve):
+        assert all(curve.fibers.is_smooth(curve.fibers.residual(1, p))
+                   for pts in curve.split_fibers(0) for p in pts)
+    lifted = 0
+    for L in bundles:
+        for dm, dn in [(0, 0), (-1, 0), (1, -1), (0, 2), (3, 0), (-3, 0)]:
+            T = L.twist(dm, dn)
+            got, want = _outcome(lambda: split_from_cohomology(T)), _per_twist_split(T)
+            if want[0] != "SpecialPosition":
+                assert got == want, (T, dm, dn)
+            elif got[0] != "SpecialPosition" and F.modulus:
+                lift = instance_from_json(lift_to_fp2(instance_to_json(T)))
+                want = _per_twist_split(lift)
+                if want[0] != "SpecialPosition":
+                    assert got == want, (T, dm, dn)
+                    lifted += 1
+    assert lifted or name not in ("F5", "F7", "F11")
 
 
 def _outcome(f):
@@ -580,21 +612,36 @@ def _seeded_bundles(name):
 
 @pytest.mark.parametrize("name", ["F11", "F101", "F25", "Q"])
 def test_split_reads_each_twist_h0_as_the_twist_computes_it(monkeypatch, name):
-    # split_from_h0 replaced by a stub that hands back the h0 of twists
-    # split_from_cohomology scans with
     monkeypatch.setattr(linebundles, "split_from_h0", lambda h0, chi: h0)
     raised = 0
     for L in _seeded_bundles(name):
         settled = _outcome(L._settled)
-        for order in (1, -1):
-            h0 = _outcome(lambda: split_from_cohomology(L))
-            for j in range(-12, 13)[::order]:
-                got = _outcome(lambda: h0(j)) if callable(h0) else h0
-                assert got == _outcome(L.twist(0, j).h0), (L, j)
-                if type(got) is int and isinstance(settled[0], LineBundle):
-                    rep = settled[0]
-                    raised += rep.m >= 2 and rep.n + j <= 0
+        for j in _scan_against_each_twist(L):
+            if isinstance(settled[0], LineBundle):
+                rep = settled[0]
+                raised += rep.m >= 2 and rep.n + j <= 0
     assert raised
+
+
+def _scan_against_each_twist(L):
+    """The twists j in [-12, 12] where the scan of L (`split_from_h0`
+    stubbed to hand back its h0) was checked against the twist's own h0,
+    asked in both orders.  The scan raises only up front, where its one
+    rep runs out of fibers, and then so does the per-twist scan; else it
+    answers every twist, as the twist does wherever that answers."""
+    checked = []
+    for order in (1, -1):
+        h0 = _outcome(lambda: split_from_cohomology(L))
+        if not callable(h0):
+            assert _per_twist_split(L)[0] == "SpecialPosition", L
+            return checked
+        for j in range(-12, 13)[::order]:
+            got, want = h0(j), _outcome(L.twist(0, j).h0)
+            assert type(got) is int
+            if type(want) is int:
+                assert got == want, (L, j)
+                checked.append(j)
+    return checked
 
 
 @pytest.mark.parametrize("name", ["F11", "F101", "F25", "Q"])
@@ -616,7 +663,7 @@ def test_split_settles_the_bundle_once_per_scan(monkeypatch, name):
 def _bundles_with_a_point_at_infinity(name):
     """Bundles with a minus point P at y = (1, 0), on a smooth member over
     the field `name`, P once and twice, each also twisted by O(-1, 0) and
-    O(2, 0): every Kunneth regime of their scans has a point there."""
+    O(2, 0): the one rep of first degree 1 each scan reads keeps P."""
     rng = random.Random(3)
     while True:
         if name == "Q":
@@ -649,18 +696,13 @@ def test_split_reads_twists_whose_points_meet_the_second_ruling_at_infinity(monk
     # first ruling's fibers are taken)
     if name == "F5-no-shear":
         L = generate_instance("reducible", PrimeField(5), random.Random(7)).twist(-1, 0)
-        rep, steps = L._settled()
-        assert _no_shear_clears_infinity(linebundles._kunneth(rep.twist(0, 2 - rep.n), steps))
+        assert _no_shear_clears_infinity(linebundles._degree_one(*L._settled()))
         bundles = [L]
     else:
         bundles = _bundles_with_a_point_at_infinity(name)
     monkeypatch.setattr(linebundles, "split_from_h0", lambda h0, chi: h0)
     for L in bundles:
-        for order in (1, -1):
-            h0 = _outcome(lambda: split_from_cohomology(L))
-            for j in range(-12, 13)[::order]:
-                got = _outcome(lambda: h0(j)) if callable(h0) else h0
-                assert got == _outcome(L.twist(0, j).h0), (L, j)
+        assert _scan_against_each_twist(L)
 
 
 def _presentation(f):
@@ -743,16 +785,17 @@ def test_canonical_gives_up_after_sixty_raised_fibers(n, raises):
         assert len(got.minus) == 2 * (1 - n)
 
 
-def test_raised_twists_give_up_where_their_canonical_reps_do(monkeypatch):
-    # twists O(2, -50 + j) of the scan raise 51 - j fibers: up to 59 they
-    # have h0 = 0, and from 60 on rewriting does not terminate
+def test_split_scan_reads_twists_past_the_rewriting_budget(monkeypatch):
+    # the canonical reps of the twists O(2, -50 + j) raise 51 - j fibers of
+    # the second ruling, and from 60 on rewriting does not terminate; the
+    # scan's one rep O(1, -48 + j)(-Z) takes a single fiber, and every
+    # twist has negative degree, so h0 = 0 as Riemann-Roch gives
     monkeypatch.setattr(linebundles, "split_from_h0", lambda h0, chi: h0)
     L = LineBundle(Curve(make_kind(PrimeField(1009), "I0", random.Random(3))), 2, -50)
     h0 = split_from_cohomology(L)
-    got = [_outcome(lambda: h0(j)) for j in range(-12, 13)]
-    assert got == [_outcome(L.twist(0, j).h0) for j in range(-12, 13)]
-    assert got[:4] == [("SpecialPosition", "rewriting did not terminate")] * 4
-    assert got[4:] == [0] * 21
+    assert [h0(j) for j in range(-12, 13)] == [0] * 25
+    assert [_outcome(L.twist(0, j).h0) for j in range(-12, -8)] == [
+        ("SpecialPosition", "rewriting did not terminate")] * 4
 
 
 def test_twist_shifts_split(smooth_curve, rng):
