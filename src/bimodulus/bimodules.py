@@ -204,11 +204,11 @@ def nr_closed_form(k, c_nonzero):
     return (h0, h0 - 2 * k)
 
 
-def nr_invertible_cohomology(field, k, c, window=None):
+def nr_invertible_cohomology(field, k, c):
     """(h0, h1) of the bundle with transition z^k(1 + c*u/z); the truncated
-    computation is repeated with a larger window and must agree."""
-    N = window if window is not None else 2 * abs(k) + 8
-    return _nr_cohomology(field, k, c, N)[:2]
+    computation at window 2|k| + 8 is repeated with a larger window and
+    must agree."""
+    return _nr_cohomology(field, k, c, 2 * abs(k) + 8)[:2]
 
 
 class NRSheaf:

@@ -61,8 +61,9 @@ from .quivers import (
 
 # the largest --count each command takes: a trip costs milliseconds at
 # small p and under a second at p = 2^61 - 1, a McKay draw about a
-# millisecond, a generated instance up to about 0.15 s (a quadruple over
-# Q), a Hochschild row nothing
+# millisecond, a generated instance about 10 ms (50 quadruples over Q
+# take about 0.6 s of wall time on 2 vCPUs, start-up included), a
+# Hochschild row nothing
 COUNT_CEILINGS = {"roundtrip": 100, "hochschild": 10_000, "mckay": 1000, "generate": 50}
 
 

@@ -15,17 +15,14 @@ once, on the member's grid, and solves it once, with the roots in
 `bf_rational_roots` order, and tests each point's smoothness once: on a
 member its caller knows to be smooth only whether the point is on it,
 otherwise through the member's four chart partials, computed once per
-table.  A random point of P1 is drawn as a key of ints (`random_p1_key`:
-None for (1:0), else the field's `random_key`), and the point is the
-point of its key; the table keeps the fiber points found for each key
-drawn, so rational-point sampling builds and hashes field elements only
-on a key's first draw, and a try costs its generator calls and one
-lookup.  Over Q a smooth member is drawn through two points
+table.  Rational-point sampling draws a point x of P1 and reads its
+first-ruling fiber from the table, so a fiber drawn again is not solved
+again.  Over Q a smooth member is drawn through two points
 (`plant_smooth_22`), whose fibers and residuals its table keeps, so a
-point is drawn among known ones without a search.  On every field a member is read through its coefficient grid
-(`coefficient_grid`), its coefficients in the field's representation
-(`ints`, see `exactmath`); over Q that scales the branch quartic's I^3
-and 4I^3 - J^2 alike.  A smooth member is recognized, and its j taken,
+point is drawn among known ones without a search.  On every field a
+member is read through its coefficient grid (`coefficient_grid`), its
+coefficients in the field's representation (`ints`, see `exactmath`);
+over Q that scales the branch quartic's I^3 and 4I^3 - J^2 alike.  A smooth member is recognized, and its j taken,
 from the grid's branch quartic (`grid_invariants`), and a fiber is
 restricted on the grid.  The same quartic counts a smooth member's
 points over F_p without visiting them (`point_count`): a character sum
@@ -121,13 +118,13 @@ def kodaira_classify(f):
     return _PATTERN_TO_KIND[bf_multiplicity_pattern(f.field, disc)]
 
 
-def member_j(f, block=1):
+def member_j(f):
     """j-invariant of a smooth member: the branch quartic of either ruling
-    projection has four distinct roots, and j is taken from that quartic,
-    on the grid of f (`grid_j`).  Raises SpecialPosition on a member that
-    is not smooth."""
+    projection has four distinct roots and gives the same j, which is
+    taken from the projection to the first factor, on the grid of f
+    (`grid_j`).  Raises SpecialPosition on a member that is not smooth."""
     validate_22(f)
-    j = grid_j(f.field, coefficient_grid(f, block))
+    j = grid_j(f.field, coefficient_grid(f))
     if j is None:
         raise SpecialPosition("repeated branch point: j undefined")
     return j
@@ -540,7 +537,7 @@ def fiber_quadratic(f, side, pt):
 
 
 _IN_MEMBER = object()  # FiberTable's record of a fiber lying in the member
-_UNDRAWN = object()  # a draw key the FiberTable has not seen
+_UNSOLVED = object()  # a fiber the FiberTable has not restricted
 
 
 class FiberTable:
@@ -549,13 +546,11 @@ class FiberTable:
 
     Keyed by ruling (side 0 fixes the first block) and fiber point, it
     records the fiber's rational points on the member, or that its two
-    roots are conjugate, or that the fiber lies in the member; the same
-    records are kept by the draw key of each first-ruling fiber drawn
-    through `drawn_points`.  A fiber is restricted on the grid of f
-    (`coefficient_grid`) at the fiber point's coordinates in the field's
-    `ints`, one way on every field, and solved by the field's own solver:
-    on residues over F_p, on ints with `isqrt` over Q, and on field
-    elements over F_{p^2}.  When the caller knows the member to be smooth
+    roots are conjugate, or that the fiber lies in the member.  A fiber is
+    restricted on the grid of f (`coefficient_grid`) at the fiber point's
+    coordinates in the field's `ints`, one way on every field, and solved
+    by the field's own solver: on residues over F_p, on ints with `isqrt`
+    over Q, and on field elements over F_{p^2}.  When the caller knows the member to be smooth
     (`smooth`, as a Curve of type I0 does), every point on it is smooth,
     and a test only checks that the point is on the member.  Otherwise
     smoothness is read off the four chart partials of the form
@@ -566,8 +561,7 @@ class FiberTable:
     `planted` the first-ruling fibers through them and through their
     second-ruling residuals, whose points are all rational."""
 
-    __slots__ = ("f", "planted", "_grids", "_points", "_drawn", "_smooth", "_partials",
-                 "_member_smooth")
+    __slots__ = ("f", "planted", "_grids", "_points", "_smooth", "_partials", "_member_smooth")
 
     def __init__(self, f, smooth=False, planted=()):
         self.f = f
@@ -575,7 +569,6 @@ class FiberTable:
         # second
         self._grids = (coefficient_grid(f, 0), coefficient_grid(f, 1))
         self._points = {}
-        self._drawn = {}
         self._smooth = {}
         self._partials = None
         self._member_smooth = smooth
@@ -586,44 +579,25 @@ class FiberTable:
                     xs.append(x)
         self.planted = tuple(xs)
 
-    def points(self, side, x, ints=None):
+    def points(self, side, x):
         """Normalized points of the member on the fiber through x, one per
         rational root in `bf_rational_roots` order; None when the roots are
-        conjugate.  Raises ValidationError when the fiber lies in the member.
-        `ints`, when given, are x's coordinates in the field's `ints`."""
+        conjugate.  Raises ValidationError when the fiber lies in the member."""
         key = (side, x)
-        pts = self._points.get(key, _UNDRAWN)
-        if pts is _UNDRAWN:
-            pts = self._points[key] = self._restrict(side, x, ints)
+        pts = self._points.get(key, _UNSOLVED)
+        if pts is _UNSOLVED:
+            pts = self._points[key] = self._restrict(side, x)
         if pts is _IN_MEMBER:
             raise ValidationError("divisor contains a ruling fiber")
         return pts
 
-    def drawn_points(self, key):
-        """`points(0, x)` for the point x of P1 of the draw key `key` (see
-        `random_p1_key`).  The outcome is kept per key, so a key drawn again
-        costs one lookup on ints and builds no field element.  Over Q the
-        key (n, d) is x = n/d, so its ints restrict the fiber."""
-        pts = self._drawn.get(key, _UNDRAWN)
-        if pts is _UNDRAWN:
-            F = self.f.field
-            ints = ((1, 0) if key is None else key) if F == QQ else None
-            try:
-                pts = self.points(0, p1_point_of_key(F, key), ints)
-            except ValidationError:
-                pts = _IN_MEMBER
-            self._drawn[key] = pts
-        if pts is _IN_MEMBER:
-            raise ValidationError("divisor contains a ruling fiber")
-        return pts
-
-    def _restrict(self, side, x, ints):
+    def _restrict(self, side, x):
         F = self.f.field
         p = F.modulus
         # the fiber quadratic on the grid: the block fixed by x has degree
         # 2, so each term takes one of x0^2, x0 x1, x1^2 of x's grid
         # coordinates, a nonzero multiple of the quadratic of x
-        x0, x1 = F.ints(x) if ints is None else ints
+        x0, x1 = F.ints(x)
         t = (x0 * x0, x0 * x1, x1 * x1)
         q = [sum(map(mul, row, t)) for row in self._grids[side]]
         if p:
@@ -759,22 +733,12 @@ def factor_11(f):
 # random instances
 
 
-def random_p1_key(field, rng):
-    """The key a random point of P1 is drawn as: None for (1:0), one draw
-    in nine, otherwise the field's key of x for (x:1)."""
-    if rng.randrange(9) == 0:
-        return None
-    return field.random_key(rng)
-
-
-def p1_point_of_key(field, key):
-    if key is None:
-        return (field.one(), field.zero())
-    return (field.of_key(key), field.one())
-
-
 def random_p1_point(field, rng):
-    return p1_point_of_key(field, random_p1_key(field, rng))
+    """A random point of P1: (1:0) one draw in nine, otherwise (x:1) for a
+    random x."""
+    if rng.randrange(9) == 0:
+        return (field.one(), field.zero())
+    return (field.random(rng), field.one())
 
 
 def _functional_row(field, degree, func):
@@ -791,11 +755,11 @@ def _deriv_at(pair, derivs):
     return L
 
 
-def _random_kernel_element(field, rows, ncols, rng, tries=20):
+def _random_kernel_element(field, rows, ncols, rng):
     ker = kernel_basis(field, rows, ncols)
     if not ker:
         raise SpecialPosition("linear conditions admit no solution")
-    for _ in range(tries):
+    for _ in range(20):
         vec = [field.zero()] * ncols
         for b in ker:
             s = field.random(rng)
@@ -810,13 +774,13 @@ def _from_coeff_vec(field, degree, vec):
     return MultiPoly(field, degree, dict(zip(basis, vec)))
 
 
-def random_smooth_22(field, rng, tries=200):
+def random_smooth_22(field, rng):
     """A random smooth member: over a finite field a random form, redrawn
     until smooth; in characteristic 0 the member `plant_smooth_22` draws
     through two points."""
     if not field.characteristic:
-        return plant_smooth_22(field, rng, tries)[0]
-    for _ in range(tries):
+        return plant_smooth_22(field, rng)[0]
+    for _ in range(200):
         f = random_multipoly(field, (2, 2), rng)
         try:
             if kodaira_classify(f) == "I0":
@@ -826,13 +790,13 @@ def random_smooth_22(field, rng, tries=200):
     raise SpecialPosition("could not draw a smooth member")
 
 
-def plant_smooth_22(field, rng, tries=200):
+def plant_smooth_22(field, rng):
     """(f, (P, Q)): a random smooth member f through two random points P
     and Q with distinct x and distinct y, a random form vanishing at both,
     redrawn until smooth.  A fiber through a rational point of f meets it
     again in a rational point, so f has rational points by construction."""
     monos = monomial_basis((2, 2))
-    for _ in range(tries):
+    for _ in range(200):
         planted = [(random_p1_point(field, rng), random_p1_point(field, rng)) for _ in range(2)]
         if planted[0][0] == planted[1][0] or planted[0][1] == planted[1][1]:
             continue
@@ -856,9 +820,9 @@ def _node_rows(field, pair):
     ], u, v
 
 
-def make_nodal(field, rng, tries=200):
+def make_nodal(field, rng):
     """Irreducible member with one node at a rational point (type I1)."""
-    for _ in range(tries):
+    for _ in range(200):
         pair = (random_p1_point(field, rng), random_p1_point(field, rng))
         rows, _, _ = _node_rows(field, pair)
         try:
@@ -871,9 +835,9 @@ def make_nodal(field, rng, tries=200):
     raise SpecialPosition("could not draw a nodal member")
 
 
-def make_cuspidal(field, rng, tries=400):
+def make_cuspidal(field, rng):
     """Irreducible member with one cusp at a rational point (type II)."""
-    for _ in range(tries):
+    for _ in range(400):
         pair = (random_p1_point(field, rng), random_p1_point(field, rng))
         rows, u, v = _node_rows(field, pair)
         alpha, beta = field.random(rng), field.random(rng)
@@ -898,11 +862,11 @@ def make_cuspidal(field, rng, tries=400):
     raise SpecialPosition("could not draw a cuspidal member")
 
 
-def random_11(field, rng, tries=100):
+def random_11(field, rng):
     """Random irreducible (1,1) form: its 2x2 coefficient matrix is
     nondegenerate exactly when the curve has no fiber component."""
     basis = monomial_basis((1, 1))
-    for _ in range(tries):
+    for _ in range(100):
         vals = [field.random(rng) for _ in basis]
         a, b, c, d = vals  # x0y0, x0y1, x1y0, x1y1
         if a * d - b * c:
@@ -910,9 +874,9 @@ def random_11(field, rng, tries=100):
     raise SpecialPosition("could not draw an irreducible (1,1) form")
 
 
-def make_two_11(field, rng, tries=200):
+def make_two_11(field, rng):
     """Two (1,1) components meeting transversally (type I2)."""
-    for _ in range(tries):
+    for _ in range(200):
         g = random_11(field, rng)
         h = random_11(field, rng)
         f = g * h
@@ -924,9 +888,9 @@ def make_two_11(field, rng, tries=200):
     raise SpecialPosition("could not draw a transversal pair")
 
 
-def point_on_11(g, rng, tries=50):
+def point_on_11(g, rng):
     F = g.field
-    for _ in range(tries):
+    for _ in range(50):
         x = random_p1_point(F, rng)
         lin = g.eval_block(0, x).to_binary()
         if bf_is_zero(lin):
@@ -936,10 +900,10 @@ def point_on_11(g, rng, tries=50):
     raise SpecialPosition("could not find a point on the (1,1) form")
 
 
-def make_tangent_11(field, rng, tries=400):
+def make_tangent_11(field, rng):
     """Two (1,1) components tangent at one point (type III)."""
     basis = monomial_basis((1, 1))
-    for _ in range(tries):
+    for _ in range(400):
         g = random_11(field, rng)
         try:
             pair = point_on_11(g, rng)
@@ -965,9 +929,9 @@ def make_tangent_11(field, rng, tries=400):
     raise SpecialPosition("could not draw a tangent pair")
 
 
-def make_nonreduced(field, rng, tries=100):
+def make_nonreduced(field, rng):
     """Doubled (1,1) curve: c * g**2."""
-    for _ in range(tries):
+    for _ in range(100):
         g = random_11(field, rng)
         c = field.random(rng)
         if not c:
@@ -997,24 +961,22 @@ def make_kind(field, kind, rng):
     raise ValidationError(f"unknown member type {kind!r}")
 
 
-def random_smooth_point(f, rng, tries=200, fibers=None):
-    """A rational point of the curve that is smooth on it, by fiber sampling.
+def random_smooth_point(fibers, rng, tries=200):
+    """A rational point of the member `fibers.f` that is smooth on it, by
+    fiber sampling on its FiberTable `fibers`.
 
-    On a table `fibers` with planted fibers, one draw picks one of them and
-    one its point.  Otherwise each try draws a fiber of the first ruling as
-    a key of ints (`random_p1_key`), picks one of its rational points, if
-    any, and keeps it when it is smooth.  `fibers`, a FiberTable of f,
-    carries the fibers drawn by earlier calls, by key; without one, each
-    distinct key is solved once per call.  A try on a key drawn before
-    costs its generator calls and one dict lookup."""
-    if fibers is None:
-        fibers = FiberTable(f)
+    With planted fibers, one draw picks one of them and one its point.
+    Otherwise each try draws a point x of P1 (`random_p1_point`), picks one
+    of the rational points on the first-ruling fiber through x, if any,
+    and keeps it when it is smooth.  The table keeps each fiber solved, so
+    a fiber drawn again, in this call or a later one, is not solved
+    again."""
     if fibers.planted:
         pts = fibers.points(0, fibers.planted[rng.randrange(len(fibers.planted))])
         return pts[rng.randrange(len(pts))]
-    F = f.field
+    F = fibers.f.field
     for _ in range(tries):
-        pts = fibers.drawn_points(random_p1_key(F, rng))
+        pts = fibers.points(0, random_p1_point(F, rng))
         if pts is None:
             continue  # conjugate roots: try another fiber
         pair = pts[rng.randrange(len(pts))]

@@ -11,9 +11,9 @@ parse/format the JSON scalar strings, and provide square roots without
 tables: Tonelli-Shanks over F_p (on an int residue, ``residue_sqrt``,
 with the field's non-residue power found once), and in a quadratic
 extension of either base one root taken through the norm.  Finite fields
-stream their elements.  A random element is drawn as a key of ints
-(``random_key``) and built from it (``of_key``), so a caller can keep
-what it computed for a draw by its key.
+stream their elements.  A random element is drawn directly: n/d with
+n in [-12, 12] and d in [1, 6] over Q, a residue over F_p, and a + b
+sqrt(d) from two base draws over an extension.
 
 Each field has one representation, the form the hot loops compute on:
 ``ints(values)`` reads values through ``coerce``, so a foreign value
@@ -114,15 +114,8 @@ class RationalField:
         den = lcm(*[d for _, d in pairs])
         return [n * (den // d) for n, d in pairs]
 
-    def random_key(self, rng):
-        """The ints a random element is drawn as: (n, d) for n/d."""
-        return (rng.randint(-12, 12), rng.randint(1, 6))
-
-    def of_key(self, key):
-        return Fraction(*key)
-
     def random(self, rng):
-        return self.of_key(self.random_key(rng))
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
 
     def random_nonzero(self, rng):
         while True:
@@ -294,15 +287,8 @@ class PrimeField:
     def elements(self):
         return (FpElt(self.p, v) for v in range(self.p))
 
-    def random_key(self, rng):
-        """The int a random element is drawn as: its residue."""
-        return rng.randrange(self.p)
-
-    def of_key(self, key):
-        return FpElt(self.p, key)
-
     def random(self, rng):
-        return self.of_key(self.random_key(rng))
+        return FpElt(self.p, rng.randrange(self.p))
 
     def random_nonzero(self, rng):
         return FpElt(self.p, rng.randrange(1, self.p))
@@ -514,16 +500,8 @@ class QuadExtField:
     def elements(self):
         return (QEElt(self, a, b) for a in self.base.elements() for b in self.base.elements())
 
-    def random_key(self, rng):
-        """The ints a random element a + b sqrt(d) is drawn as: the base
-        keys of a and of b."""
-        return (self.base.random_key(rng), self.base.random_key(rng))
-
-    def of_key(self, key):
-        return QEElt(self, self.base.of_key(key[0]), self.base.of_key(key[1]))
-
     def random(self, rng):
-        return self.of_key(self.random_key(rng))
+        return QEElt(self, self.base.random(rng), self.base.random(rng))
 
     def random_nonzero(self, rng):
         while True:

@@ -162,12 +162,12 @@ def instance_from_json(data):
 # random generation
 
 
-def generate_instance(kind, field, rng, tries=60):
+def generate_instance(kind, field, rng):
     """One random valid instance of the requested kind."""
     if kind == "smooth-bimodule-chi2":
-        return random_sheaf_datum(field, rng, degree=2, tries=tries)[1]
+        return random_sheaf_datum(field, rng, degree=2)[1]
     if kind == "smooth-bimodule-chi1":
-        return random_sheaf_datum(field, rng, degree=1, tries=tries)[1]
+        return random_sheaf_datum(field, rng, degree=1)[1]
     if kind == "non-reduced":
         ku = rng.randint(-1, 2)
         kv = rng.randint(-1, 2)
@@ -180,7 +180,7 @@ def generate_instance(kind, field, rng, tries=60):
             dfin, dinf = [], 0
         return NRSheaf(field, ku, kv, apic, dfin, dinf)
     if kind == "reducible":
-        for _ in range(tries):
+        for _ in range(60):
             try:
                 curve = Curve(make_kind(field, "I2", rng), kind="I2")
                 return random_line_bundle(curve, rng, deg_lo=-2, deg_hi=4)
@@ -188,7 +188,7 @@ def generate_instance(kind, field, rng, tries=60):
                 continue
         raise SpecialPosition("no reducible-member bundle drawn")
     if kind == "quadruple":
-        return random_quadruple(field, rng, component=rng.randint(0, 1), tries=tries)
+        return random_quadruple(field, rng, component=rng.randint(0, 1))
     raise ValidationError(
         f"unknown instance kind {kind!r}; choose one of {', '.join(GENERATE_KINDS)}")
 

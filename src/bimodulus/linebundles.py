@@ -746,9 +746,9 @@ def random_smooth_curve(field, rng):
     return Curve(f, kind="I0", planted=planted)
 
 
-def random_line_bundle(curve, rng, deg_lo=-2, deg_hi=4, tries=100):
+def random_line_bundle(curve, rng, deg_lo=-2, deg_hi=4):
     """Random invertible sheaf on the curve with total degree in the range."""
-    for _ in range(tries):
+    for _ in range(100):
         d = rng.randint(deg_lo, deg_hi)
         m = rng.randint(-1, 2)
         n = rng.randint(-1, 2)
@@ -759,7 +759,7 @@ def random_line_bundle(curve, rng, deg_lo=-2, deg_hi=4, tries=100):
         try:
             for _ in range(r):
                 for _ in range(30):
-                    p = random_smooth_point(curve.f, rng, fibers=curve.fibers)
+                    p = random_smooth_point(curve.fibers, rng)
                     if p not in pts:
                         pts.append(p)
                         break

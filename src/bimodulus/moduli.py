@@ -11,10 +11,6 @@ checkable on random instances:
   phi           sheaf datum -> quadruple
   psi0 / psi1   quadruple   -> relation coefficients on the 8 end-to-end paths
   relations_to_ci, incidence curves, and the j-matching checks
-  incidence_points            rational points of the incidence curve (finite
-                              fields): the last shadow's points, each lifted
-                              to its third coordinate, in one stream
-  relations_through_points    the relation plane back from those points
   phi_inverse   quadruple -> re-embedded member plus sheaf, inverse to phi
 
 A relation pair is a pair of 2x2x2 tensors, and each of its three
@@ -22,11 +18,14 @@ shadows (the resultant that eliminates one line factor) is the member
 again.  The incidence points are the points (x, y) of the last shadow,
 each with the common zero z of the two relations there, and the relation
 plane is the left kernel of the path monomials at those points, one
-`kernel_basis` (`relations_through_points`).  Points and tensors are
-read in the field's representation (`ints`, see `exactmath`).  One
-stream serves every finite field (`_incidence_stream`): one pass over x
-with 2x2 contractions, over F_p on residues, building field elements
-only for `incidence_points`.  The round trip checks the plane on the
+`kernel_basis`.  `incidence_points` lists those points over a finite
+field and `relations_through_points` takes the plane back from them;
+only tests and the tracer call the two, also through
+`recover_relations_from_ci`.  Points and tensors are read in the field's
+representation (`ints`, see `exactmath`).  One stream serves every
+finite field (`_incidence_stream`): one pass over x with 2x2
+contractions, over F_p on residues, building field elements only for
+`incidence_points`.  The round trip checks the plane on the
 first 16 of these points with one `rank` and no kernel: the path rows
 must have rank 6, and the relations must annihilate every row.  It
 counts them over F_p with `curves.point_count` of the member, checked
@@ -150,6 +149,15 @@ def _left_kernel(field, vecs, expect):
     return ker
 
 
+def _path_relations(curve, spaces, quiver, arrows, expect):
+    """The relations among the products of sections along the quiver's
+    paths 1 -> 4, in `path_basis` order, each arrow's section a (normal
+    forms, vector) pair in `arrows`."""
+    frame = _frame(curve, spaces)
+    vecs = [frame.product(*(arrows[lab] for lab in path)) for path in quiver.path_basis(1, 4)]
+    return _left_kernel(curve.field, vecs, expect)
+
+
 def psi0(quad):
     """Coefficients on the 8 three-step paths of the two relations cutting
     the section algebra of a component-0 quadruple.  Path order is the
@@ -161,11 +169,9 @@ def psi0(quad):
     for S in spaces:
         if S.dim() != 2:
             raise AssertionError("degree-2 bundle with unexpected section count")
-    frame = _frame(quad.curve, spaces)
-    s0, s1, s2 = ([(S.nf, v) for v in S.basis] for S in spaces)
-    # path order: s0_i s1_j s2_k, k fastest
-    vecs = [frame.product(a, b, c) for a in s0 for b in s1 for c in s2]
-    return _left_kernel(quad.curve.field, vecs, expect=2)
+    arrows = {f"s{i}{ab}": (S.nf, v)
+              for i, S in enumerate(spaces, 1) for ab, v in zip("ab", S.basis)}
+    return _path_relations(quad.curve, spaces, generic_member_quiver(), arrows, expect=2)
 
 
 def _outside_span(frame, spaces, span_vecs, what):
@@ -199,7 +205,6 @@ def psi1(quad):
     if quad.component != 1:
         raise ValidationError("the three-relation presentation needs component 1")
     curve = quad.curve
-    field = curve.field
     S0, S1, S2 = (section_space(L) for L in (quad.L0, quad.L1, quad.L2))
     if S0.dim() != 2 or S1.dim() != 1 or S2.dim() != 2:
         raise AssertionError("unexpected section counts for a component-1 quadruple")
@@ -215,14 +220,8 @@ def psi1(quad):
     a6 = _outside_span(frame12, [S1, S2], [frame12.product(r, si) for si in s],
                        "second skip arrow")
 
-    frame = _frame(curve, [S0, S1, S2])
-    arrows = {
-        "a1": t[0], "a2": t[1], "a3": a3, "a7": r,
-        "a6": a6, "a4": s[0], "a5": s[1],
-    }
-    vecs = [frame.product(*(arrows[lab] for lab in path))
-            for path in middle_member_quiver().path_basis(1, 4)]
-    return _left_kernel(field, vecs, expect=3)
+    arrows = {"a1": t[0], "a2": t[1], "a3": a3, "a7": r, "a6": a6, "a4": s[0], "a5": s[1]}
+    return _path_relations(curve, [S0, S1, S2], middle_member_quiver(), arrows, expect=3)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +457,7 @@ def point_representation(point):
 # the inverse direction
 
 
-def phi_inverse(quad, rng, tries=40):
+def phi_inverse(quad, rng):
     """Member-plus-sheaf datum reconstructed from a component-0 quadruple.
 
     The member is re-embedded through the section bases s of L2 and t of
@@ -487,7 +486,7 @@ def phi_inverse(quad, rng, tries=40):
     SB = section_space(B)
     if SB.dim() != 2:
         raise AssertionError("twisting bundle with unexpected section count")
-    for _ in range(tries):
+    for _ in range(40):
         form = SB.form(0).scale(field.random(rng)) + SB.form(1).scale(field.random(rng))
         if form.is_zero():
             continue
@@ -515,10 +514,10 @@ def phi_inverse(quad, rng, tries=40):
 # random instances and the end-to-end check
 
 
-def random_sheaf_datum(field, rng, degree=2, tries=60):
+def random_sheaf_datum(field, rng, degree=2):
     """Random (curve, sheaf) with a smooth member and the given sheaf
     degree."""
-    for _ in range(tries):
+    for _ in range(60):
         curve = random_smooth_curve(field, rng)
         try:
             U = random_line_bundle(curve, rng, deg_lo=degree, deg_hi=degree)
@@ -528,9 +527,9 @@ def random_sheaf_datum(field, rng, degree=2, tries=60):
     raise SpecialPosition("no smooth datum found in the allotted tries")
 
 
-def random_quadruple(field, rng, component=0, tries=60):
+def random_quadruple(field, rng, component=0):
     d1 = 2 if component == 0 else 1
-    for _ in range(tries):
+    for _ in range(60):
         curve = random_smooth_curve(field, rng)
         try:
             L0 = random_line_bundle(curve, rng, deg_lo=2, deg_hi=2)

@@ -9,7 +9,7 @@ import pytest
 
 from bimodulus import curves
 from bimodulus.errors import SpecialPosition, ValidationError
-from bimodulus.exactmath import QQ, PrimeField, QEElt, QuadExtField, RationalField
+from bimodulus.exactmath import QQ, PrimeField, QEElt, QuadExtField
 from bimodulus.curves import (
     KINDS,
     FiberTable,
@@ -17,6 +17,7 @@ from bimodulus.curves import (
     coerce_pair,
     enumerate_points,
     factor_11,
+    grid_j,
     kodaira_classify,
     make_cuspidal,
     make_kind,
@@ -24,11 +25,9 @@ from bimodulus.curves import (
     member_j,
     normalize_point,
     on_curve,
-    p1_point_of_key,
     point_count,
     p1_points,
     plant_smooth_22,
-    random_p1_key,
     random_p1_point,
     random_smooth_22,
     random_smooth_point,
@@ -126,11 +125,11 @@ def test_quartic_test_agrees_with_the_pattern_path(field):
         assert kind == _outcome(pattern_member_kind, f)
         assert (kind == "I0") is (_outcome(discriminant_form_is_smooth, f) is True)
         kinds.add(kind if isinstance(kind, str) else kind[1])
+        j = _outcome(member_j, f)
+        if field == QQ and kind == "I0":
+            assert type(j) is Fraction
         for block in (0, 1):
-            j = _outcome(member_j, f, block)
             assert j == _outcome(pattern_member_j, f, block) == _outcome(discriminant_form_j, f, block)
-            if field == QQ and kind == "I0":
-                assert type(j) is Fraction
             assert quadratic_discriminant(f, block) == product_discriminant(f, block)
     assert kinds == set(KINDS) | {"divisor contains a ruling fiber",
                                   "zero form does not define a divisor"}
@@ -291,7 +290,7 @@ def test_classify_over_q_builds_no_discriminant_form(monkeypatch, rng):
     monkeypatch.setattr(curves, "quadratic_discriminant", counted)
     for f in smooth:
         assert kodaira_classify(f) == "I0"
-        assert member_j(f) == member_j(f, 0)
+        assert member_j(f) == grid_j(QQ, coefficient_grid(f, 0))
     assert made == []
     # a member that is not smooth goes the element-wise way
     assert kodaira_classify(nodal) == "I1"
@@ -456,7 +455,7 @@ def test_baby_and_giant_steps_give_the_order_or_its_one_multiple(p):
 
 def test_smooth_points_and_off_curve_rejection(F101, rng):
     f = make_kind(F101, "I0", rng)
-    p = random_smooth_point(f, rng)
+    p = random_smooth_point(FiberTable(f), rng)
     assert on_curve(f, p) and FiberTable(f).is_smooth(p) and is_smooth_point(f, p)
     off = next(
         (x, y)
@@ -513,21 +512,27 @@ def _draws(sample, f, seed):
     return out, rng.getstate()
 
 
+def _on_a_fresh_table(f, rng, tries):
+    """`random_smooth_point` on a table of f of its own, which no earlier
+    call has filled."""
+    return random_smooth_point(FiberTable(f), rng, tries)
+
+
 _DRAW_FIELDS = [PrimeField(5), PrimeField(11), PrimeField(101), QQ, QuadExtField(PrimeField(5))]
 _DRAW_IDS = ["F5", "F11", "F101", "Q", "F25"]
 
 
 @pytest.mark.parametrize("field", _DRAW_FIELDS, ids=_DRAW_IDS)
 def test_a_random_point_of_p1_is_the_point_of_its_key(field):
+    # each draw is the keyless oracle's, from the same generator calls
     for seed in range(4):
-        drawn, keyed, plain = random.Random(seed), random.Random(seed), random.Random(seed)
+        drawn, plain = random.Random(seed), random.Random(seed)
         at_infinity = set()
         for _ in range(60):
-            key = random_p1_key(field, keyed)
-            at_infinity.add(key is None)
-            assert random_p1_point(field, drawn) == p1_point_of_key(field, key) \
-                == oracle_p1_point(field, plain)
-        assert drawn.getstate() == keyed.getstate() == plain.getstate()
+            pt = random_p1_point(field, drawn)
+            at_infinity.add(not pt[1])
+            assert pt == oracle_p1_point(field, plain)
+            assert drawn.getstate() == plain.getstate()
         assert at_infinity == {True, False}
 
 
@@ -542,9 +547,8 @@ def test_fiber_table_keeps_every_draw(field, seed):
     outcomes = set()
     for f in (smooth, with_fiber):
         table = FiberTable(f)
-        shared = _draws(lambda f, rng, tries: random_smooth_point(f, rng, tries, fibers=table),
-                        f, seed)
-        assert shared == _draws(random_smooth_point, f, seed)
+        shared = _draws(lambda f, rng, tries: random_smooth_point(table, rng, tries), f, seed)
+        assert shared == _draws(_on_a_fresh_table, f, seed)
         assert shared == _draws(random_smooth_point_scan, f, seed)
         outcomes.update(o if isinstance(o, str) else "point" for o in shared[0])
     assert outcomes == {"point", "gave up", "fiber in member"}
@@ -563,9 +567,8 @@ def test_fiber_table_keeps_every_draw_on_a_nodal_member(monkeypatch, seed):
 
     monkeypatch.setattr(FiberTable, "is_smooth", recording)
     table = FiberTable(f)
-    shared = _draws(lambda f, rng, tries: random_smooth_point(f, rng, tries, fibers=table),
-                    f, seed)
-    assert shared == _draws(random_smooth_point, f, seed)
+    shared = _draws(lambda f, rng, tries: random_smooth_point(table, rng, tries), f, seed)
+    assert shared == _draws(_on_a_fresh_table, f, seed)
     assert shared == _draws(random_smooth_point_scan, f, seed)
     # the node was drawn, found singular and never returned
     node = coerce_pair(F11, node)
@@ -589,7 +592,7 @@ def test_a_planted_member_is_sampled_on_its_planted_fibers():
         assert set(planted) <= on_planted and all(on_curve(f, pt) for pt in on_planted)
         for _ in range(20):
             state = rng.getstate()
-            pt = random_smooth_point(f, rng, fibers=table)
+            pt = random_smooth_point(table, rng)
             after = rng.getstate()
             # one draw for the fiber and one for its point
             rng.setstate(state)
@@ -599,36 +602,31 @@ def test_a_planted_member_is_sampled_on_its_planted_fibers():
 
 def test_give_ups_solve_and_build_each_drawn_key_once(monkeypatch):
     # a smooth member over Q with no real points: every fiber's roots are
-    # conjugate, so every call gives up after its 200 tries
+    # conjugate, so every call gives up after its 200 tries, and the table
+    # restricts each distinct fiber drawn once
     f = MultiPoly(QQ, (2, 2), {(2, 0, 2, 0): 1, (2, 0, 0, 2): 1, (0, 2, 2, 0): 1,
                                (0, 2, 0, 2): 3, (1, 1, 1, 1): 1})
     assert kodaira_classify(f) == "I0"
-    counts = {"points": 0, "built": 0}
-    keys = []
-    draw_key = curves.random_p1_key
+    drawn, restricted = [], []
+    draw, restrict = curves.random_p1_point, FiberTable._restrict
 
-    def counting(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
+    def recording_draw(field, rng):
+        drawn.append(draw(field, rng))
+        return drawn[-1]
 
-    def recording_key(field, rng):
-        keys.append(draw_key(field, rng))
-        return keys[-1]
+    def recording_restrict(table, side, x):
+        restricted.append((side, x))
+        return restrict(table, side, x)
 
-    monkeypatch.setattr(curves, "random_p1_key", recording_key)
-    monkeypatch.setattr(FiberTable, "points", counting("points", FiberTable.points))
-    monkeypatch.setattr(RationalField, "of_key", counting("built", RationalField.of_key))
-    monkeypatch.setattr(RationalField, "random", counting("built", RationalField.random))
+    monkeypatch.setattr(curves, "random_p1_point", recording_draw)
+    monkeypatch.setattr(FiberTable, "_restrict", recording_restrict)
     table, rng = FiberTable(f, smooth=True), random.Random(3)
     for _ in range(5):
         with pytest.raises(SpecialPosition):
-            random_smooth_point(f, rng, fibers=table)
-    distinct = set(keys)
-    assert len(keys) == 1000 and len(distinct) <= 151
-    assert counts["points"] == len(distinct)
-    assert counts["built"] == len(distinct - {None})
+            random_smooth_point(table, rng)
+    distinct = set(drawn)
+    assert len(drawn) == 1000 and len(distinct) <= 151
+    assert sorted(restricted) == sorted((0, x) for x in distinct)
 
 
 _FACTOR_FIELDS = {"F7": PrimeField(7), "F11": PrimeField(11), "F101": PrimeField(101),
@@ -695,7 +693,8 @@ def test_factor_11_refuses_irreducible(F101, rng):
 def test_member_j_is_a_ruling_invariant(F101, rng):
     for _ in range(5):
         f = random_smooth_22(F101, rng)
-        assert member_j(f, block=1) == member_j(f, block=0)
+        assert grid_j(F101, coefficient_grid(f, 1)) == grid_j(F101, coefficient_grid(f, 0)) \
+            == member_j(f)
 
 
 def test_member_j_constant_under_coordinate_moves(F101, rng):

@@ -109,7 +109,7 @@ def test_smoothness_is_tested_once_per_point_and_partials_once_per_curve(
         calls["partial"] = 0  # drawing a III member takes partials
         pts = []
         while len(pts) < 6:
-            p = random_smooth_point(curve.f, rng, fibers=curve.fibers)
+            p = random_smooth_point(curve.fibers, rng)
             if p not in pts:
                 pts.append(p)
         before = calls["eval_full"]
@@ -142,7 +142,7 @@ def test_repeated_points_take_the_partials_once_per_member(F101, rng, monkeypatc
     monkeypatch.setattr(MultiPoly, "partial",
                         lambda self, *args: calls.append(args) or real(self, *args))
     curve = Curve(make_kind(F101, "I0", rng))
-    pts = [random_smooth_point(curve.f, rng, fibers=curve.fibers) for _ in range(3)]
+    pts = [random_smooth_point(curve.fibers, rng) for _ in range(3)]
     for P in pts:
         for k in (2, 3):
             assert LineBundle(curve, 1, 1, [P] * k).h0() == 4 - k
@@ -156,7 +156,7 @@ def test_only_checked_constructions_normalize_their_points(monkeypatch):
     curve = Curve(make_kind(F, "I0", rng))
     pts = []
     while len(pts) < 5:
-        p = random_smooth_point(curve.f, rng, fibers=curve.fibers)
+        p = random_smooth_point(curve.fibers, rng)
         if p not in pts:
             pts.append(p)
     three = F(3)
@@ -217,8 +217,8 @@ def test_genus_one_section_counts(smooth_curve, rng):
 
 def test_degree_zero_sections_detect_triviality(smooth_curve, rng):
     O = LineBundle(smooth_curve, 0, 0)
-    p = random_smooth_point(smooth_curve.f, rng)
-    q = random_smooth_point(smooth_curve.f, rng)
+    p = random_smooth_point(smooth_curve.fibers, rng)
+    q = random_smooth_point(smooth_curve.fibers, rng)
     if p == q:
         pytest.skip("random points collided")
     L = LineBundle(smooth_curve, 0, 0, [p], [q])
@@ -271,7 +271,7 @@ def test_tensor_and_inverse(smooth_curve, rng):
 
 
 def test_canonical_representative_preserves_cohomology(smooth_curve, rng):
-    p = random_smooth_point(smooth_curve.f, rng)
+    p = random_smooth_point(smooth_curve.fibers, rng)
     L = LineBundle(smooth_curve, 1, 0, [], [p])
     rep = L.canonical()
     assert not rep.plus
@@ -605,7 +605,7 @@ def _seeded_bundles(name):
              "F25": QuadExtField(PrimeField(5))}[name]
         curve = Curve(make_kind(F, "I0", rng))
         drawn = [random_line_bundle(curve, rng) for _ in range(3)]
-    P, Q = (random_smooth_point(curve.f, rng, fibers=curve.fibers) for _ in range(2))
+    P, Q = (random_smooth_point(curve.fibers, rng) for _ in range(2))
     drawn += [LineBundle(curve, 1, 1, [P, P]), LineBundle(curve, 1, 2, [P] * 3, [Q])]
     return [L.twist(dm, 0) for L in drawn for dm in (0, 2, 4)]
 
@@ -676,7 +676,7 @@ def _bundles_with_a_point_at_infinity(name):
         if pts:
             break
     P = pts[0]
-    Q = random_smooth_point(curve.f, rng, fibers=curve.fibers)
+    Q = random_smooth_point(curve.fibers, rng)
     drawn = [LineBundle(curve, 1, 1, [P, Q]), LineBundle(curve, 1, 1, [P, P]),
              LineBundle(curve, 0, 2, [P, P, Q])]
     return [L.twist(dm, 0) for L in drawn for dm in (-1, 0, 2)]
@@ -741,7 +741,7 @@ def test_a_point_listed_k_times_is_a_point_of_multiplicity_k(name):
     curve = linebundles.random_smooth_curve(F, rng)
     f = curve.f
     for _ in range(2):
-        P = random_smooth_point(f, rng, fibers=curve.fibers)
+        P = random_smooth_point(curve.fibers, rng)
         residuals = [fiber_residual(f, P, side) for side in (0, 1)]
         assert P not in residuals
         for k in (2, 3, 4):
@@ -807,8 +807,8 @@ def test_twist_shifts_split(smooth_curve, rng):
 def test_pullback_detection(smooth_curve, rng):
     assert is_v_pullback(LineBundle(smooth_curve, 0, 2))
     assert is_twisted_v_pullback(LineBundle(smooth_curve, 1, 1))
-    p = random_smooth_point(smooth_curve.f, rng)
-    q = random_smooth_point(smooth_curve.f, rng)
+    p = random_smooth_point(smooth_curve.fibers, rng)
+    q = random_smooth_point(smooth_curve.fibers, rng)
     if p == q:
         pytest.skip("random points collided")
     L = LineBundle(smooth_curve, 0, 1, [p, q])

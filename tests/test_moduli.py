@@ -195,7 +195,7 @@ def test_psi0_kernel_is_a_plane_vanishing_on_the_member(datum):
     bases = [section_space(L) for L in (quad.L0, quad.L1, quad.L2)]
     hits = 0
     for _ in range(20):
-        p = random_smooth_point(curve.f, rng)
+        p = random_smooth_point(curve.fibers, rng)
         coords = []
         for S in bases:
             vals = tuple(S.form(i).eval_full(list(p)) for i in range(S.dim()))
@@ -309,7 +309,7 @@ def test_psi1_takes_a_point_listed_four_times_in_a_skip_product(name):
     F = SHARED_FIELDS[name]
     rng = random.Random(5)
     curve = linebundles.random_smooth_curve(F, rng)
-    P, Q = (random_smooth_point(curve.f, rng, fibers=curve.fibers) for _ in range(2))
+    P, Q = (random_smooth_point(curve.fibers, rng) for _ in range(2))
     assert P != Q
     L0, L1 = LineBundle(curve, 1, 1, [P, P]), LineBundle(curve, 1, 1, [P, P, Q])
     quad = Quadruple(curve, L0, L1, LineBundle(curve, 1, 0))
