@@ -103,14 +103,14 @@ def _descriptor_and_flag(obj):
 def cmd_classify(args):
     obj = instance_from_json(_load(args))
     if isinstance(obj, LineBundle):
-        f = obj.curve.f
+        # its curve classified the member on loading
+        f, kind = obj.curve.f, obj.curve.kind
     elif isinstance(obj, MultiPoly):
-        f = obj
+        f, kind = obj, kodaira_classify(obj)
     elif isinstance(obj, NRSheaf):
         return {"command": "classify", "kind": "NonReduced"}
     else:
         raise ValidationError("classification takes a member or a sheaf on one")
-    kind = kodaira_classify(f)
     out = {"command": "classify", "kind": kind}
     if kind == "I0":
         out["j"] = scalar_to_json(f.field, member_j(f))

@@ -22,9 +22,14 @@ again.  Over Q a smooth member is drawn through two points
 point is drawn among known ones without a search.  On every field a
 member is read through its coefficient grid (`coefficient_grid`), its
 coefficients in the field's representation (`ints`, see `exactmath`);
-over Q that scales the branch quartic's I^3 and 4I^3 - J^2 alike.  A smooth member is recognized, and its j taken,
-from the grid's branch quartic (`grid_invariants`), and a fiber is
-restricted on the grid.  The same quartic counts a smooth member's
+over Q that scales the branch quartic's I^3 and 4I^3 - J^2 alike.  A
+smooth member is recognized, and its j taken, from the grid's branch
+quartic (`grid_invariants`), and a fiber is restricted on the grid.  Any
+other member is classified on the same grid, in its `ints`: the
+fiber check is the gcd of the grid's rows and of its columns, and the type
+the multiplicity pattern of the branch quartic (`kodaira_classify`).  A
+reducible member is split from the gcd chain of that quartic, taken once
+(`factor_11`).  The same quartic counts a smooth member's
 points over F_p without visiting them (`point_count`): a character sum
 over the line up to p = 229, and above it the order of the Jacobian by
 baby-step giant-step.
@@ -45,6 +50,7 @@ from .polyring import (
     bf_divexact,
     bf_gcd,
     bf_gcd_chain,
+    bf_gcd_degree,
     bf_is_zero,
     bf_multiplicity_pattern,
     bf_mul,
@@ -52,7 +58,6 @@ from .polyring import (
     bf_scale,
     monomial_basis,
     monomial_values,
-    quadratic_discriminant,
     random_multipoly,
 )
 
@@ -74,48 +79,38 @@ def validate_22(f):
         raise ValidationError("zero form does not define a divisor")
 
 
-def validate_support(f):
-    """Reject members containing a fiber of either ruling.
-
-    A common factor of the three coefficient forms with respect to one block
-    is exactly a product of fibers of the other ruling.
-    """
-    validate_22(f)
-    for block in (0, 1):
-        coeffs = [c.to_binary() for c in f.coeff_forms(block)]
-        nonzero = [c for c in coeffs if not bf_is_zero(c)]
-        g = nonzero[0]
-        for c in nonzero[1:]:
-            g = bf_gcd(f.field, g, c)
-        if len(g) > 1:
-            raise ValidationError("divisor contains a ruling fiber")
-
-
 def kodaira_classify(f):
-    """Type of the divisor, one of KINDS.
+    """Type of the divisor, one of KINDS, read off the grid of f
+    (`coefficient_grid`) in the field's `ints`.
 
     The discriminant of f as a quadratic over the first P1 is a binary
-    quartic whose root multiplicities grow with the singularities downstairs:
-    a reduced member is smooth over simple roots, nodal over double roots,
-    cuspidal over triple ones; multiplicity four forces two tangent (1,1)
-    components, and identically-zero discriminant a doubled (1,1).
+    quartic (`branch_quartic`) whose root multiplicities grow with the
+    singularities downstairs: a reduced member is smooth over simple roots,
+    nodal over double roots, cuspidal over triple ones; multiplicity four
+    forces two tangent (1,1) components, and identically-zero discriminant
+    a doubled (1,1).
 
     Four simple roots are exactly 4I^3 - J^2 != 0 (27 times the quartic's
     discriminant, in characteristic 0 or at least 5), and a member with a
     fiber component has a square factor in its quartic, so a smooth member
-    is recognized from I and J alone, on every field from the grid of f
-    (`coefficient_grid`, `grid_invariants`); only the others are checked
-    for fibers and have the quartic's multiplicity pattern read off the
-    degrees of its `bf_gcd_chain`.
+    is recognized from I and J alone (`grid_invariants`).  Any other is
+    refused when it contains a fiber of a ruling: a common factor of the
+    coefficient forms of one block, which are the grid's rows for the first
+    block and its columns for the second, is a product of fibers of the
+    other ruling.  Its type is then the quartic's multiplicity pattern
+    (`bf_multiplicity_pattern`), both on the grid's `ints`.
     """
     validate_22(f)
-    if grid_invariants(coefficient_grid(f), f.field.modulus)[1]:
+    F = f.field
+    grid = coefficient_grid(f)
+    if grid_invariants(grid, F.modulus)[1]:
         return "I0"
-    disc = quadratic_discriminant(f, 1)
-    validate_support(f)
-    if bf_is_zero(disc):
+    if bf_gcd_degree(F, *grid) or bf_gcd_degree(F, *zip(*grid)):
+        raise ValidationError("divisor contains a ruling fiber")
+    quartic = branch_quartic(grid, F.modulus)
+    if not any(quartic):
         return "NonReduced"
-    return _PATTERN_TO_KIND[bf_multiplicity_pattern(f.field, disc)]
+    return _PATTERN_TO_KIND[bf_multiplicity_pattern(F, quartic)]
 
 
 def member_j(f):
@@ -672,26 +667,30 @@ def _mp_from_y_coeffs(field, a, b):
     return MultiPoly(field, (1, 1), terms)
 
 
-def factor_11(f):
+def factor_11(f, kind=None):
     """Split a reducible member (types I2, III) into two (1,1) components.
 
-    The branch quartic is c0*s^2, where s is g_1 of its `bf_gcd_chain` for
-    I2 (two double roots) and g_2 for III (one quadruple root), scaled so
-    that its first nonzero coefficient is 1.  Returns (field_used, g, h)
-    with g*h equal to f exactly; the pair is rational when c0 is a square,
-    so that the components are individually defined over the base field,
-    and otherwise lives over the default quadratic extension of a prime
-    field.  Over Q and F_{p^2}, which have no default extension (the
-    package builds no F_{p^4}), conjugate components raise ValidationError.
+    `kind` is the member's Kodaira type when the caller knows it, and f is
+    classified here otherwise.  On the grid of f (`coefficient_grid`), a
+    multiple of f over Q, the branch quartic is c0*s^2, where s is g_1 of
+    its `bf_gcd_chain` for I2 (two double roots) and g_2 for III (one
+    quadruple root), scaled so that its first nonzero coefficient is 1; the
+    chain is taken once.  Returns (field_used, g, h) with g*h equal to f
+    exactly; the pair is rational when c0 is a square, so that the
+    components are individually defined over the base field, and otherwise
+    lives over the default quadratic extension of a prime field.  Over Q
+    and F_{p^2}, which have no default extension (the package builds no
+    F_{p^4}), conjugate components raise ValidationError.
     """
     F = f.field
-    kind = kodaira_classify(f)
+    if kind is None:
+        kind = kodaira_classify(f)
     if kind not in ("I2", "III"):
         raise ValidationError(f"member of type {kind} is not a product of two (1,1) forms")
-    disc = quadratic_discriminant(f, 1)
+    grid = coefficient_grid(f)
+    disc = [F.coerce(x) for x in branch_quartic(grid, F.modulus)]
     s = bf_gcd_chain(F, disc)[1 if kind == "I2" else 2]
-    s = bf_scale(F, s, F.one() / next(x for x in s if x))
-    c0 = next(x for x in disc if x)  # s^2 also starts with 1
+    c0 = next(x for x in disc if x)  # s^2 starts with 1
     if bf_scale(F, bf_mul(F, s, s), c0) != disc:
         raise AssertionError("reducible member with non-square discriminant")
     root = F.sqrt(c0)
@@ -702,7 +701,9 @@ def factor_11(f):
         root = E.sqrt(E.coerce(c0))
         s = [E.coerce(x) for x in s]
     fE = f if E is F else f.coerce_to(E)
-    A, B, _ = (x.to_binary() for x in fE.coeff_forms(1))
+    # the coefficient forms of v0^2 and v0 v1, binary in u: A and B of the
+    # grid's multiple of f
+    A, B, _ = ([E.coerce(x) for x in form] for form in zip(*grid))
     base_r = [root * x for x in s]
     half = E.one() / E.coerce(2)
     for sign in (E.one(), -E.one()):

@@ -99,7 +99,7 @@ class Curve:
         if not self.is_reducible():
             raise ValidationError("integral member has a single component")
         if self._components is None:
-            self._components = factor_11(self.f)
+            self._components = factor_11(self.f, self.kind)
         return self._components
 
     def component_index(self, pair):

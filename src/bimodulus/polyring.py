@@ -9,15 +9,19 @@ integers (Kronecker substitution, `residue_product`), which the products
 of sections modulo a member use (`linebundles.NormalForm.product`).
 
 Binary forms (one block) double as plain coefficient lists
-``[c0, ..., cd]`` meaning ``sum c[i] * x0^(d-i) * x1^i``; the ``bf_*`` /
-``uv_*`` helpers below implement exact gcds and division for them, and read
-root multiplicities off the chain of gcds of partial derivatives.  Everything
-is valid over Q and over F_p with p > deg.
+``[c0, ..., cd]`` meaning ``sum c[i] * x0^(d-i) * x1^i``; the ``bf_*``
+helpers below take exact gcds and quotients of them, and read root
+multiplicities off the chain of gcds of partial derivatives.  They read a
+form, given as field elements or in the field's `ints`, once into the
+`ints` and run one Euclid loop per representation there: on residues over
+F_p, a primitive pseudo-remainder sequence on ints over Q, and field
+elements over F_{p^2}.  A form comes back as field elements only where a
+caller needs it.  Everything is valid over Q and over F_p with p > deg.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, prod
 from operator import add
 
 from .errors import SpecialPosition, ValidationError
@@ -330,7 +334,15 @@ def _binary_pow(field, lin, e):
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers (dense lists, low degree first, trimmed)
+# division and gcds, one loop per representation
+#
+# Univariate polynomials are dense lists, low degree first, trimmed; binary
+# forms are read into the field's representation (`exactmath`: `ints`), and
+# Euclid runs there: on residues over F_p; over Q on ints, as a primitive
+# pseudo-remainder sequence (Collins; Knuth, TAOCP 2, 4.6.1), each
+# remainder taken fraction-free and divided by its content, so that no
+# Fraction is built; and on field elements over F_{p^2}.  Field elements
+# are built at exit, where a caller needs a form.
 
 
 def uv_trim(u):
@@ -339,11 +351,8 @@ def uv_trim(u):
     return u
 
 
-def uv_scale(field, a, s):
-    return uv_trim([s * x for x in a])
-
-
 def uv_divmod(field, a, b):
+    """(q, r) with a = q b + r, on lists of field elements."""
     b = uv_trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -363,20 +372,81 @@ def uv_divmod(field, a, b):
     return uv_trim(q), uv_trim(r)
 
 
-def uv_divexact(field, a, b):
-    q, r = uv_divmod(field, a, b)
-    if r:
+def _divmod_mod_p(p, a, b):
+    """(q, r) with a = q b + r over F_p, on lists of ints read as residues."""
+    r = [x % p for x in a]
+    n = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - n, 0)
+    while len(r) > n:
+        f = r.pop() * inv % p
+        if f:
+            k = len(r) - n
+            q[k] = f
+            for i in range(n):
+                r[k + i] = (r[k + i] - f * b[i]) % p
+    return q, uv_trim(r)
+
+
+def _primitive(u):
+    g = gcd(*u)
+    return [x // g for x in u] if g > 1 else u
+
+
+def _prem_q(a, b):
+    """A nonzero multiple over Q of the remainder of a by b, on lists of
+    ints: each step clears the top of a by cross-multiplying it with b, as
+    `exactmath`'s echelon loop over Q clears a row, and the remainder is
+    divided by its content."""
+    r = list(a)
+    n = len(b) - 1
+    lead = b[-1]
+    while len(r) > n:
+        f = r.pop()
+        if f:
+            g = gcd(f, lead)
+            s, t = lead // g, f // g
+            if s != 1:
+                r = [s * x for x in r]
+            k = len(r) - n
+            for i in range(n):
+                r[k + i] -= t * b[i]
+    return _primitive(uv_trim(r))
+
+
+def _divexact_q(a, b):
+    """(q, c) with a = q b / c over Q, on lists of ints, c the content of
+    b; ValidationError when b does not divide a.  By Gauss's lemma the
+    primitive part of b divides a over Z when b divides it over Q, so each
+    step divides exactly."""
+    c = gcd(*b)
+    b = [x // c for x in b]
+    r = list(a)
+    n = len(b) - 1
+    q = [0] * max(len(r) - n, 0)
+    while len(r) > n:
+        f, m = divmod(r.pop(), b[-1])
+        if m:
+            raise ValidationError("inexact polynomial division")
+        if f:
+            k = len(r) - n
+            q[k] = f
+            for i in range(n):
+                r[k + i] -= f * b[i]
+    if any(r):
         raise ValidationError("inexact polynomial division")
-    return q
+    return q, c
 
 
-def uv_gcd(field, a, b):
-    a, b = uv_trim(list(a)), uv_trim(list(b))
-    while b:
-        a, b = b, uv_divmod(field, a, b)[1]
-    if a:
-        a = uv_scale(field, a, field.one() / a[-1])
-    return a
+def _remainder(field):
+    """The remainder step of Euclid in the field's `ints`, up to a nonzero
+    factor, chosen on `modulus` and `characteristic`."""
+    p = field.modulus
+    if p:
+        return lambda a, b: _divmod_mod_p(p, a, b)[1]
+    if not field.characteristic:
+        return _prem_q
+    return lambda a, b: uv_divmod(field, a, b)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +472,6 @@ def bf_scale(field, a, s):
     return [s * x for x in a]
 
 
-def bf_sub(field, a, b):
-    if len(a) != len(b):
-        raise ValidationError("degree mismatch")
-    return [x - y for x, y in zip(a, b)]
-
-
 def _bf_dehom(c):
     """f(s, 1) as a low-first list; drops the multiplicity at [1:0]."""
     return uv_trim(list(reversed(c)))
@@ -422,54 +486,80 @@ def _bf_inf_mult(c):
     return k
 
 
-def _bf_homog(field, u, extra_inf=0):
-    """Homogenize a univariate (root multiplicities preserved), then multiply
-    by x1^extra_inf."""
-    if not u:
-        raise ValidationError("cannot homogenize zero")
-    c = list(reversed(u))
-    return [field.zero()] * extra_inf + c
+def _bf_monic(field, c):
+    """The nonzero form c, given in the field's `ints`, as field elements
+    scaled so that its first nonzero coefficient is 1."""
+    lead = next(x for x in c if x)
+    p = field.modulus
+    if p:
+        inv = pow(lead, -1, p)
+        return [field(x * inv) for x in c]
+    lead = field.coerce(lead)
+    return [field.coerce(x) / lead for x in c]
 
 
-def bf_gcd(field, a, b):
-    if bf_is_zero(a) and bf_is_zero(b):
-        raise ValidationError("gcd(0, 0)")
-    if bf_is_zero(a):
-        a, b = b, a
-    if bf_is_zero(b):
-        ua = _bf_dehom(a)
-        g = uv_scale(field, ua, field.one() / ua[-1]) if ua else []
-        return _bf_homog(field, g or [field.one()], _bf_inf_mult(a))
-    g = uv_gcd(field, _bf_dehom(a), _bf_dehom(b))
-    if not g:
-        g = [field.one()]
-    return _bf_homog(field, g, min(_bf_inf_mult(a), _bf_inf_mult(b)))
+def _gcd_ints(field, forms):
+    """A gcd of binary forms in the field's `ints`, not all zero, in them:
+    Euclid on the forms at x1 = 1, times the least power of x1 among
+    them."""
+    forms = [c for c in forms if any(c)]
+    if not forms:
+        raise ValidationError("gcd of zero forms")
+    rem = _remainder(field)
+    a = _bf_dehom(forms[0])
+    for c in forms[1:]:
+        b = _bf_dehom(c)
+        while b:
+            a, b = b, rem(a, b)
+    return [0] * min(map(_bf_inf_mult, forms)) + a[::-1]
+
+
+def bf_gcd(field, *forms):
+    """The gcd of binary forms, not all zero, as field elements with first
+    nonzero coefficient 1.  Each form is read once into the field's
+    `ints`, where the gcd is taken."""
+    return _bf_monic(field, _gcd_ints(field, [field.ints(c) for c in forms]))
+
+
+def bf_gcd_degree(field, *forms):
+    """The degree of `bf_gcd` of the forms, taken in the field's `ints`
+    without building a field element."""
+    return len(_gcd_ints(field, [field.ints(c) for c in forms])) - 1
 
 
 def bf_divexact(field, a, b):
-    ka, kb = _bf_inf_mult(a), _bf_inf_mult(b)
-    if bf_is_zero(a):
+    """a / b for binary forms, b a nonzero divisor of a, as field elements;
+    ValidationError when b does not divide a.  a and b are read into the
+    field's `ints` together (over Q one factor scales both, and the
+    quotient stays), and divided there."""
+    v = field.ints([*a, *b])
+    a, b = v[:len(a)], v[len(a):]
+    if not any(b):
+        raise ValidationError("division by the zero form")
+    if not any(a):
         return [field.zero()] * (len(a) - len(b) + 1)
+    ka, kb = _bf_inf_mult(a), _bf_inf_mult(b)
     if kb > ka:
         raise ValidationError("inexact binary-form division")
-    q = uv_divexact(field, _bf_dehom(a), _bf_dehom(b))
-    out = _bf_homog(field, q, ka - kb)
-    want = len(a) - len(b) + 1
-    if len(out) != want:
-        out = [field.zero()] * (want - len(out)) + out
-    return out
+    a, b = _bf_dehom(a), _bf_dehom(b)
+    p = field.modulus
+    if p:
+        q, r = _divmod_mod_p(p, a, b)
+        q = [field(x) for x in q]
+    elif not field.characteristic:
+        q, c = _divexact_q(a, b)
+        q, r = [field.coerce(x) / c for x in q], []
+    else:
+        q, r = uv_divmod(field, a, b)
+    if r:
+        raise ValidationError("inexact binary-form division")
+    return [field.zero()] * (ka - kb) + q[::-1]
 
 
-def bf_gcd_chain(field, c):
-    """[g_0, g_1, ..., g_K] with g_0 = c, g_{k+1} the gcd of the two partial
-    derivatives of g_k, and g_K the first constant.
-
-    Over the closure c = prod l_i^m_i; when char = 0 or char > deg c, Euler's
-    identity d*g = x0*dg/dx0 + x1*dg/dx1 makes the gcd of the partials
-    prod l_i^(m_i - 1), so g_k = prod l_i^max(m_i - k, 0) up to a scalar and
-    deg g_k - deg g_{k+1} roots of c have multiplicity above k.
-    """
-    if bf_is_zero(c):
+def _gcd_chain_ints(field, c):
+    """`bf_gcd_chain` of a form in the field's `ints`, in them, each g_k
+    for k > 0 up to a nonzero factor."""
+    if not any(c):
         raise ValidationError("root multiplicities of the zero form")
     p = field.characteristic
     if p and p <= len(c) - 1:
@@ -477,17 +567,34 @@ def bf_gcd_chain(field, c):
     chain = [c]
     while len(c) > 1:
         d = len(c) - 1
-        c = bf_gcd(field, [(d - i) * c[i] for i in range(d)],
-                   [(i + 1) * c[i + 1] for i in range(d)])
+        c = _gcd_ints(field, ([(d - i) * c[i] for i in range(d)],
+                              [(i + 1) * c[i + 1] for i in range(d)]))
         chain.append(c)
     return chain
+
+
+def bf_gcd_chain(field, c):
+    """[g_0, g_1, ..., g_K] with g_0 = c, g_{k+1} the gcd of the two partial
+    derivatives of g_k, and g_K the first constant; each g_k for k > 0 as
+    `bf_gcd` returns it.  c is read once into the field's `ints`, where the
+    chain is taken.
+
+    Over the closure c = prod l_i^m_i; when char = 0 or char > deg c, Euler's
+    identity d*g = x0*dg/dx0 + x1*dg/dx1 makes the gcd of the partials
+    prod l_i^(m_i - 1), so g_k = prod l_i^max(m_i - k, 0) up to a scalar and
+    deg g_k - deg g_{k+1} roots of c have multiplicity above k.
+    """
+    chain = _gcd_chain_ints(field, field.ints(c))
+    return [c] + [_bf_monic(field, g) for g in chain[1:]]
 
 
 def bf_multiplicity_pattern(field, c):
     """Sorted (descending) multiset of root multiplicities over the closure:
     the conjugate of the partition whose k-th part, deg g_k - deg g_{k+1}
-    along `bf_gcd_chain`, counts the roots of multiplicity above k."""
-    degrees = [len(g) - 1 for g in bf_gcd_chain(field, c)]
+    along `bf_gcd_chain`, counts the roots of multiplicity above k.  c may
+    be given in the field's `ints` or as field elements; the chain is
+    taken in the `ints`, and no form is built."""
+    degrees = [len(g) - 1 for g in _gcd_chain_ints(field, field.ints(c))]
     above = [a - b for a, b in zip(degrees, degrees[1:])]
     return tuple(sum(1 for n in above if n > j) for j in range(max(above, default=0)))
 
@@ -539,22 +646,7 @@ def bf_roots_small(field, c):
 
 
 # ---------------------------------------------------------------------------
-# discriminants, resultants and the quartic j-invariant
-
-
-def quadratic_discriminant(f, block):
-    """B^2 - 4AC for a two-block form f = A*z0^2 + B*z0*z1 + C*z1^2 of
-    degree 2 in the chosen block, as a binary coefficient list on the other
-    block: A, B and C are read off the terms as binary lists in one pass."""
-    if f.nblocks() != 2 or f.degree[block] != 2:
-        raise ValidationError("quadratic discriminant needs two blocks and degree 2 in the block")
-    F = f.field
-    other = 1 - block
-    abc = [[F.zero()] * (f.degree[other] + 1) for _ in range(3)]
-    for e, c in f.terms.items():
-        abc[e[2 * block + 1]][e[2 * other + 1]] = c
-    A, B, C = abc
-    return bf_sub(F, bf_mul(F, B, B), bf_scale(F, bf_mul(F, A, C), 4))
+# resultants and the quartic j-invariant
 
 
 def linear_resultant(f1, f2, block):

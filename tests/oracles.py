@@ -13,7 +13,8 @@ of `phi_inverse` as the relation among nine products of sections,
 residual points of fibers by division by a linear form, j through
 cross-ratios of actual branch points, member classification through
 exhaustive singular-point inspection over a quadratic extension and
-through the multiplicity pattern of a product-built branch quartic,
+through the multiplicity pattern of a product-built branch quartic, with
+the fiber check and the gcds of that pattern by Euclid on field elements,
 smoothness and j from the branch quartic built as a form on field
 elements, point rows from the monomial value tables of the point's
 coordinates, the divisor rows of the doubled member by the remainder
@@ -44,7 +45,6 @@ from bimodulus.curves import (
     normalize_point,
     p1_points,
     validate_22,
-    validate_support,
 )
 from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationError
 from bimodulus.exactmath import (
@@ -73,12 +73,10 @@ from bimodulus.polyring import (
     MultiPoly,
     bf_divexact,
     bf_is_zero,
-    bf_multiplicity_pattern,
     bf_rational_roots,
     j_from_quartic,
     monomial_basis,
     monomial_values,
-    quadratic_discriminant,
     quartic_invariants,
     uv_trim,
 )
@@ -460,14 +458,95 @@ def product_discriminant(f, block):
     return (B * B - (A * C).scale(4)).to_binary()
 
 
+def quadratic_discriminant(f, block):
+    """B^2 - 4AC for a two-block form f = A*z0^2 + B*z0*z1 + C*z1^2 of
+    degree 2 in the chosen block, as a binary coefficient list on the other
+    block, from A, B and C read off the terms as binary lists and
+    multiplied coefficient by coefficient."""
+    if f.nblocks() != 2 or f.degree[block] != 2:
+        raise ValidationError("quadratic discriminant needs two blocks and degree 2 in the block")
+    F = f.field
+    other = 1 - block
+    n = f.degree[other] + 1
+    abc = [[F.zero()] * n for _ in range(3)]
+    for e, c in f.terms.items():
+        abc[e[2 * block + 1]][e[2 * other + 1]] = c
+    A, B, C = abc
+    out = [F.zero()] * (2 * n - 1)
+    for i in range(n):
+        for j in range(n):
+            out[i + j] = out[i + j] + B[i] * B[j] - 4 * A[i] * C[j]
+    return out
+
+
+def _dehomogenized(c):
+    """A nonzero binary form at x1 = 1, low degree first and trimmed, and
+    the multiplicity of its root (1:0)."""
+    k = next(i for i, x in enumerate(c) if x)
+    return list(reversed(c[k:])), k
+
+
+def element_gcd(field, a, b):
+    """The gcd of two binary forms, not both zero, with first nonzero
+    coefficient 1: Euclid on field elements, one scalar operation at a
+    time, on the forms at x1 = 1, times the least power of x1 dividing
+    both."""
+    forms = [c for c in (a, b) if any(c)]
+    if not forms:
+        raise ValidationError("gcd(0, 0)")
+    (u, k), *rest = [_dehomogenized(c) for c in forms]
+    for v, kv in rest:
+        k = min(k, kv)
+        while v:
+            r = list(u)
+            while len(r) >= len(v):
+                f = r[-1] / v[-1]
+                shift = len(r) - len(v)
+                for i, x in enumerate(v):
+                    r[shift + i] = r[shift + i] - f * x
+                r.pop()
+                while r and not r[-1]:
+                    r.pop()
+            u, v = v, r
+    lead = u[-1]
+    return [field.zero()] * k + [x / lead for x in reversed(u)]
+
+
+def element_multiplicity_pattern(field, c):
+    """Root multiplicities of a nonzero binary form over the closure, in
+    descending order, from the degrees of the chain of `element_gcd`s of
+    partial derivatives: deg g_k - deg g_{k+1} roots have multiplicity
+    above k."""
+    degrees = [len(c) - 1]
+    while len(c) > 1:
+        d = len(c) - 1
+        c = element_gcd(field, [(d - i) * c[i] for i in range(d)],
+                        [(i + 1) * c[i + 1] for i in range(d)])
+        degrees.append(len(c) - 1)
+    above = [a - b for a, b in zip(degrees, degrees[1:])]
+    return tuple(sum(1 for n in above if n > j) for j in range(max(above, default=0)))
+
+
+def validate_support(f):
+    """Reject members containing a fiber of either ruling, on field
+    elements: a common factor of the three coefficient forms with respect
+    to one block is a product of fibers of the other ruling."""
+    validate_22(f)
+    for block in (0, 1):
+        forms = [c for c in (c.to_binary() for c in f.coeff_forms(block)) if any(c)]
+        if len(reduce(lambda g, c: element_gcd(f.field, g, c), forms)) > 1:
+            raise ValidationError("divisor contains a ruling fiber")
+
+
 def pattern_member_kind(f):
     """Member type from the fiber check and the root multiplicity pattern
-    of the branch quartic, whatever the member."""
+    of the product-built branch quartic, whatever the member, on field
+    elements."""
     validate_support(f)
     disc = product_discriminant(f, 1)
     if bf_is_zero(disc):
         return "NonReduced"
-    return _PATTERN_TO_KIND[bf_multiplicity_pattern(f.field, disc)]
+    return _PATTERN_TO_KIND[element_multiplicity_pattern(f.field, disc)]
 
 
 def pattern_member_j(f, block=1):

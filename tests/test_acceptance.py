@@ -24,7 +24,7 @@ from bimodulus.bimodules import (
     split_prime_of_concrete,
     stability_classify,
 )
-from bimodulus.curves import kodaira_classify, make_kind, validate_support
+from bimodulus.curves import kodaira_classify, make_kind
 from bimodulus.errors import DegenerateInstance, SpecialPosition, ValidationError
 from bimodulus.exactmath import QQ, PrimeField
 from bimodulus.linebundles import Curve, random_line_bundle
@@ -41,7 +41,7 @@ from bimodulus.quivers import (
     toric_check,
 )
 
-from oracles import bf_root_linear, brute_member_kind, j_from_cross_ratio
+from oracles import bf_root_linear, brute_member_kind, j_from_cross_ratio, validate_support
 
 F101 = PrimeField(101)
 F5 = PrimeField(5)

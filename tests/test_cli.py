@@ -4,6 +4,7 @@ contract, and file output."""
 import json
 import random
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -12,12 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from bimodulus import curves, jsonio, linebundles
+from bimodulus import cli, curves, jsonio, linebundles
 from bimodulus.cli import COMMANDS, COUNT_CEILINGS, main
 from bimodulus.curves import make_kind
 from bimodulus.errors import DegenerateInstance
 from bimodulus.exactmath import QQ, PrimeField
-from bimodulus.jsonio import generate_instance, instance_to_json
+from bimodulus.jsonio import GENERATE_KINDS, generate_instance, instance_to_json
 from bimodulus.moduli import phi, random_sheaf_datum
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -200,6 +201,37 @@ def test_a_count_above_the_ceiling_is_exit_2_at_once(capsys, command):
     if command == "hochschild":
         code, rep = run(capsys, command, "--count", str(limit))
         assert code == 0 and len(rep["rows"]) == limit + 1
+
+
+# every command with a --count ceiling, run at it: the round trip at
+# p = 101, and `generate` for each kind over Q and at p = 101
+AT_THE_CEILING = ([["roundtrip", "--prime", "101"], ["hochschild"], ["mckay"]]
+                  + [["generate", kind, "--prime", prime]
+                     for kind in GENERATE_KINDS for prime in ("0", "101")])
+CEILING_ALARM_SECONDS = 10
+
+
+def _ceiling_timed_out(signum, frame):
+    raise TimeoutError(f"a command ran past {CEILING_ALARM_SECONDS} s at its count ceiling")
+
+
+def test_every_command_answers_at_its_count_ceiling(capsys):
+    # about 1.6 s in all; each run is exit 0 with one JSON object
+    assert {argv[0] for argv in AT_THE_CEILING} == set(COUNT_CEILINGS)
+    previous = signal.signal(signal.SIGALRM, _ceiling_timed_out)
+    try:
+        for argv in AT_THE_CEILING:
+            argv = [*argv, "--count", str(COUNT_CEILINGS[argv[0]])]
+            signal.alarm(CEILING_ALARM_SECONDS)
+            try:
+                code = main(argv)
+            finally:
+                signal.alarm(0)
+            out = capsys.readouterr().out
+            assert code == 0, (argv, out)
+            assert isinstance(json.loads(out), dict), argv
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_a_negative_count_is_exit_2_on_every_command(capsys):
@@ -428,22 +460,36 @@ def test_generate_then_classify(capsys, files):
     assert code == 0 and rep2["kind"] == "I0"
 
 
-def test_generate_reducible_classifies_each_member_once_in_drawing(capsys, monkeypatch):
+def test_generate_reducible_classifies_each_member_once_in_drawing(capsys, monkeypatch, tmp_path):
     # make_kind classifies the drawn member, the curve takes that type, and
-    # reading the instance back to validate it classifies it once more
+    # reading the instance back to validate it classifies it once more; a
+    # command on a loaded bundle classifies its member once, on loading,
+    # and the split of a reducible member takes the curve's type
     real, calls = curves.kodaira_classify, []
 
     def counted(f):
         calls.append(f)
         return real(f)
 
-    for module in (curves, linebundles, jsonio):
+    for module in (curves, linebundles, jsonio, cli):
         monkeypatch.setattr(module, "kodaira_classify", counted)
     for seed in range(4):
         code, rep = run(capsys, "generate", "reducible", "--prime", "101", "--seed", str(seed))
         assert code == 0 and rep["valid"] == 1
         assert rep["instances"][0]["validation"]["member_kind"] == "I2"
     assert len(calls) == 8
+    for kind, member in (("reducible", "I2"), ("smooth-bimodule-chi2", "I0")):
+        _, rep = run(capsys, "generate", kind, "--prime", "101", "--seed", "0")
+        body = rep["instances"][0]
+        body.pop("validation")
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(body))
+        for command in ("classify", "split", "stability"):
+            calls.clear()
+            code, rep = run(capsys, command, "--in", str(path))
+            assert code == 0 and len(calls) == 1, (kind, command, len(calls))
+            if command == "classify":
+                assert rep["kind"] == member
 
 
 def test_every_command_is_wired():

@@ -13,6 +13,7 @@ from bimodulus.exactmath import QQ, PrimeField, QEElt, QuadExtField
 from bimodulus.curves import (
     KINDS,
     FiberTable,
+    branch_quartic,
     coefficient_grid,
     coerce_pair,
     enumerate_points,
@@ -32,10 +33,9 @@ from bimodulus.curves import (
     random_smooth_22,
     random_smooth_point,
     validate_22,
-    validate_support,
 )
 
-from bimodulus.polyring import MultiPoly, monomial_basis, quadratic_discriminant, random_multipoly
+from bimodulus.polyring import MultiPoly, monomial_basis, random_multipoly
 
 from oracles import (
     brute_curve_order,
@@ -51,7 +51,9 @@ from oracles import (
     pattern_member_j,
     pattern_member_kind,
     product_discriminant,
+    quadratic_discriminant,
     random_smooth_point_scan,
+    validate_support,
 )
 from oracles import random_p1_point as oracle_p1_point
 
@@ -116,8 +118,9 @@ def _members(field, rng):
      QuadExtField(PrimeField(5))],
     ids=["F5", "F7", "F11", "F101", "Q", "F25"])
 def test_quartic_test_agrees_with_the_pattern_path(field):
-    # over Q and F_p smoothness and j are read off the integer grid; they
-    # must also agree with the branch quartic built as a form
+    # the type, smoothness and j are read off the grid in the field's ints;
+    # they must agree with the branch quartic built as a form on field
+    # elements, and the grid's quartic must be that form up to a factor
     rng = random.Random(1313)
     kinds = set()
     for f in _members(field, rng):
@@ -130,12 +133,61 @@ def test_quartic_test_agrees_with_the_pattern_path(field):
             assert type(j) is Fraction
         for block in (0, 1):
             assert j == _outcome(pattern_member_j, f, block) == _outcome(discriminant_form_j, f, block)
-            assert quadratic_discriminant(f, block) == product_discriminant(f, block)
+            disc = quadratic_discriminant(f, block)
+            assert disc == product_discriminant(f, block)
+            quartic = branch_quartic(coefficient_grid(f, block), field.modulus)
+            assert _one_line(field, quartic, field.ints(disc))
     assert kinds == set(KINDS) | {"divisor contains a ruling fiber",
                                   "zero form does not define a divisor"}
 
 
+def _one_line(field, a, b):
+    """Whether two lists of the field's ints are multiples of each other
+    by a nonzero factor, both zero included."""
+    a, b = [field.coerce(x) for x in a], [field.coerce(x) for x in b]
+    if not any(a) or not any(b):
+        return not any(a) and not any(b)
+    i = next(i for i, x in enumerate(a) if x)
+    return all(x * b[i] == y * a[i] for x, y in zip(a, b))
+
+
+def _moved(f, rng, digits=12):
+    """f moved by an automorphism of each ruling whose matrix has entries
+    of the given number of digits: the move changes no member's type."""
+    for block in (0, 1):
+        while True:
+            m = [[rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+                  for _ in range(2)] for _ in range(2)]
+            if m[0][0] * m[1][1] - m[0][1] * m[1][0]:
+                break
+        f = f.substitute_block(block, m)
+    return f
+
+
+def test_members_with_large_coefficients_over_q():
+    # the seeded member of each type and one with a fiber, each moved by
+    # 12-digit ruling automorphisms, so that the grid's quartic has about
+    # a hundred digits: the type is the oracle's, in a few milliseconds,
+    # and the reducible members still split exactly
+    rng = random.Random(12)
+    members = [(kind, make_kind(QQ, kind, rng)) for kind in KINDS]
+    fiber = MultiPoly.monomial(QQ, (1, 0), (1, 0, 0, 0)) * random_multipoly(QQ, (1, 2), rng)
+    members.append(((ValidationError, "divisor contains a ruling fiber"), fiber))
+    for want, f in members:
+        f = _moved(f, rng)
+        assert max(len(str(c)) for c in f.terms.values()) > 40
+        start = time.process_time()
+        kind = _outcome(kodaira_classify, f)
+        assert time.process_time() - start < 0.05, want
+        assert kind == want == _outcome(pattern_member_kind, f)
+        if kind in ("I2", "III"):
+            E, g, h = factor_11(f)
+            assert E is QQ and g * h == f
+
+
 def test_quadratic_discriminant_needs_two_blocks_and_degree_2(F101):
+    # the element-wise discriminant the oracles build refuses what is not a
+    # quadratic in the block, and on a (2,1) form is a quadratic in the other
     with pytest.raises(ValidationError):
         quadratic_discriminant(MultiPoly(F101, (2,), {(2, 0): 1}), 0)
     with pytest.raises(ValidationError):
@@ -154,14 +206,15 @@ def test_smooth_members_skip_the_fiber_check_and_the_pattern(monkeypatch, rng):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(curves, "validate_support", counted(curves.validate_support))
+    monkeypatch.setattr(curves, "bf_gcd_degree", counted(curves.bf_gcd_degree))
     monkeypatch.setattr(curves, "bf_multiplicity_pattern",
                         counted(curves.bf_multiplicity_pattern))
     for f in smooth:
         assert kodaira_classify(f) == "I0" == pattern_member_kind(f)
     assert calls == []
+    # the fiber check is one gcd of the grid's rows and one of its columns
     assert kodaira_classify(nodal) == "I1"
-    assert calls == ["validate_support", "bf_multiplicity_pattern"]
+    assert calls == ["bf_gcd_degree", "bf_gcd_degree", "bf_multiplicity_pattern"]
 
 
 @pytest.mark.parametrize("kind", KINDS[:-1])
@@ -279,22 +332,29 @@ def test_fiber_table_points_over_q_are_the_roots_on_random_members():
 
 
 def test_classify_over_q_builds_no_discriminant_form(monkeypatch, rng):
+    # over Q every member is classified on its grid of ints: the fiber
+    # check and the pattern read ints, and no Fraction is made
     smooth = [random_smooth_22(QQ, rng) for _ in range(3)]
     nodal = make_kind(QQ, "I1", rng)
-    made = []
+    read = []
 
-    def counted(f, block):
-        made.append(block)
-        return quadratic_discriminant(f, block)
+    def recorded(fn):
+        def wrapper(field, *forms):
+            read.extend(x for form in forms for x in form)
+            return fn(field, *forms)
+        return wrapper
 
-    monkeypatch.setattr(curves, "quadratic_discriminant", counted)
+    monkeypatch.setattr(curves, "bf_gcd_degree", recorded(curves.bf_gcd_degree))
+    monkeypatch.setattr(curves, "bf_multiplicity_pattern",
+                        recorded(curves.bf_multiplicity_pattern))
     for f in smooth:
         assert kodaira_classify(f) == "I0"
         assert member_j(f) == grid_j(QQ, coefficient_grid(f, 0))
-    assert made == []
-    # a member that is not smooth goes the element-wise way
+    assert read == []
+    made = []
+    monkeypatch.setattr(QQ, "coerce", lambda x: made.append(x) or Fraction(x))
     assert kodaira_classify(nodal) == "I1"
-    assert made == [1]
+    assert made == [] and read and all(type(x) is int for x in read)
 
 
 def test_validate_22_rejects_wrong_degree(F101):
@@ -312,6 +372,8 @@ def test_validate_support_rejects_fiber_component(F101):
     x0 = MultiPoly.monomial(F101, (1, 0), (1, 0, 0, 0))
     with pytest.raises(ValidationError):
         validate_support(x0 * g)
+    with pytest.raises(ValidationError, match="ruling fiber"):
+        kodaira_classify(x0 * g)
 
 
 def test_enumerate_points_matches_on_curve(F5, rng):

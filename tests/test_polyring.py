@@ -16,6 +16,7 @@ from bimodulus.polyring import (
     bf_divexact,
     bf_gcd,
     bf_gcd_chain,
+    bf_gcd_degree,
     bf_mul,
     bf_multiplicity_pattern,
     bf_roots_small,
@@ -23,7 +24,6 @@ from bimodulus.polyring import (
     j_from_quartic,
     linear_resultant,
     monomial_basis,
-    quadratic_discriminant,
     quartic_invariants,
     random_multipoly,
     residue_product,
@@ -32,6 +32,8 @@ from bimodulus.polyring import (
 from oracles import (
     bf_eval,
     bf_root_linear,
+    element_gcd,
+    element_multiplicity_pattern,
     is_multiple,
     j_from_cross_ratio,
     power_eval,
@@ -215,6 +217,68 @@ def test_bf_mul_degree_and_gcd_of_shared_factor(seed, da, db):
     assert bf_divexact(field, prod, g) is not None
 
 
+_GCD_FIELDS = {"F5": PrimeField(5), "F101": PrimeField(101), "Q": QQ,
+               "F25": QuadExtField(PrimeField(5))}
+
+
+def _random_form(field, rng, degree):
+    """A random binary form of the degree, nonzero, and divisible by x1
+    (a root at (1:0)) one time in three."""
+    while True:
+        c = [field.random(rng) for _ in range(degree + 1)]
+        if degree and rng.randrange(3) == 0:
+            c[0] = field.zero()
+        if any(c):
+            return c
+
+
+@pytest.mark.parametrize("name", _GCD_FIELDS)
+def test_gcd_on_the_ints_is_the_element_wise_gcd(name):
+    # pairs of forms of degree <= 4 sharing a random factor, some with roots
+    # at (1:0), and one argument zero in some: the gcd the field's
+    # representation takes is the oracle's Euclid on field elements up to a
+    # factor (both are scaled to lead with 1), whether the forms come as
+    # field elements or in the field's ints; each form divides by it, and
+    # a product has the oracle's multiplicity pattern
+    field = _GCD_FIELDS[name]
+    rng = random.Random(4 * 37 + len(name))
+    seen = set()
+    for _ in range(80):
+        common = _random_form(field, rng, rng.randint(0, 2))
+        a = bf_mul(field, common, _random_form(field, rng, rng.randint(0, 4 - len(common) + 1)))
+        b = bf_mul(field, common, _random_form(field, rng, rng.randint(0, 4 - len(common) + 1)))
+        if rng.randrange(6) == 0:
+            b = [field.zero()] * len(b)
+        g = bf_gcd(field, a, b)
+        want = element_gcd(field, a, b)
+        assert _proportional(g, want) and g == want
+        assert bf_gcd(field, field.ints(a), field.ints(b)) == g
+        assert bf_gcd_degree(field, a, b) == len(g) - 1
+        for c in (a, b):
+            if any(c):
+                assert bf_mul(field, bf_divexact(field, c, g), g) == c
+        if not field.characteristic or len(a) - 1 < field.characteristic:
+            assert bf_multiplicity_pattern(field, a) == element_multiplicity_pattern(field, a)
+        seen.add((not any(b), not a[0] and not b[0], len(g) - 1))
+    assert {z for z, _, _ in seen} == {True, False}  # a zero argument occurs
+    assert any(inf for _, inf, _ in seen)  # so does a common root at (1:0)
+    for F in _GCD_FIELDS.values():
+        with pytest.raises(ValidationError):
+            bf_gcd(F, [F.zero()] * 3, [F.zero()] * 2)
+
+
+def test_divexact_refuses_what_does_not_divide():
+    for F in _GCD_FIELDS.values():
+        one, zero = F.one(), F.zero()
+        # x0^2 + x1^2 is not divisible by x0 + x1 on any of these fields,
+        # nor x0 x1 by x1^2
+        with pytest.raises(ValidationError):
+            bf_divexact(F, [one, zero, one], [one, one])
+        with pytest.raises(ValidationError):
+            bf_divexact(F, [zero, one, zero], [zero, zero, one])
+        assert bf_divexact(F, [one, zero, -one], [one, one]) == [one, -one]
+
+
 def test_roots_of_a_built_split_quartic(F101):
     rng = random.Random(9)
     pts = []
@@ -325,12 +389,10 @@ def test_bf_roots_small_extends_only_prime_fields():
 
 def test_discriminant_vanishes_where_fibers_degenerate(F101, rng):
     # the y-quadratic of f degenerates exactly over roots of the discriminant
-    from bimodulus.curves import make_kind
-
-    from bimodulus.curves import p1_points
+    from bimodulus.curves import branch_quartic, coefficient_grid, make_kind, p1_points
 
     f = make_kind(F101, "I0", rng)
-    q = quadratic_discriminant(f, 1)
+    q = [F101(x) for x in branch_quartic(coefficient_grid(f), 101)]
     A, B, C = f.coeff_forms(1)
     for x in p1_points(F101):
         a, b, c = (g.eval_full([x]) for g in (A, B, C))
