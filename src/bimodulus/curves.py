@@ -12,10 +12,12 @@ Also provides the pointwise utilities (fibers, residual intersection points,
 smoothness tests, random instances of each type) that the sheaf machinery in
 the rest of the package is built on.  A `FiberTable` restricts each fiber
 once, on the member's grid, and solves it once, with the roots in
-`bf_rational_roots` order, and tests each point's smoothness once: on a
-member its caller knows to be smooth only whether the point is on it,
-otherwise through the member's four chart partials, computed once per
-table.  Rational-point sampling draws a point x of P1 and reads its
+`bf_rational_roots` order, and tests each point's smoothness once, on the
+same grids at the point's coordinates in the field's `ints`: on a member
+its caller knows to be smooth only whether the point is on it, otherwise
+whether the four partials of the member vanish there.  The table also
+gives the chart derivatives that the Taylor rows of a repeated divisor
+point read.  Rational-point sampling draws a point x of P1 and reads its
 first-ruling fiber from the table, so a fiber drawn again is not solved
 again.  Over Q a smooth member is drawn through two points
 (`plant_smooth_22`), whose fibers and residuals its table keeps, so a
@@ -24,7 +26,7 @@ member is read through its coefficient grid (`coefficient_grid`), its
 coefficients in the field's representation (`ints`, see `exactmath`);
 over Q that scales the branch quartic's I^3 and 4I^3 - J^2 alike.  A
 smooth member is recognized, and its j taken, from the grid's branch
-quartic (`grid_invariants`), and a fiber is restricted on the grid.  Any
+quartic (`branch_invariants`), and a fiber is restricted on the grid.  Any
 other member is classified on the same grid, in its `ints`: the
 fiber check is the gcd of the grid's rows and of its columns, and the type
 the multiplicity pattern of the branch quartic (`kodaira_classify`).  A
@@ -93,7 +95,7 @@ def kodaira_classify(f):
     Four simple roots are exactly 4I^3 - J^2 != 0 (27 times the quartic's
     discriminant, in characteristic 0 or at least 5), and a member with a
     fiber component has a square factor in its quartic, so a smooth member
-    is recognized from I and J alone (`grid_invariants`).  Any other is
+    is recognized from I and J alone (`branch_invariants`).  Any other is
     refused when it contains a fiber of a ruling: a common factor of the
     coefficient forms of one block, which are the grid's rows for the first
     block and its columns for the second, is a product of fibers of the
@@ -103,11 +105,11 @@ def kodaira_classify(f):
     validate_22(f)
     F = f.field
     grid = coefficient_grid(f)
-    if grid_invariants(grid, F.modulus)[1]:
+    quartic = branch_quartic(grid, F.modulus)
+    if branch_invariants(quartic, F.modulus)[1]:
         return "I0"
     if bf_gcd_degree(F, *grid) or bf_gcd_degree(F, *zip(*grid)):
         raise ValidationError("divisor contains a ruling fiber")
-    quartic = branch_quartic(grid, F.modulus)
     if not any(quartic):
         return "NonReduced"
     return _PATTERN_TO_KIND[bf_multiplicity_pattern(F, quartic)]
@@ -152,13 +154,13 @@ def branch_quartic(grid, p=0):
     return [a % p for a in q] if p else q
 
 
-def grid_invariants(grid, p=0):
-    """(I^3, 4I^3 - J^2) of the (2,2)-form whose coefficient of
-    u0^(2-a) u1^a v0^(2-b) v1^b is grid[a][b], in the ring of the grid,
-    reduced mod p when p is nonzero: I and J are the invariants of its
-    `branch_quartic`.  4I^3 - J^2 vanishes exactly when `kodaira_classify`
-    finds the form not smooth (a zero quartic included)."""
-    I, J = _quartic_ij(branch_quartic(grid, p))
+def branch_invariants(quartic, p=0):
+    """(I^3, 4I^3 - J^2) of a (2,2)-form from its `branch_quartic`, in the
+    ring of the quartic, reduced mod p when p is nonzero: I and J are the
+    quartic's invariants.  4I^3 - J^2 vanishes exactly when
+    `kodaira_classify` finds the form not smooth (a zero quartic
+    included)."""
+    I, J = _quartic_ij(quartic)
     if p:
         cube = I * I * I % p
         return cube, (4 * cube - J * J) % p
@@ -169,10 +171,11 @@ def grid_invariants(grid, p=0):
 def grid_j(field, grid):
     """j in `field` of the (2,2)-form whose grid over `field` is `grid`
     (the `coefficient_grid` layout, in the field's `ints`): 6912 I^3 over
-    4I^3 - J^2 (`grid_invariants`), as `j_from_quartic` takes them.
+    4I^3 - J^2 (`branch_invariants`), as `j_from_quartic` takes them.
     Scaling the form by t scales both by t^12, so j does not change.  None
     when 4I^3 - J^2 vanishes."""
-    cube, den = grid_invariants(grid, field.modulus)
+    p = field.modulus
+    cube, den = branch_invariants(branch_quartic(grid, p), p)
     if not den:
         return None
     return field.coerce(6912 * cube) / field.coerce(den)
@@ -416,10 +419,6 @@ def p1_points(field):
     return pts
 
 
-def on_curve(f, pair):
-    return not f.eval_full(list(pair))
-
-
 def enumerate_points(f):
     """All rational points of the zero locus of a bidegree-(2,2) form over a
     finite field, x-major with y in `p1_points` order.
@@ -475,17 +474,10 @@ def _chart_var(pt):
     return 0 if pt[1] else 1
 
 
-def chart_partials(f):
-    """The four partials of f, [block][var]: the affine-chart partial of a
-    block at a point is the one in the variable its chart frees."""
-    return tuple(tuple(f.partial(block, var) for var in (0, 1)) for block in (0, 1))
-
-
-def local_derivatives(partials, pair):
-    """Values at a point of the two affine-chart partials (one per block),
-    read off the form's `chart_partials`."""
-    return tuple(partials[block][_chart_var(pair[block])].eval_full(list(pair))
-                 for block in (0, 1))
+def _gradient(q, a0, a1):
+    """The two partials of the binary quadratic q0 a0^2 + q1 a0 a1 + q2 a1^2
+    at (a0, a1)."""
+    return 2 * q[0] * a0 + q[1] * a1, q[1] * a0 + 2 * q[2] * a1
 
 
 def residue_roots(field, q):
@@ -545,18 +537,19 @@ class FiberTable:
     restricted on the grid of f (`coefficient_grid`) at the fiber point's
     coordinates in the field's `ints`, one way on every field, and solved
     by the field's own solver: on residues over F_p, on ints with `isqrt`
-    over Q, and on field elements over F_{p^2}.  When the caller knows the member to be smooth
-    (`smooth`, as a Curve of type I0 does), every point on it is smooth,
-    and a test only checks that the point is on the member.  Otherwise
-    smoothness is read off the four chart partials of the form
-    (`partials`), which are computed at their first use, here or for the
-    Taylor rows of a repeated divisor point, and kept with the table.  f
-    is evaluated only at points that no fiber restriction has found on the
-    member.  Given rational points of a smooth f, the table keeps as
+    over Q, and on field elements over F_{p^2}.  Every point test reads
+    the same grids at the point's `ints`: a point no fiber restriction has
+    found on the member is on it when the restriction of f to its fiber
+    vanishes there.  When the caller knows the member to be smooth
+    (`smooth`, as a Curve of type I0 does), every point on it is smooth.
+    Otherwise a point is singular when the four partials of f vanish
+    there, each the gradient of a fiber restriction; on the member, by
+    Euler's relation, that is the vanishing of each block's affine-chart
+    partial.  Given rational points of a smooth f, the table keeps as
     `planted` the first-ruling fibers through them and through their
     second-ruling residuals, whose points are all rational."""
 
-    __slots__ = ("f", "planted", "_grids", "_points", "_smooth", "_partials", "_member_smooth")
+    __slots__ = ("f", "planted", "_grids", "_points", "_smooth", "_member_smooth")
 
     def __init__(self, f, smooth=False, planted=()):
         self.f = f
@@ -565,7 +558,6 @@ class FiberTable:
         self._grids = (coefficient_grid(f, 0), coefficient_grid(f, 1))
         self._points = {}
         self._smooth = {}
-        self._partials = None
         self._member_smooth = smooth
         xs = []
         for pair in planted:
@@ -586,15 +578,19 @@ class FiberTable:
             raise ValidationError("divisor contains a ruling fiber")
         return pts
 
+    def _fiber_form(self, side, a0, a1):
+        """The restriction of f to the fiber through (a0:a1) of the ruling
+        `side`, on the grid: the block fixed by the point has degree 2, so
+        each term takes one of a0^2, a0 a1, a1^2, and the quadratic on the
+        other block is a nonzero multiple of the fiber's when (a0, a1) are
+        the point's `ints`; not reduced mod `modulus`."""
+        t = (a0 * a0, a0 * a1, a1 * a1)
+        return [sum(map(mul, row, t)) for row in self._grids[side]]
+
     def _restrict(self, side, x):
         F = self.f.field
         p = F.modulus
-        # the fiber quadratic on the grid: the block fixed by x has degree
-        # 2, so each term takes one of x0^2, x0 x1, x1^2 of x's grid
-        # coordinates, a nonzero multiple of the quadratic of x
-        x0, x1 = F.ints(x)
-        t = (x0 * x0, x0 * x1, x1 * x1)
-        q = [sum(map(mul, row, t)) for row in self._grids[side]]
+        q = self._fiber_form(side, *F.ints(x))
         if p:
             q = [a % p for a in q]
         if not any(q):
@@ -627,30 +623,48 @@ class FiberTable:
             raise ValidationError("point is not on the fiber")
         return pts[len(pts) - 1 - pts.index(pair)]
 
-    def partials(self):
-        """f's `chart_partials`, computed at the first call and kept."""
-        if self._partials is None:
-            self._partials = chart_partials(self.f)
-        return self._partials
-
     def is_smooth(self, pair):
         """Whether the normalized point `pair` of the member is smooth on
-        it: the member is smooth, or some affine-chart partial is nonzero
-        there.  Raises ValidationError when the point is not on the
-        member."""
+        it: the member is smooth, or some partial of f is nonzero there.
+        Raises ValidationError when the point is not on the member."""
         smooth = self._smooth.get(pair)
         if smooth is None:
-            # a point found on a fiber is on the member without evaluating f
-            if pair not in self._smooth and not on_curve(self.f, pair):
-                raise ValidationError("point is not on the curve")
-            if self._member_smooth:
+            # a point found on a fiber is on the member without a test
+            on_fiber = pair in self._smooth
+            if on_fiber and self._member_smooth:
                 smooth = True
             else:
-                partials = self.partials()
-                smooth = any(partials[block][_chart_var(pair[block])].eval_full(pair)
-                             for block in (0, 1))
+                F = self.f.field
+                p = F.modulus
+                x0, x1, y0, y1 = F.ints((*pair[0], *pair[1]))
+                c = self._fiber_form(0, x0, x1)  # f on the fiber through x, in y
+                if not on_fiber:
+                    value = c[0] * y0 * y0 + c[1] * y0 * y1 + c[2] * y1 * y1
+                    if value % p if p else value:
+                        raise ValidationError("point is not on the curve")
+                if self._member_smooth:
+                    smooth = True
+                else:
+                    grad = (*_gradient(self._fiber_form(1, y0, y1), x0, x1),
+                            *_gradient(c, y0, y1))
+                    smooth = any(d % p for d in grad) if p else any(grad)
             self._smooth[pair] = smooth
         return smooth
+
+    def chart_derivatives(self, pair):
+        """The two affine-chart partials of f at the normalized point
+        `pair`, one per block: the partial in the coordinate the block's
+        chart frees.  They are taken at the point's coordinates as the
+        field reads them, residues over F_p and the values themselves on
+        the other fields, with f's coefficients in the field's `ints`, so
+        over Q they are those of f times the factor its `ints` take."""
+        F = self.f.field
+        p = F.modulus
+        coords = (*pair[0], *pair[1])
+        x0, x1, y0, y1 = F.ints(coords) if p else coords
+        dx = _gradient(self._fiber_form(1, y0, y1), x0, x1)[_chart_var(pair[0])]
+        dy = _gradient(self._fiber_form(0, x0, x1), y0, y1)[_chart_var(pair[1])]
+        return (dx % p, dy % p) if p else (dx, dy)
 
 
 # ---------------------------------------------------------------------------
@@ -910,12 +924,14 @@ def make_tangent_11(field, rng):
             pair = point_on_11(g, rng)
         except SpecialPosition:
             continue
-        dug, dvg = local_derivatives(chart_partials(g), pair)
         u = (0, _chart_var(pair[0]))
         v = (1, _chart_var(pair[1]))
         row_val = _functional_row(field, (1, 1), _deriv_at(pair, []))
         row_du = _functional_row(field, (1, 1), _deriv_at(pair, [u]))
         row_dv = _functional_row(field, (1, 1), _deriv_at(pair, [v]))
+        # g's chart derivatives at the point, read off the same functionals
+        dug, dvg = (sum((g.terms.get(e, field.zero()) * r for e, r in zip(basis, row)),
+                        field.zero()) for row in (row_du, row_dv))
         row_tan = [dvg * a - dug * b for a, b in zip(row_du, row_dv)]
         try:
             vec = _random_kernel_element(field, [row_val, row_tan], 4, rng)

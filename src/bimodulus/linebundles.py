@@ -26,9 +26,9 @@ point's value row, and for a point listed k times the first k - 1 Taylor
 coefficients along W there.  The point rows and the division run in the
 field's representation (`ints`, see `exactmath`), so over Q a point row
 is defined up to a positive factor, as the condition it states is.  A
-Curve of type I0 tells its fiber table that the member is smooth, so no
-smoothness test computes a partial derivative.  A split scan reads the
-splitting type (a, b) off h0 of one twist, O(0, -s-1) with
+Curve of type I0 tells its fiber table that the member is smooth, so a
+smoothness test only checks that the point is on it.  A split scan reads
+the splitting type (a, b) off h0 of one twist, O(0, -s-1) with
 s = (chi-2)//2, where only O(b) has sections, and verifies it on the
 twists O(0, j) of a fixed window widened to where each summand turns on.
 It reads every twist off one rep O(1, N)(-Z') of first degree 1, made
@@ -55,7 +55,6 @@ from .curves import (
     enumerate_points,
     factor_11,
     kodaira_classify,
-    local_derivatives,
     normalize_point,
     pair_key,
     plant_smooth_22,
@@ -103,15 +102,21 @@ class Curve:
         return self._components
 
     def component_index(self, pair):
-        """0 or 1: which (1,1) component a smooth point lies on."""
+        """0 or 1: which (1,1) component a smooth point lies on, each
+        component evaluated on the point's coordinates in the `ints` of
+        the field the components are defined over."""
         E, g, h = self.components()
-        x = tuple(E.coerce(c) for c in pair[0])
-        y = tuple(E.coerce(c) for c in pair[1])
-        gv = g.eval_full([x, y])
-        hv = h.eval_full([x, y])
-        if not gv and not hv:
+        p = E.modulus
+        x0, x1, y0, y1 = E.ints((*pair[0], *pair[1]))
+        on = []
+        for form in (g, h):
+            # a (1,1) monomial is one x coordinate times one y coordinate
+            v = sum(c * (x1 if e[1] else x0) * (y1 if e[3] else y0)
+                    for e, c in zip(form.terms, E.ints(form.terms.values())))
+            on.append(not (v % p if p else v))
+        if all(on):
             raise ValidationError("point lies on both components")
-        return 0 if not gv else 1
+        return 0 if on[0] else 1
 
     def split_fibers(self, side):
         """Fibers of the chosen ruling meeting the curve in two distinct
@@ -309,13 +314,15 @@ def _divisor_rows(fibers, points, monos):
     along a local parametrization of W at P.  The points are normalized,
     so each block's chart coordinate (`X` below) moves and the other stays
     1.  W is smooth at P, so the chart partial of some block is nonzero
-    (`local_derivatives`, on the partials the table keeps); the other
-    block's coordinate is moved by t, and this one is solved for as a
-    power series, from the tangent line on, so k = 2 needs no iteration.
-    Another parametrization or chart multiplies the rows of P by an
-    invertible matrix, so the conditions are those of the divisor.  Over
-    F_p the series are of residues, reduced only where the iteration
-    divides, and the rows are left for the echelon loop to reduce."""
+    (`FiberTable.chart_derivatives`, read off the table's grids); the
+    other block's coordinate is moved by t, and this one is solved for as
+    a power series, from the tangent line on, so k = 2 needs no iteration.
+    The series reads f's coefficients in the field's `ints`, on the scale
+    of those partials.  Another parametrization or chart multiplies the
+    rows of P by an invertible matrix, so the conditions are those of the
+    divisor.  Over F_p the series are of residues, reduced only where the
+    iteration divides, and the rows are left for the echelon loop to
+    reduce."""
     f = fibers.f
     field = f.field
     distinct = list(dict.fromkeys(points))
@@ -332,7 +339,7 @@ def _divisor_rows(fibers, points, monos):
         # each block's chart coordinate, and its column in a monomial
         free = [0 if x[1] else 1 for x in P]
         cols = (free[0], 2 + free[1])
-        d = read(local_derivatives(fibers.partials(), P))
+        d = fibers.chart_derivatives(P)
         lead = 1 if d[1] else 0
         inv = pow(d[lead], -1, p) if p else 1 / d[lead]
         X = [[c] + [0] * (k - 1) for c in read(x[i] for x, i in zip(P, free))]
@@ -343,7 +350,7 @@ def _divisor_rows(fibers, points, monos):
             # d[lead] times that of X[lead]
             fw = [_series_powers(x, 2) for x in X]
             v = sum(_series_mul(fw[0][e[cols[0]]], fw[1][e[cols[1]]])[j] * c
-                    for e, c in zip(f.terms, read(f.terms.values())))
+                    for e, c in zip(f.terms, field.ints(f.terms.values())))
             X[lead][j] = read([-inv * v])[0]
         pw = [_series_powers(x, dg) for x, dg in zip(X, degs)]
         values = [_series_mul(pw[0][e[cols[0]]], pw[1][e[cols[1]]]) for e in monos]

@@ -19,7 +19,11 @@ smoothness and j from the branch quartic built as a form on field
 elements, point rows from the monomial value tables of the point's
 coordinates, the divisor rows of the doubled member by the remainder
 recurrence on field elements, forms and binary forms evaluated term by
-term with powers, smoothness from partials evaluated that way, the round
+term with powers, whether a point is on a member and its smoothness from
+the form and its partials evaluated that way, the Taylor rows of a
+repeated point by implicit differentiation with those partials, the
+points where two (1,1) forms meet from the determinant of their
+coefficients, the round
 trip with its points kept in a list and every j from a shadow built as a
 form, vanishing to order two at a point of the member by the rank of the
 two gradients there, reduction modulo the member against the echelon
@@ -73,6 +77,7 @@ from bimodulus.polyring import (
     MultiPoly,
     bf_divexact,
     bf_is_zero,
+    bf_mul,
     bf_rational_roots,
     j_from_quartic,
     monomial_basis,
@@ -138,13 +143,70 @@ def vanishes_doubly(f, g, pair):
                for i in range(4) for j in range(i + 1, 4))
 
 
+def on_curve(f, pair):
+    """Whether the form vanishes at the point, evaluated with powers."""
+    return not power_eval(f, list(pair))
+
+
 def is_smooth_point(f, pair):
     """Whether a point of the member has a nonzero chart partial; raises
     ValidationError when it is off the member."""
-    if power_eval(f, list(pair)):
+    if not on_curve(f, pair):
         raise ValidationError("point is not on the curve")
     du, dv = local_derivatives(f, pair)
     return bool(du) or bool(dv)
+
+
+def taylor_rows(f, pair, monos, k):
+    """The coefficients of t, ..., t^(k-1), k <= 3, of the monomials `monos`
+    along the member f at its smooth normalized point `pair`, by implicit
+    differentiation: one block's chart coordinate moves by t, and the
+    other's, the second block's when its chart partial
+    (`local_derivatives`) is nonzero, follows as w1 t + w2 t^2.  Every
+    derivative is a partial evaluated with powers; in the chart the other
+    coordinate stays 1, so chart derivatives are the homogeneous ones."""
+    F = f.field
+    d = local_derivatives(f, pair)
+    lead = 1 if d[1] else 0
+    s, w = ((b, 0 if pair[b][1] else 1) for b in (1 - lead, lead))
+
+    def D(g, *moves):
+        for block, var in moves:
+            if not g.degree[block]:
+                return F.zero()
+            g = g.partial(block, var)
+        return power_eval(g, list(pair))
+
+    forms = [MultiPoly.monomial(F, (e[0] + e[1], e[2] + e[3]), e) for e in monos]
+    w1 = -D(f, s) / D(f, w)
+    rows = [[D(m, s) + D(m, w) * w1 for m in forms]]
+    if k == 3:
+        two = F.coerce(2)
+
+        def second(g):
+            return (D(g, s, s) + two * D(g, s, w) * w1 + D(g, w, w) * w1 * w1) / two
+
+        w2 = -second(f) / D(f, w)
+        rows.append([second(m) + D(m, w) * w2 for m in forms])
+    return rows[:k - 1]
+
+
+def meeting_points(g, h):
+    """The rational points where two (1,1) forms meet: the roots y of the
+    determinant of their coefficients of x0 and x1, linear forms in y,
+    each with the x at which g, or h where g vanishes on that fiber,
+    vanishes there."""
+    F = g.field
+    ends = ((F.one(), F.zero()), (F.zero(), F.one()))
+    (a, b), (c, e) = ([power_eval_block(k, 0, x).to_binary() for x in ends] for k in (g, h))
+    det = [u - v for u, v in zip(bf_mul(F, a, e), bf_mul(F, b, c))]
+    out = []
+    for y, _ in bf_rational_roots(F, det) or []:
+        lin = power_eval_block(g, 1, y).to_binary()
+        if bf_is_zero(lin):
+            lin = power_eval_block(h, 1, y).to_binary()
+        out.append((normalize_point(F, (lin[1], -lin[0])), normalize_point(F, y)))
+    return out
 
 
 def bf_root_linear(field, pt):

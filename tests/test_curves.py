@@ -23,9 +23,10 @@ from bimodulus.curves import (
     make_cuspidal,
     make_kind,
     make_nodal,
+    make_tangent_11,
+    make_two_11,
     member_j,
     normalize_point,
-    on_curve,
     point_count,
     p1_points,
     plant_smooth_22,
@@ -35,6 +36,7 @@ from bimodulus.curves import (
     validate_22,
 )
 
+from bimodulus.linebundles import Curve, _divisor_rows
 from bimodulus.polyring import MultiPoly, monomial_basis, random_multipoly
 
 from oracles import (
@@ -48,11 +50,17 @@ from oracles import (
     fiber_points,
     fiber_residual,
     is_smooth_point,
+    local_derivatives,
+    meeting_points,
+    on_curve,
     pattern_member_j,
     pattern_member_kind,
+    power_eval,
+    power_rows,
     product_discriminant,
     quadratic_discriminant,
     random_smooth_point_scan,
+    taylor_rows,
     validate_support,
 )
 from oracles import random_p1_point as oracle_p1_point
@@ -557,6 +565,113 @@ def test_fiber_table_finds_the_node_of_a_nodal_member():
     node = coerce_pair(F11, node)
     table = FiberTable(f)
     assert not table.is_smooth(node) and not is_smooth_point(f, node)
+
+
+_GRID_FIELDS = {"F5": PrimeField(5), "F101": PrimeField(101), "Q": QQ,
+                "F25": QuadExtField(PrimeField(5))}
+
+
+def _members_and_points(field, rng):
+    """(kind, f, singular points, smooth points) for one seeded member of
+    each of KINDS: the node of I1, the cusp of II, both nodes of I2
+    (redrawn until they are rational) and the tacnode of III, and up to
+    six points of f found on fibers, two through (1:0), sorted by the
+    oracle; a smooth member is drawn through two planted points, which
+    are kept."""
+    f, planted = plant_smooth_22(field, rng)
+    members = [("I0", f, [], list(planted))]
+    for kind, make in (("I1", make_nodal), ("II", make_cuspidal)):
+        f, pair = make(field, rng)
+        members.append((kind, f, [coerce_pair(field, pair)], []))
+    while True:
+        f, g, h = make_two_11(field, rng)
+        nodes = meeting_points(g, h)
+        if len(nodes) == 2:
+            break
+    members.append(("I2", f, nodes, []))
+    f, g, h = make_tangent_11(field, rng)
+    members.append(("III", f, meeting_points(g, h), []))
+    members.append(("NonReduced", make_kind(field, "NonReduced", rng), [], []))
+    infinity = (field.one(), field.zero())
+    out = []
+    for kind, f, singular, smooth in members:
+        table = FiberTable(f)
+        found = [pt for side in (0, 1) for x in [infinity] + [random_p1_point(field, rng)
+                                                             for _ in range(2)]
+                 for pt in table.points(side, x) or ()]
+        found = [pt for pt in dict.fromkeys(found) if pt not in singular + smooth][:6]
+        singular = singular + [pt for pt in found if not is_smooth_point(f, pt)]
+        out.append((kind, f, singular, smooth + [pt for pt in found if is_smooth_point(f, pt)]))
+    return out
+
+
+def _to_infinity(f, pair, blocks):
+    """(g, point): f moved so that the point's coordinate in each of
+    `blocks` becomes (1:0), by the substitution x -> (a0 x0 + x1, a1 x0)
+    that takes (1:0) to (a0:a1)."""
+    F = f.field
+    pair = list(pair)
+    for block in blocks:
+        a0, a1 = pair[block]
+        if a1:
+            f = f.substitute_block(block, [[a0, F.one()], [a1, F.zero()]])
+            pair[block] = (F.one(), F.zero())
+    return f, tuple(pair)
+
+
+@pytest.mark.parametrize("name", _GRID_FIELDS)
+def test_grid_point_tests_are_the_element_wise_oracle(name):
+    # on-member, smoothness and the chart derivatives read off the fiber
+    # table's grids, the Taylor rows of a repeated point built from those
+    # derivatives and the component of a point, at nodes, cusps and
+    # tacnodes, at points with a (1:0) coordinate in either block and at
+    # points off the member; a doubled member is singular everywhere
+    F = _GRID_FIELDS[name]
+    rng = random.Random(38)
+    candidates = [(F.one(), F.zero())] + [(F(i), F.one()) for i in range(4)]
+    monos = monomial_basis((2, 1))
+    tested = {True: 0, False: 0}
+    for kind, f, singular, smooth in _members_and_points(F, rng):
+        for P in singular + smooth:
+            for blocks in ((), (0,), (1,), (0, 1)):
+                g, Q = _to_infinity(f, P, blocks)
+                want = P in smooth
+                assert is_smooth_point(g, Q) == want
+                # tested on the grid, and on a table that found Q on a fiber
+                solved = FiberTable(g)
+                assert Q in solved.points(0, Q[0])
+                assert FiberTable(g).is_smooth(Q) == want == solved.is_smooth(Q)
+                tested[want] += 1
+                off = next((Q[0], y) for y in candidates if not on_curve(g, (Q[0], y)))
+                with pytest.raises(ValidationError, match="point is not on the curve"):
+                    FiberTable(g).is_smooth(off)
+                if want:
+                    # f's chart partials on the scale of its `ints`
+                    vals = list(g.terms.values())
+                    i = next(i for i, c in enumerate(vals) if c)
+                    kappa = F.coerce(F.ints(vals)[i]) / vals[i]
+                    got = [F.coerce(d) for d in FiberTable(g).chart_derivatives(Q)]
+                    assert got == [kappa * d for d in local_derivatives(g, Q)]
+                    # the value row up to a factor, the Taylor rows exactly
+                    for k in (2, 3):
+                        rows = [[F.coerce(v) for v in row]
+                                for row in _divisor_rows(FiberTable(g), [Q] * k, monos)]
+                        value = power_rows([Q], monos)[0]
+                        j = next(j for j, v in enumerate(value) if v)
+                        assert rows[0] == [rows[0][j] / value[j] * v for v in value]
+                        assert rows[0][j] and rows[1:] == taylor_rows(g, Q, monos, k)
+                if kind in ("I2", "III"):
+                    curve = Curve(g, kind)
+                    E, *components = curve.components()
+                    QE = [tuple(E.coerce(c) for c in pt) for pt in Q]
+                    on = [not power_eval(c, QE) for c in components]
+                    if want:
+                        assert curve.component_index(Q) == on.index(True)
+                    else:
+                        assert all(on)
+                        with pytest.raises(ValidationError, match="on both components"):
+                            curve.component_index(Q)
+    assert min(tested.values()) >= 12, tested
 
 
 def _draws(sample, f, seed):

@@ -8,6 +8,7 @@ canonical) then gives independent checks for every computation.
 
 import random
 import sys
+import time
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -45,6 +46,9 @@ from oracles import (
     form_to_vec,
     ideal_slice,
     is_multiple,
+    is_smooth_point,
+    on_curve,
+    power_eval,
     scalar_product,
     split_fiber_scan,
     span_contains,
@@ -88,7 +92,7 @@ def test_twisting_points_off_the_curve_or_singular_are_rejected():
             LineBundle(curve, 1, 1, [], [node])
 
 
-def test_smoothness_is_tested_once_per_point_and_partials_once_per_curve(
+def test_loading_and_drawing_bundles_take_no_partials_and_test_each_point_once(
         F101, rng, monkeypatch):
     calls = {"partial": 0, "eval_full": 0}
 
@@ -100,54 +104,67 @@ def test_smoothness_is_tested_once_per_point_and_partials_once_per_curve(
             return real(self, *args)
         return wrapper
 
+    tested = []
+    is_smooth = curves.FiberTable.is_smooth
+
+    def recording(table, pair):
+        if table._smooth.get(pair) is None:  # not yet tested on this table
+            tested.append((id(table), pair))
+        return is_smooth(table, pair)
+
     monkeypatch.setattr(MultiPoly, "partial", counted("partial"))
     monkeypatch.setattr(MultiPoly, "eval_full", counted("eval_full"))
-    # a smooth member (I0) has no singular point, so its table computes no
-    # partials; a reducible one (I2, III) computes its four partials once
-    for kind in ("I0", "I0", "I0", "I2", "III"):
+    monkeypatch.setattr(curves.FiberTable, "is_smooth", recording)
+    for kind in ("I0", "I0", "I2", "III"):
         curve = Curve(make_kind(F101, kind, rng))
-        calls["partial"] = 0  # drawing a III member takes partials
+        calls.update(partial=0, eval_full=0)  # drawing a III member takes both
+        tested.clear()
         pts = []
         while len(pts) < 6:
             p = random_smooth_point(curve.fibers, rng)
             if p not in pts:
                 pts.append(p)
-        before = calls["eval_full"]
-        L = LineBundle(curve, 2, 1, pts[:3], pts[3:])
-        assert calls["eval_full"] == before
-        for _ in range(4):
-            L = random_line_bundle(curve, rng)
+        bundles = [LineBundle(curve, 2, 1, pts[:3], pts[3:])]
+        bundles += [random_line_bundle(curve, rng) for _ in range(4)]
+        # loading builds a new curve, whose table tests each listed point on
+        # its grid, none of them found on a fiber yet
+        bundles += [instance_from_json(instance_to_json(L)) for L in bundles]
+        for L in bundles:
             L.h0()
+            assert sum(L.degree_by_component()) == L.degree_total()
         singular = [pair for pair in curves.enumerate_points(curve.f)
                     if not curve.fibers.is_smooth(pair)]
+        assert calls == {"partial": 0, "eval_full": 0}
+        assert tested and len(tested) == len(set(tested))
         off = next((x, y) for x in p1_points(F101) for y in p1_points(F101)
-                   if curve.f.eval_full([x, y]))
+                   if not on_curve(curve.f, (x, y)))
         with pytest.raises(ValidationError, match="not on the curve"):
             curve.fibers.is_smooth(off)
         if kind == "I0":
-            assert singular == [] and calls["partial"] == 0
+            assert singular == []
         else:
             # the components meet twice (I2, perhaps at conjugate points) or
             # once, tangentially at a rational point (III)
             assert len(singular) <= 2 if kind == "I2" else len(singular) == 1
-            assert 0 < calls["partial"] <= 4
+            assert all(not is_smooth_point(curve.f, pair) for pair in singular)
 
 
-def test_repeated_points_take_the_partials_once_per_member(F101, rng, monkeypatch):
-    # the Taylor rows of a repeated point read the chart partials the
-    # member's fiber table keeps: four partials, however many bundles,
-    # points and multiplicities ask for them
+def test_repeated_points_take_no_partials(F101, rng, monkeypatch):
+    # the Taylor rows of a repeated point read the chart derivatives off the
+    # fiber table's grids: no partial form, however many bundles, points and
+    # multiplicities ask for them
     calls = []
-    real = MultiPoly.partial
-    monkeypatch.setattr(MultiPoly, "partial",
-                        lambda self, *args: calls.append(args) or real(self, *args))
+    for name in ("partial", "eval_full"):
+        real = getattr(MultiPoly, name)
+        monkeypatch.setattr(MultiPoly, name, lambda self, *args, real=real, name=name:
+                            calls.append(name) or real(self, *args))
     curve = Curve(make_kind(F101, "I0", rng))
     pts = [random_smooth_point(curve.fibers, rng) for _ in range(3)]
     for P in pts:
         for k in (2, 3):
             assert LineBundle(curve, 1, 1, [P] * k).h0() == 4 - k
             assert section_space(LineBundle(curve, 2, 1, [P] * k)).dim() == 6 - k
-    assert len(calls) == 4
+    assert calls == []
 
 
 def test_only_checked_constructions_normalize_their_points(monkeypatch):
@@ -851,6 +868,60 @@ def test_transport_preserves_everything(F101, rng):
         assert L2.curve.kind == kind
         assert L2.degree_total() == L.degree_total()
         assert split_from_cohomology(L2) == split_from_cohomology(L)
+
+
+def _large_automorphism(rng, digits=12):
+    """An invertible 2x2 matrix of ints of the given number of digits."""
+    while True:
+        m = [[rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+              for _ in range(2)] for _ in range(2)]
+        if m[0][0] * m[1][1] - m[0][1] * m[1][0]:
+            return m
+
+
+def test_moved_points_over_q_test_smooth_on_their_component():
+    # seeded Q bundles on members of every reduced type, and the node and
+    # the cusp of I1 and II members, moved by 12-digit ruling automorphisms:
+    # each moved point tests as the oracle says on the moved member, whose
+    # coefficients run past forty digits, and a bundle's point lands
+    # on the component the oracle finds, the components keeping their
+    # points together, each test within a CPU bound per point
+    rng = random.Random(38)
+    cases = []
+    for kind in ("I0", "I2", "III"):
+        curve = (linebundles.random_smooth_curve(QQ, rng) if kind == "I0"
+                 else Curve(make_kind(QQ, kind, rng)))
+        L = random_line_bundle(curve, rng)
+        while len(L.minus) < 2:
+            L = random_line_bundle(curve, rng)
+        cases.append((L, L.minus))
+    for make in (make_nodal, curves.make_cuspidal):
+        f, pair = make(QQ, rng)
+        cases.append((LineBundle(Curve(f), 1, 1), [curves.coerce_pair(QQ, pair)]))
+    for L, pts in cases:
+        g, h = _large_automorphism(rng), _large_automorphism(rng)
+        moved, move = linebundles._moved(L.curve, g, h)
+        assert max(len(str(c)) for c in moved.f.terms.values()) > 40
+        sides = set()
+        for P in pts:
+            Q = move(P)
+            start = time.process_time()
+            smooth = moved.fibers.is_smooth(Q)
+            assert time.process_time() - start < 0.01
+            assert smooth == is_smooth_point(moved.f, Q) == (P in L.minus)
+            if moved.is_reducible():
+                E, *components = moved.components()
+                start = time.process_time()
+                index = moved.component_index(Q)
+                assert time.process_time() - start < 0.01
+                assert [not power_eval(c, list(Q)) for c in components].index(True) == index
+                sides.add((L.curve.component_index(P), index))
+        # points of one component stay together on one moved component
+        assert len(sides) == len({before for before, _ in sides}) == len({a for _, a in sides})
+        if L.minus:
+            L2 = transport(L, g, h)
+            assert L2.minus == [move(P) for P in L.minus]
+            assert sorted(L2.degree_by_component()) == sorted(L.degree_by_component())
 
 
 def test_transport_rejects_singular_matrices(smooth_curve, rng):
